@@ -1,9 +1,9 @@
 //! Throughput benches for the `rpi-query` serving layer: ingest cost,
-//! single-query rates, batched rates and shard-decomposition speedup,
+//! single-query rates, batched rates across shard counts,
 //! snapshot diffing, and the rpi-sec detection verbs. These back the
-//! observatory's queries/sec claims (`rpi-queryd --bench` prints the
-//! same numbers against a live world). `RPI_BENCH_SMOKE` trims sample
-//! counts (CI's bench-trend step), never the worlds.
+//! observatory's queries/sec claims (the end-to-end figures against a
+//! live daemon come from `benchmark/run.sh`). `RPI_BENCH_SMOKE` trims
+//! sample counts (CI's bench-trend step), never the worlds.
 
 use std::time::{Duration, Instant};
 
@@ -15,7 +15,7 @@ use bgp_sim::ChurnConfig;
 use bgp_types::{Asn, Ipv4Prefix};
 use net_topology::InternetSize;
 use rpi_core::Experiment;
-use rpi_query::{Query, QueryEngine, QueryRequest, Scope};
+use rpi_query::{Query, QueryEngine, QueryRequest, Response, SaStatus, Scope};
 use rpi_sec::{Roa, RoaTable};
 
 fn workload(exp: &Experiment) -> Vec<(Asn, Ipv4Prefix)> {
@@ -66,25 +66,27 @@ fn bench_queries(c: &mut Criterion, smoke: bool) {
     let mut g = c.benchmark_group("query/single");
     g.sample_size(if smoke { 5 } else { 20 });
     g.throughput(Throughput::Elements(pairs.len() as u64));
-    g.bench_function(format!("route_at_{}_queries", pairs.len()), |b| {
+    g.bench_function(format!("route_{}_queries", pairs.len()), |b| {
         b.iter(|| {
-            let mut hits = 0usize;
-            for &(v, p) in &pairs {
-                if engine.route_at(v, p).is_some() {
-                    hits += 1;
-                }
-            }
-            hits
+            pairs
+                .iter()
+                .map(|&(vantage, prefix)| Query::Route { vantage, prefix }.at(Scope::Latest))
+                .filter(|req| matches!(engine.execute(req), Ok(Response::Route(Some(_)))))
+                .count()
         })
     });
     g.bench_function("sa_status_all", |b| {
         b.iter(|| {
             pairs
                 .iter()
-                .map(|&(v, p)| engine.sa_status(v, p))
-                .fold(0usize, |acc, s| {
-                    acc + matches!(s, rpi_query::SaStatus::SelectivelyAnnounced { .. }) as usize
+                .map(|&(vantage, prefix)| Query::SaStatus { vantage, prefix }.at(Scope::Latest))
+                .filter(|req| {
+                    matches!(
+                        engine.execute(req),
+                        Ok(Response::Sa(SaStatus::SelectivelyAnnounced { .. }))
+                    )
                 })
+                .count()
         })
     });
     g.bench_function("policy_summary_all_lgs", |b| {
@@ -92,7 +94,8 @@ fn bench_queries(c: &mut Criterion, smoke: bool) {
             exp.spec
                 .lg_ases
                 .iter()
-                .filter_map(|&a| engine.policy_summary(a))
+                .map(|&asn| Query::PolicySummary { asn }.at(Scope::Latest))
+                .filter(|req| matches!(engine.execute(req), Ok(Response::Summary(Some(_)))))
                 .count()
         })
     });
@@ -104,16 +107,13 @@ fn bench_queries(c: &mut Criterion, smoke: bool) {
     for shards in [1usize, 4, 16] {
         let mut e = QueryEngine::new(shards);
         let id = e.ingest_experiment(&exp, "bench");
-        g.bench_function(format!("route_at_batch_{shards}_shards"), |b| {
-            b.iter(|| e.route_at_batch_in(id, &pairs))
+        let reqs: Vec<QueryRequest> = pairs
+            .iter()
+            .map(|&(vantage, prefix)| Query::Route { vantage, prefix }.at(Scope::Id(id)))
+            .collect();
+        g.bench_function(format!("route_batch_{shards}_shards"), |b| {
+            b.iter(|| e.execute_batch(&reqs))
         });
-        // Report the decomposition's achievable speedup once per config.
-        let (_, profile) = e.route_at_batch_profiled(id, &pairs);
-        println!(
-            "    ({shards} shards: critical path {:.2?}, speedup {:.1}× with one core per shard)",
-            profile.critical_path(),
-            profile.parallel_speedup()
-        );
     }
     g.finish();
 }
@@ -151,19 +151,6 @@ fn bench_execute_batch(c: &mut Criterion, smoke: bool) {
         b.iter(|| engine.execute_batch(&reqs))
     });
     g.finish();
-
-    // Record the decomposition's critical-path speedup once: how much of
-    // the batch's lookup work the shard lanes can overlap.
-    let (results, profile) = engine.execute_batch_profiled(&reqs);
-    let ok = results.iter().filter(|r| r.is_ok()).count();
-    println!(
-        "    (mixed batch: {} requests, {ok} ok, critical path {:.2?} of {:.2?} busy → \
-         lane speedup {:.1}× with one core per lane)",
-        reqs.len(),
-        profile.critical_path(),
-        profile.total_busy(),
-        profile.parallel_speedup()
-    );
 }
 
 /// Series ingest: full re-index per snapshot vs diff-aware incremental
@@ -220,26 +207,19 @@ fn bench_ingest_series(c: &mut Criterion, smoke: bool) {
     g.bench_function("output_delta_only", |b| b.iter(|| series.deltas()));
     g.finish();
 
-    // Report speedup + sharing once, through the same measurement the
-    // daemon's `--bench` prints.
-    let report = rpi_query::measure_series_ingest(
-        &series,
-        &exp.inferred_graph,
-        8,
-        if smoke { 1 } else { 3 },
-    );
+    // The two targets above are the speedup; report the churn rate and
+    // the sharing the incremental path achieves once.
+    let mut e = QueryEngine::new(8);
+    e.ingest_series_incremental(&series, &exp.inferred_graph);
+    let stats = e.sharing_stats();
     println!(
         "    (series of {} snapshots, {events} route events ≈ {churn_pct:.2}% churn/snapshot: \
-         full {:.2?} vs incremental {:.2?} → {:.1}× speedup; \
          {}/{} nodes shared = {:.1}%, {} KiB)",
         series.snapshots.len(),
-        report.full,
-        report.incremental,
-        report.speedup(),
-        report.stats.shared_nodes,
-        report.stats.total_nodes,
-        100.0 * report.stats.shared_ratio(),
-        report.stats.shared_bytes / 1024,
+        stats.shared_nodes,
+        stats.total_nodes,
+        100.0 * stats.shared_ratio(),
+        stats.shared_bytes / 1024,
     );
 }
 
@@ -251,7 +231,11 @@ fn bench_diff(c: &mut Criterion, smoke: bool) {
     let mut g = c.benchmark_group("query/diff");
     g.sample_size(if smoke { 3 } else { 10 });
     g.bench_function("diff_identical_small_world", |bch| {
-        bch.iter(|| engine.diff(a, b_id).unwrap())
+        bch.iter(|| {
+            engine
+                .execute(&Query::Diff.at(Scope::Range(a, b_id)))
+                .unwrap()
+        })
     });
     g.finish();
 }

@@ -1,6 +1,5 @@
 //! Sustained throughput of the TCP front end (`rpi_query::serve`) over
-//! loopback, against the in-process `execute_batch` baseline the
-//! `rpi-queryd --bench` report measures.
+//! loopback, against the in-process `execute_batch` baseline.
 //!
 //! The serving acceptance bar is **≥ 100k queries/s over TCP on a Small
 //! world**; the sharded-serve stretch bar is **≥ 2M queries/s

@@ -6,7 +6,7 @@ use rpi_bench::harness::{BatchSize, Criterion, Throughput};
 
 use bgp_sim::export::collector_to_mrt;
 use bgp_sim::{GroundTruth, PolicyParams, Simulation, VantageSpec};
-use bgp_types::{Asn, Ipv4Prefix, PrefixTrie};
+use bgp_types::{Asn, CowTrie, Ipv4Prefix};
 use bgp_wire::TableDump;
 use net_topology::{InternetConfig, InternetSize};
 
@@ -77,13 +77,13 @@ fn bench_wire(c: &mut Criterion) {
 fn bench_trie(c: &mut Criterion) {
     let graph = InternetConfig::of_size(InternetSize::Paper).build();
     let prefixes: Vec<Ipv4Prefix> = graph.all_prefixes().map(|(_, r)| r.prefix).collect();
-    let trie: PrefixTrie<u32> = prefixes.iter().map(|&p| (p, p.len() as u32)).collect();
+    let trie: CowTrie<u32> = prefixes.iter().map(|&p| (p, p.len() as u32)).collect();
 
     let mut g = c.benchmark_group("substrate/trie");
     g.throughput(Throughput::Elements(prefixes.len() as u64));
     g.bench_function(format!("insert_{}_prefixes", prefixes.len()), |b| {
         b.iter(|| {
-            let t: PrefixTrie<u32> = prefixes.iter().map(|&p| (p, 0u32)).collect();
+            let t: CowTrie<u32> = prefixes.iter().map(|&p| (p, 0u32)).collect();
             t
         })
     });

@@ -47,8 +47,8 @@ fn bit_at(bits: u32, depth: u8) -> usize {
 }
 
 /// Serializes sorted `(prefix, value)` pairs (the order [`CowTrie::iter`]
-/// / `PrefixTrie::iter` produce) into the flattened layout. `enc` writes
-/// one value's bytes (the length prefix is added here).
+/// produces) into the flattened layout. `enc` writes one value's bytes
+/// (the length prefix is added here).
 ///
 /// Panics (debug) if `pairs` is not sorted — lexicographic pair order is
 /// exactly pre-order, which is what the recursive writer consumes.

@@ -15,11 +15,12 @@
 //! * [`Route`] / [`RouteAttrs`] — a RIB entry carrying every attribute the
 //!   BGP decision process consults.
 //! * [`decision`] — the 7-step best-route selection of §2.2.1 of the paper.
-//! * [`PrefixTrie`] — a binary trie for longest-prefix-match and
-//!   covered/covering queries, used by the cause analysis (Table 9).
+//! * [`CowTrie`] — the copy-on-write binary trie: route shards that
+//!   share unchanged subtries across snapshots, longest-prefix match,
+//!   and the covered/covering queries of the cause analysis (Table 9).
 //! * [`codec`] / [`flat`] — the archive substrate: LEB128/ZigZag byte
 //!   codec with offset-carrying errors, and the flattened pointer-free
-//!   trie layout ([`FlatTrie`]) the on-disk snapshot store uses.
+//!   trie layout ([`FlatTrie`]) served straight off the on-disk bytes.
 //! * [`Relationship`] — the provider / customer / peer / sibling annotation
 //!   of the AS graph (§2.1).
 //!
@@ -53,4 +54,4 @@ pub use path::{AsPath, PathSegment};
 pub use prefix::Ipv4Prefix;
 pub use relationship::Relationship;
 pub use route::{Origin, Route, RouteAttrs, RouteBuilder, Session};
-pub use trie::{CowTrie, PrefixTrie};
+pub use trie::CowTrie;

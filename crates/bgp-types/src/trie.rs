@@ -1,266 +1,27 @@
-//! Binary prefix tries keyed by [`Ipv4Prefix`].
+//! The in-memory prefix trie, keyed by [`Ipv4Prefix`].
 //!
-//! Two variants share one node layout:
+//! [`CowTrie`] is a persistent (copy-on-write) binary trie whose nodes
+//! live behind [`Arc`]s. Cloning is O(1); mutating a clone path-copies
+//! only the nodes on the touched prefix's spine and shares every
+//! untouched subtrie with the original. This is what lets consecutive
+//! snapshots of a churn series share the ~99% of their route tables that
+//! BGP churn never touched. It supports the lookups the policy analyses
+//! need: exact match ([`CowTrie::get`]), longest-prefix match
+//! ([`CowTrie::best_match`], [`CowTrie::longest_match`]) and covering /
+//! covered enumeration ([`CowTrie::covering`], [`CowTrie::covered`]) —
+//! how Table 9's splitting/aggregating counts find less- and
+//! more-specific companions of an SA prefix.
 //!
-//! * [`PrefixTrie`] — the plain owned trie. Supports the three lookups
-//!   the policy analyses need: exact-match ([`PrefixTrie::get`]),
-//!   longest-prefix match for an address ([`PrefixTrie::longest_match`]),
-//!   and covering / covered enumeration ([`PrefixTrie::covering`],
-//!   [`PrefixTrie::covered`]) — how Table 9's splitting/aggregating
-//!   counts find less- and more-specific companions of an SA prefix.
-//! * [`CowTrie`] — a persistent (copy-on-write) trie whose nodes live
-//!   behind [`Arc`]s. Cloning is O(1); mutating a clone path-copies only
-//!   the nodes on the touched prefix's spine and shares every untouched
-//!   subtrie with the original. This is what lets consecutive snapshots
-//!   of a churn series share the ~99% of their route tables that BGP
-//!   churn never touched.
+//! Its serve-from-bytes counterpart is [`crate::flat::FlatTrie`].
 
 use std::sync::Arc;
 
 use crate::prefix::Ipv4Prefix;
 
-#[derive(Debug, Clone)]
-struct Node<T> {
-    value: Option<T>,
-    children: [Option<Box<Node<T>>>; 2],
-}
-
-impl<T> Default for Node<T> {
-    fn default() -> Self {
-        Node {
-            value: None,
-            children: [None, None],
-        }
-    }
-}
-
-/// A map from IPv4 prefixes to values, organized as a binary trie.
-///
-/// ```
-/// use bgp_types::{Ipv4Prefix, PrefixTrie};
-/// let mut t = PrefixTrie::new();
-/// t.insert("12.0.0.0/19".parse().unwrap(), "aggregate");
-/// t.insert("12.0.16.0/24".parse().unwrap(), "specific");
-/// let covering: Vec<_> = t.covering("12.0.16.0/24".parse().unwrap()).collect();
-/// assert_eq!(covering.len(), 2); // itself + the /19
-/// ```
-#[derive(Debug, Clone)]
-pub struct PrefixTrie<T> {
-    root: Node<T>,
-    len: usize,
-}
-
-impl<T> Default for PrefixTrie<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Bit `depth` (0-based from the MSB) of `bits`.
 fn bit_at(bits: u32, depth: u8) -> usize {
     ((bits >> (31 - depth as u32)) & 1) as usize
 }
-
-impl<T> PrefixTrie<T> {
-    /// Creates an empty trie.
-    pub fn new() -> Self {
-        PrefixTrie {
-            root: Node::default(),
-            len: 0,
-        }
-    }
-
-    /// Number of stored prefixes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no prefixes are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts `value` at `prefix`, returning the previous value if any.
-    pub fn insert(&mut self, prefix: Ipv4Prefix, value: T) -> Option<T> {
-        let mut node = &mut self.root;
-        for depth in 0..prefix.len() {
-            let b = bit_at(prefix.bits(), depth);
-            node = node.children[b].get_or_insert_with(Box::default);
-        }
-        let old = node.value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
-    }
-
-    /// Exact-match lookup.
-    pub fn get(&self, prefix: Ipv4Prefix) -> Option<&T> {
-        let mut node = &self.root;
-        for depth in 0..prefix.len() {
-            let b = bit_at(prefix.bits(), depth);
-            node = node.children[b].as_deref()?;
-        }
-        node.value.as_ref()
-    }
-
-    /// Exact-match mutable lookup.
-    pub fn get_mut(&mut self, prefix: Ipv4Prefix) -> Option<&mut T> {
-        let mut node = &mut self.root;
-        for depth in 0..prefix.len() {
-            let b = bit_at(prefix.bits(), depth);
-            node = node.children[b].as_deref_mut()?;
-        }
-        node.value.as_mut()
-    }
-
-    /// Removes and returns the value at `prefix`. Empty interior nodes are
-    /// left in place (cheap, and fine for our workloads where removal is
-    /// rare compared to lookup).
-    pub fn remove(&mut self, prefix: Ipv4Prefix) -> Option<T> {
-        let mut node = &mut self.root;
-        for depth in 0..prefix.len() {
-            let b = bit_at(prefix.bits(), depth);
-            node = node.children[b].as_deref_mut()?;
-        }
-        let old = node.value.take();
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
-    }
-
-    /// Longest-prefix match for a single address.
-    pub fn longest_match(&self, addr: u32) -> Option<(Ipv4Prefix, &T)> {
-        let mut node = &self.root;
-        let mut best: Option<(Ipv4Prefix, &T)> =
-            node.value.as_ref().map(|v| (Ipv4Prefix::DEFAULT, v));
-        for depth in 0..32u8 {
-            let b = bit_at(addr, depth);
-            match node.children[b].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        best = Some((Ipv4Prefix::canonical(addr, depth + 1), v));
-                    }
-                }
-                None => break,
-            }
-        }
-        best
-    }
-
-    /// The longest stored prefix covering `prefix` (itself included) —
-    /// longest-prefix-match generalized from addresses to prefixes. This
-    /// is the serving-layer lookup: a query for `10.1.2.0/24` answered by
-    /// the table's `10.1.0.0/16` route.
-    pub fn best_match(&self, prefix: Ipv4Prefix) -> Option<(Ipv4Prefix, &T)> {
-        let mut node = &self.root;
-        let mut best: Option<(Ipv4Prefix, &T)> =
-            node.value.as_ref().map(|v| (Ipv4Prefix::DEFAULT, v));
-        for depth in 0..prefix.len() {
-            let b = bit_at(prefix.bits(), depth);
-            match node.children[b].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        best = Some((Ipv4Prefix::canonical(prefix.bits(), depth + 1), v));
-                    }
-                }
-                None => break,
-            }
-        }
-        best
-    }
-
-    /// All stored prefixes that **cover** `prefix` (itself included),
-    /// shortest first — the candidates that could aggregate it.
-    pub fn covering(&self, prefix: Ipv4Prefix) -> impl Iterator<Item = (Ipv4Prefix, &T)> {
-        let mut out: Vec<(Ipv4Prefix, &T)> = Vec::new();
-        let mut node = &self.root;
-        if let Some(v) = node.value.as_ref() {
-            out.push((Ipv4Prefix::DEFAULT, v));
-        }
-        for depth in 0..prefix.len() {
-            let b = bit_at(prefix.bits(), depth);
-            match node.children[b].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        out.push((Ipv4Prefix::canonical(prefix.bits(), depth + 1), v));
-                    }
-                }
-                None => break,
-            }
-        }
-        out.into_iter()
-    }
-
-    /// All stored prefixes **covered by** `prefix` (itself included), in
-    /// lexicographic order — the more-specifics that could have been split
-    /// out of it.
-    pub fn covered(&self, prefix: Ipv4Prefix) -> impl Iterator<Item = (Ipv4Prefix, &T)> {
-        let mut out: Vec<(Ipv4Prefix, &T)> = Vec::new();
-        // Walk down to the subtree root for `prefix`.
-        let mut node = &self.root;
-        let mut found = true;
-        for depth in 0..prefix.len() {
-            let b = bit_at(prefix.bits(), depth);
-            match node.children[b].as_deref() {
-                Some(child) => node = child,
-                None => {
-                    found = false;
-                    break;
-                }
-            }
-        }
-        if found {
-            collect_subtree(node, prefix.bits(), prefix.len(), &mut out);
-        }
-        out.into_iter()
-    }
-
-    /// Iterates over all `(prefix, value)` pairs in lexicographic order.
-    pub fn iter(&self) -> impl Iterator<Item = (Ipv4Prefix, &T)> {
-        let mut out: Vec<(Ipv4Prefix, &T)> = Vec::with_capacity(self.len);
-        collect_subtree(&self.root, 0, 0, &mut out);
-        out.into_iter()
-    }
-}
-
-fn collect_subtree<'a, T>(
-    node: &'a Node<T>,
-    bits: u32,
-    depth: u8,
-    out: &mut Vec<(Ipv4Prefix, &'a T)>,
-) {
-    if let Some(v) = node.value.as_ref() {
-        out.push((Ipv4Prefix::canonical(bits, depth), v));
-    }
-    if depth == 32 {
-        return;
-    }
-    if let Some(child) = node.children[0].as_deref() {
-        collect_subtree(child, bits, depth + 1, out);
-    }
-    if let Some(child) = node.children[1].as_deref() {
-        collect_subtree(child, bits | (1u32 << (31 - depth as u32)), depth + 1, out);
-    }
-}
-
-impl<T> FromIterator<(Ipv4Prefix, T)> for PrefixTrie<T> {
-    fn from_iter<I: IntoIterator<Item = (Ipv4Prefix, T)>>(iter: I) -> Self {
-        let mut t = PrefixTrie::new();
-        for (p, v) in iter {
-            t.insert(p, v);
-        }
-        t
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CowTrie: the persistent variant
-// ---------------------------------------------------------------------------
 
 #[derive(Debug)]
 struct CowNode<T> {
@@ -293,9 +54,9 @@ impl<T: Clone> Clone for CowNode<T> {
 ///
 /// Clones share all nodes with the original in O(1); `insert`/`remove`
 /// on a clone copy only the spine of the touched prefix (≤ 33 nodes) and
-/// keep sharing everything else. Lookups behave exactly like
-/// [`PrefixTrie`] — see `cow_matches_plain_under_random_ops` in this
-/// module's tests for the differential check.
+/// keep sharing everything else. Lookups are differentially checked
+/// against a `BTreeMap` oracle — see `cow_matches_plain_under_random_ops`
+/// in this module's tests.
 ///
 /// ```
 /// use bgp_types::{CowTrie, Ipv4Prefix};
@@ -362,7 +123,9 @@ impl<T> CowTrie<T> {
     }
 
     /// The longest stored prefix covering `prefix` (itself included) —
-    /// the serving-layer lookup, identical to [`PrefixTrie::best_match`].
+    /// longest-prefix match generalized from addresses to prefixes. This
+    /// is the serving-layer lookup: a query for `10.1.2.0/24` answered by
+    /// the table's `10.1.0.0/16` route.
     pub fn best_match(&self, prefix: Ipv4Prefix) -> Option<(Ipv4Prefix, &T)> {
         let mut node = &*self.root;
         let mut best: Option<(Ipv4Prefix, &T)> =
@@ -385,6 +148,42 @@ impl<T> CowTrie<T> {
     /// Longest-prefix match for a single address.
     pub fn longest_match(&self, addr: u32) -> Option<(Ipv4Prefix, &T)> {
         self.best_match(Ipv4Prefix::canonical(addr, 32))
+    }
+
+    /// All stored prefixes that **cover** `prefix` (itself included),
+    /// shortest first — the candidates that could aggregate it.
+    pub fn covering(&self, prefix: Ipv4Prefix) -> impl Iterator<Item = (Ipv4Prefix, &T)> {
+        let mut out: Vec<(Ipv4Prefix, &T)> = Vec::new();
+        let mut node = &*self.root;
+        if let Some(v) = node.value.as_ref() {
+            out.push((Ipv4Prefix::DEFAULT, v));
+        }
+        for depth in 0..prefix.len() {
+            let Some(child) = node.children[bit_at(prefix.bits(), depth)].as_deref() else {
+                break;
+            };
+            node = child;
+            if let Some(v) = node.value.as_ref() {
+                out.push((Ipv4Prefix::canonical(prefix.bits(), depth + 1), v));
+            }
+        }
+        out.into_iter()
+    }
+
+    /// All stored prefixes **covered by** `prefix` (itself included), in
+    /// lexicographic order — the more-specifics that could have been split
+    /// out of it.
+    pub fn covered(&self, prefix: Ipv4Prefix) -> impl Iterator<Item = (Ipv4Prefix, &T)> {
+        let mut out: Vec<(Ipv4Prefix, &T)> = Vec::new();
+        // Walk down to the subtree root for `prefix`.
+        let mut node = Some(&*self.root);
+        for depth in 0..prefix.len() {
+            node = node.and_then(|n| n.children[bit_at(prefix.bits(), depth)].as_deref());
+        }
+        if let Some(node) = node {
+            collect_cow_subtree(node, prefix.bits(), prefix.len(), &mut out);
+        }
+        out.into_iter()
     }
 
     /// Iterates over all `(prefix, value)` pairs in lexicographic order.
@@ -435,9 +234,9 @@ impl<T: Clone> CowTrie<T> {
         old
     }
 
-    /// Removes and returns the value at `prefix`. Interior nodes are left
-    /// in place, matching [`PrefixTrie::remove`]'s policy (removal is
-    /// rare next to lookup, and the spine was just path-copied anyway).
+    /// Removes and returns the value at `prefix`. Empty interior nodes
+    /// are left in place (removal is rare next to lookup, and the spine
+    /// was just path-copied anyway).
     pub fn remove(&mut self, prefix: Ipv4Prefix) -> Option<T> {
         // Walk immutably first: a miss must not path-copy the spine.
         self.get(prefix)?;
@@ -511,95 +310,10 @@ fn shared_cow_nodes<T>(a: &Arc<CowNode<T>>, b: &Arc<CowNode<T>>) -> usize {
 mod tests {
     use super::*;
     use crate::prefix::parse_addr;
+    use std::collections::BTreeMap;
 
     fn p(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
-    }
-
-    fn sample() -> PrefixTrie<&'static str> {
-        let mut t = PrefixTrie::new();
-        t.insert(p("12.0.0.0/8"), "eight");
-        t.insert(p("12.0.0.0/19"), "nineteen");
-        t.insert(p("12.0.16.0/24"), "deep");
-        t.insert(p("192.168.0.0/16"), "rfc1918");
-        t
-    }
-
-    #[test]
-    fn insert_get_remove() {
-        let mut t = sample();
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.get(p("12.0.0.0/19")), Some(&"nineteen"));
-        assert_eq!(t.get(p("12.0.0.0/20")), None);
-        assert_eq!(t.insert(p("12.0.0.0/19"), "updated"), Some("nineteen"));
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.remove(p("12.0.0.0/19")), Some("updated"));
-        assert_eq!(t.remove(p("12.0.0.0/19")), None);
-        assert_eq!(t.len(), 3);
-        *t.get_mut(p("12.0.0.0/8")).unwrap() = "mutated";
-        assert_eq!(t.get(p("12.0.0.0/8")), Some(&"mutated"));
-    }
-
-    #[test]
-    fn longest_match_prefers_most_specific() {
-        let t = sample();
-        let addr = parse_addr("12.0.16.7").unwrap();
-        assert_eq!(t.longest_match(addr).unwrap().0, p("12.0.16.0/24"));
-        let addr2 = parse_addr("12.0.32.1").unwrap();
-        assert_eq!(t.longest_match(addr2).unwrap().0, p("12.0.0.0/8"));
-        assert!(t.longest_match(parse_addr("8.8.8.8").unwrap()).is_none());
-    }
-
-    #[test]
-    fn default_route_matches_everything() {
-        let mut t = sample();
-        t.insert(Ipv4Prefix::DEFAULT, "default");
-        assert_eq!(
-            t.longest_match(parse_addr("8.8.8.8").unwrap()).unwrap().0,
-            Ipv4Prefix::DEFAULT
-        );
-    }
-
-    #[test]
-    fn covering_lists_ancestors_shortest_first() {
-        let t = sample();
-        let cov: Vec<_> = t.covering(p("12.0.16.0/24")).map(|(q, _)| q).collect();
-        assert_eq!(
-            cov,
-            vec![p("12.0.0.0/8"), p("12.0.0.0/19"), p("12.0.16.0/24")]
-        );
-        // A prefix not in the trie still reports its stored ancestors.
-        let cov2: Vec<_> = t.covering(p("12.0.0.0/24")).map(|(q, _)| q).collect();
-        assert_eq!(cov2, vec![p("12.0.0.0/8"), p("12.0.0.0/19")]);
-    }
-
-    #[test]
-    fn covered_lists_descendants() {
-        let t = sample();
-        let cov: Vec<_> = t.covered(p("12.0.0.0/19")).map(|(q, _)| q).collect();
-        assert_eq!(cov, vec![p("12.0.0.0/19"), p("12.0.16.0/24")]);
-        let all: Vec<_> = t.covered(Ipv4Prefix::DEFAULT).map(|(q, _)| q).collect();
-        assert_eq!(all.len(), 4);
-        assert_eq!(t.covered(p("10.0.0.0/8")).count(), 0);
-    }
-
-    #[test]
-    fn iter_is_lexicographic() {
-        let t = sample();
-        let all: Vec<_> = t.iter().map(|(q, _)| q).collect();
-        let mut sorted = all.clone();
-        sorted.sort();
-        assert_eq!(all, sorted);
-        assert_eq!(all.len(), t.len());
-    }
-
-    #[test]
-    fn from_iterator() {
-        let t: PrefixTrie<u32> = [(p("1.0.0.0/8"), 1), (p("2.0.0.0/8"), 2)]
-            .into_iter()
-            .collect();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.get(p("2.0.0.0/8")), Some(&2));
     }
 
     fn cow_sample() -> CowTrie<&'static str> {
@@ -633,6 +347,68 @@ mod tests {
     }
 
     #[test]
+    fn longest_match_prefers_most_specific() {
+        let t = cow_sample();
+        let addr = parse_addr("12.0.16.7").unwrap();
+        assert_eq!(t.longest_match(addr).unwrap().0, p("12.0.16.0/24"));
+        let addr2 = parse_addr("12.0.32.1").unwrap();
+        assert_eq!(t.longest_match(addr2).unwrap().0, p("12.0.0.0/8"));
+        assert!(t.longest_match(parse_addr("8.8.8.8").unwrap()).is_none());
+    }
+
+    #[test]
+    fn default_route_matches_everything() {
+        let mut t = cow_sample();
+        t.insert(Ipv4Prefix::DEFAULT, "default");
+        assert_eq!(
+            t.longest_match(parse_addr("8.8.8.8").unwrap()).unwrap().0,
+            Ipv4Prefix::DEFAULT
+        );
+    }
+
+    #[test]
+    fn covering_lists_ancestors_shortest_first() {
+        let t = cow_sample();
+        let cov: Vec<_> = t.covering(p("12.0.16.0/24")).map(|(q, _)| q).collect();
+        assert_eq!(
+            cov,
+            vec![p("12.0.0.0/8"), p("12.0.0.0/19"), p("12.0.16.0/24")]
+        );
+        // A prefix not in the trie still reports its stored ancestors.
+        let cov2: Vec<_> = t.covering(p("12.0.0.0/24")).map(|(q, _)| q).collect();
+        assert_eq!(cov2, vec![p("12.0.0.0/8"), p("12.0.0.0/19")]);
+    }
+
+    #[test]
+    fn covered_lists_descendants() {
+        let t = cow_sample();
+        let cov: Vec<_> = t.covered(p("12.0.0.0/19")).map(|(q, _)| q).collect();
+        assert_eq!(cov, vec![p("12.0.0.0/19"), p("12.0.16.0/24")]);
+        let all: Vec<_> = t.covered(Ipv4Prefix::DEFAULT).map(|(q, _)| q).collect();
+        assert_eq!(all.len(), 4);
+        assert_eq!(t.covered(p("10.0.0.0/8")).count(), 0);
+    }
+
+    #[test]
+    fn iter_is_lexicographic() {
+        let t = cow_sample();
+        let all: Vec<_> = t.iter().map(|(q, _)| q).collect();
+        let mut sorted = all.clone();
+        sorted.sort();
+        assert_eq!(all, sorted);
+        assert_eq!(all.len(), t.len());
+    }
+
+    #[test]
+    fn from_iterator() {
+        let t: CowTrie<u32> = [(p("1.0.0.0/8"), 1), (p("2.0.0.0/8"), 2)]
+            .into_iter()
+            .collect();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.get(p("2.0.0.0/8")), Some(&2));
+    }
+
+    #[test]
     fn cow_clone_is_fully_shared_until_mutated() {
         let base = cow_sample();
         let clone = base.clone();
@@ -660,11 +436,12 @@ mod tests {
 
     #[test]
     fn cow_matches_plain_under_random_ops() {
-        // Differential check against PrefixTrie with a deterministic
-        // pseudo-random op stream (splitmix-style, no RNG dep needed).
-        let mut plain: PrefixTrie<u64> = PrefixTrie::new();
+        // Differential check against a BTreeMap reference (linear-scan
+        // LPM) with a deterministic pseudo-random op stream (splitmix-
+        // style, no RNG dep needed).
+        let mut oracle: BTreeMap<Ipv4Prefix, u64> = BTreeMap::new();
         let mut cow: CowTrie<u64> = CowTrie::new();
-        let mut history: Vec<CowTrie<u64>> = Vec::new();
+        let mut history: Vec<(CowTrie<u64>, BTreeMap<Ipv4Prefix, u64>)> = Vec::new();
         let mut x = 0x5EEDu64;
         let mut step = || {
             x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -677,33 +454,37 @@ mod tests {
             // Small universe so inserts/removes/overwrites all happen.
             let prefix = Ipv4Prefix::canonical(((r >> 8) as u32) & 0xF0F0_0000, (r % 21) as u8);
             if r % 5 == 0 {
-                assert_eq!(plain.remove(prefix), cow.remove(prefix), "op {i}");
+                assert_eq!(oracle.remove(&prefix), cow.remove(prefix), "op {i}");
             } else {
-                assert_eq!(plain.insert(prefix, r), cow.insert(prefix, r), "op {i}");
+                assert_eq!(oracle.insert(prefix, r), cow.insert(prefix, r), "op {i}");
             }
-            assert_eq!(plain.len(), cow.len(), "op {i}");
+            assert_eq!(oracle.len(), cow.len(), "op {i}");
             if i % 97 == 0 {
-                history.push(cow.clone());
+                history.push((cow.clone(), oracle.clone()));
             }
             let addr = (step() >> 16) as u32;
             assert_eq!(
-                plain.longest_match(addr).map(|(q, v)| (q, *v)),
+                oracle
+                    .iter()
+                    .filter(|(q, _)| q.contains_addr(addr))
+                    .max_by_key(|(q, _)| q.len())
+                    .map(|(q, v)| (*q, *v)),
                 cow.longest_match(addr).map(|(q, v)| (q, *v)),
+                "op {i}"
             );
         }
-        let all_plain: Vec<_> = plain.iter().map(|(q, v)| (q, *v)).collect();
         let all_cow: Vec<_> = cow.iter().map(|(q, v)| (q, *v)).collect();
-        assert_eq!(all_plain, all_cow);
+        assert_eq!(all_cow, oracle.into_iter().collect::<Vec<_>>());
         // Old clones were never disturbed by later mutation.
-        for h in &history {
-            assert!(h.len() <= 600);
-            assert_eq!(h.iter().count(), h.len());
+        for (h, then) in history {
+            let all: Vec<_> = h.iter().map(|(q, v)| (q, *v)).collect();
+            assert_eq!(all, then.into_iter().collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn host_routes_at_max_depth() {
-        let mut t = PrefixTrie::new();
+        let mut t = CowTrie::new();
         t.insert(p("1.2.3.4/32"), ());
         t.insert(p("1.2.3.5/32"), ());
         assert_eq!(t.len(), 2);
@@ -712,5 +493,7 @@ mod tests {
             p("1.2.3.4/32")
         );
         assert_eq!(t.covered(p("1.2.3.4/31")).count(), 2);
+        assert_eq!(t.covered(p("1.2.3.4/32")).count(), 1);
+        assert_eq!(t.covering(p("1.2.3.5/32")).count(), 1);
     }
 }

@@ -7,7 +7,7 @@
 use rand::prelude::*;
 use std::collections::BTreeMap;
 
-use bgp_types::{AsPath, Asn, Community, Ipv4Prefix, PrefixTrie};
+use bgp_types::{AsPath, Asn, Community, CowTrie, Ipv4Prefix};
 
 const CASES: usize = 256;
 
@@ -221,7 +221,7 @@ fn community_display_parse_roundtrip() {
     }
 }
 
-// ---------- PrefixTrie vs BTreeMap oracle ----------
+// ---------- CowTrie vs BTreeMap oracle ----------
 
 #[test]
 fn trie_matches_btreemap_oracle() {
@@ -231,15 +231,25 @@ fn trie_matches_btreemap_oracle() {
         let entries: Vec<(Ipv4Prefix, u16)> = (0..n_entries)
             .map(|_| (arb_prefix(&mut rng), rng.gen::<u16>()))
             .collect();
+        // Random probes, plus stored prefixes (the self-included case),
+        // their host routes and the default route (the /32 and /0 edges).
         let probes: Vec<Ipv4Prefix> = (0..rng.gen_range(0..16usize))
             .map(|_| arb_prefix(&mut rng))
+            .chain(entries.iter().take(4).map(|e| e.0))
+            .chain(
+                entries
+                    .iter()
+                    .take(4)
+                    .map(|e| Ipv4Prefix::canonical(e.0.bits(), 32)),
+            )
+            .chain([Ipv4Prefix::DEFAULT])
             .collect();
         let addrs: Vec<u32> = (0..rng.gen_range(0..16usize))
             .map(|_| rng.gen::<u32>())
             .collect();
 
         let mut oracle: BTreeMap<Ipv4Prefix, u16> = BTreeMap::new();
-        let mut trie: PrefixTrie<u16> = PrefixTrie::new();
+        let mut trie: CowTrie<u16> = CowTrie::new();
         for (p, v) in &entries {
             oracle.insert(*p, *v);
             trie.insert(*p, *v);
@@ -251,7 +261,8 @@ fn trie_matches_btreemap_oracle() {
             assert_eq!(trie.get(*probe), oracle.get(probe));
         }
 
-        // Longest match agrees with a linear scan.
+        // Longest match agrees with a linear scan, for addresses and
+        // for prefixes.
         for addr in &addrs {
             let expect = oracle
                 .iter()
@@ -259,6 +270,14 @@ fn trie_matches_btreemap_oracle() {
                 .max_by_key(|(p, _)| p.len())
                 .map(|(p, v)| (*p, v));
             assert_eq!(trie.longest_match(*addr), expect);
+        }
+        for probe in &probes {
+            let expect = oracle
+                .iter()
+                .filter(|(p, _)| p.covers(*probe))
+                .max_by_key(|(p, _)| p.len())
+                .map(|(p, v)| (*p, v));
+            assert_eq!(trie.best_match(*probe), expect);
         }
 
         // Covering/covered agree with linear scans.
@@ -297,7 +316,7 @@ fn trie_remove_restores_oracle() {
             .map(|_| (arb_prefix(&mut rng), rng.gen::<u16>()))
             .collect();
         let mut oracle: BTreeMap<Ipv4Prefix, u16> = BTreeMap::new();
-        let mut trie: PrefixTrie<u16> = PrefixTrie::new();
+        let mut trie: CowTrie<u16> = CowTrie::new();
         for (p, v) in &entries {
             oracle.insert(*p, *v);
             trie.insert(*p, *v);

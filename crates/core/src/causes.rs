@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bgp_sim::CollectorView;
-use bgp_types::{Asn, Ipv4Prefix, PrefixTrie, Relationship};
+use bgp_types::{Asn, CowTrie, Ipv4Prefix, Relationship};
 use net_topology::{customer_path, AsGraph};
 
 use net_topology::CustomerCone;
@@ -73,7 +73,7 @@ pub fn causes(
     };
 
     // Index the provider's table for covering/covered queries.
-    let trie: PrefixTrie<&crate::view::BestRow> = table.rows.iter().map(|(&p, r)| (p, r)).collect();
+    let trie: CowTrie<&crate::view::BestRow> = table.rows.iter().map(|(&p, r)| (p, r)).collect();
 
     let is_customer_route = |next_hop: Asn| {
         matches!(

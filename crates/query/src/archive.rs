@@ -346,10 +346,32 @@ fn decode_roas(raw: &[u8]) -> Result<RoaTable, CodecError> {
 const FLAG_REL_SHARED: u8 = 1;
 /// The full segment carries a trailing vantage directory + footer (see
 /// [`encode_vantage_dir`]) so the cold tier can address shard tries
-/// without decoding the body. Written by format version 2; old readers
-/// reject it loudly, old segments (bit clear) decode unchanged.
+/// without decoding the body. Every full segment has it: the bit clear
+/// (a format-v1 segment) is corruption — see [`read_full_flags`].
 const FLAG_DIRECTORY: u8 = 2;
 const FULL_FLAG_MASK: u8 = FLAG_REL_SHARED | FLAG_DIRECTORY;
+
+/// Reads a full segment's flags byte, rejecting unknown bits and a
+/// missing vantage directory at the byte's offset — the one check both
+/// load paths (hydrating [`decode_full`], mapping
+/// [`read_mapped_directory`]) share.
+fn read_full_flags(r: &mut Reader<'_>) -> Result<u8, CodecError> {
+    let offset = r.position();
+    let flags = r.u8()?;
+    if flags & !FULL_FLAG_MASK != 0 {
+        return Err(CodecError::Invalid {
+            offset,
+            what: "unknown full-segment flags",
+        });
+    }
+    if flags & FLAG_DIRECTORY == 0 {
+        return Err(CodecError::Invalid {
+            offset,
+            what: "full segment has no vantage directory",
+        });
+    }
+    Ok(flags)
+}
 
 /// Trailing magic of a directory-carrying full segment.
 const DIR_MAGIC: [u8; 4] = *b"RPD2";
@@ -613,29 +635,16 @@ fn decode_vantage_dir(
 }
 
 /// Reads the directory of a mapped full segment without decoding its
-/// body — the cold tier's attach path. Returns `None` for segments
-/// written before the directory existed (a v1 archive: still loadable,
-/// just not cold-queryable). Also reports whether the segment is
-/// self-contained (no [`FLAG_REL_SHARED`]) and its label.
+/// body — the cold tier's attach path. Also reports whether the segment
+/// is self-contained (no [`FLAG_REL_SHARED`]) and its label.
 pub(crate) fn read_mapped_directory(
     raw: &[u8],
     n_asns: usize,
     n_shards: usize,
-) -> Result<Option<(VantageDir, bool, String)>, CodecError> {
+) -> Result<(VantageDir, bool, String), CodecError> {
     let mut r = Reader::new(raw);
     let label = r.str()?.to_string();
-    let flag_offset = r.position();
-    let flags = r.u8()?;
-    if flags & !FULL_FLAG_MASK != 0 {
-        return Err(CodecError::Invalid {
-            offset: flag_offset,
-            what: "unknown full-segment flags",
-        });
-    }
-    if flags & FLAG_DIRECTORY == 0 {
-        return Ok(None);
-    }
-    let self_contained = flags & FLAG_REL_SHARED == 0;
+    let self_contained = read_full_flags(&mut r)? & FLAG_REL_SHARED == 0;
     if raw.len() < DIR_FOOTER {
         return Err(CodecError::Truncated {
             offset: raw.len(),
@@ -665,7 +674,7 @@ pub(crate) fn read_mapped_directory(
             what: "trailing bytes after vantage directory",
         });
     }
-    Ok(Some((dir, self_contained, label)))
+    Ok((dir, self_contained, label))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -690,15 +699,7 @@ pub(crate) fn decode_full(
     let mut snap = Snapshot::empty(id, label);
 
     let flag_offset = r.position();
-    let flags = r.u8()?;
-    if flags & !FULL_FLAG_MASK != 0 {
-        return Err(CodecError::Invalid {
-            offset: flag_offset,
-            what: "unknown full-segment flags",
-        });
-    }
-    let has_dir = flags & FLAG_DIRECTORY != 0;
-    if flags & FLAG_REL_SHARED != 0 {
+    if read_full_flags(&mut r)? & FLAG_REL_SHARED != 0 {
         let prev = prev.ok_or(CodecError::Invalid {
             offset: flag_offset,
             what: "relationships shared but segment has no predecessor",
@@ -729,10 +730,9 @@ pub(crate) fn decode_full(
         snap.neighbor_counts = Arc::new(counts);
     }
 
-    // Vantage tables. Shard byte spans are recorded as decoded so a
-    // directory-carrying segment can be held to its directory: every
-    // span the directory advertises must be exactly where the body put
-    // the trie.
+    // Vantage tables. Shard byte spans are recorded as decoded so the
+    // segment can be held to its directory: every span the directory
+    // advertises must be exactly where the body put the trie.
     let mut seen_dir = VantageDir::default();
     let n_vantages = r.ulen()?;
     for _ in 0..n_vantages {
@@ -852,32 +852,30 @@ pub(crate) fn decode_full(
         snap.community_class.insert(owner, Arc::new(classes));
     }
 
-    if has_dir {
-        // The directory must agree byte-for-byte with where the body
-        // actually put its tries — a lying directory is corruption, not
-        // a source of out-of-band reads for the cold tier.
-        let dir_offset = r.position();
-        let dir = decode_vantage_dir(&mut r, n_asns, n_shards, dir_offset)?;
-        if dir != seen_dir {
-            return Err(CodecError::Invalid {
-                offset: dir_offset,
-                what: "directory disagrees with segment body",
-            });
-        }
-        let footer_offset = r.position();
-        let recorded = u64::from_be_bytes(r.bytes(8)?.try_into().expect("8 bytes"));
-        if recorded != dir_offset as u64 {
-            return Err(CodecError::Invalid {
-                offset: footer_offset,
-                what: "full-segment directory offset",
-            });
-        }
-        if r.bytes(DIR_MAGIC.len())? != DIR_MAGIC {
-            return Err(CodecError::Invalid {
-                offset: footer_offset + 8,
-                what: "full-segment directory magic",
-            });
-        }
+    // The directory must agree byte-for-byte with where the body
+    // actually put its tries — a lying directory is corruption, not
+    // a source of out-of-band reads for the cold tier.
+    let dir_offset = r.position();
+    let dir = decode_vantage_dir(&mut r, n_asns, n_shards, dir_offset)?;
+    if dir != seen_dir {
+        return Err(CodecError::Invalid {
+            offset: dir_offset,
+            what: "directory disagrees with segment body",
+        });
+    }
+    let footer_offset = r.position();
+    let recorded = u64::from_be_bytes(r.bytes(8)?.try_into().expect("8 bytes"));
+    if recorded != dir_offset as u64 {
+        return Err(CodecError::Invalid {
+            offset: footer_offset,
+            what: "full-segment directory offset",
+        });
+    }
+    if r.bytes(DIR_MAGIC.len())? != DIR_MAGIC {
+        return Err(CodecError::Invalid {
+            offset: footer_offset + 8,
+            what: "full-segment directory magic",
+        });
     }
 
     if !r.is_exhausted() {

@@ -6,16 +6,7 @@
 //! end ([`rpi_query::serve`]). Every query line is the shared wire
 //! grammar of [`rpi_query::proto`], so REPL sessions, batch `--queries`
 //! files, TCP clients and the engine's tests all speak one language and
-//! get byte-identical answers. `--bench` instead runs the throughput
-//! report: single route queries per second, batched throughput across
-//! shard counts, and a mixed protocol workload.
-//!
-//! ```text
-//! rpi-queryd [--size tiny|small|paper] [--seed N] [--snapshots N]
-//!            [--incremental] [--shards N] [--queries FILE] [--bench]
-//!            [--save DIR [--force]] [--archive DIR]
-//!            [--listen ADDR [--max-conns N] [--write-buf-cap BYTES]]
-//! ```
+//! get byte-identical answers. `rpi-queryd --help` lists every flag.
 //!
 //! `--incremental` ingests the churn series diff-aware: each snapshot
 //! after the first is a copy-on-write overlay sharing unchanged shard
@@ -41,12 +32,11 @@ use std::time::Instant;
 
 use bgp_sim::churn::simulate_series;
 use bgp_sim::ChurnConfig;
-use bgp_types::{Asn, Ipv4Prefix};
 use net_topology::InternetSize;
 use rpi_core::Experiment;
 use rpi_query::serve::session::{classify_line, fmt_bytes, repl_reply, Line};
 use rpi_query::serve::ServeStats;
-use rpi_query::{Control, PollBackend, Query, QueryEngine, Scope, ServeConfig, Server};
+use rpi_query::{Control, PollBackend, QueryEngine, ServeConfig, Server};
 
 struct Options {
     size: InternetSize,
@@ -56,7 +46,6 @@ struct Options {
     shards: usize,
     queries: Option<String>,
     roas: Option<String>,
-    bench: bool,
     save: Option<String>,
     archive: Option<String>,
     hot_cap: Option<usize>,
@@ -69,7 +58,7 @@ struct Options {
     serve_threads: usize,
     idle_timeout_secs: u64,
     follow: Option<String>,
-    window: usize,
+    window: Option<usize>,
     spill: Option<String>,
     emit_deltas: Option<String>,
     emit_delay_ms: u64,
@@ -81,7 +70,7 @@ struct Options {
 fn usage() -> &'static str {
     "usage: rpi-queryd [--size tiny|small|paper|large] [--seed N] \
      [--snapshots N] [--incremental] [--shards N] [--queries FILE] \
-     [--roas FILE] [--bench] \
+     [--roas FILE] \
      [--save DIR [--force] [--keyframe-every N]] \
      [--archive DIR [--hot-cap N]] \
      [--listen ADDR [--max-conns N] [--write-buf-cap BYTES] \
@@ -102,7 +91,6 @@ fn flag_help() -> &'static str {
   --roas FILE          load route-origin authorizations for `rov` / RPKI state
                        (one '<prefix>[-<max-length>] <origin-asn>' per line;
                        saved into archives, so --archive restores them)
-  --bench              run the throughput report instead of serving queries
   --save DIR           write the ingested world as an rpi-store archive, then exit
   --keyframe-every N   save: force a self-contained keyframe segment every N
                        snapshots, bounding every delta chain (tiered readers
@@ -113,7 +101,7 @@ fn flag_help() -> &'static str {
                        map every segment (µs/snapshot), answer point queries
                        zero-copy off the cold mappings, and keep at most N
                        snapshots hydrated under LRU (`snapshots` shows
-                       residency; v1 archives fall back to a full load)
+                       residency)
   --listen ADDR        serve the query grammar over TCP on ADDR (e.g. 127.0.0.1:4321)
   --max-conns N        serve: concurrent connection cap (default 64)
   --write-buf-cap B    serve: per-connection response-buffer cap in bytes,
@@ -169,7 +157,6 @@ fn parse_args() -> Result<Options, String> {
         shards: 8,
         queries: None,
         roas: None,
-        bench: false,
         save: None,
         archive: None,
         hot_cap: None,
@@ -182,7 +169,7 @@ fn parse_args() -> Result<Options, String> {
         serve_threads: 1,
         idle_timeout_secs: 30,
         follow: None,
-        window: 4,
+        window: None,
         spill: None,
         emit_deltas: None,
         emit_delay_ms: 0,
@@ -225,7 +212,6 @@ fn parse_args() -> Result<Options, String> {
             "--incremental" => opts.incremental = true,
             "--queries" => opts.queries = Some(value("--queries")?),
             "--roas" => opts.roas = Some(value("--roas")?),
-            "--bench" => opts.bench = true,
             "--save" => opts.save = Some(value("--save")?),
             "--archive" => opts.archive = Some(value("--archive")?),
             "--hot-cap" => {
@@ -299,12 +285,13 @@ fn parse_args() -> Result<Options, String> {
             "--follow" => opts.follow = Some(value("--follow")?),
             "--window" => {
                 let v = value("--window")?;
-                opts.window = v
+                let window = v
                     .parse()
                     .map_err(|_| format!("--window wants a count, got '{v}'"))?;
-                if opts.window == 0 {
+                if window == 0 {
                     return Err("--window must be at least 1".into());
                 }
+                opts.window = Some(window);
             }
             "--spill" => opts.spill = Some(value("--spill")?),
             "--emit-deltas" => opts.emit_deltas = Some(value("--emit-deltas")?),
@@ -388,10 +375,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.archive.is_some() && opts.bench {
-        eprintln!("rpi-queryd: --bench needs a simulated world; drop --archive");
-        return ExitCode::FAILURE;
-    }
     if opts.hot_cap.is_some() && opts.archive.is_none() {
         eprintln!("rpi-queryd: --hot-cap tiers an archive; it needs --archive");
         return ExitCode::FAILURE;
@@ -400,20 +383,19 @@ fn main() -> ExitCode {
         eprintln!("rpi-queryd: --keyframe-every shapes an archive; it needs --save or --follow");
         return ExitCode::FAILURE;
     }
-    if opts.listen.is_some() && (opts.bench || opts.queries.is_some() || opts.save.is_some()) {
-        eprintln!("rpi-queryd: --listen serves TCP; drop --bench/--queries/--save");
+    if opts.listen.is_some() && (opts.queries.is_some() || opts.save.is_some()) {
+        eprintln!("rpi-queryd: --listen serves TCP; drop --queries/--save");
         return ExitCode::FAILURE;
     }
     if opts.follow.is_some()
-        && (opts.bench || opts.queries.is_some() || opts.save.is_some() || opts.archive.is_some())
+        && (opts.queries.is_some() || opts.save.is_some() || opts.archive.is_some())
     {
-        eprintln!("rpi-queryd: --follow ingests live; drop --bench/--queries/--save/--archive");
+        eprintln!("rpi-queryd: --follow ingests live; drop --queries/--save/--archive");
         return ExitCode::FAILURE;
     }
     if opts.emit_deltas.is_some()
         && (opts.follow.is_some()
             || opts.listen.is_some()
-            || opts.bench
             || opts.queries.is_some()
             || opts.save.is_some()
             || opts.archive.is_some())
@@ -421,7 +403,7 @@ fn main() -> ExitCode {
         eprintln!("rpi-queryd: --emit-deltas writes a stream and exits; run it alone");
         return ExitCode::FAILURE;
     }
-    if (opts.spill.is_some() || opts.window != 4) && opts.follow.is_none() {
+    if (opts.spill.is_some() || opts.window.is_some()) && opts.follow.is_none() {
         eprintln!("rpi-queryd: --window/--spill tune live ingest; they need --follow");
         return ExitCode::FAILURE;
     }
@@ -509,7 +491,6 @@ fn main() -> ExitCode {
         return follow_and_serve(&opts, path, roa_table, listener, metrics_file);
     }
 
-    let mut exp = None;
     let mut engine;
     if let Some(dir) = &opts.archive {
         let t0 = Instant::now();
@@ -535,19 +516,14 @@ fn main() -> ExitCode {
             fmt_bytes(disk as u64),
             engine.shard_count(),
         );
-        match (opts.hot_cap, engine.tier_stats()) {
-            (Some(_), Some(stats)) => eprintln!(
+        if let Some(stats) = engine.tier_stats() {
+            eprintln!(
                 "tier-attached: {} segments mapped in {:.1} µs/snapshot (hot cap {}); \
                  point queries answer zero-copy off the cold mappings",
                 stats.snapshots,
                 elapsed.as_micros() as f64 / stats.snapshots.max(1) as f64,
                 stats.hot_cap,
-            ),
-            (Some(_), None) => eprintln!(
-                "note: {dir} predates the vantage directory (format v1); \
-                 loaded fully hydrated, --hot-cap has no effect"
-            ),
-            _ => {}
+            );
         }
     } else {
         eprintln!(
@@ -574,7 +550,6 @@ fn main() -> ExitCode {
         } else {
             engine.ingest_experiment(&e, "t0");
         }
-        exp = Some(e);
         let (asns, prefixes, communities) = engine.interned_sizes();
         eprintln!(
             "ready in {:.2?}: {} snapshots, {} shards, interned {asns} ASNs / {prefixes} prefixes / {communities} communities",
@@ -641,16 +616,6 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         };
-    }
-
-    if opts.bench {
-        bench(
-            exp.as_ref()
-                .expect("checked: --bench never loads an archive"),
-            &engine,
-            opts.shards,
-        );
-        return ExitCode::SUCCESS;
     }
 
     // The serve mode: share the built engine across the accept loop and
@@ -811,7 +776,7 @@ fn follow_and_serve(
         .clone()
         .unwrap_or_else(|| format!("{path}.spill"));
     let live_opts = rpi_query::LiveOptions {
-        window: opts.window,
+        window: opts.window.unwrap_or(4),
         keyframe_every: opts.keyframe_every.unwrap_or(4),
     };
     eprintln!(
@@ -1083,126 +1048,4 @@ fn run_line(engine: &QueryEngine, line: &str) -> Outcome {
         }
         Line::Bad(msg) => Outcome::Err(msg),
     }
-}
-
-/// The throughput report behind the `--bench` flag.
-fn bench(exp: &Experiment, engine: &QueryEngine, max_shards: usize) {
-    // Query workload: every (vantage, prefix) pair the world knows.
-    let mut pairs: Vec<(Asn, Ipv4Prefix)> = Vec::new();
-    for (vantage, _) in engine.vantages() {
-        if let Some(t) = exp.lg_table(vantage) {
-            pairs.extend(t.rows.keys().map(|&p| (vantage, p)));
-        } else {
-            let t = exp.collector_table(vantage);
-            pairs.extend(t.rows.keys().map(|&p| (vantage, p)));
-        }
-    }
-    assert!(!pairs.is_empty(), "bench world has no routes");
-    println!(
-        "\nworkload: {} distinct (vantage, prefix) queries",
-        pairs.len()
-    );
-
-    // --- single-route queries ---
-    const TARGET: usize = 400_000;
-    let rounds = TARGET.div_ceil(pairs.len()).max(1);
-    let t0 = Instant::now();
-    let mut hits = 0usize;
-    for _ in 0..rounds {
-        for &(v, p) in &pairs {
-            if engine.route_at(v, p).is_some() {
-                hits += 1;
-            }
-        }
-    }
-    let total = rounds * pairs.len();
-    let elapsed = t0.elapsed();
-    let qps = total as f64 / elapsed.as_secs_f64();
-    println!(
-        "single route_at: {total} queries in {elapsed:.2?} → {qps:.0} queries/s ({hits} hits)"
-    );
-
-    // --- sa_status single queries ---
-    let t0 = Instant::now();
-    for &(v, p) in &pairs {
-        std::hint::black_box(engine.sa_status(v, p));
-    }
-    let qps_sa = pairs.len() as f64 / t0.elapsed().as_secs_f64();
-    println!("single sa_status: {qps_sa:.0} queries/s");
-
-    // --- batched queries across shard counts ---
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("\nbatched route_at_batch (one engine per shard count, {cores} core(s)):");
-    let mut shard_counts: Vec<usize> = vec![1, 2, 4, 8, 16];
-    shard_counts.retain(|&s| s <= max_shards.max(1));
-    if !shard_counts.contains(&max_shards) {
-        shard_counts.push(max_shards);
-    }
-    let batch: Vec<(Asn, Ipv4Prefix)> = pairs.iter().cycle().take(TARGET).copied().collect();
-    for &n in &shard_counts {
-        let mut e = QueryEngine::new(n);
-        e.ingest_experiment(exp, "bench");
-        let id = e.latest().expect("just ingested");
-        let (answers, profile) = e.route_at_batch_profiled(id, &batch);
-        let got = answers.iter().filter(|a| a.is_some()).count();
-        println!(
-            "  {n:>3} shards: {} queries in {:.2?} → {:.0} queries/s wall; \
-             critical path {:.2?} → {:.0} queries/s with {n} cores \
-             (shard speedup {:.1}×, {got} answered)",
-            batch.len(),
-            profile.wall,
-            batch.len() as f64 / profile.wall.as_secs_f64(),
-            profile.critical_path(),
-            batch.len() as f64 / profile.critical_path().as_secs_f64(),
-            profile.parallel_speedup(),
-        );
-    }
-
-    // --- series ingest: full re-index vs incremental (COW overlays) ---
-    // A dozen daily snapshots at ~1% route churn each (the paper's §6
-    // series is 31 days of this).
-    const SERIES_STEPS: usize = 12;
-    let cfg = ChurnConfig {
-        steps: SERIES_STEPS,
-        flip_prob: 0.07,
-        link_failure_prob: 0.01,
-        ..ChurnConfig::daily(7)
-    };
-    let series = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg);
-    let events: usize = series.deltas().iter().map(|d| d.route_events()).sum();
-    let report = rpi_query::measure_series_ingest(&series, &exp.inferred_graph, max_shards, 3);
-    println!(
-        "\nseries ingest ({SERIES_STEPS} snapshots, {events} route events):\n  \
-         full re-index {:.2?}, incremental {:.2?} → {:.1}× faster; \
-         {}/{} trie nodes shared ({:.1}%, {} KiB)",
-        report.full,
-        report.incremental,
-        report.speedup(),
-        report.stats.shared_nodes,
-        report.stats.total_nodes,
-        100.0 * report.stats.shared_ratio(),
-        report.stats.shared_bytes / 1024,
-    );
-
-    // --- mixed protocol workload through execute_batch ---
-    let reqs: Vec<_> = pairs
-        .iter()
-        .enumerate()
-        .map(|(i, &(vantage, prefix))| match i % 3 {
-            0 => Query::Route { vantage, prefix }.at(Scope::Latest),
-            1 => Query::SaStatus { vantage, prefix }.at(Scope::Latest),
-            _ => Query::Resolve { vantage, prefix }.at(Scope::Latest),
-        })
-        .collect();
-    let (results, profile) = engine.execute_batch_profiled(&reqs);
-    let answered = results.iter().filter(|r| r.is_ok()).count();
-    println!(
-        "\nmixed execute_batch (route/sa/resolve): {} requests in {:.2?} → {:.0} req/s wall \
-         (critical path {:.2?}, lane speedup {:.1}×, {answered} ok)",
-        reqs.len(),
-        profile.wall,
-        reqs.len() as f64 / profile.wall.as_secs_f64(),
-        profile.critical_path(),
-        profile.parallel_speedup(),
-    );
 }

@@ -3,11 +3,10 @@
 //! Ingest many snapshots, then answer policy queries in O(lookup). The
 //! engine's one entry point is the typed protocol of [`crate::proto`]:
 //! [`QueryEngine::execute`] runs a [`QueryRequest`] (a [`Query`] plus a
-//! snapshot [`Scope`]); [`QueryEngine::execute_batch`] runs many,
+//! snapshot [`crate::proto::Scope`]); [`QueryEngine::execute_batch`] runs many,
 //! bucketed by shard and evaluated in parallel with `std::thread::scope`
-//! (see [`crate::plan`]). The legacy per-question methods (`route_at`,
-//! `sa_status_in`, `route_at_batch`, …) survive as thin wrappers that
-//! build a request and delegate.
+//! (see [`crate::plan`]). There is no other way to ask: callers match
+//! on the [`Response`] variant their query produces.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -24,7 +23,7 @@ use crate::diff::SnapshotDiff;
 use crate::intern::WorldInterner;
 use crate::plan::QueryError;
 use crate::proto::{
-    PersistenceAnswer, Query, QueryRequest, Response, SaHistoryPoint, SaOriginCount, Scope,
+    PersistenceAnswer, Query, QueryRequest, Response, SaHistoryPoint, SaOriginCount,
 };
 use crate::snapshot::{Snapshot, SnapshotId, VantageKind};
 
@@ -117,53 +116,6 @@ impl PolicySummary {
     }
 }
 
-/// Lane-level timing of one batched query evaluation: per-shard busy
-/// time for the shard-bucketed point lookups, per-chunk busy time for
-/// the general lane (history walks, resolves, summaries, diffs).
-#[derive(Debug, Clone)]
-pub struct BatchProfile {
-    /// End-to-end batch time (planning + workers + merge).
-    pub wall: std::time::Duration,
-    /// Busy time per shard (zero for shards that saw no queries).
-    pub shard_busy: Vec<std::time::Duration>,
-    /// Busy time per general-lane chunk (empty when the batch was
-    /// entirely shardable).
-    pub general_busy: Vec<std::time::Duration>,
-    /// Worker threads actually spawned.
-    pub threads: usize,
-}
-
-impl BatchProfile {
-    /// The slowest lane — the batch's critical path with one worker per
-    /// lane and enough cores.
-    pub fn critical_path(&self) -> std::time::Duration {
-        self.shard_busy
-            .iter()
-            .chain(self.general_busy.iter())
-            .max()
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Total lookup work across all lanes.
-    pub fn total_busy(&self) -> std::time::Duration {
-        self.shard_busy.iter().chain(self.general_busy.iter()).sum()
-    }
-
-    /// How much faster the batch's lookup work runs with one core per
-    /// lane than on one core: `total_busy / critical_path`. This is a
-    /// property of the shard decomposition, so it is meaningful even when
-    /// measured on a single-core machine.
-    pub fn parallel_speedup(&self) -> f64 {
-        let crit = self.critical_path().as_secs_f64();
-        if crit == 0.0 {
-            1.0
-        } else {
-            self.total_busy().as_secs_f64() / crit
-        }
-    }
-}
-
 /// How much of a series' trie structure is physically shared between
 /// consecutive snapshots (the copy-on-write ingest's savings).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -195,63 +147,6 @@ impl SharingStats {
         } else {
             self.shared_nodes as f64 / self.total_nodes as f64
         }
-    }
-}
-
-/// The timed full-vs-incremental series-ingest comparison behind
-/// `rpi-queryd --bench` and the `query/ingest_series` bench target —
-/// one implementation so the two reports can't drift.
-#[derive(Debug, Clone, Copy)]
-pub struct SeriesIngestReport {
-    /// Best wall-clock of the from-scratch ingests.
-    pub full: std::time::Duration,
-    /// Best wall-clock of the incremental (COW-overlay) ingests.
-    pub incremental: std::time::Duration,
-    /// Sharing achieved by the incremental engine.
-    pub stats: SharingStats,
-}
-
-impl SeriesIngestReport {
-    /// `full / incremental`.
-    pub fn speedup(&self) -> f64 {
-        self.full.as_secs_f64() / self.incremental.as_secs_f64()
-    }
-}
-
-/// Ingests `series` once per run through each path (best of `runs`, so
-/// a cold first run's allocator warmup doesn't read as ingest cost) and
-/// reports the wall-clock pair plus the incremental engine's
-/// [`SharingStats`].
-pub fn measure_series_ingest(
-    series: &SnapshotSeries,
-    oracle: &AsGraph,
-    n_shards: usize,
-    runs: usize,
-) -> SeriesIngestReport {
-    let best_of = |f: &mut dyn FnMut()| {
-        (0..runs.max(1))
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                f();
-                t0.elapsed()
-            })
-            .min()
-            .expect("at least one run")
-    };
-    let full = best_of(&mut || {
-        let mut e = QueryEngine::new(n_shards);
-        e.ingest_series(series, oracle);
-    });
-    let incremental = best_of(&mut || {
-        let mut e = QueryEngine::new(n_shards);
-        e.ingest_series_incremental(series, oracle);
-    });
-    let mut engine = QueryEngine::new(n_shards);
-    engine.ingest_series_incremental(series, oracle);
-    SeriesIngestReport {
-        full,
-        incremental,
-        stats: engine.sharing_stats(),
     }
 }
 
@@ -670,10 +565,6 @@ impl QueryEngine {
     /// Anything deeper hydrates the snapshot (replaying its delta chain
     /// from the nearest keyframe) into a hot set bounded by `hot_cap`
     /// (clamped to ≥ 1, least-recently-used eviction).
-    ///
-    /// Archives written before the vantage directory existed (manifest
-    /// format v1) cannot be mapped; they fall back to a fully hydrated
-    /// [`Self::load_archive`] — [`Self::tier_stats`] is `None` then.
     pub fn load_archive_tiered(
         dir: &std::path::Path,
         hot_cap: usize,
@@ -838,17 +729,6 @@ impl QueryEngine {
     /// machine's parallelism, so a batch touches each shard's tries from
     /// exactly one thread. Results keep request order.
     pub fn execute_batch(&self, reqs: &[QueryRequest]) -> Vec<Result<Response, QueryError>> {
-        self.execute_batch_profiled(reqs).0
-    }
-
-    /// [`Self::execute_batch`] plus lane-level timing: how long each
-    /// shard bucket and general chunk took, from which the batch's
-    /// critical path (and so the speedup available from parallel shards)
-    /// follows.
-    pub fn execute_batch_profiled(
-        &self,
-        reqs: &[QueryRequest],
-    ) -> (Vec<Result<Response, QueryError>>, BatchProfile) {
         crate::plan::run_batch(self, reqs)
     }
 
@@ -1000,7 +880,7 @@ impl QueryEngine {
         }
     }
 
-    // ---------- point evaluation (shared by execute and the wrappers) ----------
+    // ---------- point evaluation ----------
 
     fn route_point(
         &self,
@@ -1074,162 +954,6 @@ impl QueryEngine {
             tagged_neighbors: snap.community_class.get(&s).map_or(0, |m| m.len()),
             neighbor_counts,
         })
-    }
-
-    // ---------- the legacy method zoo: thin wrappers over execute ----------
-
-    /// Exact best-route lookup in the latest snapshot.
-    pub fn route_at(&self, vantage: Asn, prefix: Ipv4Prefix) -> Option<RouteAnswer> {
-        self.route_query(Query::Route { vantage, prefix }.at(Scope::Latest))
-    }
-
-    /// Exact best-route lookup in a specific snapshot.
-    pub fn route_at_in(
-        &self,
-        id: SnapshotId,
-        vantage: Asn,
-        prefix: Ipv4Prefix,
-    ) -> Option<RouteAnswer> {
-        self.route_query(Query::Route { vantage, prefix }.at(Scope::Id(id)))
-    }
-
-    /// Longest-prefix-match lookup in the latest snapshot: how would the
-    /// vantage route traffic for this (possibly more-specific) prefix?
-    pub fn resolve(&self, vantage: Asn, prefix: Ipv4Prefix) -> Option<RouteAnswer> {
-        self.route_query(Query::Resolve { vantage, prefix }.at(Scope::Latest))
-    }
-
-    /// Longest-prefix-match lookup in a specific snapshot. Consults every
-    /// shard (covering prefixes hash independently) and keeps the longest.
-    pub fn resolve_in(
-        &self,
-        id: SnapshotId,
-        vantage: Asn,
-        prefix: Ipv4Prefix,
-    ) -> Option<RouteAnswer> {
-        self.route_query(Query::Resolve { vantage, prefix }.at(Scope::Id(id)))
-    }
-
-    fn route_query(&self, req: QueryRequest) -> Option<RouteAnswer> {
-        match self.execute(&req) {
-            Ok(Response::Route(ans)) => ans,
-            _ => None,
-        }
-    }
-
-    /// Fig. 4 status of a prefix as seen from a vantage, latest snapshot.
-    pub fn sa_status(&self, vantage: Asn, prefix: Ipv4Prefix) -> SaStatus {
-        self.sa_query(Query::SaStatus { vantage, prefix }.at(Scope::Latest))
-    }
-
-    /// Fig. 4 status of a prefix as seen from a vantage.
-    pub fn sa_status_in(&self, id: SnapshotId, vantage: Asn, prefix: Ipv4Prefix) -> SaStatus {
-        self.sa_query(Query::SaStatus { vantage, prefix }.at(Scope::Id(id)))
-    }
-
-    fn sa_query(&self, req: QueryRequest) -> SaStatus {
-        match self.execute(&req) {
-            Ok(Response::Sa(status)) => status,
-            _ => SaStatus::UnknownVantage,
-        }
-    }
-
-    /// The oracle relationship `b is a's …` in the latest snapshot.
-    pub fn relationship(&self, a: Asn, b: Asn) -> Option<Relationship> {
-        match self.execute(&Query::Relationship { a, b }.at(Scope::Latest)) {
-            Ok(Response::Relationship(rel)) => rel,
-            _ => None,
-        }
-    }
-
-    /// The oracle relationship `b is a's …` in a specific snapshot.
-    pub fn relationship_in(&self, id: SnapshotId, a: Asn, b: Asn) -> Option<Relationship> {
-        match self.execute(&Query::Relationship { a, b }.at(Scope::Id(id))) {
-            Ok(Response::Relationship(rel)) => rel,
-            _ => None,
-        }
-    }
-
-    /// Per-AS policy digest from the latest snapshot.
-    pub fn policy_summary(&self, asn: Asn) -> Option<PolicySummary> {
-        match self.execute(&Query::PolicySummary { asn }.at(Scope::Latest)) {
-            Ok(Response::Summary(s)) => s,
-            _ => None,
-        }
-    }
-
-    /// Per-AS policy digest from a specific snapshot. `None` only when the
-    /// snapshot id is invalid or the AS was never seen at ingest time.
-    pub fn policy_summary_in(&self, id: SnapshotId, asn: Asn) -> Option<PolicySummary> {
-        match self.execute(&Query::PolicySummary { asn }.at(Scope::Id(id))) {
-            Ok(Response::Summary(s)) => s,
-            _ => None,
-        }
-    }
-
-    /// Batched exact route lookups against the latest snapshot.
-    pub fn route_at_batch(&self, queries: &[(Asn, Ipv4Prefix)]) -> Vec<Option<RouteAnswer>> {
-        match self.latest() {
-            Some(id) => self.route_at_batch_in(id, queries),
-            None => vec![None; queries.len()],
-        }
-    }
-
-    /// Batched exact route lookups in a specific snapshot; delegates to
-    /// [`Self::execute_batch`].
-    pub fn route_at_batch_in(
-        &self,
-        id: SnapshotId,
-        queries: &[(Asn, Ipv4Prefix)],
-    ) -> Vec<Option<RouteAnswer>> {
-        self.route_at_batch_profiled(id, queries).0
-    }
-
-    /// [`Self::route_at_batch_in`] plus the batch's [`BatchProfile`].
-    pub fn route_at_batch_profiled(
-        &self,
-        id: SnapshotId,
-        queries: &[(Asn, Ipv4Prefix)],
-    ) -> (Vec<Option<RouteAnswer>>, BatchProfile) {
-        let reqs: Vec<QueryRequest> = queries
-            .iter()
-            .map(|&(vantage, prefix)| Query::Route { vantage, prefix }.at(Scope::Id(id)))
-            .collect();
-        let (results, profile) = self.execute_batch_profiled(&reqs);
-        let answers = results
-            .into_iter()
-            .map(|r| match r {
-                Ok(Response::Route(ans)) => ans,
-                _ => None,
-            })
-            .collect();
-        (answers, profile)
-    }
-
-    /// Batched Fig. 4 statuses against the latest snapshot; delegates to
-    /// [`Self::execute_batch`].
-    pub fn sa_status_batch(&self, queries: &[(Asn, Ipv4Prefix)]) -> Vec<SaStatus> {
-        let reqs: Vec<QueryRequest> = queries
-            .iter()
-            .map(|&(vantage, prefix)| Query::SaStatus { vantage, prefix }.at(Scope::Latest))
-            .collect();
-        self.execute_batch(&reqs)
-            .into_iter()
-            .map(|r| match r {
-                Ok(Response::Sa(status)) => status,
-                _ => SaStatus::UnknownVantage,
-            })
-            .collect()
-    }
-
-    // ---------- diffing ----------
-
-    /// What changed between two snapshots. `None` on an invalid id.
-    pub fn diff(&self, from: SnapshotId, to: SnapshotId) -> Option<SnapshotDiff> {
-        match self.execute(&Query::Diff.at(Scope::Range(from, to))) {
-            Ok(Response::Diff(d)) => Some(d),
-            _ => None,
-        }
     }
 
     fn answer(

@@ -38,8 +38,8 @@
 //!   semantics, relationship map).
 //! * [`proto`] — the query protocol: AST, wire grammar, responses.
 //! * [`plan`] — scope resolution and the shard-bucketed batch planner.
-//! * [`engine`] — [`QueryEngine`]: ingestion, `execute`/`execute_batch`,
-//!   and the legacy per-question methods as thin wrappers.
+//! * [`engine`] — [`QueryEngine`]: ingestion and `execute`/`execute_batch`,
+//!   the only query entry points.
 //! * [`diff`] — what changed between snapshot *t* and *t+1*: new/vanished
 //!   SA prefixes, flipped relationships, churned best routes.
 //! * [`archive`] — the on-disk life of the engine (`rpi-store`):
@@ -54,7 +54,7 @@
 //!   snapshot on protocol-level (`shutdown` verb) shutdown.
 //!
 //! The `rpi-queryd` binary wraps the engine in a line-oriented CLI with a
-//! `--bench` throughput mode and a `--listen` serve mode.
+//! stdin REPL, batch query files and a `--listen` serve mode.
 //!
 //! ## Quick tour
 //!
@@ -104,10 +104,7 @@ pub mod tier;
 
 pub use archive::{ArchiveInfo, SaveOptions, SegmentMeta};
 pub use diff::{RelationshipFlip, SnapshotDiff, VantageChurn};
-pub use engine::{
-    measure_series_ingest, BatchProfile, PolicySummary, QueryEngine, RouteAnswer, SaStatus,
-    SeriesIngestReport, SharingStats,
-};
+pub use engine::{PolicySummary, QueryEngine, RouteAnswer, SaStatus, SharingStats};
 pub use intern::{AsnSym, CommSym, PrefixSym, WorldInterner};
 pub use live::{
     drain_stream, follow_stream, FollowEnd, FollowReport, LiveError, LiveHandle, LiveOptions,

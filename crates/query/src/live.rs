@@ -323,11 +323,11 @@ impl LiveWriter {
         let path = self.spill.join(&file);
         let map = Mmap::map(&path).map_err(|source| StoreError::Io { path, source })?;
         let dir = match kind {
-            SegmentKind::Full => {
+            SegmentKind::Full => Some(
                 read_mapped_directory(&map, self.interner.sizes().0, self.n_shards)
                     .map_err(stream_err)?
-                    .map(|(d, _, _)| d)
-            }
+                    .0,
+            ),
             _ => None,
         };
         let ts = TierSnap::new(

@@ -1,19 +1,19 @@
 //! The executor's planning layer: resolving a [`Scope`] against an
 //! engine's snapshots, classifying batch requests into shard-affine
 //! buckets, and running the buckets in parallel under
-//! `std::thread::scope` with per-shard timing.
+//! `std::thread::scope`, recording per-lane busy time into the
+//! `rpi_plan_{batch,lane_*}_seconds` histograms.
 //!
 //! Every query — single or batched, point or history — flows through
 //! this planner via [`QueryEngine::execute`] and
-//! [`QueryEngine::execute_batch`]; the legacy `route_at_*`/`sa_status_*`
-//! methods are thin wrappers over it.
+//! [`QueryEngine::execute_batch`], the engine's only query entry points.
 
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use bgp_types::Asn;
 
-use crate::engine::{BatchProfile, QueryEngine};
+use crate::engine::QueryEngine;
 use crate::proto::{Query, QueryRequest, Response, Scope};
 use crate::snapshot::{shard_of, SnapshotId};
 
@@ -191,7 +191,7 @@ fn classify(engine: &QueryEngine, req: &QueryRequest) -> Step {
 pub(crate) fn run_batch(
     engine: &QueryEngine,
     reqs: &[QueryRequest],
-) -> (Vec<Result<Response, QueryError>>, BatchProfile) {
+) -> Vec<Result<Response, QueryError>> {
     let wall_start = Instant::now();
     let n_shards = engine.shard_count();
     let mut results: Vec<Option<Result<Response, QueryError>>> =
@@ -199,17 +199,16 @@ pub(crate) fn run_batch(
 
     // Shard buckets carry (request index, resolved snapshot) so workers
     // evaluate without re-resolving the scope.
-    let mut shard_buckets: Vec<(usize, Vec<(usize, SnapshotId)>)> =
-        (0..n_shards).map(|s| (s, Vec::new())).collect();
+    let mut shard_buckets: Vec<Vec<(usize, SnapshotId)>> = vec![Vec::new(); n_shards];
     let mut general: Vec<usize> = Vec::new();
     for (i, req) in reqs.iter().enumerate() {
         match classify(engine, req) {
             Step::Fail(e) => results[i] = Some(Err(e)),
-            Step::Sharded(shard, id) => shard_buckets[shard].1.push((i, id)),
+            Step::Sharded(shard, id) => shard_buckets[shard].push((i, id)),
             Step::General => general.push(i),
         }
     }
-    shard_buckets.retain(|(_, b)| !b.is_empty());
+    shard_buckets.retain(|b| !b.is_empty());
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     // The general lane is not one unit of work: a pure-general batch
@@ -226,39 +225,27 @@ pub(crate) fn run_batch(
         general.chunks(general.len().div_ceil(n_chunks)).collect()
     };
 
-    let mut profile = BatchProfile {
-        wall: Duration::ZERO,
-        shard_busy: vec![Duration::ZERO; n_shards],
-        general_busy: vec![Duration::ZERO; general_chunks.len()],
-        threads: workers,
-    };
-
-    // A bucket is (lane, work); lanes 0..n_shards are shard buckets
-    // (scopes pre-resolved), lanes ≥ n_shards are general chunks.
+    // A lane is one shard's bucket (scopes pre-resolved) or one chunk
+    // of the general lane.
     enum LaneWork<'a> {
         Shard(&'a [(usize, SnapshotId)]),
         General(&'a [usize]),
     }
-    let buckets: Vec<(usize, LaneWork)> = shard_buckets
+    let buckets: Vec<LaneWork> = shard_buckets
         .iter()
-        .map(|(s, b)| (*s, LaneWork::Shard(b.as_slice())))
-        .chain(
-            general_chunks
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (n_shards + i, LaneWork::General(c))),
-        )
+        .map(|b| LaneWork::Shard(b.as_slice()))
+        .chain(general_chunks.iter().map(|c| LaneWork::General(c)))
         .collect();
 
-    type LaneAnswers = (usize, Duration, Vec<(usize, Result<Response, QueryError>)>);
+    // (is a shard lane, busy time, answers by request index)
+    type LaneAnswers = (bool, Duration, Vec<(usize, Result<Response, QueryError>)>);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let my_buckets: Vec<&(usize, LaneWork)> =
-                    buckets.iter().skip(w).step_by(workers).collect();
+                let my_buckets: Vec<&LaneWork> = buckets.iter().skip(w).step_by(workers).collect();
                 scope.spawn(move || {
                     let mut out: Vec<LaneAnswers> = Vec::with_capacity(my_buckets.len());
-                    for (lane, work) in my_buckets {
+                    for work in my_buckets {
                         let t0 = Instant::now();
                         let answers: Vec<(usize, Result<Response, QueryError>)> = match work {
                             LaneWork::Shard(bucket) => bucket
@@ -270,19 +257,18 @@ pub(crate) fn run_batch(
                                 .map(|&i| (i, engine.execute(&reqs[i])))
                                 .collect(),
                         };
-                        out.push((*lane, t0.elapsed(), answers));
+                        let sharded = matches!(work, LaneWork::Shard(_));
+                        out.push((sharded, t0.elapsed(), answers));
                     }
                     out
                 })
             })
             .collect();
         for h in handles {
-            for (lane, busy, answers) in h.join().expect("batch worker panicked") {
-                if lane < n_shards {
-                    profile.shard_busy[lane] = busy;
+            for (sharded, busy, answers) in h.join().expect("batch worker panicked") {
+                if sharded {
                     engine.metrics.plan_lane_shard_seconds.record(busy);
                 } else {
-                    profile.general_busy[lane - n_shards] = busy;
                     engine.metrics.plan_lane_general_seconds.record(busy);
                 }
                 for (i, answer) in answers {
@@ -292,11 +278,12 @@ pub(crate) fn run_batch(
         }
     });
 
-    profile.wall = wall_start.elapsed();
-    engine.metrics.plan_batch_seconds.record(profile.wall);
-    let results = results
+    engine
+        .metrics
+        .plan_batch_seconds
+        .record(wall_start.elapsed());
+    results
         .into_iter()
         .map(|r| r.expect("every request routed to a lane"))
-        .collect();
-    (results, profile)
+        .collect()
 }

@@ -32,10 +32,6 @@
 //! actually read (cold query or hydration). A failed check surfaces as
 //! [`QueryError::Corrupt`] naming the segment file and byte offset —
 //! the engine never answers from bytes it cannot vouch for.
-//!
-//! Archives written before the vantage directory existed (manifest
-//! format v1) cannot be cold-queried; [`load_tiered`] falls back to the
-//! fully hydrated [`crate::archive::load`] for them.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -648,16 +644,13 @@ impl Tier {
 }
 
 /// Attaches to the archive at `dir` in tiered mode (see
-/// [`QueryEngine::load_archive_tiered`]). Falls back to the fully
-/// hydrated [`crate::archive::load`] when any full segment predates the
-/// vantage directory (a format-v1 archive).
+/// [`QueryEngine::load_archive_tiered`]).
 pub(crate) fn load_tiered(dir: &Path, hot_cap: usize) -> Result<QueryEngine, StoreError> {
     let manifest = Manifest::read(dir)?;
     let (mut engine, watermarks) = crate::archive::load_prelude(dir, &manifest)?;
     let n_asns = engine.interner.sizes().0;
 
     let mut snaps = Vec::new();
-    let mut tier_capable = true;
     for (seg_idx, entry) in manifest.snapshot_segments() {
         let segref = || SegmentRef {
             index: seg_idx,
@@ -678,31 +671,24 @@ pub(crate) fn load_tiered(dir: &Path, hot_cap: usize) -> Result<QueryEngine, Sto
         let map = Mmap::map(&path).map_err(|source| StoreError::Io { path, source })?;
         let (vdir, self_contained) = match entry.kind {
             SegmentKind::Full => {
-                match read_mapped_directory(&map, n_asns, engine.n_shards)
-                    .map_err(|e| StoreError::corrupt(segref(), e))?
-                {
-                    Some((d, self_contained, label)) => {
-                        if label != entry.label {
-                            return Err(StoreError::invalid(
-                                segref(),
-                                0,
-                                "label disagrees with manifest",
-                            ));
-                        }
-                        if entry.is_keyframe() != self_contained {
-                            return Err(StoreError::invalid(
-                                segref(),
-                                0,
-                                "manifest keyframe flag disagrees with segment",
-                            ));
-                        }
-                        (Some(d), self_contained)
-                    }
-                    None => {
-                        tier_capable = false;
-                        (None, false)
-                    }
+                let (d, self_contained, label) =
+                    read_mapped_directory(&map, n_asns, engine.n_shards)
+                        .map_err(|e| StoreError::corrupt(segref(), e))?;
+                if label != entry.label {
+                    return Err(StoreError::invalid(
+                        segref(),
+                        0,
+                        "label disagrees with manifest",
+                    ));
                 }
+                if entry.is_keyframe() != self_contained {
+                    return Err(StoreError::invalid(
+                        segref(),
+                        0,
+                        "manifest keyframe flag disagrees with segment",
+                    ));
+                }
+                (Some(d), self_contained)
             }
             SegmentKind::Delta => {
                 if entry.is_keyframe() {
@@ -728,12 +714,6 @@ pub(crate) fn load_tiered(dir: &Path, hot_cap: usize) -> Result<QueryEngine, Sto
             self_contained,
             verified: AtomicBool::new(false),
         }));
-    }
-
-    if !tier_capable {
-        // A v1 archive: still fully loadable, just not mappable. The
-        // caller asked for an engine, not specifically for a tier.
-        return crate::archive::load(dir);
     }
 
     crate::archive::load_roas(dir, &manifest, &mut engine)?;

@@ -3,7 +3,14 @@
 use bgp_sim::churn::simulate_series;
 use bgp_sim::{ChurnConfig, GroundTruth, PolicyParams, Simulation, VantageSpec};
 use net_topology::{InternetConfig, InternetSize};
-use rpi_query::QueryEngine;
+use rpi_query::{Query, QueryEngine, Response, Scope, SnapshotDiff, SnapshotId};
+
+fn diff(engine: &QueryEngine, from: SnapshotId, to: SnapshotId) -> SnapshotDiff {
+    match engine.execute(&Query::Diff.at(Scope::Range(from, to))) {
+        Ok(Response::Diff(d)) => d,
+        other => panic!("diff @{}..{} answered {other:?}", from.0, to.0),
+    }
+}
 
 fn world() -> (net_topology::AsGraph, GroundTruth, VantageSpec) {
     let g = InternetConfig::of_size(InternetSize::Tiny)
@@ -21,9 +28,7 @@ fn identical_snapshots_diff_empty() {
     let mut engine = QueryEngine::new(4);
     engine.ingest_output(&out, &g, "a");
     engine.ingest_output(&out, &g, "b");
-    let d = engine
-        .diff(rpi_query::SnapshotId(0), rpi_query::SnapshotId(1))
-        .unwrap();
+    let d = diff(&engine, SnapshotId(0), SnapshotId(1));
     assert!(d.is_empty(), "identical ingests must diff empty: {d:?}");
     assert_eq!(d.churned_routes(), 0);
     assert_eq!(d.from_label, "a");
@@ -46,7 +51,7 @@ fn zero_churn_series_diffs_empty() {
     assert_eq!(ids.len(), 3);
     assert_eq!(engine.labels(), vec!["hour-01", "hour-02", "hour-03"]);
     for w in ids.windows(2) {
-        let d = engine.diff(w[0], w[1]).unwrap();
+        let d = diff(&engine, w[0], w[1]);
         assert!(
             d.is_empty(),
             "{} → {} not empty: {d:?}",
@@ -77,7 +82,7 @@ fn forced_churn_is_visible_in_diffs() {
 
     // The oracle is shared, so relationships never flip in this series…
     for w in ids.windows(2) {
-        let d = engine.diff(w[0], w[1]).unwrap();
+        let d = diff(&engine, w[0], w[1]);
         assert!(d.flips.is_empty(), "same oracle ⇒ no relationship flips");
     }
 
@@ -85,7 +90,7 @@ fn forced_churn_is_visible_in_diffs() {
     // actually changed collector content between consecutive snapshots.
     let mut any_diff = false;
     for (w, outs) in ids.windows(2).zip(series.snapshots.windows(2)) {
-        let d = engine.diff(w[0], w[1]).unwrap();
+        let d = diff(&engine, w[0], w[1]);
         let lgs_equal = outs[0].lgs.len() == outs[1].lgs.len()
             && outs[0]
                 .lgs
@@ -148,7 +153,7 @@ fn vantage_loss_and_return_counts_whole_tables() {
             .values()
             .filter(|rows| rows.iter().any(|r| r.best && !r.path.is_empty()))
             .count();
-        let gone = engine.diff(ids[0], ids[1]).unwrap();
+        let gone = diff(&engine, ids[0], ids[1]);
         let churn = gone
             .churn
             .iter()
@@ -160,7 +165,7 @@ fn vantage_loss_and_return_counts_whole_tables() {
             "incremental={incremental}"
         );
 
-        let back = engine.diff(ids[1], ids[2]).unwrap();
+        let back = diff(&engine, ids[1], ids[2]);
         let churn = back.churn.iter().find(|c| c.vantage == lost_lg).unwrap();
         assert_eq!(
             (churn.added, churn.removed, churn.changed),
@@ -169,7 +174,7 @@ fn vantage_loss_and_return_counts_whole_tables() {
         );
 
         // And the outer endpoints are identical: the loss round-trips.
-        let outer = engine.diff(ids[0], ids[2]).unwrap();
+        let outer = diff(&engine, ids[0], ids[2]);
         assert!(outer.is_empty(), "incremental={incremental}: {outer:?}");
     }
 }
@@ -197,10 +202,8 @@ fn non_adjacent_diff_equals_direct_comparison() {
     endpoints.ingest_output(&series.snapshots[0], &g, &series.labels[0]);
     endpoints.ingest_output(&series.snapshots[3], &g, &series.labels[3]);
 
-    let wide = engine.diff(ids[0], ids[3]).unwrap();
-    let direct = endpoints
-        .diff(rpi_query::SnapshotId(0), rpi_query::SnapshotId(1))
-        .unwrap();
+    let wide = diff(&engine, ids[0], ids[3]);
+    let direct = diff(&endpoints, SnapshotId(0), SnapshotId(1));
     assert_eq!(wide.new_sa, direct.new_sa);
     assert_eq!(wide.gone_sa, direct.gone_sa);
     assert_eq!(wide.churned_routes(), direct.churned_routes());
@@ -213,7 +216,7 @@ fn non_adjacent_diff_equals_direct_comparison() {
     }
 
     // A reverse diff swaps the roles exactly.
-    let rev = engine.diff(ids[3], ids[0]).unwrap();
+    let rev = diff(&engine, ids[3], ids[0]);
     assert_eq!(rev.new_sa, wide.gone_sa);
     assert_eq!(rev.gone_sa, wide.new_sa);
     assert_eq!(rev.churned_routes(), wide.churned_routes());
@@ -237,7 +240,7 @@ fn sa_deltas_track_recomputed_reports() {
     let ids = engine.ingest_series(&series, &g);
 
     for (w, outs) in ids.windows(2).zip(series.snapshots.windows(2)) {
-        let d = engine.diff(w[0], w[1]).unwrap();
+        let d = diff(&engine, w[0], w[1]);
         // Recompute the SA delta directly per LG vantage and compare.
         for &lg in &spec.lg_ases {
             let (Some(va), Some(vb)) = (outs[0].lg(lg), outs[1].lg(lg)) else {

@@ -24,7 +24,7 @@ use bgp_sim::churn::simulate_series;
 use bgp_sim::{ChurnConfig, GroundTruth, PolicyParams, SimOutput, VantageSpec};
 use bgp_types::{Asn, Ipv4Prefix, Relationship};
 use net_topology::{AsGraph, InternetConfig, InternetSize};
-use rpi_query::{render_response, Query, QueryEngine, QueryRequest, Scope, SnapshotId};
+use rpi_query::{render_response, Query, QueryEngine, QueryRequest, Response, Scope, SnapshotId};
 
 const SNAPSHOTS: usize = 8;
 const QUERIES: usize = 400;
@@ -622,7 +622,10 @@ fn zero_churn_shares_everything() {
         "calm series must share all non-first structure: {stats:?}"
     );
     for w in ids.windows(2) {
-        let d = engine.diff(w[0], w[1]).unwrap();
+        let req = Query::Diff.at(Scope::Range(w[0], w[1]));
+        let Ok(Response::Diff(d)) = engine.execute(&req) else {
+            panic!("diff @{}..{} did not answer", w[0].0, w[1].0);
+        };
         assert!(d.is_empty(), "calm series must diff empty: {d:?}");
     }
 }

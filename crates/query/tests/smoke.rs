@@ -314,6 +314,40 @@ fn unbindable_listen_address_fails_fast_with_one_line() {
     );
 }
 
+/// Bugfix coverage: `--window` without `--follow` is rejected whatever
+/// its value (the default, 4, used to slip through as "flag not given"),
+/// and the removed `--bench` mode is an unknown argument — all one-line
+/// errors before the world build.
+#[test]
+fn follow_only_and_removed_flags_fail_fast() {
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
+            .args(["--size", "tiny"])
+            .args(args)
+            .output()
+            .expect("rpi-queryd runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(
+            !stderr.contains("building"),
+            "{args:?} must fail before the world build:\n{stderr}"
+        );
+        stderr
+    };
+    for window in ["4", "3"] {
+        let stderr = run(&["--window", window]);
+        assert!(
+            stderr.contains("--window/--spill tune live ingest; they need --follow"),
+            "--window {window} must name the missing flag:\n{stderr}"
+        );
+    }
+    let stderr = run(&["--bench"]);
+    assert!(
+        stderr.contains("unknown argument '--bench'") && stderr.contains("usage: rpi-queryd"),
+        "--bench must be unknown, with the usage line:\n{stderr}"
+    );
+}
+
 #[test]
 fn missing_archive_directory_errors_cleanly() {
     let out = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))

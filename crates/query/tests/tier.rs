@@ -491,21 +491,58 @@ fn tiered_engine_refuses_to_save() {
     let _ = std::fs::remove_dir_all(&dir2);
 }
 
-/// An archive whose full segments predate the vantage directory (the v1
-/// segment layout) cannot be mapped; `load_archive_tiered` falls back to
-/// the fully hydrated loader and still answers every query. The fixture
-/// is fabricated by stripping the directory back out of a v2 segment —
-/// byte-exactly the v1 layout.
+/// Format v1 (flag-less manifest rows, full segments without a vantage
+/// directory) is not read. Both loaders and the daemon refuse it
+/// with typed errors — never a panic, never a half-loaded engine:
+/// (a) a version-1 manifest is `StoreError::Version`; (b) a
+/// directory-less full segment under a v2 manifest — fabricated by
+/// stripping the directory back out of a v2 segment, byte-exactly the
+/// v1 layout — is `StoreError::Corrupt` naming the segment file and the
+/// flags byte's offset.
 #[test]
-fn v1_archive_falls_back_to_hydrated_load() {
+fn v1_archives_are_rejected_typed_on_both_paths() {
+    use rpi_store::StoreError;
+    type Loader = fn(&std::path::Path) -> Result<QueryEngine, StoreError>;
+    let loaders: [(&str, Loader); 2] = [
+        ("hydrated", QueryEngine::load_archive),
+        ("tiered", |d| QueryEngine::load_archive_tiered(d, 2)),
+    ];
     let sc = build_scenario(0x4B);
     let (dir, manifest) = saved(&sc, 0x4B, None, "v1");
-    let hydrated = QueryEngine::load_archive(&dir).expect("hydrated load");
 
-    // Strip every full snapshot segment down to its v1 layout: clear the
-    // directory flag (it sits right after the label) and drop the
-    // trailing directory + footer.
+    // (a) The manifest says version 1.
+    let mut v1 = manifest.clone();
+    v1.version = 1;
+    v1.write(&dir, true).unwrap();
+    for (name, load) in loaders {
+        let err = load(&dir).expect_err("a v1 manifest must not load");
+        let is_v1 = matches!(
+            err,
+            StoreError::Version {
+                found: 1,
+                supported: 2
+            }
+        );
+        assert!(is_v1, "{name}: {err}");
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
+        .arg("--archive")
+        .arg(&dir)
+        .output()
+        .expect("rpi-queryd runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "one-line error:\n{stderr}");
+    assert!(
+        stderr.starts_with("rpi-queryd: --archive: unsupported archive format version 1"),
+        "{stderr}"
+    );
+
+    // (b) A v2 manifest over v1-layout full segments: clear the directory
+    // flag (it sits right after the label) and drop the trailing
+    // directory + footer.
     let mut fixed = manifest.clone();
+    let mut first_full = None;
     for (idx, entry) in manifest.snapshot_segments() {
         if entry.kind != SegmentKind::Full {
             continue;
@@ -523,24 +560,23 @@ fn v1_archive_falls_back_to_hydrated_load() {
         std::fs::write(&path, &bytes).unwrap();
         fixed.segments[idx].bytes = bytes.len() as u64;
         fixed.segments[idx].crc32 = rpi_store::crc32(&bytes);
-        fixed.segments[idx].flags = 0; // v1 had no keyframe flags
+        first_full.get_or_insert((entry.file.clone(), flags_at));
     }
     fixed.write(&dir, true).unwrap();
-
-    let fallback = QueryEngine::load_archive_tiered(&dir, 2).expect("fallback load");
-    assert!(
-        fallback.tier_stats().is_none(),
-        "a v1 archive must load hydrated"
-    );
-    assert_eq!(fallback.snapshot_count(), hydrated.snapshot_count());
-
-    let mut rng = StdRng::seed_from_u64(0x4B ^ 0x0AAC_417E);
-    for _ in 0..60 {
-        let req = arb_request(&mut rng, &sc, SNAPSHOTS);
-        assert_eq!(
-            rendered(&hydrated, &req),
-            rendered(&fallback, &req),
-            "v1 fallback diverged on {req:?}"
+    let (file, flags_at) = first_full.expect("the first snapshot is a full segment");
+    for (name, load) in loaders {
+        let err = load(&dir).expect_err("v1-layout segments must not load");
+        let StoreError::Corrupt {
+            segment, offset, ..
+        } = &err
+        else {
+            panic!("{name}: wanted Corrupt, got {err}");
+        };
+        assert_eq!((&segment.file, *offset), (&file, flags_at), "{name}: {err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&file) && msg.contains("no vantage directory"),
+            "{name}: {msg}"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);

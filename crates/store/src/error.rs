@@ -138,7 +138,7 @@ impl fmt::Display for StoreError {
             }
             StoreError::Version { found, supported } => write!(
                 f,
-                "unsupported archive format version {found} (this build reads versions up to {supported})"
+                "unsupported archive format version {found} (this build reads version {supported} only)"
             ),
             StoreError::ManifestCorrupt { offset, what } => {
                 write!(f, "manifest corrupt at byte {offset}: {what}")

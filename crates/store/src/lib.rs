@@ -46,7 +46,6 @@ pub mod segment;
 pub use checksum::{crc32, Crc32};
 pub use error::{SegmentRef, StoreError};
 pub use manifest::{
-    Manifest, SegmentEntry, SegmentKind, FORMAT_VERSION, MANIFEST_FILE, MIN_FORMAT_VERSION,
-    SEG_FLAG_KEYFRAME,
+    Manifest, SegmentEntry, SegmentKind, FORMAT_VERSION, MANIFEST_FILE, SEG_FLAG_KEYFRAME,
 };
 pub use segment::{read_segment, write_segment};

@@ -14,18 +14,17 @@
 //! manifest := magic[8] version:u32 n_shards:u32 n_segments:u32
 //!             segment* crc32:u32
 //! segment  := kind:u8 bytes:u64 crc32:u32 str(file) str(label)
-//!             [flags:u8]                      (version ≥ 2)
+//!             flags:u8
 //! str      := len:u32 utf8[len]
 //! ```
 //!
 //! ## Version negotiation
 //!
-//! The segment layout is a versioned, backward-compatible contract:
-//! this build writes [`FORMAT_VERSION`] and reads every version from
-//! [`MIN_FORMAT_VERSION`] up. Version 1 rows have no flags byte —
-//! parsing defaults their flags to zero, so v1 archives load unchanged.
-//! Within a version, unknown flag bits are rejected loudly: a future
-//! writer that needs new per-segment state must bump the version.
+//! The segment layout is a versioned contract: this build writes and
+//! reads exactly [`FORMAT_VERSION`]; any other version — older (the
+//! flag-less v1 rows) or newer — is [`StoreError::Version`]. Within the
+//! version, unknown flag bits are rejected loudly: a future writer that
+//! needs new per-segment state must bump the version.
 
 use std::path::Path;
 
@@ -37,13 +36,10 @@ use crate::error::StoreError;
 /// First 8 bytes of every manifest.
 pub const MAGIC: [u8; 8] = *b"RPISTOR\x01";
 
-/// The manifest format version this build writes.
+/// The one manifest format version this build writes and reads.
 pub const FORMAT_VERSION: u32 = 2;
 
-/// The oldest manifest format version this build still reads.
-pub const MIN_FORMAT_VERSION: u32 = 1;
-
-/// Segment flag (version ≥ 2): the segment is a **keyframe** — a fully
+/// Segment flag: the segment is a **keyframe** — a fully
 /// self-contained snapshot that can be decoded with no predecessor, so
 /// a cold reader can attach here and replay only the chain after it.
 pub const SEG_FLAG_KEYFRAME: u8 = 1;
@@ -112,8 +108,7 @@ pub struct SegmentEntry {
     pub crc32: u32,
     /// Snapshot label (empty for the symbols segment).
     pub label: String,
-    /// Per-segment flag bits ([`SEG_FLAG_KEYFRAME`]); always zero when
-    /// parsed from a version-1 manifest, which has no flags byte.
+    /// Per-segment flag bits ([`SEG_FLAG_KEYFRAME`]).
     pub flags: u8,
 }
 
@@ -173,9 +168,7 @@ impl Manifest {
             out.put_u32(seg.crc32);
             put_str(&mut out, &seg.file);
             put_str(&mut out, &seg.label);
-            if self.version >= 2 {
-                out.put_u8(seg.flags);
-            }
+            out.put_u8(seg.flags);
         }
         let crc = crc32(&out);
         out.put_u32(crc);
@@ -250,7 +243,7 @@ impl Manifest {
         };
 
         let version = buf.try_get_u32().map_err(|_| short(&buf, "version"))?;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(StoreError::Version {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -277,19 +270,14 @@ impl Manifest {
                 .map_err(|_| short(&buf, "segment checksum"))?;
             let file = get_str(&mut buf, at, "segment file name")?;
             let label = get_str(&mut buf, at, "segment label")?;
-            let flags = if version >= 2 {
-                let offset = at(&buf);
-                let flags = buf.try_get_u8().map_err(|_| short(&buf, "segment flags"))?;
-                if flags & !SEG_FLAG_MASK != 0 {
-                    return Err(StoreError::ManifestCorrupt {
-                        offset,
-                        what: format!("unknown segment flags {flags:#04x} in row {i}"),
-                    });
-                }
-                flags
-            } else {
-                0
-            };
+            let offset = at(&buf);
+            let flags = buf.try_get_u8().map_err(|_| short(&buf, "segment flags"))?;
+            if flags & !SEG_FLAG_MASK != 0 {
+                return Err(StoreError::ManifestCorrupt {
+                    offset,
+                    what: format!("unknown segment flags {flags:#04x} in row {i}"),
+                });
+            }
             segments.push(SegmentEntry {
                 kind,
                 file,
@@ -396,21 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn version_1_manifests_still_parse() {
-        // A v1 writer encoded no flags byte; its archives must load
-        // unchanged, with every row's flags defaulted to zero.
-        let mut m = sample();
-        m.version = 1;
-        for seg in &mut m.segments {
-            seg.flags = 0;
-        }
-        let bytes = m.to_bytes();
-        let back = Manifest::parse(&bytes, Path::new("M")).unwrap();
-        assert_eq!(back, m);
-        assert!(back.segments.iter().all(|s| !s.is_keyframe()));
-    }
-
-    #[test]
     fn unknown_segment_flags_are_rejected() {
         let mut m = sample();
         m.segments[1].flags = 0x80 | SEG_FLAG_KEYFRAME;
@@ -433,16 +406,19 @@ mod tests {
 
     #[test]
     fn stale_version_is_typed() {
-        let mut m = sample();
-        m.version = FORMAT_VERSION + 1;
-        let bytes = m.to_bytes();
-        assert!(matches!(
-            Manifest::parse(&bytes, Path::new("M")),
-            Err(StoreError::Version {
-                found,
-                supported: FORMAT_VERSION
-            }) if found == FORMAT_VERSION + 1
-        ));
+        // Only FORMAT_VERSION is read: an older (v1) or newer version
+        // field is refused before any row is parsed.
+        for version in [1, FORMAT_VERSION + 1] {
+            let mut m = sample();
+            m.version = version;
+            assert!(matches!(
+                Manifest::parse(&m.to_bytes(), Path::new("M")),
+                Err(StoreError::Version {
+                    found,
+                    supported: FORMAT_VERSION
+                }) if found == version
+            ));
+        }
     }
 
     #[test]

@@ -3,7 +3,15 @@
 //! direct `rpi_core` analysis it caches.
 
 use internet_routing_policies::prelude::*;
-use rpi_query::{RouteAnswer, VantageKind};
+use rpi_query::{render_response, RouteAnswer, VantageKind};
+
+/// The answer of a `route`/`resolve` request (`None`: no such route).
+fn route(engine: &QueryEngine, req: QueryRequest) -> Option<RouteAnswer> {
+    match engine.execute(&req) {
+        Ok(Response::Route(ans)) => ans,
+        other => panic!("{req:?} answered {other:?}"),
+    }
+}
 
 fn world() -> (Experiment, QueryEngine) {
     let exp = Experiment::standard(InternetSize::Tiny, 11);
@@ -20,8 +28,8 @@ fn routes_agree_with_best_tables() {
         let table = exp.lg_table(lg).unwrap();
         assert!(!table.rows.is_empty());
         for (&prefix, row) in &table.rows {
-            let ans = engine
-                .route_at(lg, prefix)
+            let vantage = lg;
+            let ans = route(&engine, Query::Route { vantage, prefix }.at(Scope::Latest))
                 .unwrap_or_else(|| panic!("missing route for {prefix} at {lg}"));
             assert_eq!(ans.next_hop, row.next_hop, "{prefix} at {lg}");
             assert_eq!(ans.path, row.path, "{prefix} at {lg}");
@@ -37,14 +45,17 @@ fn routes_agree_with_best_tables() {
         .expect("some collector-only peer");
     let table = exp.collector_table(peer);
     for (&prefix, row) in &table.rows {
-        let ans = engine.route_at(peer, prefix).unwrap();
+        let vantage = peer;
+        let ans = route(&engine, Query::Route { vantage, prefix }.at(Scope::Latest)).unwrap();
         assert_eq!(ans.next_hop, row.next_hop);
         assert_eq!(ans.path, row.path);
     }
     // A vantage the world has never heard of answers nothing.
-    assert!(engine
-        .route_at(Asn(999_999), "10.0.0.0/8".parse().unwrap())
-        .is_none());
+    let unknown = Query::Route {
+        vantage: Asn(999_999),
+        prefix: "10.0.0.0/8".parse().unwrap(),
+    };
+    assert!(route(&engine, unknown.at(Scope::Latest)).is_none());
 }
 
 #[test]
@@ -56,7 +67,12 @@ fn sa_status_agrees_with_fig4_reports() {
         let mut sa_seen = 0;
         let mut exported_seen = 0;
         for &prefix in table.rows.keys() {
-            match engine.sa_status(lg, prefix) {
+            let vantage = lg;
+            let req = Query::SaStatus { vantage, prefix }.at(Scope::Latest);
+            let Ok(Response::Sa(status)) = engine.execute(&req) else {
+                panic!("sa must answer for {prefix} at {lg}");
+            };
+            match status {
                 SaStatus::SelectivelyAnnounced { origin } => {
                     sa_seen += 1;
                     assert!(
@@ -94,7 +110,11 @@ fn relationships_agree_with_inferred_graph() {
     let mut compared = 0;
     for a in exp.inferred_graph.ases() {
         for (b, rel) in exp.inferred_graph.neighbors(a) {
-            assert_eq!(engine.relationship(a, b), Some(rel), "{a} – {b}");
+            assert_eq!(
+                engine.execute(&Query::Relationship { a, b }.at(Scope::Latest)),
+                Ok(Response::Relationship(Some(rel))),
+                "{a} – {b}"
+            );
             compared += 1;
         }
     }
@@ -102,16 +122,21 @@ fn relationships_agree_with_inferred_graph() {
     // Non-adjacent pairs answer None.
     let mut ases = exp.inferred_graph.ases();
     let a = ases.next().unwrap();
-    assert_eq!(engine.relationship(a, Asn(424_242)), None);
+    let b = Asn(424_242);
+    assert_eq!(
+        engine.execute(&Query::Relationship { a, b }.at(Scope::Latest)),
+        Ok(Response::Relationship(None))
+    );
 }
 
 #[test]
 fn summaries_agree_with_direct_analyses() {
     let (exp, engine) = world();
     for &lg in &exp.spec.lg_ases {
-        let s = engine
-            .policy_summary(lg)
-            .expect("LG vantages have summaries");
+        let req = Query::PolicySummary { asn: lg }.at(Scope::Latest);
+        let Ok(Response::Summary(Some(s))) = engine.execute(&req) else {
+            panic!("LG vantages have summaries");
+        };
         assert_eq!(s.kind, Some(VantageKind::LookingGlass));
         let table = exp.lg_table(lg).unwrap();
         assert_eq!(s.routes, table.rows.len());
@@ -133,26 +158,53 @@ fn summaries_agree_with_direct_analyses() {
 #[test]
 fn batched_answers_equal_single_answers() {
     let (exp, engine) = world();
-    let mut queries: Vec<(Asn, bgp_types::Ipv4Prefix)> = Vec::new();
+    // Every verb of the protocol, over every LG table row plus misses.
+    let mut targets: Vec<(Asn, Ipv4Prefix)> = Vec::new();
     for &lg in &exp.spec.lg_ases {
         for &p in exp.lg_table(lg).unwrap().rows.keys() {
-            queries.push((lg, p));
+            targets.push((lg, p));
         }
     }
-    // Mix in misses.
-    queries.push((Asn(999_999), "10.0.0.0/8".parse().unwrap()));
-    queries.push((exp.spec.lg_ases[0], "203.0.113.0/24".parse().unwrap()));
+    targets.push((Asn(999_999), "10.0.0.0/8".parse().unwrap()));
+    targets.push((exp.spec.lg_ases[0], "203.0.113.0/24".parse().unwrap()));
 
-    let batched = engine.route_at_batch(&queries);
-    assert_eq!(batched.len(), queries.len());
-    for (i, &(v, p)) in queries.iter().enumerate() {
-        let single: Option<RouteAnswer> = engine.route_at(v, p);
-        assert_eq!(batched[i], single, "query {i}: {p} at {v}");
+    // `route` and `sa` for every target (hits and misses), and the
+    // other eleven verbs in rotation.
+    let mut reqs: Vec<QueryRequest> = Vec::new();
+    for (i, &(vantage, prefix)) in targets.iter().enumerate() {
+        let (a, asn, k) = (vantage, vantage, 1 + i % 5);
+        let b = exp.spec.lg_ases[i % exp.spec.lg_ases.len()];
+        reqs.push(Query::Route { vantage, prefix }.at(Scope::Latest));
+        reqs.push(Query::SaStatus { vantage, prefix }.at(Scope::Label("t0".into())));
+        reqs.push(match i % 12 {
+            0 => Query::Resolve { vantage, prefix }.at(Scope::Id(SnapshotId(0))),
+            1 => Query::Relationship { a, b }.at(Scope::Latest),
+            2 => Query::PolicySummary { asn }.at(Scope::Latest),
+            3 => Query::Diff.at(Scope::All),
+            4 => Query::SaHistory { vantage, prefix }.at(Scope::All),
+            5 => Query::UptimeHistogram { vantage }.at(Scope::All),
+            6 => Query::TopKSaOrigins { vantage, k }.at(Scope::All),
+            7 => Query::PersistenceClass { vantage, prefix }.at(Scope::All),
+            8 => Query::Rov { vantage, prefix }.at(Scope::Latest),
+            9 => Query::Hijacks.at(Scope::All),
+            10 => Query::Leaks.at(Scope::Latest),
+            // A scope error comes back in place, too.
+            _ => Query::Leaks.at(Scope::Id(SnapshotId(7))),
+        });
     }
+    let verbs: std::collections::BTreeSet<usize> =
+        reqs.iter().map(|r| r.query.verb_index()).collect();
+    assert_eq!(verbs.len(), rpi_query::metrics::VERBS.len(), "every verb");
 
-    let sa_batched = engine.sa_status_batch(&queries);
-    for (i, &(v, p)) in queries.iter().enumerate() {
-        assert_eq!(sa_batched[i], engine.sa_status(v, p), "sa query {i}");
+    let render = |req: &QueryRequest, result: Result<Response, QueryError>| match result {
+        Ok(resp) => render_response(req, &resp),
+        Err(e) => format!("error: {e}"),
+    };
+    let batched = engine.execute_batch(&reqs);
+    assert_eq!(batched.len(), reqs.len());
+    for (i, (req, got)) in reqs.iter().zip(batched).enumerate() {
+        let single = render(req, engine.execute(req));
+        assert_eq!(render(req, got), single, "request {i}: {req:?}");
     }
 }
 
@@ -168,7 +220,11 @@ fn lpm_resolve_answers_more_specific_queries() {
         .expect("some splittable prefix");
     // A more-specific query prefix must resolve to the covering route.
     let (lo, _) = prefix.split().unwrap();
-    let ans = engine.resolve(lg, lo).unwrap();
+    let resolve = Query::Resolve {
+        vantage: lg,
+        prefix: lo,
+    };
+    let ans = route(&engine, resolve.at(Scope::Latest)).unwrap();
     // The match is `prefix` itself unless the table holds something even
     // more specific that still covers `lo`.
     assert!(ans.prefix.covers(lo));
@@ -193,7 +249,8 @@ fn mrt_ingest_serves_collector_routes() {
     for &peer in &exp.output.collector.peers {
         let table = rpi_core::view::BestTable::from_collector(&exp.output.collector, peer);
         for (&prefix, row) in &table.rows {
-            let ans = engine.route_at_in(id, peer, prefix).unwrap();
+            let vantage = peer;
+            let ans = route(&engine, Query::Route { vantage, prefix }.at(Scope::Id(id))).unwrap();
             assert_eq!(ans.next_hop, row.next_hop, "{prefix} at {peer}");
             assert_eq!(ans.path, row.path);
         }

@@ -1,7 +1,6 @@
-//! The one-protocol contract: `engine.execute(QueryRequest)` covers
-//! every question the legacy method zoo answered (the wrappers delegate,
-//! verified here), and the new history queries answer the paper's
-//! Figs 6–7 questions over a multi-snapshot series in one request each —
+//! The one-protocol contract: `engine.execute(QueryRequest)` is the only
+//! way to ask, and the history queries answer the paper's Figs 6–7
+//! questions over a multi-snapshot series in one request each —
 //! byte-for-byte consistent with the direct `rpi_core::persistence`
 //! analyses over the same ingested series.
 
@@ -12,7 +11,7 @@ use internet_routing_policies::{bgp_sim, rpi_core, rpi_query};
 
 use bgp_sim::churn::simulate_series;
 use rpi_core::persistence::{sa_series, uptime_histogram, PersistenceClass};
-use rpi_query::{Query, QueryError, QueryRequest, Response, Scope, SnapshotId};
+use rpi_query::{Query, QueryError, Response, Scope, SnapshotId};
 
 fn churny_world() -> (
     AsGraph,
@@ -188,78 +187,6 @@ fn top_k_and_persistence_answer_in_one_request() {
         };
         assert_eq!((p.present, p.sa), (n, 0));
         assert_eq!(p.class, PersistenceClass::NeverSa);
-    }
-}
-
-#[test]
-fn legacy_methods_delegate_to_execute() {
-    let exp = Experiment::standard(InternetSize::Tiny, 11);
-    let mut engine = QueryEngine::new(4);
-    let t0 = engine.ingest_experiment(&exp, "t0");
-    let t1 = engine.ingest_experiment(&exp, "t1");
-
-    let lg = exp.spec.lg_ases[0];
-    let table = exp.lg_table(lg).unwrap();
-    for (&prefix, _) in table.rows.iter().take(32) {
-        // route / resolve / sa, latest and pinned snapshots.
-        let route = Query::Route {
-            vantage: lg,
-            prefix,
-        };
-        assert_eq!(
-            engine.execute(&route.clone().at(Scope::Latest)),
-            Ok(Response::Route(engine.route_at(lg, prefix)))
-        );
-        assert_eq!(
-            engine.execute(&route.at(Scope::Id(t0))),
-            Ok(Response::Route(engine.route_at_in(t0, lg, prefix)))
-        );
-        let resolve = Query::Resolve {
-            vantage: lg,
-            prefix,
-        };
-        assert_eq!(
-            engine.execute(&resolve.at(Scope::Latest)),
-            Ok(Response::Route(engine.resolve(lg, prefix)))
-        );
-        let sa = Query::SaStatus {
-            vantage: lg,
-            prefix,
-        };
-        assert_eq!(
-            engine.execute(&sa.at(Scope::Label("t1".into()))),
-            Ok(Response::Sa(engine.sa_status_in(t1, lg, prefix)))
-        );
-    }
-
-    // relationship and summary.
-    let mut ases = exp.inferred_graph.ases();
-    let a = ases.next().unwrap();
-    let (b, _) = exp.inferred_graph.neighbors(a).next().unwrap();
-    assert_eq!(
-        engine.execute(&Query::Relationship { a, b }.at(Scope::Latest)),
-        Ok(Response::Relationship(engine.relationship(a, b)))
-    );
-    assert_eq!(
-        engine.execute(&Query::PolicySummary { asn: lg }.at(Scope::Latest)),
-        Ok(Response::Summary(engine.policy_summary(lg)))
-    );
-
-    // diff via a range scope.
-    assert_eq!(
-        engine.execute(&Query::Diff.at(Scope::Range(t0, t1))),
-        Ok(Response::Diff(engine.diff(t0, t1).unwrap()))
-    );
-
-    // batched ≡ single through the same planner.
-    let queries: Vec<(Asn, Ipv4Prefix)> = table.rows.keys().map(|&p| (lg, p)).collect();
-    let reqs: Vec<QueryRequest> = queries
-        .iter()
-        .map(|&(vantage, prefix)| Query::Route { vantage, prefix }.at(Scope::Latest))
-        .collect();
-    let batched = engine.execute_batch(&reqs);
-    for (i, req) in reqs.iter().enumerate() {
-        assert_eq!(batched[i], engine.execute(req), "request {i}");
     }
 }
 
