@@ -1,9 +1,9 @@
 //! Throughput benches for the `rpi-query` serving layer: ingest cost,
-//! single-query rates, batched rates across shard counts,
-//! snapshot diffing, and the rpi-sec detection verbs. These back the
-//! observatory's queries/sec claims (the end-to-end figures against a
-//! live daemon come from `benchmark/run.sh`). `RPI_BENCH_SMOKE` trims
-//! sample counts (CI's bench-trend step), never the worlds.
+//! single-query and batched rates, snapshot diffing, and the rpi-sec
+//! detection verbs. These back the observatory's queries/sec claims (the
+//! end-to-end figures against a live daemon come from
+//! `benchmark/run.sh`). `RPI_BENCH_SMOKE` trims sample counts (CI's
+//! bench-trend step), never the worlds.
 
 use std::time::{Duration, Instant};
 
@@ -104,23 +104,18 @@ fn bench_queries(c: &mut Criterion, smoke: bool) {
     let mut g = c.benchmark_group("query/batched");
     g.sample_size(if smoke { 3 } else { 10 });
     g.throughput(Throughput::Elements(pairs.len() as u64));
-    for shards in [1usize, 4, 16] {
-        let mut e = QueryEngine::new(shards);
-        let id = e.ingest_experiment(&exp, "bench");
-        let reqs: Vec<QueryRequest> = pairs
-            .iter()
-            .map(|&(vantage, prefix)| Query::Route { vantage, prefix }.at(Scope::Id(id)))
-            .collect();
-        g.bench_function(format!("route_batch_{shards}_shards"), |b| {
-            b.iter(|| e.execute_batch(&reqs))
-        });
-    }
+    let reqs: Vec<QueryRequest> = pairs
+        .iter()
+        .map(|&(vantage, prefix)| Query::Route { vantage, prefix }.at(Scope::Latest))
+        .collect();
+    g.bench_function("route_batch", |b| b.iter(|| engine.execute_batch(&reqs)));
     g.finish();
 }
 
-/// The protocol's mixed workload: exact routes and SA statuses (shard-
-/// bucketed lanes) interleaved with resolves and multi-snapshot history
-/// questions (general lane) through one `execute_batch` call.
+/// The protocol's mixed workload: lookups (exact routes, SA statuses,
+/// resolves — answered inline, in order) interleaved with multi-snapshot
+/// history scans (overlapped on helper threads) through one
+/// `execute_batch` call.
 fn bench_execute_batch(c: &mut Criterion, smoke: bool) {
     let exp = Experiment::standard(InternetSize::Small, 2003);
     let cfg = ChurnConfig {

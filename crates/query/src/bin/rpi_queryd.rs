@@ -34,7 +34,7 @@ use bgp_sim::churn::simulate_series;
 use bgp_sim::ChurnConfig;
 use net_topology::InternetSize;
 use rpi_core::Experiment;
-use rpi_query::serve::session::{classify_line, fmt_bytes, repl_reply, Line};
+use rpi_query::serve::session::{classify_line, fmt_bytes, repl_reply, run_queries, Line};
 use rpi_query::serve::ServeStats;
 use rpi_query::{Control, PollBackend, QueryEngine, ServeConfig, Server};
 
@@ -52,11 +52,11 @@ struct Options {
     keyframe_every: Option<usize>,
     force: bool,
     listen: Option<String>,
-    max_conns: usize,
-    write_buf_cap: usize,
+    max_conns: Option<usize>,
+    write_buf_cap: Option<usize>,
     backend: Option<PollBackend>,
-    serve_threads: usize,
-    idle_timeout_secs: u64,
+    serve_threads: Option<usize>,
+    idle_timeout_secs: Option<u64>,
     follow: Option<String>,
     window: Option<usize>,
     spill: Option<String>,
@@ -163,11 +163,11 @@ fn parse_args() -> Result<Options, String> {
         keyframe_every: None,
         force: false,
         listen: None,
-        max_conns: 64,
-        write_buf_cap: 256 * 1024,
+        max_conns: None,
+        write_buf_cap: None,
         backend: None,
-        serve_threads: 1,
-        idle_timeout_secs: 30,
+        serve_threads: None,
+        idle_timeout_secs: None,
         follow: None,
         window: None,
         spill: None,
@@ -191,69 +191,21 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|_| format!("--seed wants an unsigned integer, got '{v}'"))?;
             }
-            "--snapshots" => {
-                let v = value("--snapshots")?;
-                opts.snapshots = v
-                    .parse()
-                    .map_err(|_| format!("--snapshots wants a count, got '{v}'"))?;
-                if opts.snapshots == 0 {
-                    return Err("--snapshots must be at least 1".into());
-                }
-            }
-            "--shards" => {
-                let v = value("--shards")?;
-                opts.shards = v
-                    .parse()
-                    .map_err(|_| format!("--shards wants a count, got '{v}'"))?;
-                if opts.shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
+            "--snapshots" => opts.snapshots = positive(&arg, "a count", &value(&arg)?)?,
+            "--shards" => opts.shards = positive(&arg, "a count", &value(&arg)?)?,
             "--incremental" => opts.incremental = true,
             "--queries" => opts.queries = Some(value("--queries")?),
             "--roas" => opts.roas = Some(value("--roas")?),
             "--save" => opts.save = Some(value("--save")?),
             "--archive" => opts.archive = Some(value("--archive")?),
-            "--hot-cap" => {
-                let v = value("--hot-cap")?;
-                let cap = v
-                    .parse()
-                    .map_err(|_| format!("--hot-cap wants a count, got '{v}'"))?;
-                if cap == 0 {
-                    return Err("--hot-cap must be at least 1".into());
-                }
-                opts.hot_cap = Some(cap);
-            }
+            "--hot-cap" => opts.hot_cap = Some(positive(&arg, "a count", &value(&arg)?)?),
             "--keyframe-every" => {
-                let v = value("--keyframe-every")?;
-                let every = v
-                    .parse()
-                    .map_err(|_| format!("--keyframe-every wants a count, got '{v}'"))?;
-                if every == 0 {
-                    return Err("--keyframe-every must be at least 1".into());
-                }
-                opts.keyframe_every = Some(every);
+                opts.keyframe_every = Some(positive(&arg, "a count", &value(&arg)?)?)
             }
             "--force" => opts.force = true,
             "--listen" => opts.listen = Some(value("--listen")?),
-            "--max-conns" => {
-                let v = value("--max-conns")?;
-                opts.max_conns = v
-                    .parse()
-                    .map_err(|_| format!("--max-conns wants a count, got '{v}'"))?;
-                if opts.max_conns == 0 {
-                    return Err("--max-conns must be at least 1".into());
-                }
-            }
-            "--write-buf-cap" => {
-                let v = value("--write-buf-cap")?;
-                opts.write_buf_cap = v
-                    .parse()
-                    .map_err(|_| format!("--write-buf-cap wants bytes, got '{v}'"))?;
-                if opts.write_buf_cap == 0 {
-                    return Err("--write-buf-cap must be at least 1".into());
-                }
-            }
+            "--max-conns" => opts.max_conns = Some(positive(&arg, "a count", &value(&arg)?)?),
+            "--write-buf-cap" => opts.write_buf_cap = Some(positive(&arg, "bytes", &value(&arg)?)?),
             "--backend" => {
                 let v = value("--backend")?;
                 let backend: PollBackend = v.parse()?;
@@ -265,34 +217,13 @@ fn parse_args() -> Result<Options, String> {
                 opts.backend = Some(backend);
             }
             "--serve-threads" => {
-                let v = value("--serve-threads")?;
-                opts.serve_threads = v
-                    .parse()
-                    .map_err(|_| format!("--serve-threads wants a count, got '{v}'"))?;
-                if opts.serve_threads == 0 {
-                    return Err("--serve-threads must be at least 1".into());
-                }
+                opts.serve_threads = Some(positive(&arg, "a count", &value(&arg)?)?)
             }
             "--idle-timeout" => {
-                let v = value("--idle-timeout")?;
-                opts.idle_timeout_secs = v
-                    .parse()
-                    .map_err(|_| format!("--idle-timeout wants seconds, got '{v}'"))?;
-                if opts.idle_timeout_secs == 0 {
-                    return Err("--idle-timeout must be at least 1".into());
-                }
+                opts.idle_timeout_secs = Some(positive(&arg, "seconds", &value(&arg)?)?)
             }
             "--follow" => opts.follow = Some(value("--follow")?),
-            "--window" => {
-                let v = value("--window")?;
-                let window = v
-                    .parse()
-                    .map_err(|_| format!("--window wants a count, got '{v}'"))?;
-                if window == 0 {
-                    return Err("--window must be at least 1".into());
-                }
-                opts.window = Some(window);
-            }
+            "--window" => opts.window = Some(positive(&arg, "a count", &value(&arg)?)?),
             "--spill" => opts.spill = Some(value("--spill")?),
             "--emit-deltas" => opts.emit_deltas = Some(value("--emit-deltas")?),
             "--emit-delay-ms" => {
@@ -302,25 +233,11 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|_| format!("--emit-delay-ms wants milliseconds, got '{v}'"))?;
             }
             "--metrics-interval" => {
-                let v = value("--metrics-interval")?;
-                let secs = v
-                    .parse()
-                    .map_err(|_| format!("--metrics-interval wants seconds, got '{v}'"))?;
-                if secs == 0 {
-                    return Err("--metrics-interval must be at least 1".into());
-                }
-                opts.metrics_interval = Some(secs);
+                opts.metrics_interval = Some(positive(&arg, "seconds", &value(&arg)?)?)
             }
             "--metrics-file" => opts.metrics_file = Some(value("--metrics-file")?),
             "--slow-query-ms" => {
-                let v = value("--slow-query-ms")?;
-                let ms = v
-                    .parse()
-                    .map_err(|_| format!("--slow-query-ms wants milliseconds, got '{v}'"))?;
-                if ms == 0 {
-                    return Err("--slow-query-ms must be at least 1".into());
-                }
-                opts.slow_query_ms = Some(ms);
+                opts.slow_query_ms = Some(positive(&arg, "milliseconds", &value(&arg)?)?)
             }
             "--help" | "-h" => {
                 println!("{}\n\n{}", usage(), flag_help());
@@ -332,30 +249,44 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// The serve tunables from the CLI: `--backend` (else the
-/// `RPI_SERVE_BACKEND`/auto default), `--serve-threads`,
-/// `--idle-timeout` and the connection caps.
-fn serve_config(opts: &Options) -> ServeConfig {
-    let mut cfg = ServeConfig {
-        max_conns: opts.max_conns,
-        write_buf_cap: opts.write_buf_cap,
-        idle_timeout: std::time::Duration::from_secs(opts.idle_timeout_secs),
-        serve_threads: opts.serve_threads,
-        ..ServeConfig::default()
-    };
-    if let Some(backend) = opts.backend {
-        cfg.backend = backend;
+/// Parses the value of a numeric flag that must be at least 1; `noun`
+/// is what the flag counts ("a count", "seconds", …).
+fn positive<T>(name: &str, noun: &str, v: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+{
+    let n: T = v
+        .parse()
+        .map_err(|_| format!("{name} wants {noun}, got '{v}'"))?;
+    if n == T::default() {
+        return Err(format!("{name} must be at least 1"));
     }
-    cfg
+    Ok(n)
+}
+
+/// The serve tunables from the CLI over [`ServeConfig`]'s defaults (for
+/// the backend: `RPI_SERVE_BACKEND`, else auto).
+fn serve_config(opts: &Options) -> ServeConfig {
+    let d = ServeConfig::default();
+    ServeConfig {
+        max_conns: opts.max_conns.unwrap_or(d.max_conns),
+        write_buf_cap: opts.write_buf_cap.unwrap_or(d.write_buf_cap),
+        idle_timeout: opts
+            .idle_timeout_secs
+            .map_or(d.idle_timeout, std::time::Duration::from_secs),
+        serve_threads: opts.serve_threads.unwrap_or(d.serve_threads),
+        backend: opts.backend.unwrap_or(d.backend),
+        ..d
+    }
 }
 
 /// The one-line startup banner (the serve smokes poll for `serving on`).
-fn serving_banner(addr: std::net::SocketAddr, opts: &Options, cfg: &ServeConfig) -> String {
+fn serving_banner(addr: std::net::SocketAddr, cfg: &ServeConfig) -> String {
     format!(
         "serving on {addr} ({} max conns, {} write-buf cap, {} backend, {} serve thread{}); \
          a 'shutdown' line stops the server",
-        opts.max_conns,
-        fmt_bytes(opts.write_buf_cap as u64),
+        cfg.max_conns,
+        fmt_bytes(cfg.write_buf_cap as u64),
         cfg.backend.effective(),
         cfg.serve_threads.max(1),
         if cfg.serve_threads.max(1) == 1 {
@@ -381,6 +312,19 @@ fn main() -> ExitCode {
     }
     if opts.keyframe_every.is_some() && opts.save.is_none() && opts.follow.is_none() {
         eprintln!("rpi-queryd: --keyframe-every shapes an archive; it needs --save or --follow");
+        return ExitCode::FAILURE;
+    }
+    if opts.listen.is_none()
+        && (opts.max_conns.is_some()
+            || opts.write_buf_cap.is_some()
+            || opts.backend.is_some()
+            || opts.serve_threads.is_some()
+            || opts.idle_timeout_secs.is_some())
+    {
+        eprintln!(
+            "rpi-queryd: --max-conns/--write-buf-cap/--backend/--serve-threads/--idle-timeout \
+             tune the TCP server; they need --listen"
+        );
         return ExitCode::FAILURE;
     }
     if opts.listen.is_some() && (opts.queries.is_some() || opts.save.is_some()) {
@@ -526,22 +470,11 @@ fn main() -> ExitCode {
             );
         }
     } else {
-        eprintln!(
-            "building {:?} world (seed {}, {} snapshot{}) …",
-            opts.size,
-            opts.seed,
-            opts.snapshots,
-            if opts.snapshots == 1 { "" } else { "s" }
-        );
         let t0 = Instant::now();
-        let e = Experiment::standard(opts.size, opts.seed);
+        let e = build_world(&opts);
         engine = QueryEngine::new(opts.shards);
         if opts.snapshots > 1 {
-            let cfg = ChurnConfig {
-                steps: opts.snapshots,
-                ..ChurnConfig::daily(opts.seed ^ 0xC0FFEE)
-            };
-            let series = simulate_series(&e.graph, &e.truth, &e.spec, &cfg);
+            let series = churn_series(&opts, &e);
             if opts.incremental {
                 engine.ingest_series_incremental(&series, &e.inferred_graph);
             } else {
@@ -632,7 +565,7 @@ fn main() -> ExitCode {
             }
         };
         match server.local_addr() {
-            Ok(addr) => eprintln!("{}", serving_banner(addr, &opts, &cfg)),
+            Ok(addr) => eprintln!("{}", serving_banner(addr, &cfg)),
             Err(e) => {
                 eprintln!("rpi-queryd: --listen: {e}");
                 return ExitCode::FAILURE;
@@ -683,11 +616,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// `--emit-deltas`: simulate, then stream — header first, one
-/// length-prefixed frame per snapshot (paced by `--emit-delay-ms`), the
-/// end marker last.
-fn emit_deltas(opts: &Options, path: &str) -> ExitCode {
-    use std::io::Write as _;
+/// Announces and builds the `--size`/`--seed` world every simulating
+/// mode starts from.
+fn build_world(opts: &Options) -> Experiment {
     eprintln!(
         "building {:?} world (seed {}, {} snapshot{}) …",
         opts.size,
@@ -695,13 +626,26 @@ fn emit_deltas(opts: &Options, path: &str) -> ExitCode {
         opts.snapshots,
         if opts.snapshots == 1 { "" } else { "s" }
     );
-    let t0 = Instant::now();
-    let e = Experiment::standard(opts.size, opts.seed);
+    Experiment::standard(opts.size, opts.seed)
+}
+
+/// The `--snapshots`-step daily churn series over a built world.
+fn churn_series(opts: &Options, e: &Experiment) -> bgp_sim::SnapshotSeries {
     let cfg = ChurnConfig {
         steps: opts.snapshots,
         ..ChurnConfig::daily(opts.seed ^ 0xC0FFEE)
     };
-    let series = simulate_series(&e.graph, &e.truth, &e.spec, &cfg);
+    simulate_series(&e.graph, &e.truth, &e.spec, &cfg)
+}
+
+/// `--emit-deltas`: simulate, then stream — header first, one
+/// length-prefixed frame per snapshot (paced by `--emit-delay-ms`), the
+/// end marker last.
+fn emit_deltas(opts: &Options, path: &str) -> ExitCode {
+    use std::io::Write as _;
+    let t0 = Instant::now();
+    let e = build_world(opts);
+    let series = churn_series(opts, &e);
     let mut file = match std::fs::File::create(path) {
         Ok(f) => f,
         Err(err) => {
@@ -834,7 +778,7 @@ fn follow_and_serve(
             }
         };
         match server.local_addr() {
-            Ok(addr) => eprintln!("{}", serving_banner(addr, opts, &cfg)),
+            Ok(addr) => eprintln!("{}", serving_banner(addr, &cfg)),
             Err(e) => {
                 eprintln!("rpi-queryd: --listen: {e}");
                 stop.store(true, Ordering::Release);
@@ -1024,28 +968,20 @@ fn run_line(engine: &QueryEngine, line: &str) -> Outcome {
             println!("{}", repl_reply(engine, cmd));
             Outcome::Ok
         }
-        Line::Query(req) => {
-            // Stdin queries feed the same per-verb counters and latency
-            // histograms as served ones, so `stats`/`metrics`/`slowlog`
-            // are live in every session shape.
-            let t0 = Instant::now();
-            let result = engine.execute(&req);
-            let elapsed = t0.elapsed();
-            let m = engine.metrics();
-            let v = req.query.verb_index();
-            m.serve_queries_total[v].inc();
-            m.serve_query_seconds[v].record(elapsed);
-            if m.slow_threshold().is_some_and(|thr| elapsed >= thr) {
-                m.push_slow(elapsed, 1, line.trim());
-            }
-            match result {
+        // A run of one through the shared accounting, so `stats`,
+        // `metrics` and `slowlog` are live in every session shape.
+        Line::Query(req) => run_queries(
+            engine,
+            std::slice::from_ref(&req),
+            line.trim(),
+            |mut answers| match answers.pop().expect("one answer per query") {
                 Ok(resp) => {
                     println!("{}", rpi_query::render_response(&req, &resp));
                     Outcome::Ok
                 }
                 Err(e) => Outcome::Err(e.to_string()),
-            }
-        }
+            },
+        ),
         Line::Bad(msg) => Outcome::Err(msg),
     }
 }

@@ -3,9 +3,9 @@
 //! Ingest many snapshots, then answer policy queries in O(lookup). The
 //! engine's one entry point is the typed protocol of [`crate::proto`]:
 //! [`QueryEngine::execute`] runs a [`QueryRequest`] (a [`Query`] plus a
-//! snapshot [`crate::proto::Scope`]); [`QueryEngine::execute_batch`] runs many,
-//! bucketed by shard and evaluated in parallel with `std::thread::scope`
-//! (see [`crate::plan`]). There is no other way to ask: callers match
+//! snapshot [`crate::proto::Scope`]); [`QueryEngine::execute_batch`] runs many
+//! in request order, overlapping only a batch's scans (see
+//! [`crate::plan`]). There is no other way to ask: callers match
 //! on the [`Response`] variant their query produces.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -200,8 +200,8 @@ pub struct QueryEngine {
     pub(crate) horizon: Option<u32>,
 }
 
-// `Arc<QueryEngine>` sharing across the serve loop and batch workers
-// rests on this; see the struct docs.
+// `Arc<QueryEngine>` sharing across the serve loops and a batch's scan
+// workers rests on this; see the struct docs.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<QueryEngine>()
@@ -722,12 +722,11 @@ impl QueryEngine {
         }
     }
 
-    /// Executes a batch: requests are bucketed by target shard (exact
-    /// route and SA-status lookups) or spread over a general lane
-    /// (everything else), and the buckets evaluated concurrently under
-    /// `std::thread::scope` — one worker per lane, capped at the
-    /// machine's parallelism, so a batch touches each shard's tries from
-    /// exactly one thread. Results keep request order.
+    /// Executes a batch: every request goes through [`Self::execute`] in
+    /// request order on the calling thread, except that a batch holding
+    /// two or more scans (history verbs, `diff`, `leaks`) overlaps those
+    /// scans on scoped helper threads, capped at the machine's
+    /// parallelism. Results keep request order.
     pub fn execute_batch(&self, reqs: &[QueryRequest]) -> Vec<Result<Response, QueryError>> {
         crate::plan::run_batch(self, reqs)
     }
@@ -737,7 +736,7 @@ impl QueryEngine {
     /// against a cold full segment are answered zero-copy off the
     /// mapped bytes; everything else hydrates through
     /// [`Self::snap_arc`].
-    pub(crate) fn eval_point(&self, query: &Query, id: SnapshotId) -> Result<Response, QueryError> {
+    fn eval_point(&self, query: &Query, id: SnapshotId) -> Result<Response, QueryError> {
         let snap = match &self.tier {
             Some(tier) => {
                 if id.index() >= self.snapshot_count() {

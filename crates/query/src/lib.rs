@@ -11,7 +11,7 @@
 //! [`Query`] AST paired with a snapshot [`Scope`] forms a
 //! [`QueryRequest`]; [`QueryEngine::execute`] returns a typed
 //! [`Response`], and [`QueryEngine::execute_batch`] runs many requests
-//! bucketed by shard under `std::thread::scope` ([`plan`]). The same
+//! in order, overlapping only a batch's scans ([`plan`]). The same
 //! module defines the round-trippable text grammar ([`parse`] /
 //! [`render`]) that the `rpi-queryd` REPL, batch query files and the
 //! tests all share. Multi-snapshot history questions — per-prefix SA
@@ -37,7 +37,7 @@
 //!   `rpi_core` analyses (SA reports, import typicality, community
 //!   semantics, relationship map).
 //! * [`proto`] — the query protocol: AST, wire grammar, responses.
-//! * [`plan`] — scope resolution and the shard-bucketed batch planner.
+//! * [`plan`] — scope resolution and the in-order batch runner.
 //! * [`engine`] — [`QueryEngine`]: ingestion and `execute`/`execute_batch`,
 //!   the only query entry points.
 //! * [`diff`] — what changed between snapshot *t* and *t+1*: new/vanished

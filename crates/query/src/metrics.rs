@@ -16,7 +16,7 @@
 //! Naming convention: `rpi_<layer>_<name>` with unit suffixes
 //! `_seconds` (histograms, exposed as summaries) and `_total`
 //! (counters); dimensioned families carry one label (`verb="route"`,
-//! `lane="shard"`).
+//! `lane="general"`).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -70,11 +70,11 @@ pub struct QueryMetrics {
     origin: Instant,
 
     // planner
-    /// `rpi_plan_batch_seconds` — wall time of one `execute_batch` plan.
+    /// `rpi_plan_batch_seconds` — wall time of one `execute_batch`.
     pub plan_batch_seconds: Arc<Histogram>,
-    /// `rpi_plan_lane_seconds{lane="shard"}` — per-worker shard-lane busy time.
-    pub plan_lane_shard_seconds: Arc<Histogram>,
-    /// `rpi_plan_lane_seconds{lane="general"}` — general-lane busy time.
+    /// `rpi_plan_lane_seconds{lane="general"}` — busy time of one worker
+    /// of a batch's scan fan-out (no samples from batches answered
+    /// inline).
     pub plan_lane_general_seconds: Arc<Histogram>,
 
     // serve
@@ -193,7 +193,6 @@ impl QueryMetrics {
         let verb_label = |v: &str| format!("verb=\"{v}\"");
         QueryMetrics {
             plan_batch_seconds: r.histogram("rpi_plan_batch_seconds", None),
-            plan_lane_shard_seconds: r.histogram("rpi_plan_lane_seconds", Some("lane=\"shard\"")),
             plan_lane_general_seconds: r
                 .histogram("rpi_plan_lane_seconds", Some("lane=\"general\"")),
             serve_queries_total: std::array::from_fn(|i| {
@@ -394,9 +393,8 @@ impl QueryMetrics {
             fmt_quantiles(&overall)
         ));
         out.push_str("\nstages (count, p50/p90/p99/p999 ms):");
-        let stages: [(&str, &Histogram); 9] = [
+        let stages: [(&str, &Histogram); 8] = [
             ("plan.batch", &self.plan_batch_seconds),
-            ("plan.shard-lane", &self.plan_lane_shard_seconds),
             ("plan.general-lane", &self.plan_lane_general_seconds),
             ("serve.sweep", &self.serve_sweep_seconds),
             ("serve.first-byte", &self.serve_accept_to_first_byte_seconds),

@@ -1,21 +1,24 @@
 //! The executor's planning layer: resolving a [`Scope`] against an
-//! engine's snapshots, classifying batch requests into shard-affine
-//! buckets, and running the buckets in parallel under
-//! `std::thread::scope`, recording per-lane busy time into the
-//! `rpi_plan_{batch,lane_*}_seconds` histograms.
+//! engine's snapshots, and running a batch of requests.
 //!
-//! Every query — single or batched, point or history — flows through
-//! this planner via [`QueryEngine::execute`] and
-//! [`QueryEngine::execute_batch`], the engine's only query entry points.
+//! A batch has one execution model: requests are evaluated by
+//! [`QueryEngine::execute`] in request order on the thread that called
+//! [`QueryEngine::execute_batch`]. A lookup (`route`, `resolve`, `sa`,
+//! `rel`, `summary`, `rov`) costs less than handing it to another
+//! thread; lookup parallelism comes from serving several connections at
+//! once. Only **scans** — the history verbs, `diff` and `leaks`, which
+//! walk whole tables or many snapshots — are worth a thread, and only
+//! when a batch holds two or more of them.
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use bgp_types::Asn;
 
 use crate::engine::QueryEngine;
 use crate::proto::{Query, QueryRequest, Response, Scope};
-use crate::snapshot::{shard_of, SnapshotId};
+use crate::snapshot::SnapshotId;
 
 /// Why a request could not be executed (as opposed to answering "no":
 /// a missing route or unknown AS inside a valid snapshot is a negative
@@ -157,133 +160,145 @@ impl QueryEngine {
     }
 }
 
-/// Where the planner routes one request of a batch.
-enum Step {
-    /// Scope resolution already failed; the error is the answer.
-    Fail(QueryError),
-    /// A single-snapshot lookup keyed by the prefix's shard, with its
-    /// scope already resolved: the batch runner gives every shard's
-    /// bucket to one worker, so each shard's tries are walked from
-    /// exactly one thread.
-    Sharded(usize, SnapshotId),
-    /// Everything else (all-shard lookups, hash lookups, history walks,
-    /// diffs): spread round-robin over the workers' general lanes.
-    General,
+/// Whether a request walks whole tables or many snapshots (the history
+/// verbs, `diff`, `leaks`) rather than reading one entry of one table.
+/// Decided by the verb alone, so the batch's execution shape is readable
+/// off the request.
+fn is_scan(req: &QueryRequest) -> bool {
+    req.query.is_history() || matches!(req.query, Query::Diff | Query::Leaks)
 }
 
-fn classify(engine: &QueryEngine, req: &QueryRequest) -> Step {
-    match &req.query {
-        Query::Route { prefix, .. }
-        | Query::SaStatus { prefix, .. }
-        | Query::Rov { prefix, .. } => match engine.single_scope(&req.query, &req.scope) {
-            Ok(id) => Step::Sharded(shard_of(*prefix, engine.shard_count()), id),
-            Err(e) => Step::Fail(e),
-        },
-        _ => Step::General,
-    }
-}
-
-/// Runs a batch: classify, bucket, evaluate buckets concurrently, merge.
-/// One worker per non-empty bucket, capped at the machine's parallelism;
-/// workers write into private vectors (interleaved writes to the shared
-/// results vector would false-share) and the merge moves answers into
-/// place.
+/// Runs a batch in request order on the calling thread; a batch holding
+/// two or more scans overlaps them (see [`fan_out`]).
 pub(crate) fn run_batch(
     engine: &QueryEngine,
     reqs: &[QueryRequest],
 ) -> Vec<Result<Response, QueryError>> {
     let wall_start = Instant::now();
-    let n_shards = engine.shard_count();
-    let mut results: Vec<Option<Result<Response, QueryError>>> =
-        (0..reqs.len()).map(|_| None).collect();
-
-    // Shard buckets carry (request index, resolved snapshot) so workers
-    // evaluate without re-resolving the scope.
-    let mut shard_buckets: Vec<Vec<(usize, SnapshotId)>> = vec![Vec::new(); n_shards];
-    let mut general: Vec<usize> = Vec::new();
-    for (i, req) in reqs.iter().enumerate() {
-        match classify(engine, req) {
-            Step::Fail(e) => results[i] = Some(Err(e)),
-            Step::Sharded(shard, id) => shard_buckets[shard].push((i, id)),
-            Step::General => general.push(i),
-        }
-    }
-    shard_buckets.retain(|b| !b.is_empty());
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // The general lane is not one unit of work: a pure-general batch
-    // (all resolves or history walks) must still spread over every core,
-    // so it counts as up to one lane per request.
-    let workers = (shard_buckets.len() + general.len()).min(cores).max(1);
-    // The general lane is over-partitioned (4 chunks per worker) so that
-    // expensive history walks landing in one chunk don't serialize the
-    // whole lane; workers pick up chunks round-robin.
-    let general_chunks: Vec<&[usize]> = if general.is_empty() {
-        Vec::new()
+    let results = if reqs.iter().filter(|r| is_scan(r)).take(2).count() < 2 {
+        reqs.iter().map(|r| engine.execute(r)).collect()
     } else {
-        let n_chunks = (workers * 4).min(general.len());
-        general.chunks(general.len().div_ceil(n_chunks)).collect()
+        fan_out(engine, reqs)
     };
-
-    // A lane is one shard's bucket (scopes pre-resolved) or one chunk
-    // of the general lane.
-    enum LaneWork<'a> {
-        Shard(&'a [(usize, SnapshotId)]),
-        General(&'a [usize]),
-    }
-    let buckets: Vec<LaneWork> = shard_buckets
-        .iter()
-        .map(|b| LaneWork::Shard(b.as_slice()))
-        .chain(general_chunks.iter().map(|c| LaneWork::General(c)))
-        .collect();
-
-    // (is a shard lane, busy time, answers by request index)
-    type LaneAnswers = (bool, Duration, Vec<(usize, Result<Response, QueryError>)>);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let my_buckets: Vec<&LaneWork> = buckets.iter().skip(w).step_by(workers).collect();
-                scope.spawn(move || {
-                    let mut out: Vec<LaneAnswers> = Vec::with_capacity(my_buckets.len());
-                    for work in my_buckets {
-                        let t0 = Instant::now();
-                        let answers: Vec<(usize, Result<Response, QueryError>)> = match work {
-                            LaneWork::Shard(bucket) => bucket
-                                .iter()
-                                .map(|&(i, id)| (i, engine.eval_point(&reqs[i].query, id)))
-                                .collect(),
-                            LaneWork::General(bucket) => bucket
-                                .iter()
-                                .map(|&i| (i, engine.execute(&reqs[i])))
-                                .collect(),
-                        };
-                        let sharded = matches!(work, LaneWork::Shard(_));
-                        out.push((sharded, t0.elapsed(), answers));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (sharded, busy, answers) in h.join().expect("batch worker panicked") {
-                if sharded {
-                    engine.metrics.plan_lane_shard_seconds.record(busy);
-                } else {
-                    engine.metrics.plan_lane_general_seconds.record(busy);
-                }
-                for (i, answer) in answers {
-                    results[i] = Some(answer);
-                }
-            }
-        }
-    });
-
     engine
         .metrics
         .plan_batch_seconds
         .record(wall_start.elapsed());
     results
-        .into_iter()
-        .map(|r| r.expect("every request routed to a lane"))
-        .collect()
+}
+
+/// The path of a batch with two or more scans: helper threads start on
+/// the scans while the caller answers the lookups inline, then joins
+/// them on the scans. Every worker pulls the next unclaimed scan off one
+/// shared cursor until none are left, so an expensive scan occupies one
+/// worker while the others drain the cheap ones.
+fn fan_out(engine: &QueryEngine, reqs: &[QueryRequest]) -> Vec<Result<Response, QueryError>> {
+    let scans: Vec<usize> = (0..reqs.len()).filter(|&i| is_scan(&reqs[i])).collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let helpers = scans.len().min(cores) - 1;
+    // Relaxed: the cursor only hands out distinct indices; answers reach
+    // the caller through `join`, not through this atomic.
+    let cursor = AtomicUsize::new(0);
+    let pull_scans = || {
+        let t0 = Instant::now();
+        let mut answers = Vec::new();
+        while let Some(&i) = scans.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            answers.push((i, engine.execute(&reqs[i])));
+        }
+        engine
+            .metrics
+            .plan_lane_general_seconds
+            .record(t0.elapsed());
+        answers
+    };
+    let mut answers = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(pull_scans)).collect();
+        let mut answers: Vec<_> = (0..reqs.len())
+            .filter(|&i| !is_scan(&reqs[i]))
+            .map(|i| (i, engine.execute(&reqs[i])))
+            .collect();
+        answers.extend(pull_scans());
+        for h in handles {
+            answers.extend(h.join().expect("batch worker panicked"));
+        }
+        answers
+    });
+    answers.sort_unstable_by_key(|&(i, _)| i);
+    answers.into_iter().map(|(_, answer)| answer).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use net_topology::InternetSize;
+    use rpi_core::Experiment;
+
+    use super::*;
+    use crate::proto::parse;
+
+    /// `(lane samples, batch samples)` one `execute_batch` of `lines` adds.
+    fn samples(engine: &QueryEngine, lines: &[String]) -> (u64, u64) {
+        let reqs: Vec<QueryRequest> = lines.iter().map(|l| parse(l).expect(l)).collect();
+        let m = engine.metrics();
+        let count = || {
+            (
+                m.plan_lane_general_seconds.snapshot().count(),
+                m.plan_batch_seconds.snapshot().count(),
+            )
+        };
+        let before = count();
+        assert_eq!(engine.execute_batch(&reqs).len(), reqs.len());
+        let after = count();
+        (after.0 - before.0, after.1 - before.1)
+    }
+
+    /// A lane sample is recorded by every fan-out worker and by nothing
+    /// else, so "zero lane samples" is "no helper thread was spawned".
+    #[test]
+    fn only_a_batch_with_two_scans_fans_out() {
+        let exp = Experiment::standard(InternetSize::Tiny, 7);
+        let mut engine = QueryEngine::new(4);
+        engine.ingest_experiment(&exp, "t0");
+        let lg = exp.spec.lg_ases[0];
+
+        let lookup_verbs = [
+            format!("route {lg} 4.0.0.0/13"),
+            format!("resolve {lg} 4.0.0.1/32"),
+            format!("sa {lg} 4.0.0.0/13"),
+            format!("rel {lg} AS1"),
+            format!("summary {lg}"),
+            format!("rov {lg} 4.0.0.0/13"),
+        ];
+        let scan_verbs = [
+            "diff @all".to_string(),
+            format!("sa-history {lg} 4.0.0.0/13"),
+            format!("uptime {lg}"),
+            format!("top-sa {lg} 3"),
+            format!("persistence {lg} 4.0.0.0/13"),
+            "hijacks".to_string(),
+            "leaks".to_string(),
+        ];
+
+        let mut batch: Vec<String> = lookup_verbs.iter().cycle().take(128).cloned().collect();
+        assert_eq!(samples(&engine, &batch), (0, 1), "128 lookups");
+        batch[64] = "hijacks".to_string();
+        assert_eq!(samples(&engine, &batch), (0, 1), "exactly one scan");
+        batch[3] = format!("uptime {lg}");
+        let (lanes, batches) = samples(&engine, &batch);
+        assert!((1..=2).contains(&lanes), "two scans: {lanes} lane samples");
+        assert_eq!(batches, 1);
+
+        // The rule is the verb alone: a pair of any scan verb fans out
+        // (even when its scope is unusable), a pair of any lookup verb
+        // does not.
+        for verb in &lookup_verbs {
+            let pair = [verb.clone(), verb.clone()];
+            assert_eq!(samples(&engine, &pair), (0, 1), "{verb}");
+        }
+        for verb in &scan_verbs {
+            let pair = [verb.clone(), verb.clone()];
+            assert!(samples(&engine, &pair).0 >= 1, "{verb}");
+        }
+        let unusable = ["hijacks @3..9".to_string(), "leaks @7".to_string()];
+        assert!(samples(&engine, &unusable).0 >= 1, "scope errors");
+    }
 }

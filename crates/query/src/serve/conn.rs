@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use crate::engine::QueryEngine;
 use crate::proto::{render_response, Control, Frame, LineFramer};
-use crate::serve::session::{classify_line, repl_reply, Line};
+use crate::serve::session::{classify_line, repl_reply, run_queries, Line};
 
 /// What one read-and-process step observed.
 #[derive(Debug, Default)]
@@ -153,8 +153,7 @@ impl Conn {
 
     /// One nonblocking read, then frame/classify/execute/render. All the
     /// read's parseable queries go through the engine as a single batch,
-    /// so a client that writes N lines per segment gets the planner's
-    /// shard-parallel execution for free.
+    /// answered in order on this thread (only a batch's scans fan out).
     pub(crate) fn read_and_process(
         &mut self,
         engine: &QueryEngine,
@@ -247,8 +246,7 @@ impl Conn {
     }
 
     /// Executes one REPL-free run of classified lines — its queries as a
-    /// single engine batch (a lone query skips the batch planner's thread
-    /// scaffolding) — rendering every output line in input order.
+    /// single engine batch — rendering every output line in input order.
     fn run_segment(
         &mut self,
         engine: &QueryEngine,
@@ -262,60 +260,38 @@ impl Conn {
                 _ => None,
             })
             .collect();
-        // Latency is the whole segment — execute *and* render — because
-        // that is what the client observes between its last pipelined
-        // byte and the first response byte being queued. Every query in
-        // the segment is attributed the segment's wall time.
-        let seg_start = (!reqs.is_empty()).then(Instant::now);
-        let mut answers = if reqs.len() > 1 {
-            engine.execute_batch(&reqs).into_iter()
-        } else {
-            reqs.iter()
-                .map(|r| engine.execute(r))
-                .collect::<Vec<_>>()
-                .into_iter()
-        };
-
-        for (line_no, item, _) in segment {
-            match item {
-                Line::Skip => {}
-                Line::Control(Control::Ping) => self.push_output("pong"),
-                Line::Control(Control::Quit) => self.closing = true,
-                Line::Control(Control::Shutdown) => {
-                    self.closing = true;
-                    out.shutdown = true;
-                }
-                Line::Repl(_) => unreachable!("segments are split at REPL commands"),
-                Line::Query(req) => match answers.next().expect("one answer per batched query") {
-                    Ok(resp) => self.push_output(&render_response(req, &resp)),
-                    Err(e) => {
-                        out.errors += 1;
-                        self.push_output(&format!("error line {line_no}: {e}"));
+        let first = segment
+            .iter()
+            .find_map(|(_, l, text)| matches!(l, Line::Query(_)).then_some(text.trim()))
+            .unwrap_or("");
+        run_queries(engine, &reqs, first, |answers| {
+            let mut answers = answers.into_iter();
+            for (line_no, item, _) in segment {
+                match item {
+                    Line::Skip => {}
+                    Line::Control(Control::Ping) => self.push_output("pong"),
+                    Line::Control(Control::Quit) => self.closing = true,
+                    Line::Control(Control::Shutdown) => {
+                        self.closing = true;
+                        out.shutdown = true;
                     }
-                },
-                Line::Bad(msg) => {
-                    out.errors += 1;
-                    self.push_output(&format!("error line {line_no}: {msg}"));
+                    Line::Repl(_) => unreachable!("segments are split at REPL commands"),
+                    Line::Query(req) => {
+                        match answers.next().expect("one answer per batched query") {
+                            Ok(resp) => self.push_output(&render_response(req, &resp)),
+                            Err(e) => {
+                                out.errors += 1;
+                                self.push_output(&format!("error line {line_no}: {e}"));
+                            }
+                        }
+                    }
+                    Line::Bad(msg) => {
+                        out.errors += 1;
+                        self.push_output(&format!("error line {line_no}: {msg}"));
+                    }
                 }
             }
-        }
-
-        if let Some(t0) = seg_start {
-            let elapsed = t0.elapsed();
-            let m = engine.metrics();
-            for req in &reqs {
-                let v = req.query.verb_index();
-                m.serve_queries_total[v].inc();
-                m.serve_query_seconds[v].record(elapsed);
-            }
-            if m.slow_threshold().is_some_and(|thr| elapsed >= thr) {
-                let first = segment
-                    .iter()
-                    .find_map(|(_, l, text)| matches!(l, Line::Query(_)).then_some(text.trim()))
-                    .unwrap_or("");
-                m.push_slow(elapsed, reqs.len() as u64, first);
-            }
-        }
+        });
     }
 
     fn push_output(&mut self, text: &str) {

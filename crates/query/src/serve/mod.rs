@@ -13,9 +13,11 @@
 //! the Linux `epoll` backend (a thin audited `extern "C"` shim in
 //! `rpi-epoll`) gets real kernel notification so idle connections cost
 //! nothing. `serve_threads = N` shards connections across N copies of
-//! the same loop behind a dedicated acceptor; query parallelism
-//! additionally lives where it always did, in the engine's
-//! shard-bucketed [`execute_batch`](crate::QueryEngine::execute_batch):
+//! the same loop behind a dedicated acceptor, and that is where lookup
+//! parallelism comes from: a connection's queries run in order on the
+//! loop thread that read them, and
+//! [`execute_batch`](crate::QueryEngine::execute_batch) spreads only a
+//! batch's scans (history verbs, `diff`, `leaks`) over helper threads:
 //!
 //! * **Framing** ([`LineFramer`](crate::proto::LineFramer)): requests
 //!   are lines; a query byte-split across TCP segments reassembles, and
@@ -23,7 +25,8 @@
 //!   instead of unbounded buffering — the connection survives.
 //! * **Pipelining**: every parseable query in one read is executed as a
 //!   single engine batch, so a client that writes N lines per segment
-//!   gets shard-parallel execution without any protocol change.
+//!   pays one read, one batch and one write for all N, and has its
+//!   scans overlapped, without any protocol change.
 //! * **Backpressure**: each connection's rendered-but-unsent output is
 //!   bounded by [`ServeConfig::write_buf_cap`]; past it the server stops
 //!   *reading* that connection until the buffer drains, so a slow

@@ -2,15 +2,19 @@
 //!
 //! A "session" is a stream of grammar lines — the stdin REPL, a
 //! `--queries` file, or one TCP connection. This module defines what a
-//! line *means* ([`classify_line`]) and renders the REPL listing
-//! commands ([`repl_reply`]), so the daemon's stdin path and the
+//! line *means* ([`classify_line`]), runs and accounts for its queries
+//! ([`run_queries`]) and renders the REPL listing commands
+//! ([`repl_reply`]), so the daemon's stdin path and the
 //! [`serve`](crate::serve) front end produce **byte-identical** output
 //! for the same lines — the property the CI network smoke diffs.
+
+use std::time::Instant;
 
 use rpi_store::SegmentKind;
 
 use crate::engine::QueryEngine;
-use crate::proto::{parse, parse_control, Control, ParseError, QueryRequest, GRAMMAR};
+use crate::plan::QueryError;
+use crate::proto::{parse, parse_control, Control, ParseError, QueryRequest, Response, GRAMMAR};
 use crate::snapshot::{SnapshotId, VantageKind};
 
 /// What the REPL line said, beyond the query grammar.
@@ -83,6 +87,39 @@ pub fn classify_line(line: &str) -> Line {
         Err(e @ ParseError::UnknownQuery(_)) => Line::Bad(e.to_string()),
         Err(e) => Line::Bad(format!("{e} (type 'help' for the grammar)")),
     }
+}
+
+/// Serves one run of queries: executes them as a single engine batch,
+/// hands the answers (in request order) to `render`, and books the run
+/// in the per-verb `rpi_serve_*` families and the slowlog. A stdin line
+/// is a run of one; a TCP read's REPL-free segment is a run of many.
+///
+/// Latency is execute *and* render, because that is what the client
+/// observes between its last request byte and the first response byte;
+/// every query of the run is attributed the run's wall time. A slow run
+/// quotes `first_line`, its first query's text, in the slowlog.
+pub fn run_queries<R>(
+    engine: &QueryEngine,
+    reqs: &[QueryRequest],
+    first_line: &str,
+    render: impl FnOnce(Vec<Result<Response, QueryError>>) -> R,
+) -> R {
+    if reqs.is_empty() {
+        return render(Vec::new());
+    }
+    let t0 = Instant::now();
+    let rendered = render(engine.execute_batch(reqs));
+    let elapsed = t0.elapsed();
+    let m = engine.metrics();
+    for req in reqs {
+        let v = req.query.verb_index();
+        m.serve_queries_total[v].inc();
+        m.serve_query_seconds[v].record(elapsed);
+    }
+    if m.slow_threshold().is_some_and(|thr| elapsed >= thr) {
+        m.push_slow(elapsed, reqs.len() as u64, first_line);
+    }
+    rendered
 }
 
 /// `123 B` / `1.2 KiB` / `3.4 MiB` — the size spelling every listing

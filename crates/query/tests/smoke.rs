@@ -1,7 +1,7 @@
 //! End-to-end golden test of `rpi-queryd --queries`: pipes the committed
 //! smoke query file through the daemon against the deterministic tiny
-//! seed-11 world and diffs stdout against the committed golden output —
-//! the same check CI runs as a shell step.
+//! seed-11 world and diffs stdout against the committed golden output
+//! (CI runs it as part of the workspace `cargo test`).
 //!
 //! If the wire grammar or response rendering changes intentionally,
 //! regenerate with:
@@ -314,38 +314,86 @@ fn unbindable_listen_address_fails_fast_with_one_line() {
     );
 }
 
+/// Runs the daemon with arguments it must reject: exit 1 with a message
+/// on stderr (returned), before the world build.
+fn rejected(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
+        .args(["--size", "tiny"])
+        .args(args)
+        .output()
+        .expect("rpi-queryd runs");
+    assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(
+        !stderr.contains("building"),
+        "{args:?} must fail before the world build:\n{stderr}"
+    );
+    stderr
+}
+
 /// Bugfix coverage: `--window` without `--follow` is rejected whatever
 /// its value (the default, 4, used to slip through as "flag not given"),
 /// and the removed `--bench` mode is an unknown argument — all one-line
 /// errors before the world build.
 #[test]
 fn follow_only_and_removed_flags_fail_fast() {
-    let run = |args: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
-            .args(["--size", "tiny"])
-            .args(args)
-            .output()
-            .expect("rpi-queryd runs");
-        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
-        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-        assert!(
-            !stderr.contains("building"),
-            "{args:?} must fail before the world build:\n{stderr}"
-        );
-        stderr
-    };
     for window in ["4", "3"] {
-        let stderr = run(&["--window", window]);
+        let stderr = rejected(&["--window", window]);
         assert!(
             stderr.contains("--window/--spill tune live ingest; they need --follow"),
             "--window {window} must name the missing flag:\n{stderr}"
         );
     }
-    let stderr = run(&["--bench"]);
+    let stderr = rejected(&["--bench"]);
     assert!(
         stderr.contains("unknown argument '--bench'") && stderr.contains("usage: rpi-queryd"),
         "--bench must be unknown, with the usage line:\n{stderr}"
     );
+}
+
+/// Every at-least-1 numeric flag spells its two rejections the same way
+/// (`wants <noun>, got '<value>'` / `must be at least 1`), and the serve
+/// tunables are rejected without `--listen` — whatever their value, the
+/// defaults included — the way `--window` is without `--follow`.
+#[test]
+fn numeric_and_serve_only_flags_fail_fast() {
+    for (flag, noun) in [
+        ("--snapshots", "a count"),
+        ("--shards", "a count"),
+        ("--hot-cap", "a count"),
+        ("--keyframe-every", "a count"),
+        ("--max-conns", "a count"),
+        ("--write-buf-cap", "bytes"),
+        ("--serve-threads", "a count"),
+        ("--idle-timeout", "seconds"),
+        ("--window", "a count"),
+        ("--metrics-interval", "seconds"),
+        ("--slow-query-ms", "milliseconds"),
+    ] {
+        assert_eq!(
+            rejected(&[flag, "x"]),
+            format!("rpi-queryd: {flag} wants {noun}, got 'x'\n")
+        );
+        assert_eq!(
+            rejected(&[flag, "0"]),
+            format!("rpi-queryd: {flag} must be at least 1\n")
+        );
+        assert!(rejected(&[flag]).starts_with(&format!("rpi-queryd: {flag} needs a value\n")));
+    }
+    for args in [
+        ["--max-conns", "64"],
+        ["--write-buf-cap", "262144"],
+        ["--backend", "sweep"],
+        ["--serve-threads", "1"],
+        ["--idle-timeout", "30"],
+    ] {
+        assert_eq!(
+            rejected(&args),
+            "rpi-queryd: --max-conns/--write-buf-cap/--backend/--serve-threads/--idle-timeout \
+             tune the TCP server; they need --listen\n",
+            "{args:?}"
+        );
+    }
 }
 
 #[test]

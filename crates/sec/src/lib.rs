@@ -25,7 +25,7 @@
 //! Validation is read-only and concurrent: [`RoaTable`] is immutable
 //! after construction, and [`RovCache`] uses interior mutability behind
 //! a mutex plus atomic counters, so an `Arc<RoaTable>` + cache pair can
-//! serve shard-parallel query lanes.
+//! serve every event-loop thread at once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -276,7 +276,7 @@ pub struct RovCacheStats {
 /// *becomes* the cold one and untouched entries age out wholesale. Every
 /// operation is O(1), the capacity bound is `2 × cap` entries, and the
 /// whole structure is `Sync` (mutex-guarded maps, atomic counters) so
-/// shard-parallel query lanes validate concurrently.
+/// every serving thread validates concurrently.
 #[derive(Debug)]
 pub struct RovCache {
     cap: usize,

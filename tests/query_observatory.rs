@@ -169,14 +169,18 @@ fn batched_answers_equal_single_answers() {
     targets.push((exp.spec.lg_ases[0], "203.0.113.0/24".parse().unwrap()));
 
     // `route` and `sa` for every target (hits and misses), and the
-    // other eleven verbs in rotation.
+    // other eleven verbs in rotation. The scans among them differ in
+    // cost by orders of magnitude (`hijacks @all` and `diff` sweep every
+    // table, `persistence` reads one entry), so the batch's scan workers
+    // finish them far out of request order — and two requests fail at
+    // scope resolution, one lookup and one scan.
     let mut reqs: Vec<QueryRequest> = Vec::new();
     for (i, &(vantage, prefix)) in targets.iter().enumerate() {
         let (a, asn, k) = (vantage, vantage, 1 + i % 5);
         let b = exp.spec.lg_ases[i % exp.spec.lg_ases.len()];
         reqs.push(Query::Route { vantage, prefix }.at(Scope::Latest));
         reqs.push(Query::SaStatus { vantage, prefix }.at(Scope::Label("t0".into())));
-        reqs.push(match i % 12 {
+        reqs.push(match i % 13 {
             0 => Query::Resolve { vantage, prefix }.at(Scope::Id(SnapshotId(0))),
             1 => Query::Relationship { a, b }.at(Scope::Latest),
             2 => Query::PolicySummary { asn }.at(Scope::Latest),
@@ -188,8 +192,9 @@ fn batched_answers_equal_single_answers() {
             8 => Query::Rov { vantage, prefix }.at(Scope::Latest),
             9 => Query::Hijacks.at(Scope::All),
             10 => Query::Leaks.at(Scope::Latest),
-            // A scope error comes back in place, too.
-            _ => Query::Leaks.at(Scope::Id(SnapshotId(7))),
+            // Scope errors come back in place, too.
+            11 => Query::Leaks.at(Scope::Id(SnapshotId(7))),
+            _ => Query::Resolve { vantage, prefix }.at(Scope::All),
         });
     }
     let verbs: std::collections::BTreeSet<usize> =
@@ -202,6 +207,13 @@ fn batched_answers_equal_single_answers() {
     };
     let batched = engine.execute_batch(&reqs);
     assert_eq!(batched.len(), reqs.len());
+    let failed: Vec<&str> = reqs
+        .iter()
+        .zip(&batched)
+        .filter(|(_, got)| got.is_err())
+        .map(|(req, _)| req.query.verb())
+        .collect();
+    assert!(failed.contains(&"resolve") && failed.contains(&"leaks"));
     for (i, (req, got)) in reqs.iter().zip(batched).enumerate() {
         let single = render(req, engine.execute(req));
         assert_eq!(render(req, got), single, "request {i}: {req:?}");
