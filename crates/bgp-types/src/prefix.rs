@@ -229,21 +229,53 @@ impl fmt::Debug for Ipv4Prefix {
 
 /// Parses a bare dotted-quad IPv4 address into a `u32`.
 pub fn parse_addr(s: &str) -> Result<u32, ParseError> {
-    let mut octets = [0u8; 4];
-    let mut parts = s.trim().split('.');
-    for slot in octets.iter_mut() {
-        let part = parts.next().ok_or_else(|| ParseError::invalid_addr(s))?;
-        if part.is_empty() || part.len() > 3 || !part.bytes().all(|b| b.is_ascii_digit()) {
-            return Err(ParseError::invalid_addr(s));
+    // Four dot-separated octets of one to three decimal digits each —
+    // digits only, so no sign — walked bytewise: this sits under every
+    // query line a daemon parses.
+    let invalid = || ParseError::invalid_addr(s);
+    let (mut addr, mut dots, mut octet, mut digits) = (0u32, 0, 0u32, 0);
+    for b in s.trim().bytes() {
+        match b {
+            b'0'..=b'9' => {
+                octet = octet * 10 + u32::from(b - b'0');
+                digits += 1;
+                if digits > 3 || octet > 255 {
+                    return Err(invalid());
+                }
+            }
+            b'.' if digits > 0 && dots < 3 => {
+                addr = addr << 8 | octet;
+                dots += 1;
+                (octet, digits) = (0, 0);
+            }
+            _ => return Err(invalid()),
         }
-        *slot = part
-            .parse::<u8>()
-            .map_err(|_| ParseError::invalid_addr(s))?;
     }
-    if parts.next().is_some() {
-        return Err(ParseError::invalid_addr(s));
+    if digits == 0 || dots != 3 {
+        return Err(invalid());
     }
-    Ok(u32::from_be_bytes(octets))
+    Ok(addr << 8 | octet)
+}
+
+/// The digits after the `/`: decimal digits only (no sign), and small
+/// enough for a `u8` — whether it is a *prefix* length is the caller's
+/// check, made once the address has parsed.
+fn parse_len(l: &str) -> Result<u8, ParseError> {
+    let invalid = || ParseError::invalid_prefix_len(l);
+    let mut len = 0u32;
+    for b in l.bytes() {
+        if !b.is_ascii_digit() {
+            return Err(invalid());
+        }
+        len = len * 10 + u32::from(b - b'0');
+        if len > u32::from(u8::MAX) {
+            return Err(invalid());
+        }
+    }
+    if l.is_empty() {
+        return Err(invalid());
+    }
+    Ok(len as u8)
 }
 
 impl FromStr for Ipv4Prefix {
@@ -254,12 +286,7 @@ impl FromStr for Ipv4Prefix {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let t = s.trim();
         let (addr_part, len) = match t.split_once('/') {
-            Some((a, l)) => {
-                let len = l
-                    .parse::<u8>()
-                    .map_err(|_| ParseError::invalid_prefix_len(l))?;
-                (a, len)
-            }
+            Some((a, l)) => (a, parse_len(l)?),
             None => (t, 32),
         };
         let bits = parse_addr(addr_part)?;
@@ -303,6 +330,7 @@ mod tests {
             "a.b.c.d/8",
             "",
             "12.0.0.0/",
+            "12.0.0.0/+8", // signed length
             "12.00a.0.0/8",
         ] {
             assert!(s.parse::<Ipv4Prefix>().is_err(), "{s} should not parse");

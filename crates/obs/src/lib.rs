@@ -189,6 +189,16 @@ impl Histogram {
         self.sum_nanos.fetch_add(v, Relaxed);
     }
 
+    /// Record the same duration `n` times — what `n` calls of
+    /// [`record`](Self::record) leave behind, in two adds instead of 2n
+    /// (a batch attributes its wall time to every query in it).
+    #[inline]
+    pub fn record_n(&self, d: Duration, n: u64) {
+        let v = d.as_nanos().min(u64::MAX as u128) as u64;
+        self.buckets[bucket_of(v)].fetch_add(n, Relaxed);
+        self.sum_nanos.fetch_add(v.wrapping_mul(n), Relaxed);
+    }
+
     /// A consistent-enough copy of the current state (relaxed loads; a
     /// snapshot taken under concurrent recording may be mid-update by at
     /// most the in-flight samples).
@@ -641,6 +651,26 @@ mod tests {
         merged.merge(&b.snapshot());
         assert_eq!(merged, both.snapshot());
         assert_eq!(merged.count(), 20_000);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let (batched, single) = (Histogram::new(), Histogram::new());
+        for _ in 0..500 {
+            // Every octave of the bucket layout, not just the top one.
+            let octave = rng.gen_range(1u32..40);
+            let d = Duration::from_nanos(rng.gen_range(0u64..1 << octave));
+            let n = rng.gen_range(0u64..200);
+            batched.record_n(d, n);
+            for _ in 0..n {
+                single.record(d);
+            }
+        }
+        let (b, s) = (batched.snapshot(), single.snapshot());
+        assert_eq!(b.count(), s.count());
+        assert_eq!(b.sum_nanos, s.sum_nanos);
+        assert_eq!(b, s, "buckets");
     }
 
     #[test]

@@ -976,7 +976,12 @@ fn run_line(engine: &QueryEngine, line: &str) -> Outcome {
             line.trim(),
             |mut answers| match answers.pop().expect("one answer per query") {
                 Ok(resp) => {
-                    println!("{}", rpi_query::render_response(&req, &resp));
+                    let mut out = Vec::new();
+                    rpi_query::write_response(&mut out, &req, &resp);
+                    std::io::stdout()
+                        .lock()
+                        .write_all(&out)
+                        .expect("failed printing to stdout");
                     Outcome::Ok
                 }
                 Err(e) => Outcome::Err(e.to_string()),

@@ -113,9 +113,10 @@ pub use live::{
 pub use metrics::QueryMetrics;
 pub use plan::QueryError;
 pub use proto::{
-    parse, parse_control, parse_script, render, render_response, render_scope, Control, Frame,
-    HijackEvent, HijackKind, LeakEvent, LineFramer, ParseError, PersistenceAnswer, Query,
-    QueryRequest, Response, RovAnswer, SaHistoryPoint, SaOriginCount, Scope, ScriptError, GRAMMAR,
+    parse, parse_control, parse_script, render, render_response, render_scope, write_response,
+    Control, Frame, FrameRef, HijackEvent, HijackKind, LeakEvent, LineFramer, ParseError,
+    PersistenceAnswer, Query, QueryRequest, Response, RovAnswer, SaHistoryPoint, SaOriginCount,
+    Scope, ScriptError, GRAMMAR,
 };
 pub use serve::{EngineSource, PollBackend, ServeConfig, ServeStats, Server, ServerHandle};
 pub use snapshot::{Snapshot, SnapshotId, VantageKind};

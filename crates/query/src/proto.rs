@@ -1,7 +1,7 @@
 //! The observatory's one query protocol: a typed [`Query`] AST paired
 //! with a snapshot [`Scope`], a typed [`Response`], and the shared text
 //! grammar that the `rpi-queryd` REPL, batch query files, the tests and
-//! any future TCP front end all speak.
+//! the TCP front end ([`serve`](crate::serve)) all speak.
 //!
 //! [`parse`] and [`render`] round-trip: `parse(&render(&req)) == Ok(req)`
 //! for every representable request, so query logs can be replayed and
@@ -12,19 +12,30 @@
 //! which the engine rejects anyway.) [`parse_script`] parses a whole
 //! query file and reports errors with 1-based line numbers.
 //!
+//! The serve path is bytes in, bytes out: [`LineFramer::scan`] hands out
+//! lines borrowed from the read buffer, [`parse`] walks their words
+//! without collecting them, and [`write_response`] appends the answer to
+//! the connection's output with byte-level writers — no per-query
+//! allocation and no `core::fmt` for the lookup verbs. [`LineFramer::push`]
+//! and [`render_response`] are the owned-value forms of the same scanner
+//! and writer.
+//!
 //! ## The grammar
 //!
 //! ```text
 //! route <vantage> <prefix> [@scope]        exact best-route lookup
 //! resolve <vantage> <prefix> [@scope]      longest-prefix-match lookup
-//! sa <vantage> <prefix> [@scope]           Fig. 4 SA status
-//! rel <a> <b> [@scope]                     oracle relationship (b is a's …)
+//! sa <vantage> <prefix> [@scope]           Fig. 4 SA status of the prefix
+//! rel <a> <b> [@scope]                     oracle relationship (b is a's ...)
 //! summary <asn> [@scope]                   per-AS policy digest
 //! diff @<from>..<to>                       what changed between snapshots
 //! sa-history <vantage> <prefix> [@scope]   SA status across snapshots
 //! uptime <vantage> [@scope]                Fig. 7 uptime histogram
 //! top-sa <vantage> <k> [@scope]            top-K SA origins
 //! persistence <vantage> <prefix> [@scope]  per-prefix persistence class
+//! rov <vantage> <prefix> [@scope]          RFC 6811 route-origin validation
+//! hijacks [@scope]                         origin-hijack / MOAS events across snapshots
+//! leaks [@scope]                           valley-free violations in one snapshot
 //! ```
 //!
 //! A scope is one token: `@latest`, `@3` (snapshot id), `@label:day-07`
@@ -35,6 +46,8 @@
 //! `@all`; `diff` needs an explicit range (the legacy `diff 0 2`
 //! spelling is accepted and means `diff @0..2`; a *reverse* diff is
 //! spelled `diff 2 0`, which is also how [`render`] canonicalizes it).
+//! Numbers — ASNs, prefix lengths, snapshot ids, range endpoints, `k` —
+//! are decimal digits only: no sign, so `AS+5` and `@+0..+3` are errors.
 //!
 //! ```
 //! use rpi_query::{parse, render, Query, Scope};
@@ -48,6 +61,7 @@
 //! ```
 
 use std::fmt;
+use std::io::Write as _;
 
 use bgp_types::{Asn, Ipv4Prefix, Relationship};
 use rpi_core::persistence::{PersistenceClass, UptimeHistogram};
@@ -442,12 +456,26 @@ hijacks [@scope]                         origin-hijack / MOAS events across snap
 leaks [@scope]                           valley-free violations in one snapshot
 scopes: @latest  @<id>  @label:<name>  @all  @<from>..<to>   (point queries default to @latest, history queries to @all)";
 
+/// Decimal digits only. Rust's integer `FromStr` also takes a leading
+/// `+`, which the grammar does not: `AS+5` is not an ASN.
+fn parse_digits<T: TryFrom<u64>>(s: &str) -> Option<T> {
+    if s.is_empty() {
+        return None;
+    }
+    let mut v: u64 = 0;
+    for b in s.bytes() {
+        if !b.is_ascii_digit() {
+            return None;
+        }
+        v = v.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+    }
+    T::try_from(v).ok()
+}
+
 fn parse_asn(s: &str) -> Result<Asn, ParseError> {
-    let digits = s.strip_prefix("AS").unwrap_or(s);
-    digits
-        .parse::<u32>()
+    parse_digits(s.strip_prefix("AS").unwrap_or(s))
         .map(Asn)
-        .map_err(|_| ParseError::Malformed(format!("bad ASN '{s}'")))
+        .ok_or_else(|| ParseError::Malformed(format!("bad ASN '{s}'")))
 }
 
 fn parse_prefix(s: &str) -> Result<Ipv4Prefix, ParseError> {
@@ -456,9 +484,9 @@ fn parse_prefix(s: &str) -> Result<Ipv4Prefix, ParseError> {
 }
 
 fn parse_snap(s: &str) -> Result<SnapshotId, ParseError> {
-    s.parse::<u32>()
+    parse_digits(s)
         .map(SnapshotId)
-        .map_err(|_| ParseError::Malformed(format!("bad snapshot id '{s}'")))
+        .ok_or_else(|| ParseError::Malformed(format!("bad snapshot id '{s}'")))
 }
 
 /// Parses one scope token, *without* its leading `@`.
@@ -502,37 +530,71 @@ fn parse_scope_body(body: &str) -> Result<Scope, ParseError> {
 
 /// Renders a scope as its canonical token.
 pub fn render_scope(scope: &Scope) -> String {
-    match scope {
-        Scope::Latest => "@latest".into(),
-        Scope::Id(id) => format!("@{}", id.0),
-        Scope::Label(l) => format!("@label:{l}"),
-        Scope::All => "@all".into(),
-        Scope::Range(a, b) => format!("@{}..{}", a.0, b.0),
-    }
+    let mut out = Vec::new();
+    put_scope(&mut out, scope);
+    String::from_utf8(out).expect("a scope token is UTF-8")
+}
+
+/// [`str::split_whitespace`] for an all-ASCII line, without decoding
+/// chars: on ASCII, `char::is_whitespace` is exactly these six bytes.
+fn ascii_words(line: &str) -> impl Iterator<Item = &str> {
+    let is_space = |b: u8| matches!(b, b'\t'..=b'\r' | b' ');
+    let bytes = line.as_bytes();
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        while at < bytes.len() && is_space(bytes[at]) {
+            at += 1;
+        }
+        let start = at;
+        while at < bytes.len() && !is_space(bytes[at]) {
+            at += 1;
+        }
+        (start < at).then(|| &line[start..at])
+    })
 }
 
 /// Parses one query line into a request. Leading/trailing whitespace is
 /// ignored; the line must not be empty or a `#` comment (callers skip
 /// those — [`parse_script`] does).
 pub fn parse(line: &str) -> Result<QueryRequest, ParseError> {
-    let mut words: Vec<&str> = line.split_whitespace().collect();
-    let scope = match words.last() {
-        Some(last) if last.starts_with('@') => {
-            let s = parse_scope_body(&last[1..])?;
-            words.pop();
-            Some(s)
+    if line.is_ascii() {
+        parse_words(ascii_words(line))
+    } else {
+        parse_words(line.split_whitespace())
+    }
+}
+
+fn parse_words<'a>(words: impl Iterator<Item = &'a str>) -> Result<QueryRequest, ParseError> {
+    // No verb takes more than two operands: a third is kept only so the
+    // slice patterns below see "too many"; the count feeds the message.
+    let mut head = [""; 4];
+    let mut count = 0;
+    let mut last = "";
+    for word in words {
+        if let Some(slot) = head.get_mut(count) {
+            *slot = word;
         }
-        _ => None,
+        count += 1;
+        last = word;
+    }
+    let scope = match last.strip_prefix('@') {
+        Some(body) => {
+            count -= 1;
+            Some(parse_scope_body(body)?)
+        }
+        None => None,
     };
-    let Some((&verb, args)) = words.split_first() else {
+    if count == 0 {
         return Err(ParseError::Malformed("empty query".into()));
-    };
+    }
+    let verb = head[0];
+    let args = &head[1..count.min(head.len())];
+    let count = count - 1;
 
     let wrong_arity = |want: &str| {
         ParseError::Malformed(format!(
-            "'{verb}' wants {want}, got {} operand{}",
-            args.len(),
-            if args.len() == 1 { "" } else { "s" }
+            "'{verb}' wants {want}, got {count} operand{}",
+            if count == 1 { "" } else { "s" }
         ))
     };
 
@@ -603,9 +665,8 @@ pub fn parse(line: &str) -> Result<QueryRequest, ParseError> {
             let [v, k] = args else {
                 return Err(wrong_arity("<vantage> <k>"));
             };
-            let k: usize = k
-                .parse()
-                .map_err(|_| ParseError::Malformed(format!("top-sa wants a count, got '{k}'")))?;
+            let k = parse_digits(k)
+                .ok_or_else(|| ParseError::Malformed(format!("top-sa wants a count, got '{k}'")))?;
             Query::TopKSaOrigins {
                 vantage: parse_asn(v)?,
                 k,
@@ -671,6 +732,44 @@ pub enum Frame {
     },
 }
 
+/// A [`Frame`] whose line text is borrowed — from the bytes being
+/// scanned, or from the framer's own buffer for the one line a read
+/// completes. What [`LineFramer::scan`] hands its sink.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameRef<'a> {
+    /// See [`Frame::Line`].
+    Line {
+        /// 1-based position of this line in the connection's stream.
+        line: usize,
+        /// The line text, without its terminator.
+        text: &'a str,
+    },
+    /// See [`Frame::Oversized`].
+    Oversized {
+        /// 1-based position of the oversized line.
+        line: usize,
+        /// How many bytes had accumulated when the cap tripped.
+        length: usize,
+    },
+}
+
+impl From<FrameRef<'_>> for Frame {
+    fn from(frame: FrameRef<'_>) -> Frame {
+        match frame {
+            FrameRef::Line { line, text } => Frame::Line {
+                line,
+                text: text.to_string(),
+            },
+            FrameRef::Oversized { line, length } => Frame::Oversized { line, length },
+        }
+    }
+}
+
+/// Above this many bytes a drained connection buffer gives its capacity
+/// back: one large reply or one long line must not pin its high-water
+/// mark for the life of an otherwise idle connection.
+pub(crate) const RECLAIM_MARK: usize = 64 * 1024;
+
 /// Reassembles newline-delimited frames from an arbitrarily-chunked byte
 /// stream — the framing layer under the TCP front end. A query split
 /// across two (or ten) reads comes out as one [`Frame::Line`]; a line
@@ -679,6 +778,7 @@ pub enum Frame {
 /// bound.
 #[derive(Debug)]
 pub struct LineFramer {
+    /// The unterminated tail of the last read (bounded by the cap).
     buf: Vec<u8>,
     max_line: usize,
     discarding: bool,
@@ -717,56 +817,100 @@ impl LineFramer {
         if self.buf.is_empty() {
             return None;
         }
-        let line = std::mem::take(&mut self.buf);
         let frame = Frame::Line {
             line: self.next_line,
-            text: String::from_utf8_lossy(&line).into_owned(),
+            text: String::from_utf8_lossy(&self.buf).into_owned(),
         };
+        self.buf.clear();
         self.next_line += 1;
         Some(frame)
     }
 
-    /// Feeds one read's worth of bytes, returning every frame it
-    /// completes. Non-UTF-8 lines are lossily decoded (they fail query
-    /// parsing downstream like any other garbage).
+    /// Where the cap trips on the line made of the buffered tail followed
+    /// by `piece`, if it does: the accumulated length at the first byte
+    /// past the cap. One byte of grace for a trailing '\r' — a line of
+    /// exactly `max_line` bytes must be accepted from CRLF clients too
+    /// (the '\r' is stripped at the terminator, so it never counts toward
+    /// the line's length) — but a '\r' that turns out not to end the line
+    /// gets none.
+    fn cap_trip(&self, piece: &[u8]) -> Option<usize> {
+        let held = self.buf.len();
+        let total = held + piece.len();
+        if total <= self.max_line {
+            return None;
+        }
+        let at_cap = match self.max_line.checked_sub(held) {
+            Some(i) => piece[i],
+            None => self.buf[self.max_line],
+        };
+        if at_cap != b'\r' {
+            Some(self.max_line + 1)
+        } else if total > self.max_line + 1 {
+            Some(self.max_line + 2)
+        } else {
+            None
+        }
+    }
+
+    /// Feeds one read's worth of bytes, handing `sink` every frame it
+    /// completes, in stream order. A line that lies wholly inside `bytes`
+    /// is borrowed from it; only an unterminated tail, and the one line
+    /// the next read completes, are copied into the framer's buffer.
+    /// Non-UTF-8 lines are lossily decoded (they fail query parsing
+    /// downstream like any other garbage).
+    pub fn scan(&mut self, mut bytes: &[u8], mut sink: impl FnMut(FrameRef<'_>)) {
+        while !bytes.is_empty() {
+            let newline = bytes.iter().position(|&b| b == b'\n');
+            let (piece, rest) = match newline {
+                Some(i) => (&bytes[..i], &bytes[i + 1..]),
+                None => (bytes, &[][..]),
+            };
+            bytes = rest;
+            if self.discarding {
+                self.discarding = newline.is_none();
+                continue;
+            }
+            if let Some(length) = self.cap_trip(piece) {
+                self.drop_tail();
+                self.discarding = newline.is_none();
+                sink(FrameRef::Oversized {
+                    line: self.next_line,
+                    length,
+                });
+                self.next_line += 1;
+                continue;
+            }
+            if newline.is_none() {
+                self.buf.extend_from_slice(piece);
+                continue;
+            }
+            let line = if self.buf.is_empty() {
+                piece
+            } else {
+                self.buf.extend_from_slice(piece);
+                &self.buf
+            };
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            sink(FrameRef::Line {
+                line: self.next_line,
+                text: &String::from_utf8_lossy(line),
+            });
+            self.next_line += 1;
+            self.drop_tail();
+        }
+    }
+
+    /// Empties the tail buffer, and gives back what a long line (under a
+    /// raised cap) grew it to beyond the mark.
+    fn drop_tail(&mut self) {
+        self.buf.clear();
+        self.buf.shrink_to(RECLAIM_MARK);
+    }
+
+    /// [`scan`](Self::scan), collecting owned frames.
     pub fn push(&mut self, bytes: &[u8]) -> Vec<Frame> {
         let mut out = Vec::new();
-        for &b in bytes {
-            if self.discarding {
-                if b == b'\n' {
-                    self.discarding = false;
-                }
-                continue;
-            }
-            if b == b'\n' {
-                let mut line = std::mem::take(&mut self.buf);
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                out.push(Frame::Line {
-                    line: self.next_line,
-                    text: String::from_utf8_lossy(&line).into_owned(),
-                });
-                self.next_line += 1;
-                continue;
-            }
-            self.buf.push(b);
-            // One byte of grace for a trailing '\r': a line of exactly
-            // `max_line` bytes must be accepted from CRLF clients too
-            // (the '\r' is stripped at the terminator, so it never
-            // counts toward the line's length).
-            let over = self.buf.len() > self.max_line + 1
-                || (self.buf.len() > self.max_line && b != b'\r');
-            if over {
-                out.push(Frame::Oversized {
-                    line: self.next_line,
-                    length: self.buf.len(),
-                });
-                self.next_line += 1;
-                self.buf.clear();
-                self.discarding = true;
-            }
-        }
+        self.scan(bytes, |frame| out.push(frame.into()));
         out
     }
 }
@@ -819,222 +963,476 @@ pub fn render(req: &QueryRequest) -> String {
     }
 }
 
-/// Describes one SA status. `scope` is echoed when the status stands
-/// alone (the `sa` answer); `sa-history` points pass `None` because each
-/// line already names its snapshot.
-fn describe_sa(vantage: Asn, prefix: Ipv4Prefix, scope: Option<&str>, status: &SaStatus) -> String {
-    let tail = scope.map(|s| format!(" {s}")).unwrap_or_default();
-    match status {
-        SaStatus::UnknownVantage => format!("{vantage} is not a vantage{tail}"),
-        SaStatus::NotInTable => format!("{prefix} not in {vantage}'s table{tail}"),
-        SaStatus::NotCustomerRoute => {
-            format!("{prefix} at {vantage}{tail}: origin outside customer cone")
+fn put(out: &mut Vec<u8>, text: &str) {
+    out.extend_from_slice(text.as_bytes());
+}
+
+/// Decimal digits of `v`.
+fn put_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
-        SaStatus::CustomerExported { origin } => {
-            format!("{prefix} at {vantage}{tail}: exported normally by customer {origin}")
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+fn put_count(out: &mut Vec<u8>, n: usize) {
+    put_u64(out, n as u64);
+}
+
+/// `AS<n>`, as [`Asn`]'s `Display` spells it.
+fn put_asn(out: &mut Vec<u8>, asn: Asn) {
+    put(out, "AS");
+    put_u64(out, u64::from(asn.0));
+}
+
+/// `a.b.c.d/len`, as [`Ipv4Prefix`]'s `Display` spells it.
+fn put_prefix(out: &mut Vec<u8>, prefix: Ipv4Prefix) {
+    for (i, octet) in prefix.bits().to_be_bytes().into_iter().enumerate() {
+        if i > 0 {
+            out.push(b'.');
         }
-        SaStatus::SelectivelyAnnounced { origin } => {
-            format!("{prefix} at {vantage}{tail}: SELECTIVELY ANNOUNCED by {origin}")
+        put_u64(out, u64::from(octet));
+    }
+    out.push(b'/');
+    put_u64(out, u64::from(prefix.len()));
+}
+
+/// The scope's canonical token — [`render_scope`], appended.
+fn put_scope(out: &mut Vec<u8>, scope: &Scope) {
+    out.push(b'@');
+    match scope {
+        Scope::Latest => put(out, "latest"),
+        Scope::Id(id) => put_u64(out, u64::from(id.0)),
+        Scope::Label(l) => {
+            put(out, "label:");
+            put(out, l);
+        }
+        Scope::All => put(out, "all"),
+        Scope::Range(a, b) => {
+            put_u64(out, u64::from(a.0));
+            put(out, "..");
+            put_u64(out, u64::from(b.0));
         }
     }
 }
 
-fn path_words(path: &[Asn]) -> String {
-    path.iter()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>()
-        .join(" ")
+/// The ASNs of a path, `sep`-separated.
+fn put_asns(out: &mut Vec<u8>, asns: &[Asn], sep: u8) {
+    for (i, asn) in asns.iter().enumerate() {
+        if i > 0 {
+            out.push(sep);
+        }
+        put_asn(out, *asn);
+    }
 }
 
-/// Renders a response for its request as stable, line-oriented text —
-/// what `rpi-queryd` prints and the CI golden smoke diffs.
-pub fn render_response(req: &QueryRequest, resp: &Response) -> String {
-    let scope = render_scope(&req.scope);
-    match (&req.query, resp) {
-        (Query::Route { vantage, prefix }, Response::Route(ans)) => match ans {
-            Some(r) => format!(
-                "{prefix} at {vantage} {scope}: via {} path {}",
-                r.next_hop,
-                path_words(&r.path)
-            ),
-            None => format!("{prefix} at {vantage} {scope}: no route"),
-        },
-        (Query::Resolve { vantage, prefix }, Response::Route(ans)) => match ans {
-            Some(r) => format!(
-                "{prefix} at {vantage} {scope}: matched {} via {} (origin {})",
-                r.prefix,
-                r.next_hop,
-                r.origin()
-            ),
-            None => format!("{prefix} at {vantage} {scope}: no covering route"),
-        },
-        (Query::SaStatus { vantage, prefix }, Response::Sa(status)) => {
-            describe_sa(*vantage, *prefix, Some(&scope), status)
+/// `{x:.1}` — one decimal, round-half-even on the exact binary value,
+/// which is what `core::fmt` prints. The percentages on the lookup path
+/// are non-negative and small; anything else takes `fmt`.
+fn put_tenths(out: &mut Vec<u8>, x: f64) {
+    const FRACTION_BITS: u32 = 52;
+    const BIAS: i32 = 1023;
+    let bits = x.to_bits();
+    // The sign bit rides along, so a negative x is out of range too.
+    let exponent = (bits >> FRACTION_BITS) as i32;
+    if !(0..BIAS + 40).contains(&exponent) {
+        return write!(out, "{x:.1}").expect("writing to a Vec cannot fail");
+    }
+    // 0 <= x < 2^40, and x <= mantissa × 2^-shift with equality for
+    // normal numbers, so 10x = scaled × 2^-shift exactly; 13 <= shift.
+    let mantissa = (bits & ((1 << FRACTION_BITS) - 1)) | (1 << FRACTION_BITS);
+    let shift = BIAS + FRACTION_BITS as i32 - exponent;
+    let scaled = u128::from(mantissa) * 10;
+    let tenths = if shift > 100 {
+        0 // 10x < 2^-43 (zero and the subnormals land here)
+    } else {
+        let floor = (scaled >> shift) as u64;
+        let rest = scaled & ((1 << shift) - 1);
+        let half = 1u128 << (shift - 1);
+        floor + u64::from(rest > half || (rest == half && floor & 1 == 1))
+    };
+    put_u64(out, tenths / 10);
+    out.push(b'.');
+    out.push(b'0' + (tenths % 10) as u8);
+}
+
+/// `<prefix> at <vantage> <scope>` — how most point answers open.
+fn put_subject(out: &mut Vec<u8>, prefix: Ipv4Prefix, vantage: Asn, scope: &Scope) {
+    put_prefix(out, prefix);
+    put(out, " at ");
+    put_asn(out, vantage);
+    out.push(b' ');
+    put_scope(out, scope);
+}
+
+/// Describes one SA status. `scope` is echoed when the status stands
+/// alone (the `sa` answer); `sa-history` points pass `None` because each
+/// line already names its snapshot.
+fn put_sa(
+    out: &mut Vec<u8>,
+    vantage: Asn,
+    prefix: Ipv4Prefix,
+    scope: Option<&Scope>,
+    status: &SaStatus,
+) {
+    let put_tail = |out: &mut Vec<u8>| {
+        if let Some(scope) = scope {
+            out.push(b' ');
+            put_scope(out, scope);
         }
-        (Query::Relationship { a, b }, Response::Relationship(rel)) => match rel {
-            Some(r) => format!("{b} is {a}'s {r:?} {scope}"),
-            None => format!("{a} and {b} are not adjacent in the oracle {scope}"),
-        },
-        (Query::PolicySummary { asn }, Response::Summary(s)) => match s {
-            Some(s) => {
-                let (prov, cust, peer, sib) = s.neighbor_counts;
-                let typicality = s
-                    .typicality_percent()
-                    .map(|p| format!("{p:.1}%"))
-                    .unwrap_or_else(|| "n/a".into());
-                format!(
-                    "{asn} {scope}: {} routes, {} customer prefixes, {} SA ({:.1}%), \
-                     typicality {typicality}, {} tagged neighbors, \
-                     neighbors {prov} providers / {cust} customers / {peer} peers / {sib} siblings",
-                    s.routes,
-                    s.customer_prefixes,
-                    s.sa_count,
-                    s.sa_percent(),
-                    s.tagged_neighbors,
-                )
+    };
+    let (verdict, origin) = match status {
+        SaStatus::UnknownVantage => {
+            put_asn(out, vantage);
+            put(out, " is not a vantage");
+            return put_tail(out);
+        }
+        SaStatus::NotInTable => {
+            put_prefix(out, prefix);
+            put(out, " not in ");
+            put_asn(out, vantage);
+            put(out, "'s table");
+            return put_tail(out);
+        }
+        SaStatus::NotCustomerRoute => (": origin outside customer cone", None),
+        SaStatus::CustomerExported { origin } => {
+            (": exported normally by customer ", Some(*origin))
+        }
+        SaStatus::SelectivelyAnnounced { origin } => (": SELECTIVELY ANNOUNCED by ", Some(*origin)),
+    };
+    put_prefix(out, prefix);
+    put(out, " at ");
+    put_asn(out, vantage);
+    put_tail(out);
+    put(out, verdict);
+    if let Some(origin) = origin {
+        put_asn(out, origin);
+    }
+}
+
+/// `""` for one, `plural` otherwise.
+fn plural(n: usize, plural: &'static str) -> &'static str {
+    if n == 1 {
+        ""
+    } else {
+        plural
+    }
+}
+
+/// Appends the response to `req`, rendered as stable line-oriented text
+/// and newline-terminated — what `rpi-queryd` prints, the TCP front end
+/// sends and the CI golden smoke diffs — straight onto `out` (a
+/// connection's write buffer): no intermediate `String`, and for the
+/// lookup verbs no `core::fmt`.
+pub fn write_response(out: &mut Vec<u8>, req: &QueryRequest, resp: &Response) {
+    let scope = &req.scope;
+    match (&req.query, resp) {
+        (Query::Route { vantage, prefix }, Response::Route(ans)) => {
+            put_subject(out, *prefix, *vantage, scope);
+            match ans {
+                Some(r) => {
+                    put(out, ": via ");
+                    put_asn(out, r.next_hop);
+                    put(out, " path ");
+                    put_asns(out, &r.path, b' ');
+                }
+                None => put(out, ": no route"),
             }
-            None => format!("{asn} {scope}: unknown AS"),
-        },
-        (Query::Diff, Response::Diff(d)) => format!(
-            "{} -> {}: {} new SA, {} gone SA, {} relationship flips, {} churned routes",
-            d.from_label,
-            d.to_label,
-            d.new_sa.len(),
-            d.gone_sa.len(),
-            d.flips.len(),
-            d.churned_routes()
-        ),
+        }
+        (Query::Resolve { vantage, prefix }, Response::Route(ans)) => {
+            put_subject(out, *prefix, *vantage, scope);
+            match ans {
+                Some(r) => {
+                    put(out, ": matched ");
+                    put_prefix(out, r.prefix);
+                    put(out, " via ");
+                    put_asn(out, r.next_hop);
+                    put(out, " (origin ");
+                    put_asn(out, r.origin());
+                    out.push(b')');
+                }
+                None => put(out, ": no covering route"),
+            }
+        }
+        (Query::SaStatus { vantage, prefix }, Response::Sa(status)) => {
+            put_sa(out, *vantage, *prefix, Some(scope), status);
+        }
+        (Query::Relationship { a, b }, Response::Relationship(rel)) => {
+            match rel {
+                Some(r) => {
+                    put_asn(out, *b);
+                    put(out, " is ");
+                    put_asn(out, *a);
+                    put(out, "'s ");
+                    // The variant names, as `{r:?}` prints them.
+                    put(
+                        out,
+                        match r {
+                            Relationship::Provider => "Provider",
+                            Relationship::Customer => "Customer",
+                            Relationship::Peer => "Peer",
+                            Relationship::Sibling => "Sibling",
+                        },
+                    );
+                }
+                None => {
+                    put_asn(out, *a);
+                    put(out, " and ");
+                    put_asn(out, *b);
+                    put(out, " are not adjacent in the oracle");
+                }
+            }
+            out.push(b' ');
+            put_scope(out, scope);
+        }
+        (Query::PolicySummary { asn }, Response::Summary(s)) => {
+            put_asn(out, *asn);
+            out.push(b' ');
+            put_scope(out, scope);
+            match s {
+                Some(s) => {
+                    let (prov, cust, peer, sib) = s.neighbor_counts;
+                    put(out, ": ");
+                    put_count(out, s.routes);
+                    put(out, " routes, ");
+                    put_count(out, s.customer_prefixes);
+                    put(out, " customer prefixes, ");
+                    put_count(out, s.sa_count);
+                    put(out, " SA (");
+                    put_tenths(out, s.sa_percent());
+                    put(out, "%), typicality ");
+                    match s.typicality_percent() {
+                        Some(p) => {
+                            put_tenths(out, p);
+                            out.push(b'%');
+                        }
+                        None => put(out, "n/a"),
+                    }
+                    put(out, ", ");
+                    put_count(out, s.tagged_neighbors);
+                    put(out, " tagged neighbors, neighbors ");
+                    put_count(out, prov);
+                    put(out, " providers / ");
+                    put_count(out, cust);
+                    put(out, " customers / ");
+                    put_count(out, peer);
+                    put(out, " peers / ");
+                    put_count(out, sib);
+                    put(out, " siblings");
+                }
+                None => put(out, ": unknown AS"),
+            }
+        }
+        (Query::Diff, Response::Diff(d)) => {
+            put(out, &d.from_label);
+            put(out, " -> ");
+            put(out, &d.to_label);
+            put(out, ": ");
+            put_count(out, d.new_sa.len());
+            put(out, " new SA, ");
+            put_count(out, d.gone_sa.len());
+            put(out, " gone SA, ");
+            put_count(out, d.flips.len());
+            put(out, " relationship flips, ");
+            put_count(out, d.churned_routes());
+            put(out, " churned routes");
+        }
         (Query::SaHistory { vantage, prefix }, Response::SaHistory(points)) => {
-            let mut out = format!(
-                "sa-history {prefix} at {vantage} {scope} ({} snapshots):",
-                points.len()
-            );
+            put(out, "sa-history ");
+            put_subject(out, *prefix, *vantage, scope);
+            put(out, " (");
+            put_count(out, points.len());
+            put(out, " snapshots):");
             for p in points {
-                out.push_str(&format!(
-                    "\n  {} {}: {}",
-                    p.snapshot.0,
-                    p.label,
-                    describe_sa(*vantage, *prefix, None, &p.status)
-                ));
+                put(out, "\n  ");
+                put_u64(out, u64::from(p.snapshot.0));
+                out.push(b' ');
+                put(out, &p.label);
+                put(out, ": ");
+                put_sa(out, *vantage, *prefix, None, &p.status);
             }
-            out
         }
         (Query::UptimeHistogram { vantage }, Response::Uptime(h)) => {
             let remaining: usize = h.remaining.values().sum();
             let shifted: usize = h.shifted.values().sum();
-            let mut out = format!(
-                "uptime {vantage} {scope}: {} ever-SA prefixes, {remaining} remaining / {shifted} shifted ({:.1}% shifted)",
-                h.total(),
-                100.0 * h.shifted_fraction(),
-            );
-            for (&u, &n) in &h.remaining {
-                out.push_str(&format!("\n  remaining, uptime {u}: {n}"));
+            put(out, "uptime ");
+            put_asn(out, *vantage);
+            out.push(b' ');
+            put_scope(out, scope);
+            put(out, ": ");
+            put_count(out, h.total());
+            put(out, " ever-SA prefixes, ");
+            put_count(out, remaining);
+            put(out, " remaining / ");
+            put_count(out, shifted);
+            put(out, " shifted (");
+            put_tenths(out, 100.0 * h.shifted_fraction());
+            put(out, "% shifted)");
+            for (class, rows) in [("remaining", &h.remaining), ("shifted", &h.shifted)] {
+                for (&uptime, &n) in rows {
+                    put(out, "\n  ");
+                    put(out, class);
+                    put(out, ", uptime ");
+                    put_count(out, uptime);
+                    put(out, ": ");
+                    put_count(out, n);
+                }
             }
-            for (&u, &n) in &h.shifted {
-                out.push_str(&format!("\n  shifted, uptime {u}: {n}"));
-            }
-            out
         }
         (Query::TopKSaOrigins { vantage, k }, Response::TopSaOrigins(rows)) => {
-            let mut out = format!("top-sa {vantage} {k} {scope}:");
+            put(out, "top-sa ");
+            put_asn(out, *vantage);
+            out.push(b' ');
+            put_count(out, *k);
+            out.push(b' ');
+            put_scope(out, scope);
+            out.push(b':');
             if rows.is_empty() {
-                out.push_str(" no SA origins");
+                put(out, " no SA origins");
             }
             for (i, row) in rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "\n  {}. {}: {} SA prefix{}",
-                    i + 1,
-                    row.origin,
-                    row.prefixes,
-                    if row.prefixes == 1 { "" } else { "es" }
-                ));
+                put(out, "\n  ");
+                put_count(out, i + 1);
+                put(out, ". ");
+                put_asn(out, row.origin);
+                put(out, ": ");
+                put_count(out, row.prefixes);
+                put(out, " SA prefix");
+                put(out, plural(row.prefixes, "es"));
             }
-            out
         }
-        (Query::PersistenceClass { vantage, prefix }, Response::Persistence(p)) => format!(
-            "persistence {prefix} at {vantage} {scope}: present {}/{}, SA {} -> {}",
-            p.present,
-            p.snapshots,
-            p.sa,
-            p.class.describe()
-        ),
-        (Query::Rov { vantage, prefix }, Response::Rov(ans)) => match ans {
-            RovAnswer::UnknownVantage => {
-                format!("rov {prefix} at {vantage} {scope}: {vantage} is not a vantage")
-            }
-            RovAnswer::NoRoute => {
-                format!("rov {prefix} at {vantage} {scope}: no route, nothing to validate")
-            }
-            RovAnswer::Validated {
-                origin,
-                validity,
-                covering,
-            } => {
-                let roa = match covering {
-                    Some(r) => format!(" (covering ROA {r})"),
-                    None => " (no covering ROA)".to_string(),
-                };
-                format!(
-                    "rov {prefix} at {vantage} {scope}: origin {origin} {}{roa}",
-                    validity.name()
-                )
-            }
-        },
-        (Query::Hijacks, Response::Hijacks(events)) => {
-            let mut out = format!(
-                "hijacks {scope}: {} event{}",
-                events.len(),
-                if events.len() == 1 { "" } else { "s" }
-            );
-            for e in events {
-                let owners = e
-                    .owners
-                    .iter()
-                    .map(|a| a.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",");
-                out.push_str(&format!(
-                    "\n  {} {}: {} {} by {} (owners {})",
-                    e.snapshot.0,
-                    e.label,
-                    e.kind.name(),
-                    e.prefix,
-                    e.origin,
-                    if owners.is_empty() {
-                        "none".into()
-                    } else {
-                        owners
+        (Query::PersistenceClass { vantage, prefix }, Response::Persistence(p)) => {
+            put(out, "persistence ");
+            put_subject(out, *prefix, *vantage, scope);
+            put(out, ": present ");
+            put_count(out, p.present);
+            out.push(b'/');
+            put_count(out, p.snapshots);
+            put(out, ", SA ");
+            put_count(out, p.sa);
+            put(out, " -> ");
+            put(out, p.class.describe());
+        }
+        (Query::Rov { vantage, prefix }, Response::Rov(ans)) => {
+            put(out, "rov ");
+            put_subject(out, *prefix, *vantage, scope);
+            put(out, ": ");
+            match ans {
+                RovAnswer::UnknownVantage => {
+                    put_asn(out, *vantage);
+                    put(out, " is not a vantage");
+                }
+                RovAnswer::NoRoute => put(out, "no route, nothing to validate"),
+                RovAnswer::Validated {
+                    origin,
+                    validity,
+                    covering,
+                } => {
+                    put(out, "origin ");
+                    put_asn(out, *origin);
+                    out.push(b' ');
+                    put(out, validity.name());
+                    match covering {
+                        // `<prefix>[-<max_len>] <origin>`, as `Roa`'s
+                        // `Display` spells it.
+                        Some(roa) => {
+                            put(out, " (covering ROA ");
+                            put_prefix(out, roa.prefix);
+                            if roa.max_len != roa.prefix.len() {
+                                out.push(b'-');
+                                put_u64(out, u64::from(roa.max_len));
+                            }
+                            out.push(b' ');
+                            put_asn(out, roa.origin);
+                            out.push(b')');
+                        }
+                        None => put(out, " (no covering ROA)"),
                     }
-                ));
+                }
             }
-            out
+        }
+        (Query::Hijacks, Response::Hijacks(events)) => {
+            put(out, "hijacks ");
+            put_scope(out, scope);
+            put(out, ": ");
+            put_count(out, events.len());
+            put(out, " event");
+            put(out, plural(events.len(), "s"));
+            for e in events {
+                put(out, "\n  ");
+                put_u64(out, u64::from(e.snapshot.0));
+                out.push(b' ');
+                put(out, &e.label);
+                put(out, ": ");
+                put(out, e.kind.name());
+                out.push(b' ');
+                put_prefix(out, e.prefix);
+                put(out, " by ");
+                put_asn(out, e.origin);
+                put(out, " (owners ");
+                if e.owners.is_empty() {
+                    put(out, "none");
+                }
+                put_asns(out, &e.owners, b',');
+                out.push(b')');
+            }
         }
         (Query::Leaks, Response::Leaks(events)) => {
-            let mut out = format!(
-                "leaks {scope}: {} leaked route{}",
-                events.len(),
-                if events.len() == 1 { "" } else { "s" }
-            );
+            put(out, "leaks ");
+            put_scope(out, scope);
+            put(out, ": ");
+            put_count(out, events.len());
+            put(out, " leaked route");
+            put(out, plural(events.len(), "s"));
             for e in events {
-                out.push_str(&format!(
-                    "\n  {} at {}: leaked by {} path {}",
-                    e.prefix,
-                    e.vantage,
-                    e.leaker,
-                    path_words(&e.path)
-                ));
+                put(out, "\n  ");
+                put_prefix(out, e.prefix);
+                put(out, " at ");
+                put_asn(out, e.vantage);
+                put(out, ": leaked by ");
+                put_asn(out, e.leaker);
+                put(out, " path ");
+                put_asns(out, &e.path, b' ');
             }
-            out
         }
         // A response that does not match its request can only come from a
         // caller pairing the wrong values; show both rather than guess.
-        (_, resp) => format!("{resp:?}"),
+        (_, resp) => {
+            write!(out, "{resp:?}").expect("writing to a Vec cannot fail");
+        }
     }
+    out.push(b'\n');
+}
+
+/// Appends the in-band error line a session answers a bad line or a
+/// failed query with: `error line <N>: <what>`, newline-terminated.
+pub(crate) fn write_error_line(out: &mut Vec<u8>, line: usize, what: impl fmt::Display) {
+    put(out, "error line ");
+    put_count(out, line);
+    writeln!(out, ": {what}").expect("writing to a Vec cannot fail");
+}
+
+/// [`write_response`] as an owned `String`, without the terminator.
+pub fn render_response(req: &QueryRequest, resp: &Response) -> String {
+    // Room for any lookup answer (a `summary` line runs to ~170 bytes),
+    // so the one allocation is the returned `String`.
+    let mut out = Vec::with_capacity(256);
+    write_response(&mut out, req, resp);
+    out.pop();
+    String::from_utf8(out).expect("responses are rendered from UTF-8 pieces")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::prelude::*;
 
     #[test]
     fn defaults_and_legacy_diff_spelling() {
@@ -1127,6 +1525,152 @@ mod tests {
     }
 
     #[test]
+    fn numbers_are_digits_only() {
+        // Rust's integer `FromStr` takes a leading '+'; the grammar does
+        // not, anywhere a number appears.
+        for (line, message) in [
+            ("route AS+5 1.0.0.0/8", "bad ASN 'AS+5'"),
+            ("rel +5 AS1", "bad ASN '+5'"),
+            ("summary AS", "bad ASN 'AS'"),
+            ("summary AS4294967296", "bad ASN 'AS4294967296'"),
+            (
+                "route AS5 1.0.0.0/+8",
+                "bad prefix '1.0.0.0/+8': invalid prefix length: \"+8\"",
+            ),
+            ("diff +0 +2", "bad snapshot id '+0'"),
+            ("diff 0 +2", "bad snapshot id '+2'"),
+            ("uptime AS1 @+0..+3", "bad scope range '@+0..+3'"),
+            ("uptime AS1 @0..+3", "bad scope range '@0..+3'"),
+            ("top-sa AS1 +3", "top-sa wants a count, got '+3'"),
+            ("top-sa AS1 -3", "top-sa wants a count, got '-3'"),
+        ] {
+            assert_eq!(
+                parse(line),
+                Err(ParseError::Malformed(message.into())),
+                "'{line}'"
+            );
+        }
+        // `@+3` was never a snapshot id: like any token that is not all
+        // digits, it is a bare label.
+        assert_eq!(
+            parse("sa AS1 1.0.0.0/8 @+3").unwrap().scope,
+            Scope::Label("+3".into())
+        );
+        // The unsigned spellings all still parse, leading zeros included.
+        assert_eq!(
+            parse("top-sa 007 010 @00..03").unwrap(),
+            Query::TopKSaOrigins {
+                vantage: Asn(7),
+                k: 10
+            }
+            .at(Scope::Range(SnapshotId(0), SnapshotId(3)))
+        );
+    }
+
+    #[test]
+    fn ascii_words_are_split_whitespace() {
+        let mut rng = StdRng::seed_from_u64(0x14a);
+        for _ in 0..2_000 {
+            let len = rng.gen_range(0..24usize);
+            // Every ASCII byte, the controls and whitespace over-sampled.
+            let line: String = (0..len)
+                .map(|_| match rng.gen_range(0..3u8) {
+                    0 => rng.gen_range(0..0x21u8) as char,
+                    _ => rng.gen_range(0..0x80u8) as char,
+                })
+                .collect();
+            assert_eq!(
+                ascii_words(&line).collect::<Vec<_>>(),
+                line.split_whitespace().collect::<Vec<_>>(),
+                "{line:?}"
+            );
+        }
+        // Non-ASCII whitespace still separates words, by the other path.
+        assert_eq!(
+            parse("route\u{a0}AS1\u{2003}1.0.0.0/8"),
+            parse("route AS1 1.0.0.0/8")
+        );
+    }
+
+    #[test]
+    fn operand_counts_survive_the_fixed_word_buffer() {
+        for (line, message) in [
+            (
+                "route AS1",
+                "'route' wants <vantage> <prefix>, got 1 operand",
+            ),
+            (
+                "route a b c d e f",
+                "'route' wants <vantage> <prefix>, got 6 operands",
+            ),
+            (
+                "summary a b c d e f @latest",
+                "'summary' wants <asn>, got 6 operands",
+            ),
+            // The scope is read off the line's last word however long the
+            // line is, and its error comes first.
+            ("summary a b c d e f @", "empty scope '@'"),
+            ("@latest", "empty query"),
+            ("", "empty query"),
+        ] {
+            assert_eq!(
+                parse(line),
+                Err(ParseError::Malformed(message.into())),
+                "'{line}'"
+            );
+        }
+    }
+
+    #[test]
+    fn byte_writers_spell_what_fmt_spells() {
+        let mut rng = StdRng::seed_from_u64(0x14b);
+        let mut out = Vec::new();
+        let check = |out: &mut Vec<u8>, want: String| {
+            assert_eq!(std::str::from_utf8(out).unwrap(), want);
+            out.clear();
+        };
+        for v in [0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX] {
+            put_u64(&mut out, v);
+            check(&mut out, v.to_string());
+        }
+        // `{:.1}` rounds half to even on the exact binary value: the exact
+        // ties (x.25, x.75 are representable) and the near-ties (x.05 is
+        // not) must go the way `fmt` sends them.
+        let mut tenths = vec![
+            0.0, 0.05, 0.25, 0.35, 0.75, 0.95, 99.95, 100.0, 12.25, 12.75,
+        ];
+        tenths.extend([f64::MIN_POSITIVE, 5e-324, 1e-30, 0.049999999999999996]);
+        tenths.extend([1e12, 1.1e12, -0.0, -1.25, f64::NAN, f64::INFINITY, 1e300]);
+        for _ in 0..20_000 {
+            tenths.push(match rng.gen_range(0..4u8) {
+                // What the lookup path feeds it: a percentage of counts.
+                0 => {
+                    let d = rng.gen_range(1..2_000u32);
+                    100.0 * f64::from(rng.gen_range(0..=d)) / f64::from(d)
+                }
+                // Ties and near-ties at every scale.
+                1 => f64::from(rng.gen_range(0..4_000_000u32)) / 20.0,
+                2 => f64::from(rng.gen_range(0..4_000u32)) / 8.0,
+                _ => f64::from_bits(rng.gen::<u64>() >> 1),
+            });
+        }
+        for x in tenths {
+            put_tenths(&mut out, x);
+            check(&mut out, format!("{x:.1}"));
+        }
+        for _ in 0..2_000 {
+            let (asn, prefix) = (
+                Asn(rng.gen::<u32>() >> rng.gen_range(0..32u8)),
+                Ipv4Prefix::canonical(rng.gen(), rng.gen_range(0..=32u8)),
+            );
+            put_asn(&mut out, asn);
+            out.push(b' ');
+            put_prefix(&mut out, prefix);
+            check(&mut out, format!("{asn} {prefix}"));
+        }
+    }
+
+    #[test]
     fn unknown_verbs_list_the_grammar() {
         let err = parse("frobnicate AS1").unwrap_err();
         assert_eq!(err, ParseError::UnknownQuery("frobnicate".into()));
@@ -1210,6 +1754,30 @@ mod tests {
         );
         // The discarded tail never accumulated.
         assert_eq!(f.buffered(), 0);
+    }
+
+    #[test]
+    fn framer_gives_back_a_long_lines_buffer() {
+        // Under a raised cap one long line grows the tail buffer; once the
+        // line is done with — completed or tripped — the capacity beyond
+        // the reclaim mark goes back.
+        let cap = 4 * RECLAIM_MARK;
+        let long = vec![b'x'; 3 * RECLAIM_MARK];
+        let mut f = LineFramer::new(cap);
+        assert!(f.push(&long).is_empty());
+        assert!(f.buf.capacity() >= long.len());
+        assert_eq!(
+            f.push(&long),
+            vec![Frame::Oversized {
+                line: 1,
+                length: cap + 1
+            }]
+        );
+        assert!(f.buf.capacity() <= RECLAIM_MARK, "{}", f.buf.capacity());
+        assert!(f.push(b" the rest of it\n").is_empty());
+        assert!(f.push(&long).is_empty());
+        assert_eq!(f.push(b"\n").len(), 1);
+        assert!(f.buf.capacity() <= RECLAIM_MARK, "{}", f.buf.capacity());
     }
 
     #[test]

@@ -16,7 +16,10 @@ use std::net::TcpStream;
 use std::time::Instant;
 
 use crate::engine::QueryEngine;
-use crate::proto::{render_response, Control, Frame, LineFramer};
+use crate::proto::{
+    write_error_line, write_response, Control, Frame, FrameRef, LineFramer, QueryRequest,
+    RECLAIM_MARK,
+};
 use crate::serve::session::{classify_line, repl_reply, run_queries, Line};
 
 /// What one read-and-process step observed.
@@ -33,11 +36,123 @@ pub(crate) struct ReadOutcome {
     pub shutdown: bool,
 }
 
+/// What one line of a run puts on the wire once the run has executed.
+enum Reply {
+    /// `pong`.
+    Pong,
+    /// The rendered answer to the run's next query.
+    Answer,
+    /// An in-band `error line N: …` for an unparseable or oversized line.
+    Bad(String),
+}
+
+/// One REPL-free run of a read's lines: the queries are executed as a
+/// single engine batch, then every reply is rendered in input order.
+/// The vectors live on the connection and are cleared between runs, so
+/// a steady stream of pipelined reads allocates nothing here.
+struct Run {
+    /// The framer's cap, for the `line too long` reply.
+    max_line_len: usize,
+    /// `(line number, reply)` per output-producing line, in input order.
+    replies: Vec<(usize, Reply)>,
+    /// The run's queries, one per [`Reply::Answer`].
+    reqs: Vec<QueryRequest>,
+    /// The first query as the client spelled it, for the slowlog.
+    first_query: String,
+    /// A `quit`/`shutdown` arrived: lines pipelined after it are not
+    /// executed — the same contract as a `--queries` file.
+    ended: bool,
+}
+
+impl Run {
+    /// Classifies one frame into the run. REPL listings split runs: a
+    /// listing reports live engine counters (ROV cache stats, per-verb
+    /// counts), so it must observe the engine exactly where a
+    /// line-by-line stdin session would — the queries before it execute
+    /// first, those pipelined after it only once its reply is rendered.
+    fn frame(
+        &mut self,
+        engine: &QueryEngine,
+        frame: FrameRef<'_>,
+        wbuf: &mut Vec<u8>,
+        out: &mut ReadOutcome,
+    ) {
+        if self.ended {
+            return;
+        }
+        let (line, text) = match frame {
+            FrameRef::Line { line, text } => (line, text),
+            FrameRef::Oversized { line, length } => {
+                let msg = format!("line too long ({length}+ bytes, cap {})", self.max_line_len);
+                return self.replies.push((line, Reply::Bad(msg)));
+            }
+        };
+        match classify_line(text) {
+            Line::Skip => {}
+            Line::Control(Control::Ping) => self.replies.push((line, Reply::Pong)),
+            Line::Control(Control::Quit) => self.ended = true,
+            Line::Control(Control::Shutdown) => {
+                self.ended = true;
+                out.shutdown = true;
+            }
+            Line::Repl(cmd) => {
+                self.execute(engine, wbuf, out);
+                push_line(wbuf, &repl_reply(engine, cmd));
+            }
+            Line::Query(req) => {
+                if self.reqs.is_empty() {
+                    self.first_query.push_str(text.trim());
+                }
+                self.reqs.push(req);
+                self.replies.push((line, Reply::Answer));
+            }
+            Line::Bad(msg) => self.replies.push((line, Reply::Bad(msg))),
+        }
+    }
+
+    /// Executes the run and renders its replies onto `wbuf`.
+    fn execute(&mut self, engine: &QueryEngine, wbuf: &mut Vec<u8>, out: &mut ReadOutcome) {
+        run_queries(engine, &self.reqs, &self.first_query, |answers| {
+            let mut answers = self.reqs.iter().zip(answers);
+            for (line, reply) in &self.replies {
+                match reply {
+                    Reply::Pong => push_line(wbuf, "pong"),
+                    Reply::Answer => match answers.next().expect("one answer per batched query") {
+                        (req, Ok(resp)) => write_response(wbuf, req, &resp),
+                        (_, Err(e)) => {
+                            out.errors += 1;
+                            write_error_line(wbuf, *line, e);
+                        }
+                    },
+                    Reply::Bad(msg) => {
+                        out.errors += 1;
+                        write_error_line(wbuf, *line, msg);
+                    }
+                }
+            }
+        });
+        self.replies.clear();
+        self.reqs.clear();
+        self.first_query.clear();
+        // Kept for the next read, but — like the byte buffers — not at
+        // the size one unusually deep read (thousands of lines) grew them to.
+        self.replies
+            .shrink_to(RECLAIM_MARK / std::mem::size_of::<(usize, Reply)>());
+        self.reqs
+            .shrink_to(RECLAIM_MARK / std::mem::size_of::<QueryRequest>());
+    }
+}
+
+fn push_line(wbuf: &mut Vec<u8>, text: &str) {
+    wbuf.extend_from_slice(text.as_bytes());
+    wbuf.push(b'\n');
+}
+
 /// One client connection.
 pub(crate) struct Conn {
     stream: TcpStream,
     framer: LineFramer,
-    max_line_len: usize,
+    run: Run,
     wbuf: Vec<u8>,
     wpos: usize,
     /// After `quit`/`shutdown`/EOF: stop reading, flush, then close.
@@ -67,7 +182,13 @@ impl Conn {
         Ok(Conn {
             stream,
             framer: LineFramer::new(max_line_len),
-            max_line_len,
+            run: Run {
+                max_line_len,
+                replies: Vec::new(),
+                reqs: Vec::new(),
+                first_query: String::new(),
+                ended: false,
+            },
             wbuf: Vec::new(),
             wpos: 0,
             closing: false,
@@ -140,9 +261,12 @@ impl Conn {
             }
         }
         if self.wpos == self.wbuf.len() {
+            // Fully drained: one large reply must not pin its high-water
+            // capacity for the life of an otherwise idle connection.
             self.wbuf.clear();
+            self.wbuf.shrink_to(RECLAIM_MARK);
             self.wpos = 0;
-        } else if self.wpos > 64 * 1024 {
+        } else if self.wpos > RECLAIM_MARK {
             // Reclaim the drained prefix so a long-lived slow reader does
             // not hold its whole history in memory.
             self.wbuf.drain(..self.wpos);
@@ -161,146 +285,85 @@ impl Conn {
     ) -> io::Result<ReadOutcome> {
         let mut out = ReadOutcome::default();
         let n = match self.stream.read(rbuf) {
-            Ok(0) => {
-                // EOF still answers a final unterminated line — the
-                // stdin path would (str::lines yields it), and the TCP
-                // path must match it byte for byte.
-                let tail: Vec<Frame> = self.framer.finish().into_iter().collect();
-                if !tail.is_empty() {
-                    self.process_frames(engine, tail, &mut out);
-                }
-                out.eof = true;
-                return Ok(out);
-            }
             Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(out),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(out),
             Err(e) => return Err(e),
         };
         out.bytes_in = n as u64;
-        if !self.saw_first_byte {
+        if n > 0 && !self.saw_first_byte {
             self.saw_first_byte = true;
             engine
                 .metrics()
                 .serve_accept_to_first_byte_seconds
                 .record(self.accepted_at.elapsed());
         }
-        let frames = self.framer.push(&rbuf[..n]);
-        self.process_frames(engine, frames, &mut out);
+        // Frames are classified as the framer finds them — lines borrowed
+        // from `rbuf`, nothing copied per line — and the run they form is
+        // executed once the read is exhausted.
+        let Conn {
+            framer, run, wbuf, ..
+        } = self;
+        if n > 0 {
+            framer.scan(&rbuf[..n], |frame| run.frame(engine, frame, wbuf, &mut out));
+        } else {
+            // EOF still answers a final unterminated line — the stdin
+            // path would (str::lines yields it), and the TCP path must
+            // match it byte for byte.
+            if let Some(Frame::Line { line, text }) = framer.finish() {
+                let tail = FrameRef::Line { line, text: &text };
+                run.frame(engine, tail, wbuf, &mut out);
+            }
+            out.eof = true;
+        }
+        run.execute(engine, wbuf, &mut out);
+        self.closing |= self.run.ended;
         Ok(out)
-    }
-
-    /// Classifies the completed frames (stopping at a session-ending
-    /// control), batch-executes the queries among them, and renders
-    /// every output line *in input order* into the write buffer.
-    fn process_frames(&mut self, engine: &QueryEngine, frames: Vec<Frame>, out: &mut ReadOutcome) {
-        // The raw text rides along so a slow segment can quote its first
-        // query verbatim in the slowlog.
-        let mut items: Vec<(usize, Line, String)> = Vec::with_capacity(frames.len());
-        for frame in frames {
-            match frame {
-                Frame::Line { line, text } => {
-                    let class = classify_line(&text);
-                    let ends = matches!(
-                        class,
-                        Line::Control(Control::Quit) | Line::Control(Control::Shutdown)
-                    );
-                    items.push((line, class, text));
-                    if ends {
-                        // Lines pipelined after a quit are not executed —
-                        // the same contract as a `--queries` file.
-                        break;
-                    }
-                }
-                Frame::Oversized { line, length } => items.push((
-                    line,
-                    Line::Bad(format!(
-                        "line too long ({length}+ bytes, cap {})",
-                        self.max_line_len
-                    )),
-                    String::new(),
-                )),
-            }
-        }
-
-        // Pipelining: every REPL-free run of this read's queries is one
-        // engine batch. REPL listings split the runs: a listing reports
-        // live engine counters (ROV cache stats, per-verb counts), so it
-        // must observe the engine exactly where a line-by-line stdin
-        // session would — queries pipelined *after* it in the same read
-        // execute only after its reply is rendered.
-        let mut start = 0;
-        loop {
-            let end = items[start..]
-                .iter()
-                .position(|(_, l, _)| matches!(l, Line::Repl(_)))
-                .map_or(items.len(), |p| start + p);
-            self.run_segment(engine, &items[start..end], out);
-            let Some((_, Line::Repl(cmd), _)) = items.get(end) else {
-                break;
-            };
-            let reply = repl_reply(engine, *cmd);
-            self.push_output(&reply);
-            start = end + 1;
-        }
-    }
-
-    /// Executes one REPL-free run of classified lines — its queries as a
-    /// single engine batch — rendering every output line in input order.
-    fn run_segment(
-        &mut self,
-        engine: &QueryEngine,
-        segment: &[(usize, Line, String)],
-        out: &mut ReadOutcome,
-    ) {
-        let reqs: Vec<_> = segment
-            .iter()
-            .filter_map(|(_, l, _)| match l {
-                Line::Query(req) => Some(req.clone()),
-                _ => None,
-            })
-            .collect();
-        let first = segment
-            .iter()
-            .find_map(|(_, l, text)| matches!(l, Line::Query(_)).then_some(text.trim()))
-            .unwrap_or("");
-        run_queries(engine, &reqs, first, |answers| {
-            let mut answers = answers.into_iter();
-            for (line_no, item, _) in segment {
-                match item {
-                    Line::Skip => {}
-                    Line::Control(Control::Ping) => self.push_output("pong"),
-                    Line::Control(Control::Quit) => self.closing = true,
-                    Line::Control(Control::Shutdown) => {
-                        self.closing = true;
-                        out.shutdown = true;
-                    }
-                    Line::Repl(_) => unreachable!("segments are split at REPL commands"),
-                    Line::Query(req) => {
-                        match answers.next().expect("one answer per batched query") {
-                            Ok(resp) => self.push_output(&render_response(req, &resp)),
-                            Err(e) => {
-                                out.errors += 1;
-                                self.push_output(&format!("error line {line_no}: {e}"));
-                            }
-                        }
-                    }
-                    Line::Bad(msg) => {
-                        out.errors += 1;
-                        self.push_output(&format!("error line {line_no}: {msg}"));
-                    }
-                }
-            }
-        });
-    }
-
-    fn push_output(&mut self, text: &str) {
-        self.wbuf.extend_from_slice(text.as_bytes());
-        self.wbuf.push(b'\n');
     }
 
     /// Queues a server-originated notice (used for overload rejection).
     pub(crate) fn push_notice(&mut self, text: &str) {
-        self.push_output(text);
+        push_line(&mut self.wbuf, text);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_drained_write_buffer_gives_back_its_high_water_capacity() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Conn::new(listener.accept().unwrap().0, 1024).unwrap();
+
+        // One large reply (a `hijacks @all`, a `leaks`) up to the default
+        // --write-buf-cap…
+        let reply = "x".repeat(256 * 1024);
+        conn.push_notice(&reply);
+        assert!(conn.wbuf.capacity() > RECLAIM_MARK);
+        let mut sink = vec![0u8; 64 * 1024];
+        let mut received = 0;
+        while received < reply.len() + 1 {
+            conn.flush().unwrap();
+            if conn.pending_write() > 0 {
+                // Partly drained: what is still queued is still there.
+                assert!(conn.wbuf.capacity() >= conn.pending_write());
+            }
+            received += peer.read(&mut sink).unwrap();
+        }
+        // …must not stay pinned once the peer has taken it all.
+        assert_eq!(conn.pending_write(), 0);
+        assert!(
+            conn.wbuf.capacity() <= RECLAIM_MARK,
+            "an idle connection holds {} bytes of write buffer",
+            conn.wbuf.capacity()
+        );
+        // The connection goes on answering.
+        conn.push_notice("pong");
+        conn.flush().unwrap();
+        assert_eq!(peer.read(&mut sink).unwrap(), 5);
+        assert_eq!(&sink[..5], b"pong\n");
     }
 }

@@ -22,7 +22,9 @@
 //! * **Framing** ([`LineFramer`](crate::proto::LineFramer)): requests
 //!   are lines; a query byte-split across TCP segments reassembles, and
 //!   a line over the cap becomes one in-band `error line N: …` response
-//!   instead of unbounded buffering — the connection survives.
+//!   instead of unbounded buffering — the connection survives. Lines
+//!   are borrowed from the read buffer and answers are written straight
+//!   into the write buffer: the path allocates nothing per query.
 //! * **Pipelining**: every parseable query in one read is executed as a
 //!   single engine batch, so a client that writes N lines per segment
 //!   pays one read, one batch and one write for all N, and has its

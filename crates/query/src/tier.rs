@@ -521,11 +521,6 @@ impl Tier {
 
     // ---------- the hot path: on-demand hydration ----------
 
-    /// The snapshot behind `id`, hydrating it (and its delta chain back
-    /// to the nearest anchor — a hot chain member or a keyframe) into
-    /// the LRU-bounded hot set on a miss. The hot-set lock is held
-    /// across the hydration so concurrent queries for the same cold
-    /// snapshot decode it once.
     /// The snapshot behind `id` if it is already hot — one bounded
     /// lock, no hydration, no chain-prefix clone. Bumps LRU recency on
     /// a hit. A hit also validates `id`: only attached snapshots ever
@@ -534,6 +529,11 @@ impl Tier {
         self.hot.lock().expect("tier hot set poisoned").get(id)
     }
 
+    /// The snapshot behind `id`, hydrating it (and its delta chain back
+    /// to the nearest anchor — a hot chain member or a keyframe) into
+    /// the LRU-bounded hot set on a miss. The hot-set lock is held
+    /// across the hydration so concurrent queries for the same cold
+    /// snapshot decode it once.
     pub(crate) fn snapshot(
         &self,
         engine: &QueryEngine,
