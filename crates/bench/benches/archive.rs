@@ -11,7 +11,6 @@
 use std::time::{Duration, Instant};
 
 use rpi_bench::harness::Criterion;
-use rpi_bench::serveload::{emit_bench_json, smoke_profile};
 
 use bgp_sim::churn::simulate_series;
 use bgp_sim::ChurnConfig;
@@ -40,9 +39,6 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
 
 fn main() {
     let mut c = Criterion::new();
-    // RPI_BENCH_SMOKE trims repetition (CI's bench-trend step), never
-    // the world: the JSON trend stays comparable across profiles.
-    let smoke = smoke_profile();
 
     let exp = Experiment::standard(InternetSize::Small, 2003);
     // The paper's §6 workload: a month of daily snapshots at ~1% of
@@ -68,7 +64,7 @@ fn main() {
     });
 
     let mut g = c.benchmark_group("archive/cold_start");
-    g.sample_size(if smoke { 3 } else { 10 });
+    g.sample_size(10);
     g.bench_function(format!("load_archive_{SNAPSHOTS}_snapshots"), |b| {
         b.iter(|| QueryEngine::load_archive(&dir).expect("load"))
     });
@@ -78,15 +74,13 @@ fn main() {
     // re-simulate the series, then re-ingest it (diff-aware, its best
     // case). Timed explicitly (best of 2) because a single run is already
     // seconds, not microseconds.
-    let (resim, _) = best_of(if smoke { 1 } else { 2 }, || {
+    let (resim, _) = best_of(2, || {
         let series = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg);
         let mut e = QueryEngine::new(SHARDS);
         e.ingest_series_incremental(&series, &exp.inferred_graph);
         e
     });
-    let (load, loaded) = best_of(if smoke { 3 } else { 5 }, || {
-        QueryEngine::load_archive(&dir).expect("load")
-    });
+    let (load, loaded) = best_of(5, || QueryEngine::load_archive(&dir).expect("load"));
 
     let stats = loaded.sharing_stats();
     let mem_bytes = stats.total_bytes - stats.shared_bytes;
@@ -120,22 +114,6 @@ fn main() {
         100.0 * stats.shared_ratio(),
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"archive\",\n  \"world\": \"small\",\n  \"snapshots\": {SNAPSHOTS},\n  \
-         \"cold_start_ms\": {:.3},\n  \"resim_reingest_ms\": {:.3},\n  \"speedup\": {:.1},\n  \
-         \"save_ms\": {:.3},\n  \"disk_bytes\": {disk_bytes},\n  \"mem_bytes\": {mem_bytes},\n  \
-         \"full_segments\": {full},\n  \"delta_segments\": {delta},\n  \
-         \"trie_shared_ratio\": {:.4},\n  \"target_speedup\": 20,\n  \"meets_target\": {},\n  \
-         \"smoke_profile\": {smoke}\n}}\n",
-        load.as_secs_f64() * 1000.0,
-        resim.as_secs_f64() * 1000.0,
-        speedup,
-        save_time.as_secs_f64() * 1000.0,
-        stats.shared_ratio(),
-        speedup >= 20.0,
-    );
-    emit_bench_json("BENCH_archive.json", &json);
-
     // ---- the tier: µs-scale attach and zero-copy cold point queries ----
     //
     // A keyframed copy of the same archive (cadence 8: a handful of
@@ -156,13 +134,13 @@ fn main() {
         .expect("save keyframed archive");
 
     let mut g = c.benchmark_group("tier/attach");
-    g.sample_size(if smoke { 3 } else { 10 });
+    g.sample_size(10);
     g.bench_function(format!("tier_attach_{SNAPSHOTS}_snapshots"), |b| {
         b.iter(|| QueryEngine::load_archive_tiered(&tier_dir, 4).expect("attach"))
     });
     g.finish();
 
-    let (attach, tiered) = best_of(if smoke { 3 } else { 5 }, || {
+    let (attach, tiered) = best_of(5, || {
         QueryEngine::load_archive_tiered(&tier_dir, 4).expect("attach")
     });
     assert!(tiered.tier_stats().is_some(), "keyframed archive tiers");
@@ -195,8 +173,7 @@ fn main() {
                 .map(move |&(vantage, prefix)| Query::Route { vantage, prefix }.at(Scope::Id(id)))
         })
         .collect();
-    let rounds = if smoke { 2 } else { 10 };
-    let (cold_total, _) = best_of(rounds, || {
+    let (cold_total, _) = best_of(10, || {
         for req in &reqs {
             std::hint::black_box(tiered.execute(req).expect("cold query"));
         }
@@ -220,19 +197,6 @@ fn main() {
         cold_ids.len(),
         stats.cold_hits,
     );
-
-    let json = format!(
-        "{{\n  \"bench\": \"tier\",\n  \"world\": \"small\",\n  \"snapshots\": {SNAPSHOTS},\n  \
-         \"keyframe_every\": 8,\n  \"attach_us_per_snapshot\": {attach_us:.3},\n  \
-         \"hydrate_us_per_snapshot\": {hydrate_us:.3},\n  \"speedup\": {attach_speedup:.1},\n  \
-         \"cold_query_us\": {cold_query_us:.3},\n  \"cold_queries\": {},\n  \
-         \"keyframes\": {},\n  \"target_speedup\": 100,\n  \"meets_target\": {},\n  \
-         \"smoke_profile\": {smoke}\n}}\n",
-        reqs.len(),
-        cold_ids.len(),
-        attach_speedup >= 100.0,
-    );
-    emit_bench_json("BENCH_tier.json", &json);
 
     let _ = std::fs::remove_dir_all(&tier_dir);
     let _ = std::fs::remove_dir_all(&dir);

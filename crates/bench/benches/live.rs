@@ -4,11 +4,9 @@
 //!
 //! The live acceptance bar is advisory: queries served per second while
 //! the writer publishes epochs should stay **≥ 80%** of what the same
-//! server sustains over a frozen world. The run's numbers are emitted as
-//! machine-readable trend data (`BENCH_live.json`, when
-//! `RPI_BENCH_JSON_DIR` is set) so CI can archive the perf trajectory.
-//! `RPI_BENCH_SMOKE=1` shrinks snapshot and query counts, never the
-//! world or the schema.
+//! server sustains over a frozen world. A human table under `cargo
+//! bench`; the numbers PRs are judged by come from `benchmark/run.sh`
+//! (its `live_ingest` workload; see `benchmark/README.md`).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -20,8 +18,7 @@ use bgp_sim::churn::simulate_series;
 use bgp_sim::stream::{next_step, read_header, StreamFrame, StreamStep, StreamWriter};
 use bgp_sim::{ChurnConfig, GroundTruth, PolicyParams, SimOutput, VantageSpec};
 use net_topology::{AsGraph, InternetConfig, InternetSize};
-use rpi_bench::serveload::{emit_bench_json, smoke_profile};
-use rpi_query::serve::{EngineSource, ServeConfig, Server};
+use rpi_query::serve::{ServeConfig, Server};
 use rpi_query::{LiveHandle, LiveOptions, LiveWriter, QueryEngine};
 
 const SHARDS: usize = 8;
@@ -163,9 +160,7 @@ fn load_until(addr: SocketAddr, lines: &[String], stop: &AtomicBool) -> u64 {
 }
 
 fn main() {
-    let smoke = smoke_profile();
-    let snapshots = if smoke { 4 } else { 10 };
-    let (_, bytes) = build_stream(snapshots);
+    let (_, bytes) = build_stream(10);
     let (oracle, frames) = decode(&bytes);
     let frozen = Arc::new(offline_engine(&oracle, &frames));
     let lines = workload(&frozen, &frames);
@@ -176,12 +171,8 @@ fn main() {
     // Live: serve an epoch-published engine while the writer ingests the
     // stream at FRAME_GAP cadence; measure q/s inside the ingest window.
     let handle = LiveHandle::new(QueryEngine::new(SHARDS));
-    let server = Server::bind_source(
-        EngineSource::Live(Arc::clone(&handle)),
-        "127.0.0.1:0",
-        ServeConfig::default(),
-    )
-    .expect("bind live");
+    let server = Server::bind(Arc::clone(&handle), "127.0.0.1:0", ServeConfig::default())
+        .expect("bind live");
     let addr = server.local_addr().unwrap();
     let shandle = server.handle();
     let sjoin = std::thread::spawn(move || server.run().expect("live serve loop"));
@@ -214,9 +205,9 @@ fn main() {
             publish_ms.push(tf.elapsed().as_secs_f64() * 1e3);
         }
         writer.end();
-        // Hold the window open briefly so short smoke streams still
-        // measure a steady serving plateau.
-        std::thread::sleep(Duration::from_millis(if smoke { 500 } else { 1000 }));
+        // Hold the window open briefly so the run measures a steady
+        // serving plateau after the last publication too.
+        std::thread::sleep(Duration::from_secs(1));
         let window = t0.elapsed();
         stop.store(true, Ordering::Release);
         (counter.join().expect("load"), window)
@@ -285,26 +276,5 @@ fn main() {
          p50 {p50_ms:.3} ms / p99 {p99_ms:.3} ms / p999 {p999_ms:.3} ms)",
         live_latency.count(),
     );
-
-    let publish_list = publish_ms
-        .iter()
-        .map(|ms| format!("{ms:.3}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"bench\": \"live\",\n  \"world\": \"small\",\n  \"shards\": {SHARDS},\n  \
-         \"snapshots\": {snapshots},\n  \"conns\": {CONNS},\n  \"pipeline\": {PIPELINE},\n  \
-         \"publish_ms\": [{publish_list}],\n  \"publish_mean_ms\": {mean_ms:.3},\n  \
-         \"publish_max_ms\": {max_ms:.3},\n  \"live_queries\": {live_queries},\n  \
-         \"live_queries_per_s\": {live_qps:.0},\n  \"frozen_queries_per_s\": {frozen_qps:.0},\n  \
-         \"live_fraction_of_frozen\": {fraction:.4},\n  \
-         \"latency_p50_ms\": {p50_ms:.3},\n  \"latency_p99_ms\": {p99_ms:.3},\n  \
-         \"latency_p999_ms\": {p999_ms:.3},\n  \
-         \"target_fraction\": {TARGET_FRACTION},\n  \"meets_target\": {},\n  \
-         \"smoke_profile\": {}\n}}\n",
-        fraction >= TARGET_FRACTION,
-        smoke,
-    );
-    emit_bench_json("BENCH_live.json", &json);
     let _ = std::fs::remove_dir_all(&spill);
 }

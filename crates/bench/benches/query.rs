@@ -2,13 +2,11 @@
 //! single-query and batched rates, snapshot diffing, and the rpi-sec
 //! detection verbs. These back the observatory's queries/sec claims (the
 //! end-to-end figures against a live daemon come from
-//! `benchmark/run.sh`). `RPI_BENCH_SMOKE` trims sample counts (CI's
-//! bench-trend step), never the worlds.
+//! `benchmark/run.sh`).
 
 use std::time::{Duration, Instant};
 
 use rpi_bench::harness::{Criterion, Throughput};
-use rpi_bench::serveload::{emit_bench_json, smoke_profile};
 
 use bgp_sim::churn::simulate_series;
 use bgp_sim::ChurnConfig;
@@ -43,10 +41,10 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
     (best, out.expect("at least one run"))
 }
 
-fn bench_ingest(c: &mut Criterion, smoke: bool) {
+fn bench_ingest(c: &mut Criterion) {
     let exp = Experiment::standard(InternetSize::Small, 2003);
     let mut g = c.benchmark_group("query/ingest");
-    g.sample_size(if smoke { 3 } else { 10 });
+    g.sample_size(10);
     g.bench_function("ingest_small_world", |b| {
         b.iter(|| {
             let mut e = QueryEngine::new(8);
@@ -57,14 +55,14 @@ fn bench_ingest(c: &mut Criterion, smoke: bool) {
     g.finish();
 }
 
-fn bench_queries(c: &mut Criterion, smoke: bool) {
+fn bench_queries(c: &mut Criterion) {
     let exp = Experiment::standard(InternetSize::Small, 2003);
     let mut engine = QueryEngine::new(8);
     engine.ingest_experiment(&exp, "t0");
     let pairs = workload(&exp);
 
     let mut g = c.benchmark_group("query/single");
-    g.sample_size(if smoke { 5 } else { 20 });
+    g.sample_size(20);
     g.throughput(Throughput::Elements(pairs.len() as u64));
     g.bench_function(format!("route_{}_queries", pairs.len()), |b| {
         b.iter(|| {
@@ -102,7 +100,7 @@ fn bench_queries(c: &mut Criterion, smoke: bool) {
     g.finish();
 
     let mut g = c.benchmark_group("query/batched");
-    g.sample_size(if smoke { 3 } else { 10 });
+    g.sample_size(10);
     g.throughput(Throughput::Elements(pairs.len() as u64));
     let reqs: Vec<QueryRequest> = pairs
         .iter()
@@ -116,7 +114,7 @@ fn bench_queries(c: &mut Criterion, smoke: bool) {
 /// resolves — answered inline, in order) interleaved with multi-snapshot
 /// history scans (overlapped on helper threads) through one
 /// `execute_batch` call.
-fn bench_execute_batch(c: &mut Criterion, smoke: bool) {
+fn bench_execute_batch(c: &mut Criterion) {
     let exp = Experiment::standard(InternetSize::Small, 2003);
     let cfg = ChurnConfig {
         steps: 4,
@@ -140,7 +138,7 @@ fn bench_execute_batch(c: &mut Criterion, smoke: bool) {
         .collect();
 
     let mut g = c.benchmark_group("query/execute_batch");
-    g.sample_size(if smoke { 3 } else { 10 });
+    g.sample_size(10);
     g.throughput(Throughput::Elements(reqs.len() as u64));
     g.bench_function("mixed_route_sa_history", |b| {
         b.iter(|| engine.execute_batch(&reqs))
@@ -152,7 +150,7 @@ fn bench_execute_batch(c: &mut Criterion, smoke: bool) {
 /// ingest (copy-on-write shard tries). Reports the speedup and the
 /// shared-node ratio — the observatory's "a multi-month archive ingests
 /// in seconds" claim.
-fn bench_ingest_series(c: &mut Criterion, smoke: bool) {
+fn bench_ingest_series(c: &mut Criterion) {
     let exp = Experiment::standard(InternetSize::Small, 2003);
     // The paper's workload: a month of daily snapshots (31 steps, §6).
     // The flip probability is tuned so ~1% of vantage-table routes move
@@ -184,7 +182,7 @@ fn bench_ingest_series(c: &mut Criterion, smoke: bool) {
     let churn_pct = 100.0 * events as f64 / (cfg.steps - 1) as f64 / vantage_routes.max(1) as f64;
 
     let mut g = c.benchmark_group("query/ingest_series");
-    g.sample_size(if smoke { 1 } else { 3 });
+    g.sample_size(3);
     g.bench_function("full_reindex_31_snapshots", |b| {
         b.iter(|| {
             let mut e = QueryEngine::new(8);
@@ -218,13 +216,13 @@ fn bench_ingest_series(c: &mut Criterion, smoke: bool) {
     );
 }
 
-fn bench_diff(c: &mut Criterion, smoke: bool) {
+fn bench_diff(c: &mut Criterion) {
     let exp = Experiment::standard(InternetSize::Small, 2003);
     let mut engine = QueryEngine::new(8);
     let a = engine.ingest_experiment(&exp, "t0");
     let b_id = engine.ingest_experiment(&exp, "t1");
     let mut g = c.benchmark_group("query/diff");
-    g.sample_size(if smoke { 3 } else { 10 });
+    g.sample_size(10);
     g.bench_function("diff_identical_small_world", |bch| {
         bch.iter(|| {
             engine
@@ -238,7 +236,7 @@ fn bench_diff(c: &mut Criterion, smoke: bool) {
 /// The rpi-sec verbs: warm-cache ROV validation rate (acceptance bar
 /// **≥ 1M lookups/s**) and the cost of full `hijacks @all` / `leaks`
 /// sweeps. Emits `BENCH_sec.json` for the CI bench-trend artifact.
-fn bench_sec(c: &mut Criterion, smoke: bool) {
+fn bench_sec(c: &mut Criterion) {
     let exp = Experiment::standard(InternetSize::Small, 2003);
     let cfg = ChurnConfig {
         steps: 4,
@@ -277,7 +275,7 @@ fn bench_sec(c: &mut Criterion, smoke: bool) {
     }
 
     let mut g = c.benchmark_group("query/sec");
-    g.sample_size(if smoke { 3 } else { 20 });
+    g.sample_size(20);
     g.throughput(Throughput::Elements(reqs.len() as u64));
     g.bench_function(format!("rov_warm_{}_lookups", reqs.len()), |b| {
         b.iter(|| reqs.iter().filter(|r| engine.execute(r).is_ok()).count())
@@ -285,7 +283,7 @@ fn bench_sec(c: &mut Criterion, smoke: bool) {
     g.finish();
 
     let mut g = c.benchmark_group("query/sec_sweeps");
-    g.sample_size(if smoke { 3 } else { 10 });
+    g.sample_size(10);
     g.bench_function("hijacks_all_snapshots", |b| {
         b.iter(|| engine.execute(&Query::Hijacks.at(Scope::All)))
     });
@@ -294,8 +292,8 @@ fn bench_sec(c: &mut Criterion, smoke: bool) {
     });
     g.finish();
 
-    // The machine-readable trend + the advisory acceptance bar.
-    let reps = if smoke { 5 } else { 20 };
+    // The advisory acceptance bar.
+    let reps = 20;
     let (rov_time, _) = best_of(reps, || {
         reqs.iter().filter(|r| engine.execute(r).is_ok()).count()
     });
@@ -313,32 +311,14 @@ fn bench_sec(c: &mut Criterion, smoke: bool) {
         cache.hits,
         cache.misses,
     );
-
-    let json = format!(
-        "{{\n  \"bench\": \"sec\",\n  \"world\": \"small\",\n  \"snapshots\": {},\n  \
-         \"roas\": {n_roas},\n  \"rov_lookups\": {},\n  \"rov_lookups_per_sec\": {:.0},\n  \
-         \"hijacks_all_ms\": {:.3},\n  \"leaks_latest_ms\": {:.3},\n  \
-         \"rov_cache_hits\": {},\n  \"rov_cache_misses\": {},\n  \
-         \"target_rov_per_sec\": 1000000,\n  \"meets_target\": {meets},\n  \
-         \"smoke_profile\": {smoke}\n}}\n",
-        series.snapshots.len(),
-        reqs.len(),
-        rov_per_sec,
-        hijacks_time.as_secs_f64() * 1000.0,
-        leaks_time.as_secs_f64() * 1000.0,
-        cache.hits,
-        cache.misses,
-    );
-    emit_bench_json("BENCH_sec.json", &json);
 }
 
 fn main() {
     let mut c = Criterion::new();
-    let smoke = smoke_profile();
-    bench_ingest(&mut c, smoke);
-    bench_queries(&mut c, smoke);
-    bench_execute_batch(&mut c, smoke);
-    bench_ingest_series(&mut c, smoke);
-    bench_diff(&mut c, smoke);
-    bench_sec(&mut c, smoke);
+    bench_ingest(&mut c);
+    bench_queries(&mut c);
+    bench_execute_batch(&mut c);
+    bench_ingest_series(&mut c);
+    bench_diff(&mut c);
+    bench_sec(&mut c);
 }

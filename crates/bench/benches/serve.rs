@@ -4,19 +4,14 @@
 //! The serving acceptance bar is **≥ 100k queries/s over TCP on a Small
 //! world**; the sharded-serve stretch bar is **≥ 2M queries/s
 //! aggregate** across a 4-thread ramp (advisory — logged, never
-//! failing). The run's numbers are also emitted as machine-readable
-//! trend data (`BENCH_serve.json`, when `RPI_BENCH_JSON_DIR` is set) so
-//! CI can archive the perf trajectory across PRs: the single-server
-//! fields plus `aggregate_qps` / `qps_per_thread` from the thread ramp
-//! and `idle_conns_cpu_ms` from the idle-connection CPU probe.
-//! `RPI_BENCH_SMOKE=1` shrinks iteration counts, never the world or the
-//! schema.
+//! failing). A human table under `cargo bench`; the numbers PRs are
+//! judged by come from `benchmark/run.sh` (see `benchmark/README.md`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use net_topology::InternetSize;
-use rpi_bench::serveload::{emit_bench_json, open_idle_conns, run_load, smoke_profile};
+use rpi_bench::serveload::{open_idle_conns, run_load};
 use rpi_core::Experiment;
 use rpi_query::serve::{ServeConfig, Server};
 use rpi_query::{parse, QueryEngine, QueryRequest};
@@ -69,7 +64,6 @@ fn spawn_server(
 }
 
 fn main() {
-    let smoke = smoke_profile();
     let exp = Experiment::standard(InternetSize::Small, 2003);
     let mut engine = QueryEngine::new(SHARDS);
     engine.ingest_experiment(&exp, "t0");
@@ -100,9 +94,8 @@ fn main() {
         .iter()
         .map(|l| parse(l).expect("workload lines parse"))
         .collect();
-    let baseline_rounds = if smoke { 2 } else { 5 };
     let mut inproc_best = f64::MIN;
-    for _ in 0..baseline_rounds {
+    for _ in 0..5 {
         let t0 = Instant::now();
         let results = engine.execute_batch(&reqs);
         let dt = t0.elapsed();
@@ -114,7 +107,7 @@ fn main() {
     // the pipelined load generator.
     let (addr, handle, join) = spawn_server(&engine, 1);
 
-    let queries_per_conn = if smoke { 50_000 } else { 250_000 };
+    let queries_per_conn = 250_000;
     // Warmup window (connection setup, first batches) before the timed run.
     run_load(addr, CONNS, PIPELINE, 5_000, &lines).expect("warmup load");
     // Percentiles come from the engine's per-verb latency histograms,
@@ -163,8 +156,8 @@ fn main() {
     // connections to keep every shard busy. The 4-thread row is the
     // aggregate the ≥2M advisory bar reads.
     println!("\n== serve/thread_ramp ==");
-    let ramp_conns = if smoke { 8 } else { 16 };
-    let ramp_queries = if smoke { 25_000 } else { 120_000 };
+    let ramp_conns = 16;
+    let ramp_queries = 120_000;
     let mut ramp: Vec<(usize, f64)> = Vec::new();
     for threads in RAMP_THREADS {
         let (addr, handle, join) = spawn_server(&engine, threads);
@@ -183,7 +176,6 @@ fn main() {
         ramp.push((threads, qps));
     }
     let (agg_threads, aggregate_qps) = *ramp.last().expect("ramp ran");
-    let qps_per_thread = aggregate_qps / agg_threads as f64;
     println!(
         "    (aggregate at {agg_threads} threads: {aggregate_qps:.0} queries/s; \
          advisory bar ≥ {AGGREGATE_TARGET_QPS:.0}{})",
@@ -197,7 +189,7 @@ fn main() {
     // Idle probe: a quiet 4-thread server holding idle connections must
     // burn ~zero CPU (readiness notification, not sweeping). Client and
     // server share this process; the client sleeps through the window.
-    let idle_count = if smoke { 200 } else { 1_000 };
+    let idle_count = 1_000;
     let idle_window = Duration::from_secs(2);
     let (addr, handle, join) = spawn_server(&engine, 4);
     let held = open_idle_conns(addr, idle_count).expect("open idle conns");
@@ -216,36 +208,4 @@ fn main() {
         "\n== serve/idle_conns ==\n{idle_count} idle conns over {idle_window:?}: \
          {idle_conns_cpu_ms} ms CPU"
     );
-
-    let ramp_json: Vec<String> = ramp
-        .iter()
-        .map(|(t, q)| format!("{{\"threads\": {t}, \"queries_per_s\": {q:.0}}}"))
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"world\": \"small\",\n  \"shards\": {SHARDS},\n  \
-         \"conns\": {CONNS},\n  \"pipeline\": {PIPELINE},\n  \"queries\": {},\n  \
-         \"tcp_queries_per_s\": {:.0},\n  \"inproc_batch_queries_per_s\": {:.0},\n  \
-         \"tcp_fraction_of_inproc\": {:.4},\n  \"bytes_in\": {},\n  \"bytes_out\": {},\n  \
-         \"latency_p50_ms\": {p50_ms:.3},\n  \"latency_p99_ms\": {p99_ms:.3},\n  \
-         \"latency_p999_ms\": {p999_ms:.3},\n  \
-         \"target_queries_per_s\": {:.0},\n  \"meets_target\": {},\n  \
-         \"thread_ramp\": [{}],\n  \"aggregate_qps\": {aggregate_qps:.0},\n  \
-         \"qps_per_thread\": {qps_per_thread:.0},\n  \
-         \"aggregate_target_qps\": {AGGREGATE_TARGET_QPS:.0},\n  \
-         \"meets_aggregate_target\": {},\n  \
-         \"idle_conns\": {idle_count},\n  \"idle_conns_cpu_ms\": {idle_conns_cpu_ms},\n  \
-         \"smoke_profile\": {}\n}}\n",
-        report.queries,
-        tcp_qps,
-        inproc_best,
-        tcp_qps / inproc_best,
-        report.bytes_out,
-        report.bytes_in,
-        TARGET_QPS,
-        tcp_qps >= TARGET_QPS,
-        ramp_json.join(", "),
-        aggregate_qps >= AGGREGATE_TARGET_QPS,
-        smoke,
-    );
-    emit_bench_json("BENCH_serve.json", &json);
 }

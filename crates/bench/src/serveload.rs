@@ -197,29 +197,3 @@ pub fn open_idle_conns(
     }
     Ok(held)
 }
-
-/// Writes a benchmark-trend JSON file. The directory comes from
-/// `RPI_BENCH_JSON_DIR` (CI sets it and uploads the results as a
-/// workflow artifact); without the variable the emission is skipped so
-/// local `cargo bench` runs stay side-effect-free.
-pub fn emit_bench_json(file_name: &str, json: &str) -> Option<std::path::PathBuf> {
-    let dir = std::env::var_os("RPI_BENCH_JSON_DIR")?;
-    let path = std::path::Path::new(&dir).join(file_name);
-    match std::fs::write(&path, json) {
-        Ok(()) => {
-            println!("    (bench trend written to {})", path.display());
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-            None
-        }
-    }
-}
-
-/// `true` when benches should run their reduced smoke profile (CI's
-/// bench-trend step sets `RPI_BENCH_SMOKE=1`): same worlds, fewer
-/// samples/iterations, same JSON schema.
-pub fn smoke_profile() -> bool {
-    std::env::var_os("RPI_BENCH_SMOKE").is_some()
-}

@@ -6,18 +6,18 @@
 //! end ([`rpi_query::serve`]). Every query line is the shared wire
 //! grammar of [`rpi_query::proto`], so REPL sessions, batch `--queries`
 //! files, TCP clients and the engine's tests all speak one language and
-//! get byte-identical answers. `rpi-queryd --help` lists every flag.
+//! get byte-identical answers.
 //!
-//! `--incremental` ingests the churn series diff-aware: each snapshot
-//! after the first is a copy-on-write overlay sharing unchanged shard
-//! subtries with its predecessor (the `snapshots` REPL command shows the
-//! per-snapshot shared-node counts).
-//!
-//! `--save DIR` serializes the ingested world into an `rpi-store`
-//! archive and exits; `--archive DIR` cold-starts from one instead of
-//! re-simulating (the `archive` REPL command lists its segments).
-//!
-//! `--listen ADDR` serves the same grammar over TCP, e.g.:
+//! The front door has three single sources of truth. [`FLAGS`] is the
+//! one list of flags: the usage line, `--help`, the argument loop and
+//! every "needs"/"cannot be combined with" rejection are generated from
+//! it. [`Options::resolve`] turns the validated flags into a [`World`]
+//! (what to answer from: a simulated world, an `rpi-store` archive, or
+//! a `--follow`ed delta stream) and an [`Action`] (what to do with it:
+//! emit a stream, save an archive, run a query file, serve TCP, or the
+//! stdin REPL). And [`serve`] / [`repl`] are the one tail both frozen
+//! and live daemons end in — they answer from an [`EngineSource`] and
+//! do not care which kind it is.
 //!
 //! ```text
 //! rpi-queryd --archive /tmp/rpi-archive --listen 127.0.0.1:4321 &
@@ -25,21 +25,28 @@
 //! ```
 
 use std::io::{BufRead, Write as _};
+use std::net::TcpListener;
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bgp_sim::churn::simulate_series;
 use bgp_sim::ChurnConfig;
 use net_topology::InternetSize;
 use rpi_core::Experiment;
-use rpi_query::serve::session::{classify_line, fmt_bytes, repl_reply, run_queries, Line};
-use rpi_query::serve::ServeStats;
-use rpi_query::{Control, PollBackend, QueryEngine, ServeConfig, Server};
+use rpi_query::serve::session::{
+    classify_line, fmt_bytes, repl_reply, run_queries, sec_line, tier_line, Line,
+};
+use rpi_query::{Control, EngineSource, PollBackend, QueryEngine, ServeConfig, Server};
 
+/// The parsed command line. `Default` is every flag absent; the four
+/// numeric flags whose absence does not mean zero get their defaults in
+/// [`parse_args`].
+#[derive(Default)]
 struct Options {
-    size: InternetSize,
+    size: Option<InternetSize>,
     seed: u64,
     snapshots: usize,
     incremental: bool,
@@ -52,13 +59,9 @@ struct Options {
     keyframe_every: Option<usize>,
     force: bool,
     listen: Option<String>,
-    max_conns: Option<usize>,
-    write_buf_cap: Option<usize>,
-    backend: Option<PollBackend>,
-    serve_threads: Option<usize>,
-    idle_timeout_secs: Option<u64>,
+    serve: ServeConfig,
     follow: Option<String>,
-    window: Option<usize>,
+    window: usize,
     spill: Option<String>,
     emit_deltas: Option<String>,
     emit_delay_ms: u64,
@@ -67,77 +70,297 @@ struct Options {
     slow_query_ms: Option<u64>,
 }
 
-fn usage() -> &'static str {
-    "usage: rpi-queryd [--size tiny|small|paper|large] [--seed N] \
-     [--snapshots N] [--incremental] [--shards N] [--queries FILE] \
-     [--roas FILE] \
-     [--save DIR [--force] [--keyframe-every N]] \
-     [--archive DIR [--hot-cap N]] \
-     [--listen ADDR [--max-conns N] [--write-buf-cap BYTES] \
-      [--backend sweep|epoll|auto] [--serve-threads N] [--idle-timeout SECS]] \
-     [--follow FILE [--window N] [--spill DIR]] \
-     [--emit-deltas FILE [--emit-delay-ms MS]] \
-     [--metrics-interval SECS [--metrics-file FILE]] [--slow-query-ms N]"
+/// One command-line flag: everything the daemon knows about it.
+struct Flag {
+    /// The flag and, unless it is a switch, its value's placeholder —
+    /// `"--hot-cap N"` — as usage and `--help` print them.
+    spec: &'static str,
+    /// The flag is only meaningful next to one of these (empty: always).
+    under: &'static [&'static str],
+    /// The flag contradicts each of these.
+    not_with: &'static [&'static str],
+    help: &'static str,
+    /// Stores the value (`""` for a switch) or says why it is bad.
+    set: Setter,
 }
 
-fn flag_help() -> &'static str {
-    "flags:
-  --size KIND          world size: tiny, small, paper, large (default small)
-  --seed N             world + churn RNG seed (default 2003)
-  --snapshots N        simulate an N-step daily churn series (default 1)
-  --incremental        ingest the series diff-aware (copy-on-write overlays)
-  --shards N           shards per vantage table (default 8)
-  --queries FILE       run the protocol queries in FILE, then exit
-  --roas FILE          load route-origin authorizations for `rov` / RPKI state
-                       (one '<prefix>[-<max-length>] <origin-asn>' per line;
-                       saved into archives, so --archive restores them)
-  --save DIR           write the ingested world as an rpi-store archive, then exit
-  --keyframe-every N   save: force a self-contained keyframe segment every N
-                       snapshots, bounding every delta chain (tiered readers
-                       hydrate a cold snapshot from its nearest keyframe)
-  --force              let --save overwrite an existing archive's MANIFEST
-  --archive DIR        cold-start from an archive instead of simulating
-  --hot-cap N          attach the archive tiered instead of hydrating it:
-                       map every segment (µs/snapshot), answer point queries
-                       zero-copy off the cold mappings, and keep at most N
-                       snapshots hydrated under LRU (`snapshots` shows
-                       residency)
-  --listen ADDR        serve the query grammar over TCP on ADDR (e.g. 127.0.0.1:4321)
-  --max-conns N        serve: concurrent connection cap (default 64)
-  --write-buf-cap B    serve: per-connection response-buffer cap in bytes,
-                       past which the connection is backpressured (default 262144)
-  --backend KIND       serve: readiness backend — epoll (kernel notification,
-                       Linux; idle connections cost nothing) or sweep (portable
-                       attempt-and-WouldBlock fallback); auto picks epoll where
-                       supported (default: $RPI_SERVE_BACKEND, else auto)
-  --serve-threads N    serve: shard connections across N event-loop threads
-                       behind a dedicated acceptor (round-robin handoff); 1
-                       keeps the listener inline in a single loop (default 1)
-  --idle-timeout SECS  serve: shed connections with no byte movement for SECS
-                       seconds (default 30)
-  --follow FILE        serve while ingesting: tail the structured delta-event
-                       stream in FILE (what --emit-deltas writes), publish an
-                       immutable engine epoch per snapshot, and answer queries
-                       — over --listen or the stdin REPL — from the latest
-                       published epoch; readers are never blocked by, and never
-                       observe, a publication in progress
-  --window N           follow: snapshots kept hydrated in memory (default 4);
-                       older ones spill to segments and stay queryable cold
-  --spill DIR          follow: spill segment directory (default FILE.spill)
-  --emit-deltas FILE   simulate the churn series and write it to FILE as a
-                       delta-event stream for --follow, then exit
-  --emit-delay-ms MS   emit-deltas: pause MS milliseconds before each snapshot
-                       frame, so a concurrent --follow daemon ingests a
-                       genuinely growing file (default 0)
-  --metrics-interval S serve/follow: every S seconds append one JSON line of
-                       interval-diffed metrics (counter deltas, current gauges,
-                       interval latency percentiles) to stderr, and track the
-                       peak per-interval query rate reported on exit
-  --metrics-file FILE  write the interval JSON lines to FILE (append) instead
-                       of stderr; needs --metrics-interval
-  --slow-query-ms N    record query segments slower than N ms in a bounded
-                       in-memory ring; the `slowlog` REPL verb dumps it
+type Setter = fn(&mut Options, &str) -> Result<(), String>;
 
+impl Flag {
+    const fn new(spec: &'static str, help: &'static str, set: Setter) -> Flag {
+        Flag {
+            spec,
+            under: &[],
+            not_with: &[],
+            help,
+            set,
+        }
+    }
+
+    const fn under(mut self, parents: &'static [&'static str]) -> Flag {
+        self.under = parents;
+        self
+    }
+
+    const fn not_with(mut self, others: &'static [&'static str]) -> Flag {
+        self.not_with = others;
+        self
+    }
+
+    fn name(&self) -> &'static str {
+        self.spec.split(' ').next().expect("split yields an item")
+    }
+
+    fn takes_value(&self) -> bool {
+        self.spec.contains(' ')
+    }
+}
+
+fn set<T>(slot: &mut T, parsed: Result<T, String>) -> Result<(), String> {
+    *slot = parsed?;
+    Ok(())
+}
+
+fn text(v: &str) -> Result<Option<String>, String> {
+    Ok(Some(v.to_string()))
+}
+
+/// Every flag, in the order usage and `--help` list them.
+const FLAGS: &[Flag] = &[
+    Flag::new(
+        "--size KIND",
+        "world size: tiny, small, paper, large (default small)",
+        |o, v| set(&mut o.size, v.parse().map(Some)),
+    ),
+    Flag::new(
+        "--seed N",
+        "world + churn RNG seed (default 2003)",
+        |o, v| set(&mut o.seed, number("--seed", "an unsigned integer", v)),
+    ),
+    Flag::new(
+        "--snapshots N",
+        "simulate an N-step daily churn series (default 1)",
+        |o, v| set(&mut o.snapshots, positive("--snapshots", "a count", v)),
+    ),
+    Flag::new(
+        "--incremental",
+        "ingest the series diff-aware (copy-on-write overlays\n\
+         sharing unchanged shard subtries; `snapshots` shows the\n\
+         shared-node counts)",
+        |o, _| set(&mut o.incremental, Ok(true)),
+    ),
+    Flag::new(
+        "--shards N",
+        "shards per vantage table (default 8)",
+        |o, v| set(&mut o.shards, positive("--shards", "a count", v)),
+    ),
+    Flag::new(
+        "--queries FILE",
+        "run the protocol queries in FILE, then exit",
+        |o, v| set(&mut o.queries, text(v)),
+    ),
+    Flag::new(
+        "--roas FILE",
+        "load route-origin authorizations for `rov` / RPKI state\n\
+         (one '<prefix>[-<max-length>] <origin-asn>' per line;\n\
+         saved into archives, so --archive restores them)",
+        |o, v| set(&mut o.roas, text(v)),
+    ),
+    Flag::new(
+        "--save DIR",
+        "write the ingested world as an rpi-store archive, then exit",
+        |o, v| set(&mut o.save, text(v)),
+    )
+    .not_with(&["--queries"]),
+    Flag::new(
+        "--force",
+        "let --save overwrite an existing archive's MANIFEST",
+        |o, _| set(&mut o.force, Ok(true)),
+    )
+    .under(&["--save"]),
+    Flag::new(
+        "--keyframe-every N",
+        "force a self-contained keyframe segment every N\n\
+         snapshots, bounding every delta chain (tiered readers\n\
+         hydrate a cold snapshot from its nearest keyframe;\n\
+         --follow spills with a default of 4)",
+        |o, v| {
+            set(
+                &mut o.keyframe_every,
+                positive("--keyframe-every", "a count", v).map(Some),
+            )
+        },
+    )
+    .under(&["--save", "--follow"]),
+    Flag::new(
+        "--archive DIR",
+        "cold-start from an archive instead of simulating (the\n\
+         `archive` verb lists its segments)",
+        |o, v| set(&mut o.archive, text(v)),
+    ),
+    Flag::new(
+        "--hot-cap N",
+        "attach the archive tiered instead of hydrating it: map\n\
+         every segment (µs/snapshot), answer point queries\n\
+         zero-copy off the cold mappings, and keep at most N\n\
+         snapshots hydrated under LRU (`snapshots` shows residency)",
+        |o, v| {
+            set(
+                &mut o.hot_cap,
+                positive("--hot-cap", "a count", v).map(Some),
+            )
+        },
+    )
+    .under(&["--archive"]),
+    Flag::new(
+        "--listen ADDR",
+        "serve the query grammar over TCP on ADDR (e.g. 127.0.0.1:4321)",
+        |o, v| set(&mut o.listen, text(v)),
+    )
+    .not_with(&["--queries", "--save"]),
+    Flag::new(
+        "--max-conns N",
+        "concurrent connection cap (default 64)",
+        |o, v| {
+            set(
+                &mut o.serve.max_conns,
+                positive("--max-conns", "a count", v),
+            )
+        },
+    )
+    .under(&["--listen"]),
+    Flag::new(
+        "--write-buf-cap BYTES",
+        "per-connection response-buffer cap, past which the\n\
+         connection is backpressured (default 262144)",
+        |o, v| {
+            set(
+                &mut o.serve.write_buf_cap,
+                positive("--write-buf-cap", "bytes", v),
+            )
+        },
+    )
+    .under(&["--listen"]),
+    Flag::new(
+        "--backend KIND",
+        "readiness backend: epoll (kernel notification, Linux;\n\
+         idle connections cost nothing), sweep (portable\n\
+         attempt-and-WouldBlock fallback) or auto, which picks\n\
+         epoll where supported (default auto)",
+        |o, v| {
+            let backend: PollBackend = v.parse()?;
+            if !backend.supported() {
+                return Err(format!(
+                    "--backend {v} is not supported on this platform (try auto)"
+                ));
+            }
+            set(&mut o.serve.backend, Ok(backend))
+        },
+    )
+    .under(&["--listen"]),
+    Flag::new(
+        "--serve-threads N",
+        "shard connections across N event-loop threads behind a\n\
+         dedicated acceptor (round-robin handoff); 1 keeps the\n\
+         listener inline in a single loop (default 1)",
+        |o, v| {
+            set(
+                &mut o.serve.serve_threads,
+                positive("--serve-threads", "a count", v),
+            )
+        },
+    )
+    .under(&["--listen"]),
+    Flag::new(
+        "--idle-timeout SECS",
+        "shed connections with no byte movement for SECS seconds\n\
+         (default 30)",
+        |o, v| {
+            let secs = positive("--idle-timeout", "seconds", v);
+            set(&mut o.serve.idle_timeout, secs.map(Duration::from_secs))
+        },
+    )
+    .under(&["--listen"]),
+    Flag::new(
+        "--follow FILE",
+        "serve while ingesting: tail the delta-event stream in\n\
+         FILE (what --emit-deltas writes), publish an immutable\n\
+         engine epoch per snapshot, and answer queries — over\n\
+         --listen or the stdin REPL — from the latest published\n\
+         epoch; readers are never blocked by, and never observe,\n\
+         a publication in progress",
+        |o, v| set(&mut o.follow, text(v)),
+    )
+    .not_with(&["--queries", "--save", "--archive"]),
+    Flag::new(
+        "--window N",
+        "snapshots kept hydrated in memory (default 4); older\n\
+         ones spill to segments and stay queryable cold",
+        |o, v| set(&mut o.window, positive("--window", "a count", v)),
+    )
+    .under(&["--follow"]),
+    Flag::new(
+        "--spill DIR",
+        "spill segment directory (default FILE.spill)",
+        |o, v| set(&mut o.spill, text(v)),
+    )
+    .under(&["--follow"]),
+    Flag::new(
+        "--emit-deltas FILE",
+        "simulate the churn series and write it to FILE as a\n\
+         delta-event stream for --follow, then exit",
+        |o, v| set(&mut o.emit_deltas, text(v)),
+    )
+    .not_with(&["--follow", "--listen", "--queries", "--save", "--archive"]),
+    Flag::new(
+        "--emit-delay-ms MS",
+        "pause MS milliseconds before each snapshot frame, so a\n\
+         concurrent --follow daemon ingests a genuinely growing\n\
+         file (default 0)",
+        |o, v| {
+            set(
+                &mut o.emit_delay_ms,
+                number("--emit-delay-ms", "milliseconds", v),
+            )
+        },
+    )
+    .under(&["--emit-deltas"]),
+    Flag::new(
+        "--metrics-interval SECS",
+        "every SECS seconds append one JSON line of\n\
+         interval-diffed metrics (counter deltas, current gauges,\n\
+         interval latency percentiles) to stderr, and track the\n\
+         peak per-interval query rate reported on exit",
+        |o, v| {
+            set(
+                &mut o.metrics_interval,
+                positive("--metrics-interval", "seconds", v).map(Some),
+            )
+        },
+    )
+    .under(&["--listen", "--follow"]),
+    Flag::new(
+        "--metrics-file FILE",
+        "write the interval JSON lines to FILE (append) instead\n\
+         of stderr",
+        |o, v| set(&mut o.metrics_file, text(v)),
+    )
+    .under(&["--metrics-interval"]),
+    Flag::new(
+        "--slow-query-ms N",
+        "record query segments slower than N ms in a bounded\n\
+         in-memory ring; the `slowlog` REPL verb dumps it",
+        |o, v| {
+            set(
+                &mut o.slow_query_ms,
+                positive("--slow-query-ms", "milliseconds", v).map(Some),
+            )
+        },
+    ),
+];
+
+/// What `--help` says after the flag list.
+const HELP_EPILOGUE: &str = "\
 the `metrics` verb (stdin or TCP) scrapes the full Prometheus-style
 exposition; `metrics names` prints just the name/kind schema and `stats`
 a human per-verb latency table.
@@ -145,473 +368,293 @@ a human per-verb latency table.
 serve example (the same grammar, line by line; `quit` ends a connection,
 `shutdown` stops the server and prints its stats):
   rpi-queryd --archive /tmp/rpi-archive --listen 127.0.0.1:4321 &
-  printf 'route AS1 4.0.0.0/13\\nquit\\n' | nc 127.0.0.1 4321"
+  printf 'route AS1 4.0.0.0/13\\nquit\\n' | nc 127.0.0.1 4321";
+
+/// The one-line synopsis: every flag bracketed, a flag that needs
+/// another nested inside each flag it can ride on.
+fn usage() -> String {
+    fn item(flag: &Flag, out: &mut String) {
+        out.push_str(" [");
+        out.push_str(flag.spec);
+        for child in FLAGS.iter().filter(|c| c.under.contains(&flag.name())) {
+            item(child, out);
+        }
+        out.push(']');
+    }
+    let mut out = String::from("usage: rpi-queryd");
+    for flag in FLAGS.iter().filter(|f| f.under.is_empty()) {
+        item(flag, &mut out);
+    }
+    out
 }
 
-fn parse_args() -> Result<Options, String> {
+/// The `--help` flag list: one entry per row, help text in a column.
+fn flag_help() -> String {
+    let mut out = String::from("flags:\n");
+    for flag in FLAGS {
+        for (i, line) in flag.help.lines().enumerate() {
+            let head = if i == 0 { flag.spec } else { "" };
+            out.push_str(&format!("  {head:<25}{line}\n"));
+        }
+        for (relation, others) in [("with", flag.under), ("not with", flag.not_with)] {
+            if !others.is_empty() {
+                out.push_str(&format!(
+                    "  {:<25}({relation} {})\n",
+                    "",
+                    others.join(" or ")
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// Parses and validates the command line: values through each row's
+/// setter, combinations through its `under` / `not_with`.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
-        size: InternetSize::Small,
         seed: 2003,
         snapshots: 1,
-        incremental: false,
         shards: 8,
-        queries: None,
-        roas: None,
-        save: None,
-        archive: None,
-        hot_cap: None,
-        keyframe_every: None,
-        force: false,
-        listen: None,
-        max_conns: None,
-        write_buf_cap: None,
-        backend: None,
-        serve_threads: None,
-        idle_timeout_secs: None,
-        follow: None,
-        window: None,
-        spill: None,
-        emit_deltas: None,
-        emit_delay_ms: 0,
-        metrics_interval: None,
-        metrics_file: None,
-        slow_query_ms: None,
+        window: 4,
+        ..Options::default()
     };
-    let mut args = std::env::args().skip(1);
+    let mut given: Vec<&str> = Vec::new();
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
+        if arg == "--help" || arg == "-h" {
+            println!("{}\n\n{}\n{HELP_EPILOGUE}", usage(), flag_help());
+            std::process::exit(0);
+        }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name() == arg)
+            .ok_or_else(|| format!("unknown argument '{arg}'\n{}", usage()))?;
+        let value = if flag.takes_value() {
             args.next()
-                .ok_or_else(|| format!("{name} needs a value\n{}", usage()))
+                .ok_or_else(|| format!("{arg} needs a value\n{}", usage()))?
+        } else {
+            String::new()
         };
-        match arg.as_str() {
-            "--size" => opts.size = value("--size")?.parse()?,
-            "--seed" => {
-                let v = value("--seed")?;
-                opts.seed = v
-                    .parse()
-                    .map_err(|_| format!("--seed wants an unsigned integer, got '{v}'"))?;
-            }
-            "--snapshots" => opts.snapshots = positive(&arg, "a count", &value(&arg)?)?,
-            "--shards" => opts.shards = positive(&arg, "a count", &value(&arg)?)?,
-            "--incremental" => opts.incremental = true,
-            "--queries" => opts.queries = Some(value("--queries")?),
-            "--roas" => opts.roas = Some(value("--roas")?),
-            "--save" => opts.save = Some(value("--save")?),
-            "--archive" => opts.archive = Some(value("--archive")?),
-            "--hot-cap" => opts.hot_cap = Some(positive(&arg, "a count", &value(&arg)?)?),
-            "--keyframe-every" => {
-                opts.keyframe_every = Some(positive(&arg, "a count", &value(&arg)?)?)
-            }
-            "--force" => opts.force = true,
-            "--listen" => opts.listen = Some(value("--listen")?),
-            "--max-conns" => opts.max_conns = Some(positive(&arg, "a count", &value(&arg)?)?),
-            "--write-buf-cap" => opts.write_buf_cap = Some(positive(&arg, "bytes", &value(&arg)?)?),
-            "--backend" => {
-                let v = value("--backend")?;
-                let backend: PollBackend = v.parse()?;
-                if !backend.supported() {
-                    return Err(format!(
-                        "--backend {v} is not supported on this platform (try auto)"
-                    ));
-                }
-                opts.backend = Some(backend);
-            }
-            "--serve-threads" => {
-                opts.serve_threads = Some(positive(&arg, "a count", &value(&arg)?)?)
-            }
-            "--idle-timeout" => {
-                opts.idle_timeout_secs = Some(positive(&arg, "seconds", &value(&arg)?)?)
-            }
-            "--follow" => opts.follow = Some(value("--follow")?),
-            "--window" => opts.window = Some(positive(&arg, "a count", &value(&arg)?)?),
-            "--spill" => opts.spill = Some(value("--spill")?),
-            "--emit-deltas" => opts.emit_deltas = Some(value("--emit-deltas")?),
-            "--emit-delay-ms" => {
-                let v = value("--emit-delay-ms")?;
-                opts.emit_delay_ms = v
-                    .parse()
-                    .map_err(|_| format!("--emit-delay-ms wants milliseconds, got '{v}'"))?;
-            }
-            "--metrics-interval" => {
-                opts.metrics_interval = Some(positive(&arg, "seconds", &value(&arg)?)?)
-            }
-            "--metrics-file" => opts.metrics_file = Some(value("--metrics-file")?),
-            "--slow-query-ms" => {
-                opts.slow_query_ms = Some(positive(&arg, "milliseconds", &value(&arg)?)?)
-            }
-            "--help" | "-h" => {
-                println!("{}\n\n{}", usage(), flag_help());
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument '{other}'\n{}", usage())),
+        (flag.set)(&mut opts, &value)?;
+        given.push(flag.name());
+    }
+    for flag in FLAGS.iter().filter(|f| given.contains(&f.name())) {
+        let name = flag.name();
+        if !flag.under.is_empty() && !flag.under.iter().any(|p| given.contains(p)) {
+            return Err(format!("{name} needs {}", flag.under.join(" or ")));
+        }
+        if let Some(other) = flag.not_with.iter().find(|o| given.contains(o)) {
+            return Err(format!("{name} cannot be combined with {other}"));
         }
     }
     Ok(opts)
 }
 
-/// Parses the value of a numeric flag that must be at least 1; `noun`
-/// is what the flag counts ("a count", "seconds", …).
+/// Parses the value of a numeric flag; `noun` is what the flag counts
+/// ("a count", "seconds", …).
+fn number<T: std::str::FromStr>(name: &str, noun: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{name} wants {noun}, got '{v}'"))
+}
+
+/// [`number`] for a flag that must be at least 1.
 fn positive<T>(name: &str, noun: &str, v: &str) -> Result<T, String>
 where
     T: std::str::FromStr + Default + PartialEq,
 {
-    let n: T = v
-        .parse()
-        .map_err(|_| format!("{name} wants {noun}, got '{v}'"))?;
+    let n: T = number(name, noun, v)?;
     if n == T::default() {
         return Err(format!("{name} must be at least 1"));
     }
     Ok(n)
 }
 
-/// The serve tunables from the CLI over [`ServeConfig`]'s defaults (for
-/// the backend: `RPI_SERVE_BACKEND`, else auto).
-fn serve_config(opts: &Options) -> ServeConfig {
-    let d = ServeConfig::default();
-    ServeConfig {
-        max_conns: opts.max_conns.unwrap_or(d.max_conns),
-        write_buf_cap: opts.write_buf_cap.unwrap_or(d.write_buf_cap),
-        idle_timeout: opts
-            .idle_timeout_secs
-            .map_or(d.idle_timeout, std::time::Duration::from_secs),
-        serve_threads: opts.serve_threads.unwrap_or(d.serve_threads),
-        backend: opts.backend.unwrap_or(d.backend),
-        ..d
-    }
+/// What the daemon answers from.
+enum World<'a> {
+    /// The `--size`/`--seed`/`--snapshots` world, simulated and ingested.
+    Simulate,
+    /// An `rpi-store` archive, hydrated or (with a hot cap) tiered.
+    Archive {
+        dir: &'a str,
+        hot_cap: Option<usize>,
+    },
+    /// A delta-event stream a writer thread tails, publishing an engine
+    /// epoch per snapshot.
+    Follow {
+        path: &'a str,
+        window: usize,
+        spill: String,
+    },
 }
 
-/// The one-line startup banner (the serve smokes poll for `serving on`).
-fn serving_banner(addr: std::net::SocketAddr, cfg: &ServeConfig) -> String {
-    format!(
-        "serving on {addr} ({} max conns, {} write-buf cap, {} backend, {} serve thread{}); \
-         a 'shutdown' line stops the server",
-        cfg.max_conns,
-        fmt_bytes(cfg.write_buf_cap as u64),
-        cfg.backend.effective(),
-        cfg.serve_threads.max(1),
-        if cfg.serve_threads.max(1) == 1 {
-            ""
+/// What the daemon does with its world.
+#[derive(Clone, Copy)]
+enum Action<'a> {
+    /// Write the simulated churn series to a stream file, then exit.
+    EmitDeltas(&'a str),
+    /// Write the world as an archive, then exit.
+    Save(&'a str),
+    /// Run a query file, then exit.
+    Queries(&'a str),
+    /// Serve TCP until a `shutdown` line.
+    Listen(&'a str),
+    /// Answer stdin line by line.
+    Repl,
+}
+
+impl Options {
+    /// The (world, action) the flags ask for. Pure: [`parse_args`] has
+    /// already rejected every contradictory combination, so precedence
+    /// here never hides a flag.
+    fn resolve(&self) -> (World<'_>, Action<'_>) {
+        let world = if let Some(path) = &self.follow {
+            let spill = self.spill.clone();
+            World::Follow {
+                path,
+                window: self.window,
+                spill: spill.unwrap_or_else(|| format!("{path}.spill")),
+            }
+        } else if let Some(dir) = &self.archive {
+            World::Archive {
+                dir,
+                hot_cap: self.hot_cap,
+            }
         } else {
-            "s"
-        },
-    )
+            World::Simulate
+        };
+        let action = if let Some(path) = &self.emit_deltas {
+            Action::EmitDeltas(path)
+        } else if let Some(dir) = &self.save {
+            Action::Save(dir)
+        } else if let Some(path) = &self.queries {
+            Action::Queries(path)
+        } else if let Some(addr) = &self.listen {
+            Action::Listen(addr)
+        } else {
+            Action::Repl
+        };
+        (world, action)
+    }
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("rpi-queryd: {e}");
-            return ExitCode::FAILURE;
+    match run() {
+        Ok(code) => code,
+        Err(msg) => {
+            eprintln!("rpi-queryd: {msg}");
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
-    if opts.hot_cap.is_some() && opts.archive.is_none() {
-        eprintln!("rpi-queryd: --hot-cap tiers an archive; it needs --archive");
-        return ExitCode::FAILURE;
-    }
-    if opts.keyframe_every.is_some() && opts.save.is_none() && opts.follow.is_none() {
-        eprintln!("rpi-queryd: --keyframe-every shapes an archive; it needs --save or --follow");
-        return ExitCode::FAILURE;
-    }
-    if opts.listen.is_none()
-        && (opts.max_conns.is_some()
-            || opts.write_buf_cap.is_some()
-            || opts.backend.is_some()
-            || opts.serve_threads.is_some()
-            || opts.idle_timeout_secs.is_some())
-    {
-        eprintln!(
-            "rpi-queryd: --max-conns/--write-buf-cap/--backend/--serve-threads/--idle-timeout \
-             tune the TCP server; they need --listen"
-        );
-        return ExitCode::FAILURE;
-    }
-    if opts.listen.is_some() && (opts.queries.is_some() || opts.save.is_some()) {
-        eprintln!("rpi-queryd: --listen serves TCP; drop --queries/--save");
-        return ExitCode::FAILURE;
-    }
-    if opts.follow.is_some()
-        && (opts.queries.is_some() || opts.save.is_some() || opts.archive.is_some())
-    {
-        eprintln!("rpi-queryd: --follow ingests live; drop --queries/--save/--archive");
-        return ExitCode::FAILURE;
-    }
-    if opts.emit_deltas.is_some()
-        && (opts.follow.is_some()
-            || opts.listen.is_some()
-            || opts.queries.is_some()
-            || opts.save.is_some()
-            || opts.archive.is_some())
-    {
-        eprintln!("rpi-queryd: --emit-deltas writes a stream and exits; run it alone");
-        return ExitCode::FAILURE;
-    }
-    if (opts.spill.is_some() || opts.window.is_some()) && opts.follow.is_none() {
-        eprintln!("rpi-queryd: --window/--spill tune live ingest; they need --follow");
-        return ExitCode::FAILURE;
-    }
-    if opts.metrics_file.is_some() && opts.metrics_interval.is_none() {
-        eprintln!("rpi-queryd: --metrics-file needs --metrics-interval");
-        return ExitCode::FAILURE;
-    }
-    if opts.metrics_interval.is_some() && opts.listen.is_none() && opts.follow.is_none() {
-        eprintln!("rpi-queryd: --metrics-interval snapshots a serving daemon; it needs --listen or --follow");
-        return ExitCode::FAILURE;
-    }
+fn run() -> Result<ExitCode, String> {
+    let opts = parse_args(std::env::args().skip(1))?;
+    let (world, action) = opts.resolve();
 
     // Fail fast on bad inputs *before* the expensive world build / archive
-    // load: a missing query file or an unbindable listen address is a
-    // one-line error, never a panic (and never minutes of wasted ingest).
-    let query_text = match &opts.queries {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => Some(text),
-            Err(e) => {
-                eprintln!("rpi-queryd: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+    // load: a missing query file, a malformed ROA line (same `path:line:`
+    // spelling as `--queries` execution errors), an unbindable listen
+    // address or an unwritable metrics sink is a one-line error in
+    // milliseconds, never a panic and never minutes of wasted ingest.
+    let read =
+        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let query_text = match action {
+        Action::Queries(path) => read(path)?,
+        _ => String::new(),
+    };
+    let roas = match &opts.roas {
+        Some(path) => Some(
+            rpi_sec::RoaTable::parse(&read(path)?)
+                .map_err(|e| format!("{path}:{}: {}", e.line, e.msg))?,
+        ),
         None => None,
     };
-    // ROA files parse before the world build too, with the same
-    // `path:line:` error spelling as `--queries` execution errors.
-    let roa_table = match &opts.roas {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => match rpi_sec::RoaTable::parse(&text) {
-                Ok(table) => Some(table),
-                Err(e) => {
-                    eprintln!("rpi-queryd: {path}:{}: {}", e.line, e.msg);
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("rpi-queryd: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+    let listener = match action {
+        Action::Listen(addr) => Some(
+            TcpListener::bind(addr).map_err(|e| format!("--listen: cannot bind {addr}: {e}"))?,
+        ),
+        _ => None,
     };
-    let listener = match &opts.listen {
-        Some(addr) => match std::net::TcpListener::bind(addr) {
-            Ok(l) => Some(l),
-            Err(e) => {
-                eprintln!("rpi-queryd: --listen: cannot bind {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    // The metrics sink opens before the world build too: an unwritable
-    // path fails in milliseconds, not after ingest.
     let metrics_file = match &opts.metrics_file {
-        Some(path) => match std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            Ok(f) => Some(f),
-            Err(e) => {
-                eprintln!("rpi-queryd: --metrics-file: cannot open {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(path) => Some(
+            std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .map_err(|e| format!("--metrics-file: cannot open {path}: {e}"))?,
+        ),
         None => None,
     };
 
-    // Generator mode: simulate the churn series and write it as a
-    // structured delta-event stream a concurrent `--follow` daemon can
-    // tail. The file is created (with its header) before the expensive
-    // world build finishes frame production, and each frame is written
-    // atomically enough for a tailing reader: frames are length-prefixed,
-    // so a partial tail parses as "need more bytes", never as a frame.
-    if let Some(path) = &opts.emit_deltas {
-        return emit_deltas(&opts, path);
-    }
-
-    // Live mode: a writer thread tails the stream and publishes an
-    // engine epoch per snapshot; the server (or stdin REPL) answers
-    // every batch from the latest published epoch.
-    if let Some(path) = opts.follow.clone() {
-        return follow_and_serve(&opts, path, roa_table, listener, metrics_file);
-    }
-
-    let mut engine;
-    if let Some(dir) = &opts.archive {
-        let t0 = Instant::now();
-        let load = match opts.hot_cap {
-            Some(cap) => QueryEngine::load_archive_tiered(Path::new(dir), cap),
-            None => QueryEngine::load_archive(Path::new(dir)),
+    // The engine every action but `--emit-deltas` starts from, with the
+    // one application of `--roas` and `--slow-query-ms`.
+    let build = || -> Result<QueryEngine, String> {
+        let mut engine = match &world {
+            World::Simulate => simulate(&opts),
+            World::Archive { dir, hot_cap } => cold_start(dir, *hot_cap)?,
+            // The base every published epoch derives from.
+            World::Follow { .. } => QueryEngine::new(opts.shards),
         };
-        engine = match load {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("rpi-queryd: --archive: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let elapsed = t0.elapsed();
-        let (asns, prefixes, communities) = engine.interned_sizes();
-        let disk = engine.archive_info().map_or(0, |a| a.total_bytes());
-        eprintln!(
-            "cold-started from {dir} in {:.2?}: {} snapshots ({} on disk), {} shards, \
-             interned {asns} ASNs / {prefixes} prefixes / {communities} communities",
-            elapsed,
-            engine.snapshot_count(),
-            fmt_bytes(disk as u64),
-            engine.shard_count(),
-        );
-        if let Some(stats) = engine.tier_stats() {
-            eprintln!(
-                "tier-attached: {} segments mapped in {:.1} µs/snapshot (hot cap {}); \
-                 point queries answer zero-copy off the cold mappings",
-                stats.snapshots,
-                elapsed.as_micros() as f64 / stats.snapshots.max(1) as f64,
-                stats.hot_cap,
-            );
+        if let (Some(table), Some(path)) = (roas, &opts.roas) {
+            eprintln!("loaded {} ROAs from {path}", table.len());
+            engine.set_roas(table);
         }
-    } else {
-        let t0 = Instant::now();
-        let e = build_world(&opts);
-        engine = QueryEngine::new(opts.shards);
-        if opts.snapshots > 1 {
-            let series = churn_series(&opts, &e);
-            if opts.incremental {
-                engine.ingest_series_incremental(&series, &e.inferred_graph);
-            } else {
-                engine.ingest_series(&series, &e.inferred_graph);
-            }
-        } else {
-            engine.ingest_experiment(&e, "t0");
+        if let Some(ms) = opts.slow_query_ms {
+            engine.metrics().set_slow_threshold_ms(ms);
         }
-        let (asns, prefixes, communities) = engine.interned_sizes();
-        eprintln!(
-            "ready in {:.2?}: {} snapshots, {} shards, interned {asns} ASNs / {prefixes} prefixes / {communities} communities",
-            t0.elapsed(),
-            engine.snapshot_count(),
-            engine.shard_count(),
-        );
-        if opts.incremental {
-            let stats = engine.sharing_stats();
-            eprintln!(
-                "incremental ingest: {}/{} trie nodes shared with predecessors ({:.1}%, {} KiB)",
-                stats.shared_nodes,
-                stats.total_nodes,
-                100.0 * stats.shared_ratio(),
-                stats.shared_bytes / 1024,
-            );
-        }
-    }
-
-    if let Some(table) = roa_table {
-        let path = opts.roas.as_deref().expect("table implies --roas");
-        eprintln!("loaded {} ROAs from {path}", table.len());
-        engine.set_roas(table);
-    }
-    if let Some(ms) = opts.slow_query_ms {
-        engine.metrics().set_slow_threshold_ms(ms);
-    }
-
-    if let Some(dir) = &opts.save {
-        let t0 = Instant::now();
-        let options = rpi_query::SaveOptions {
-            keyframe_every: opts.keyframe_every,
-        };
-        return match engine.save_archive_with(Path::new(dir), opts.force, options) {
-            Ok(manifest) => {
-                let full = count_kind(&manifest, rpi_store::SegmentKind::Full);
-                let delta = count_kind(&manifest, rpi_store::SegmentKind::Delta);
-                let roa = count_kind(&manifest, rpi_store::SegmentKind::Roa);
-                let roa = if roa > 0 {
-                    format!(", {roa} roa")
-                } else {
-                    String::new()
-                };
-                let keyframes = manifest.segments.iter().filter(|s| s.is_keyframe()).count();
-                let kf = if keyframes > 0 {
-                    format!("; {keyframes} keyframes")
-                } else {
-                    String::new()
-                };
-                eprintln!(
-                    "saved archive to {dir} in {:.2?}: {} segments (1 symbols, {full} full, {delta} delta{roa}{kf}), {} on disk",
-                    t0.elapsed(),
-                    manifest.segments.len(),
-                    fmt_bytes(manifest.total_bytes()),
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e @ rpi_store::StoreError::AlreadyExists { .. }) => {
-                eprintln!("rpi-queryd: --save: {e} (use --force)");
-                ExitCode::FAILURE
-            }
-            Err(e) => {
-                eprintln!("rpi-queryd: --save: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // The serve mode: share the built engine across the accept loop and
-    // run until a `shutdown` control line, then report the stats
-    // snapshot (SIGINT-free shutdown).
-    if let Some(listener) = listener {
-        let cfg = serve_config(&opts);
-        let engine = Arc::new(engine);
-        let server = match Server::with_listener(Arc::clone(&engine), listener, cfg.clone()) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("rpi-queryd: --listen: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match server.local_addr() {
-            Ok(addr) => eprintln!("{}", serving_banner(addr, &cfg)),
-            Err(e) => {
-                eprintln!("rpi-queryd: --listen: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        let emitter = opts.metrics_interval.map(|secs| {
-            let e = Arc::clone(&engine);
-            MetricsEmitter::spawn(
-                move || Arc::clone(&e),
-                std::time::Duration::from_secs(secs),
-                metrics_file,
-            )
-        });
-        return match server.run() {
-            Ok(stats) => {
-                if let Some(em) = emitter {
-                    em.finish();
+        Ok(engine)
+    };
+    match action {
+        Action::EmitDeltas(path) => emit_deltas(&opts, path),
+        Action::Save(dir) => save(&mut build()?, dir, &opts),
+        Action::Queries(path) => Ok(run_file(&build()?, path, &query_text)),
+        Action::Listen(_) | Action::Repl => {
+            let engine = build()?;
+            // Raised once the session below ends; the background threads
+            // poll it.
+            let stop = Arc::new(AtomicBool::new(false));
+            // Live, a writer thread tails the stream and publishes an
+            // engine epoch per snapshot; the session answers every batch
+            // from the latest published one.
+            let (source, writer) = match &world {
+                World::Follow {
+                    path,
+                    window,
+                    spill,
+                } => {
+                    let live = rpi_query::LiveOptions {
+                        window: *window,
+                        keyframe_every: opts.keyframe_every.unwrap_or(4),
+                    };
+                    let handle = rpi_query::LiveHandle::new(engine);
+                    let writer = follow(Arc::clone(&handle), path, spill, live, Arc::clone(&stop));
+                    (EngineSource::from(handle), Some(writer))
                 }
-                eprintln!("{}", stats.render());
-                report_peak_rate(&opts, engine.metrics(), &stats);
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("rpi-queryd: serve: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    match (&opts.queries, query_text) {
-        (Some(path), Some(text)) => run_file(&engine, path, &text),
-        _ => {
-            let stdin = std::io::stdin();
-            print!("> ");
-            let _ = std::io::stdout().flush();
-            for line in stdin.lock().lines() {
-                let Ok(line) = line else { break };
-                match run_line(&engine, &line) {
-                    Outcome::Quit => break,
-                    Outcome::Ok => {}
-                    Outcome::Err(e) => println!("error: {e}"),
+                _ => (EngineSource::from(Arc::new(engine)), None),
+            };
+            let emitter = opts.metrics_interval.map(|secs| {
+                let interval = Duration::from_secs(secs);
+                emit_metrics(source.clone(), interval, metrics_file, Arc::clone(&stop))
+            });
+            let served = match listener {
+                Some(listener) => serve(&source, listener, &opts),
+                None => {
+                    repl(&source);
+                    Ok(())
                 }
-                print!("> ");
-                let _ = std::io::stdout().flush();
+            };
+            stop.store(true, Ordering::Release);
+            if let Some(emitter) = emitter {
+                let _ = emitter.join();
             }
-            ExitCode::SUCCESS
+            // A failed ingest was reported when it happened; it still
+            // fails the run.
+            let ingested = match writer.map(std::thread::JoinHandle::join) {
+                None | Some(Ok(true)) => Ok(ExitCode::SUCCESS),
+                Some(Ok(false)) => Ok(ExitCode::FAILURE),
+                Some(Err(_)) => Err("--follow: the writer thread panicked".to_string()),
+            };
+            served.and(ingested)
         }
     }
 }
@@ -619,14 +662,14 @@ fn main() -> ExitCode {
 /// Announces and builds the `--size`/`--seed` world every simulating
 /// mode starts from.
 fn build_world(opts: &Options) -> Experiment {
+    let size = opts.size.unwrap_or(InternetSize::Small);
     eprintln!(
-        "building {:?} world (seed {}, {} snapshot{}) …",
-        opts.size,
+        "building {size:?} world (seed {}, {} snapshot{}) …",
         opts.seed,
         opts.snapshots,
         if opts.snapshots == 1 { "" } else { "s" }
     );
-    Experiment::standard(opts.size, opts.seed)
+    Experiment::standard(size, opts.seed)
 }
 
 /// The `--snapshots`-step daily churn series over a built world.
@@ -638,288 +681,293 @@ fn churn_series(opts: &Options, e: &Experiment) -> bgp_sim::SnapshotSeries {
     simulate_series(&e.graph, &e.truth, &e.spec, &cfg)
 }
 
-/// `--emit-deltas`: simulate, then stream — header first, one
+/// [`World::Simulate`]: build the world, ingest it (or its churn
+/// series), report.
+fn simulate(opts: &Options) -> QueryEngine {
+    let t0 = Instant::now();
+    let e = build_world(opts);
+    let mut engine = QueryEngine::new(opts.shards);
+    if opts.snapshots > 1 {
+        let series = churn_series(opts, &e);
+        if opts.incremental {
+            engine.ingest_series_incremental(&series, &e.inferred_graph);
+        } else {
+            engine.ingest_series(&series, &e.inferred_graph);
+        }
+    } else {
+        engine.ingest_experiment(&e, "t0");
+    }
+    let (asns, prefixes, communities) = engine.interned_sizes();
+    eprintln!(
+        "ready in {:.2?}: {} snapshots, {} shards, interned {asns} ASNs / {prefixes} prefixes / {communities} communities",
+        t0.elapsed(),
+        engine.snapshot_count(),
+        engine.shard_count(),
+    );
+    if opts.incremental {
+        let stats = engine.sharing_stats();
+        eprintln!(
+            "incremental ingest: {}/{} trie nodes shared with predecessors ({:.1}%, {} KiB)",
+            stats.shared_nodes,
+            stats.total_nodes,
+            100.0 * stats.shared_ratio(),
+            stats.shared_bytes / 1024,
+        );
+    }
+    engine
+}
+
+/// [`World::Archive`]: load (or, with a hot cap, tier-attach) the
+/// archive, report.
+fn cold_start(dir: &str, hot_cap: Option<usize>) -> Result<QueryEngine, String> {
+    let t0 = Instant::now();
+    let engine = match hot_cap {
+        Some(cap) => QueryEngine::load_archive_tiered(Path::new(dir), cap),
+        None => QueryEngine::load_archive(Path::new(dir)),
+    }
+    .map_err(|e| format!("--archive: {e}"))?;
+    let elapsed = t0.elapsed();
+    let (asns, prefixes, communities) = engine.interned_sizes();
+    let disk = engine.archive_info().map_or(0, |a| a.total_bytes());
+    eprintln!(
+        "cold-started from {dir} in {:.2?}: {} snapshots ({} on disk), {} shards, \
+         interned {asns} ASNs / {prefixes} prefixes / {communities} communities",
+        elapsed,
+        engine.snapshot_count(),
+        fmt_bytes(disk as u64),
+        engine.shard_count(),
+    );
+    if let Some(stats) = engine.tier_stats() {
+        eprintln!(
+            "tier-attached: {} segments mapped in {:.1} µs/snapshot (hot cap {}); \
+             point queries answer zero-copy off the cold mappings",
+            stats.snapshots,
+            elapsed.as_micros() as f64 / stats.snapshots.max(1) as f64,
+            stats.hot_cap,
+        );
+    }
+    Ok(engine)
+}
+
+/// [`Action::EmitDeltas`]: simulate, then stream — header first, one
 /// length-prefixed frame per snapshot (paced by `--emit-delay-ms`), the
-/// end marker last.
-fn emit_deltas(opts: &Options, path: &str) -> ExitCode {
-    use std::io::Write as _;
+/// end marker last. Every write is flushed, and frames are
+/// length-prefixed, so to a concurrently tailing `--follow` daemon a
+/// partial tail parses as "need more bytes", never as a frame.
+fn emit_deltas(opts: &Options, path: &str) -> Result<ExitCode, String> {
     let t0 = Instant::now();
     let e = build_world(opts);
     let series = churn_series(opts, &e);
-    let mut file = match std::fs::File::create(path) {
-        Ok(f) => f,
-        Err(err) => {
-            eprintln!("rpi-queryd: --emit-deltas: cannot create {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let write = |file: &mut std::fs::File, bytes: &[u8]| -> Result<(), std::io::Error> {
-        file.write_all(bytes)?;
-        file.flush()
+    let mut file = std::fs::File::create(path)
+        .map_err(|err| format!("--emit-deltas: cannot create {path}: {err}"))?;
+    let mut write = |bytes: &[u8]| -> Result<(), String> {
+        file.write_all(bytes)
+            .and_then(|()| file.flush())
+            .map_err(|err| format!("--emit-deltas: writing {path}: {err}"))
     };
     let (mut sw, header) = bgp_sim::StreamWriter::open(&e.inferred_graph);
-    let mut emitted = 0usize;
-    let result = write(&mut file, &header).and_then(|()| {
-        for (i, (label, out)) in series.labels.iter().zip(&series.snapshots).enumerate() {
-            if opts.emit_delay_ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(opts.emit_delay_ms));
-            }
-            let frame = sw.frame(label, out, None);
-            write(&mut file, &frame)?;
-            emitted = i + 1;
-            eprintln!("emit: wrote snapshot {emitted} ({label})");
+    write(&header)?;
+    for (i, (label, out)) in series.labels.iter().zip(&series.snapshots).enumerate() {
+        if opts.emit_delay_ms > 0 {
+            std::thread::sleep(Duration::from_millis(opts.emit_delay_ms));
         }
-        write(&mut file, &sw.end())
-    });
-    if let Err(err) = result {
-        eprintln!("rpi-queryd: --emit-deltas: writing {path}: {err}");
-        return ExitCode::FAILURE;
+        write(&sw.frame(label, out, None))?;
+        eprintln!("emit: wrote snapshot {} ({label})", i + 1);
     }
+    write(&sw.end())?;
+    let emitted = series.labels.len();
     eprintln!(
         "emitted {emitted} snapshot{} to {path} in {:.2?}",
         if emitted == 1 { "" } else { "s" },
         t0.elapsed(),
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `--follow`: spawn the live writer thread, then serve (TCP or stdin
-/// REPL) from the latest published epoch until shutdown.
-fn follow_and_serve(
-    opts: &Options,
-    path: String,
-    roa_table: Option<rpi_sec::RoaTable>,
-    listener: Option<std::net::TcpListener>,
-    metrics_file: Option<std::fs::File>,
-) -> ExitCode {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    let mut base = QueryEngine::new(opts.shards);
-    if let Some(table) = roa_table {
-        let roa_path = opts.roas.as_deref().expect("table implies --roas");
-        eprintln!("loaded {} ROAs from {roa_path}", table.len());
-        base.set_roas(table);
-    }
-    if let Some(ms) = opts.slow_query_ms {
-        base.metrics().set_slow_threshold_ms(ms);
-    }
-    // Every published epoch shares the base engine's metrics registry,
-    // so this handle observes the whole run regardless of epoch swaps.
-    let base_metrics = base.metrics_arc();
-    let handle = rpi_query::LiveHandle::new(base);
-    let emitter = opts.metrics_interval.map(|secs| {
-        let h = Arc::clone(&handle);
-        MetricsEmitter::spawn(
-            move || h.current(),
-            std::time::Duration::from_secs(secs),
-            metrics_file,
-        )
-    });
-    let spill = opts
-        .spill
-        .clone()
-        .unwrap_or_else(|| format!("{path}.spill"));
-    let live_opts = rpi_query::LiveOptions {
-        window: opts.window.unwrap_or(4),
-        keyframe_every: opts.keyframe_every.unwrap_or(4),
+/// [`Action::Save`]: serialize the world into an archive, report.
+fn save(engine: &mut QueryEngine, dir: &str, opts: &Options) -> Result<ExitCode, String> {
+    let t0 = Instant::now();
+    let options = rpi_query::SaveOptions {
+        keyframe_every: opts.keyframe_every,
     };
+    let manifest = engine
+        .save_archive_with(Path::new(dir), opts.force, options)
+        .map_err(|e| match e {
+            rpi_store::StoreError::AlreadyExists { .. } => format!("--save: {e} (use --force)"),
+            e => format!("--save: {e}"),
+        })?;
+    let count = |kind| manifest.segments.iter().filter(|s| s.kind == kind).count();
+    let full = count(rpi_store::SegmentKind::Full);
+    let delta = count(rpi_store::SegmentKind::Delta);
+    let roa = match count(rpi_store::SegmentKind::Roa) {
+        0 => String::new(),
+        roa => format!(", {roa} roa"),
+    };
+    let kf = match manifest.segments.iter().filter(|s| s.is_keyframe()).count() {
+        0 => String::new(),
+        keyframes => format!("; {keyframes} keyframes"),
+    };
+    eprintln!(
+        "saved archive to {dir} in {:.2?}: {} segments (1 symbols, {full} full, {delta} delta{roa}{kf}), {} on disk",
+        t0.elapsed(),
+        manifest.segments.len(),
+        fmt_bytes(manifest.total_bytes()),
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The `--follow` writer thread: tails the stream, publishing an engine
+/// epoch per snapshot, until the end marker or `stop`. Returns whether
+/// ingest ran clean.
+fn follow(
+    handle: Arc<rpi_query::LiveHandle>,
+    path: &str,
+    spill: &str,
+    live: rpi_query::LiveOptions,
+    stop: Arc<AtomicBool>,
+) -> std::thread::JoinHandle<bool> {
     eprintln!(
         "live: following {path} (window {}, keyframe every {}, spill {spill})",
-        live_opts.window, live_opts.keyframe_every,
+        live.window, live.keyframe_every,
     );
-    let stop = Arc::new(AtomicBool::new(false));
-    let writer = {
-        let handle = Arc::clone(&handle);
-        let stop = Arc::clone(&stop);
-        let path = path.clone();
-        let spill = spill.clone();
-        std::thread::spawn(move || {
-            // The generator may not have created the file yet.
-            while !Path::new(&path).exists() {
-                if stop.load(Ordering::Acquire) {
-                    return Ok(rpi_query::FollowReport {
-                        snapshots: 0,
-                        end: rpi_query::FollowEnd::Stopped,
-                    });
-                }
-                std::thread::sleep(std::time::Duration::from_millis(10));
+    let (path, spill) = (path.to_string(), spill.to_string());
+    std::thread::spawn(move || {
+        // The generator may not have created the file yet.
+        while !Path::new(&path).exists() {
+            if stop.load(Ordering::Acquire) {
+                return true;
             }
-            let result = rpi_query::follow_stream(
-                Path::new(&path),
-                handle,
-                Path::new(&spill),
-                live_opts,
-                std::time::Duration::from_millis(2),
-                &stop,
-                |n, label| eprintln!("live: published snapshot {n} ({label})"),
-            );
-            match &result {
-                Ok(report) if report.end == rpi_query::FollowEnd::EndMarker => eprintln!(
-                    "live: reached end of stream after {} snapshots; serving the final world",
-                    report.snapshots
-                ),
-                Ok(_) => {}
-                Err(e) => eprintln!("rpi-queryd: --follow: {e}"),
-            }
-            result
-        })
-    };
-
-    let served = if let Some(listener) = listener {
-        let cfg = serve_config(opts);
-        let source = rpi_query::EngineSource::Live(Arc::clone(&handle));
-        let server = match Server::with_listener_source(source, listener, cfg.clone()) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("rpi-queryd: --listen: {e}");
-                stop.store(true, Ordering::Release);
-                let _ = writer.join();
-                return ExitCode::FAILURE;
-            }
-        };
-        match server.local_addr() {
-            Ok(addr) => eprintln!("{}", serving_banner(addr, &cfg)),
-            Err(e) => {
-                eprintln!("rpi-queryd: --listen: {e}");
-                stop.store(true, Ordering::Release);
-                let _ = writer.join();
-                return ExitCode::FAILURE;
-            }
+            std::thread::sleep(Duration::from_millis(10));
         }
-        match server.run() {
-            Ok(stats) => {
-                eprintln!("{}", stats.render());
-                report_peak_rate(opts, &base_metrics, &stats);
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("rpi-queryd: serve: {e}");
-                ExitCode::FAILURE
-            }
+        let result = rpi_query::follow_stream(
+            Path::new(&path),
+            handle,
+            Path::new(&spill),
+            live,
+            Duration::from_millis(2),
+            &stop,
+            |n, label| eprintln!("live: published snapshot {n} ({label})"),
+        );
+        // Reported when it happens: either way the daemon keeps serving
+        // the last published world.
+        match &result {
+            Ok(report) if report.end == rpi_query::FollowEnd::EndMarker => eprintln!(
+                "live: reached end of stream after {} snapshots; serving the final world",
+                report.snapshots
+            ),
+            Ok(_) => {}
+            Err(e) => eprintln!("rpi-queryd: --follow: {e}"),
         }
-    } else {
-        // Stdin REPL against the moving world: each line loads the
-        // epoch current at that moment, so one line's answer is one
-        // consistent snapshot of the published state.
-        let stdin = std::io::stdin();
-        print!("> ");
-        let _ = std::io::stdout().flush();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            let epoch = handle.current();
-            match run_line(&epoch, &line) {
-                Outcome::Quit => break,
-                Outcome::Ok => {}
-                Outcome::Err(e) => println!("error: {e}"),
-            }
-            print!("> ");
-            let _ = std::io::stdout().flush();
-        }
-        ExitCode::SUCCESS
-    };
-
-    stop.store(true, Ordering::Release);
-    if let Some(em) = emitter {
-        em.finish();
-    }
-    match writer.join() {
-        Ok(Ok(_)) => served,
-        Ok(Err(_)) => ExitCode::FAILURE,
-        Err(_) => {
-            eprintln!("rpi-queryd: --follow: the writer thread panicked");
-            ExitCode::FAILURE
-        }
-    }
+        result.is_ok()
+    })
 }
 
-/// The companion to [`ServeStats::render`]'s lifetime-average rate: the
-/// lifetime figure flattens bursts (satellite fix for
-/// `queries_per_sec`), so when the interval emitter ran, the daemon also
-/// reports the fastest single interval it observed.
-fn report_peak_rate(opts: &Options, metrics: &rpi_query::QueryMetrics, stats: &ServeStats) {
-    if opts.metrics_interval.is_none() {
-        return;
-    }
+/// [`Action::Listen`], over a frozen or a live world alike: run the
+/// accept loop until a `shutdown` control line (SIGINT-free shutdown),
+/// then report the stats snapshot and the engine's tier/security state.
+fn serve(source: &EngineSource, listener: TcpListener, opts: &Options) -> Result<(), String> {
+    let cfg = &opts.serve;
+    let server = Server::with_listener(source.clone(), listener, cfg.clone())
+        .map_err(|e| format!("--listen: {e}"))?;
+    let addr = server.local_addr().map_err(|e| format!("--listen: {e}"))?;
+    // The serve smokes and the benchmark harness poll for `serving on`.
     eprintln!(
-        "peak interval rate {:.0} queries/s over any {}s window (lifetime average {:.0} queries/s)",
-        metrics.peak_interval_qps(),
-        opts.metrics_interval.unwrap_or(0),
-        stats.queries_per_sec(),
+        "serving on {addr} ({} max conns, {} write-buf cap, {} backend, {} serve thread{}); \
+         a 'shutdown' line stops the server",
+        cfg.max_conns,
+        fmt_bytes(cfg.write_buf_cap as u64),
+        cfg.backend.effective(),
+        cfg.serve_threads,
+        if cfg.serve_threads == 1 { "" } else { "s" },
     );
+    let stats = server.run().map_err(|e| format!("serve: {e}"))?;
+    let engine = source.current();
+    eprintln!("{}", stats.render());
+    if let Some(tier) = tier_line(&engine) {
+        eprintln!("{tier}");
+    }
+    eprintln!("{}", sec_line(&engine));
+    // The lifetime average flattens bursts, so when the interval emitter
+    // ran, the fastest single interval it observed is reported too.
+    if let Some(secs) = opts.metrics_interval {
+        eprintln!(
+            "peak interval rate {:.0} queries/s over any {secs}s window (lifetime average {:.0} queries/s)",
+            engine.metrics().peak_interval_qps(),
+            stats.queries_per_sec(),
+        );
+    }
+    Ok(())
+}
+
+/// [`Action::Repl`]: stdin, line by line. Each line loads the epoch
+/// current at that moment, so against a live world one line's answer is
+/// one consistent snapshot of the published state.
+fn repl(source: &EngineSource) {
+    let prompt = || {
+        print!("> ");
+        let _ = std::io::stdout().flush();
+    };
+    prompt();
+    for line in std::io::stdin().lock().lines() {
+        let Ok(line) = line else { break };
+        match run_line(&source.current(), &line) {
+            Outcome::Quit => break,
+            Outcome::Ok => {}
+            Outcome::Err(e) => println!("error: {e}"),
+        }
+        prompt();
+    }
 }
 
 /// The `--metrics-interval` emitter thread: every tick it syncs the
-/// engine's derived gauges, snapshots the registry, and appends one
-/// interval-diffed JSON line (counter deltas, current gauges, interval
-/// latency percentiles) to stderr or the `--metrics-file`. Each
-/// interval's query rate feeds [`rpi_query::QueryMetrics::note_interval_qps`].
-struct MetricsEmitter {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    thread: std::thread::JoinHandle<()>,
-}
-
-impl MetricsEmitter {
-    fn spawn(
-        engine_fn: impl Fn() -> Arc<QueryEngine> + Send + 'static,
-        interval: std::time::Duration,
-        mut file: Option<std::fs::File>,
-    ) -> MetricsEmitter {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut prev = {
-                    let engine = engine_fn();
-                    engine.sync_obs();
-                    let snap = engine.metrics().registry().snapshot();
-                    (snap, engine.metrics().total_queries())
-                };
-                let mut prev_at = Instant::now();
-                'ticks: loop {
-                    // Sleep in short slices so shutdown stays prompt
-                    // under long intervals.
-                    let tick_end = prev_at + interval;
-                    while Instant::now() < tick_end {
-                        if stop.load(Ordering::Acquire) {
-                            break 'ticks;
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                    }
-                    let engine = engine_fn();
-                    engine.sync_obs();
-                    let m = engine.metrics();
-                    let snap = m.registry().snapshot();
-                    let queries = m.total_queries();
-                    let elapsed = prev_at.elapsed();
-                    prev_at = Instant::now();
-                    m.note_interval_qps(
-                        queries.saturating_sub(prev.1) as f64 / elapsed.as_secs_f64().max(1e-9),
-                    );
-                    let line = snap.delta_json(&prev.0, elapsed);
-                    prev = (snap, queries);
-                    match &mut file {
-                        Some(f) => {
-                            use std::io::Write as _;
-                            let _ = writeln!(f, "{line}");
-                            let _ = f.flush();
-                        }
-                        None => eprintln!("{line}"),
-                    }
-                }
-            })
+/// current engine's derived gauges, snapshots the registry (one registry
+/// across epochs), and appends one interval-diffed JSON line (counter
+/// deltas, current gauges, interval latency percentiles) to stderr or the
+/// `--metrics-file`. Each interval's query rate feeds
+/// [`rpi_query::QueryMetrics::note_interval_qps`].
+fn emit_metrics(
+    source: EngineSource,
+    interval: Duration,
+    mut file: Option<std::fs::File>,
+    stop: Arc<AtomicBool>,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let metrics = source.current().metrics_arc();
+        let sample = || {
+            source.current().sync_obs();
+            let snap = metrics.registry().snapshot();
+            (snap, metrics.total_queries(), Instant::now())
         };
-        MetricsEmitter { stop, thread }
-    }
-
-    fn finish(self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Release);
-        let _ = self.thread.join();
-    }
+        let (mut prev, mut prev_queries, mut prev_at) = sample();
+        loop {
+            // Sleep in short slices so shutdown stays prompt under long
+            // intervals.
+            while Instant::now() < prev_at + interval {
+                if stop.load(Ordering::Acquire) {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            let (snap, queries, at) = sample();
+            let elapsed = at - prev_at;
+            metrics.note_interval_qps(
+                queries.saturating_sub(prev_queries) as f64 / elapsed.as_secs_f64().max(1e-9),
+            );
+            let line = snap.delta_json(&prev, elapsed);
+            (prev, prev_queries, prev_at) = (snap, queries, at);
+            match &mut file {
+                Some(f) => {
+                    let _ = writeln!(f, "{line}");
+                    let _ = f.flush();
+                }
+                None => eprintln!("{line}"),
+            }
+        }
+    })
 }
 
-/// Executes a `--queries` file: blank lines and comments are skipped,
-/// REPL commands work, parse and execution errors are reported to stderr
+/// [`Action::Queries`]: blank lines and comments are skipped, REPL
+/// commands work, parse and execution errors are reported to stderr
 /// with their 1-based line number. Exits FAILURE if any line failed.
 fn run_file(engine: &QueryEngine, path: &str, text: &str) -> ExitCode {
     let mut failed = false;
@@ -944,10 +992,6 @@ enum Outcome {
     Ok,
     Err(String),
     Quit,
-}
-
-fn count_kind(manifest: &rpi_store::Manifest, kind: rpi_store::SegmentKind) -> usize {
-    manifest.segments.iter().filter(|s| s.kind == kind).count()
 }
 
 /// Executes one line through the same session semantics the TCP front
@@ -988,5 +1032,163 @@ fn run_line(engine: &QueryEngine, line: &str) -> Outcome {
             },
         ),
         Line::Bad(msg) => Outcome::Err(msg),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(name: &str) -> &'static Flag {
+        FLAGS
+            .iter()
+            .find(|f| f.name() == name)
+            .unwrap_or_else(|| panic!("{name} names no row"))
+    }
+
+    #[test]
+    fn flag_names_are_unique_and_references_name_rows() {
+        for (i, flag) in FLAGS.iter().enumerate() {
+            let name = flag.name();
+            assert!(name.starts_with("--"), "{name}");
+            assert!(flag.spec.split(' ').count() <= 2, "{}", flag.spec);
+            assert!(
+                FLAGS[..i].iter().all(|f| f.name() != name),
+                "{name} is listed twice"
+            );
+            for other in flag.under.iter().chain(flag.not_with) {
+                assert_ne!(row(other).name(), name, "{name} refers to itself");
+            }
+        }
+    }
+
+    /// How often a flag must appear in usage: once at top level, else
+    /// once inside every appearance of every flag it rides on.
+    fn expected_appearances(flag: &Flag) -> usize {
+        if flag.under.is_empty() {
+            return 1;
+        }
+        flag.under
+            .iter()
+            .map(|p| expected_appearances(row(p)))
+            .sum()
+    }
+
+    #[test]
+    fn usage_lists_every_flag_once_per_parent() {
+        let usage = usage();
+        assert!(usage.starts_with("usage: rpi-queryd [--size KIND] [--seed N]"));
+        for flag in FLAGS {
+            // `[--save DIR` must not also count `[--save-…`: the spec is
+            // followed by a nested flag or the closing bracket.
+            let head = format!("[{}", flag.spec);
+            let n = usage
+                .match_indices(&head)
+                .filter(|(at, _)| usage[at + head.len()..].starts_with([' ', ']']))
+                .count();
+            assert_eq!(n, expected_appearances(flag), "{} in: {usage}", flag.spec);
+        }
+        assert_eq!(usage.matches('[').count(), usage.matches(']').count());
+        assert!(usage.contains("[--follow FILE [--keyframe-every N] [--window N]"));
+    }
+
+    #[test]
+    fn help_lists_every_flag_exactly_once() {
+        let help = flag_help();
+        for flag in FLAGS {
+            let n = help
+                .lines()
+                .filter(|l| {
+                    l.strip_prefix("  ").and_then(|l| l.split(' ').next()) == Some(flag.name())
+                })
+                .count();
+            assert_eq!(n, 1, "{} in --help", flag.name());
+        }
+        assert_eq!(help.lines().filter(|l| l.starts_with("  --")).count(), 26);
+    }
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    /// The flag with a value its setter accepts.
+    fn with_value(flag: &Flag) -> Vec<&'static str> {
+        match flag.spec {
+            "--size KIND" => vec!["--size", "tiny"],
+            "--backend KIND" => vec!["--backend", "sweep"],
+            _ if flag.takes_value() => vec![flag.name(), "7"],
+            _ => vec![flag.name()],
+        }
+    }
+
+    /// [`with_value`] plus a flag it rides on (which may need its own).
+    fn with_parents(flag: &Flag) -> Vec<&'static str> {
+        let mut args = with_value(flag);
+        if let Some(parent) = flag.under.first() {
+            args.extend(with_parents(row(parent)));
+        }
+        args
+    }
+
+    /// Each flag alone fails exactly when it rides on another; next to
+    /// a parent it passes; next to an excluded flag it fails.
+    #[test]
+    fn every_declared_pair_is_enforced() {
+        for flag in FLAGS {
+            let name = flag.name();
+            let alone = parse(&with_value(flag)).err();
+            match flag.under {
+                [] => assert_eq!(alone, None, "{name} alone"),
+                parents => assert_eq!(
+                    alone,
+                    Some(format!("{name} needs {}", parents.join(" or ")))
+                ),
+            }
+            let ok = with_parents(flag);
+            assert_eq!(parse(&ok).err(), None, "{ok:?}");
+            for other in flag.not_with {
+                let mut args = ok.clone();
+                args.extend(with_value(row(other)));
+                assert_eq!(
+                    parse(&args).err(),
+                    Some(format!("{name} cannot be combined with {other}")),
+                    "{args:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn resolution_follows_the_flags() {
+        let opts = parse(&["--follow", "s", "--listen", "a"]).unwrap();
+        let (world, action) = opts.resolve();
+        assert!(matches!(action, Action::Listen("a")));
+        assert!(
+            matches!(&world, World::Follow { path: "s", window: 4, spill } if spill == "s.spill")
+        );
+        let opts = parse(&["--archive", "d", "--hot-cap", "2", "--queries", "q"]).unwrap();
+        let (world, action) = opts.resolve();
+        assert!(matches!(action, Action::Queries("q")));
+        assert!(matches!(
+            world,
+            World::Archive {
+                dir: "d",
+                hot_cap: Some(2)
+            }
+        ));
+        let opts = parse(&["--archive", "d", "--save", "e"]).unwrap();
+        assert!(matches!(
+            opts.resolve(),
+            (World::Archive { .. }, Action::Save("e"))
+        ));
+        let opts = parse(&["--emit-deltas", "f"]).unwrap();
+        assert!(matches!(
+            opts.resolve(),
+            (World::Simulate, Action::EmitDeltas("f"))
+        ));
+        assert!(matches!(
+            parse(&[]).unwrap().resolve(),
+            (World::Simulate, Action::Repl)
+        ));
     }
 }

@@ -1,6 +1,7 @@
 //! The readiness event loop: every socket nonblocking, each iteration
 //! services whatever the readiness backend reports — accepts, reads,
-//! batch execution, writes — and backs off only when nothing moves.
+//! batch execution, writes — and tells the backend whether anything
+//! moved, which is all the backend needs to idle well.
 //!
 //! std-only by design (the build has no registry access, so no mio or
 //! tokio). Readiness comes from a [`poll`] backend: the portable
@@ -29,46 +30,29 @@ use std::time::{Duration, Instant};
 use crate::engine::QueryEngine;
 use crate::metrics::QueryMetrics;
 use crate::serve::conn::Conn;
-use crate::serve::poll::{self, Interest, PollBackend, Poller, LISTENER_TOKEN};
+use crate::serve::poll::{self, Backoff, Interest, PollBackend, Poller, LISTENER_TOKEN, TICK};
 use crate::serve::{ServeConfig, ServeStats};
 
-/// The serve loop's window onto the engine's metrics registry. The
-/// counters themselves live in [`crate::metrics::QueryMetrics`] (so the
-/// `metrics` exposition, the interval emitter, and [`ServeStats`] all
-/// read the same atomics); this wrapper pins the `Arc` identity once —
-/// in live mode every published epoch shares the base engine's registry,
-/// so the handle stays valid across epoch swaps.
-#[derive(Debug)]
-pub(crate) struct StatsInner {
-    metrics: Arc<crate::metrics::QueryMetrics>,
-}
+/// How long [`Shard::drain`] gives connections to take their buffered
+/// responses at shutdown.
+const DRAIN_WINDOW: Duration = Duration::from_millis(200);
 
-impl StatsInner {
-    /// [`ServeStats`] is a *view*: every field reads registry atomics
-    /// (or live engine state), so a snapshot taken mid-load and the
-    /// `metrics` exposition can never disagree.
-    fn snapshot(&self, started: Instant, engine: &QueryEngine) -> ServeStats {
-        let (rov_queries, hijack_queries, leak_queries) = engine.sec_query_counts();
-        let cache = engine.rov_cache_stats();
-        let m = &self.metrics;
-        ServeStats {
-            accepted: m.serve_accepted_total.get(),
-            rejected: m.serve_rejected_total.get(),
-            active: m.serve_active_connections.get() as u64,
-            queries: m.total_queries(),
-            errors: m.serve_errors_total.get(),
-            bytes_in: m.serve_bytes_in_total.get(),
-            bytes_out: m.serve_bytes_out_total.get(),
-            shed_idle: m.serve_shed_idle_total.get(),
-            max_write_buf: m.serve_write_buf_peak_bytes.get() as u64,
-            rov_queries,
-            hijack_queries,
-            leak_queries,
-            rov_cache_hits: cache.hits,
-            rov_cache_misses: cache.misses,
-            tier: engine.tier_stats(),
-            elapsed: started.elapsed(),
-        }
+/// The [`ServeStats`] view of the engine's metrics registry. The
+/// registry `Arc` is pinned once at construction — in live mode every
+/// published epoch shares the base engine's registry, so it stays valid
+/// across epoch swaps.
+fn stats_view(m: &QueryMetrics, started: Instant) -> ServeStats {
+    ServeStats {
+        accepted: m.serve_accepted_total.get(),
+        rejected: m.serve_rejected_total.get(),
+        active: m.serve_active_connections.get() as u64,
+        queries: m.total_queries(),
+        errors: m.serve_errors_total.get(),
+        bytes_in: m.serve_bytes_in_total.get(),
+        bytes_out: m.serve_bytes_out_total.get(),
+        shed_idle: m.serve_shed_idle_total.get(),
+        max_write_buf: m.serve_write_buf_peak_bytes.get() as u64,
+        elapsed: started.elapsed(),
     }
 }
 
@@ -95,14 +79,25 @@ impl EngineSource {
     }
 }
 
+impl From<Arc<QueryEngine>> for EngineSource {
+    fn from(engine: Arc<QueryEngine>) -> EngineSource {
+        EngineSource::Frozen(engine)
+    }
+}
+
+impl From<Arc<crate::live::LiveHandle>> for EngineSource {
+    fn from(handle: Arc<crate::live::LiveHandle>) -> EngineSource {
+        EngineSource::Live(handle)
+    }
+}
+
 /// A remote control for a running [`Server`]: request shutdown and read
 /// live stats from any thread.
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
-    stats: Arc<StatsInner>,
+    metrics: Arc<QueryMetrics>,
     shutdown: Arc<AtomicBool>,
     started: Instant,
-    engine: EngineSource,
 }
 
 impl ServerHandle {
@@ -113,10 +108,9 @@ impl ServerHandle {
         self.shutdown.store(true, Ordering::Relaxed);
     }
 
-    /// A live snapshot of the server's counters, read against one
-    /// consistent epoch.
+    /// A live snapshot of the server's counters.
     pub fn stats(&self) -> ServeStats {
-        self.stats.snapshot(self.started, &self.engine.current())
+        stats_view(&self.metrics, self.started)
     }
 }
 
@@ -159,17 +153,19 @@ pub struct Server {
     listener: TcpListener,
     engine: EngineSource,
     cfg: ServeConfig,
-    stats: Arc<StatsInner>,
+    metrics: Arc<QueryMetrics>,
     shutdown: Arc<AtomicBool>,
     started: Instant,
 }
 
 impl Server {
-    /// Binds the listener and prepares the loop. The engine is shared by
-    /// `Arc`: the caller keeps its clone for direct queries (tests
-    /// compare served responses against `engine.execute`).
+    /// Binds the listener and prepares the loop over a frozen
+    /// `Arc<QueryEngine>` or a live `Arc<LiveHandle>` (anything that is
+    /// `Into<EngineSource>`). The world is shared by `Arc`: the caller
+    /// keeps its clone for direct queries (tests compare served
+    /// responses against `engine.execute`).
     pub fn bind(
-        engine: Arc<QueryEngine>,
+        engine: impl Into<EngineSource>,
         addr: impl ToSocketAddrs,
         cfg: ServeConfig,
     ) -> io::Result<Server> {
@@ -180,38 +176,18 @@ impl Server {
     /// address *before* building an engine, as `rpi-queryd --listen`
     /// does). The listener is switched to nonblocking mode here.
     pub fn with_listener(
-        engine: Arc<QueryEngine>,
-        listener: TcpListener,
-        cfg: ServeConfig,
-    ) -> io::Result<Server> {
-        Server::with_listener_source(EngineSource::Frozen(engine), listener, cfg)
-    }
-
-    /// [`Server::bind`] over any [`EngineSource`] — what a live daemon
-    /// uses to serve epoch-published engines while the writer ingests.
-    pub fn bind_source(
-        source: EngineSource,
-        addr: impl ToSocketAddrs,
-        cfg: ServeConfig,
-    ) -> io::Result<Server> {
-        Server::with_listener_source(source, TcpListener::bind(addr)?, cfg)
-    }
-
-    /// [`Server::with_listener`] over any [`EngineSource`].
-    pub fn with_listener_source(
-        engine: EngineSource,
+        engine: impl Into<EngineSource>,
         listener: TcpListener,
         cfg: ServeConfig,
     ) -> io::Result<Server> {
         listener.set_nonblocking(true)?;
-        let stats = Arc::new(StatsInner {
-            metrics: engine.current().metrics_arc(),
-        });
+        let engine = engine.into();
+        let metrics = engine.current().metrics_arc();
         Ok(Server {
             listener,
             engine,
             cfg,
-            stats,
+            metrics,
             shutdown: Arc::new(AtomicBool::new(false)),
             started: Instant::now(),
         })
@@ -225,10 +201,9 @@ impl Server {
     /// A handle for shutdown and live stats, usable from other threads.
     pub fn handle(&self) -> ServerHandle {
         ServerHandle {
-            stats: Arc::clone(&self.stats),
+            metrics: Arc::clone(&self.metrics),
             shutdown: Arc::clone(&self.shutdown),
             started: self.started,
-            engine: self.engine.clone(),
         }
     }
 
@@ -238,7 +213,7 @@ impl Server {
     /// distributing sockets round-robin to N shard threads running the
     /// identical state machine.
     pub fn run(self) -> io::Result<ServeStats> {
-        let m = Arc::clone(&self.stats.metrics);
+        let m = Arc::clone(&self.metrics);
         let threads = self.cfg.serve_threads.max(1);
         let backend = self.cfg.backend.effective();
         // Hard bound on open sockets: served sessions plus a bounded tail
@@ -289,15 +264,7 @@ impl Server {
                     .into_iter()
                     .map(|shard| scope.spawn(move || shard.run()))
                     .collect();
-                accept_and_route(
-                    &self.listener,
-                    txs,
-                    &self.shutdown,
-                    &shared,
-                    &m,
-                    &self.cfg,
-                    hard_cap,
-                );
+                accept_and_route(&self.listener, txs, &self.shutdown, &shared, &m, hard_cap);
                 let mut result = Ok(());
                 for join in joins {
                     match join.join() {
@@ -319,7 +286,7 @@ impl Server {
         m.serve_active_connections.set_u64(0);
         m.serve_write_buf_bytes.set_u64(0);
         run_result?;
-        Ok(self.stats.snapshot(self.started, &self.engine.current()))
+        Ok(stats_view(&m, self.started))
     }
 }
 
@@ -333,11 +300,12 @@ fn accept_and_route(
     shutdown: &AtomicBool,
     shared: &SharedCounters,
     m: &QueryMetrics,
-    cfg: &ServeConfig,
     hard_cap: usize,
 ) {
     let mut next = 0usize;
-    let mut idle_streak: u32 = 0;
+    // One listener swept by attempt-and-`WouldBlock`: the sweep
+    // backend's idle policy applies as is.
+    let mut backoff = Backoff::default();
     while !shutdown.load(Ordering::Relaxed) {
         let mut progressed = false;
         loop {
@@ -366,22 +334,8 @@ fn accept_and_route(
                 Err(_) => break,
             }
         }
-        if progressed {
-            idle_streak = 0;
-        } else {
-            idle_streak = idle_streak.saturating_add(1);
-            std::thread::sleep(cfg.poll_interval * (1u32 << backoff_decay(idle_streak)));
-        }
+        backoff.sleep(progressed);
     }
-}
-
-/// Idle backoff with a grace window: the first few quiet iterations
-/// keep the 200 µs tick (a pipelining client's inter-window gap must
-/// not cost latency), then the wait decays exponentially to ~64× the
-/// tick (≈13 ms default) — which also bounds how stale a shard's view
-/// of the shutdown flag and the handoff channel can get.
-fn backoff_decay(idle_streak: u32) -> u32 {
-    idle_streak.saturating_sub(8).min(6)
 }
 
 /// One event-loop shard: a readiness backend instance plus the slab of
@@ -460,12 +414,11 @@ impl<'a> Shard<'a> {
         }
         let mut ready: Vec<usize> = Vec::new();
         let mut fresh: Vec<usize> = Vec::new();
-        let mut idle_streak: u32 = 0;
+        let mut busy = false;
         // Idle shedding and gauge refresh run as a periodic maintenance
         // pass: under epoll a quiet connection raises no events, so
         // per-event bookkeeping alone would never time it out.
-        let maint_interval =
-            (self.cfg.idle_timeout / 4).clamp(self.cfg.poll_interval, Duration::from_secs(1));
+        let maint_interval = (self.cfg.idle_timeout / 4).clamp(TICK, Duration::from_secs(1));
         let mut last_maint = Instant::now();
         while !self.shutdown.load(Ordering::Relaxed) {
             // Sockets handed over by the acceptor enter the slab before
@@ -483,12 +436,7 @@ impl<'a> Shard<'a> {
                     }
                 }
             }
-            let timeout = if idle_streak == 0 || !fresh.is_empty() {
-                Duration::ZERO
-            } else {
-                self.cfg.poll_interval * (1u32 << backoff_decay(idle_streak))
-            };
-            self.poller.wait(timeout, &mut ready)?;
+            self.poller.wait(busy || !fresh.is_empty(), &mut ready)?;
 
             let sweep_start = Instant::now();
             let mut progressed = !fresh.is_empty();
@@ -514,13 +462,11 @@ impl<'a> Shard<'a> {
                 self.maintain(now);
             }
             if progressed {
-                idle_streak = 0;
                 // Only rounds that moved bytes are worth timing: an idle
-                // tick measures the backoff wait, not the loop.
+                // tick measures the backend's wait, not the loop.
                 self.m.serve_sweep_seconds.record(sweep_start.elapsed());
-            } else {
-                idle_streak = idle_streak.saturating_add(1);
             }
+            busy = progressed;
         }
         self.drain();
         Ok(())
@@ -790,12 +736,7 @@ impl<'a> Shard<'a> {
             self.shared.open.fetch_sub(1, Ordering::Relaxed);
         }
         let m = Arc::clone(&self.m);
-        let deadline = Instant::now()
-            + self
-                .cfg
-                .poll_interval
-                .max(std::time::Duration::from_millis(1))
-                * 200;
+        let deadline = Instant::now() + DRAIN_WINDOW;
         while !conns.is_empty() && Instant::now() < deadline {
             let mut moved = false;
             conns.retain_mut(|c| {
@@ -814,7 +755,7 @@ impl<'a> Shard<'a> {
                 !matches!(c.discard_input(&mut self.rbuf), Ok(true) | Err(_))
             });
             if !moved {
-                std::thread::sleep(self.cfg.poll_interval);
+                std::thread::sleep(TICK);
             }
         }
         self.publish_active();

@@ -81,12 +81,9 @@ pub struct ServeConfig {
     /// Longest accepted request line; longer lines get an in-band error
     /// and are discarded to their terminator.
     pub max_line_len: usize,
-    /// Sleep between sweeps when no socket made progress.
-    pub poll_interval: Duration,
-    /// Readiness backend. `Default` honors the `RPI_SERVE_BACKEND`
-    /// environment override (`sweep`/`epoll`/`auto`) so a CI matrix can
-    /// drive every test through both implementations, falling back to
-    /// [`PollBackend::auto`] (epoll where supported).
+    /// Readiness backend; `Default` is [`PollBackend::auto`] (epoll
+    /// where supported). How the loop idles is the backend's own
+    /// business, not a tunable.
     pub backend: PollBackend,
     /// Event-loop shard threads. `1` (default) keeps the listener
     /// inline in a single loop — the original topology; `N > 1` runs a
@@ -102,8 +99,7 @@ impl Default for ServeConfig {
             write_buf_cap: 256 * 1024,
             idle_timeout: Duration::from_secs(30),
             max_line_len: 16 * 1024,
-            poll_interval: Duration::from_micros(200),
-            backend: PollBackend::from_env(),
+            backend: PollBackend::auto(),
             serve_threads: 1,
         }
     }
@@ -111,7 +107,9 @@ impl Default for ServeConfig {
 
 /// A snapshot of the server's counters — live via
 /// [`ServerHandle::stats`], final from [`Server::run`] (what the daemon
-/// prints on shutdown).
+/// prints on shutdown). A *view*: every field reads the engine's
+/// metrics registry, so a snapshot taken mid-load and the `metrics`
+/// exposition can never disagree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeStats {
     /// Connections accepted and served.
@@ -133,22 +131,6 @@ pub struct ServeStats {
     pub shed_idle: u64,
     /// High-water mark of any connection's pending write buffer.
     pub max_write_buf: u64,
-    /// `rov` queries the shared engine executed (engine lifetime — a
-    /// REPL session on the same engine counts too, like the cache
-    /// stats below).
-    pub rov_queries: u64,
-    /// `hijacks` queries the shared engine executed.
-    pub hijack_queries: u64,
-    /// `leaks` queries the shared engine executed.
-    pub leak_queries: u64,
-    /// ROV validation cache hits on the shared engine.
-    pub rov_cache_hits: u64,
-    /// ROV validation cache misses on the shared engine.
-    pub rov_cache_misses: u64,
-    /// The cold tier's residency counters when the shared engine is
-    /// tier-attached (`--archive … --hot-cap N`); `None` on fully
-    /// hydrated engines.
-    pub tier: Option<crate::tier::TierStats>,
     /// Time since the server bound its listener.
     pub elapsed: Duration,
 }
@@ -169,21 +151,14 @@ impl ServeStats {
         }
     }
 
-    /// The one-line summary the daemon prints on shutdown. Tier-attached
-    /// engines append their residency counters; hydrated engines render
-    /// exactly as before.
+    /// The one-line summary the daemon prints on shutdown: the serve
+    /// counters only. The engine's tier and security state have their
+    /// own lines ([`session::tier_line`], [`session::sec_line`]), which
+    /// the daemon prints after this one.
     pub fn render(&self) -> String {
-        let tier = match &self.tier {
-            Some(t) => format!(
-                ", tier {}/{} hot (cap {}) {} hydrations / {} evictions / {} cold hits",
-                t.hot, t.snapshots, t.hot_cap, t.hydrations, t.evictions, t.cold_hits,
-            ),
-            None => String::new(),
-        };
         format!(
             "served {} queries over {} connections in {:.2?} ({:.0} queries/s lifetime): \
-             {} B in / {} B out, {} errors, {} rejected, {} shed idle, write-buf peak {} B, \
-             sec rov {} / hijacks {} / leaks {} (rov cache {} hits / {} misses){tier}",
+             {} B in / {} B out, {} errors, {} rejected, {} shed idle, write-buf peak {} B",
             self.queries,
             self.accepted,
             self.elapsed,
@@ -194,11 +169,6 @@ impl ServeStats {
             self.rejected,
             self.shed_idle,
             self.max_write_buf,
-            self.rov_queries,
-            self.hijack_queries,
-            self.leak_queries,
-            self.rov_cache_hits,
-            self.rov_cache_misses,
         )
     }
 }

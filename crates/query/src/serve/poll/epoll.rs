@@ -10,7 +10,7 @@
 use std::io;
 use std::time::Duration;
 
-use super::{Interest, Poller, LISTENER_TOKEN};
+use super::{Interest, Poller, LISTENER_TOKEN, MAX_IDLE_WAIT};
 
 /// Tokens are slab indices plus [`LISTENER_TOKEN`] (`usize::MAX`);
 /// epoll carries them verbatim in its 64-bit user data.
@@ -41,7 +41,10 @@ impl Poller for EpollPoller {
         self.ep.delete(fd)
     }
 
-    fn wait(&mut self, timeout: Duration, ready: &mut Vec<usize>) -> io::Result<()> {
+    fn wait(&mut self, busy: bool, ready: &mut Vec<usize>) -> io::Result<()> {
+        // Idle, the kernel does the waiting: an event ends the wait at
+        // once, so blocking costs no latency and no wake-ups.
+        let timeout = if busy { Duration::ZERO } else { MAX_IDLE_WAIT };
         self.ep.wait(timeout, &mut self.events)?;
         ready.clear();
         // The listener is serviced last so connection work (including

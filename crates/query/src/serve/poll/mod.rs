@@ -16,18 +16,21 @@
 //!   CPU. Level-triggered, so a socket with unconsumed bytes stays
 //!   ready and the service order bookkeeping stays in the kernel.
 //!
-//! Selection: `--backend sweep|epoll|auto` on the daemon, the
-//! `RPI_SERVE_BACKEND` environment variable anywhere a
-//! [`ServeConfig`](crate::serve::ServeConfig) is defaulted (this is how
-//! the CI backend matrix drives every existing test through both
-//! implementations without modification), `auto` picking epoll exactly
-//! where it is supported.
+//! Selection: `--backend sweep|epoll|auto` on the daemon,
+//! [`ServeConfig::backend`](crate::serve::ServeConfig) in code (the
+//! serve tests set it per matrix cell), `auto` — the default — picking
+//! epoll exactly where it is supported.
+//!
+//! Idling is the backend's business too: the loop tells [`Poller::wait`]
+//! whether the last round was busy, and the backend decides how to wait
+//! — the sweep sleeps its [`Backoff`], epoll blocks in the kernel.
 
 mod epoll;
 mod sweep;
 
 use std::io;
-use std::time::Duration;
+
+pub(crate) use sweep::{Backoff, MAX_IDLE_WAIT, TICK};
 
 /// Which readiness implementation the serve loop runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,23 +59,14 @@ impl PollBackend {
         }
     }
 
-    /// This backend if supported, else the portable fallback — what an
-    /// environment override resolves through, so `RPI_SERVE_BACKEND=epoll`
-    /// on a non-Linux host degrades instead of failing every test.
+    /// This backend if supported, else the portable fallback, so a
+    /// config naming epoll on a non-Linux host degrades instead of
+    /// failing.
     pub fn effective(self) -> PollBackend {
         if self.supported() {
             self
         } else {
             PollBackend::Sweep
-        }
-    }
-
-    /// The `RPI_SERVE_BACKEND` override (`sweep`/`epoll`/`auto`), or
-    /// [`PollBackend::auto`] when unset or unparseable.
-    pub fn from_env() -> PollBackend {
-        match std::env::var("RPI_SERVE_BACKEND") {
-            Ok(v) => v.parse().unwrap_or_else(|_| PollBackend::auto()),
-            Err(_) => PollBackend::auto(),
         }
     }
 
@@ -125,10 +119,14 @@ pub(crate) trait Poller: Send {
     fn reregister(&mut self, fd: i32, token: usize, interest: Interest) -> io::Result<()>;
     /// Stops watching `fd`.
     fn deregister(&mut self, fd: i32, token: usize) -> io::Result<()>;
-    /// Blocks up to `timeout` (zero = poll) and fills `ready` with the
-    /// tokens to service. Spurious readiness is allowed (the sweep
-    /// backend is *all* spurious readiness); missed readiness is not.
-    fn wait(&mut self, timeout: Duration, ready: &mut Vec<usize>) -> io::Result<()>;
+    /// Fills `ready` with the tokens to service. `busy` says the last
+    /// round moved bytes or fresh connections arrived: a busy wait only
+    /// polls, an idle one may block — but never past [`MAX_IDLE_WAIT`],
+    /// which bounds how stale the loop's view of the shutdown flag and
+    /// the handoff channel can get. Spurious readiness is allowed (the
+    /// sweep backend is *all* spurious readiness); missed readiness is
+    /// not.
+    fn wait(&mut self, busy: bool, ready: &mut Vec<usize>) -> io::Result<()>;
 }
 
 /// Instantiates `backend` (resolved through [`PollBackend::effective`]).

@@ -142,6 +142,33 @@ pub fn fmt_bytes(bytes: u64) -> String {
     }
 }
 
+/// The `tier: …` residency counters of a tier-attached engine (`None`
+/// on a hydrated one) — the one rendering the `snapshots` listing and
+/// the daemon's exit report share.
+pub fn tier_line(engine: &QueryEngine) -> Option<String> {
+    engine.tier_stats().map(|t| {
+        format!(
+            "tier: {}/{} hot (cap {}), {} attaches, {} hydrations, \
+             {} evictions, {} cold hits",
+            t.hot, t.snapshots, t.hot_cap, t.attaches, t.hydrations, t.evictions, t.cold_hits,
+        )
+    })
+}
+
+/// The `sec: …` line: the loaded ROA table and the engine-lifetime
+/// ROV/detection counters (shared like [`tier_line`]).
+pub fn sec_line(engine: &QueryEngine) -> String {
+    let cache = engine.rov_cache_stats();
+    let (rov, hijacks, leaks) = engine.sec_query_counts();
+    format!(
+        "sec: {} ROAs, rov cache {} hits / {} misses, \
+         queries rov {rov} / hijacks {hijacks} / leaks {leaks}",
+        engine.roa_table().len(),
+        cache.hits,
+        cache.misses,
+    )
+}
+
 /// Renders a listing command exactly as the stdin REPL prints it (no
 /// trailing newline; callers add their own framing).
 pub fn repl_reply(engine: &QueryEngine, cmd: ReplCmd) -> String {
@@ -151,10 +178,7 @@ pub fn repl_reply(engine: &QueryEngine, cmd: ReplCmd) -> String {
              archive (list on-disk segments), stats (per-verb latency percentiles), \
              metrics (Prometheus-style exposition; 'metrics names' for the schema), \
              slowlog (recent slow segments, needs --slow-query-ms), \
-             ping, quit, shutdown (stop the whole server)\n\
-             serve scale (daemon flags): --backend sweep|epoll|auto picks the \
-             readiness backend, --serve-threads N shards connections across N \
-             event-loop threads, --idle-timeout SECS tunes connection shedding"
+             ping, quit, shutdown (stop the whole server)"
         ),
         ReplCmd::Snapshots => {
             // A tier-attached engine lists residency instead of trie
@@ -194,25 +218,8 @@ pub fn repl_reply(engine: &QueryEngine, cmd: ReplCmd) -> String {
                     }
                 })
                 .collect();
-            if let Some(t) = engine.tier_stats() {
-                lines.push(format!(
-                    "tier: {}/{} hot (cap {}), {} attaches, {} hydrations, \
-                     {} evictions, {} cold hits",
-                    t.hot, t.snapshots, t.hot_cap, t.attaches, t.hydrations, t.evictions,
-                    t.cold_hits,
-                ));
-            }
-            // Security state rides along: the loaded ROA table and the
-            // engine-lifetime ROV/detection counters.
-            let cache = engine.rov_cache_stats();
-            let (rov, hijacks, leaks) = engine.sec_query_counts();
-            lines.push(format!(
-                "sec: {} ROAs, rov cache {} hits / {} misses, \
-                 queries rov {rov} / hijacks {hijacks} / leaks {leaks}",
-                engine.roa_table().len(),
-                cache.hits,
-                cache.misses,
-            ));
+            lines.extend(tier_line(engine));
+            lines.push(sec_line(engine));
             lines.join("\n")
         }
         ReplCmd::Archive => match engine.archive_info() {

@@ -995,13 +995,14 @@ fn truncated_stream_is_a_typed_offset_error() {
 /// the snapshot count in the tier summary equals the number of listed
 /// snapshots, the archive segment count is exactly that plus the symbols
 /// slot, and counts are monotone per connection. `ServerHandle::stats`
-/// reads a consistent epoch too.
+/// — taken from a server built at epoch 0 — reads the one registry
+/// every later epoch books into.
 #[test]
 fn tcp_listings_are_single_epoch_during_publication() {
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
-    use rpi_query::serve::{EngineSource, ServeConfig, Server};
+    use rpi_query::serve::{ServeConfig, Server};
 
     let seed = 0x4C;
     let sc = build_scenario(seed);
@@ -1010,12 +1011,9 @@ fn tcp_listings_are_single_epoch_during_publication() {
     let dir = tmp_dir("tcp");
 
     let handle = LiveHandle::new(QueryEngine::new(4));
-    let server = Server::bind_source(
-        EngineSource::Live(Arc::clone(&handle)),
-        "127.0.0.1:0",
-        ServeConfig::default(),
-    )
-    .expect("bind ephemeral");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+    let server = Server::with_listener(Arc::clone(&handle), listener, ServeConfig::default())
+        .expect("wrap listener");
     let addr = server.local_addr().unwrap();
     let shandle = server.handle();
     let join = std::thread::spawn(move || server.run().expect("serve loop"));
@@ -1133,12 +1131,17 @@ fn tcp_listings_are_single_epoch_during_publication() {
     }
 
     writer.join().unwrap();
-    s.write_all(b"shutdown\n").unwrap();
+    // Listings aren't grammar queries; one that is, answered by the
+    // final epoch, must land in the registry the handle pinned at
+    // epoch 0.
+    assert_eq!(shandle.stats().queries, 0);
+    s.write_all(b"diff 0 1\nshutdown\n").unwrap();
     let mut rest = String::new();
     let _ = s.read_to_string(&mut rest);
+    assert!(rest.contains(" -> "), "the final epoch answers: {rest}");
     let final_stats = join.join().unwrap();
-    // Listings aren't grammar queries; the round trips show up as
-    // accepted traffic, error-free.
+    assert_eq!(final_stats.queries, 1);
+    assert_eq!(shandle.stats().queries, 1);
     assert_eq!(final_stats.accepted, 1);
     assert_eq!(final_stats.errors, 0);
     let _ = std::fs::remove_dir_all(&dir);

@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 use net_topology::InternetSize;
 use rpi_core::Experiment;
 use rpi_query::serve::session::{repl_reply, ReplCmd};
-use rpi_query::serve::{PollBackend, ServeConfig, ServeStats, Server, ServerHandle};
-use rpi_query::{parse, render_response, QueryEngine};
+use rpi_query::serve::{EngineSource, PollBackend, ServeConfig, ServeStats, Server, ServerHandle};
+use rpi_query::{parse, render_response, LiveHandle, QueryEngine};
 
 /// A tiny single-snapshot engine plus its experiment (for valid
 /// vantage/prefix pairs).
@@ -78,7 +78,7 @@ fn cell_cfg(backend: PollBackend, threads: usize, base: ServeConfig) -> ServeCon
 }
 
 fn spawn_server(
-    engine: Arc<QueryEngine>,
+    engine: impl Into<EngineSource>,
     cfg: ServeConfig,
 ) -> (
     SocketAddr,
@@ -791,6 +791,34 @@ fn per_shard_gauge_labels_appear_only_for_sharded_servers() {
     );
     handle.shutdown();
     join.join().unwrap();
+}
+
+/// The two constructors take either kind of world. A frozen engine
+/// through `with_listener` answers as it does through `bind` everywhere
+/// else in this file; a live handle through `bind` serves its epoch 0
+/// (`tests/live.rs` drives one through `with_listener` while it
+/// publishes).
+#[test]
+fn both_constructors_take_frozen_and_live_worlds() {
+    let (engine, exp) = tiny_engine();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+    let addr = listener.local_addr().unwrap();
+    let server = Server::with_listener(engine.clone(), listener, ServeConfig::default()).unwrap();
+    assert_eq!(server.local_addr().unwrap(), addr);
+    let join = std::thread::spawn(move || server.run().expect("serve loop"));
+    let (v, p) = &query_pairs(&engine, &exp)[0];
+    let got = roundtrip(addr, &format!("route {v} {p}\nshutdown\n"));
+    let req = parse(&format!("route {v} {p}")).unwrap();
+    let expected = render_response(&req, &engine.execute(&req).unwrap());
+    assert_eq!(got, format!("{expected}\n"));
+    assert_eq!(join.join().unwrap().queries, 1);
+
+    let live = LiveHandle::new(QueryEngine::new(4));
+    let (addr, _handle, join) = spawn_server(Arc::clone(&live), ServeConfig::default());
+    let got = roundtrip(addr, "ping\nsnapshots\nshutdown\n");
+    let listing = repl_reply(&live.current(), ReplCmd::Snapshots);
+    assert_eq!(got, format!("pong\n{listing}\n"));
+    assert_eq!(join.join().unwrap().accepted, 1);
 }
 
 #[test]

@@ -338,10 +338,9 @@ fn rejected(args: &[&str]) -> String {
 #[test]
 fn follow_only_and_removed_flags_fail_fast() {
     for window in ["4", "3"] {
-        let stderr = rejected(&["--window", window]);
-        assert!(
-            stderr.contains("--window/--spill tune live ingest; they need --follow"),
-            "--window {window} must name the missing flag:\n{stderr}"
+        assert_eq!(
+            rejected(&["--window", window]),
+            "rpi-queryd: --window needs --follow\n"
         );
     }
     let stderr = rejected(&["--bench"]);
@@ -353,8 +352,8 @@ fn follow_only_and_removed_flags_fail_fast() {
 
 /// Every at-least-1 numeric flag spells its two rejections the same way
 /// (`wants <noun>, got '<value>'` / `must be at least 1`), and the serve
-/// tunables are rejected without `--listen` — whatever their value, the
-/// defaults included — the way `--window` is without `--follow`.
+/// tunables are rejected without `--listen` at their default values too
+/// — the way `--window` is without `--follow`.
 #[test]
 fn numeric_and_serve_only_flags_fail_fast() {
     for (flag, noun) in [
@@ -383,17 +382,118 @@ fn numeric_and_serve_only_flags_fail_fast() {
     for args in [
         ["--max-conns", "64"],
         ["--write-buf-cap", "262144"],
-        ["--backend", "sweep"],
+        ["--backend", "auto"],
         ["--serve-threads", "1"],
         ["--idle-timeout", "30"],
     ] {
         assert_eq!(
             rejected(&args),
-            "rpi-queryd: --max-conns/--write-buf-cap/--backend/--serve-threads/--idle-timeout \
-             tune the TCP server; they need --listen\n",
-            "{args:?}"
+            format!("rpi-queryd: {} needs --listen\n", args[0]),
         );
     }
+}
+
+/// The flag with a value its own parser accepts. The paths do not
+/// exist: a rejected combination must be reported before any of them is
+/// opened.
+fn with_value(flag: &'static str) -> Vec<&'static str> {
+    match flag {
+        "--force" => vec![flag],
+        "--backend" => vec![flag, "sweep"],
+        "--queries" | "--save" | "--archive" | "--listen" | "--follow" | "--spill"
+        | "--emit-deltas" | "--metrics-file" => vec![flag, "/tmp/rpi-no-such-dir/x"],
+        // Every other flag in the tables below counts something.
+        _ => vec![flag, "7"],
+    }
+}
+
+/// Every "rides on" and "contradicts" pair the flag table declares, with
+/// the one spelling each kind of rejection has: exit 1, one line, before
+/// any input is opened or any world built. The three cases that used to
+/// be accepted and ignored — `--force` without `--save`,
+/// `--emit-delay-ms` without `--emit-deltas`, `--save` with `--queries`
+/// — are rows like any other.
+#[test]
+fn every_flag_pair_is_rejected_with_the_generated_message() {
+    for (child, parents) in [
+        ("--force", "--save"),
+        ("--keyframe-every", "--save or --follow"),
+        ("--hot-cap", "--archive"),
+        ("--max-conns", "--listen"),
+        ("--write-buf-cap", "--listen"),
+        ("--backend", "--listen"),
+        ("--serve-threads", "--listen"),
+        ("--idle-timeout", "--listen"),
+        ("--window", "--follow"),
+        ("--spill", "--follow"),
+        ("--emit-delay-ms", "--emit-deltas"),
+        ("--metrics-interval", "--listen or --follow"),
+        ("--metrics-file", "--metrics-interval"),
+    ] {
+        assert_eq!(
+            rejected(&with_value(child)),
+            format!("rpi-queryd: {child} needs {parents}\n")
+        );
+    }
+    for (flag, excluded) in [
+        ("--save", "--queries"),
+        ("--listen", "--queries"),
+        ("--listen", "--save"),
+        ("--follow", "--queries"),
+        ("--follow", "--save"),
+        ("--follow", "--archive"),
+        ("--emit-deltas", "--follow"),
+        ("--emit-deltas", "--listen"),
+        ("--emit-deltas", "--queries"),
+        ("--emit-deltas", "--save"),
+        ("--emit-deltas", "--archive"),
+    ] {
+        // Either order on the command line, same message.
+        for args in [
+            [with_value(flag), with_value(excluded)].concat(),
+            [with_value(excluded), with_value(flag)].concat(),
+        ] {
+            assert_eq!(
+                rejected(&args),
+                format!("rpi-queryd: {flag} cannot be combined with {excluded}\n"),
+                "{args:?}"
+            );
+        }
+    }
+}
+
+/// `--help` exits 0 and its flag list names exactly the flags of the
+/// usage line — both are generated from one table, 26 rows.
+#[test]
+fn help_lists_the_flags_of_the_usage_line() {
+    let out = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
+        .arg("--help")
+        .output()
+        .expect("rpi-queryd runs");
+    assert_eq!(out.status.code(), Some(0));
+    assert!(out.stderr.is_empty());
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 help");
+    let usage = stdout.lines().next().expect("usage line first");
+    assert!(usage.starts_with("usage: rpi-queryd ["), "{usage}");
+    let mut in_usage: Vec<&str> = usage
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|w| w.starts_with("--"))
+        .collect();
+    in_usage.sort_unstable();
+    in_usage.dedup();
+    let mut in_help: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("  --"))
+        .map(|l| &l[..l.find(' ').unwrap_or(l.len())])
+        .collect();
+    assert_eq!(in_help.len(), 26, "{in_help:?}");
+    in_help.sort_unstable();
+    let in_help: Vec<String> = in_help.iter().map(|f| format!("--{f}")).collect();
+    assert_eq!(in_usage, in_help);
+    assert!(
+        usage.contains("[--follow FILE [--keyframe-every N]"),
+        "--keyframe-every rides on --follow too: {usage}"
+    );
 }
 
 #[test]
