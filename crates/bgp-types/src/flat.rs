@@ -1,6 +1,6 @@
 //! A flattened, pointer-free on-disk layout for prefix tries.
 //!
-//! [`CowTrie`] is the in-memory shape of a snapshot's route shards;
+//! [`CowTrie`] is the in-memory shape of a snapshot's route tables;
 //! this module is its archive shape: the trie serialized **pre-order**
 //! with explicit skip offsets, so the structure is readable directly
 //! from a mapped (or merely `read`) byte buffer without building nodes —

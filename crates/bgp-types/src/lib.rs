@@ -15,7 +15,7 @@
 //! * [`Route`] / [`RouteAttrs`] — a RIB entry carrying every attribute the
 //!   BGP decision process consults.
 //! * [`decision`] — the 7-step best-route selection of §2.2.1 of the paper.
-//! * [`CowTrie`] — the copy-on-write binary trie: route shards that
+//! * [`CowTrie`] — the copy-on-write binary trie: route tables that
 //!   share unchanged subtries across snapshots, longest-prefix match,
 //!   and the covered/covering queries of the cause analysis (Table 9).
 //! * [`codec`] / [`flat`] — the archive substrate: LEB128/ZigZag byte

@@ -207,7 +207,7 @@ impl<T> CowTrie<T> {
     }
 
     /// How many of this trie's nodes are *physically* shared (pointer-
-    /// equal) with `base` — the predecessor snapshot's shard, typically.
+    /// equal) with `base` — the predecessor snapshot's trie, typically.
     /// Path copying preserves positions, so a positional lockstep walk
     /// finds every shared subtrie.
     pub fn shared_nodes_with(&self, base: &Self) -> usize {

@@ -9,8 +9,8 @@
 //!   one *block per snapshot* (the interner is append-only across a
 //!   series, so each block is just what its snapshot added; block
 //!   boundaries restore the per-snapshot watermarks on load).
-//! * **full segment** — one snapshot fully materialized: per-vantage
-//!   shard tries in the flattened pointer-free layout of
+//! * **full segment** — one snapshot fully materialized: one route trie
+//!   per vantage in the flattened pointer-free layout of
 //!   [`bgp_types::flat`], SA caches, relationship maps (elided when
 //!   byte-identical to the predecessor's, restoring `Arc` sharing on
 //!   load), import typicality and community classes.
@@ -345,7 +345,7 @@ fn decode_roas(raw: &[u8]) -> Result<RoaTable, CodecError> {
 
 const FLAG_REL_SHARED: u8 = 1;
 /// The full segment carries a trailing vantage directory + footer (see
-/// [`encode_vantage_dir`]) so the cold tier can address shard tries
+/// [`encode_vantage_dir`]) so the cold tier can address vantage tries
 /// without decoding the body. Every full segment has it: the bit clear
 /// (a format-v1 segment) is corruption — see [`read_full_flags`].
 const FLAG_DIRECTORY: u8 = 2;
@@ -374,7 +374,7 @@ fn read_full_flags(r: &mut Reader<'_>) -> Result<u8, CodecError> {
 }
 
 /// Trailing magic of a directory-carrying full segment.
-const DIR_MAGIC: [u8; 4] = *b"RPD2";
+const DIR_MAGIC: [u8; 4] = *b"RPD3";
 /// Footer size: u64 directory offset + magic.
 const DIR_FOOTER: usize = 8 + DIR_MAGIC.len();
 
@@ -447,7 +447,7 @@ pub(crate) fn encode_full(
         }
     }
 
-    // Vantage tables: flattened shard tries. Each shard's byte span is
+    // Vantage tables: one flattened trie each. Its byte span is
     // recorded for the trailing directory, so the cold tier can wrap a
     // FlatTrie around it straight off a mapping.
     let mut dir = VantageDir {
@@ -463,17 +463,15 @@ pub(crate) fn encode_full(
             VantageKind::CollectorPeer => 1,
         });
         put_uvarint(&mut out, table.route_count as u64);
-        let mut shards = Vec::with_capacity(table.shards.len());
-        for shard in &table.shards {
-            let start = out.len();
-            flat::write_trie(shard, &mut out, &mut |route, out| encode_route(route, out));
-            shards.push((start, out.len() - start));
-        }
+        let start = out.len();
+        flat::write_trie(&table.trie, &mut out, &mut |route, out| {
+            encode_route(route, out)
+        });
         dir.entries.push(VantageDirEntry {
             sym: s,
             kind: table.kind,
             route_count: table.route_count,
-            shards,
+            span: (start, out.len() - start),
         });
     }
 
@@ -532,15 +530,15 @@ pub(crate) fn encode_full(
 // the vantage directory: the cold tier's index into a full segment
 // ---------------------------------------------------------------------------
 
-/// One vantage's row in a full segment's directory: where each shard's
-/// flattened trie lives, as absolute `(offset, len)` spans inside the
+/// One vantage's row in a full segment's directory: where its
+/// flattened trie lives, as an absolute `(offset, len)` span inside the
 /// segment payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct VantageDirEntry {
     pub(crate) sym: AsnSym,
     pub(crate) kind: VantageKind,
     pub(crate) route_count: usize,
-    pub(crate) shards: Vec<(usize, usize)>,
+    pub(crate) span: (usize, usize),
 }
 
 /// A full segment's vantage directory, sorted by symbol (the encode
@@ -569,20 +567,17 @@ fn encode_vantage_dir(dir: &VantageDir, out: &mut Vec<u8>) {
             VantageKind::CollectorPeer => 1,
         });
         put_uvarint(out, e.route_count as u64);
-        for &(start, len) in &e.shards {
-            put_uvarint(out, start as u64);
-            put_uvarint(out, len as u64);
-        }
+        put_uvarint(out, e.span.0 as u64);
+        put_uvarint(out, e.span.1 as u64);
     }
 }
 
-/// Decodes a directory whose shard spans must fall inside
+/// Decodes a directory whose trie spans must fall inside
 /// `payload_end` (the body bytes before the directory itself) and whose
 /// symbols must be interned and strictly increasing.
 fn decode_vantage_dir(
     r: &mut Reader<'_>,
     n_asns: usize,
-    n_shards: usize,
     payload_end: usize,
 ) -> Result<VantageDir, CodecError> {
     let n = r.ulen()?;
@@ -610,25 +605,21 @@ fn decode_vantage_dir(
             }
         };
         let route_count = r.ulen()?;
-        let mut shards = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let span_offset = r.position();
-            let start = r.ulen()?;
-            let len = r.ulen()?;
-            let ok = start.checked_add(len).is_some_and(|end| end <= payload_end);
-            if !ok {
-                return Err(CodecError::Invalid {
-                    offset: span_offset,
-                    what: "directory shard span out of bounds",
-                });
-            }
-            shards.push((start, len));
+        let span_offset = r.position();
+        let start = r.ulen()?;
+        let len = r.ulen()?;
+        let ok = start.checked_add(len).is_some_and(|end| end <= payload_end);
+        if !ok {
+            return Err(CodecError::Invalid {
+                offset: span_offset,
+                what: "directory trie span out of bounds",
+            });
         }
         entries.push(VantageDirEntry {
             sym,
             kind,
             route_count,
-            shards,
+            span: (start, len),
         });
     }
     Ok(VantageDir { entries })
@@ -640,7 +631,6 @@ fn decode_vantage_dir(
 pub(crate) fn read_mapped_directory(
     raw: &[u8],
     n_asns: usize,
-    n_shards: usize,
 ) -> Result<(VantageDir, bool, String), CodecError> {
     let mut r = Reader::new(raw);
     let label = r.str()?.to_string();
@@ -667,7 +657,7 @@ pub(crate) fn read_mapped_directory(
             what: "full-segment directory offset",
         })?;
     let mut r = Reader::with_base(&raw[dir_offset..footer], dir_offset);
-    let dir = decode_vantage_dir(&mut r, n_asns, n_shards, dir_offset)?;
+    let dir = decode_vantage_dir(&mut r, n_asns, dir_offset)?;
     if !r.is_exhausted() {
         return Err(CodecError::Invalid {
             offset: r.position(),
@@ -677,14 +667,12 @@ pub(crate) fn read_mapped_directory(
     Ok((dir, self_contained, label))
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn decode_full(
     raw: &[u8],
     id: SnapshotId,
     expect_label: &str,
     prev: Option<&Snapshot>,
     interner: &WorldInterner,
-    n_shards: usize,
 ) -> Result<Snapshot, CodecError> {
     let (n_asns, n_prefixes, _) = interner.sizes();
     let mut r = Reader::new(raw);
@@ -730,7 +718,7 @@ pub(crate) fn decode_full(
         snap.neighbor_counts = Arc::new(counts);
     }
 
-    // Vantage tables. Shard byte spans are recorded as decoded so the
+    // Vantage tables. Trie byte spans are recorded as decoded so the
     // segment can be held to its directory: every span the directory
     // advertises must be exactly where the body put the trie.
     let mut seen_dir = VantageDir::default();
@@ -750,27 +738,21 @@ pub(crate) fn decode_full(
         };
         let count_offset = r.position();
         let route_count = r.ulen()?;
-        let mut shards = Vec::with_capacity(n_shards);
-        let mut spans = Vec::with_capacity(n_shards);
-        let mut inserted = 0usize;
-        for _ in 0..n_shards {
-            let start = r.position();
-            let pairs = flat::read_trie(&mut r, &mut |vr| decode_route(vr, n_asns))?;
-            spans.push((start, r.position() - start));
-            let mut trie = CowTrie::new();
-            for (prefix, route) in pairs {
-                if interner.lookup_prefix(prefix).is_none() {
-                    return Err(CodecError::Invalid {
-                        offset: count_offset,
-                        what: "table prefix missing from symbol table",
-                    });
-                }
-                trie.insert(prefix, route);
-                inserted += 1;
+        let start = r.position();
+        let pairs = flat::read_trie(&mut r, &mut |vr| decode_route(vr, n_asns))?;
+        let span = (start, r.position() - start);
+        let decoded = pairs.len();
+        let mut trie = CowTrie::new();
+        for (prefix, route) in pairs {
+            if interner.lookup_prefix(prefix).is_none() {
+                return Err(CodecError::Invalid {
+                    offset: count_offset,
+                    what: "table prefix missing from symbol table",
+                });
             }
-            shards.push(trie);
+            trie.insert(prefix, route);
         }
-        if inserted != route_count {
+        if decoded != route_count {
             return Err(CodecError::Invalid {
                 offset: count_offset,
                 what: "route count disagrees with trie contents",
@@ -780,13 +762,13 @@ pub(crate) fn decode_full(
             sym: owner,
             kind,
             route_count,
-            shards: spans,
+            span,
         });
         snap.vantages.insert(
             owner,
             Arc::new(VantageTable {
                 kind,
-                shards,
+                trie,
                 route_count,
             }),
         );
@@ -856,7 +838,7 @@ pub(crate) fn decode_full(
     // actually put its tries — a lying directory is corruption, not
     // a source of out-of-band reads for the cold tier.
     let dir_offset = r.position();
-    let dir = decode_vantage_dir(&mut r, n_asns, n_shards, dir_offset)?;
+    let dir = decode_vantage_dir(&mut r, n_asns, dir_offset)?;
     if dir != seen_dir {
         return Err(CodecError::Invalid {
             offset: dir_offset,
@@ -1205,7 +1187,7 @@ pub(crate) fn save(
     let staging = sibling(dir, "staging");
     let _ = std::fs::remove_dir_all(&staging); // a crashed save's leftovers
 
-    let mut manifest = Manifest::new(engine.n_shards as u32);
+    let mut manifest = Manifest::default();
     let symbols = encode_symbols(engine);
     manifest.segments.push(write_segment(
         &staging,
@@ -1355,7 +1337,7 @@ pub(crate) fn load_prelude(
         file: entry.file.clone(),
     };
 
-    let mut engine = QueryEngine::new(manifest.n_shards.max(1) as usize);
+    let mut engine = QueryEngine::default();
     let raw = read_segment(dir, 0, symbols_entry)?;
     let watermarks = decode_symbols(&raw, &mut engine.interner)
         .map_err(|e| StoreError::corrupt(segref(0, symbols_entry), e))?;
@@ -1426,7 +1408,6 @@ pub(crate) fn load(dir: &Path) -> Result<QueryEngine, StoreError> {
                 &entry.label,
                 engine.snapshots.last().map(|a| &**a),
                 &engine.interner,
-                engine.n_shards,
             )
             .map_err(|e| StoreError::corrupt(segref(seg_idx, entry), e))?,
             SegmentKind::Delta => {

@@ -50,7 +50,6 @@ struct Options {
     seed: u64,
     snapshots: usize,
     incremental: bool,
-    shards: usize,
     queries: Option<String>,
     roas: Option<String>,
     save: Option<String>,
@@ -145,14 +144,9 @@ const FLAGS: &[Flag] = &[
     Flag::new(
         "--incremental",
         "ingest the series diff-aware (copy-on-write overlays\n\
-         sharing unchanged shard subtries; `snapshots` shows the\n\
+         sharing unchanged subtries; `snapshots` shows the\n\
          shared-node counts)",
         |o, _| set(&mut o.incremental, Ok(true)),
-    ),
-    Flag::new(
-        "--shards N",
-        "shards per vantage table (default 8)",
-        |o, v| set(&mut o.shards, positive("--shards", "a count", v)),
     ),
     Flag::new(
         "--queries FILE",
@@ -415,7 +409,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
     let mut opts = Options {
         seed: 2003,
         snapshots: 1,
-        shards: 8,
         window: 4,
         ..Options::default()
     };
@@ -593,7 +586,7 @@ fn run() -> Result<ExitCode, String> {
             World::Simulate => simulate(&opts),
             World::Archive { dir, hot_cap } => cold_start(dir, *hot_cap)?,
             // The base every published epoch derives from.
-            World::Follow { .. } => QueryEngine::new(opts.shards),
+            World::Follow { .. } => QueryEngine::default(),
         };
         if let (Some(table), Some(path)) = (roas, &opts.roas) {
             eprintln!("loaded {} ROAs from {path}", table.len());
@@ -686,7 +679,7 @@ fn churn_series(opts: &Options, e: &Experiment) -> bgp_sim::SnapshotSeries {
 fn simulate(opts: &Options) -> QueryEngine {
     let t0 = Instant::now();
     let e = build_world(opts);
-    let mut engine = QueryEngine::new(opts.shards);
+    let mut engine = QueryEngine::default();
     if opts.snapshots > 1 {
         let series = churn_series(opts, &e);
         if opts.incremental {
@@ -699,10 +692,9 @@ fn simulate(opts: &Options) -> QueryEngine {
     }
     let (asns, prefixes, communities) = engine.interned_sizes();
     eprintln!(
-        "ready in {:.2?}: {} snapshots, {} shards, interned {asns} ASNs / {prefixes} prefixes / {communities} communities",
+        "ready in {:.2?}: {} snapshots, interned {asns} ASNs / {prefixes} prefixes / {communities} communities",
         t0.elapsed(),
         engine.snapshot_count(),
-        engine.shard_count(),
     );
     if opts.incremental {
         let stats = engine.sharing_stats();
@@ -730,12 +722,11 @@ fn cold_start(dir: &str, hot_cap: Option<usize>) -> Result<QueryEngine, String> 
     let (asns, prefixes, communities) = engine.interned_sizes();
     let disk = engine.archive_info().map_or(0, |a| a.total_bytes());
     eprintln!(
-        "cold-started from {dir} in {:.2?}: {} snapshots ({} on disk), {} shards, \
+        "cold-started from {dir} in {:.2?}: {} snapshots ({} on disk), \
          interned {asns} ASNs / {prefixes} prefixes / {communities} communities",
         elapsed,
         engine.snapshot_count(),
         fmt_bytes(disk as u64),
-        engine.shard_count(),
     );
     if let Some(stats) = engine.tier_stats() {
         eprintln!(
@@ -1104,7 +1095,7 @@ mod tests {
                 .count();
             assert_eq!(n, 1, "{} in --help", flag.name());
         }
-        assert_eq!(help.lines().filter(|l| l.starts_with("  --")).count(), 26);
+        assert_eq!(help.lines().filter(|l| l.starts_with("  --")).count(), 25);
     }
 
     fn parse(args: &[&str]) -> Result<Options, String> {

@@ -129,7 +129,8 @@ impl SnapshotDiff {
             }
         }
 
-        // --- best-route churn per vantage, shards compared in parallel ---
+        // --- best-route churn per vantage: one merge-join over the two
+        // tries' prefix-ordered streams ---
         let mut vantages: Vec<_> = a
             .vantages
             .keys()
@@ -142,35 +143,18 @@ impl SnapshotDiff {
             let (mut added, mut removed, mut changed) = (0, 0, 0);
             match (a.vantages.get(&v), b.vantages.get(&v)) {
                 (Some(ta), Some(tb)) => {
-                    debug_assert_eq!(ta.shards.len(), tb.shards.len());
-                    let n = ta.shards.len().min(tb.shards.len());
-                    let mut per_shard = vec![(0usize, 0usize, 0usize); n];
-                    std::thread::scope(|scope| {
-                        for (i, slot) in per_shard.iter_mut().enumerate() {
-                            let (sa, sb) = (&ta.shards[i], &tb.shards[i]);
-                            scope.spawn(move || {
-                                let rows_a: std::collections::HashMap<_, _> = sa.iter().collect();
-                                let mut seen = 0usize;
-                                for (p, rb) in sb.iter() {
-                                    match rows_a.get(&p) {
-                                        Some(ra) => {
-                                            seen += 1;
-                                            if *ra != rb {
-                                                slot.2 += 1;
-                                            }
-                                        }
-                                        None => slot.0 += 1,
-                                    }
-                                }
-                                slot.1 = rows_a.len() - seen;
-                            });
+                    let mut rows_a = ta.trie.iter().peekable();
+                    for (pb, rb) in tb.trie.iter() {
+                        while rows_a.next_if(|(pa, _)| *pa < pb).is_some() {
+                            removed += 1;
                         }
-                    });
-                    for (ad, rm, ch) in per_shard {
-                        added += ad;
-                        removed += rm;
-                        changed += ch;
+                        match rows_a.next_if(|(pa, _)| *pa == pb) {
+                            Some((_, ra)) if ra != rb => changed += 1,
+                            Some(_) => {}
+                            None => added += 1,
+                        }
                     }
+                    removed += rows_a.count();
                 }
                 (Some(ta), None) => removed = ta.route_count,
                 (None, Some(tb)) => added = tb.route_count,

@@ -150,7 +150,7 @@ impl SharingStats {
     }
 }
 
-/// The sharded, multi-snapshot policy observatory.
+/// The multi-snapshot policy observatory.
 ///
 /// The engine is ingest-then-serve: all `&mut self` methods happen
 /// before serving starts, after which every query path is `&self` — so
@@ -160,11 +160,10 @@ impl SharingStats {
 /// requests. The assertion below keeps that property load-bearing: a
 /// future `Cell`/`Rc` in any snapshot structure becomes a compile error
 /// here, not a surprise in the serving layer.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct QueryEngine {
     pub(crate) interner: WorldInterner,
     pub(crate) snapshots: Vec<Arc<Snapshot>>,
-    pub(crate) n_shards: usize,
     /// Customer cones cached for the incremental SA patcher; valid as
     /// long as the ingest oracle's relationships are unchanged (the
     /// incremental path clears it when they move).
@@ -208,21 +207,13 @@ const _: () = {
 };
 
 impl QueryEngine {
-    /// An empty engine with `n_shards` shards per vantage table (clamped
-    /// to at least 1).
-    pub fn new(n_shards: usize) -> QueryEngine {
-        QueryEngine {
-            interner: WorldInterner::new(),
-            snapshots: Vec::new(),
-            n_shards: n_shards.max(1),
-            cones: HashMap::new(),
-            archive: None,
-            roas: Arc::new(RoaTable::default()),
-            rov_cache: Arc::new(RovCache::default()),
-            metrics: Arc::new(crate::metrics::QueryMetrics::new()),
-            tier: None,
-            horizon: None,
-        }
+    /// [`QueryEngine::default`]; the argument (once a per-vantage trie
+    /// count) is ignored. Kept only because the frozen `benchmark/`
+    /// package calls it — the next `[benchmark]` PR may move the harness
+    /// to `default()` and delete this.
+    #[doc(hidden)]
+    pub fn new(_: usize) -> QueryEngine {
+        QueryEngine::default()
     }
 
     /// Replaces the engine's ROA table (what `--roas` and scenario
@@ -289,11 +280,6 @@ impl QueryEngine {
         m.live_epoch_age_seconds.set(m.epoch_age_secs());
     }
 
-    /// Shards per vantage table.
-    pub fn shard_count(&self) -> usize {
-        self.n_shards
-    }
-
     /// Number of ingested snapshots (in tiered mode: archived snapshots,
     /// resident or not; on a live epoch: published as of this epoch).
     pub fn snapshot_count(&self) -> usize {
@@ -356,8 +342,7 @@ impl QueryEngine {
         // Later incremental snapshots rebuild the cones they need.
         self.cones.clear();
         let id = SnapshotId(self.snapshots.len() as u32);
-        let mut snap =
-            Snapshot::from_output(id, label, out, oracle, &mut self.interner, self.n_shards);
+        let mut snap = Snapshot::from_output(id, label, out, oracle, &mut self.interner);
         snap.interned_watermark = self.interner.sizes();
         self.snapshots.push(Arc::new(snap));
         id
@@ -384,7 +369,7 @@ impl QueryEngine {
 
     /// Ingests a churn series diff-aware: the first snapshot is indexed
     /// from scratch, every later one as a copy-on-write overlay over its
-    /// predecessor that shares unchanged shard subtries, SA/summary
+    /// predecessor that shares unchanged subtries, SA/summary
     /// caches and the (append-only) interner. Queries cannot tell the
     /// difference — the differential fuzz suite
     /// (`crates/query/tests/incremental_diff.rs`) holds both paths to
@@ -403,7 +388,7 @@ impl QueryEngine {
     /// let cfg = ChurnConfig { steps: 3, ..ChurnConfig::daily(7) };
     /// let series = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg);
     ///
-    /// let mut engine = QueryEngine::new(4);
+    /// let mut engine = QueryEngine::default();
     /// let ids = engine.ingest_series_incremental(&series, &exp.inferred_graph);
     /// assert_eq!(ids.len(), 3);
     /// // Consecutive snapshots physically share unchanged trie nodes:
@@ -475,7 +460,6 @@ impl QueryEngine {
             same_oracle,
             &mut self.interner,
             &mut self.cones,
-            self.n_shards,
         );
         // The interner is append-only across a series: symbols may be
         // added, never moved or dropped, so the predecessor's interned
@@ -629,8 +613,7 @@ impl QueryEngine {
         // `ingest_output` for why the cone cache must be dropped.
         self.cones.clear();
         let id = SnapshotId(self.snapshots.len() as u32);
-        let mut snap =
-            Snapshot::from_collector(id, label, &view, &oracle, &mut self.interner, self.n_shards);
+        let mut snap = Snapshot::from_collector(id, label, &view, &oracle, &mut self.interner);
         snap.interned_watermark = self.interner.sizes();
         self.snapshots.push(Arc::new(snap));
         Ok(id)

@@ -1,4 +1,4 @@
-//! # rpi-query — a sharded, concurrently-queryable policy observatory
+//! # rpi-query — a concurrently-queryable policy observatory
 //!
 //! The paper infers routing policies from static snapshots; this crate is
 //! the serving layer that makes those inferences *queryable at scale*. It
@@ -21,7 +21,7 @@
 //!
 //! Churn series ingest **incrementally**
 //! ([`QueryEngine::ingest_series_incremental`]): each snapshot after the
-//! first is a copy-on-write overlay over its predecessor — shard tries
+//! first is a copy-on-write overlay over its predecessor — vantage tries
 //! share every untouched subtrie ([`bgp_types::CowTrie`]), SA/summary
 //! caches re-derive only the touched vantage×prefix entries, and the
 //! interner stays append-only — differentially tested to answer every
@@ -33,7 +33,7 @@
 //!   `u32` symbols ([`bgp_types::Interner`]), so routes store 4-byte IDs
 //!   and cross-snapshot comparison is integer comparison.
 //! * [`snapshot`] — one ingested snapshot: per-vantage best-route tables
-//!   sharded into [`bgp_types::CowTrie`]s, plus the precomputed
+//!   (one [`bgp_types::CowTrie`] each), plus the precomputed
 //!   `rpi_core` analyses (SA reports, import typicality, community
 //!   semantics, relationship map).
 //! * [`proto`] — the query protocol: AST, wire grammar, responses.
@@ -64,7 +64,7 @@
 //! use rpi_query::{parse, Query, QueryEngine, Response, Scope};
 //!
 //! let exp = Experiment::standard(InternetSize::Tiny, 7);
-//! let mut engine = QueryEngine::new(4); // 4 shards
+//! let mut engine = QueryEngine::default();
 //! engine.ingest_experiment(&exp, "t0");
 //!
 //! // Typed request, typed response:

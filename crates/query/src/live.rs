@@ -187,7 +187,6 @@ pub struct LiveWriter {
     metrics: Arc<crate::metrics::QueryMetrics>,
     spill: PathBuf,
     opts: LiveOptions,
-    n_shards: usize,
     interner: WorldInterner,
     cones: HashMap<Asn, CustomerCone>,
     oracle: AsGraph,
@@ -215,7 +214,6 @@ impl LiveWriter {
             tier: Arc::new(Tier::new_live(opts.window, base.metrics())),
             metrics: base.metrics_arc(),
             spill: spill.to_path_buf(),
-            n_shards: base.n_shards,
             interner: base.interner.clone(),
             cones: HashMap::new(),
             oracle,
@@ -255,14 +253,7 @@ impl LiveWriter {
         let mut snap = match &self.prev_snap {
             None => {
                 self.cones.clear();
-                Snapshot::from_output(
-                    id,
-                    &frame.label,
-                    &out,
-                    &self.oracle,
-                    &mut self.interner,
-                    self.n_shards,
-                )
+                Snapshot::from_output(id, &frame.label, &out, &self.oracle, &mut self.interner)
             }
             Some(prev) => Snapshot::from_output_incremental(
                 id,
@@ -274,7 +265,6 @@ impl LiveWriter {
                 same_oracle,
                 &mut self.interner,
                 &mut self.cones,
-                self.n_shards,
             ),
         };
         snap.interned_watermark = self.interner.sizes();
@@ -324,7 +314,7 @@ impl LiveWriter {
         let map = Mmap::map(&path).map_err(|source| StoreError::Io { path, source })?;
         let dir = match kind {
             SegmentKind::Full => Some(
-                read_mapped_directory(&map, self.interner.sizes().0, self.n_shards)
+                read_mapped_directory(&map, self.interner.sizes().0)
                     .map_err(stream_err)?
                     .0,
             ),
@@ -374,30 +364,32 @@ impl LiveWriter {
     /// A frozen engine exposing exactly the snapshots published so far.
     fn epoch_engine(&self) -> QueryEngine {
         let base = self.handle.current();
-        let mut e = QueryEngine::new(self.n_shards);
-        e.interner = self.interner.clone();
-        e.roas = Arc::clone(&base.roas);
-        e.rov_cache = Arc::clone(&base.rov_cache);
-        e.metrics = Arc::clone(&base.metrics);
-        e.tier = Some(Arc::clone(&self.tier));
-        e.horizon = Some(self.count);
-        e.archive = Some(ArchiveInfo {
-            dir: self.spill.clone(),
-            symbols: SegmentMeta {
-                index: 0,
-                kind: SegmentKind::Symbols,
-                file: "symbols.seg".to_string(),
-                // The live interner lives in memory; a symbols segment
-                // exists only once the stream is archived.
-                bytes: 0,
-                crc32: 0,
-                label: String::new(),
-                keyframe: false,
-            },
-            snapshots: self.metas.clone(),
-            roas: None,
-        });
-        e
+        QueryEngine {
+            interner: self.interner.clone(),
+            snapshots: Vec::new(),
+            cones: HashMap::new(),
+            roas: Arc::clone(&base.roas),
+            rov_cache: Arc::clone(&base.rov_cache),
+            metrics: Arc::clone(&base.metrics),
+            tier: Some(Arc::clone(&self.tier)),
+            horizon: Some(self.count),
+            archive: Some(ArchiveInfo {
+                dir: self.spill.clone(),
+                symbols: SegmentMeta {
+                    index: 0,
+                    kind: SegmentKind::Symbols,
+                    file: "symbols.seg".to_string(),
+                    // The live interner lives in memory; a symbols segment
+                    // exists only once the stream is archived.
+                    bytes: 0,
+                    crc32: 0,
+                    label: String::new(),
+                    keyframe: false,
+                },
+                snapshots: self.metas.clone(),
+                roas: None,
+            }),
+        }
     }
 }
 

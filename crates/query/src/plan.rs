@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn only_a_batch_with_two_scans_fans_out() {
         let exp = Experiment::standard(InternetSize::Tiny, 7);
-        let mut engine = QueryEngine::new(4);
+        let mut engine = QueryEngine::default();
         engine.ingest_experiment(&exp, "t0");
         let lg = exp.spec.lg_ases[0];
 

@@ -65,13 +65,11 @@ fn origins_per_prefix(
 ) -> BTreeMap<Ipv4Prefix, BTreeSet<Asn>> {
     let mut out: BTreeMap<Ipv4Prefix, BTreeSet<Asn>> = BTreeMap::new();
     for table in snap.vantages.values() {
-        for shard in &table.shards {
-            for (p, r) in shard.iter() {
-                let origin = *r.path.last().expect("stored paths are non-empty");
-                out.entry(p)
-                    .or_default()
-                    .insert(engine.interner.resolve_asn(origin));
-            }
+        for (p, r) in table.trie.iter() {
+            let origin = *r.path.last().expect("stored paths are non-empty");
+            out.entry(p)
+                .or_default()
+                .insert(engine.interner.resolve_asn(origin));
         }
     }
     out
@@ -269,11 +267,8 @@ pub(crate) fn leak_events(engine: &QueryEngine, snap: &Snapshot) -> Vec<LeakEven
     let mut out = Vec::new();
     let mut full: Vec<AsnSym> = Vec::new();
     for (vantage, v) in vantages {
-        let table = &snap.vantages[&v];
-        let mut rows: Vec<(Ipv4Prefix, &crate::snapshot::CompactRoute)> =
-            table.shards.iter().flat_map(|s| s.iter()).collect();
-        rows.sort_unstable_by_key(|&(p, _)| p);
-        for (prefix, route) in rows {
+        // The trie iterates in prefix order, the order events are reported in.
+        for (prefix, route) in snap.vantages[&v].trie.iter() {
             full.clear();
             if route.path.first() != Some(&v) {
                 full.push(v);

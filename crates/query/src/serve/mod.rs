@@ -44,7 +44,7 @@
 //! use rpi_query::serve::{ServeConfig, Server};
 //! use rpi_query::QueryEngine;
 //!
-//! let engine = Arc::new(QueryEngine::new(8));
+//! let engine = Arc::new(QueryEngine::default());
 //! let server = Server::bind(engine, "127.0.0.1:0", ServeConfig::default())?;
 //! println!("listening on {}", server.local_addr()?);
 //! let stats = server.run()?; // until a `shutdown` line arrives

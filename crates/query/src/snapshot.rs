@@ -1,5 +1,5 @@
-//! One ingested snapshot: sharded per-vantage route tables plus the
-//! precomputed `rpi_core` analyses.
+//! One ingested snapshot: per-vantage route tables (one prefix trie
+//! each) plus the precomputed `rpi_core` analyses.
 //!
 //! A snapshot is built once at ingest time and never mutated; every query
 //! against it is a hash/trie lookup. Routes are stored interned
@@ -11,7 +11,7 @@
 //! [`Snapshot::from_output`] indexes a simulated output from scratch.
 //! [`Snapshot::from_output_incremental`] instead starts from the
 //! *predecessor* snapshot and a structured [`bgp_sim::OutputDelta`]: the
-//! shard tries are copy-on-write overlays ([`bgp_types::CowTrie`]) that
+//! vantage tries are copy-on-write overlays ([`bgp_types::CowTrie`]) that
 //! physically share every untouched subtrie with the predecessor, the
 //! relationship/SA/summary caches are `Arc`-shared per vantage and only
 //! the touched vantage×prefix entries are re-derived, and the engine-wide
@@ -63,27 +63,16 @@ pub(crate) struct CompactRoute {
     pub path: Box<[AsnSym]>,
 }
 
-/// One vantage's best-route table, sharded by prefix. Tables are
+/// One vantage's best-route table: one prefix trie. Tables are
 /// `Arc`-shared between snapshots: an incremental ingest clones the
 /// whole `Arc` for untouched vantages, and builds a copy-on-write
-/// overlay (shards cloned in O(1), only touched spines copied) for
+/// overlay (root cloned in O(1), only touched spines copied) for
 /// churned ones.
 #[derive(Debug)]
 pub(crate) struct VantageTable {
     pub kind: VantageKind,
-    /// `shards[shard_of(prefix, n)]` holds the prefix's route.
-    pub shards: Vec<CowTrie<CompactRoute>>,
+    pub trie: CowTrie<CompactRoute>,
     pub route_count: usize,
-}
-
-/// Deterministic shard assignment for a prefix (splitmix-style avalanche
-/// over the canonical bits + length, so /8s and /24s spread evenly).
-pub(crate) fn shard_of(prefix: Ipv4Prefix, n_shards: usize) -> usize {
-    let mut z = ((prefix.bits() as u64) << 8) | prefix.len() as u64;
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (z ^ (z >> 31)) as usize % n_shards
 }
 
 /// How a snapshot was built — the archive's full-vs-delta policy input.
@@ -153,7 +142,6 @@ impl Snapshot {
         out: &SimOutput,
         oracle: &AsGraph,
         interner: &mut WorldInterner,
-        n_shards: usize,
     ) -> Snapshot {
         let mut snap = Snapshot::empty(id, label);
         snap.index_relationships(oracle, interner);
@@ -161,13 +149,7 @@ impl Snapshot {
         // Collector peers: best-path tables, SA analysis only.
         for &peer in &out.collector.peers {
             let table = BestTable::from_collector(&out.collector, peer);
-            snap.index_vantage(
-                &table,
-                VantageKind::CollectorPeer,
-                oracle,
-                interner,
-                n_shards,
-            );
+            snap.index_vantage(&table, VantageKind::CollectorPeer, oracle, interner);
         }
         for row in out.collector.all_paths() {
             for &c in &row.communities {
@@ -179,13 +161,7 @@ impl Snapshot {
         // An LG AS that also peers with the collector keeps the richer view.
         for (&asn, view) in &out.lgs {
             let table = BestTable::from_lg(view);
-            snap.index_vantage(
-                &table,
-                VantageKind::LookingGlass,
-                oracle,
-                interner,
-                n_shards,
-            );
+            snap.index_vantage(&table, VantageKind::LookingGlass, oracle, interner);
             snap.index_lg_analyses(asn, view, oracle, interner);
         }
         snap
@@ -203,7 +179,7 @@ impl Snapshot {
     ///   scratch;
     /// * untouched by `delta` → table, SA cache and LG analyses are the
     ///   predecessor's `Arc`s, no bytes copied;
-    /// * churned → shards are O(1) clones patched along the touched
+    /// * churned → the trie is an O(1) clone patched along the touched
     ///   prefixes' spines, and the SA cache is re-derived only for those
     ///   prefixes (Fig. 4's per-prefix test is local: origin-in-cone +
     ///   next-hop relationship).
@@ -218,7 +194,6 @@ impl Snapshot {
         same_oracle: bool,
         interner: &mut WorldInterner,
         cones: &mut HashMap<Asn, CustomerCone>,
-        n_shards: usize,
     ) -> Snapshot {
         let mut snap = Snapshot::empty(id, label);
         let oracle_changed = if same_oracle {
@@ -273,13 +248,7 @@ impl Snapshot {
                 || prev_kind(prev, interner, peer) != Some(VantageKind::CollectorPeer);
             if fresh {
                 let table = BestTable::from_collector(&out.collector, peer);
-                snap.index_vantage(
-                    &table,
-                    VantageKind::CollectorPeer,
-                    oracle,
-                    interner,
-                    n_shards,
-                );
+                snap.index_vantage(&table, VantageKind::CollectorPeer, oracle, interner);
             } else {
                 let vd = delta.collector.get(&peer);
                 snap.patch_vantage(prev, peer, vd, oracle, interner, cones, oracle_changed);
@@ -293,13 +262,7 @@ impl Snapshot {
             let vd = delta.lgs.get(&asn);
             if fresh {
                 let table = BestTable::from_lg(view);
-                snap.index_vantage(
-                    &table,
-                    VantageKind::LookingGlass,
-                    oracle,
-                    interner,
-                    n_shards,
-                );
+                snap.index_vantage(&table, VantageKind::LookingGlass, oracle, interner);
                 snap.index_lg_analyses(asn, view, oracle, interner);
             } else {
                 snap.patch_vantage(prev, asn, vd, oracle, interner, cones, oracle_changed);
@@ -359,12 +322,11 @@ impl Snapshot {
             let vd = vd.expect("route events imply a delta");
             let mut table = VantageTable {
                 kind: prev_table.kind,
-                shards: prev_table.shards.clone(),
+                trie: prev_table.trie.clone(),
                 route_count: prev_table.route_count,
             };
-            let n = table.shards.len();
             for &p in &vd.withdrawn {
-                if table.shards[shard_of(p, n)].remove(p).is_some() {
+                if table.trie.remove(p).is_some() {
                     table.route_count -= 1;
                 }
             }
@@ -374,7 +336,7 @@ impl Snapshot {
                     next_hop: interner.asn(r.next_hop),
                     path: r.path.iter().map(|&a| interner.asn(a)).collect(),
                 };
-                if table.shards[shard_of(*p, n)].insert(*p, route).is_none() {
+                if table.trie.insert(*p, route).is_none() {
                     table.route_count += 1;
                 }
             }
@@ -392,10 +354,8 @@ impl Snapshot {
             // table (rare — only when the relationship oracle itself
             // changed mid-series).
             let table = self.vantages[&owner].clone();
-            let mut rows: Vec<(Ipv4Prefix, CompactRoute)> = Vec::new();
-            for shard in &table.shards {
-                rows.extend(shard.iter().map(|(p, r)| (p, r.clone())));
-            }
+            let rows: Vec<(Ipv4Prefix, CompactRoute)> =
+                table.trie.iter().map(|(p, r)| (p, r.clone())).collect();
             let cone = cones
                 .entry(vantage)
                 .or_insert_with(|| CustomerCone::build(oracle, vantage));
@@ -459,19 +419,12 @@ impl Snapshot {
         view: &CollectorView,
         oracle: &AsGraph,
         interner: &mut WorldInterner,
-        n_shards: usize,
     ) -> Snapshot {
         let mut snap = Snapshot::empty(id, label);
         snap.index_relationships(oracle, interner);
         for &peer in &view.peers {
             let table = BestTable::from_collector(view, peer);
-            snap.index_vantage(
-                &table,
-                VantageKind::CollectorPeer,
-                oracle,
-                interner,
-                n_shards,
-            );
+            snap.index_vantage(&table, VantageKind::CollectorPeer, oracle, interner);
         }
         for row in view.all_paths() {
             for &c in &row.communities {
@@ -523,24 +476,22 @@ impl Snapshot {
         kind: VantageKind,
         oracle: &AsGraph,
         interner: &mut WorldInterner,
-        n_shards: usize,
     ) {
         let owner = interner.asn(table.asn);
-        let mut shards: Vec<CowTrie<CompactRoute>> =
-            (0..n_shards).map(|_| CowTrie::new()).collect();
+        let mut trie = CowTrie::new();
         for (&prefix, row) in &table.rows {
             interner.prefix(prefix);
             let route = CompactRoute {
                 next_hop: interner.asn(row.next_hop),
                 path: row.path.iter().map(|&a| interner.asn(a)).collect(),
             };
-            shards[shard_of(prefix, n_shards)].insert(prefix, route);
+            trie.insert(prefix, route);
         }
         self.vantages.insert(
             owner,
             Arc::new(VantageTable {
                 kind,
-                shards,
+                trie,
                 route_count: table.rows.len(),
             }),
         );
@@ -604,44 +555,34 @@ impl Snapshot {
         self.vantages.iter().map(|(&s, t)| (s, t.kind))
     }
 
-    /// Every prefix in one vantage's table, across all shards (empty
-    /// when the AS is not a vantage here). Feeds the history queries'
+    /// Every prefix in one vantage's table, in prefix order (empty when
+    /// the AS is not a vantage here). Feeds the history queries'
     /// per-snapshot presence counts.
     pub(crate) fn table_prefixes(&self, vantage: AsnSym) -> impl Iterator<Item = Ipv4Prefix> + '_ {
         self.vantages
             .get(&vantage)
             .into_iter()
-            .flat_map(|t| t.shards.iter().flat_map(|s| s.iter().map(|(p, _)| p)))
+            .flat_map(|t| t.trie.iter().map(|(p, _)| p))
     }
 
     /// Exact route lookup.
     pub(crate) fn route(&self, vantage: AsnSym, prefix: Ipv4Prefix) -> Option<&CompactRoute> {
-        let table = self.vantages.get(&vantage)?;
-        table.shards[shard_of(prefix, table.shards.len())].get(prefix)
+        self.vantages.get(&vantage)?.trie.get(prefix)
     }
 
-    /// Longest-prefix-match lookup: consults every shard (covering
-    /// prefixes hash to different shards) and keeps the longest hit.
+    /// Longest-prefix-match lookup.
     pub(crate) fn route_lpm(
         &self,
         vantage: AsnSym,
         prefix: Ipv4Prefix,
     ) -> Option<(Ipv4Prefix, &CompactRoute)> {
-        let table = self.vantages.get(&vantage)?;
-        table
-            .shards
-            .iter()
-            .filter_map(|shard| shard.best_match(prefix))
-            .max_by_key(|(p, _)| p.len())
+        self.vantages.get(&vantage)?.trie.best_match(prefix)
     }
 
-    /// Total trie nodes across all vantage shards (counted as if
+    /// Total trie nodes across all vantage tables (counted as if
     /// unshared).
     pub(crate) fn trie_nodes(&self) -> usize {
-        self.vantages
-            .values()
-            .map(|t| t.shards.iter().map(CowTrie::node_count).sum::<usize>())
-            .sum()
+        self.vantages.values().map(|t| t.trie.node_count()).sum()
     }
 
     /// Trie nodes physically shared with `prev` (pointer-equal subtries,
@@ -650,14 +591,7 @@ impl Snapshot {
         self.vantages
             .iter()
             .filter_map(|(sym, table)| prev.vantages.get(sym).map(|pt| (table, pt)))
-            .map(|(table, pt)| {
-                table
-                    .shards
-                    .iter()
-                    .zip(&pt.shards)
-                    .map(|(s, p)| s.shared_nodes_with(p))
-                    .sum::<usize>()
-            })
+            .map(|(table, pt)| table.trie.shared_nodes_with(&pt.trie))
             .sum()
     }
 }
@@ -700,38 +634,5 @@ fn classify_sa<I: Interning>(
         cache.exported.insert(prefix, origin_sym);
     } else {
         cache.sa.insert(prefix, origin_sym);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shard_assignment_is_stable_and_in_range() {
-        let prefixes = ["10.0.0.0/8", "10.0.0.0/16", "192.168.4.0/24", "0.0.0.0/0"];
-        for n in [1usize, 2, 7, 64] {
-            for p in prefixes {
-                let p: Ipv4Prefix = p.parse().unwrap();
-                let s = shard_of(p, n);
-                assert!(s < n);
-                assert_eq!(s, shard_of(p, n), "deterministic");
-            }
-        }
-    }
-
-    #[test]
-    fn shards_spread_prefixes() {
-        // 256 /24s into 8 shards: no shard should be empty or hog > half.
-        let mut counts = [0usize; 8];
-        for i in 0..256u32 {
-            let p = Ipv4Prefix::canonical(i << 8, 24);
-            counts[shard_of(p, 8)] += 1;
-        }
-        assert!(counts.iter().all(|&c| c > 0), "all shards used: {counts:?}");
-        assert!(
-            counts.iter().all(|&c| c < 128),
-            "no shard hogs half: {counts:?}"
-        );
     }
 }

@@ -9,7 +9,7 @@
 //! * **cold** — the mapped segment bytes themselves. Exact
 //!   `route`/`resolve`/`rov` point queries against a cold full segment
 //!   are answered **zero-copy off the mapping**: the segment's trailing
-//!   vantage directory locates the right shard's flattened trie, a
+//!   vantage directory locates the vantage's flattened trie, a
 //!   [`bgp_types::flat::FlatTrie`] walks the mapped bytes in place, and
 //!   only the one matching route is decoded. Nothing is allocated per
 //!   snapshot, and the answer bytes are identical to what a fully
@@ -54,7 +54,7 @@ use crate::engine::{QueryEngine, RouteAnswer};
 use crate::intern::FrozenInterner;
 use crate::plan::QueryError;
 use crate::proto::{Query, Response, RovAnswer};
-use crate::snapshot::{shard_of, Provenance, Snapshot, SnapshotId, VantageKind};
+use crate::snapshot::{Provenance, Snapshot, SnapshotId, VantageKind};
 
 /// Where a tiered snapshot currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -444,32 +444,15 @@ impl Tier {
             return Ok(None);
         };
         let raw: &[u8] = &ts.map;
+        let (start, len) = entry.span;
+        let trie = flat::FlatTrie::new(&raw[start..start + len], start)
+            .map_err(|e| corrupt(&ts.file, e))?;
         let matched = if lpm {
-            // Covering prefixes hash to independent shards: consult every
-            // shard's trie and keep the longest match, exactly like the
-            // hydrated `route_lpm`.
-            let mut best: Option<(Ipv4Prefix, &[u8])> = None;
-            for &(start, len) in &entry.shards {
-                let trie = flat::FlatTrie::new(&raw[start..start + len], start)
-                    .map_err(|e| corrupt(&ts.file, e))?;
-                if let Some((p, value)) =
-                    trie.best_match(prefix).map_err(|e| corrupt(&ts.file, e))?
-                {
-                    if best.is_none_or(|(bp, _)| p.len() > bp.len()) {
-                        best = Some((p, value));
-                    }
-                }
-            }
-            best
+            trie.best_match(prefix)
         } else {
-            let (start, len) = entry.shards[shard_of(prefix, engine.n_shards)];
-            let trie = flat::FlatTrie::new(&raw[start..start + len], start)
-                .map_err(|e| corrupt(&ts.file, e))?;
-            trie.get(prefix)
-                .map_err(|e| corrupt(&ts.file, e))?
-                .map(|value| (prefix, value))
+            trie.get(prefix).map(|hit| hit.map(|value| (prefix, value)))
         };
-        let Some((matched_prefix, value)) = matched else {
+        let Some((matched_prefix, value)) = matched.map_err(|e| corrupt(&ts.file, e))? else {
             return Ok(None);
         };
         let route = self.decode_value(engine, ts, value)?;
@@ -501,7 +484,7 @@ impl Tier {
             return Ok(RovAnswer::UnknownVantage);
         };
         let raw: &[u8] = &ts.map;
-        let (start, len) = entry.shards[shard_of(prefix, engine.n_shards)];
+        let (start, len) = entry.span;
         let trie = flat::FlatTrie::new(&raw[start..start + len], start)
             .map_err(|e| corrupt(&ts.file, e))?;
         let Some(value) = trie.get(prefix).map_err(|e| corrupt(&ts.file, e))? else {
@@ -601,15 +584,10 @@ impl Tier {
             let kid = SnapshotId(k as u32);
             let raw: &[u8] = &ts.map;
             let mut snap = match ts.kind {
-                SegmentKind::Full => decode_full(
-                    raw,
-                    kid,
-                    &ts.label,
-                    cur.as_deref(),
-                    &engine.interner,
-                    engine.n_shards,
-                )
-                .map_err(|e| corrupt(&ts.file, e))?,
+                SegmentKind::Full => {
+                    decode_full(raw, kid, &ts.label, cur.as_deref(), &engine.interner)
+                        .map_err(|e| corrupt(&ts.file, e))?
+                }
                 SegmentKind::Delta => {
                     let payload = decode_delta(raw, &ts.label, &engine.interner)
                         .map_err(|e| corrupt(&ts.file, e))?;
@@ -671,9 +649,8 @@ pub(crate) fn load_tiered(dir: &Path, hot_cap: usize) -> Result<QueryEngine, Sto
         let map = Mmap::map(&path).map_err(|source| StoreError::Io { path, source })?;
         let (vdir, self_contained) = match entry.kind {
             SegmentKind::Full => {
-                let (d, self_contained, label) =
-                    read_mapped_directory(&map, n_asns, engine.n_shards)
-                        .map_err(|e| StoreError::corrupt(segref(), e))?;
+                let (d, self_contained, label) = read_mapped_directory(&map, n_asns)
+                    .map_err(|e| StoreError::corrupt(segref(), e))?;
                 if label != entry.label {
                     return Err(StoreError::invalid(
                         segref(),

@@ -111,7 +111,7 @@ fn windows(engine: &QueryEngine, exp: &Experiment) -> Vec<Window> {
 #[test]
 fn pipelined_lookups_stay_within_one_allocation_per_query() {
     let exp = Experiment::standard(InternetSize::Tiny, 11);
-    let mut engine = QueryEngine::new(4);
+    let mut engine = QueryEngine::default();
     engine.ingest_experiment(&exp, "t0");
     let engine = Arc::new(engine);
     let windows = windows(&engine, &exp);

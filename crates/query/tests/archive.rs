@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 
 use bgp_sim::churn::simulate_series;
 use bgp_sim::{ChurnConfig, GroundTruth, PolicyParams, SimOutput, VantageSpec};
+use bgp_types::codec::{put_uvarint, Reader};
 use bgp_types::{Asn, Ipv4Prefix, Relationship};
 use net_topology::{AsGraph, InternetConfig, InternetSize};
 use rpi_query::{render_response, Query, QueryEngine, QueryRequest, Scope, SnapshotId};
@@ -157,8 +158,8 @@ fn scenario_roas(sc: &Scenario, seed: u64) -> RoaTable {
 }
 
 /// Incremental ingest under the scenario's per-snapshot oracles.
-fn ingest(sc: &Scenario, shards: usize) -> QueryEngine {
-    let mut e = QueryEngine::new(shards);
+fn ingest(sc: &Scenario) -> QueryEngine {
+    let mut e = QueryEngine::default();
     for (i, (label, out)) in sc.labels.iter().zip(&sc.outputs).enumerate() {
         if i == 0 {
             e.ingest_output(out, &sc.oracles[i], label);
@@ -240,7 +241,6 @@ fn assert_round_trip(seed: u64, saved: &mut QueryEngine, sc: &Scenario, tag: &st
     assert_eq!(saved.snapshot_count(), loaded.snapshot_count());
     assert_eq!(saved.labels(), loaded.labels());
     assert_eq!(saved.interned_sizes(), loaded.interned_sizes());
-    assert_eq!(saved.shard_count(), loaded.shard_count());
     assert_eq!(
         saved.roa_table(),
         loaded.roa_table(),
@@ -292,7 +292,7 @@ fn run_differential(seed: u64, flip_oracle: bool, tag: &str) {
         .sum();
     assert!(route_events > 0, "seed {seed}: degenerate scenario");
 
-    let mut engine = ingest(&sc, 4);
+    let mut engine = ingest(&sc);
     engine.set_roas(scenario_roas(&sc, seed));
     let manifest = assert_round_trip(seed, &mut engine, &sc, tag);
     assert_eq!(
@@ -362,7 +362,7 @@ fn differential_extra_seeds_from_env() {
 #[test]
 fn full_ingest_series_round_trips_as_full_segments() {
     let sc = build_scenario(0x5F, false);
-    let mut engine = QueryEngine::new(4);
+    let mut engine = QueryEngine::default();
     for (i, (label, out)) in sc.labels.iter().zip(&sc.outputs).enumerate() {
         engine.ingest_output(out, &sc.oracles[i], label);
     }
@@ -378,7 +378,7 @@ fn full_ingest_series_round_trips_as_full_segments() {
 #[test]
 fn loaded_delta_archive_preserves_cow_sharing() {
     let sc = build_scenario(0xC0, false);
-    let mut engine = ingest(&sc, 4);
+    let mut engine = ingest(&sc);
     let live = engine.sharing_stats();
     assert!(live.shared_nodes > 0);
 
@@ -402,7 +402,7 @@ fn loaded_delta_archive_preserves_cow_sharing() {
 #[test]
 fn loaded_engine_resaves_equivalently() {
     let sc = build_scenario(0xAB, false);
-    let mut engine = ingest(&sc, 4);
+    let mut engine = ingest(&sc);
     engine.set_roas(scenario_roas(&sc, 0xAB));
     let dir = tmp_dir("resave");
     let first = engine.save_archive(&dir, false).expect("save");
@@ -435,7 +435,7 @@ fn loaded_engine_resaves_equivalently() {
 #[test]
 fn roa_segment_round_trips_and_is_optional() {
     let sc = build_scenario(0x4A, false);
-    let mut engine = ingest(&sc, 4);
+    let mut engine = ingest(&sc);
     engine.set_roas(scenario_roas(&sc, 0x4A));
     assert!(!engine.roa_table().is_empty(), "scenario yields ROAs");
 
@@ -466,7 +466,7 @@ fn roa_segment_round_trips_and_is_optional() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut bare = ingest(&sc, 4);
+    let mut bare = ingest(&sc);
     let dir2 = tmp_dir("roa-none");
     let m2 = bare.save_archive(&dir2, false).expect("save");
     assert!(m2.segments.iter().all(|s| s.kind != SegmentKind::Roa));
@@ -479,9 +479,16 @@ fn roa_segment_round_trips_and_is_optional() {
 // corruption: typed errors, no panics, no half-worlds
 // ---------------------------------------------------------------------------
 
+type Loader = fn(&std::path::Path) -> Result<QueryEngine, StoreError>;
+/// The two ways to open an archive; both must refuse damage typed.
+const LOADERS: [(&str, Loader); 2] = [
+    ("hydrated", QueryEngine::load_archive),
+    ("tiered", |d| QueryEngine::load_archive_tiered(d, 4)),
+];
+
 fn saved_archive(tag: &str) -> (std::path::PathBuf, Manifest) {
     let sc = build_scenario(0x77, false);
-    let mut engine = ingest(&sc, 4);
+    let mut engine = ingest(&sc);
     // ROAs included, so the corruption sweeps below cover the roa
     // segment alongside symbols and snapshots.
     engine.set_roas(scenario_roas(&sc, 0x77));
@@ -514,7 +521,7 @@ fn empty_directory_is_not_an_archive() {
 fn save_refuses_overwrite_without_force() {
     let (dir, _) = saved_archive("force");
     let sc = build_scenario(0x78, false);
-    let mut other = ingest(&sc, 4);
+    let mut other = ingest(&sc);
     assert!(matches!(
         other.save_archive(&dir, false),
         Err(StoreError::AlreadyExists { .. })
@@ -534,7 +541,7 @@ fn force_save_leaves_no_orphan_segments() {
 
     // A much shorter engine saved over it.
     let sc = build_scenario(0x79, false);
-    let mut short = QueryEngine::new(4);
+    let mut short = QueryEngine::default();
     short.ingest_output(&sc.outputs[0], &sc.oracles[0], &sc.labels[0]);
     let manifest = short.save_archive(&dir, true).expect("force save");
     assert_eq!(manifest.segments.len(), 2); // symbols + one snapshot
@@ -563,7 +570,7 @@ fn save_into_existing_directory_keeps_unrelated_files() {
     std::fs::write(dir.join("NOTES.txt"), "not part of the archive").unwrap();
 
     let sc = build_scenario(0x7A, false);
-    let mut engine = ingest(&sc, 4);
+    let mut engine = ingest(&sc);
     engine.save_archive(&dir, false).expect("save");
     assert_eq!(
         std::fs::read_to_string(dir.join("NOTES.txt")).unwrap(),
@@ -639,6 +646,39 @@ fn stale_manifest_version_is_typed() {
         }
         other => panic!("wanted Version, got {other:?}"),
     }
+
+    // A format-v2 manifest, byte-exact: version 2 and the per-vantage
+    // trie count (8) that v2 carried between the version and the segment
+    // count. Both loaders refuse it on the version field alone, and the
+    // daemon says so on one line.
+    let mut v2 = manifest.to_bytes();
+    v2.truncate(v2.len() - 4);
+    v2[8..12].copy_from_slice(&2u32.to_be_bytes());
+    v2.splice(12..12, 8u32.to_be_bytes());
+    v2.extend_from_slice(&rpi_store::crc32(&v2).to_be_bytes());
+    std::fs::write(dir.join(MANIFEST_FILE), &v2).unwrap();
+    for (name, load) in LOADERS {
+        let err = load(&dir).expect_err("a v2 manifest must not load");
+        let is_v2 = matches!(
+            err,
+            StoreError::Version {
+                found: 2,
+                supported: FORMAT_VERSION
+            }
+        );
+        assert!(is_v2, "{name}: {err}");
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
+        .arg("--archive")
+        .arg(&dir)
+        .output()
+        .expect("rpi-queryd runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "rpi-queryd: --archive: unsupported archive format version 2 \
+         (this build reads version 3 only)\n"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -701,6 +741,127 @@ fn roa_semantic_corruption_names_the_segment() {
     match QueryEngine::load_archive(&dir) {
         Err(StoreError::Corrupt { segment, .. }) => assert_eq!(segment.index, idx),
         other => panic!("wanted Corrupt, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// No integer read from an archive sizes an allocation unclamped. Every
+/// count and length field of the manifest, and of a full segment's
+/// vantage directory and footer, is patched to its type's maximum with
+/// the checksums recomputed (so the CRC gates pass): each must be a
+/// typed error on both load paths — never an abort. (Format v2's
+/// manifest carried a per-vantage trie count that went straight into
+/// `Vec::with_capacity`; that field is gone, this pins the rest.)
+#[test]
+fn crafted_counts_and_lengths_are_typed_errors() {
+    let (dir, manifest) = saved_archive("crafted");
+    let fails = |what: &str, expect: &str| {
+        for (name, load) in LOADERS {
+            match load(&dir) {
+                Err(e) => assert!(e.to_string().contains(expect), "{what}, {name}: {e}"),
+                // The tiered attach trusts a checksummed directory for
+                // what only the body can contradict; decoding the body
+                // (the first hydration) is where that surfaces.
+                Ok(engine) => {
+                    assert_eq!(name, "tiered", "{what}: hydrated load succeeded");
+                    let req = Query::PolicySummary { asn: Asn(1) }.at(Scope::Id(SnapshotId(0)));
+                    let err = engine.execute(&req).expect_err(what).to_string();
+                    assert!(err.contains(expect), "{what}, hydration: {err}");
+                }
+            }
+        }
+    };
+
+    // --- the manifest: magic[8] version:u32 n_segments:u32 segment* ---
+    let good = manifest.to_bytes();
+    let row1 = 16 + 1 + 8 + 4 + 4 + manifest.segments[0].file.len() + 4 + 1;
+    assert_eq!(manifest.segments[0].label, "");
+    let file_len_at = row1 + 1 + 8 + 4;
+    let label_len_at = file_len_at + 4 + manifest.segments[1].file.len();
+    for (what, at, width, expect) in [
+        ("segment count", 12, 4, "truncated segment kind"),
+        ("segment byte length", row1 + 1, 8, "truncated"),
+        (
+            "file name length",
+            file_len_at,
+            4,
+            "truncated segment file name",
+        ),
+        ("label length", label_len_at, 4, "truncated segment label"),
+    ] {
+        let mut bytes = good[..good.len() - 4].to_vec();
+        bytes[at..at + width].fill(0xFF);
+        bytes.extend_from_slice(&rpi_store::crc32(&bytes).to_be_bytes());
+        std::fs::write(dir.join(MANIFEST_FILE), &bytes).unwrap();
+        fails(what, expect);
+    }
+
+    // --- the first full segment's directory and footer ---
+    // directory := n (sym kind:u8 route_count start len)*, all uvarints;
+    // footer := dir_offset:u64 magic[4].
+    assert_eq!(manifest.segments[1].kind, SegmentKind::Full);
+    let seg_path = dir.join(&manifest.segments[1].file);
+    let seg = std::fs::read(&seg_path).unwrap();
+    let footer = seg.len() - 12;
+    let dir_offset = u64::from_be_bytes(seg[footer..footer + 8].try_into().unwrap()) as usize;
+    let mut fields = Vec::new(); // byte range of each directory integer
+    let mut r = Reader::new(&seg[dir_offset..footer]);
+    for field in 0..6 {
+        let start = r.position();
+        if field == 2 {
+            r.u8().unwrap(); // the kind byte: not a count
+        } else {
+            r.uvarint().unwrap();
+            fields.push(dir_offset + start..dir_offset + r.position());
+        }
+    }
+    let mut max = Vec::new();
+    put_uvarint(&mut max, u64::MAX);
+    let splice = |range: std::ops::Range<usize>, with: &[u8]| {
+        let mut bytes = seg.clone();
+        bytes.splice(range, with.iter().copied());
+        bytes
+    };
+    let cases = [
+        // Over-reads into the footer: which check trips is incidental.
+        (
+            "directory entry count",
+            splice(fields[0].clone(), &max),
+            "corrupt at byte",
+        ),
+        (
+            "directory route count",
+            splice(fields[2].clone(), &max),
+            "directory disagrees with segment body",
+        ),
+        (
+            "directory span start",
+            splice(fields[3].clone(), &max),
+            "directory trie span out of bounds",
+        ),
+        (
+            "directory span length",
+            splice(fields[4].clone(), &max),
+            "directory trie span out of bounds",
+        ),
+        (
+            "footer directory offset",
+            splice(footer..footer + 8, &[0xFF; 8]),
+            "full-segment directory offset",
+        ),
+        (
+            "format-v2 directory magic",
+            splice(footer + 8..seg.len(), b"RPD2"),
+            "full-segment directory magic",
+        ),
+    ];
+    for (what, bytes, expect) in cases {
+        std::fs::write(&seg_path, &bytes).unwrap();
+        let mut fixed = manifest.clone();
+        fixed.segments[1].bytes = bytes.len() as u64;
+        fixed.segments[1].crc32 = rpi_store::crc32(&bytes);
+        fixed.write(&dir, true).unwrap();
+        fails(what, expect);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,4 +1,4 @@
-# rpi-query protocol smoke: tiny seed-11 world, 4 daily snapshots, 4 shards.
+# rpi-query protocol smoke: tiny seed-11 world, 4 daily snapshots.
 # Exercises every grammar verb plus the REPL listing commands; CI pipes
 # this file through `rpi-queryd --queries` and diffs the golden output.
 

@@ -25,7 +25,7 @@ fn world() -> (net_topology::AsGraph, GroundTruth, VantageSpec) {
 fn identical_snapshots_diff_empty() {
     let (g, t, spec) = world();
     let out = Simulation::new(&g, &t, &spec).run();
-    let mut engine = QueryEngine::new(4);
+    let mut engine = QueryEngine::default();
     engine.ingest_output(&out, &g, "a");
     engine.ingest_output(&out, &g, "b");
     let d = diff(&engine, SnapshotId(0), SnapshotId(1));
@@ -46,7 +46,7 @@ fn zero_churn_series_diffs_empty() {
         label: "hour",
     };
     let series = simulate_series(&g, &t, &spec, &cfg);
-    let mut engine = QueryEngine::new(4);
+    let mut engine = QueryEngine::default();
     let ids = engine.ingest_series(&series, &g);
     assert_eq!(ids.len(), 3);
     assert_eq!(engine.labels(), vec!["hour-01", "hour-02", "hour-03"]);
@@ -77,7 +77,7 @@ fn forced_churn_is_visible_in_diffs() {
         label: "day",
     };
     let series = simulate_series(&g, &t, &spec, &cfg);
-    let mut engine = QueryEngine::new(4);
+    let mut engine = QueryEngine::default();
     let ids = engine.ingest_series(&series, &g);
 
     // The oracle is shared, so relationships never flip in this series…
@@ -137,7 +137,7 @@ fn vantage_loss_and_return_counts_whole_tables() {
     without.collector.rows.retain(|_, rows| !rows.is_empty());
 
     for incremental in [false, true] {
-        let mut engine = QueryEngine::new(4);
+        let mut engine = QueryEngine::default();
         engine.ingest_output(&out, &g, "t0");
         if incremental {
             engine.ingest_output_incremental(&out, &without, &g, "t1");
@@ -193,12 +193,12 @@ fn non_adjacent_diff_equals_direct_comparison() {
         label: "day",
     };
     let series = simulate_series(&g, &t, &spec, &cfg);
-    let mut engine = QueryEngine::new(4);
+    let mut engine = QueryEngine::default();
     let ids = engine.ingest_series(&series, &g);
 
     // Ingest the endpoint snapshots alone into a second engine: the
     // non-adjacent diff must match this two-snapshot engine's answer.
-    let mut endpoints = QueryEngine::new(4);
+    let mut endpoints = QueryEngine::default();
     endpoints.ingest_output(&series.snapshots[0], &g, &series.labels[0]);
     endpoints.ingest_output(&series.snapshots[3], &g, &series.labels[3]);
 
@@ -236,7 +236,7 @@ fn sa_deltas_track_recomputed_reports() {
         label: "day",
     };
     let series = simulate_series(&g, &t, &spec, &cfg);
-    let mut engine = QueryEngine::new(4);
+    let mut engine = QueryEngine::default();
     let ids = engine.ingest_series(&series, &g);
 
     for (w, outs) in ids.windows(2).zip(series.snapshots.windows(2)) {

@@ -142,9 +142,9 @@ fn build_scenario(seed: u64) -> Scenario {
 
 /// Ingests the scenario twice: from scratch every snapshot, and
 /// incrementally (first snapshot full, rest as COW overlays).
-fn ingest_both(sc: &Scenario, shards: usize) -> (QueryEngine, QueryEngine) {
-    let mut full = QueryEngine::new(shards);
-    let mut incr = QueryEngine::new(shards);
+fn ingest_both(sc: &Scenario) -> (QueryEngine, QueryEngine) {
+    let mut full = QueryEngine::default();
+    let mut incr = QueryEngine::default();
     for (i, (label, out)) in sc.labels.iter().zip(&sc.outputs).enumerate() {
         full.ingest_output(out, &sc.oracles[i], label);
         if i == 0 {
@@ -236,7 +236,7 @@ fn run_differential(seed: u64) {
         "seed {seed}: degenerate scenario (no churn at all) — pick another seed"
     );
 
-    let (full, incr) = ingest_both(&sc, 4);
+    let (full, incr) = ingest_both(&sc);
 
     assert_eq!(full.snapshot_count(), incr.snapshot_count());
     assert_eq!(full.labels(), incr.labels());
@@ -364,7 +364,7 @@ fn cone_cache_does_not_leak_across_oracle_switches() {
     let _ = flipped.add_edge(vantage, victim, Relationship::Peer);
 
     let ingest = |incremental: bool| -> QueryEngine {
-        let mut e = QueryEngine::new(4);
+        let mut e = QueryEngine::default();
         for (oracle, tag) in [(&g, "a"), (&flipped, "b")] {
             for (i, out) in series.snapshots.iter().enumerate() {
                 let label = format!("{tag}-{i}");
@@ -426,11 +426,11 @@ fn added_peer_communities_are_interned() {
             communities: vec![Community::new(64_999, 777)],
         });
 
-    let mut full = QueryEngine::new(4);
+    let mut full = QueryEngine::default();
     full.ingest_output(&out, &g, "t0");
     full.ingest_output(&with_peer, &g, "t1");
 
-    let mut incr = QueryEngine::new(4);
+    let mut incr = QueryEngine::default();
     incr.ingest_output(&out, &g, "t0");
     incr.ingest_output_incremental(&out, &with_peer, &g, "t1");
 
@@ -489,8 +489,8 @@ fn attack_scenarios_detect_identically() {
     for kind in AttackKind::ALL {
         let (g, labels, outputs, sc) = build(kind);
 
-        let mut full = QueryEngine::new(4);
-        let mut incr = QueryEngine::new(4);
+        let mut full = QueryEngine::default();
+        let mut incr = QueryEngine::default();
         for (i, (label, out)) in labels.iter().zip(&outputs).enumerate() {
             full.ingest_output(out, &g, label);
             if i == 0 {
@@ -610,7 +610,7 @@ fn zero_churn_shares_everything() {
         label: "calm",
     };
     let series = simulate_series(&g, &truth, &spec, &cfg);
-    let mut engine = QueryEngine::new(4);
+    let mut engine = QueryEngine::default();
     let ids = engine.ingest_series_incremental(&series, &g);
     assert_eq!(ids.len(), 4);
     let stats = engine.sharing_stats();

@@ -205,9 +205,9 @@ struct Offline {
 }
 
 impl Offline {
-    fn new(header_oracle: &AsGraph, shards: usize) -> Offline {
+    fn new(header_oracle: &AsGraph) -> Offline {
         Offline {
-            engine: QueryEngine::new(shards),
+            engine: QueryEngine::default(),
             oracle: header_oracle.clone(),
             prev: SimOutput::default(),
             n: 0,
@@ -319,10 +319,10 @@ fn run_live_differential(seed: u64, window: usize, tag: &str) {
     let (header_oracle, frames) = decode_stream(&bytes);
     assert_eq!(frames.len(), SNAPSHOTS);
 
-    let handle = LiveHandle::new(QueryEngine::new(4));
+    let handle = LiveHandle::new(QueryEngine::default());
     assert_eq!(handle.current().snapshot_count(), 0);
 
-    let mut offline = Offline::new(&header_oracle, 4);
+    let mut offline = Offline::new(&header_oracle);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x11FE_57A6);
     let mut answered = 0usize;
     let report = drain_stream(
@@ -468,12 +468,12 @@ fn history_spans_hot_and_spilled_with_window_1() {
     std::fs::write(&stream, &bytes).unwrap();
 
     let (header_oracle, frames) = decode_stream(&bytes);
-    let mut offline = Offline::new(&header_oracle, 4);
+    let mut offline = Offline::new(&header_oracle);
     for f in &frames {
         offline.ingest(f);
     }
 
-    let handle = LiveHandle::new(QueryEngine::new(4));
+    let handle = LiveHandle::new(QueryEngine::default());
     drain_stream(
         &stream,
         Arc::clone(&handle),
@@ -568,7 +568,7 @@ fn attacked_stream_detects_identically() {
         std::fs::write(&stream, &bytes).unwrap();
 
         let (header_oracle, frames) = decode_stream(&bytes);
-        let mut offline = Offline::new(&header_oracle, 4);
+        let mut offline = Offline::new(&header_oracle);
         for f in &frames {
             offline.ingest(f);
         }
@@ -576,7 +576,7 @@ fn attacked_stream_detects_identically() {
 
         // The live side gets the ROAs up front, on the epoch-0 engine —
         // every published epoch shares them.
-        let mut base = QueryEngine::new(4);
+        let mut base = QueryEngine::default();
         base.set_roas(RoaTable::new(sc.roas()));
         let handle = LiveHandle::new(base);
         drain_stream(
@@ -705,7 +705,7 @@ fn readers_see_one_epoch_never_torn() {
     };
 
     // expected[k] is the probe rendering at k+1 published snapshots.
-    let mut offline = Offline::new(&header_oracle, 4);
+    let mut offline = Offline::new(&header_oracle);
     let mut expected: Vec<Vec<String>> = Vec::new();
     for f in &frames {
         offline.ingest(f);
@@ -718,7 +718,7 @@ fn readers_see_one_epoch_never_torn() {
         );
     }
 
-    let handle = LiveHandle::new(QueryEngine::new(4));
+    let handle = LiveHandle::new(QueryEngine::default());
     let done = AtomicBool::new(false);
     const READERS: usize = 4;
 
@@ -802,7 +802,7 @@ fn follow_publishes_as_the_file_grows() {
     let stream = dir.join("live.stream");
     std::fs::write(&stream, &chunks[0]).unwrap();
 
-    let handle = LiveHandle::new(QueryEngine::new(4));
+    let handle = LiveHandle::new(QueryEngine::default());
     let stop = Arc::new(AtomicBool::new(false));
     let published = Arc::new(Mutex::new(Vec::<(u64, String)>::new()));
     let tail = {
@@ -887,7 +887,7 @@ fn follow_publishes_as_the_file_grows() {
         let bytes: Vec<u8> = chunks.concat();
         decode_stream(&bytes)
     };
-    let mut offline = Offline::new(&header_oracle, 4);
+    let mut offline = Offline::new(&header_oracle);
     for f in &frames {
         offline.ingest(f);
     }
@@ -931,7 +931,7 @@ fn truncated_stream_is_a_typed_offset_error() {
     for cut in [inside, starts[2]] {
         let stream = dir.join(format!("cut-{cut}.stream"));
         std::fs::write(&stream, &bytes[..cut]).unwrap();
-        let handle = LiveHandle::new(QueryEngine::new(4));
+        let handle = LiveHandle::new(QueryEngine::default());
         let err = drain_stream(
             &stream,
             Arc::clone(&handle),
@@ -961,7 +961,7 @@ fn truncated_stream_is_a_typed_offset_error() {
 
         // The published prefix is the offline prefix, byte for byte.
         let (header_oracle, frames) = decode_stream(&bytes);
-        let mut offline = Offline::new(&header_oracle, 4);
+        let mut offline = Offline::new(&header_oracle);
         for f in &frames[..2] {
             offline.ingest(f);
         }
@@ -976,7 +976,7 @@ fn truncated_stream_is_a_typed_offset_error() {
     // A cut inside the header truncates at byte 0 with nothing published.
     let stream = dir.join("cut-header.stream");
     std::fs::write(&stream, &bytes[..6]).unwrap();
-    let handle = LiveHandle::new(QueryEngine::new(4));
+    let handle = LiveHandle::new(QueryEngine::default());
     let err = drain_stream(
         &stream,
         Arc::clone(&handle),
@@ -1010,7 +1010,7 @@ fn tcp_listings_are_single_epoch_during_publication() {
     let (header_oracle, frames) = decode_stream(&bytes);
     let dir = tmp_dir("tcp");
 
-    let handle = LiveHandle::new(QueryEngine::new(4));
+    let handle = LiveHandle::new(QueryEngine::default());
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
     let server = Server::with_listener(Arc::clone(&handle), listener, ServeConfig::default())
         .expect("wrap listener");

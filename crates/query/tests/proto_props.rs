@@ -887,7 +887,7 @@ fn byte_writer_matches_the_format_reference_on_an_ingested_world() {
         link_failure_prob: 0.1,
         label: "day",
     };
-    let mut engine = QueryEngine::new(4);
+    let mut engine = QueryEngine::default();
     engine.ingest_series(&simulate_series(&g, &truth, &spec, &cfg), &g);
 
     let mut rng = StdRng::seed_from_u64(0x6009);

@@ -23,7 +23,7 @@ use rpi_query::{parse, render_response, LiveHandle, QueryEngine};
 /// vantage/prefix pairs).
 fn tiny_engine() -> (Arc<QueryEngine>, Experiment) {
     let exp = Experiment::standard(InternetSize::Tiny, 11);
-    let mut engine = QueryEngine::new(4);
+    let mut engine = QueryEngine::default();
     engine.ingest_experiment(&exp, "t0");
     (Arc::new(engine), exp)
 }
@@ -813,7 +813,7 @@ fn both_constructors_take_frozen_and_live_worlds() {
     assert_eq!(got, format!("{expected}\n"));
     assert_eq!(join.join().unwrap().queries, 1);
 
-    let live = LiveHandle::new(QueryEngine::new(4));
+    let live = LiveHandle::new(QueryEngine::default());
     let (addr, _handle, join) = spawn_server(Arc::clone(&live), ServeConfig::default());
     let got = roundtrip(addr, "ping\nsnapshots\nshutdown\n");
     let listing = repl_reply(&live.current(), ReplCmd::Snapshots);

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! cargo run --release -p rpi-query --bin rpi-queryd -- \
-//!   --size tiny --seed 11 --snapshots 4 --shards 4 \
+//!   --size tiny --seed 11 --snapshots 4 \
 //!   --roas crates/query/tests/data/smoke.roas \
 //!   --queries crates/query/tests/data/smoke.q > crates/query/tests/data/smoke.golden
 //! ```
@@ -23,16 +23,7 @@ fn queries_file_matches_golden_output() {
     let golden = std::fs::read_to_string(data.join("smoke.golden")).expect("golden committed");
 
     let out = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
-        .args([
-            "--size",
-            "tiny",
-            "--seed",
-            "11",
-            "--snapshots",
-            "4",
-            "--shards",
-            "4",
-        ])
+        .args(["--size", "tiny", "--seed", "11", "--snapshots", "4"])
         .arg("--roas")
         .arg(data.join("smoke.roas"))
         .arg("--queries")
@@ -72,8 +63,6 @@ fn incremental_ingest_matches_its_golden() {
             "--seed",
             "11",
             "--snapshots",
-            "4",
-            "--shards",
             "4",
             "--incremental",
         ])
@@ -123,7 +112,7 @@ fn incremental_ingest_matches_its_golden() {
 ///
 /// ```text
 /// cargo run --release -p rpi-query --bin rpi-queryd -- \
-///   --size tiny --seed 11 --snapshots 5 --shards 4 --incremental \
+///   --size tiny --seed 11 --snapshots 5 --incremental \
 ///   --roas crates/query/tests/data/smoke.roas \
 ///   --save /tmp/rpi-archive --force
 /// cargo run --release -p rpi-query --bin rpi-queryd -- \
@@ -146,8 +135,6 @@ fn archive_cold_start_matches_its_golden() {
             "11",
             "--snapshots",
             "5",
-            "--shards",
-            "4",
             "--incremental",
             "--save",
             "/tmp/rpi-archive",
@@ -199,8 +186,6 @@ fn tcp_golden_run(backend: &str, threads: usize) {
             "--seed",
             "11",
             "--snapshots",
-            "4",
-            "--shards",
             "4",
             "--listen",
             "127.0.0.1:0",
@@ -333,8 +318,8 @@ fn rejected(args: &[&str]) -> String {
 
 /// Bugfix coverage: `--window` without `--follow` is rejected whatever
 /// its value (the default, 4, used to slip through as "flag not given"),
-/// and the removed `--bench` mode is an unknown argument — all one-line
-/// errors before the world build.
+/// and the removed `--bench` mode and prefix-sharding knob are unknown
+/// arguments — all one-line errors before the world build.
 #[test]
 fn follow_only_and_removed_flags_fail_fast() {
     for window in ["4", "3"] {
@@ -343,11 +328,15 @@ fn follow_only_and_removed_flags_fail_fast() {
             "rpi-queryd: --window needs --follow\n"
         );
     }
-    let stderr = rejected(&["--bench"]);
-    assert!(
-        stderr.contains("unknown argument '--bench'") && stderr.contains("usage: rpi-queryd"),
-        "--bench must be unknown, with the usage line:\n{stderr}"
-    );
+    for removed in [&["--bench"][..], &["--shards", "4"]] {
+        let stderr = rejected(removed);
+        let flag = removed[0];
+        assert!(
+            stderr.contains(&format!("unknown argument '{flag}'"))
+                && stderr.contains("usage: rpi-queryd"),
+            "{flag} must be unknown, with the usage line:\n{stderr}"
+        );
+    }
 }
 
 /// Every at-least-1 numeric flag spells its two rejections the same way
@@ -358,7 +347,6 @@ fn follow_only_and_removed_flags_fail_fast() {
 fn numeric_and_serve_only_flags_fail_fast() {
     for (flag, noun) in [
         ("--snapshots", "a count"),
-        ("--shards", "a count"),
         ("--hot-cap", "a count"),
         ("--keyframe-every", "a count"),
         ("--max-conns", "a count"),
@@ -463,7 +451,7 @@ fn every_flag_pair_is_rejected_with_the_generated_message() {
 }
 
 /// `--help` exits 0 and its flag list names exactly the flags of the
-/// usage line — both are generated from one table, 26 rows.
+/// usage line — both are generated from one table, 25 rows.
 #[test]
 fn help_lists_the_flags_of_the_usage_line() {
     let out = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
@@ -486,7 +474,7 @@ fn help_lists_the_flags_of_the_usage_line() {
         .filter_map(|l| l.strip_prefix("  --"))
         .map(|l| &l[..l.find(' ').unwrap_or(l.len())])
         .collect();
-    assert_eq!(in_help.len(), 26, "{in_help:?}");
+    assert_eq!(in_help.len(), 25, "{in_help:?}");
     in_help.sort_unstable();
     let in_help: Vec<String> = in_help.iter().map(|f| format!("--{f}")).collect();
     assert_eq!(in_usage, in_help);

@@ -107,8 +107,8 @@ fn scenario_roas(sc: &Scenario, seed: u64) -> RoaTable {
     RoaTable::new(roas)
 }
 
-fn ingest(sc: &Scenario, shards: usize) -> QueryEngine {
-    let mut e = QueryEngine::new(shards);
+fn ingest(sc: &Scenario) -> QueryEngine {
+    let mut e = QueryEngine::default();
     for (i, (label, out)) in sc.labels.iter().zip(&sc.outputs).enumerate() {
         if i == 0 {
             e.ingest_output(out, &sc.oracles[i], label);
@@ -127,7 +127,7 @@ fn saved(
     keyframe_every: Option<usize>,
     tag: &str,
 ) -> (std::path::PathBuf, Manifest) {
-    let mut engine = ingest(sc, 4);
+    let mut engine = ingest(sc);
     engine.set_roas(scenario_roas(sc, seed));
     let dir = tmp_dir(tag);
     let manifest = engine
@@ -208,7 +208,7 @@ fn run_differential(seed: u64, keyframe_every: Option<usize>, tag: &str) {
 
     for hot_cap in [1usize, 2, 4] {
         let tiered = QueryEngine::load_archive_tiered(&dir, hot_cap).expect("tiered load");
-        let stats = tiered.tier_stats().expect("v2 archives tier-attach");
+        let stats = tiered.tier_stats().expect("archives tier-attach");
         assert_eq!(stats.snapshots, n);
         assert_eq!(stats.hot, 0, "attach must not hydrate anything");
         assert_eq!(stats.attaches, n as u64);
@@ -363,6 +363,115 @@ fn cold_point_queries_never_hydrate() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One trie per vantage: `resolve` is a single longest-prefix walk, hot
+/// or cold. A nested family (a /8 covering /16s covering /24s) is
+/// spliced into one collector peer's table in every snapshot; then for
+/// every stored prefix — itself, both of its halves, its first and last
+/// address — and for one uncovered address, `resolve` must equal a
+/// brute-force longest cover over the table that was ingested: from the
+/// hydrated load, and from the tiered load both before hydration (the
+/// mapped `FlatTrie` walk) and after it.
+#[test]
+fn resolve_is_the_brute_force_longest_cover_hot_and_cold() {
+    use rpi_core::view::BestTable;
+    use rpi_query::Response;
+
+    let mut sc = build_scenario(0x5C);
+    let peer = *sc.outputs[0]
+        .collector
+        .peers
+        .iter()
+        .find(|p| !sc.outputs[0].lgs.contains_key(p))
+        .expect("a collector-only peer");
+    let family: Vec<Ipv4Prefix> = [
+        "100.0.0.0/8",
+        "100.1.0.0/16",
+        "100.2.0.0/16",
+        "100.1.1.0/24",
+        "100.1.2.0/24",
+        "100.2.3.0/24",
+    ]
+    .iter()
+    .map(|p| p.parse().unwrap())
+    .collect();
+    for out in &mut sc.outputs {
+        let row = out
+            .collector
+            .all_paths()
+            .find(|r| r.peer == peer)
+            .expect("the peer has routes")
+            .clone();
+        for &p in &family {
+            let rows = out.collector.rows.entry(p).or_default();
+            assert!(rows.iter().all(|r| r.peer != peer), "{p} already routed");
+            rows.push(row.clone());
+        }
+    }
+    let uncovered: Ipv4Prefix = "203.0.113.7/32".parse().unwrap();
+
+    // Cadence 1: every snapshot is a keyframe, so every cold `resolve`
+    // walks the mapping.
+    let (dir, _) = saved(&sc, 0x5C, Some(1), "lpm");
+    let hydrated = QueryEngine::load_archive(&dir).expect("hydrated load");
+    let tiered = QueryEngine::load_archive_tiered(&dir, SNAPSHOTS).expect("tiered load");
+
+    let check = |engine: &QueryEngine, pass: &str| {
+        for (i, out) in sc.outputs.iter().enumerate() {
+            let table = BestTable::from_collector(&out.collector, peer);
+            let mut probes = vec![uncovered];
+            for &p in table.rows.keys() {
+                probes.push(p);
+                if p.len() < 32 {
+                    let half = 1u32 << (31 - p.len());
+                    probes.push(Ipv4Prefix::canonical(p.bits(), p.len() + 1));
+                    probes.push(Ipv4Prefix::canonical(p.bits() | half, p.len() + 1));
+                    probes.push(Ipv4Prefix::canonical(p.bits(), 32));
+                    probes.push(Ipv4Prefix::canonical(p.bits() | (half - 1) | half, 32));
+                }
+            }
+            for probe in probes {
+                let want = table
+                    .rows
+                    .iter()
+                    .filter(|(q, _)| q.covers(probe))
+                    .max_by_key(|(q, _)| q.len())
+                    .map(|(&q, row)| (q, row.next_hop, row.path.clone()));
+                assert_eq!(want.is_none(), probe == uncovered, "{probe}");
+                let req = Query::Resolve {
+                    vantage: peer,
+                    prefix: probe,
+                }
+                .at(Scope::Id(SnapshotId(i as u32)));
+                let got = match engine.execute(&req).expect("resolve") {
+                    Response::Route(ans) => ans.map(|a| (a.prefix, a.next_hop, a.path)),
+                    other => panic!("resolve answered {other:?}"),
+                };
+                assert_eq!(got, want, "{pass}, snapshot {i}: resolve {probe}");
+            }
+        }
+    };
+
+    check(&hydrated, "hydrated");
+    check(&tiered, "cold");
+    let stats = tiered.tier_stats().unwrap();
+    assert_eq!((stats.hot, stats.hydrations), (0, 0), "cold pass hydrated");
+    assert!(stats.cold_hits > 0);
+
+    for i in 0..SNAPSHOTS {
+        let req = Query::PolicySummary { asn: peer }.at(Scope::Id(SnapshotId(i as u32)));
+        tiered.execute(&req).expect("summary hydrates");
+    }
+    let cold_hits = stats.cold_hits;
+    check(&tiered, "hot");
+    let stats = tiered.tier_stats().unwrap();
+    assert_eq!(
+        stats.hot, SNAPSHOTS,
+        "every snapshot stays hot under the cap"
+    );
+    assert_eq!(stats.cold_hits, cold_hits, "the hot pass read a mapping");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// LRU round trip: hydrations land hot, the cap evicts the
 /// least-recently-used back to cold, and a re-hydration answers
 /// byte-identically to the first.
@@ -495,9 +604,9 @@ fn tiered_engine_refuses_to_save() {
 /// directory) is not read. Both loaders and the daemon refuse it
 /// with typed errors — never a panic, never a half-loaded engine:
 /// (a) a version-1 manifest is `StoreError::Version`; (b) a
-/// directory-less full segment under a v2 manifest — fabricated by
-/// stripping the directory back out of a v2 segment, byte-exactly the
-/// v1 layout — is `StoreError::Corrupt` naming the segment file and the
+/// directory-less full segment under a current manifest — fabricated
+/// by stripping the directory back out of a saved segment, byte-exactly
+/// the v1 layout — is `StoreError::Corrupt` naming the segment file and the
 /// flags byte's offset.
 #[test]
 fn v1_archives_are_rejected_typed_on_both_paths() {
@@ -520,7 +629,7 @@ fn v1_archives_are_rejected_typed_on_both_paths() {
             err,
             StoreError::Version {
                 found: 1,
-                supported: 2
+                supported: rpi_store::FORMAT_VERSION
             }
         );
         assert!(is_v1, "{name}: {err}");
@@ -538,7 +647,7 @@ fn v1_archives_are_rejected_typed_on_both_paths() {
         "{stderr}"
     );
 
-    // (b) A v2 manifest over v1-layout full segments: clear the directory
+    // (b) A current manifest over v1-layout full segments: clear the directory
     // flag (it sits right after the label) and drop the trailing
     // directory + footer.
     let mut fixed = manifest.clone();
@@ -552,7 +661,7 @@ fn v1_archives_are_rejected_typed_on_both_paths() {
         let label_len = bytes[0] as usize; // short labels: 1-byte varint
         assert_eq!(&bytes[1..1 + label_len], entry.label.as_bytes());
         let flags_at = 1 + label_len;
-        assert_ne!(bytes[flags_at] & 0x2, 0, "v2 fulls carry a directory");
+        assert_ne!(bytes[flags_at] & 0x2, 0, "fulls carry a directory");
         bytes[flags_at] &= !0x2;
         let dir_offset =
             u64::from_be_bytes(bytes[bytes.len() - 12..bytes.len() - 4].try_into().unwrap());

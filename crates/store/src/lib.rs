@@ -5,9 +5,9 @@
 //!
 //! ```text
 //! archive/
-//!   MANIFEST        magic, version, shard count, segment table (+ CRC)
+//!   MANIFEST        magic, version, segment table (+ CRC)
 //!   symbols.seg     the append-only symbol table, one block per snapshot
-//!   snap-0000.seg   full:  flattened shard tries + SA caches + relationships
+//!   snap-0000.seg   full:  one flattened trie per vantage + SA caches + relationships
 //!   snap-0001.seg   delta: structured churn events over snap-0000
 //!   …
 //! ```

@@ -11,8 +11,7 @@
 //! reader/writer helpers) + length-prefixed strings:
 //!
 //! ```text
-//! manifest := magic[8] version:u32 n_shards:u32 n_segments:u32
-//!             segment* crc32:u32
+//! manifest := magic[8] version:u32 n_segments:u32 segment* crc32:u32
 //! segment  := kind:u8 bytes:u64 crc32:u32 str(file) str(label)
 //!             flags:u8
 //! str      := len:u32 utf8[len]
@@ -22,7 +21,8 @@
 //!
 //! The segment layout is a versioned contract: this build writes and
 //! reads exactly [`FORMAT_VERSION`]; any other version — older (the
-//! flag-less v1 rows) or newer — is [`StoreError::Version`]. Within the
+//! flag-less v1 rows, v2's per-vantage trie count and `RPD2`
+//! directories) or newer — is [`StoreError::Version`]. Within the
 //! version, unknown flag bits are rejected loudly: a future writer that
 //! needs new per-segment state must bump the version.
 
@@ -37,7 +37,7 @@ use crate::error::StoreError;
 pub const MAGIC: [u8; 8] = *b"RPISTOR\x01";
 
 /// The one manifest format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Segment flag: the segment is a **keyframe** — a fully
 /// self-contained snapshot that can be decoded with no predecessor, so
@@ -124,22 +124,21 @@ impl SegmentEntry {
 pub struct Manifest {
     /// Format version ([`FORMAT_VERSION`] when written by this build).
     pub version: u32,
-    /// Shards per vantage table the archived engine used.
-    pub n_shards: u32,
     /// Segment rows, in load order (symbols first, then snapshots).
     pub segments: Vec<SegmentEntry>,
 }
 
-impl Manifest {
-    /// A manifest for an engine with `n_shards` shards.
-    pub fn new(n_shards: u32) -> Manifest {
+impl Default for Manifest {
+    /// An empty manifest at this build's [`FORMAT_VERSION`].
+    fn default() -> Manifest {
         Manifest {
             version: FORMAT_VERSION,
-            n_shards,
             segments: Vec::new(),
         }
     }
+}
 
+impl Manifest {
     /// Total bytes across all segments (the archive's on-disk size,
     /// manifest excluded).
     pub fn total_bytes(&self) -> u64 {
@@ -160,7 +159,6 @@ impl Manifest {
         let mut out: Vec<u8> = Vec::new();
         out.put_slice(&MAGIC);
         out.put_u32(self.version);
-        out.put_u32(self.n_shards);
         out.put_u32(self.segments.len() as u32);
         for seg in &self.segments {
             out.put_u8(seg.kind.to_u8());
@@ -249,7 +247,6 @@ impl Manifest {
                 supported: FORMAT_VERSION,
             });
         }
-        let n_shards = buf.try_get_u32().map_err(|_| short(&buf, "shard count"))?;
         let n_segments = buf
             .try_get_u32()
             .map_err(|_| short(&buf, "segment count"))?;
@@ -293,11 +290,7 @@ impl Manifest {
                 what: format!("{} trailing bytes after segment table", buf.len()),
             });
         }
-        Ok(Manifest {
-            version,
-            n_shards,
-            segments,
-        })
+        Ok(Manifest { version, segments })
     }
 }
 
@@ -334,7 +327,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Manifest {
-        let mut m = Manifest::new(8);
+        let mut m = Manifest::default();
         m.segments.push(SegmentEntry {
             kind: SegmentKind::Symbols,
             file: "symbols.seg".into(),
@@ -406,9 +399,9 @@ mod tests {
 
     #[test]
     fn stale_version_is_typed() {
-        // Only FORMAT_VERSION is read: an older (v1) or newer version
+        // Only FORMAT_VERSION is read: an older (v1, v2) or newer version
         // field is refused before any row is parsed.
-        for version in [1, FORMAT_VERSION + 1] {
+        for version in [1, 2, FORMAT_VERSION + 1] {
             let mut m = sample();
             m.version = version;
             assert!(matches!(

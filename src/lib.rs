@@ -20,7 +20,7 @@
 //! | [`as_relationships`] | Gao's relationship inference + accuracy scoring |
 //! | [`irr_rpsl`] | RPSL parsing and the synthetic IRR registry |
 //! | [`rpi_core`] | the paper's analyses: import/export policy inference |
-//! | [`rpi_query`] | the serving layer: sharded, concurrently-queryable observatory over many snapshots |
+//! | [`rpi_query`] | the serving layer: concurrently-queryable observatory over many snapshots |
 //! | [`rpi_store`] | the on-disk snapshot archive: checksummed full/delta segments, millisecond cold start |
 //!
 //! ## Thirty-second tour

@@ -15,7 +15,7 @@ fn route(engine: &QueryEngine, req: QueryRequest) -> Option<RouteAnswer> {
 
 fn world() -> (Experiment, QueryEngine) {
     let exp = Experiment::standard(InternetSize::Tiny, 11);
-    let mut engine = QueryEngine::new(4);
+    let mut engine = QueryEngine::default();
     engine.ingest_experiment(&exp, "t0");
     (exp, engine)
 }
@@ -252,7 +252,7 @@ fn mrt_ingest_serves_collector_routes() {
     let dump = bgp_sim::export::collector_to_mrt(&exp.output.collector, 1_015_000_000);
     let bytes = dump.encode(1_015_000_000);
 
-    let mut engine = QueryEngine::new(2);
+    let mut engine = QueryEngine::default();
     let id = engine
         .ingest_mrt_bytes(&bytes, "mrt-0")
         .expect("valid MRT image");

@@ -32,7 +32,7 @@ fn churny_world() -> (
     };
     let series = simulate_series(&g, &t, &spec, &cfg);
     let provider = spec.lg_ases[0];
-    let mut engine = QueryEngine::new(4);
+    let mut engine = QueryEngine::default();
     let ids = engine.ingest_series(&series, &g);
     (g, series, provider, engine, ids)
 }
@@ -193,7 +193,7 @@ fn top_k_and_persistence_answer_in_one_request() {
 #[test]
 fn scope_errors_are_typed() {
     let exp = Experiment::standard(InternetSize::Tiny, 11);
-    let mut engine = QueryEngine::new(2);
+    let mut engine = QueryEngine::default();
 
     let v = exp.spec.lg_ases[0];
     let p: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
