@@ -32,6 +32,16 @@
 //! everything else (first snapshots, MRT ingests, oracle flips, feed
 //! appearances) falls back to a self-contained full segment.
 //!
+//! Each stage of a snapshot segment's life has one implementation here
+//! that every path uses. [`SegmentWriter`] **writes** them — the policy
+//! above, the keyframe cadence, the `snap-NNNN.seg` names — for
+//! [`save`] and for the live writer's spill alike, so a spilled stream
+//! and a saved archive of the same world hold byte-identical segments.
+//! [`Replayer`] **replays** them — full decode, delta replay, oracle and
+//! cone caches, watermark stamp — for [`load`] over eagerly checksummed
+//! bytes and for the cold tier's hydration over mapped ones. (Attaching
+//! a segment without decoding it is [`crate::tier::attach`].)
+//!
 //! Decoding is paranoid: every count, symbol and flag is validated, and
 //! every failure surfaces as a typed [`StoreError`] carrying the segment
 //! index and absolute byte offset. A failed load returns an error, never
@@ -53,7 +63,7 @@ use rpi_store::{
 };
 
 use crate::engine::QueryEngine;
-use crate::intern::{AsnSym, Interning, PrefixSym, WorldInterner};
+use crate::intern::{AsnSym, FrozenInterner, Interning, PrefixSym, WorldInterner};
 use crate::snapshot::{
     CompactRoute, Provenance, SaCache, Snapshot, SnapshotId, VantageKind, VantageTable,
 };
@@ -416,7 +426,7 @@ fn rel_maps_equal(a: &Snapshot, b: &Snapshot) -> bool {
 /// relationship sharing so the segment decodes with no predecessor — the
 /// keyframe policy's lever. Returns the payload and whether it came out
 /// self-contained (a keyframe the cold tier can attach to).
-pub(crate) fn encode_full(
+fn encode_full(
     snap: &Snapshot,
     prev: Option<&Snapshot>,
     force_standalone: bool,
@@ -667,7 +677,7 @@ pub(crate) fn read_mapped_directory(
     Ok((dir, self_contained, label))
 }
 
-pub(crate) fn decode_full(
+fn decode_full(
     raw: &[u8],
     id: SnapshotId,
     expect_label: &str,
@@ -875,7 +885,7 @@ pub(crate) fn decode_full(
 
 /// The archive's full-vs-delta policy: the retained events, iff they are
 /// cleanly replayable against the predecessor without any view data.
-pub(crate) fn delta_plan<'a>(snap: &'a Snapshot, prev: &Snapshot) -> Option<&'a Arc<OutputDelta>> {
+fn delta_plan<'a>(snap: &'a Snapshot, prev: &Snapshot) -> Option<&'a Arc<OutputDelta>> {
     let Provenance::Delta(delta) = &snap.provenance else {
         return None;
     };
@@ -896,7 +906,7 @@ pub(crate) fn delta_plan<'a>(snap: &'a Snapshot, prev: &Snapshot) -> Option<&'a 
     survives.then_some(delta)
 }
 
-pub(crate) fn encode_delta(
+fn encode_delta(
     snap: &Snapshot,
     prev: &Snapshot,
     delta: &OutputDelta,
@@ -961,14 +971,14 @@ struct LgPatch {
     classes: HashMap<AsnSym, Relationship>,
 }
 
-pub(crate) struct DeltaPayload {
-    pub(crate) label: String,
+struct DeltaPayload {
+    label: String,
     dropped: Vec<Asn>,
-    pub(crate) delta: OutputDelta,
+    delta: OutputDelta,
     sidecar: BTreeMap<Asn, LgPatch>,
 }
 
-pub(crate) fn decode_delta(
+fn decode_delta(
     raw: &[u8],
     expect_label: &str,
     interner: &WorldInterner,
@@ -990,11 +1000,10 @@ pub(crate) fn decode_delta(
     }
     let delta_offset = r.position();
     let delta = OutputDelta::decode(&mut r)?;
-    // Replay runs the decoded events through the live patching code,
-    // whose interner calls intern-on-miss — so every symbol the events
-    // reference must already be in the loaded table, or a corrupt
-    // segment would silently grow the interner past the recorded
-    // watermarks instead of failing here.
+    // Replay runs the decoded events through the live patching code
+    // over a read-only interner ([`FrozenInterner`]), which cannot
+    // intern on a miss — so every symbol the events reference must
+    // already be in the loaded table, and a corrupt segment fails here.
     for vd in delta.collector.values().chain(delta.lgs.values()) {
         let known_route = |route: &bgp_sim::DeltaRoute| {
             interner.lookup_asn(route.next_hop).is_some()
@@ -1055,7 +1064,7 @@ pub(crate) fn decode_delta(
 /// Rebuilds the relationship oracle a delta run replays under. The
 /// snapshot's relationship map stores both directions of every edge, so
 /// the graph (and therefore every customer cone) reconstructs exactly.
-pub(crate) fn oracle_from_relationships(snap: &Snapshot, interner: &WorldInterner) -> AsGraph {
+fn oracle_from_relationships(snap: &Snapshot, interner: &WorldInterner) -> AsGraph {
     let mut g = AsGraph::new();
     for &s in snap.neighbor_counts.keys() {
         g.ensure_as(interner.resolve_asn(s));
@@ -1071,18 +1080,18 @@ pub(crate) fn oracle_from_relationships(snap: &Snapshot, interner: &WorldInterne
 
 /// Replays a decoded delta segment over the previous snapshot — the
 /// load-time twin of `Snapshot::from_output_incremental`, sharing its
-/// per-vantage patching code. Generic over [`Interning`] because the
-/// cold tier replays chains under a shared engine reference with a
-/// read-only [`crate::intern::FrozenInterner`] (safe: `decode_delta`
-/// pre-validated every event symbol against the loaded table).
-pub(crate) fn replay_delta<I: Interning>(
+/// per-vantage patching code. Read-only on the interner (the cold tier
+/// replays chains under a shared engine reference): `decode_delta`
+/// pre-validated every event symbol against the loaded table.
+fn replay_delta(
     id: SnapshotId,
-    payload: &DeltaPayload,
+    payload: DeltaPayload,
     prev: &Snapshot,
     oracle: &AsGraph,
-    interner: &mut I,
+    interner: &WorldInterner,
     cones: &mut HashMap<Asn, CustomerCone>,
 ) -> Result<Snapshot, CodecError> {
+    let interner = &mut FrozenInterner(interner);
     let mut snap = Snapshot::empty(id, &payload.label);
     snap.relationships = Arc::clone(&prev.relationships);
     snap.neighbor_counts = Arc::clone(&prev.neighbor_counts);
@@ -1130,7 +1139,75 @@ pub(crate) fn replay_delta<I: Interning>(
             }
         }
     }
+    snap.provenance = Provenance::Delta(Arc::new(payload.delta));
     Ok(snap)
+}
+
+/// Replays a chain of snapshot segments forward, one [`Self::step`] per
+/// segment. [`load`] drives it over every segment of an archive, the
+/// cold tier's hydration over the chain from a snapshot's nearest
+/// anchor. Delta segments replay under an oracle graph rebuilt from the
+/// predecessor's relationship map; the graph, and the customer cones
+/// derived from it, are cached while that map stays physically the same.
+pub(crate) struct Replayer<'a> {
+    interner: &'a WorldInterner,
+    /// The relationship map the graph was rebuilt from, and the graph.
+    oracle: Option<(RelationshipMap, AsGraph)>,
+    cones: HashMap<Asn, CustomerCone>,
+}
+
+type RelationshipMap = Arc<HashMap<(AsnSym, AsnSym), Relationship>>;
+
+impl<'a> Replayer<'a> {
+    /// A replayer over the loaded symbol table.
+    pub(crate) fn new(interner: &'a WorldInterner) -> Replayer<'a> {
+        Replayer {
+            interner,
+            oracle: None,
+            cones: HashMap::new(),
+        }
+    }
+
+    /// Decodes `raw` — the verified bytes of a `kind` segment labeled
+    /// `label` — as snapshot `id` on top of `prev`, and stamps it with
+    /// its interner `watermark` so it matches the snapshot that was
+    /// saved.
+    pub(crate) fn step(
+        &mut self,
+        id: SnapshotId,
+        kind: SegmentKind,
+        label: &str,
+        raw: &[u8],
+        prev: Option<&Snapshot>,
+        watermark: (usize, usize, usize),
+    ) -> Result<Snapshot, CodecError> {
+        let mut snap = match kind {
+            SegmentKind::Full => decode_full(raw, id, label, prev, self.interner)?,
+            SegmentKind::Delta => {
+                let payload = decode_delta(raw, label, self.interner)?;
+                let prev = prev.ok_or(CodecError::Invalid {
+                    offset: 0,
+                    what: "delta segment has no predecessor snapshot",
+                })?;
+                let cached = self
+                    .oracle
+                    .as_ref()
+                    .is_some_and(|(rels, _)| Arc::ptr_eq(rels, &prev.relationships));
+                if !cached {
+                    let graph = oracle_from_relationships(prev, self.interner);
+                    self.oracle = Some((Arc::clone(&prev.relationships), graph));
+                    self.cones.clear();
+                }
+                let graph = &self.oracle.as_ref().expect("just rebuilt").1;
+                replay_delta(id, payload, prev, graph, self.interner, &mut self.cones)?
+            }
+            SegmentKind::Symbols | SegmentKind::Roa => {
+                unreachable!("only snapshot segments are replayed")
+            }
+        };
+        snap.interned_watermark = watermark;
+        Ok(snap)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1159,6 +1236,74 @@ pub struct SaveOptions {
     /// replays to reach any snapshot. `None` keeps the pure
     /// full-vs-delta policy (one keyframe at snapshot 0).
     pub keyframe_every: Option<usize>,
+}
+
+/// Writes a world's snapshot segments, in snapshot order: the one place
+/// that decides full or delta ([`delta_plan`]), forces keyframes on
+/// cadence, and names the files. [`save`] drives it over an engine's
+/// snapshots, the live writer ([`crate::live`]) one published frame at a
+/// time into its spill directory.
+pub(crate) struct SegmentWriter {
+    keyframe_every: Option<usize>,
+    /// The last self-contained segment written.
+    last_anchor: Option<usize>,
+    /// Segments written so far — the next snapshot's index.
+    written: usize,
+}
+
+impl SegmentWriter {
+    /// A writer at snapshot 0 with [`SaveOptions::keyframe_every`]'s
+    /// keyframe policy.
+    pub(crate) fn new(keyframe_every: Option<usize>) -> SegmentWriter {
+        SegmentWriter {
+            keyframe_every,
+            last_anchor: None,
+            written: 0,
+        }
+    }
+
+    /// Writes `snap`, the successor of `prev`, as the next segment in
+    /// `dir` and returns its manifest row. Nothing advances on an error.
+    pub(crate) fn write(
+        &mut self,
+        dir: &Path,
+        snap: &Snapshot,
+        prev: Option<&Snapshot>,
+        interner: &WorldInterner,
+    ) -> Result<SegmentEntry, StoreError> {
+        let i = self.written;
+        // Keyframe policy: snapshot 0 always decodes standalone; after
+        // that, force a self-contained full whenever the chain since the
+        // last anchor reaches the configured bound.
+        let force_keyframe = match (self.keyframe_every, self.last_anchor) {
+            (Some(k), Some(anchor)) => i - anchor >= k.max(1),
+            _ => false,
+        };
+        let plan = if force_keyframe {
+            None
+        } else {
+            prev.and_then(|p| delta_plan(snap, p))
+        };
+        let (kind, payload, standalone) = match plan {
+            Some(delta) => {
+                let prev = prev.expect("delta implies prev");
+                let payload = encode_delta(snap, prev, delta, interner);
+                (SegmentKind::Delta, payload, false)
+            }
+            None => {
+                let (payload, standalone) = encode_full(snap, prev, force_keyframe);
+                (SegmentKind::Full, payload, standalone)
+            }
+        };
+        let file = format!("snap-{i:04}.seg");
+        let mut entry = write_segment(dir, &file, kind, &snap.label, &payload)?;
+        if standalone {
+            entry.flags |= SEG_FLAG_KEYFRAME;
+            self.last_anchor = Some(i);
+        }
+        self.written += 1;
+        Ok(entry)
+    }
 }
 
 /// Serializes `engine` into an archive at `dir` (see
@@ -1197,47 +1342,13 @@ pub(crate) fn save(
         &symbols,
     )?);
 
-    // Keyframe policy: snapshot 0 always decodes standalone; after
-    // that, force a self-contained full whenever the chain since the
-    // last anchor reaches the configured bound.
-    let mut last_anchor: Option<usize> = None;
-    for (i, snap) in engine.snapshots.iter().enumerate() {
-        let snap: &Snapshot = snap;
-        let prev: Option<&Snapshot> = (i > 0).then(|| &*engine.snapshots[i - 1]);
-        let force_keyframe = match (options.keyframe_every, last_anchor) {
-            (Some(k), Some(anchor)) => i - anchor >= k.max(1),
-            _ => false,
-        };
-        let plan = if force_keyframe {
-            None
-        } else {
-            prev.and_then(|p| delta_plan(snap, p))
-        };
-        let (kind, payload, standalone) = match plan {
-            Some(delta) => (
-                SegmentKind::Delta,
-                encode_delta(
-                    snap,
-                    prev.expect("delta implies prev"),
-                    delta,
-                    &engine.interner,
-                ),
-                false,
-            ),
-            None => {
-                let (payload, standalone) = encode_full(snap, prev, force_keyframe);
-                (SegmentKind::Full, payload, standalone)
-            }
-        };
-        if standalone {
-            last_anchor = Some(i);
-        }
-        let file = format!("snap-{i:04}.seg");
-        let mut entry = write_segment(&staging, &file, kind, &snap.label, &payload)?;
-        if standalone {
-            entry.flags |= SEG_FLAG_KEYFRAME;
-        }
-        manifest.segments.push(entry);
+    let mut writer = SegmentWriter::new(options.keyframe_every);
+    let mut prev: Option<&Snapshot> = None;
+    for snap in &engine.snapshots {
+        manifest
+            .segments
+            .push(writer.write(&staging, snap, prev, &engine.interner)?);
+        prev = Some(snap);
     }
 
     if !engine.roas.is_empty() {
@@ -1387,56 +1498,17 @@ pub(crate) fn load(dir: &Path) -> Result<QueryEngine, StoreError> {
     let manifest = Manifest::read(dir)?;
     let (mut engine, watermarks) = load_prelude(dir, &manifest)?;
 
-    let segref = |index: usize, entry: &SegmentEntry| SegmentRef {
-        index,
-        file: entry.file.clone(),
-    };
-    let snapshot_entries: Vec<(usize, &SegmentEntry)> = manifest.snapshot_segments().collect();
-
-    // Delta-replay state: the oracle graph rebuilt from the predecessor's
-    // relationship map, cached while the map stays physically the same.
-    let mut oracle: Option<(*const (), AsGraph)> = None;
-    let mut cones: HashMap<Asn, CustomerCone> = HashMap::new();
-
-    for (snap_idx, &(seg_idx, entry)) in snapshot_entries.iter().enumerate() {
-        let raw = read_segment(dir, seg_idx, entry)?;
-        let id = SnapshotId(snap_idx as u32);
-        let mut snap = match entry.kind {
-            SegmentKind::Full => decode_full(
-                &raw,
-                id,
-                &entry.label,
-                engine.snapshots.last().map(|a| &**a),
-                &engine.interner,
-            )
-            .map_err(|e| StoreError::corrupt(segref(seg_idx, entry), e))?,
-            SegmentKind::Delta => {
-                let payload = decode_delta(&raw, &entry.label, &engine.interner)
-                    .map_err(|e| StoreError::corrupt(segref(seg_idx, entry), e))?;
-                let prev: &Snapshot = engine.snapshots.last().ok_or_else(|| {
-                    StoreError::invalid(
-                        segref(seg_idx, entry),
-                        0,
-                        "delta segment has no predecessor snapshot",
-                    )
-                })?;
-                let rel_ptr = Arc::as_ptr(&prev.relationships) as *const ();
-                if oracle.as_ref().map(|(p, _)| *p) != Some(rel_ptr) {
-                    oracle = Some((rel_ptr, oracle_from_relationships(prev, &engine.interner)));
-                    cones.clear();
-                }
-                let graph = &oracle.as_ref().expect("just rebuilt").1;
-                let mut snap =
-                    replay_delta(id, &payload, prev, graph, &mut engine.interner, &mut cones)
-                        .map_err(|e| StoreError::corrupt(segref(seg_idx, entry), e))?;
-                snap.provenance = Provenance::Delta(Arc::new(payload.delta));
-                snap
-            }
-            SegmentKind::Symbols | SegmentKind::Roa => {
-                unreachable!("snapshot_segments() yields only full and delta segments")
-            }
-        };
-        snap.interned_watermark = watermarks[snap_idx];
+    let mut replayer = Replayer::new(&engine.interner);
+    for ((index, entry), &watermark) in manifest.snapshot_segments().zip(&watermarks) {
+        let raw = read_segment(dir, index, entry)?;
+        let id = SnapshotId(engine.snapshots.len() as u32);
+        let prev = engine.snapshots.last().map(|a| &**a);
+        let snap = replayer
+            .step(id, entry.kind, &entry.label, &raw, prev, watermark)
+            .map_err(|e| {
+                let file = entry.file.clone();
+                StoreError::corrupt(SegmentRef { index, file }, e)
+            })?;
         engine.snapshots.push(Arc::new(snap));
     }
 

@@ -49,7 +49,6 @@ struct Options {
     size: Option<InternetSize>,
     seed: u64,
     snapshots: usize,
-    incremental: bool,
     queries: Option<String>,
     roas: Option<String>,
     save: Option<String>,
@@ -138,15 +137,11 @@ const FLAGS: &[Flag] = &[
     ),
     Flag::new(
         "--snapshots N",
-        "simulate an N-step daily churn series (default 1)",
+        "simulate an N-step daily churn series (default 1),\n\
+         ingested diff-aware: copy-on-write overlays sharing\n\
+         unchanged subtries (`snapshots` shows the shared-node\n\
+         counts)",
         |o, v| set(&mut o.snapshots, positive("--snapshots", "a count", v)),
-    ),
-    Flag::new(
-        "--incremental",
-        "ingest the series diff-aware (copy-on-write overlays\n\
-         sharing unchanged subtries; `snapshots` shows the\n\
-         shared-node counts)",
-        |o, _| set(&mut o.incremental, Ok(true)),
     ),
     Flag::new(
         "--queries FILE",
@@ -682,11 +677,7 @@ fn simulate(opts: &Options) -> QueryEngine {
     let mut engine = QueryEngine::default();
     if opts.snapshots > 1 {
         let series = churn_series(opts, &e);
-        if opts.incremental {
-            engine.ingest_series_incremental(&series, &e.inferred_graph);
-        } else {
-            engine.ingest_series(&series, &e.inferred_graph);
-        }
+        engine.ingest_series_incremental(&series, &e.inferred_graph);
     } else {
         engine.ingest_experiment(&e, "t0");
     }
@@ -696,7 +687,7 @@ fn simulate(opts: &Options) -> QueryEngine {
         t0.elapsed(),
         engine.snapshot_count(),
     );
-    if opts.incremental {
+    if opts.snapshots > 1 {
         let stats = engine.sharing_stats();
         eprintln!(
             "incremental ingest: {}/{} trie nodes shared with predecessors ({:.1}%, {} KiB)",
@@ -1095,7 +1086,7 @@ mod tests {
                 .count();
             assert_eq!(n, 1, "{} in --help", flag.name());
         }
-        assert_eq!(help.lines().filter(|l| l.starts_with("  --")).count(), 25);
+        assert_eq!(help.lines().filter(|l| l.starts_with("  --")).count(), 24);
     }
 
     fn parse(args: &[&str]) -> Result<Options, String> {

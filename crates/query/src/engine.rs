@@ -170,6 +170,7 @@ pub struct QueryEngine {
     pub(crate) cones: HashMap<Asn, CustomerCone>,
     /// Set when the engine was loaded from (or saved to) an on-disk
     /// archive: where it lives and what each snapshot costs on disk.
+    /// (A tier-attached engine's comes from its tier instead.)
     pub(crate) archive: Option<crate::archive::ArchiveInfo>,
     /// The ROA table `rov` queries validate against (empty by default:
     /// every route validates `unknown`). Engine-wide, not per snapshot —
@@ -188,15 +189,12 @@ pub struct QueryEngine {
     /// Set when the engine is **tier-attached**: segments stay memory-
     /// mapped on disk and snapshots hydrate on demand into a bounded hot
     /// set. `snapshots` is empty in that mode — every snapshot handle
-    /// comes through [`Self::snap_arc`]. Behind an `Arc` because a live
-    /// writer appends to the tier while published epochs read it.
+    /// comes through [`Self::snap_arc`], and the tier's own segment list
+    /// is the engine's world: a live epoch ([`crate::live`]) holds the
+    /// list as of its publication, so a reader holding the epoch never
+    /// observes a later snapshot. Behind an `Arc` because the live
+    /// writer keeps the newest tier to build the next epoch's from.
     pub(crate) tier: Option<Arc<crate::tier::Tier>>,
-    /// Set on **live epoch** engines ([`crate::live`]): the number of
-    /// snapshots this epoch exposes. The shared tier keeps growing after
-    /// publication; the horizon pins every scope resolution — and so
-    /// every query — to the world as of this epoch, so a reader holding
-    /// the epoch never observes a half-published snapshot.
-    pub(crate) horizon: Option<u32>,
 }
 
 // `Arc<QueryEngine>` sharing across the serve loops and a batch's scan
@@ -273,7 +271,7 @@ impl QueryEngine {
             cache.hits as f64 / looked as f64
         });
         if let Some(tier) = &self.tier {
-            let stats = tier.stats(self.horizon.map(|h| h as usize));
+            let stats = tier.stats();
             m.tier_hot_snapshots.set_u64(stats.hot as u64);
             m.tier_total_snapshots.set_u64(stats.snapshots as u64);
         }
@@ -283,29 +281,18 @@ impl QueryEngine {
     /// Number of ingested snapshots (in tiered mode: archived snapshots,
     /// resident or not; on a live epoch: published as of this epoch).
     pub fn snapshot_count(&self) -> usize {
-        let n = match &self.tier {
-            Some(t) => t.len(),
+        match &self.tier {
+            Some(t) => t.segs.len(),
             None => self.snapshots.len(),
-        };
-        match self.horizon {
-            Some(h) => n.min(h as usize),
-            None => n,
         }
     }
 
     /// Snapshot labels in ingestion order.
     pub fn labels(&self) -> Vec<String> {
-        let n = self.snapshot_count();
-        let mut labels = match &self.tier {
-            Some(t) => t.labels(n),
-            None => self
-                .snapshots
-                .iter()
-                .map(|s| s.label.clone())
-                .collect::<Vec<_>>(),
-        };
-        labels.truncate(n);
-        labels
+        match &self.tier {
+            Some(t) => t.segs.iter().map(|s| s.meta.label.clone()).collect(),
+            None => self.snapshots.iter().map(|s| s.label.clone()).collect(),
+        }
     }
 
     /// The most recently ingested snapshot (the default query target).
@@ -317,15 +304,11 @@ impl QueryEngine {
     /// The snapshot carrying `label`, if any (first match wins; on a
     /// live epoch, only snapshots published as of this epoch match).
     pub fn find_label(&self, label: &str) -> Option<SnapshotId> {
-        let id = match &self.tier {
-            Some(t) => t.find_label(label),
-            None => self
-                .snapshots
-                .iter()
-                .position(|s| s.label == label)
-                .map(|i| SnapshotId(i as u32)),
-        }?;
-        (id.index() < self.snapshot_count()).then_some(id)
+        let at = match &self.tier {
+            Some(t) => t.segs.iter().position(|s| s.meta.label == label),
+            None => self.snapshots.iter().position(|s| s.label == label),
+        };
+        at.map(|i| SnapshotId(i as u32))
     }
 
     /// `(distinct ASNs, distinct prefixes, distinct communities)` interned.
@@ -493,7 +476,7 @@ impl QueryEngine {
         let node_size = CowTrie::<crate::snapshot::CompactRoute>::node_size();
         stats.total_bytes = stats.total_nodes * node_size;
         stats.shared_bytes = stats.shared_nodes * node_size;
-        stats.disk_bytes = self.archive.as_ref().map_or(0, |a| a.total_bytes());
+        stats.disk_bytes = self.archive_info().map_or(0, |a| a.total_bytes());
         stats
     }
 
@@ -558,30 +541,28 @@ impl QueryEngine {
 
     /// The cold tier's residency counters, when tier-attached.
     pub fn tier_stats(&self) -> Option<crate::tier::TierStats> {
-        self.tier
-            .as_ref()
-            .map(|t| t.stats(self.horizon.map(|h| h as usize)))
+        self.tier.as_ref().map(|t| t.stats())
     }
 
     /// Where snapshot `id` currently lives, when tier-attached.
     pub fn residency(&self, id: SnapshotId) -> Option<crate::tier::Residency> {
-        if id.index() >= self.snapshot_count() {
-            return None;
-        }
-        self.tier.as_ref().and_then(|t| t.residency(id))
+        self.tier.as_ref()?.residency(id)
     }
 
     /// Where this engine's bytes live on disk, if it was loaded from or
     /// saved to an archive.
     pub fn archive_info(&self) -> Option<&crate::archive::ArchiveInfo> {
-        self.archive.as_ref()
+        match &self.tier {
+            Some(tier) => Some(tier.archive_info()),
+            None => self.archive.as_ref(),
+        }
     }
 
     /// The on-disk segment behind snapshot `id` (`None` for engines that
     /// never touched disk, and for snapshots ingested after the
     /// save/load).
     pub fn segment_meta(&self, id: SnapshotId) -> Option<&crate::archive::SegmentMeta> {
-        self.archive.as_ref()?.snapshots.get(id.index())
+        self.archive_info()?.snapshots.get(id.index())
     }
 
     /// `(shared, total)` trie nodes of snapshot `id` relative to its
@@ -627,11 +608,6 @@ impl QueryEngine {
     /// in-memory list, or hydrated out of the cold tier (replaying its
     /// delta chain from the nearest keyframe) when tier-attached.
     pub(crate) fn snap_arc(&self, id: SnapshotId) -> Result<Arc<Snapshot>, QueryError> {
-        if id.index() >= self.snapshot_count() {
-            // Beyond the epoch horizon: the shared tier may already hold
-            // newer snapshots, but this epoch must not serve them.
-            return Err(QueryError::UnknownSnapshot(id));
-        }
         match &self.tier {
             Some(tier) => tier.snapshot(self, id),
             None => self
@@ -652,9 +628,6 @@ impl QueryEngine {
     /// tier-attached engine this reads the mapped segment's vantage
     /// directory where possible, so listing vantages never hydrates.
     pub fn vantages_in(&self, id: SnapshotId) -> Vec<(Asn, VantageKind)> {
-        if id.index() >= self.snapshot_count() {
-            return Vec::new();
-        }
         if let Some(tier) = &self.tier {
             return tier.vantages(self, id);
         }
@@ -721,24 +694,16 @@ impl QueryEngine {
     /// [`Self::snap_arc`].
     fn eval_point(&self, query: &Query, id: SnapshotId) -> Result<Response, QueryError> {
         let snap = match &self.tier {
-            Some(tier) => {
-                if id.index() >= self.snapshot_count() {
-                    // Beyond the epoch horizon: the shared tier may
-                    // already hold newer snapshots, but this epoch must
-                    // not serve them.
-                    return Err(QueryError::UnknownSnapshot(id));
-                }
-                match tier.hot_get(id.0) {
-                    // Hot hit: answer from the in-memory snapshot.
-                    Some(snap) => snap,
-                    None => {
-                        if let Some(resp) = tier.try_cold(self, query, id)? {
-                            return Ok(resp);
-                        }
-                        tier.snapshot(self, id)?
+            // Hot hit: answer from the in-memory snapshot.
+            Some(tier) => match tier.hot_get(id.0) {
+                Some(snap) => snap,
+                None => {
+                    if let Some(resp) = tier.try_cold(self, query, id)? {
+                        return Ok(resp);
                     }
+                    tier.snapshot(self, id)?
                 }
-            }
+            },
             None => self.snap_arc(id)?,
         };
         Ok(match *query {

@@ -105,12 +105,12 @@ impl WorldInterner {
 
 /// What the snapshot patching machinery needs from a symbol table.
 ///
-/// Live ingest patches against the engine's mutable [`WorldInterner`];
-/// the cold tier replays delta chains against a [`FrozenInterner`] — the
-/// loaded archive's tables, which already hold every symbol any archived
-/// event references (the symbol segment records them, and
-/// `decode_delta` pre-validates events against it), so replay never
-/// needs to intern anything.
+/// Ingest patches against the engine's mutable [`WorldInterner`];
+/// segment replay — an archive load and the cold tier's hydration alike
+/// — patches against a [`FrozenInterner`]: the loaded tables, which
+/// already hold every symbol any archived event references (the symbol
+/// segment records them, and `decode_delta` pre-validates events
+/// against it), so replay never needs to intern anything.
 pub(crate) trait Interning {
     /// The symbol for `a`, interning it if the table is mutable.
     fn asn(&mut self, a: Asn) -> AsnSym;
@@ -144,21 +144,21 @@ impl Interning for WorldInterner {
 
 /// A read-only view of a [`WorldInterner`] that satisfies [`Interning`]
 /// by requiring every symbol to already exist. The cold tier hydrates
-/// snapshots concurrently under a shared engine reference, so it cannot
-/// take `&mut` on the engine's interner — and never needs to: the
-/// archive's symbol segment recorded every symbol up front.
+/// snapshots concurrently under a shared engine reference, so segment
+/// replay cannot take `&mut` on the engine's interner — and never needs
+/// to: the archive's symbol segment recorded every symbol up front.
 pub(crate) struct FrozenInterner<'a>(pub &'a WorldInterner);
 
 impl Interning for FrozenInterner<'_> {
     fn asn(&mut self, a: Asn) -> AsnSym {
         self.0
             .lookup_asn(a)
-            .expect("tier replay references an ASN missing from the loaded symbol table")
+            .expect("segment replay references an ASN missing from the loaded symbol table")
     }
     fn prefix(&mut self, p: Ipv4Prefix) -> PrefixSym {
         self.0
             .lookup_prefix(p)
-            .expect("tier replay references a prefix missing from the loaded symbol table")
+            .expect("segment replay references a prefix missing from the loaded symbol table")
     }
     fn lookup_asn(&self, a: Asn) -> Option<AsnSym> {
         self.0.lookup_asn(a)

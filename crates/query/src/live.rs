@@ -8,19 +8,23 @@
 //!
 //! * Readers never lock against the writer. [`LiveHandle::current`] is
 //!   one `Arc` clone under a reader lock held for nanoseconds; the
-//!   engine it returns is frozen (its `horizon` pins every scope
-//!   resolution to the snapshots published as of that epoch), so a
-//!   whole `execute_batch` — or a REPL listing — sees one consistent
-//!   world, never a torn one.
-//! * The writer builds snapshot N+1 completely — indexed, spilled to an
-//!   rpi-store segment, attached to the shared tier — **before**
-//!   swapping the epoch in. A reader that loaded epoch N keeps
-//!   answering from epoch N; the next batch sees N+1.
-//! * Memory stays bounded: the shared tier's hot set keeps the most
+//!   engine it returns is frozen — it owns the list of segments
+//!   attached as of its publication, and that list is all it can see —
+//!   so a whole `execute_batch` — or a REPL listing — sees one
+//!   consistent world, never a torn one.
+//! * The writer builds snapshot N+1 completely — indexed, spilled by
+//!   the archive's segment writer ([`crate::archive::SegmentWriter`]),
+//!   attached by the tier's [`attach`] — and hands the new epoch a
+//!   segment list one record longer than the last (the records are
+//!   shared, never copied) **before** swapping the epoch in. A reader
+//!   that loaded epoch N keeps answering from epoch N; the next batch
+//!   sees N+1.
+//! * Memory stays bounded: the hot set the epochs share keeps the most
 //!   recent `--window` snapshots hydrated; older ones fall back to
 //!   their mapped spill segments and stay queryable cold (the PR 7 tier
 //!   layer), so `@<id>` history queries span the hot/spilled boundary
-//!   transparently.
+//!   transparently. The stream itself is read through a buffer that
+//!   holds only what has not been parsed yet.
 //!
 //! The contract the differential suite (`crates/query/tests/live.rs`)
 //! holds: a live engine fed frame by frame renders **byte-identical**
@@ -39,16 +43,13 @@ use bgp_sim::SimOutput;
 use bgp_types::codec::CodecError;
 use bgp_types::Asn;
 use net_topology::{AsGraph, CustomerCone};
-use rpi_mmap::Mmap;
-use rpi_store::{write_segment, SegmentKind, StoreError, SEG_FLAG_KEYFRAME};
+use rpi_store::{SegmentKind, StoreError};
 
-use crate::archive::{
-    delta_plan, encode_delta, encode_full, read_mapped_directory, ArchiveInfo, SegmentMeta,
-};
+use crate::archive::{ArchiveInfo, SegmentMeta, SegmentWriter};
 use crate::engine::QueryEngine;
 use crate::intern::WorldInterner;
 use crate::snapshot::{Provenance, Snapshot, SnapshotId};
-use crate::tier::{Tier, TierSnap};
+use crate::tier::{attach, codec_what, Tier};
 
 /// What can go wrong while following a live stream.
 #[derive(Debug)]
@@ -102,18 +103,6 @@ impl From<std::io::Error> for LiveError {
     }
 }
 
-fn stream_err(e: CodecError) -> LiveError {
-    let what = match &e {
-        CodecError::Truncated { wanted, .. } => format!("truncated (wanted {wanted} more bytes)"),
-        CodecError::Varint { .. } => "malformed varint".to_string(),
-        CodecError::Invalid { what, .. } => what.to_string(),
-    };
-    LiveError::Stream {
-        offset: e.offset(),
-        what,
-    }
-}
-
 /// Knobs of the live publication path.
 #[derive(Debug, Clone)]
 pub struct LiveOptions {
@@ -148,10 +137,9 @@ pub struct LiveHandle {
 
 impl LiveHandle {
     /// A handle whose epoch 0 is `engine` — an empty engine carrying the
-    /// serving configuration (shard count, ROA table). The writer grows
-    /// the world from there.
-    pub fn new(mut engine: QueryEngine) -> Arc<LiveHandle> {
-        engine.horizon = Some(0);
+    /// serving configuration (ROA table, metrics). The writer grows the
+    /// world from there.
+    pub fn new(engine: QueryEngine) -> Arc<LiveHandle> {
         Arc::new(LiveHandle {
             epoch: RwLock::new(Arc::new(engine)),
             published: AtomicU64::new(0),
@@ -181,20 +169,18 @@ impl LiveHandle {
 /// epochs. Single-owner — exactly one writer per [`LiveHandle`].
 pub struct LiveWriter {
     handle: Arc<LiveHandle>,
+    /// The newest epoch's tier; the next epoch's is built from it.
     tier: Arc<Tier>,
     /// The base engine's metrics, shared by every published epoch:
     /// publication latency/counts and the follower-lag gauge land here.
     metrics: Arc<crate::metrics::QueryMetrics>,
     spill: PathBuf,
-    opts: LiveOptions,
+    segments: SegmentWriter,
     interner: WorldInterner,
     cones: HashMap<Asn, CustomerCone>,
     oracle: AsGraph,
     prev_out: SimOutput,
     prev_snap: Option<Arc<Snapshot>>,
-    metas: Vec<SegmentMeta>,
-    last_anchor: Option<usize>,
-    count: u32,
 }
 
 impl LiveWriter {
@@ -210,31 +196,44 @@ impl LiveWriter {
         std::fs::create_dir_all(spill)?;
         let base = handle.current();
         debug_assert_eq!(base.snapshot_count(), 0, "live handles start empty");
+        let spilled = ArchiveInfo {
+            dir: spill.to_path_buf(),
+            symbols: SegmentMeta {
+                index: 0,
+                kind: SegmentKind::Symbols,
+                file: "symbols.seg".to_string(),
+                // The live interner lives in memory; a symbols segment
+                // exists only once the stream is archived.
+                bytes: 0,
+                crc32: 0,
+                label: String::new(),
+                keyframe: false,
+            },
+            snapshots: Vec::new(),
+            roas: None,
+        };
         Ok(LiveWriter {
-            tier: Arc::new(Tier::new_live(opts.window, base.metrics())),
+            tier: Arc::new(Tier::new(Vec::new(), opts.window, spilled, &base.metrics)),
             metrics: base.metrics_arc(),
             spill: spill.to_path_buf(),
+            segments: SegmentWriter::new(Some(opts.keyframe_every)),
             interner: base.interner.clone(),
             cones: HashMap::new(),
             oracle,
             prev_out: SimOutput::default(),
             prev_snap: None,
-            metas: Vec::new(),
-            last_anchor: None,
-            count: 0,
-            opts,
             handle,
         })
     }
 
     /// Snapshots published by this writer.
     pub fn published(&self) -> u64 {
-        self.count as u64
+        self.tier.segs.len() as u64
     }
 
     /// Applies one stream frame: index the grown world incrementally,
-    /// spill it as an rpi-store segment, attach the segment to the
-    /// shared tier, and only then publish the new epoch. A reader
+    /// spill it as an rpi-store segment, attach the segment, and only
+    /// then publish the new epoch over the grown segment list. A reader
     /// holding the previous epoch is never blocked and never sees the
     /// snapshot until it is fully queryable.
     pub fn publish_frame(&mut self, frame: &StreamFrame) -> Result<SnapshotId, LiveError> {
@@ -244,8 +243,8 @@ impl LiveWriter {
         if let Some(g) = &frame.oracle {
             self.oracle = g.clone();
         }
-        let i = self.count as usize;
-        let id = SnapshotId(self.count);
+        let i = self.tier.segs.len();
+        let id = SnapshotId(i as u32);
 
         // Index exactly as the offline incremental path would: the
         // frame's delta is what `output_delta` computes between the same
@@ -273,71 +272,25 @@ impl LiveWriter {
         }
         let snap = Arc::new(snap);
 
-        // Spill: same segment policy as `save_archive` — delta when
-        // cleanly replayable, full otherwise, a self-contained keyframe
-        // on cadence so cold chain walks stay short.
+        // Spill through the archive's segment writer — the policy, the
+        // keyframe cadence and the bytes `save_archive` would produce —
+        // then attach. Manifest-style index: slot 0 is reserved for the
+        // symbols segment a finished archive would carry. The bytes were
+        // checksummed as they were written: no lazy re-verify.
         let prev = self.prev_snap.as_deref();
-        let force_keyframe = match self.last_anchor {
-            Some(anchor) => i - anchor >= self.opts.keyframe_every.max(1),
-            None => false,
-        };
-        let plan = if force_keyframe {
-            None
-        } else {
-            prev.and_then(|p| delta_plan(&snap, p))
-        };
-        let (kind, payload, standalone) = match plan {
-            Some(delta) => (
-                SegmentKind::Delta,
-                encode_delta(
-                    &snap,
-                    prev.expect("delta implies prev"),
-                    delta,
-                    &self.interner,
-                ),
-                false,
-            ),
-            None => {
-                let (payload, standalone) = encode_full(&snap, prev, force_keyframe);
-                (SegmentKind::Full, payload, standalone)
-            }
-        };
-        if standalone {
-            self.last_anchor = Some(i);
-        }
-        let file = format!("snap-{i:04}.seg");
-        let mut entry = write_segment(&self.spill, &file, kind, &frame.label, &payload)?;
-        if standalone {
-            entry.flags |= SEG_FLAG_KEYFRAME;
-        }
-        let path = self.spill.join(&file);
-        let map = Mmap::map(&path).map_err(|source| StoreError::Io { path, source })?;
-        let dir = match kind {
-            SegmentKind::Full => Some(
-                read_mapped_directory(&map, self.interner.sizes().0)
-                    .map_err(stream_err)?
-                    .0,
-            ),
-            _ => None,
-        };
-        let ts = TierSnap::new(
-            file,
-            kind,
-            frame.label.clone(),
-            entry.crc32,
-            map,
-            dir,
-            standalone,
-            // Just written and checksummed — no lazy re-verify needed.
+        let entry = self
+            .segments
+            .write(&self.spill, &snap, prev, &self.interner)?;
+        let seg = attach(
+            &self.spill,
+            i + 1,
+            &entry,
+            self.interner.sizes(),
+            &self.interner,
             true,
-        );
-        let count = self
-            .tier
-            .append(ts, self.interner.sizes(), Arc::clone(&snap));
-        // Manifest-style indices: slot 0 is reserved for the symbols
-        // segment a finished archive would carry.
-        self.metas.push(SegmentMeta::from_entry(i + 1, &entry));
-        self.count = count as u32;
+            &self.metrics,
+        )?;
+        self.tier = Arc::new(self.tier.appended(seg, Arc::clone(&snap)));
         self.prev_out = out;
         self.prev_snap = Some(snap);
 
@@ -345,9 +298,7 @@ impl LiveWriter {
         // only the pointer swap.
         let epoch = Arc::new(self.epoch_engine());
         *self.handle.epoch.write().expect("live epoch poisoned") = epoch;
-        self.handle
-            .published
-            .store(self.count as u64, Ordering::Release);
+        self.handle.published.store(i as u64 + 1, Ordering::Release);
         self.metrics.live_published_total.inc();
         self.metrics
             .live_publish_seconds
@@ -361,7 +312,8 @@ impl LiveWriter {
         self.handle.ended.store(true, Ordering::Release);
     }
 
-    /// A frozen engine exposing exactly the snapshots published so far.
+    /// A frozen engine exposing exactly the snapshots published so far:
+    /// the segments attached to the writer's tier as of now.
     fn epoch_engine(&self) -> QueryEngine {
         let base = self.handle.current();
         QueryEngine {
@@ -372,23 +324,7 @@ impl LiveWriter {
             rov_cache: Arc::clone(&base.rov_cache),
             metrics: Arc::clone(&base.metrics),
             tier: Some(Arc::clone(&self.tier)),
-            horizon: Some(self.count),
-            archive: Some(ArchiveInfo {
-                dir: self.spill.clone(),
-                symbols: SegmentMeta {
-                    index: 0,
-                    kind: SegmentKind::Symbols,
-                    file: "symbols.seg".to_string(),
-                    // The live interner lives in memory; a symbols segment
-                    // exists only once the stream is archived.
-                    bytes: 0,
-                    crc32: 0,
-                    label: String::new(),
-                    keyframe: false,
-                },
-                snapshots: self.metas.clone(),
-                roas: None,
-            }),
+            archive: None,
         }
     }
 }
@@ -459,6 +395,69 @@ pub fn drain_stream(
     run_stream(path, handle, spill, opts, FollowMode::Drain, on_publish)
 }
 
+/// The followed file's bytes that have not been parsed yet: a backlog
+/// of complete frames, or one frame still being written. Everything in
+/// front of them is dropped as soon as it is parsed, so a follower holds
+/// its backlog, never the stream it has read.
+#[derive(Default)]
+struct Tail {
+    bytes: Vec<u8>,
+    /// The stream offset of `bytes[0]`: where the first frame not yet
+    /// taken starts, and what keeps error offsets absolute.
+    base: usize,
+}
+
+impl Tail {
+    /// Pulls whatever the file has grown by; `Ok(0)` means no new bytes.
+    fn refill(&mut self, file: &mut impl Read) -> Result<usize, LiveError> {
+        let before = self.bytes.len();
+        file.read_to_end(&mut self.bytes)?;
+        Ok(self.bytes.len() - before)
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.bytes.drain(..n);
+        self.base += n;
+    }
+
+    fn err(&self, e: CodecError) -> LiveError {
+        LiveError::Stream {
+            offset: self.base + e.offset(),
+            what: codec_what(&e),
+        }
+    }
+
+    /// Takes the stream header's oracle, once its bytes are complete.
+    fn header(&mut self) -> Result<Option<AsGraph>, LiveError> {
+        let Some((oracle, next)) = read_header(&self.bytes).map_err(|e| self.err(e))? else {
+            return Ok(None);
+        };
+        self.consume(next);
+        Ok(Some(oracle))
+    }
+
+    /// Takes up to `cap` complete frames, and says whether the end
+    /// marker follows them.
+    fn frames(&mut self, cap: usize) -> Result<(Vec<StreamFrame>, bool), LiveError> {
+        let (mut frames, mut parsed, mut ended) = (Vec::new(), 0, false);
+        while frames.len() < cap {
+            match next_step(&self.bytes, parsed).map_err(|e| self.err(e))? {
+                StreamStep::NeedMore => break,
+                StreamStep::Frame(frame, next) => {
+                    frames.push(*frame);
+                    parsed = next;
+                }
+                StreamStep::End(_) => {
+                    ended = true;
+                    break;
+                }
+            }
+        }
+        self.consume(parsed);
+        Ok((frames, ended))
+    }
+}
+
 fn run_stream(
     path: &Path,
     handle: Arc<LiveHandle>,
@@ -468,31 +467,22 @@ fn run_stream(
     mut on_publish: impl FnMut(u64, &str),
 ) -> Result<FollowReport, LiveError> {
     let mut file = std::fs::File::open(path)?;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut parsed = 0usize;
+    let mut tail = Tail::default();
     let mut writer: Option<LiveWriter> = None;
     let mut published = 0u64;
-
-    // Pulls whatever the file has grown by; `Ok(0)` means no new bytes.
-    let mut refill = |buf: &mut Vec<u8>| -> Result<usize, LiveError> {
-        let before = buf.len();
-        file.read_to_end(buf)?;
-        Ok(buf.len() - before)
-    };
-    refill(&mut buf)?;
+    tail.refill(&mut file)?;
 
     loop {
         // Parse as far as the buffered bytes go.
         let mut progressed = false;
         if writer.is_none() {
-            if let Some((oracle, next)) = read_header(&buf).map_err(stream_err)? {
+            if let Some(oracle) = tail.header()? {
                 writer = Some(LiveWriter::open(
                     Arc::clone(&handle),
                     oracle,
                     spill,
                     opts.clone(),
                 )?);
-                parsed = next;
                 progressed = true;
             }
         }
@@ -504,21 +494,7 @@ fn run_stream(
             // lag, surfaced as the `rpi_live_frames_behind` gauge and
             // drained frame by frame below.
             const PENDING_CAP: usize = 256;
-            let mut pending = Vec::new();
-            let mut ended = false;
-            while pending.len() < PENDING_CAP {
-                match next_step(&buf, parsed).map_err(stream_err)? {
-                    StreamStep::NeedMore => break,
-                    StreamStep::Frame(frame, next) => {
-                        pending.push(frame);
-                        parsed = next;
-                    }
-                    StreamStep::End(_) => {
-                        ended = true;
-                        break;
-                    }
-                }
-            }
+            let (pending, ended) = tail.frames(PENDING_CAP)?;
             let mut behind = pending.len() as u64;
             w.metrics.live_frames_behind.set_u64(behind);
             for frame in &pending {
@@ -547,8 +523,8 @@ fn run_stream(
         // tail to grow, or call the stream truncated.
         match &mode {
             FollowMode::Drain => {
-                if refill(&mut buf)? == 0 {
-                    return Err(LiveError::Truncated { offset: parsed });
+                if tail.refill(&mut file)? == 0 {
+                    return Err(LiveError::Truncated { offset: tail.base });
                 }
             }
             FollowMode::Tail { poll, stop } => {
@@ -558,10 +534,94 @@ fn run_stream(
                         end: FollowEnd::Stopped,
                     });
                 }
-                if refill(&mut buf)? == 0 && !progressed {
+                if tail.refill(&mut file)? == 0 && !progressed {
                     std::thread::sleep(*poll);
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use bgp_sim::stream::StreamWriter;
+    use net_topology::InternetSize;
+    use rpi_core::Experiment;
+
+    use super::*;
+
+    fn labels(frames: &[StreamFrame]) -> Vec<&str> {
+        frames.iter().map(|f| f.label.as_str()).collect()
+    }
+
+    /// A follower holds what it has not parsed yet, never the stream it
+    /// has read: taking the header or a frame drops its bytes, a partial
+    /// frame is all that stays buffered, and `base` keeps naming the
+    /// absolute offset of the first frame not yet taken — what
+    /// `LiveError::{Truncated, Stream}` report.
+    #[test]
+    fn tail_retains_only_unparsed_bytes_and_keeps_offsets_absolute() {
+        let exp = Experiment::standard(InternetSize::Tiny, 7);
+        let (mut w, header) = StreamWriter::open(&exp.inferred_graph);
+        let frames: Vec<Vec<u8>> = ["a", "b", "c"]
+            .iter()
+            .map(|label| w.frame(label, &exp.output, None))
+            .collect();
+        let end = w.end();
+        let feed = |tail: &mut Tail, parts: &[&[u8]]| {
+            let bytes = parts.concat();
+            assert_eq!(tail.refill(&mut &bytes[..]).unwrap(), bytes.len());
+        };
+
+        // The header arrives with the first half of frame a.
+        let mut tail = Tail::default();
+        let (a_head, a_rest) = frames[0].split_at(frames[0].len() / 2);
+        feed(&mut tail, &[&header[..3]]);
+        assert!(tail.header().unwrap().is_none());
+        assert_eq!((tail.base, tail.bytes.len()), (0, 3));
+        feed(&mut tail, &[&header[3..], a_head]);
+        assert!(tail.header().unwrap().is_some());
+        assert_eq!((tail.base, tail.bytes.len()), (header.len(), a_head.len()));
+
+        // A partial frame waits: nothing taken, nothing dropped.
+        let (got, ended) = tail.frames(8).unwrap();
+        assert!(got.is_empty() && !ended);
+        assert_eq!((tail.base, tail.bytes.len()), (header.len(), a_head.len()));
+
+        // The rest of a, all of b, ten bytes of c: two frames taken,
+        // only c's ten bytes retained.
+        feed(&mut tail, &[a_rest, &frames[1], &frames[2][..10]]);
+        let (got, ended) = tail.frames(8).unwrap();
+        assert_eq!(labels(&got), ["a", "b"]);
+        assert!(!ended);
+        let c_at = header.len() + frames[0].len() + frames[1].len();
+        assert_eq!((tail.base, tail.bytes.len()), (c_at, 10));
+
+        // The cap bounds one round; the end marker is seen by the next.
+        feed(&mut tail, &[&frames[2][10..], &end]);
+        let (got, ended) = tail.frames(1).unwrap();
+        assert_eq!(labels(&got), ["c"]);
+        assert!(!ended);
+        assert_eq!(
+            (tail.base, tail.bytes.len()),
+            (c_at + frames[2].len(), end.len())
+        );
+        let (got, ended) = tail.frames(1).unwrap();
+        assert!(got.is_empty() && ended);
+
+        // A malformed frame is reported at its stream offset, not at its
+        // offset in what happens to be buffered.
+        let mut tail = Tail {
+            bytes: Vec::new(),
+            base: c_at,
+        };
+        feed(&mut tail, &[&frames[2], &[0x7F, 0, 0, 0, 0]]);
+        match tail.frames(8) {
+            Err(LiveError::Stream { offset, what }) => {
+                assert_eq!(offset, c_at + frames[2].len());
+                assert_eq!(what, "frame kind");
+            }
+            other => panic!("wanted Stream, got {other:?}"),
         }
     }
 }

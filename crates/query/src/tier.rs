@@ -32,29 +32,39 @@
 //! actually read (cold query or hydration). A failed check surfaces as
 //! [`QueryError::Corrupt`] naming the segment file and byte offset —
 //! the engine never answers from bytes it cannot vouch for.
+//!
+//! A [`Tier`] owns its list of attached [`Segment`]s outright and never
+//! changes it: [`attach`] is the one way a segment gets mapped — for
+//! [`load_tiered`] over a manifest and for the live writer
+//! ([`crate::live`]) over the segment it just spilled — and a live
+//! publication builds the next epoch's tier ([`Tier::appended`]: the
+//! same `Arc`ed records plus one). The length of the list *is* the
+//! snapshot count of the engine holding it, so readers take no lock to
+//! resolve a scope, find a label or reach a mapping; only the hot set,
+//! which the epochs of a live engine share, sits behind a mutex.
+//! Hydration runs the archive's one [`Replayer`] over mapped bytes.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use bgp_types::codec::{CodecError, Reader};
 use bgp_types::{flat, Asn, Ipv4Prefix};
-use net_topology::{AsGraph, CustomerCone};
 use rpi_mmap::Mmap;
-use rpi_obs::{Counter, Histogram};
-use rpi_store::{crc32, Manifest, SegmentKind, SegmentRef, StoreError};
+use rpi_obs::Counter;
+use rpi_store::{crc32, Manifest, SegmentEntry, SegmentKind, SegmentRef, StoreError};
 
 use crate::archive::{
-    decode_delta, decode_full, decode_route, oracle_from_relationships, read_mapped_directory,
-    replay_delta, ArchiveInfo, VantageDir,
+    decode_route, read_mapped_directory, ArchiveInfo, Replayer, SegmentMeta, VantageDir,
 };
 use crate::engine::{QueryEngine, RouteAnswer};
-use crate::intern::FrozenInterner;
+use crate::intern::WorldInterner;
+use crate::metrics::QueryMetrics;
 use crate::plan::QueryError;
 use crate::proto::{Query, Response, RovAnswer};
-use crate::snapshot::{Provenance, Snapshot, SnapshotId, VantageKind};
+use crate::snapshot::{Snapshot, SnapshotId, VantageKind};
 
 /// Where a tiered snapshot currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,48 +94,113 @@ pub struct TierStats {
     pub cold_hits: u64,
 }
 
-/// One mapped snapshot segment.
+/// One attached snapshot segment: its manifest row, its snapshot's
+/// interner watermark, its mapping and (full segments) its directory.
 #[derive(Debug)]
-pub(crate) struct TierSnap {
-    file: String,
-    kind: SegmentKind,
-    label: String,
-    crc32: u32,
+pub(crate) struct Segment {
+    pub(crate) meta: SegmentMeta,
+    /// Interner sizes right after the snapshot was indexed, stamped onto
+    /// its hydrated form so it matches a full load's.
+    watermark: (usize, usize, usize),
     map: Mmap,
     /// Parsed eagerly at attach for full segments; `None` for deltas.
     dir: Option<VantageDir>,
-    /// Decodes with no predecessor — a keyframe the chain walk anchors
-    /// on.
-    self_contained: bool,
     /// Set once the segment's CRC has been verified against the
     /// manifest (lazily, at first actual read of the bytes).
     verified: AtomicBool,
 }
 
-impl TierSnap {
-    /// A mapped segment record. `verified` is `true` when the caller has
-    /// already checksummed the bytes (the live writer just wrote them).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        file: String,
-        kind: SegmentKind,
-        label: String,
-        crc32: u32,
-        map: Mmap,
-        dir: Option<VantageDir>,
-        self_contained: bool,
-        verified: bool,
-    ) -> TierSnap {
-        TierSnap {
-            file,
-            kind,
-            label,
-            crc32,
-            map,
-            dir,
-            self_contained,
-            verified: AtomicBool::new(verified),
+/// Attaches one snapshot segment — row `index` of the manifest, `entry`,
+/// in `dir`: holds the file to the row's byte length, maps it, and for a
+/// full segment reads the vantage directory off its tail and holds its
+/// label and keyframe flag to the row's. `verified` is `true` when the
+/// caller has just checksummed these bytes (the live writer wrote
+/// them); otherwise the CRC is checked at first read.
+pub(crate) fn attach(
+    dir: &Path,
+    index: usize,
+    entry: &SegmentEntry,
+    watermark: (usize, usize, usize),
+    interner: &WorldInterner,
+    verified: bool,
+    metrics: &QueryMetrics,
+) -> Result<Segment, StoreError> {
+    let segref = || SegmentRef {
+        index,
+        file: entry.file.clone(),
+    };
+    let path = dir.join(&entry.file);
+    let found = match std::fs::metadata(&path) {
+        Ok(meta) => meta.len(),
+        Err(source) => return Err(StoreError::Io { path, source }),
+    };
+    if found != entry.bytes {
+        return Err(StoreError::Truncated {
+            segment: segref(),
+            expected: entry.bytes,
+            found,
+        });
+    }
+    let map = Mmap::map(&path).map_err(|source| StoreError::Io { path, source })?;
+    let vdir = match entry.kind {
+        SegmentKind::Full => {
+            let (vdir, self_contained, label) = read_mapped_directory(&map, interner.sizes().0)
+                .map_err(|e| StoreError::corrupt(segref(), e))?;
+            if label != entry.label {
+                return Err(StoreError::invalid(
+                    segref(),
+                    0,
+                    "label disagrees with manifest",
+                ));
+            }
+            if entry.is_keyframe() != self_contained {
+                return Err(StoreError::invalid(
+                    segref(),
+                    0,
+                    "manifest keyframe flag disagrees with segment",
+                ));
+            }
+            Some(vdir)
         }
+        SegmentKind::Delta => {
+            if entry.is_keyframe() {
+                return Err(StoreError::invalid(
+                    segref(),
+                    0,
+                    "delta segment flagged as keyframe",
+                ));
+            }
+            None
+        }
+        SegmentKind::Symbols | SegmentKind::Roa => {
+            unreachable!("only snapshot segments are attached")
+        }
+    };
+    metrics.tier_attaches_total.inc();
+    Ok(Segment {
+        meta: SegmentMeta::from_entry(index, entry),
+        watermark,
+        map,
+        dir: vdir,
+        verified: AtomicBool::new(verified),
+    })
+}
+
+impl Segment {
+    /// Verifies the segment's CRC against the manifest, once.
+    fn verify(&self) -> Result<(), QueryError> {
+        if self.verified.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        if crc32(&self.map) != self.meta.crc32 {
+            return Err(QueryError::Corrupt {
+                file: self.meta.file.clone(),
+                offset: 0,
+                what: "segment checksum mismatch".to_string(),
+            });
+        }
+        self.verified.store(true, Ordering::Release);
+        Ok(())
     }
 }
 
@@ -162,120 +237,104 @@ impl HotSet {
     }
 }
 
-/// The appendable part of the tier: the mapped segments and their
-/// interner watermarks, in snapshot order. Readers take the lock only
-/// long enough to clone the `Arc`s they need; the live writer appends
-/// under a brief write lock, so attach never blocks a query mid-flight.
-#[derive(Debug, Default)]
-struct TierIndex {
-    snaps: Vec<Arc<TierSnap>>,
-    /// Per-snapshot interner watermarks from the symbol segment, stamped
-    /// onto hydrated snapshots so they match a full load's.
-    watermarks: Vec<(usize, usize, usize)>,
-}
-
-/// The tier state a tier-attached [`QueryEngine`] carries. The counters
-/// and latency histograms are handles into the owning engine's metrics
-/// registry ([`crate::metrics::QueryMetrics`]), so [`TierStats`] is a
-/// view over the same atomics the `metrics` exposition renders.
+/// The tier state a tier-attached [`QueryEngine`] carries: its attached
+/// segments and the hot set hydrated from them. Counters and latency
+/// histograms are the owning engine's registry
+/// ([`crate::metrics::QueryMetrics`]), so [`TierStats`] is a view over
+/// the same atomics the `metrics` exposition renders.
 #[derive(Debug)]
 pub(crate) struct Tier {
+    /// The attached segments, in snapshot order. Never changes: the
+    /// list is the whole world of the engine — or live epoch — that
+    /// holds this tier, and its length the snapshot count.
+    pub(crate) segs: Vec<Arc<Segment>>,
     hot_cap: usize,
-    index: RwLock<TierIndex>,
-    hot: Mutex<HotSet>,
-    attaches: Arc<Counter>,
-    hydrations: Arc<Counter>,
-    evictions: Arc<Counter>,
-    cold_hits: Arc<Counter>,
-    hydration_seconds: Arc<Histogram>,
-    chain_replay_seconds: Arc<Histogram>,
-    cold_hit_seconds: Arc<Histogram>,
+    /// Shared by the epochs of a live engine: ids at or past
+    /// `segs.len()` are snapshots of later epochs.
+    hot: Arc<Mutex<HotSet>>,
+    metrics: Arc<QueryMetrics>,
+    /// Where the segments live, and the symbols / ROA rows beside them.
+    base: Arc<ArchiveInfo>,
+    /// `base` with one row per attached segment, built at first listing.
+    info: OnceLock<ArchiveInfo>,
 }
 
-fn corrupt(file: &str, e: CodecError) -> QueryError {
-    let what = match e {
+/// What a decoder found wrong, without the offset (the typed errors of
+/// the query and live paths carry that in a field of their own).
+pub(crate) fn codec_what(e: &CodecError) -> String {
+    match e {
         CodecError::Truncated { wanted, .. } => format!("truncated (wanted {wanted} more bytes)"),
         CodecError::Varint { .. } => "malformed varint".to_string(),
         CodecError::Invalid { what, .. } => what.to_string(),
-    };
+    }
+}
+
+fn corrupt(file: &str, e: CodecError) -> QueryError {
     QueryError::Corrupt {
         file: file.to_string(),
         offset: e.offset(),
-        what,
+        what: codec_what(&e),
     }
 }
 
 impl Tier {
-    /// An empty tier for a live engine: the writer appends mapped spill
-    /// segments as it publishes. Counters live in `metrics` — the base
-    /// engine's registry, shared by every published epoch.
-    pub(crate) fn new_live(hot_cap: usize, metrics: &crate::metrics::QueryMetrics) -> Tier {
+    /// A tier over `segs` with an empty hot set of `hot_cap` snapshots
+    /// (clamped to ≥ 1). `base` names the segments' directory and the
+    /// symbols / ROA rows; its snapshot rows are dropped — `segs` carry
+    /// them.
+    pub(crate) fn new(
+        segs: Vec<Arc<Segment>>,
+        hot_cap: usize,
+        mut base: ArchiveInfo,
+        metrics: &Arc<QueryMetrics>,
+    ) -> Tier {
+        base.snapshots.clear();
         Tier {
+            segs,
             hot_cap: hot_cap.max(1),
-            index: RwLock::new(TierIndex::default()),
-            hot: Mutex::new(HotSet::default()),
-            attaches: Arc::clone(&metrics.tier_attaches_total),
-            hydrations: Arc::clone(&metrics.tier_hydrations_total),
-            evictions: Arc::clone(&metrics.tier_evictions_total),
-            cold_hits: Arc::clone(&metrics.tier_cold_hits_total),
-            hydration_seconds: Arc::clone(&metrics.tier_hydration_seconds),
-            chain_replay_seconds: Arc::clone(&metrics.tier_chain_replay_seconds),
-            cold_hit_seconds: Arc::clone(&metrics.tier_cold_hit_seconds),
+            hot: Arc::default(),
+            metrics: Arc::clone(metrics),
+            base: Arc::new(base),
+            info: OnceLock::new(),
         }
     }
 
-    /// Appends one just-written snapshot segment and its hydrated form.
-    /// The segment is attached (visible to the chain walk and the cold
-    /// path) before any epoch that references it is published, and the
-    /// hydrated snapshot enters the hot set, evicting LRU members past
-    /// the window. Returns the new snapshot count.
-    pub(crate) fn append(
-        &self,
-        snap: TierSnap,
-        watermark: (usize, usize, usize),
-        hydrated: Arc<Snapshot>,
-    ) -> usize {
-        let (id, count) = {
-            let mut idx = self.index.write().expect("tier index poisoned");
-            let id = idx.snaps.len() as u32;
-            idx.snaps.push(Arc::new(snap));
-            idx.watermarks.push(watermark);
-            (id, idx.snaps.len())
-        };
-        self.attaches.inc();
-        let mut hot = self.hot.lock().expect("tier hot set poisoned");
-        hot.insert(id, hydrated, self.hot_cap, &self.evictions);
-        count
+    /// The tier of the next live epoch: this one's segments plus `seg`,
+    /// over the same hot set — which `hydrated`, the new segment's
+    /// snapshot, enters, evicting LRU members past the window. Epochs
+    /// already published keep their own, shorter list.
+    pub(crate) fn appended(&self, seg: Segment, hydrated: Arc<Snapshot>) -> Tier {
+        let mut segs = Vec::with_capacity(self.segs.len() + 1);
+        segs.extend_from_slice(&self.segs);
+        segs.push(Arc::new(seg));
+        self.hot.lock().expect("tier hot set poisoned").insert(
+            self.segs.len() as u32,
+            hydrated,
+            self.hot_cap,
+            &self.metrics.tier_evictions_total,
+        );
+        Tier {
+            segs,
+            hot_cap: self.hot_cap,
+            hot: Arc::clone(&self.hot),
+            metrics: Arc::clone(&self.metrics),
+            base: Arc::clone(&self.base),
+            info: OnceLock::new(),
+        }
     }
 
-    /// Archived snapshots behind the tier.
-    pub(crate) fn len(&self) -> usize {
-        self.index.read().expect("tier index poisoned").snaps.len()
-    }
-
-    /// The first `limit` snapshot labels, in archive order.
-    pub(crate) fn labels(&self, limit: usize) -> Vec<String> {
-        let idx = self.index.read().expect("tier index poisoned");
-        idx.snaps
-            .iter()
-            .take(limit)
-            .map(|s| s.label.clone())
-            .collect()
-    }
-
-    /// The snapshot carrying `label`, if any (first match wins).
-    pub(crate) fn find_label(&self, label: &str) -> Option<SnapshotId> {
-        let idx = self.index.read().expect("tier index poisoned");
-        idx.snaps
-            .iter()
-            .position(|s| s.label == label)
-            .map(|i| SnapshotId(i as u32))
+    /// Where the tier's bytes live on disk, one row per attached segment.
+    pub(crate) fn archive_info(&self) -> &ArchiveInfo {
+        self.info.get_or_init(|| ArchiveInfo {
+            snapshots: self.segs.iter().map(|s| s.meta.clone()).collect(),
+            ..ArchiveInfo::clone(&self.base)
+        })
     }
 
     /// Where snapshot `id` currently lives. Pure observation: does not
     /// touch LRU recency.
     pub(crate) fn residency(&self, id: SnapshotId) -> Option<Residency> {
-        if id.index() >= self.len() {
+        if id.index() >= self.segs.len() {
             return None;
         }
         let hot = self.hot.lock().expect("tier hot set poisoned");
@@ -287,38 +346,29 @@ impl Tier {
     }
 
     /// The residency counters.
-    /// `horizon` clamps the view to the snapshots a live epoch exposes:
-    /// the shared tier may already hold segments published after this
-    /// epoch was frozen, and a listing must describe one world.
-    pub(crate) fn stats(&self, horizon: Option<usize>) -> TierStats {
-        let limit = horizon.unwrap_or(usize::MAX);
-        let snapshots = self.len().min(limit);
+    pub(crate) fn stats(&self) -> TierStats {
+        let limit = self.segs.len();
         let hot = self.hot.lock().expect("tier hot set poisoned");
         TierStats {
-            snapshots,
+            snapshots: limit,
+            // A listing describes one world: later live epochs' hot
+            // snapshots are not this one's.
             hot: hot.map.keys().filter(|&&id| (id as usize) < limit).count(),
             hot_cap: self.hot_cap,
-            attaches: self.attaches.get(),
-            hydrations: self.hydrations.get(),
-            evictions: self.evictions.get(),
-            cold_hits: self.cold_hits.get(),
+            attaches: self.metrics.tier_attaches_total.get(),
+            hydrations: self.metrics.tier_hydrations_total.get(),
+            evictions: self.metrics.tier_evictions_total.get(),
+            cold_hits: self.metrics.tier_cold_hits_total.get(),
         }
-    }
-
-    /// The mapped segment behind `id`, cloned out of the index under a
-    /// brief read lock.
-    fn seg(&self, id: SnapshotId) -> Option<Arc<TierSnap>> {
-        let idx = self.index.read().expect("tier index poisoned");
-        idx.snaps.get(id.index()).cloned()
     }
 
     /// The vantages of snapshot `id`, ascending by ASN — read from the
     /// mapped directory when there is one, so listing never hydrates.
     pub(crate) fn vantages(&self, engine: &QueryEngine, id: SnapshotId) -> Vec<(Asn, VantageKind)> {
-        let Some(ts) = self.seg(id) else {
+        let Some(seg) = self.segs.get(id.index()) else {
             return Vec::new();
         };
-        let mut out: Vec<(Asn, VantageKind)> = match &ts.dir {
+        let mut out: Vec<(Asn, VantageKind)> = match &seg.dir {
             Some(dir) => dir
                 .entries
                 .iter()
@@ -334,22 +384,6 @@ impl Tier {
         };
         out.sort_unstable_by_key(|&(a, _)| a);
         out
-    }
-
-    /// Verifies the segment's CRC against the manifest, once.
-    fn verify(&self, ts: &TierSnap) -> Result<(), QueryError> {
-        if ts.verified.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        if crc32(&ts.map) != ts.crc32 {
-            return Err(QueryError::Corrupt {
-                file: ts.file.clone(),
-                offset: 0,
-                what: "segment checksum mismatch".to_string(),
-            });
-        }
-        ts.verified.store(true, Ordering::Release);
-        Ok(())
     }
 
     // ---------- the cold path: zero-copy point queries ----------
@@ -375,29 +409,31 @@ impl Tier {
         if self.residency(id) == Some(Residency::Hot) {
             return Ok(None);
         }
-        let Some(ts) = self.seg(id) else {
+        let Some(ts) = self.segs.get(id.index()) else {
             return Err(QueryError::UnknownSnapshot(id));
         };
         let Some(dir) = &ts.dir else {
             return Ok(None);
         };
         let cold_start = Instant::now();
-        self.verify(&ts)?;
+        ts.verify()?;
         let resp = match *query {
             Query::Route { vantage, prefix } => {
-                Response::Route(self.cold_route(engine, &ts, dir, id, vantage, prefix, false)?)
+                Response::Route(self.cold_route(engine, ts, dir, id, vantage, prefix, false)?)
             }
             Query::Resolve { vantage, prefix } => {
-                Response::Route(self.cold_route(engine, &ts, dir, id, vantage, prefix, true)?)
+                Response::Route(self.cold_route(engine, ts, dir, id, vantage, prefix, true)?)
             }
             Query::Rov { vantage, prefix } => {
                 engine.metrics.sec_rov_total.inc();
-                Response::Rov(self.cold_rov(engine, &ts, dir, vantage, prefix)?)
+                Response::Rov(self.cold_rov(engine, ts, dir, vantage, prefix)?)
             }
             _ => unreachable!("matched above"),
         };
-        self.cold_hits.inc();
-        self.cold_hit_seconds.record(cold_start.elapsed());
+        self.metrics.tier_cold_hits_total.inc();
+        self.metrics
+            .tier_cold_hit_seconds
+            .record(cold_start.elapsed());
         Ok(Some(resp))
     }
 
@@ -406,17 +442,17 @@ impl Tier {
     fn decode_value(
         &self,
         engine: &QueryEngine,
-        ts: &TierSnap,
+        ts: &Segment,
         value: &[u8],
     ) -> Result<crate::snapshot::CompactRoute, QueryError> {
         let raw: &[u8] = &ts.map;
         let abs = value.as_ptr() as usize - raw.as_ptr() as usize;
         let mut r = Reader::with_base(value, abs);
-        let route =
-            decode_route(&mut r, engine.interner.sizes().0).map_err(|e| corrupt(&ts.file, e))?;
+        let route = decode_route(&mut r, engine.interner.sizes().0)
+            .map_err(|e| corrupt(&ts.meta.file, e))?;
         if !r.is_exhausted() {
             return Err(corrupt(
-                &ts.file,
+                &ts.meta.file,
                 CodecError::Invalid {
                     offset: r.position(),
                     what: "trailing bytes after route value",
@@ -430,7 +466,7 @@ impl Tier {
     fn cold_route(
         &self,
         engine: &QueryEngine,
-        ts: &TierSnap,
+        ts: &Segment,
         dir: &VantageDir,
         id: SnapshotId,
         vantage: Asn,
@@ -446,13 +482,13 @@ impl Tier {
         let raw: &[u8] = &ts.map;
         let (start, len) = entry.span;
         let trie = flat::FlatTrie::new(&raw[start..start + len], start)
-            .map_err(|e| corrupt(&ts.file, e))?;
+            .map_err(|e| corrupt(&ts.meta.file, e))?;
         let matched = if lpm {
             trie.best_match(prefix)
         } else {
             trie.get(prefix).map(|hit| hit.map(|value| (prefix, value)))
         };
-        let Some((matched_prefix, value)) = matched.map_err(|e| corrupt(&ts.file, e))? else {
+        let Some((matched_prefix, value)) = matched.map_err(|e| corrupt(&ts.meta.file, e))? else {
             return Ok(None);
         };
         let route = self.decode_value(engine, ts, value)?;
@@ -472,7 +508,7 @@ impl Tier {
     fn cold_rov(
         &self,
         engine: &QueryEngine,
-        ts: &TierSnap,
+        ts: &Segment,
         dir: &VantageDir,
         vantage: Asn,
         prefix: Ipv4Prefix,
@@ -486,8 +522,8 @@ impl Tier {
         let raw: &[u8] = &ts.map;
         let (start, len) = entry.span;
         let trie = flat::FlatTrie::new(&raw[start..start + len], start)
-            .map_err(|e| corrupt(&ts.file, e))?;
-        let Some(value) = trie.get(prefix).map_err(|e| corrupt(&ts.file, e))? else {
+            .map_err(|e| corrupt(&ts.meta.file, e))?;
+        let Some(value) = trie.get(prefix).map_err(|e| corrupt(&ts.meta.file, e))? else {
             return Ok(RovAnswer::NoRoute);
         };
         let route = self.decode_value(engine, ts, value)?;
@@ -505,10 +541,12 @@ impl Tier {
     // ---------- the hot path: on-demand hydration ----------
 
     /// The snapshot behind `id` if it is already hot — one bounded
-    /// lock, no hydration, no chain-prefix clone. Bumps LRU recency on
-    /// a hit. A hit also validates `id`: only attached snapshots ever
-    /// enter the hot set.
+    /// lock, no hydration. Bumps LRU recency on a hit. Only this tier's
+    /// own ids hit: the shared hot set also holds later epochs'.
     pub(crate) fn hot_get(&self, id: u32) -> Option<Arc<Snapshot>> {
+        if id as usize >= self.segs.len() {
+            return None;
+        }
         self.hot.lock().expect("tier hot set poisoned").get(id)
     }
 
@@ -522,102 +560,67 @@ impl Tier {
         engine: &QueryEngine,
         id: SnapshotId,
     ) -> Result<Arc<Snapshot>, QueryError> {
-        // Hot fast path: the common case under serving load.
-        if let Some(snap) = self.hot_get(id.0) {
-            return Ok(snap);
+        if id.index() >= self.segs.len() {
+            return Err(QueryError::UnknownSnapshot(id));
         }
-        // Clone the chain's possible members out of the index first so
-        // hydration never holds the index lock (a live writer may be
-        // appending the next snapshot at the same time).
-        let (snaps, watermarks) = {
-            let idx = self.index.read().expect("tier index poisoned");
-            if id.index() >= idx.snaps.len() {
-                return Err(QueryError::UnknownSnapshot(id));
-            }
-            (
-                idx.snaps[..=id.index()].to_vec(),
-                idx.watermarks[..=id.index()].to_vec(),
-            )
-        };
         let mut hot = self.hot.lock().expect("tier hot set poisoned");
         if let Some(snap) = hot.get(id.0) {
             return Ok(snap);
         }
         let hydrate_start = Instant::now();
 
-        // Walk back to the nearest anchor, collecting the chain to
-        // replay forward. The anchor is either a hot snapshot (cheapest)
-        // or a self-contained keyframe segment.
-        let mut chain: Vec<usize> = Vec::new();
+        // Walk back to the nearest anchor: a hot snapshot (cheapest) to
+        // replay on top of, or a self-contained keyframe segment to
+        // replay from.
         let mut cur: Option<Arc<Snapshot>> = None;
-        let mut j = id.index();
-        loop {
-            if let Some(snap) = hot.get(j as u32) {
-                cur = Some(snap);
-                break;
-            }
-            chain.push(j);
-            let ts = &snaps[j];
-            if ts.kind == SegmentKind::Full && ts.self_contained {
-                break;
-            }
-            if j == 0 {
+        let mut first = id.index();
+        while !self.segs[first].meta.keyframe {
+            if first == 0 {
                 return Err(QueryError::Corrupt {
-                    file: ts.file.clone(),
+                    file: self.segs[0].meta.file.clone(),
                     offset: 0,
                     what: "no keyframe anchors the delta chain".to_string(),
                 });
             }
-            j -= 1;
+            if let Some(snap) = hot.get(first as u32 - 1) {
+                cur = Some(snap);
+                break;
+            }
+            first -= 1;
         }
-        chain.reverse();
 
-        // Delta-replay state, cached while the predecessor's
-        // relationship map stays physically the same (mirrors
-        // `archive::load`).
-        let mut oracle: Option<(*const (), AsGraph)> = None;
-        let mut cones: HashMap<Asn, CustomerCone> = HashMap::new();
-        for &k in &chain {
+        let mut replayer = Replayer::new(&engine.interner);
+        for k in first..=id.index() {
             let replay_start = Instant::now();
-            let ts = &snaps[k];
-            self.verify(ts)?;
-            let kid = SnapshotId(k as u32);
-            let raw: &[u8] = &ts.map;
-            let mut snap = match ts.kind {
-                SegmentKind::Full => {
-                    decode_full(raw, kid, &ts.label, cur.as_deref(), &engine.interner)
-                        .map_err(|e| corrupt(&ts.file, e))?
-                }
-                SegmentKind::Delta => {
-                    let payload = decode_delta(raw, &ts.label, &engine.interner)
-                        .map_err(|e| corrupt(&ts.file, e))?;
-                    let prev = cur.as_deref().expect("the chain walk starts at an anchor");
-                    let rel_ptr = Arc::as_ptr(&prev.relationships) as *const ();
-                    if oracle.as_ref().map(|(p, _)| *p) != Some(rel_ptr) {
-                        oracle = Some((rel_ptr, oracle_from_relationships(prev, &engine.interner)));
-                        cones.clear();
-                    }
-                    let graph = &oracle.as_ref().expect("just rebuilt").1;
-                    let mut frozen = FrozenInterner(&engine.interner);
-                    let mut snap =
-                        replay_delta(kid, &payload, prev, graph, &mut frozen, &mut cones)
-                            .map_err(|e| corrupt(&ts.file, e))?;
-                    snap.provenance = Provenance::Delta(Arc::new(payload.delta));
-                    snap
-                }
-                SegmentKind::Symbols | SegmentKind::Roa => {
-                    unreachable!("the tier maps only snapshot segments")
-                }
-            };
-            snap.interned_watermark = watermarks[k];
-            let arc = Arc::new(snap);
-            self.hydrations.inc();
-            self.chain_replay_seconds.record(replay_start.elapsed());
-            hot.insert(k as u32, Arc::clone(&arc), self.hot_cap, &self.evictions);
-            cur = Some(arc);
+            let seg = &self.segs[k];
+            seg.verify()?;
+            let snap = replayer
+                .step(
+                    SnapshotId(k as u32),
+                    seg.meta.kind,
+                    &seg.meta.label,
+                    &seg.map,
+                    cur.as_deref(),
+                    seg.watermark,
+                )
+                .map_err(|e| corrupt(&seg.meta.file, e))?;
+            let snap = Arc::new(snap);
+            self.metrics.tier_hydrations_total.inc();
+            self.metrics
+                .tier_chain_replay_seconds
+                .record(replay_start.elapsed());
+            hot.insert(
+                k as u32,
+                Arc::clone(&snap),
+                self.hot_cap,
+                &self.metrics.tier_evictions_total,
+            );
+            cur = Some(snap);
         }
-        self.hydration_seconds.record(hydrate_start.elapsed());
-        Ok(cur.expect("an anchor or a non-empty chain produced a snapshot"))
+        self.metrics
+            .tier_hydration_seconds
+            .record(hydrate_start.elapsed());
+        Ok(cur.expect("the chain holds at least the snapshot asked for"))
     }
 }
 
@@ -626,89 +629,131 @@ impl Tier {
 pub(crate) fn load_tiered(dir: &Path, hot_cap: usize) -> Result<QueryEngine, StoreError> {
     let manifest = Manifest::read(dir)?;
     let (mut engine, watermarks) = crate::archive::load_prelude(dir, &manifest)?;
-    let n_asns = engine.interner.sizes().0;
-
-    let mut snaps = Vec::new();
-    for (seg_idx, entry) in manifest.snapshot_segments() {
-        let segref = || SegmentRef {
-            index: seg_idx,
-            file: entry.file.clone(),
-        };
-        let path = dir.join(&entry.file);
-        let meta = std::fs::metadata(&path).map_err(|source| StoreError::Io {
-            path: path.clone(),
-            source,
-        })?;
-        if meta.len() != entry.bytes {
-            return Err(StoreError::Truncated {
-                segment: segref(),
-                expected: entry.bytes,
-                found: meta.len(),
-            });
-        }
-        let map = Mmap::map(&path).map_err(|source| StoreError::Io { path, source })?;
-        let (vdir, self_contained) = match entry.kind {
-            SegmentKind::Full => {
-                let (d, self_contained, label) = read_mapped_directory(&map, n_asns)
-                    .map_err(|e| StoreError::corrupt(segref(), e))?;
-                if label != entry.label {
-                    return Err(StoreError::invalid(
-                        segref(),
-                        0,
-                        "label disagrees with manifest",
-                    ));
-                }
-                if entry.is_keyframe() != self_contained {
-                    return Err(StoreError::invalid(
-                        segref(),
-                        0,
-                        "manifest keyframe flag disagrees with segment",
-                    ));
-                }
-                (Some(d), self_contained)
-            }
-            SegmentKind::Delta => {
-                if entry.is_keyframe() {
-                    return Err(StoreError::invalid(
-                        segref(),
-                        0,
-                        "delta segment flagged as keyframe",
-                    ));
-                }
-                (None, false)
-            }
-            SegmentKind::Symbols | SegmentKind::Roa => {
-                unreachable!("snapshot_segments() yields only full and delta segments")
-            }
-        };
-        snaps.push(Arc::new(TierSnap {
-            file: entry.file.clone(),
-            kind: entry.kind,
-            label: entry.label.clone(),
-            crc32: entry.crc32,
-            map,
-            dir: vdir,
-            self_contained,
-            verified: AtomicBool::new(false),
-        }));
+    let mut segs = Vec::with_capacity(watermarks.len());
+    for ((index, entry), &watermark) in manifest.snapshot_segments().zip(&watermarks) {
+        let (interner, metrics) = (&engine.interner, &engine.metrics);
+        let seg = attach(dir, index, entry, watermark, interner, false, metrics)?;
+        segs.push(Arc::new(seg));
     }
-
     crate::archive::load_roas(dir, &manifest, &mut engine)?;
-    let attaches = snaps.len() as u64;
-    engine.archive = Some(ArchiveInfo::from_manifest(dir, &manifest));
-    let m = &engine.metrics;
-    m.tier_attaches_total.add(attaches);
-    engine.tier = Some(Arc::new(Tier {
-        hot_cap: hot_cap.max(1),
-        index: RwLock::new(TierIndex { snaps, watermarks }),
-        hot: Mutex::new(HotSet::default()),
-        attaches: Arc::clone(&m.tier_attaches_total),
-        hydrations: Arc::clone(&m.tier_hydrations_total),
-        evictions: Arc::clone(&m.tier_evictions_total),
-        cold_hits: Arc::clone(&m.tier_cold_hits_total),
-        hydration_seconds: Arc::clone(&m.tier_hydration_seconds),
-        chain_replay_seconds: Arc::clone(&m.tier_chain_replay_seconds),
-        cold_hit_seconds: Arc::clone(&m.tier_cold_hit_seconds),
-    }));
+    let base = ArchiveInfo::from_manifest(dir, &manifest);
+    engine.tier = Some(Arc::new(Tier::new(segs, hot_cap, base, &engine.metrics)));
     Ok(engine)
+}
+
+#[cfg(test)]
+mod tests {
+    use net_topology::InternetSize;
+    use rpi_core::Experiment;
+
+    use super::*;
+    use crate::archive::SegmentWriter;
+    use crate::live::LiveError;
+
+    /// `attach` is where both of its callers learn that a segment file
+    /// is not what its manifest row says: a typed [`StoreError`] naming
+    /// the file — which the live writer reports as a store fault
+    /// (`LiveError::Store`), never as a malformed stream.
+    #[test]
+    fn attach_failures_are_typed_and_name_the_segment_file() {
+        let dir = std::env::temp_dir().join(format!("rpi-tier-attach-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let exp = Experiment::standard(InternetSize::Tiny, 7);
+        let mut engine = QueryEngine::default();
+        engine.ingest_experiment(&exp, "t0");
+        let snap = Arc::clone(&engine.snapshots[0]);
+        let entry = SegmentWriter::new(None)
+            .write(&dir, &snap, None, &engine.interner)
+            .expect("write");
+        assert_eq!(
+            (entry.file.as_str(), entry.kind),
+            ("snap-0000.seg", SegmentKind::Full)
+        );
+        let path = dir.join(&entry.file);
+        let bytes = std::fs::read(&path).unwrap();
+        // As `load_tiered` (lazy CRC) and as the live writer (just
+        // checksummed) call it.
+        let try_attach = |verified: bool| {
+            let watermark = snap.interned_watermark;
+            attach(
+                &dir,
+                1,
+                &entry,
+                watermark,
+                &engine.interner,
+                verified,
+                engine.metrics(),
+            )
+        };
+
+        let seg = try_attach(false).expect("an intact segment attaches");
+        assert_eq!(seg.meta.file, entry.file);
+        assert!(seg.meta.keyframe && seg.dir.is_some());
+        assert_eq!(engine.metrics().tier_attaches_total.get(), 1);
+
+        // A truncated full-segment file.
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        for verified in [false, true] {
+            match try_attach(verified) {
+                Err(StoreError::Truncated {
+                    segment,
+                    expected,
+                    found,
+                }) => {
+                    assert_eq!((segment.index, segment.file.as_str()), (1, "snap-0000.seg"));
+                    assert_eq!((expected, found), (entry.bytes, (bytes.len() / 2) as u64));
+                }
+                other => panic!("wanted Truncated, got {other:?}"),
+            }
+        }
+
+        // The `RPD3` footer magic flipped: same length, so only reading
+        // the directory can tell.
+        let mut flipped = bytes.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        std::fs::write(&path, &flipped).unwrap();
+        for verified in [false, true] {
+            let err = try_attach(verified).expect_err("a bad footer must not attach");
+            let StoreError::Corrupt {
+                segment,
+                offset,
+                what,
+            } = &err
+            else {
+                panic!("wanted Corrupt, got {err:?}");
+            };
+            assert_eq!((segment.index, segment.file.as_str()), (1, "snap-0000.seg"));
+            assert_eq!(*offset, bytes.len() - 4);
+            assert!(what.contains("full-segment directory magic"), "{what}");
+            // What `publish_frame`'s `?` makes of it.
+            let live = LiveError::from(err);
+            assert!(matches!(live, LiveError::Store(_)), "{live:?}");
+            let line = live.to_string();
+            assert!(
+                line.starts_with("spill segment: segment 1 (snap-0000.seg) corrupt at byte"),
+                "{line}"
+            );
+        }
+        assert_eq!(
+            engine.metrics().tier_attaches_total.get(),
+            1,
+            "a failed attach is not counted"
+        );
+
+        // The same file under a manifest, through `load_tiered`.
+        std::fs::write(&path, &bytes).unwrap();
+        let archive = dir.join("archive");
+        let manifest = engine.save_archive(&archive, false).expect("save");
+        let file = &manifest.segments[1].file;
+        assert_eq!(std::fs::read(archive.join(file)).unwrap(), bytes);
+        std::fs::write(archive.join(file), &flipped).unwrap();
+        match load_tiered(&archive, 2) {
+            Err(StoreError::Corrupt { segment, what, .. }) => {
+                assert_eq!((segment.index, segment.file.as_str()), (1, "snap-0000.seg"));
+                assert!(what.contains("full-segment directory magic"), "{what}");
+            }
+            other => panic!("wanted Corrupt, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

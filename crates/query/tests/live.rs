@@ -33,7 +33,7 @@ use bgp_types::{Asn, Ipv4Prefix, Relationship};
 use net_topology::{AsGraph, InternetConfig, InternetSize};
 use rpi_query::{
     drain_stream, follow_stream, render_response, FollowEnd, LiveError, LiveHandle, LiveOptions,
-    LiveWriter, Query, QueryEngine, QueryRequest, Scope, SnapshotId,
+    LiveWriter, Query, QueryEngine, QueryRequest, SaveOptions, Scope, SnapshotId,
 };
 
 const SNAPSHOTS: usize = 8;
@@ -454,6 +454,73 @@ fn live_differential_extra_seeds_from_env() {
     }
 }
 
+/// Spilling and saving are one segment writer: a follower's spill
+/// directory holds, file for file, the bytes `save_archive_with` writes
+/// for the offline twin of the same frames at the same keyframe cadence
+/// — the full-vs-delta choice, the keyframe positions and every encoded
+/// byte.
+#[test]
+fn spill_segments_equal_saved_segments() {
+    for seed in [0xA1u64, 0xB2, 0xC3] {
+        let sc = build_scenario(seed);
+        let bytes = encode_stream(&sc);
+        let dir = tmp_dir(&format!("spill-eq-{seed:x}"));
+        let stream = dir.join("live.stream");
+        std::fs::write(&stream, &bytes).unwrap();
+        let spill = dir.join("spill");
+        drain_stream(
+            &stream,
+            LiveHandle::new(QueryEngine::default()),
+            &spill,
+            LiveOptions {
+                window: 2,
+                keyframe_every: 3,
+            },
+            |_, _| {},
+        )
+        .expect("drain");
+
+        let (header_oracle, frames) = decode_stream(&bytes);
+        let mut offline = Offline::new(&header_oracle);
+        for f in &frames {
+            offline.ingest(f);
+        }
+        let archive = dir.join("archive");
+        let options = SaveOptions {
+            keyframe_every: Some(3),
+        };
+        let manifest = offline
+            .engine
+            .save_archive_with(&archive, false, options)
+            .expect("save");
+
+        let mut kinds = std::collections::BTreeSet::new();
+        for (i, (_, entry)) in manifest.snapshot_segments().enumerate() {
+            assert_eq!(entry.file, format!("snap-{i:04}.seg"));
+            let spilled = std::fs::read(spill.join(&entry.file)).expect("spilled segment");
+            let saved = std::fs::read(archive.join(&entry.file)).expect("saved segment");
+            assert!(
+                spilled == saved,
+                "seed {seed:#x}: {} differs between spill and archive",
+                entry.file
+            );
+            kinds.insert(entry.kind.name());
+        }
+        assert_eq!(manifest.snapshot_segments().count(), SNAPSHOTS);
+        assert_eq!(
+            std::fs::read_dir(&spill).unwrap().count(),
+            SNAPSHOTS,
+            "the spill directory holds one file per snapshot"
+        );
+        assert_eq!(
+            kinds.len(),
+            2,
+            "seed {seed:#x}: the scenario must write both full and delta segments"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// History verbs spanning the hot/spilled boundary answer byte-identical
 /// to the offline build with the tightest possible window (1): `uptime`
 /// and `sa-history` walk spilled segments, and `diff @a..b` crosses the
@@ -768,8 +835,24 @@ fn readers_see_one_epoch_never_torn() {
             },
         )
         .expect("open writer");
-        for frame in &frames {
+        // Epoch isolation: an engine taken at epoch K is still exactly
+        // that world after the writer has published K + 2 — its own
+        // segment list, whatever the shared hot set holds by then.
+        const K: usize = 2;
+        let mut held = None;
+        for (i, frame) in frames.iter().enumerate() {
             writer.publish_frame(frame).expect("publish");
+            if i + 1 == K {
+                held = Some(handle.current());
+            }
+            if i + 1 == K + 2 {
+                let held = held.as_ref().expect("taken at epoch K");
+                assert_eq!(handle.current().snapshot_count(), K + 2);
+                assert_eq!(held.snapshot_count(), K);
+                assert_eq!(held.labels(), sc.labels[..K]);
+                assert_eq!(held.tier_stats().expect("tier-backed").snapshots, K);
+                assert_eq!(render_batch(held), expected[K - 1]);
+            }
             std::thread::sleep(Duration::from_millis(3));
         }
         writer.end();

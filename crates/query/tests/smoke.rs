@@ -43,64 +43,7 @@ fn queries_file_matches_golden_output() {
     );
 }
 
-/// The same world ingested with `--incremental` must answer every smoke
-/// query identically — the end-to-end face of the differential contract
-/// in `tests/incremental_diff.rs`. Only the `snapshots` listing may
-/// differ (it reports the shared-node counts that prove the overlays are
-/// real), so it diffs against its own golden. Regenerate with the module
-/// command plus `--incremental`, into `smoke_incremental.golden`.
-#[test]
-fn incremental_ingest_matches_its_golden() {
-    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
-    let queries = data.join("smoke.q");
-    let golden =
-        std::fs::read_to_string(data.join("smoke_incremental.golden")).expect("golden committed");
-
-    let out = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
-        .args([
-            "--size",
-            "tiny",
-            "--seed",
-            "11",
-            "--snapshots",
-            "4",
-            "--incremental",
-        ])
-        .arg("--roas")
-        .arg(data.join("smoke.roas"))
-        .arg("--queries")
-        .arg(&queries)
-        .output()
-        .expect("rpi-queryd runs");
-
-    assert!(
-        out.status.success(),
-        "rpi-queryd --incremental failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
-    assert_eq!(
-        stdout, golden,
-        "stdout diverged from tests/data/smoke_incremental.golden"
-    );
-
-    // Belt and braces: apart from the `snapshots` listing (which shows
-    // shared-node counts), the two goldens are identical line streams.
-    let full_golden = std::fs::read_to_string(data.join("smoke.golden")).unwrap();
-    let strip = |text: &str| -> Vec<String> {
-        text.lines()
-            .filter(|l| !l.contains("vantages)") && !l.contains("vantages,"))
-            .map(str::to_string)
-            .collect()
-    };
-    assert_eq!(
-        strip(&stdout),
-        strip(&full_golden),
-        "incremental ingest changed a query answer"
-    );
-}
-
-/// The archive smoke: the 5-snapshot incremental world saved to
+/// The archive smoke: the 5-snapshot world saved to
 /// `/tmp/rpi-archive`, cold-started with `--archive`, and diffed against
 /// its golden — the byte-level face of the save→load contract, including
 /// the `archive` and `snapshots` storage listings (the path is part of
@@ -112,7 +55,7 @@ fn incremental_ingest_matches_its_golden() {
 ///
 /// ```text
 /// cargo run --release -p rpi-query --bin rpi-queryd -- \
-///   --size tiny --seed 11 --snapshots 5 --incremental \
+///   --size tiny --seed 11 --snapshots 5 \
 ///   --roas crates/query/tests/data/smoke.roas \
 ///   --save /tmp/rpi-archive --force
 /// cargo run --release -p rpi-query --bin rpi-queryd -- \
@@ -135,7 +78,6 @@ fn archive_cold_start_matches_its_golden() {
             "11",
             "--snapshots",
             "5",
-            "--incremental",
             "--save",
             "/tmp/rpi-archive",
             "--force",
@@ -318,8 +260,9 @@ fn rejected(args: &[&str]) -> String {
 
 /// Bugfix coverage: `--window` without `--follow` is rejected whatever
 /// its value (the default, 4, used to slip through as "flag not given"),
-/// and the removed `--bench` mode and prefix-sharding knob are unknown
-/// arguments — all one-line errors before the world build.
+/// and the removed `--bench` mode, prefix-sharding knob and
+/// `--incremental` switch (a series is always ingested diff-aware) are
+/// unknown arguments — all one-line errors before the world build.
 #[test]
 fn follow_only_and_removed_flags_fail_fast() {
     for window in ["4", "3"] {
@@ -328,7 +271,7 @@ fn follow_only_and_removed_flags_fail_fast() {
             "rpi-queryd: --window needs --follow\n"
         );
     }
-    for removed in [&["--bench"][..], &["--shards", "4"]] {
+    for removed in [&["--bench"][..], &["--shards", "4"], &["--incremental"]] {
         let stderr = rejected(removed);
         let flag = removed[0];
         assert!(
@@ -451,7 +394,7 @@ fn every_flag_pair_is_rejected_with_the_generated_message() {
 }
 
 /// `--help` exits 0 and its flag list names exactly the flags of the
-/// usage line — both are generated from one table, 25 rows.
+/// usage line — both are generated from one table, 24 rows.
 #[test]
 fn help_lists_the_flags_of_the_usage_line() {
     let out = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
@@ -474,7 +417,7 @@ fn help_lists_the_flags_of_the_usage_line() {
         .filter_map(|l| l.strip_prefix("  --"))
         .map(|l| &l[..l.find(' ').unwrap_or(l.len())])
         .collect();
-    assert_eq!(in_help.len(), 25, "{in_help:?}");
+    assert_eq!(in_help.len(), 24, "{in_help:?}");
     in_help.sort_unstable();
     let in_help: Vec<String> = in_help.iter().map(|f| format!("--{f}")).collect();
     assert_eq!(in_usage, in_help);
