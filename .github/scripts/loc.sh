@@ -8,7 +8,8 @@
 # without one counts whole. Prints one row per file, one total per crate
 # and a grand total. Simplicity PRs quote this table from both commits
 # ("Lines (non-test, parent -> change)" in CHANGES.md), and CI appends it
-# to the step summary, so the counts are anyone's to reproduce:
+# to the step summary — the head's table, and its diff against the merge
+# base's by the two lines below — so the counts are anyone's to reproduce:
 #
 #   git archive <parent> | tar -x -C /tmp/parent
 #   diff <(.github/scripts/loc.sh /tmp/parent) <(.github/scripts/loc.sh)

@@ -2,17 +2,14 @@
 # Shared harness for CI's TCP serve smokes.
 #
 # Source this file (`source .github/scripts/serve_smoke.sh`) and compose
-# the helpers — the network/metrics/tier/live/scale smoke steps all run
-# the same lifecycle:
+# the helpers — the scale and metrics smoke steps run the same lifecycle
+# (the golden-diff smokes — archive, network, tier, live — are `cargo
+# test` cases in `crates/query/tests/smoke.rs`):
 #
 #   serve_start <logfile> <listen-addr> [daemon args...]
 #       Start rpi-queryd in the background (stderr -> logfile), wait for
-#       its "serving on" readiness banner. Sets SERVE_PID / SERVE_LOG.
-#       SERVE_START_TRIES overrides the readiness poll count (default
-#       150 x 0.2s).
-#   serve_wait_log <pattern> [tries]
-#       Poll SERVE_LOG for a pattern (0.1s steps), failing fast if the
-#       daemon dies. Prints the matching line.
+#       its "serving on" readiness banner (150 x 0.2s). Sets SERVE_PID
+#       / SERVE_LOG.
 #   serve_script <addr> <script> <outfile>
 #       Drive a query script over TCP via serve-load, responses to
 #       outfile.
@@ -41,23 +38,12 @@ serve_start() {
   # shellcheck disable=SC2086 # RPI_QUERYD is a command line, not a path
   timeout 120 $RPI_QUERYD "$@" --listen "$addr" 2> "$SERVE_LOG" &
   SERVE_PID=$!
-  local tries=${SERVE_START_TRIES:-150}
-  for _ in $(seq 1 "$tries"); do
+  for _ in $(seq 1 150); do
     grep -q "serving on" "$SERVE_LOG" && break
     kill -0 "$SERVE_PID" || { cat "$SERVE_LOG"; return 1; }
     sleep 0.2
   done
   grep "serving on" "$SERVE_LOG"
-}
-
-serve_wait_log() {
-  local pat=$1 tries=${2:-600}
-  for _ in $(seq 1 "$tries"); do
-    grep -q "$pat" "$SERVE_LOG" && break
-    kill -0 "$SERVE_PID" || { cat "$SERVE_LOG"; return 1; }
-    sleep 0.1
-  done
-  grep "$pat" "$SERVE_LOG"
 }
 
 serve_script() {

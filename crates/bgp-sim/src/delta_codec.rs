@@ -12,36 +12,32 @@
 //! construction), and decodes with offset-carrying [`CodecError`]s —
 //! truncated or bit-flipped segments fail loudly, never panic.
 
-use bgp_types::codec::{put_prefix, put_uvarint, CodecError, Reader};
-use bgp_types::{Asn, Community, Ipv4Prefix};
+use bgp_types::codec::{put_asn, put_asn_list, put_prefix, put_uvarint, CodecError, Reader};
+use bgp_types::{Community, Ipv4Prefix};
 
 use crate::churn::{DeltaRoute, OutputDelta, VantageDelta};
 
-fn put_asn(out: &mut Vec<u8>, a: Asn) {
-    put_uvarint(out, a.0 as u64);
-}
-
-fn read_asn(r: &mut Reader<'_>) -> Result<Asn, CodecError> {
-    let start = r.position();
-    let v = r.uvarint()?;
-    u32::try_from(v).map(Asn).map_err(|_| CodecError::Invalid {
-        offset: start,
-        what: "ASN",
-    })
-}
-
-fn put_asn_list(out: &mut Vec<u8>, list: &[Asn]) {
-    put_uvarint(out, list.len() as u64);
-    for &a in list {
-        put_asn(out, a);
+/// Appends a count-prefixed community list (shared with the live
+/// stream's frames).
+pub(crate) fn put_communities(out: &mut Vec<u8>, comms: &[Community]) {
+    put_uvarint(out, comms.len() as u64);
+    for c in comms {
+        put_uvarint(out, c.as_u32() as u64);
     }
 }
 
-fn read_asn_list(r: &mut Reader<'_>) -> Result<Vec<Asn>, CodecError> {
+/// Reads a list written by [`put_communities`].
+pub(crate) fn read_communities(r: &mut Reader<'_>) -> Result<Vec<Community>, CodecError> {
     let n = r.ulen()?;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
+    let mut out = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
-        out.push(read_asn(r)?);
+        let start = r.position();
+        let raw = r.uvarint()?;
+        let raw = u32::try_from(raw).map_err(|_| CodecError::Invalid {
+            offset: start,
+            what: "community",
+        })?;
+        out.push(Community::new((raw >> 16) as u16, (raw & 0xFFFF) as u16));
     }
     Ok(out)
 }
@@ -51,27 +47,14 @@ impl DeltaRoute {
     pub fn encode(&self, out: &mut Vec<u8>) {
         put_asn(out, self.next_hop);
         put_asn_list(out, &self.path);
-        put_uvarint(out, self.communities.len() as u64);
-        for c in &self.communities {
-            put_uvarint(out, c.as_u32() as u64);
-        }
+        put_communities(out, &self.communities);
     }
 
     /// Decodes a route written by [`DeltaRoute::encode`].
     pub fn decode(r: &mut Reader<'_>) -> Result<DeltaRoute, CodecError> {
-        let next_hop = read_asn(r)?;
-        let path = read_asn_list(r)?;
-        let n = r.ulen()?;
-        let mut communities = Vec::with_capacity(n.min(1 << 12));
-        for _ in 0..n {
-            let start = r.position();
-            let raw = r.uvarint()?;
-            let raw = u32::try_from(raw).map_err(|_| CodecError::Invalid {
-                offset: start,
-                what: "community",
-            })?;
-            communities.push(Community::new((raw >> 16) as u16, (raw & 0xFFFF) as u16));
-        }
+        let next_hop = r.asn()?;
+        let path = r.asn_list()?;
+        let communities = read_communities(r)?;
         Ok(DeltaRoute {
             next_hop,
             path,
@@ -169,7 +152,7 @@ impl OutputDelta {
         for table_idx in 0..2 {
             let n = r.ulen()?;
             for _ in 0..n {
-                let asn = read_asn(r)?;
+                let asn = r.asn()?;
                 let vd = VantageDelta::decode(r)?;
                 if table_idx == 0 {
                     delta.collector.insert(asn, vd);
@@ -178,10 +161,10 @@ impl OutputDelta {
                 }
             }
         }
-        delta.peers_added = read_asn_list(r)?;
-        delta.peers_removed = read_asn_list(r)?;
-        delta.lgs_added = read_asn_list(r)?;
-        delta.lgs_removed = read_asn_list(r)?;
+        delta.peers_added = r.asn_list()?;
+        delta.peers_removed = r.asn_list()?;
+        delta.lgs_added = r.asn_list()?;
+        delta.lgs_removed = r.asn_list()?;
         Ok(delta)
     }
 }
@@ -193,6 +176,7 @@ mod tests {
     use crate::engine::VantageSpec;
     use crate::policy::{GroundTruth, PolicyParams};
     use crate::ChurnConfig;
+    use bgp_types::Asn;
     use net_topology::{InternetConfig, InternetSize};
 
     fn churny_deltas() -> Vec<OutputDelta> {

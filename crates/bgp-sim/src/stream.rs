@@ -27,11 +27,14 @@
 
 use std::collections::BTreeMap;
 
-use bgp_types::codec::{put_prefix, put_str, put_uvarint, CodecError, Reader};
+use bgp_types::codec::{
+    put_asn, put_asn_list, put_prefix, put_relationship, put_str, put_uvarint, CodecError, Reader,
+};
 use bgp_types::{Asn, Community, Ipv4Prefix, Relationship};
 use net_topology::AsGraph;
 
 use crate::churn::{output_delta, OutputDelta};
+use crate::delta_codec::{put_communities, read_communities};
 use crate::engine::{CollectorRow, CollectorView, LgRoute, LgView, SimDiagnostics, SimOutput};
 
 /// Magic bytes opening a live stream file.
@@ -69,79 +72,6 @@ pub struct StreamFrame {
     pub oracle: Option<AsGraph>,
 }
 
-fn rel_to_u8(r: Relationship) -> u8 {
-    match r {
-        Relationship::Provider => 0,
-        Relationship::Customer => 1,
-        Relationship::Peer => 2,
-        Relationship::Sibling => 3,
-    }
-}
-
-fn rel_from_u8(offset: usize, v: u8) -> Result<Relationship, CodecError> {
-    match v {
-        0 => Ok(Relationship::Provider),
-        1 => Ok(Relationship::Customer),
-        2 => Ok(Relationship::Peer),
-        3 => Ok(Relationship::Sibling),
-        _ => Err(CodecError::Invalid {
-            offset,
-            what: "relationship",
-        }),
-    }
-}
-
-fn put_asn(out: &mut Vec<u8>, a: Asn) {
-    put_uvarint(out, a.0 as u64);
-}
-
-fn read_asn(r: &mut Reader<'_>) -> Result<Asn, CodecError> {
-    let start = r.position();
-    let v = r.uvarint()?;
-    u32::try_from(v).map(Asn).map_err(|_| CodecError::Invalid {
-        offset: start,
-        what: "ASN",
-    })
-}
-
-fn put_asn_list(out: &mut Vec<u8>, list: &[Asn]) {
-    put_uvarint(out, list.len() as u64);
-    for &a in list {
-        put_asn(out, a);
-    }
-}
-
-fn read_asn_list(r: &mut Reader<'_>) -> Result<Vec<Asn>, CodecError> {
-    let n = r.ulen()?;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(read_asn(r)?);
-    }
-    Ok(out)
-}
-
-fn put_communities(out: &mut Vec<u8>, comms: &[Community]) {
-    put_uvarint(out, comms.len() as u64);
-    for c in comms {
-        put_uvarint(out, c.as_u32() as u64);
-    }
-}
-
-fn read_communities(r: &mut Reader<'_>) -> Result<Vec<Community>, CodecError> {
-    let n = r.ulen()?;
-    let mut out = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        let start = r.position();
-        let raw = r.uvarint()?;
-        let raw = u32::try_from(raw).map_err(|_| CodecError::Invalid {
-            offset: start,
-            what: "community",
-        })?;
-        out.push(Community::new((raw >> 16) as u16, (raw & 0xFFFF) as u16));
-    }
-    Ok(out)
-}
-
 fn put_graph(out: &mut Vec<u8>, g: &AsGraph) {
     let mut ases: Vec<Asn> = g.ases().collect();
     ases.sort_unstable();
@@ -159,21 +89,21 @@ fn put_graph(out: &mut Vec<u8>, g: &AsGraph) {
     for &(a, b, rel) in &edges {
         put_asn(out, a);
         put_asn(out, b);
-        out.push(rel_to_u8(rel));
+        put_relationship(out, rel);
     }
 }
 
 fn read_graph(r: &mut Reader<'_>) -> Result<AsGraph, CodecError> {
     let mut g = AsGraph::new();
-    for a in read_asn_list(r)? {
+    for a in r.asn_list()? {
         g.ensure_as(a);
     }
     let n = r.ulen()?;
     for _ in 0..n {
-        let a = read_asn(r)?;
-        let b = read_asn(r)?;
+        let a = r.asn()?;
+        let b = r.asn()?;
         let start = r.position();
-        let rel = rel_from_u8(start, r.u8()?)?;
+        let rel = r.relationship()?;
         g.add_edge(a, b, rel).map_err(|_| CodecError::Invalid {
             offset: start,
             what: "oracle edge",
@@ -216,7 +146,12 @@ impl StreamFrame {
                     put_asn_list(&mut out, &route.path);
                     put_uvarint(&mut out, route.local_pref as u64);
                     put_communities(&mut out, &route.communities);
-                    let rel = route.truth_rel.map_or(0, |r| rel_to_u8(r) + 1);
+                    // One flags byte: `best` in bit 0, above it the truth
+                    // relationship's tag + 1 (0: none).
+                    let rel = route.truth_rel.map_or(0, |r| {
+                        put_relationship(&mut out, r);
+                        out.pop().expect("the tag just written") + 1
+                    });
                     out.push(route.best as u8 | (rel << 1));
                 }
             }
@@ -238,16 +173,16 @@ impl StreamFrame {
         let mut r = Reader::with_base(payload, base);
         let label = r.str()?.to_string();
         let delta = OutputDelta::decode(&mut r)?;
-        let peers = read_asn_list(&mut r)?;
+        let peers = r.asn_list()?;
         let n = r.ulen()?;
         let mut peer_rows = Vec::with_capacity(n.min(1 << 12));
         for _ in 0..n {
-            let peer = read_asn(&mut r)?;
+            let peer = r.asn()?;
             let m = r.ulen()?;
             let mut rows = Vec::with_capacity(m.min(1 << 16));
             for _ in 0..m {
                 let p = r.prefix()?;
-                let path = read_asn_list(&mut r)?;
+                let path = r.asn_list()?;
                 let comms = read_communities(&mut r)?;
                 rows.push((p, path, comms));
             }
@@ -256,7 +191,7 @@ impl StreamFrame {
         let n = r.ulen()?;
         let mut lg_views = Vec::with_capacity(n.min(1 << 12));
         for _ in 0..n {
-            let asn = read_asn(&mut r)?;
+            let asn = r.asn()?;
             let mut view = LgView {
                 asn,
                 rows: BTreeMap::new(),
@@ -267,8 +202,8 @@ impl StreamFrame {
                 let k = r.ulen()?;
                 let mut routes = Vec::with_capacity(k.min(1 << 12));
                 for _ in 0..k {
-                    let neighbor = read_asn(&mut r)?;
-                    let path = read_asn_list(&mut r)?;
+                    let neighbor = r.asn()?;
+                    let path = r.asn_list()?;
                     let lp_start = r.position();
                     let local_pref =
                         u32::try_from(r.uvarint()?).map_err(|_| CodecError::Invalid {
@@ -286,7 +221,7 @@ impl StreamFrame {
                     }
                     let truth_rel = match flags >> 1 {
                         0 => None,
-                        v => Some(rel_from_u8(flag_start, v - 1)?),
+                        v => Some(Reader::with_base(&[v - 1], flag_start).relationship()?),
                     };
                     routes.push(LgRoute {
                         neighbor,

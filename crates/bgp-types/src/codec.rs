@@ -8,6 +8,10 @@
 //!   values < 128 (the overwhelmingly common case for symbols and counts).
 //! * [`zigzag`] / [`unzigzag`] — signed→unsigned mapping so small
 //!   negative deltas stay short.
+//! * [`put_prefix`] / [`put_asn`] / [`put_asn_list`] /
+//!   [`put_relationship`] and their [`Reader`] twins — the typed values
+//!   the archive segments, delta events and live-stream frames are made
+//!   of, so each has one encoding and one decoder.
 //! * [`Reader`] — a checked cursor over a byte slice that reports the
 //!   **absolute byte offset** of every failure ([`CodecError`]), which is
 //!   what lets a corrupt archive segment fail loudly with "segment 3,
@@ -18,7 +22,9 @@
 
 use std::fmt;
 
+use crate::asn::Asn;
 use crate::prefix::Ipv4Prefix;
+use crate::relationship::Relationship;
 
 /// A decoding failure, carrying the absolute offset where it happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,6 +122,30 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 pub fn put_prefix(out: &mut Vec<u8>, p: Ipv4Prefix) {
     put_uvarint(out, p.bits() as u64);
     out.push(p.len());
+}
+
+/// Appends an ASN as a varint.
+pub fn put_asn(out: &mut Vec<u8>, a: Asn) {
+    put_uvarint(out, a.0 as u64);
+}
+
+/// Appends a count-prefixed ASN list (an AS path, a peer list).
+pub fn put_asn_list(out: &mut Vec<u8>, list: &[Asn]) {
+    put_ulen(out, list.len());
+    for &a in list {
+        put_asn(out, a);
+    }
+}
+
+/// Appends a relationship as its one-byte tag — the archive's and the
+/// live stream's alike.
+pub fn put_relationship(out: &mut Vec<u8>, r: Relationship) {
+    out.push(match r {
+        Relationship::Provider => 0,
+        Relationship::Customer => 1,
+        Relationship::Peer => 2,
+        Relationship::Sibling => 3,
+    });
 }
 
 /// A checked read cursor over a byte slice.
@@ -252,6 +282,41 @@ impl<'a> Reader<'a> {
         }
         Ok(Ipv4Prefix::canonical(bits, len))
     }
+
+    /// Reads an ASN written by [`put_asn`].
+    pub fn asn(&mut self) -> Result<Asn, CodecError> {
+        let start = self.position();
+        let v = self.uvarint()?;
+        u32::try_from(v).map(Asn).map_err(|_| CodecError::Invalid {
+            offset: start,
+            what: "ASN",
+        })
+    }
+
+    /// Reads a list written by [`put_asn_list`].
+    pub fn asn_list(&mut self) -> Result<Vec<Asn>, CodecError> {
+        let n = self.ulen()?;
+        let mut out = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            out.push(self.asn()?);
+        }
+        Ok(out)
+    }
+
+    /// Reads a tag written by [`put_relationship`].
+    pub fn relationship(&mut self) -> Result<Relationship, CodecError> {
+        let start = self.position();
+        match self.u8()? {
+            0 => Ok(Relationship::Provider),
+            1 => Ok(Relationship::Customer),
+            2 => Ok(Relationship::Peer),
+            3 => Ok(Relationship::Sibling),
+            _ => Err(CodecError::Invalid {
+                offset: start,
+                what: "relationship tag",
+            }),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -331,6 +396,56 @@ mod tests {
         assert_eq!(r.str().unwrap(), "day-07");
         assert_eq!(r.prefix().unwrap(), p);
         assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn asns_and_relationships_round_trip_and_reject_bad_values() {
+        let path = [Asn(1), Asn(70_000), Asn(u32::MAX)];
+        let rels = [
+            Relationship::Provider,
+            Relationship::Customer,
+            Relationship::Peer,
+            Relationship::Sibling,
+        ];
+        let mut buf = Vec::new();
+        put_asn(&mut buf, Asn(7018));
+        put_asn_list(&mut buf, &path);
+        for r in rels {
+            put_relationship(&mut buf, r);
+        }
+        // The tags are the format: 0..=3 in declaration order.
+        assert_eq!(buf[buf.len() - 4..], [0, 1, 2, 3]);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.asn().unwrap(), Asn(7018));
+        assert_eq!(r.asn_list().unwrap(), path);
+        for want in rels {
+            assert_eq!(r.relationship().unwrap(), want);
+        }
+        assert!(r.is_exhausted());
+
+        let mut wide = Vec::new();
+        put_uvarint(&mut wide, u32::MAX as u64 + 1);
+        assert_eq!(
+            Reader::with_base(&wide, 40).asn(),
+            Err(CodecError::Invalid {
+                offset: 40,
+                what: "ASN"
+            })
+        );
+        assert_eq!(
+            Reader::with_base(&[4], 9).relationship(),
+            Err(CodecError::Invalid {
+                offset: 9,
+                what: "relationship tag"
+            })
+        );
+        // A huge count is not an allocation: the reads run out first.
+        let mut huge = Vec::new();
+        put_uvarint(&mut huge, u64::MAX >> 1);
+        assert!(matches!(
+            Reader::new(&huge).asn_list(),
+            Err(CodecError::Truncated { .. })
+        ));
     }
 
     #[test]

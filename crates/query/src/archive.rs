@@ -11,16 +11,18 @@
 //!   boundaries restore the per-snapshot watermarks on load).
 //! * **full segment** — one snapshot fully materialized: one route trie
 //!   per vantage in the flattened pointer-free layout of
-//!   [`bgp_types::flat`], SA caches, relationship maps (elided when
-//!   byte-identical to the predecessor's, restoring `Arc` sharing on
-//!   load), import typicality and community classes.
+//!   [`bgp_types::flat`], SA caches, the oracle's relationship maps
+//!   (elided when equal to the predecessor's: the snapshot then loads
+//!   holding the predecessor's `Arc<Oracle>`), import typicality and
+//!   community classes.
 //! * **delta segment** — one snapshot as the structured
 //!   [`OutputDelta`] events it was ingested from, plus the list of
 //!   vantages that disappeared and the recomputed analyses of
 //!   `analyses_dirty` Looking-Glass vantages. Loading replays the events
 //!   through [`Snapshot::patch_vantage`] — the *same* code the live
-//!   incremental ingest runs — against an oracle graph rebuilt from the
-//!   predecessor's relationship map. The differential-testing contract
+//!   incremental ingest runs — under the predecessor's oracle, the very
+//!   `Arc` (no graph is rebuilt, and a cone one link of a chain walked is
+//!   walked for the next). The differential-testing contract
 //!   of incremental ingest therefore extends to disk for free: **load
 //!   of a delta segment ≡ full re-index**, byte-for-byte at the
 //!   response level.
@@ -37,8 +39,9 @@
 //! above, the keyframe cadence, the `snap-NNNN.seg` names — for
 //! [`save`] and for the live writer's spill alike, so a spilled stream
 //! and a saved archive of the same world hold byte-identical segments.
-//! [`Replayer`] **replays** them — full decode, delta replay, oracle and
-//! cone caches, watermark stamp — for [`load`] over eagerly checksummed
+//! [`replay_segment`] **replays** them — full decode or delta replay,
+//! watermark stamp; a function, since a snapshot's predecessor carries
+//! all the state a replay needs — for [`load`] over eagerly checksummed
 //! bytes and for the cold tier's hydration over mapped ones. (Attaching
 //! a segment without decoding it is [`crate::tier::attach`].)
 //!
@@ -52,10 +55,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bgp_sim::OutputDelta;
-use bgp_types::codec::{put_prefix, put_str, put_uvarint, CodecError, Reader};
+use bgp_types::codec::{
+    put_asn, put_asn_list, put_prefix, put_relationship, put_str, put_uvarint, CodecError, Reader,
+};
 use bgp_types::intern::Symbol;
 use bgp_types::{flat, Asn, Community, CowTrie, Relationship};
-use net_topology::{AsGraph, CustomerCone};
 use rpi_sec::{Roa, RoaTable};
 use rpi_store::{
     read_segment, write_segment, Manifest, SegmentEntry, SegmentKind, SegmentRef, StoreError,
@@ -63,9 +67,9 @@ use rpi_store::{
 };
 
 use crate::engine::QueryEngine;
-use crate::intern::{AsnSym, FrozenInterner, Interning, PrefixSym, WorldInterner};
+use crate::intern::{AsnSym, FrozenInterner, PrefixSym, WorldInterner};
 use crate::snapshot::{
-    CompactRoute, Provenance, SaCache, Snapshot, SnapshotId, VantageKind, VantageTable,
+    CompactRoute, Oracle, Provenance, SaCache, Snapshot, SnapshotId, VantageKind, VantageTable,
 };
 
 /// One segment's on-disk identity, kept on the engine after a save or
@@ -161,24 +165,21 @@ fn psym_u(p: PrefixSym) -> u64 {
     p.0 .0 as u64
 }
 
-fn rel_to_u8(r: Relationship) -> u8 {
-    match r {
-        Relationship::Provider => 0,
-        Relationship::Customer => 1,
-        Relationship::Peer => 2,
-        Relationship::Sibling => 3,
-    }
+fn put_kind(out: &mut Vec<u8>, kind: VantageKind) {
+    out.push(match kind {
+        VantageKind::LookingGlass => 0,
+        VantageKind::CollectorPeer => 1,
+    });
 }
 
-fn rel_from_u8(v: u8, offset: usize) -> Result<Relationship, CodecError> {
-    match v {
-        0 => Ok(Relationship::Provider),
-        1 => Ok(Relationship::Customer),
-        2 => Ok(Relationship::Peer),
-        3 => Ok(Relationship::Sibling),
+fn read_kind(r: &mut Reader<'_>) -> Result<VantageKind, CodecError> {
+    let offset = r.position();
+    match r.u8()? {
+        0 => Ok(VantageKind::LookingGlass),
+        1 => Ok(VantageKind::CollectorPeer),
         _ => Err(CodecError::Invalid {
             offset,
-            what: "relationship tag",
+            what: "vantage kind",
         }),
     }
 }
@@ -191,15 +192,6 @@ fn read_sym(r: &mut Reader<'_>, limit: usize, what: &'static str) -> Result<Symb
         return Err(CodecError::Invalid { offset, what });
     }
     Ok(Symbol(v as u32))
-}
-
-fn read_asn(r: &mut Reader<'_>) -> Result<Asn, CodecError> {
-    let offset = r.position();
-    let v = r.uvarint()?;
-    u32::try_from(v).map(Asn).map_err(|_| CodecError::Invalid {
-        offset,
-        what: "ASN",
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -221,7 +213,7 @@ fn encode_symbols(engine: &QueryEngine) -> Vec<u8> {
         debug_assert!(hw.0 >= prev.0 && hw.1 >= prev.1 && hw.2 >= prev.2);
         put_uvarint(&mut out, (hw.0 - prev.0) as u64);
         for &a in &asns[prev.0..hw.0] {
-            put_uvarint(&mut out, a.0 as u64);
+            put_asn(&mut out, a);
         }
         put_uvarint(&mut out, (hw.1 - prev.1) as u64);
         for &p in &prefixes[prev.1..hw.1] {
@@ -250,7 +242,7 @@ fn decode_symbols(
         let n = r.ulen()?;
         for _ in 0..n {
             let offset = r.position();
-            let a = read_asn(&mut r)?;
+            let a = r.asn()?;
             if interner.asn(a) != AsnSym(Symbol(sizes.0 as u32)) {
                 return Err(CodecError::Invalid {
                     offset,
@@ -314,7 +306,7 @@ fn encode_roas(table: &RoaTable) -> Vec<u8> {
     for roa in table.roas() {
         put_prefix(&mut out, roa.prefix);
         out.push(roa.max_len);
-        put_uvarint(&mut out, roa.origin.0 as u64);
+        put_asn(&mut out, roa.origin);
     }
     out
 }
@@ -333,7 +325,7 @@ fn decode_roas(raw: &[u8]) -> Result<RoaTable, CodecError> {
                 what: "ROA max-length",
             });
         }
-        let origin = read_asn(&mut r)?;
+        let origin = r.asn()?;
         roas.push(Roa {
             prefix,
             max_len,
@@ -416,12 +408,6 @@ pub(crate) fn decode_route(r: &mut Reader<'_>, n_asns: usize) -> Result<CompactR
     })
 }
 
-fn rel_maps_equal(a: &Snapshot, b: &Snapshot) -> bool {
-    (Arc::ptr_eq(&a.relationships, &b.relationships) || *a.relationships == *b.relationships)
-        && (Arc::ptr_eq(&a.neighbor_counts, &b.neighbor_counts)
-            || *a.neighbor_counts == *b.neighbor_counts)
-}
-
 /// Encodes one snapshot as a full segment. `force_standalone` suppresses
 /// relationship sharing so the segment decodes with no predecessor — the
 /// keyframe policy's lever. Returns the payload and whether it came out
@@ -434,19 +420,20 @@ fn encode_full(
     let mut out = Vec::new();
     put_str(&mut out, &snap.label);
 
-    let shared = !force_standalone && prev.is_some_and(|p| rel_maps_equal(snap, p));
+    let shared = !force_standalone && prev.is_some_and(|p| snap.oracle == p.oracle);
     out.push(if shared { FLAG_REL_SHARED } else { 0 } | FLAG_DIRECTORY);
     if !shared {
-        let mut rels: Vec<(&(AsnSym, AsnSym), &Relationship)> = snap.relationships.iter().collect();
+        let mut rels: Vec<(&(AsnSym, AsnSym), &Relationship)> =
+            snap.oracle.relationships.iter().collect();
         rels.sort_unstable_by_key(|((a, b), _)| (*a, *b));
         put_uvarint(&mut out, rels.len() as u64);
         for ((a, b), &rel) in rels {
             put_uvarint(&mut out, sym_u(*a));
             put_uvarint(&mut out, sym_u(*b));
-            out.push(rel_to_u8(rel));
+            put_relationship(&mut out, rel);
         }
         type CountRow<'a> = (&'a AsnSym, &'a (usize, usize, usize, usize));
-        let mut counts: Vec<CountRow<'_>> = snap.neighbor_counts.iter().collect();
+        let mut counts: Vec<CountRow<'_>> = snap.oracle.neighbor_counts.iter().collect();
         counts.sort_unstable_by_key(|(s, _)| **s);
         put_uvarint(&mut out, counts.len() as u64);
         for (&s, &(p, c, r, b)) in counts {
@@ -468,10 +455,7 @@ fn encode_full(
     put_uvarint(&mut out, vantages.len() as u64);
     for (&s, table) in &vantages {
         put_uvarint(&mut out, sym_u(s));
-        out.push(match table.kind {
-            VantageKind::LookingGlass => 0,
-            VantageKind::CollectorPeer => 1,
-        });
+        put_kind(&mut out, table.kind);
         put_uvarint(&mut out, table.route_count as u64);
         let start = out.len();
         flat::write_trie(&table.trie, &mut out, &mut |route, out| {
@@ -523,7 +507,7 @@ fn encode_full(
         put_uvarint(&mut out, entries.len() as u64);
         for (&n, &rel) in entries {
             put_uvarint(&mut out, sym_u(n));
-            out.push(rel_to_u8(rel));
+            put_relationship(&mut out, rel);
         }
     }
 
@@ -572,10 +556,7 @@ fn encode_vantage_dir(dir: &VantageDir, out: &mut Vec<u8>) {
     put_uvarint(out, dir.entries.len() as u64);
     for e in &dir.entries {
         put_uvarint(out, sym_u(e.sym));
-        out.push(match e.kind {
-            VantageKind::LookingGlass => 0,
-            VantageKind::CollectorPeer => 1,
-        });
+        put_kind(out, e.kind);
         put_uvarint(out, e.route_count as u64);
         put_uvarint(out, e.span.0 as u64);
         put_uvarint(out, e.span.1 as u64);
@@ -603,17 +584,7 @@ fn decode_vantage_dir(
             });
         }
         prev_sym = Some(sym);
-        let kind_offset = r.position();
-        let kind = match r.u8()? {
-            0 => VantageKind::LookingGlass,
-            1 => VantageKind::CollectorPeer,
-            _ => {
-                return Err(CodecError::Invalid {
-                    offset: kind_offset,
-                    what: "directory vantage kind",
-                })
-            }
-        };
+        let kind = read_kind(r)?;
         let route_count = r.ulen()?;
         let span_offset = r.position();
         let start = r.ulen()?;
@@ -694,27 +665,22 @@ fn decode_full(
             what: "label disagrees with manifest",
         });
     }
-    let mut snap = Snapshot::empty(id, label);
 
     let flag_offset = r.position();
-    if read_full_flags(&mut r)? & FLAG_REL_SHARED != 0 {
+    let oracle = if read_full_flags(&mut r)? & FLAG_REL_SHARED != 0 {
         let prev = prev.ok_or(CodecError::Invalid {
             offset: flag_offset,
             what: "relationships shared but segment has no predecessor",
         })?;
-        snap.relationships = Arc::clone(&prev.relationships);
-        snap.neighbor_counts = Arc::clone(&prev.neighbor_counts);
+        Arc::clone(&prev.oracle)
     } else {
         let n = r.ulen()?;
         let mut rels = HashMap::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             let a = AsnSym(read_sym(&mut r, n_asns, "relationship symbol")?);
             let b = AsnSym(read_sym(&mut r, n_asns, "relationship symbol")?);
-            let offset = r.position();
-            let rel = rel_from_u8(r.u8()?, offset)?;
-            rels.insert((a, b), rel);
+            rels.insert((a, b), r.relationship()?);
         }
-        snap.relationships = Arc::new(rels);
         let n = r.ulen()?;
         let mut counts = HashMap::with_capacity(n.min(1 << 20));
         for _ in 0..n {
@@ -725,8 +691,9 @@ fn decode_full(
             }
             counts.insert(s, (vals[0], vals[1], vals[2], vals[3]));
         }
-        snap.neighbor_counts = Arc::new(counts);
-    }
+        Arc::new(Oracle::new(rels, counts))
+    };
+    let mut snap = Snapshot::empty(id, label, oracle);
 
     // Vantage tables. Trie byte spans are recorded as decoded so the
     // segment can be held to its directory: every span the directory
@@ -735,17 +702,7 @@ fn decode_full(
     let n_vantages = r.ulen()?;
     for _ in 0..n_vantages {
         let owner = AsnSym(read_sym(&mut r, n_asns, "vantage symbol")?);
-        let kind_offset = r.position();
-        let kind = match r.u8()? {
-            0 => VantageKind::LookingGlass,
-            1 => VantageKind::CollectorPeer,
-            _ => {
-                return Err(CodecError::Invalid {
-                    offset: kind_offset,
-                    what: "vantage kind",
-                })
-            }
-        };
+        let kind = read_kind(&mut r)?;
         let count_offset = r.position();
         let route_count = r.ulen()?;
         let start = r.position();
@@ -837,9 +794,7 @@ fn decode_full(
         let mut classes = HashMap::with_capacity(n.min(1 << 16));
         for _ in 0..n {
             let neighbor = AsnSym(read_sym(&mut r, n_asns, "community-class symbol")?);
-            let offset = r.position();
-            let rel = rel_from_u8(r.u8()?, offset)?;
-            classes.insert(neighbor, rel);
+            classes.insert(neighbor, r.relationship()?);
         }
         snap.community_class.insert(owner, Arc::new(classes));
     }
@@ -894,7 +849,7 @@ fn delta_plan<'a>(snap: &'a Snapshot, prev: &Snapshot) -> Option<&'a Arc<OutputD
     if !delta.peers_added.is_empty() || !delta.lgs_added.is_empty() {
         return None;
     }
-    if !rel_maps_equal(snap, prev) {
+    if snap.oracle != prev.oracle {
         // An oracle change moved customer cones; replay would classify
         // SA prefixes under the wrong cones.
         return None;
@@ -923,10 +878,7 @@ fn encode_delta(
         .map(|&s| interner.resolve_asn(s))
         .collect();
     dropped.sort_unstable();
-    put_uvarint(&mut out, dropped.len() as u64);
-    for a in dropped {
-        put_uvarint(&mut out, a.0 as u64);
-    }
+    put_asn_list(&mut out, &dropped);
 
     delta.encode(&mut out);
 
@@ -948,7 +900,7 @@ fn encode_delta(
             .typicality
             .get(&owner)
             .expect("dirty LG vantages have typicality");
-        put_uvarint(&mut out, asn.0 as u64);
+        put_asn(&mut out, asn);
         put_uvarint(&mut out, compared as u64);
         put_uvarint(&mut out, typical as u64);
         let classes = snap
@@ -960,7 +912,7 @@ fn encode_delta(
         put_uvarint(&mut out, entries.len() as u64);
         for (&n, &rel) in entries {
             put_uvarint(&mut out, sym_u(n));
-            out.push(rel_to_u8(rel));
+            put_relationship(&mut out, rel);
         }
     }
     out
@@ -993,11 +945,7 @@ fn decode_delta(
             what: "label disagrees with manifest",
         });
     }
-    let n = r.ulen()?;
-    let mut dropped = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        dropped.push(read_asn(&mut r)?);
-    }
+    let dropped = r.asn_list()?;
     let delta_offset = r.position();
     let delta = OutputDelta::decode(&mut r)?;
     // Replay runs the decoded events through the live patching code
@@ -1028,16 +976,14 @@ fn decode_delta(
     let n = r.ulen()?;
     let mut sidecar = BTreeMap::new();
     for _ in 0..n {
-        let asn = read_asn(&mut r)?;
+        let asn = r.asn()?;
         let compared = r.ulen()?;
         let typical = r.ulen()?;
         let n_classes = r.ulen()?;
         let mut classes = HashMap::with_capacity(n_classes.min(1 << 16));
         for _ in 0..n_classes {
             let neighbor = AsnSym(read_sym(&mut r, n_asns, "community-class symbol")?);
-            let offset = r.position();
-            let rel = rel_from_u8(r.u8()?, offset)?;
-            classes.insert(neighbor, rel);
+            classes.insert(neighbor, r.relationship()?);
         }
         sidecar.insert(
             asn,
@@ -1061,40 +1007,20 @@ fn decode_delta(
     })
 }
 
-/// Rebuilds the relationship oracle a delta run replays under. The
-/// snapshot's relationship map stores both directions of every edge, so
-/// the graph (and therefore every customer cone) reconstructs exactly.
-fn oracle_from_relationships(snap: &Snapshot, interner: &WorldInterner) -> AsGraph {
-    let mut g = AsGraph::new();
-    for &s in snap.neighbor_counts.keys() {
-        g.ensure_as(interner.resolve_asn(s));
-    }
-    for (&(a, b), &rel) in snap.relationships.iter() {
-        let (a, b) = (interner.resolve_asn(a), interner.resolve_asn(b));
-        g.ensure_as(a);
-        g.ensure_as(b);
-        let _ = g.add_edge(a, b, rel);
-    }
-    g
-}
-
 /// Replays a decoded delta segment over the previous snapshot — the
 /// load-time twin of `Snapshot::from_output_incremental`, sharing its
-/// per-vantage patching code. Read-only on the interner (the cold tier
-/// replays chains under a shared engine reference): `decode_delta`
-/// pre-validated every event symbol against the loaded table.
+/// per-vantage patching code and the predecessor's oracle (the same
+/// `Arc`, with whatever cones the chain has walked so far). Read-only on
+/// the interner (the cold tier replays chains under a shared engine
+/// reference): `decode_delta` pre-validated every event symbol against
+/// the loaded table.
 fn replay_delta(
     id: SnapshotId,
     payload: DeltaPayload,
     prev: &Snapshot,
-    oracle: &AsGraph,
     interner: &WorldInterner,
-    cones: &mut HashMap<Asn, CustomerCone>,
 ) -> Result<Snapshot, CodecError> {
-    let interner = &mut FrozenInterner(interner);
-    let mut snap = Snapshot::empty(id, &payload.label);
-    snap.relationships = Arc::clone(&prev.relationships);
-    snap.neighbor_counts = Arc::clone(&prev.neighbor_counts);
+    let mut snap = Snapshot::empty(id, &payload.label, Arc::clone(&prev.oracle));
 
     let mut dropped_syms: HashSet<AsnSym> = HashSet::with_capacity(payload.dropped.len());
     for &a in &payload.dropped {
@@ -1111,20 +1037,18 @@ fn replay_delta(
         dropped_syms.insert(s);
     }
 
-    let survivors: Vec<(AsnSym, VantageKind)> = prev
-        .vantages
-        .iter()
-        .filter(|(s, _)| !dropped_syms.contains(s))
-        .map(|(&s, t)| (s, t.kind))
-        .collect();
-    for (owner, kind) in survivors {
+    let frozen = &mut FrozenInterner(interner);
+    for (&owner, table) in &prev.vantages {
+        if dropped_syms.contains(&owner) {
+            continue;
+        }
         let asn = interner.resolve_asn(owner);
-        let vd = match kind {
+        let vd = match table.kind {
             VantageKind::LookingGlass => payload.delta.lgs.get(&asn),
             VantageKind::CollectorPeer => payload.delta.collector.get(&asn),
         };
-        snap.patch_vantage(prev, asn, vd, oracle, interner, cones, false);
-        if kind == VantageKind::LookingGlass {
+        snap.patch_vantage(prev, owner, vd, frozen, false);
+        if table.kind == VantageKind::LookingGlass {
             if let Some(patch) = payload.sidecar.get(&asn) {
                 snap.typicality.insert(owner, patch.typicality);
                 snap.community_class
@@ -1143,71 +1067,38 @@ fn replay_delta(
     Ok(snap)
 }
 
-/// Replays a chain of snapshot segments forward, one [`Self::step`] per
-/// segment. [`load`] drives it over every segment of an archive, the
-/// cold tier's hydration over the chain from a snapshot's nearest
-/// anchor. Delta segments replay under an oracle graph rebuilt from the
-/// predecessor's relationship map; the graph, and the customer cones
-/// derived from it, are cached while that map stays physically the same.
-pub(crate) struct Replayer<'a> {
-    interner: &'a WorldInterner,
-    /// The relationship map the graph was rebuilt from, and the graph.
-    oracle: Option<(RelationshipMap, AsGraph)>,
-    cones: HashMap<Asn, CustomerCone>,
-}
-
-type RelationshipMap = Arc<HashMap<(AsnSym, AsnSym), Relationship>>;
-
-impl<'a> Replayer<'a> {
-    /// A replayer over the loaded symbol table.
-    pub(crate) fn new(interner: &'a WorldInterner) -> Replayer<'a> {
-        Replayer {
-            interner,
-            oracle: None,
-            cones: HashMap::new(),
+/// Decodes `raw` — the verified bytes of a `kind` segment labeled
+/// `label` — as snapshot `id` on top of `prev`, and stamps it with its
+/// interner `watermark` so it matches the snapshot that was saved: a
+/// full decode, or a delta replay under the predecessor's oracle.
+/// [`load`] calls it for every segment of an archive, the cold tier's
+/// hydration for each link of the chain from a snapshot's nearest
+/// anchor.
+pub(crate) fn replay_segment(
+    interner: &WorldInterner,
+    id: SnapshotId,
+    kind: SegmentKind,
+    label: &str,
+    raw: &[u8],
+    prev: Option<&Snapshot>,
+    watermark: (usize, usize, usize),
+) -> Result<Snapshot, CodecError> {
+    let mut snap = match kind {
+        SegmentKind::Full => decode_full(raw, id, label, prev, interner)?,
+        SegmentKind::Delta => {
+            let payload = decode_delta(raw, label, interner)?;
+            let prev = prev.ok_or(CodecError::Invalid {
+                offset: 0,
+                what: "delta segment has no predecessor snapshot",
+            })?;
+            replay_delta(id, payload, prev, interner)?
         }
-    }
-
-    /// Decodes `raw` — the verified bytes of a `kind` segment labeled
-    /// `label` — as snapshot `id` on top of `prev`, and stamps it with
-    /// its interner `watermark` so it matches the snapshot that was
-    /// saved.
-    pub(crate) fn step(
-        &mut self,
-        id: SnapshotId,
-        kind: SegmentKind,
-        label: &str,
-        raw: &[u8],
-        prev: Option<&Snapshot>,
-        watermark: (usize, usize, usize),
-    ) -> Result<Snapshot, CodecError> {
-        let mut snap = match kind {
-            SegmentKind::Full => decode_full(raw, id, label, prev, self.interner)?,
-            SegmentKind::Delta => {
-                let payload = decode_delta(raw, label, self.interner)?;
-                let prev = prev.ok_or(CodecError::Invalid {
-                    offset: 0,
-                    what: "delta segment has no predecessor snapshot",
-                })?;
-                let cached = self
-                    .oracle
-                    .as_ref()
-                    .is_some_and(|(rels, _)| Arc::ptr_eq(rels, &prev.relationships));
-                if !cached {
-                    let graph = oracle_from_relationships(prev, self.interner);
-                    self.oracle = Some((Arc::clone(&prev.relationships), graph));
-                    self.cones.clear();
-                }
-                let graph = &self.oracle.as_ref().expect("just rebuilt").1;
-                replay_delta(id, payload, prev, graph, self.interner, &mut self.cones)?
-            }
-            SegmentKind::Symbols | SegmentKind::Roa => {
-                unreachable!("only snapshot segments are replayed")
-            }
-        };
-        snap.interned_watermark = watermark;
-        Ok(snap)
-    }
+        SegmentKind::Symbols | SegmentKind::Roa => {
+            unreachable!("only snapshot segments are replayed")
+        }
+    };
+    snap.interned_watermark = watermark;
+    Ok(snap)
 }
 
 // ---------------------------------------------------------------------------
@@ -1498,13 +1389,12 @@ pub(crate) fn load(dir: &Path) -> Result<QueryEngine, StoreError> {
     let manifest = Manifest::read(dir)?;
     let (mut engine, watermarks) = load_prelude(dir, &manifest)?;
 
-    let mut replayer = Replayer::new(&engine.interner);
     for ((index, entry), &watermark) in manifest.snapshot_segments().zip(&watermarks) {
         let raw = read_segment(dir, index, entry)?;
         let id = SnapshotId(engine.snapshots.len() as u32);
         let prev = engine.snapshots.last().map(|a| &**a);
-        let snap = replayer
-            .step(id, entry.kind, &entry.label, &raw, prev, watermark)
+        let (kind, label) = (entry.kind, &entry.label);
+        let snap = replay_segment(&engine.interner, id, kind, label, &raw, prev, watermark)
             .map_err(|e| {
                 let file = entry.file.clone();
                 StoreError::corrupt(SegmentRef { index, file }, e)

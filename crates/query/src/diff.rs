@@ -107,18 +107,18 @@ impl SnapshotDiff {
         diff.gone_sa.sort_unstable();
 
         // --- relationship flips (each unordered pair once) ---
-        let mut edges: Vec<_> = a
-            .relationships
+        let (rels_a, rels_b) = (&a.oracle.relationships, &b.oracle.relationships);
+        let mut edges: Vec<_> = rels_a
             .keys()
-            .chain(b.relationships.keys())
+            .chain(rels_b.keys())
             .filter(|(x, y)| x <= y)
             .copied()
             .collect();
         edges.sort_unstable();
         edges.dedup();
         for (x, y) in edges {
-            let before = a.relationships.get(&(x, y)).copied();
-            let after = b.relationships.get(&(x, y)).copied();
+            let before = rels_a.get(&(x, y)).copied();
+            let after = rels_b.get(&(x, y)).copied();
             if before != after {
                 diff.flips.push(RelationshipFlip {
                     a: interner.resolve_asn(x),

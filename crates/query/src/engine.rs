@@ -7,14 +7,19 @@
 //! in request order, overlapping only a batch's scans (see
 //! [`crate::plan`]). There is no other way to ask: callers match
 //! on the [`Response`] variant their query produces.
+//!
+//! The engine holds no state derived from a relationship oracle: each
+//! snapshot carries its [`crate::snapshot::Oracle`] (shared by `Arc`
+//! while the oracle is unchanged), customer cones included, so no ingest
+//! path has a cache to clear.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use bgp_sim::{output_delta, SimOutput, SnapshotSeries};
 use bgp_types::{Asn, CowTrie, Ipv4Prefix, Relationship};
 use bgp_wire::{TableDump, WireError};
-use net_topology::{AsGraph, CustomerCone};
+use net_topology::AsGraph;
 use rpi_core::persistence::{classify_persistence, histogram_from_counts};
 use rpi_core::Experiment;
 use rpi_sec::{RoaTable, RovCache, RovCacheStats};
@@ -164,10 +169,6 @@ impl SharingStats {
 pub struct QueryEngine {
     pub(crate) interner: WorldInterner,
     pub(crate) snapshots: Vec<Arc<Snapshot>>,
-    /// Customer cones cached for the incremental SA patcher; valid as
-    /// long as the ingest oracle's relationships are unchanged (the
-    /// incremental path clears it when they move).
-    pub(crate) cones: HashMap<Asn, CustomerCone>,
     /// Set when the engine was loaded from (or saved to) an on-disk
     /// archive: where it lives and what each snapshot costs on disk.
     /// (A tier-attached engine's comes from its tier instead.)
@@ -319,11 +320,6 @@ impl QueryEngine {
     /// Ingests one simulated output with an explicit relationship oracle
     /// (typically the Gao-inferred graph, as the paper's analyses use).
     pub fn ingest_output(&mut self, out: &SimOutput, oracle: &AsGraph, label: &str) -> SnapshotId {
-        // A from-scratch ingest may establish a new oracle baseline
-        // without the incremental path's relationship comparison ever
-        // seeing the switch, so the cone cache is no longer known-valid.
-        // Later incremental snapshots rebuild the cones they need.
-        self.cones.clear();
         let id = SnapshotId(self.snapshots.len() as u32);
         let mut snap = Snapshot::from_output(id, label, out, oracle, &mut self.interner);
         snap.interned_watermark = self.interner.sizes();
@@ -442,7 +438,6 @@ impl QueryEngine {
             oracle,
             same_oracle,
             &mut self.interner,
-            &mut self.cones,
         );
         // The interner is append-only across a series: symbols may be
         // added, never moved or dropped, so the predecessor's interned
@@ -590,9 +585,6 @@ impl QueryEngine {
             &as_relationships::InferenceParams::default(),
         );
         let oracle = inferred.to_graph();
-        // From-scratch ingest under a dump-local oracle: see
-        // `ingest_output` for why the cone cache must be dropped.
-        self.cones.clear();
         let id = SnapshotId(self.snapshots.len() as u32);
         let mut snap = Snapshot::from_collector(id, label, &view, &oracle, &mut self.interner);
         snap.interned_watermark = self.interner.sizes();
@@ -881,7 +873,7 @@ impl QueryEngine {
     fn rel_point(&self, snap: &Snapshot, a: Asn, b: Asn) -> Option<Relationship> {
         let sa = self.interner.lookup_asn(a)?;
         let sb = self.interner.lookup_asn(b)?;
-        snap.relationships.get(&(sa, sb)).copied()
+        snap.oracle.relationships.get(&(sa, sb)).copied()
     }
 
     fn summary_point(&self, snap: &Snapshot, asn: Asn) -> Option<PolicySummary> {
@@ -889,7 +881,12 @@ impl QueryEngine {
         let table = snap.vantages.get(&s);
         let cache = snap.sa.get(&s);
 
-        let neighbor_counts = snap.neighbor_counts.get(&s).copied().unwrap_or_default();
+        let neighbor_counts = snap
+            .oracle
+            .neighbor_counts
+            .get(&s)
+            .copied()
+            .unwrap_or_default();
 
         Some(PolicySummary {
             asn,

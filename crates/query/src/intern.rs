@@ -116,12 +116,8 @@ pub(crate) trait Interning {
     fn asn(&mut self, a: Asn) -> AsnSym;
     /// The symbol for `p`, interning it if the table is mutable.
     fn prefix(&mut self, p: Ipv4Prefix) -> PrefixSym;
-    /// The symbol of an ASN already in the table.
-    fn lookup_asn(&self, a: Asn) -> Option<AsnSym>;
     /// The symbol of a prefix already in the table.
     fn lookup_prefix(&self, p: Ipv4Prefix) -> Option<PrefixSym>;
-    /// The ASN behind a symbol.
-    fn resolve_asn(&self, s: AsnSym) -> Asn;
 }
 
 impl Interning for WorldInterner {
@@ -131,14 +127,8 @@ impl Interning for WorldInterner {
     fn prefix(&mut self, p: Ipv4Prefix) -> PrefixSym {
         WorldInterner::prefix(self, p)
     }
-    fn lookup_asn(&self, a: Asn) -> Option<AsnSym> {
-        WorldInterner::lookup_asn(self, a)
-    }
     fn lookup_prefix(&self, p: Ipv4Prefix) -> Option<PrefixSym> {
         WorldInterner::lookup_prefix(self, p)
-    }
-    fn resolve_asn(&self, s: AsnSym) -> Asn {
-        WorldInterner::resolve_asn(self, s)
     }
 }
 
@@ -160,14 +150,8 @@ impl Interning for FrozenInterner<'_> {
             .lookup_prefix(p)
             .expect("segment replay references a prefix missing from the loaded symbol table")
     }
-    fn lookup_asn(&self, a: Asn) -> Option<AsnSym> {
-        self.0.lookup_asn(a)
-    }
     fn lookup_prefix(&self, p: Ipv4Prefix) -> Option<PrefixSym> {
         self.0.lookup_prefix(p)
-    }
-    fn resolve_asn(&self, s: AsnSym) -> Asn {
-        self.0.resolve_asn(s)
     }
 }
 

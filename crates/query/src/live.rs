@@ -25,13 +25,19 @@
 //!   layer), so `@<id>` history queries span the hot/spilled boundary
 //!   transparently. The stream itself is read through a buffer that
 //!   holds only what has not been parsed yet.
+//! * The writer holds the stream's oracle graph (from-scratch indexing
+//!   and the LG analyses ask it) but no state derived from it:
+//!   consecutive snapshots hold one `Arc` of
+//!   [`crate::snapshot::Oracle`] until a frame carries a new oracle, so
+//!   a customer cone the SA patcher walks for one frame is walked for
+//!   every later one — and for the readers' `hijacks` — and there is
+//!   nothing to clear when the oracle does change.
 //!
 //! The contract the differential suite (`crates/query/tests/live.rs`)
 //! holds: a live engine fed frame by frame renders **byte-identical**
 //! responses to an offline engine built from the same events in one
 //! shot, at every snapshot, across every protocol verb.
 
-use std::collections::HashMap;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,8 +47,7 @@ use std::time::Duration;
 use bgp_sim::stream::{next_step, read_header, StreamFrame, StreamStep};
 use bgp_sim::SimOutput;
 use bgp_types::codec::CodecError;
-use bgp_types::Asn;
-use net_topology::{AsGraph, CustomerCone};
+use net_topology::AsGraph;
 use rpi_store::{SegmentKind, StoreError};
 
 use crate::archive::{ArchiveInfo, SegmentMeta, SegmentWriter};
@@ -177,7 +182,6 @@ pub struct LiveWriter {
     spill: PathBuf,
     segments: SegmentWriter,
     interner: WorldInterner,
-    cones: HashMap<Asn, CustomerCone>,
     oracle: AsGraph,
     prev_out: SimOutput,
     prev_snap: Option<Arc<Snapshot>>,
@@ -218,7 +222,6 @@ impl LiveWriter {
             spill: spill.to_path_buf(),
             segments: SegmentWriter::new(Some(opts.keyframe_every)),
             interner: base.interner.clone(),
-            cones: HashMap::new(),
             oracle,
             prev_out: SimOutput::default(),
             prev_snap: None,
@@ -250,10 +253,7 @@ impl LiveWriter {
         // frame's delta is what `output_delta` computes between the same
         // two outputs, so the snapshots come out byte-identical.
         let mut snap = match &self.prev_snap {
-            None => {
-                self.cones.clear();
-                Snapshot::from_output(id, &frame.label, &out, &self.oracle, &mut self.interner)
-            }
+            None => Snapshot::from_output(id, &frame.label, &out, &self.oracle, &mut self.interner),
             Some(prev) => Snapshot::from_output_incremental(
                 id,
                 &frame.label,
@@ -263,7 +263,6 @@ impl LiveWriter {
                 &self.oracle,
                 same_oracle,
                 &mut self.interner,
-                &mut self.cones,
             ),
         };
         snap.interned_watermark = self.interner.sizes();
@@ -319,7 +318,6 @@ impl LiveWriter {
         QueryEngine {
             interner: self.interner.clone(),
             snapshots: Vec::new(),
-            cones: HashMap::new(),
             roas: Arc::clone(&base.roas),
             rov_cache: Arc::clone(&base.rov_cache),
             metrics: Arc::clone(&base.metrics),

@@ -326,9 +326,11 @@ impl QueryMetrics {
     /// checked the threshold, so the disabled path costs one load).
     pub fn push_slow(&self, elapsed: Duration, queries: u64, first_line: &str) {
         self.serve_slow_queries_total.inc();
+        // A scope label is free UTF-8: cut on a char boundary, never at
+        // a byte count (`String::truncate` panics inside a character).
         let mut line = first_line.to_string();
         if line.len() > 120 {
-            line.truncate(120);
+            line.truncate(line.floor_char_boundary(120));
             line.push('…');
         }
         let mut ring = self.slow_ring.lock().unwrap();
@@ -505,5 +507,28 @@ mod tests {
             "{dump}"
         );
         assert!(!dump.contains("route AS0 "), "oldest entries evicted");
+    }
+
+    /// The quoted first line is cut at the last char boundary at or
+    /// under 120 bytes: in this line (227 bytes, it parses) every `é`
+    /// starts at an odd offset, so byte 120 is inside one.
+    #[test]
+    fn slowlog_quote_is_cut_on_a_char_boundary() {
+        let line = format!("route AS1 1.0.0.0/8 @label:{}", "é".repeat(100));
+        assert!(line.len() == 227 && !line.is_char_boundary(120));
+        let m = QueryMetrics::new();
+        m.set_slow_threshold_ms(1);
+        m.push_slow(Duration::from_millis(2), 9, &line);
+        m.push_slow(Duration::from_millis(2), 1, "ping");
+        let dump = m.render_slowlog();
+        let quotes: Vec<&str> = dump
+            .lines()
+            .skip(1)
+            .map(|l| l.split_once(" queries  ").expect("an entry row").1)
+            .collect();
+        let cut = quotes[0].strip_suffix('…').expect("a cut quote ends in …");
+        assert!(line.starts_with(cut), "{cut}");
+        assert_eq!(cut.len(), 119, "the last boundary at or under 120 bytes");
+        assert_eq!(quotes[1], "ping", "a short line is quoted whole");
     }
 }

@@ -9,15 +9,17 @@
 //!   engine's bounded [`rpi_sec::RovCache`];
 //! * [`hijack_events`] — origin-hijack / subprefix-hijack / MOAS events
 //!   across a snapshot series, judged against the *first* scoped
-//!   snapshot's ownership baseline and the relationship oracle's
-//!   customer cones (the paper's Fig. 4 cone test, aimed at origins
-//!   instead of export policies);
+//!   snapshot's ownership baseline and the customer cones of each
+//!   snapshot's own [`crate::snapshot::Oracle`] (the paper's Fig. 4 cone
+//!   test, aimed at origins instead of export policies — the same
+//!   `in_cone` the SA patcher asks, so a cone either of them walked is
+//!   walked for every request and every snapshot sharing that oracle);
 //! * [`leak_events`] — valley-free violations among the stored best
 //!   paths of one snapshot, mirroring [`net_topology::classify_path`]'s
 //!   phase machine at interned-symbol level and naming the AS that
 //!   forwarded a provider- or peer-learned route back up.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use bgp_types::{Asn, Ipv4Prefix, Relationship};
 
@@ -75,52 +77,6 @@ fn origins_per_prefix(
     out
 }
 
-/// Lazily-built customer cones over one snapshot's relationship map —
-/// the BFS of [`net_topology::CustomerCone::build`], run on the indexed
-/// relationships so detection needs no live oracle.
-struct SnapshotCones {
-    /// customer/sibling out-edges: `adj[a]` are the ASes `a` forwards
-    /// everything to (its customers and siblings).
-    adj: HashMap<Asn, Vec<Asn>>,
-    memo: HashMap<Asn, BTreeSet<Asn>>,
-}
-
-impl SnapshotCones {
-    fn build(engine: &QueryEngine, snap: &Snapshot) -> SnapshotCones {
-        let mut adj: HashMap<Asn, Vec<Asn>> = HashMap::new();
-        for (&(a, b), rel) in snap.relationships.iter() {
-            if matches!(rel, Relationship::Customer | Relationship::Sibling) {
-                adj.entry(engine.interner.resolve_asn(a))
-                    .or_default()
-                    .push(engine.interner.resolve_asn(b));
-            }
-        }
-        SnapshotCones {
-            adj,
-            memo: HashMap::new(),
-        }
-    }
-
-    /// Is `asn` in `root`'s transitive customer cone (root excluded)?
-    fn contains(&mut self, root: Asn, asn: Asn) -> bool {
-        let cone = self.memo.entry(root).or_insert_with(|| {
-            let mut members = BTreeSet::new();
-            let mut seen = BTreeSet::from([root]);
-            let mut queue = VecDeque::from([root]);
-            while let Some(u) = queue.pop_front() {
-                for &v in self.adj.get(&u).into_iter().flatten() {
-                    if seen.insert(v) {
-                        members.insert(v);
-                        queue.push_back(v);
-                    }
-                }
-            }
-            members
-        });
-        cone.contains(&asn)
-    }
-}
-
 /// The longest baseline prefix strictly covering `p` that has owners.
 fn covering_base(
     base: &BTreeMap<Ipv4Prefix, BTreeSet<Asn>>,
@@ -164,7 +120,20 @@ pub(crate) fn hijack_events(
     for &id in ids {
         let snap = engine.snap_arc(id)?;
         let origins = origins_per_prefix(engine, &snap);
-        let mut cones = SnapshotCones::build(engine, &snap);
+        // Fig. 4's cone test under the snapshot's own oracle, which keeps
+        // every cone it has walked — for SA, for an earlier request, for
+        // another snapshot sharing it. Owners and origins were resolved
+        // from symbols, so they have one.
+        let sym = |a| {
+            engine
+                .interner
+                .lookup_asn(a)
+                .expect("resolved from a symbol")
+        };
+        let outside_cones = |owners: &BTreeSet<Asn>, o: Asn| {
+            let o = sym(o);
+            owners.iter().all(|&w| !snap.oracle.in_cone(sym(w), o))
+        };
         let mut push =
             |kind: HijackKind, prefix: Ipv4Prefix, origin: Asn, owners: &BTreeSet<Asn>| {
                 events.push(HijackEvent {
@@ -183,8 +152,7 @@ pub(crate) fn hijack_events(
                     if owners.contains(&o) {
                         continue;
                     }
-                    let outside_cones = owners.iter().all(|&w| !cones.contains(w, o));
-                    if outside_cones && seen.insert((HijackKind::Origin, p, o)) {
+                    if outside_cones(owners, o) && seen.insert((HijackKind::Origin, p, o)) {
                         push(HijackKind::Origin, p, o, owners);
                     }
                     if moas && seen.insert((HijackKind::Moas, p, o)) {
@@ -196,8 +164,7 @@ pub(crate) fn hijack_events(
                     if owners.contains(&o) {
                         continue;
                     }
-                    let outside_cones = owners.iter().all(|&w| !cones.contains(w, o));
-                    if outside_cones && seen.insert((HijackKind::Subprefix, p, o)) {
+                    if outside_cones(owners, o) && seen.insert((HijackKind::Subprefix, p, o)) {
                         push(HijackKind::Subprefix, p, o, owners);
                     }
                 }
@@ -274,7 +241,7 @@ pub(crate) fn leak_events(engine: &QueryEngine, snap: &Snapshot) -> Vec<LeakEven
                 full.push(v);
             }
             full.extend_from_slice(&route.path);
-            if let Some(leaker) = valley_leaker(&snap.relationships, &full) {
+            if let Some(leaker) = valley_leaker(&snap.oracle.relationships, &full) {
                 out.push(LeakEvent {
                     vantage,
                     prefix,

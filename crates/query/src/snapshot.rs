@@ -13,18 +13,32 @@
 //! *predecessor* snapshot and a structured [`bgp_sim::OutputDelta`]: the
 //! vantage tries are copy-on-write overlays ([`bgp_types::CowTrie`]) that
 //! physically share every untouched subtrie with the predecessor, the
-//! relationship/SA/summary caches are `Arc`-shared per vantage and only
-//! the touched vantage×prefix entries are re-derived, and the engine-wide
-//! interner stays append-only so symbols never move. The two paths are
+//! SA/summary caches are `Arc`-shared per vantage and only the touched
+//! vantage×prefix entries are re-derived, and the engine-wide interner
+//! stays append-only so symbols never move. The two paths are
 //! differentially tested (`tests/incremental_diff.rs`): every query must
 //! render byte-identically regardless of which path built the snapshot.
+//!
+//! ## One oracle
+//!
+//! What a snapshot knows about AS relationships is one value, its
+//! [`Oracle`]: the relationship and neighbour-count maps, and the
+//! customer cones walked so far. Snapshots under an unchanged oracle
+//! hold the same `Arc<Oracle>` however they came to exist (incremental
+//! ingest, delta replay, a full segment that elided its maps, a live
+//! publication), so a cone is walked at most once per oracle — by the SA
+//! patcher or by `hijacks`, whoever asks first — and there is no cache to
+//! invalidate: a changed oracle is a new value that has walked nothing.
+//! Only from-scratch indexing ([`Snapshot::from_output`]) still asks the
+//! caller's [`AsGraph`], through `rpi_core::sa_prefixes` — the reference
+//! the differential suites hold the symbol-level cones to.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
 use bgp_sim::{CollectorView, LgView, OutputDelta, SimOutput, VantageDelta};
 use bgp_types::{Asn, CowTrie, Ipv4Prefix, Relationship};
-use net_topology::{AsGraph, CustomerCone};
+use net_topology::AsGraph;
 use rpi_core::community::{infer_communities, CommunityParams};
 use rpi_core::export_policy::sa_prefixes;
 use rpi_core::import_policy::lg_typicality;
@@ -105,6 +119,117 @@ pub(crate) struct SaCache {
     pub exported: HashMap<PrefixSym, AsnSym>,
 }
 
+/// The relationship oracle a snapshot was indexed under, at symbol
+/// level: the relationship and neighbour-count maps the `rel` and
+/// `summary` verbs read, plus every customer cone that has been asked
+/// for. Fig. 4's two questions (§5.1) — is the origin inside the
+/// vantage's cone, was the route learned over a customer link — are both
+/// asked here, by the incremental SA patcher, by segment replay and by
+/// `hijacks`.
+///
+/// A snapshot holds its oracle behind an `Arc`, and everything built
+/// under an unchanged oracle — the snapshots of a series, a replayed
+/// delta chain, a live writer's epochs — holds the *same* `Arc`, so a
+/// cone is walked once per oracle and nothing ever invalidates one: a
+/// changed oracle is a new `Oracle` that has walked none.
+#[derive(Debug)]
+pub(crate) struct Oracle {
+    /// `(a, b) → b is a's …` (both directions kept).
+    pub(crate) relationships: HashMap<(AsnSym, AsnSym), Relationship>,
+    /// Per-AS neighbor counts `(providers, customers, peers, siblings)`,
+    /// precomputed so summaries stay O(lookup).
+    pub(crate) neighbor_counts: HashMap<AsnSym, (usize, usize, usize, usize)>,
+    /// One entry per AS with a customer or sibling neighbour.
+    cones: HashMap<AsnSym, Cone>,
+}
+
+/// An AS's customer and sibling neighbours, and its whole customer cone
+/// once [`Oracle::in_cone`] has walked it (readers of a walked cone take
+/// no lock).
+#[derive(Debug, Default)]
+struct Cone {
+    down: Vec<AsnSym>,
+    members: OnceLock<HashSet<AsnSym>>,
+}
+
+impl Oracle {
+    /// An oracle over the two maps, no cone walked yet.
+    pub(crate) fn new(
+        relationships: HashMap<(AsnSym, AsnSym), Relationship>,
+        neighbor_counts: HashMap<AsnSym, (usize, usize, usize, usize)>,
+    ) -> Oracle {
+        let mut cones: HashMap<AsnSym, Cone> = HashMap::new();
+        for (&(a, b), rel) in &relationships {
+            if matches!(rel, Relationship::Customer | Relationship::Sibling) {
+                cones.entry(a).or_default().down.push(b);
+            }
+        }
+        Oracle {
+            relationships,
+            neighbor_counts,
+            cones,
+        }
+    }
+
+    /// Indexes `graph` at symbol level, interning every AS it names.
+    fn index(graph: &AsGraph, interner: &mut WorldInterner) -> Oracle {
+        let mut relationships = HashMap::new();
+        let mut neighbor_counts: HashMap<AsnSym, (usize, usize, usize, usize)> = HashMap::new();
+        for a in graph.ases() {
+            let sa = interner.asn(a);
+            let counts = neighbor_counts.entry(sa).or_default();
+            for (b, rel) in graph.neighbors(a) {
+                let sb = interner.asn(b);
+                relationships.insert((sa, sb), rel);
+                match rel {
+                    Relationship::Provider => counts.0 += 1,
+                    Relationship::Customer => counts.1 += 1,
+                    Relationship::Peer => counts.2 += 1,
+                    Relationship::Sibling => counts.3 += 1,
+                }
+            }
+        }
+        Oracle::new(relationships, neighbor_counts)
+    }
+
+    /// Is `asn` a direct or indirect customer of `root` — inside the
+    /// customer cone `net_topology` builds for `root` on the graph this
+    /// oracle indexes (the unit tests hold the two walks together pair
+    /// by pair): everything reachable over customer and sibling links,
+    /// `root` itself excluded even when a sibling cycle leads back to it.
+    /// The first question about a root walks its cone; an AS the oracle
+    /// never saw has none and is in none.
+    pub(crate) fn in_cone(&self, root: AsnSym, asn: AsnSym) -> bool {
+        let Some(cone) = self.cones.get(&root) else {
+            return false;
+        };
+        let members = cone.members.get_or_init(|| {
+            let mut seen = HashSet::from([root]);
+            let mut stack = vec![root];
+            while let Some(u) = stack.pop() {
+                for &v in self.cones.get(&u).map_or(&[][..], |c| &c.down) {
+                    if seen.insert(v) {
+                        stack.push(v);
+                    }
+                }
+            }
+            seen.remove(&root);
+            seen
+        });
+        members.contains(&asn)
+    }
+}
+
+/// Two oracles are equal when they say the same things; which cones
+/// either has walked so far is not part of what it says.
+impl PartialEq for Oracle {
+    fn eq(&self, other: &Oracle) -> bool {
+        self.relationships == other.relationships && self.neighbor_counts == other.neighbor_counts
+    }
+}
+
+impl Eq for Oracle {}
+
 /// One ingested, fully-indexed snapshot.
 #[derive(Debug)]
 pub struct Snapshot {
@@ -113,12 +238,9 @@ pub struct Snapshot {
     /// Caller-supplied label (e.g. `day-07`).
     pub label: String,
     pub(crate) vantages: HashMap<AsnSym, Arc<VantageTable>>,
-    /// Oracle relationships: `(a, b) → b is a's …` (both directions kept).
-    /// `Arc`-shared across a series while the oracle is unchanged.
-    pub(crate) relationships: Arc<HashMap<(AsnSym, AsnSym), Relationship>>,
-    /// Per-AS oracle neighbor counts `(providers, customers, peers,
-    /// siblings)`, precomputed so summaries stay O(lookup).
-    pub(crate) neighbor_counts: Arc<HashMap<AsnSym, (usize, usize, usize, usize)>>,
+    /// The relationship oracle the snapshot was indexed under; the same
+    /// `Arc` as the predecessor's while the oracle is unchanged.
+    pub(crate) oracle: Arc<Oracle>,
     pub(crate) sa: HashMap<AsnSym, Arc<SaCache>>,
     /// Import typicality per LG vantage: `(prefixes compared, typical)`.
     pub(crate) typicality: HashMap<AsnSym, (usize, usize)>,
@@ -143,8 +265,7 @@ impl Snapshot {
         oracle: &AsGraph,
         interner: &mut WorldInterner,
     ) -> Snapshot {
-        let mut snap = Snapshot::empty(id, label);
-        snap.index_relationships(oracle, interner);
+        let mut snap = Snapshot::empty(id, label, Arc::new(Oracle::index(oracle, interner)));
 
         // Collector peers: best-path tables, SA analysis only.
         for &peer in &out.collector.peers {
@@ -169,10 +290,11 @@ impl Snapshot {
 
     /// Builds a snapshot as a copy-on-write overlay over its
     /// predecessor. `prev` must be the snapshot built from the older end
-    /// of `delta`, and `out` the newer output; `cones` caches customer
-    /// cones across a series (the caller clears it when the oracle
-    /// changes — this function detects that itself and recomputes every
-    /// SA cache in that case, since cone membership may have moved).
+    /// of `delta`, and `out` the newer output. Unless the caller vouches
+    /// for `same_oracle`, `oracle` is indexed and compared with the
+    /// predecessor's: an equal one is dropped for the predecessor's `Arc`
+    /// (and the cones it has walked), a changed one recomputes every SA
+    /// cache, since cone membership may have moved.
     ///
     /// Sharing contract, per vantage of `out`:
     /// * unseen before (or its [`VantageKind`] changed) → indexed from
@@ -193,27 +315,16 @@ impl Snapshot {
         oracle: &AsGraph,
         same_oracle: bool,
         interner: &mut WorldInterner,
-        cones: &mut HashMap<Asn, CustomerCone>,
     ) -> Snapshot {
-        let mut snap = Snapshot::empty(id, label);
-        let oracle_changed = if same_oracle {
-            // The caller vouches the oracle is the very graph the
-            // predecessor was indexed under (e.g. one reference held
-            // across a whole series): skip the rebuild outright.
-            false
-        } else {
-            snap.index_relationships(oracle, interner);
-            *snap.relationships != *prev.relationships
-                || *snap.neighbor_counts != *prev.neighbor_counts
-        };
-        if oracle_changed {
-            cones.clear();
-        } else {
-            // Byte-level sharing: drop any freshly built maps for the
-            // predecessor's.
-            snap.relationships = Arc::clone(&prev.relationships);
-            snap.neighbor_counts = Arc::clone(&prev.neighbor_counts);
-        }
+        // A caller that vouches the oracle is the very graph the
+        // predecessor was indexed under (e.g. one reference held across
+        // a whole series) skips the re-index outright.
+        let changed = (!same_oracle)
+            .then(|| Oracle::index(oracle, interner))
+            .filter(|fresh| *fresh != *prev.oracle);
+        let oracle_changed = changed.is_some();
+        let shared = changed.map_or_else(|| Arc::clone(&prev.oracle), Arc::new);
+        let mut snap = Snapshot::empty(id, label, shared);
 
         // Keep the interner's community table exactly as a full ingest
         // would: every row a full pass would re-intern either existed in
@@ -251,7 +362,7 @@ impl Snapshot {
                 snap.index_vantage(&table, VantageKind::CollectorPeer, oracle, interner);
             } else {
                 let vd = delta.collector.get(&peer);
-                snap.patch_vantage(prev, peer, vd, oracle, interner, cones, oracle_changed);
+                snap.patch_vantage(prev, interner.asn(peer), vd, interner, oracle_changed);
             }
         }
 
@@ -265,7 +376,8 @@ impl Snapshot {
                 snap.index_vantage(&table, VantageKind::LookingGlass, oracle, interner);
                 snap.index_lg_analyses(asn, view, oracle, interner);
             } else {
-                snap.patch_vantage(prev, asn, vd, oracle, interner, cones, oracle_changed);
+                let owner = interner.asn(asn);
+                snap.patch_vantage(prev, owner, vd, interner, oracle_changed);
                 // Import typicality consults the oracle; community
                 // semantics only the view. Both are per-vantage and cheap
                 // next to table indexing, so any view change (or oracle
@@ -273,7 +385,6 @@ impl Snapshot {
                 if oracle_changed || vd.is_some_and(|d| d.analyses_dirty) {
                     snap.index_lg_analyses(asn, view, oracle, interner);
                 } else {
-                    let owner = interner.asn(asn);
                     if let Some(&t) = prev.typicality.get(&owner) {
                         snap.typicality.insert(owner, t);
                     }
@@ -288,27 +399,23 @@ impl Snapshot {
 
     /// Carries one surviving vantage over from `prev`, applying `vd`'s
     /// best-route events to the copy-on-write table and re-deriving the
-    /// SA cache only for the touched prefixes. Also the archive's delta-
-    /// segment replay path (`crate::archive`), which is how "load of a
-    /// delta segment ≡ full re-index" inherits the incremental ingest's
-    /// differential-testing contract.
+    /// SA cache only for the touched prefixes, under `self.oracle`. Also
+    /// the archive's delta-segment replay path (`crate::archive`), which
+    /// is how "load of a delta segment ≡ full re-index" inherits the
+    /// incremental ingest's differential-testing contract.
     ///
     /// Generic over [`Interning`] because the cold tier replays archived
     /// deltas under a shared engine reference: it patches with a
     /// read-only [`crate::intern::FrozenInterner`], while live ingest
     /// keeps interning on miss.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn patch_vantage<I: Interning>(
         &mut self,
         prev: &Snapshot,
-        vantage: Asn,
+        owner: AsnSym,
         vd: Option<&VantageDelta>,
-        oracle: &AsGraph,
         interner: &mut I,
-        cones: &mut HashMap<Asn, CustomerCone>,
         oracle_changed: bool,
     ) {
-        let owner = interner.asn(vantage);
         let prev_table = prev
             .vantages
             .get(&owner)
@@ -342,48 +449,30 @@ impl Snapshot {
             }
             Arc::new(table)
         };
-        self.vantages.insert(owner, table);
 
         // --- the SA cache ---
         let prev_sa = prev
             .sa
             .get(&owner)
             .expect("every indexed vantage has an SA cache");
-        if oracle_changed {
+        let sa = if oracle_changed {
             // Cone membership may have moved: re-derive from the full
             // table (rare — only when the relationship oracle itself
             // changed mid-series).
-            let table = self.vantages[&owner].clone();
-            let rows: Vec<(Ipv4Prefix, CompactRoute)> =
-                table.trie.iter().map(|(p, r)| (p, r.clone())).collect();
-            let cone = cones
-                .entry(vantage)
-                .or_insert_with(|| CustomerCone::build(oracle, vantage));
             let mut cache = SaCache::default();
-            for (p, route) in rows {
+            for (p, route) in table.trie.iter() {
                 let ps = interner
                     .lookup_prefix(p)
                     .expect("table prefixes are interned");
-                classify_sa(
-                    &mut cache,
-                    ps,
-                    vantage,
-                    interner.resolve_asn(route.next_hop),
-                    interner.resolve_asn(*route.path.last().expect("paths are non-empty")),
-                    oracle,
-                    cone,
-                    interner,
-                );
+                let origin = *route.path.last().expect("paths are non-empty");
+                classify_sa(&self.oracle, &mut cache, ps, owner, route.next_hop, origin);
             }
             cache.customer_prefixes = cache.sa.len() + cache.exported.len();
-            self.sa.insert(owner, Arc::new(cache));
+            Arc::new(cache)
         } else if no_route_events {
-            self.sa.insert(owner, Arc::clone(prev_sa));
+            Arc::clone(prev_sa)
         } else {
             let vd = vd.expect("route events imply a delta");
-            let cone = cones
-                .entry(vantage)
-                .or_insert_with(|| CustomerCone::build(oracle, vantage));
             let mut cache = SaCache::clone(prev_sa);
             for &p in &vd.withdrawn {
                 let ps = interner.prefix(p);
@@ -394,20 +483,15 @@ impl Snapshot {
                 let ps = interner.prefix(*p);
                 cache.sa.remove(&ps);
                 cache.exported.remove(&ps);
-                classify_sa(
-                    &mut cache,
-                    ps,
-                    vantage,
-                    r.next_hop,
-                    *r.path.last().expect("delta paths are non-empty"),
-                    oracle,
-                    cone,
-                    interner,
-                );
+                let next_hop = interner.asn(r.next_hop);
+                let origin = interner.asn(*r.path.last().expect("delta paths are non-empty"));
+                classify_sa(&self.oracle, &mut cache, ps, owner, next_hop, origin);
             }
             cache.customer_prefixes = cache.sa.len() + cache.exported.len();
-            self.sa.insert(owner, Arc::new(cache));
-        }
+            Arc::new(cache)
+        };
+        self.vantages.insert(owner, table);
+        self.sa.insert(owner, sa);
     }
 
     /// Builds a snapshot from a collector view alone (the MRT ingest
@@ -420,8 +504,7 @@ impl Snapshot {
         oracle: &AsGraph,
         interner: &mut WorldInterner,
     ) -> Snapshot {
-        let mut snap = Snapshot::empty(id, label);
-        snap.index_relationships(oracle, interner);
+        let mut snap = Snapshot::empty(id, label, Arc::new(Oracle::index(oracle, interner)));
         for &peer in &view.peers {
             let table = BestTable::from_collector(view, peer);
             snap.index_vantage(&table, VantageKind::CollectorPeer, oracle, interner);
@@ -434,40 +517,19 @@ impl Snapshot {
         snap
     }
 
-    pub(crate) fn empty(id: SnapshotId, label: &str) -> Snapshot {
+    /// A snapshot under `oracle` with no vantage indexed yet.
+    pub(crate) fn empty(id: SnapshotId, label: &str, oracle: Arc<Oracle>) -> Snapshot {
         Snapshot {
             id,
             label: label.to_string(),
             vantages: HashMap::new(),
-            relationships: Arc::new(HashMap::new()),
-            neighbor_counts: Arc::new(HashMap::new()),
+            oracle,
             sa: HashMap::new(),
             typicality: HashMap::new(),
             community_class: HashMap::new(),
             interned_watermark: (0, 0, 0),
             provenance: Provenance::Full,
         }
-    }
-
-    fn index_relationships(&mut self, oracle: &AsGraph, interner: &mut WorldInterner) {
-        let mut relationships = HashMap::new();
-        let mut neighbor_counts: HashMap<AsnSym, (usize, usize, usize, usize)> = HashMap::new();
-        for a in oracle.ases() {
-            let sa = interner.asn(a);
-            let counts = neighbor_counts.entry(sa).or_default();
-            for (b, rel) in oracle.neighbors(a) {
-                let sb = interner.asn(b);
-                relationships.insert((sa, sb), rel);
-                match rel {
-                    Relationship::Provider => counts.0 += 1,
-                    Relationship::Customer => counts.1 += 1,
-                    Relationship::Peer => counts.2 += 1,
-                    Relationship::Sibling => counts.3 += 1,
-                }
-            }
-        }
-        self.relationships = Arc::new(relationships);
-        self.neighbor_counts = Arc::new(neighbor_counts);
     }
 
     fn index_vantage(
@@ -608,31 +670,219 @@ fn prev_kind(prev: &Snapshot, interner: &WorldInterner, vantage: Asn) -> Option<
 /// The Fig. 4 classification of a single route, applied to an SA cache:
 /// a customer-originated prefix lands in `sa` (reached via a non-customer
 /// next hop) or `exported`; anything else is left out entirely. This is
-/// the per-prefix core of [`rpi_core::export_policy::sa_prefixes`],
-/// reused by the incremental patcher — the differential fuzz suite holds
-/// the two implementations byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn classify_sa<I: Interning>(
+/// the per-prefix core of [`rpi_core::export_policy::sa_prefixes`] at
+/// symbol level, reused by the incremental patcher — the differential
+/// fuzz suite holds the two implementations byte-identical.
+fn classify_sa(
+    oracle: &Oracle,
     cache: &mut SaCache,
     prefix: PrefixSym,
-    provider: Asn,
-    next_hop: Asn,
-    origin: Asn,
-    oracle: &AsGraph,
-    cone: &CustomerCone,
-    interner: &mut I,
+    provider: AsnSym,
+    next_hop: AsnSym,
+    origin: AsnSym,
 ) {
-    if origin == provider || !cone.contains(origin) {
+    if origin == provider || !oracle.in_cone(provider, origin) {
         return;
     }
     let via_customer = matches!(
-        oracle.rel(provider, next_hop),
+        oracle.relationships.get(&(provider, next_hop)),
         Some(Relationship::Customer) | Some(Relationship::Sibling)
     );
-    let origin_sym = interner.asn(origin);
     if via_customer {
-        cache.exported.insert(prefix, origin_sym);
+        cache.exported.insert(prefix, origin);
     } else {
-        cache.sa.insert(prefix, origin_sym);
+        cache.sa.insert(prefix, origin);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use bgp_sim::churn::simulate_series;
+    use bgp_sim::stream::StreamWriter;
+    use bgp_sim::ChurnConfig;
+    use bgp_types::Asn;
+    use net_topology::{CustomerCone, InternetConfig, InternetSize};
+    use rpi_core::Experiment;
+
+    use super::*;
+    use crate::archive::SaveOptions;
+    use crate::live::{drain_stream, LiveHandle, LiveOptions};
+    use crate::QueryEngine;
+
+    /// `Oracle::in_cone` and `CustomerCone::build` are the workspace's
+    /// two cone walks, and the differential suites compare them only
+    /// through SA outcomes: here, pair by pair.
+    fn assert_cones_match(g: &AsGraph) {
+        let mut interner = WorldInterner::new();
+        let oracle = Oracle::index(g, &mut interner);
+        for root in g.ases() {
+            let cone = CustomerCone::build(g, root);
+            for x in g.ases() {
+                assert_eq!(
+                    oracle.in_cone(interner.asn(root), interner.asn(x)),
+                    cone.contains(x),
+                    "is {x} in {root}'s cone"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn in_cone_is_customer_cone_build_at_symbol_level() {
+        for size in [InternetSize::Tiny, InternetSize::Small] {
+            for seed in [1, 2, 3] {
+                let cfg = InternetConfig {
+                    seed,
+                    ..InternetConfig::of_size(size)
+                };
+                assert_cones_match(&cfg.build());
+            }
+        }
+
+        // 1 and 2 are siblings (a cycle through either as root), 3 is
+        // 2's customer and a stub, 4 is 1's peer, 5 is 1's provider.
+        let mut g = AsGraph::new();
+        (1..=5).for_each(|a| g.ensure_as(Asn(a)));
+        g.add_edge(Asn(1), Asn(2), Relationship::Sibling).unwrap();
+        g.add_edge(Asn(2), Asn(3), Relationship::Customer).unwrap();
+        g.add_edge(Asn(1), Asn(4), Relationship::Peer).unwrap();
+        g.add_edge(Asn(1), Asn(5), Relationship::Provider).unwrap();
+        assert_cones_match(&g);
+        let mut interner = WorldInterner::new();
+        let oracle = Oracle::index(&g, &mut interner);
+        let unseen = interner.asn(Asn(99));
+        let [s1, s2, s3, s4, s5] = [1, 2, 3, 4, 5].map(|a| interner.asn(Asn(a)));
+        assert!(
+            !oracle.in_cone(s1, s1),
+            "the root, through the sibling cycle"
+        );
+        assert!(oracle.in_cone(s1, s2) && oracle.in_cone(s1, s3));
+        assert!(!oracle.in_cone(s1, s4) && !oracle.in_cone(s1, s5));
+        assert!(oracle.in_cone(s2, s1) && !oracle.in_cone(s2, s2));
+        assert!(oracle.in_cone(s5, s1) && oracle.in_cone(s5, s3));
+        for x in [s1, s2, s3, s4, s5, unseen] {
+            assert!(!oracle.in_cone(s3, x), "a stub's cone is empty");
+            assert!(!oracle.in_cone(unseen, x), "an unseen root has no cone");
+            assert!(!oracle.in_cone(x, unseen), "an unseen AS is in no cone");
+        }
+    }
+
+    fn walked(oracle: &Oracle, root: AsnSym) -> bool {
+        oracle.cones[&root].members.get().is_some()
+    }
+
+    /// `(i, i + 1)` for every consecutive pair holding the same
+    /// `Arc<Oracle>`.
+    fn shared_pairs(snaps: &[Arc<Snapshot>]) -> Vec<(usize, usize)> {
+        (1..snaps.len())
+            .filter(|&i| Arc::ptr_eq(&snaps[i - 1].oracle, &snaps[i].oracle))
+            .map(|i| (i - 1, i))
+            .collect()
+    }
+
+    /// Sharing is by pointer: every way a series comes to exist — ingest,
+    /// archive load, tier hydration, live publication — hands consecutive
+    /// snapshots under an unchanged oracle the *same* `Arc<Oracle>`, so a
+    /// cone walked through one is walked for all; a keyframe segment is
+    /// self-contained and starts a fresh `Arc`; a relationship flip
+    /// yields exactly one new `Arc` that has walked nothing of the old.
+    #[test]
+    fn an_unchanged_oracle_is_one_arc_however_the_series_was_built() {
+        let exp = Experiment::standard(InternetSize::Tiny, 7);
+        let cfg = ChurnConfig {
+            steps: 6,
+            flip_prob: 0.8,
+            link_failure_prob: 0.4,
+            ..ChurnConfig::daily(99)
+        };
+        let series = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg);
+        let all: Vec<(usize, usize)> = (0..5).map(|i| (i, i + 1)).collect();
+        let dir = std::env::temp_dir().join(format!("rpi-oracle-arc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Incremental ingest; a cone walked through snapshot 0 is walked
+        // in snapshot 5.
+        let mut engine = QueryEngine::default();
+        engine.ingest_series_incremental(&series, &exp.inferred_graph);
+        assert_eq!(shared_pairs(&engine.snapshots), all);
+        let (first, last) = (&engine.snapshots[0].oracle, &engine.snapshots[5].oracle);
+        // An AS with customers that is never a vantage: the SA patcher
+        // has no reason to have walked its cone.
+        let never_vantage =
+            |r: &AsnSym| engine.snapshots.iter().all(|s| !s.vantages.contains_key(r));
+        let root = first.cones.keys().copied().filter(never_vantage).min();
+        let root = root.expect("a non-vantage AS with customers");
+        assert!(!walked(first, root));
+        first.in_cone(root, root);
+        assert!(walked(last, root));
+
+        // Delta replay shares; keyframes (0 and 3) start afresh.
+        let keyframed = SaveOptions {
+            keyframe_every: Some(3),
+        };
+        engine
+            .save_archive_with(&dir.join("kf"), true, keyframed)
+            .unwrap();
+        let loaded = QueryEngine::load_archive(&dir.join("kf")).unwrap();
+        assert_eq!(
+            shared_pairs(&loaded.snapshots),
+            [(0, 1), (1, 2), (3, 4), (4, 5)]
+        );
+        // The same chains, hydrated link by link off mapped segments.
+        let tiered = QueryEngine::load_archive_tiered(&dir.join("kf"), 6).unwrap();
+        tiered.snap_arc(SnapshotId(5)).unwrap();
+        tiered.snap_arc(SnapshotId(2)).unwrap();
+        let hydrated: Vec<_> = (0..6)
+            .map(|i| tiered.snap_arc(SnapshotId(i)).unwrap())
+            .collect();
+        assert_eq!(shared_pairs(&hydrated), [(0, 1), (1, 2), (3, 4), (4, 5)]);
+
+        // From-scratch snapshots hold equal oracles, not one; their full
+        // segments elide the maps (`FLAG_REL_SHARED`) and load as one.
+        let mut full = QueryEngine::default();
+        full.ingest_series(&series, &exp.inferred_graph);
+        assert_eq!(shared_pairs(&full.snapshots), []);
+        assert!(full.snapshots[0].oracle == full.snapshots[5].oracle);
+        full.save_archive(&dir.join("full"), true).unwrap();
+        let loaded = QueryEngine::load_archive(&dir.join("full")).unwrap();
+        assert_eq!(shared_pairs(&loaded.snapshots), all);
+
+        // A live writer's epochs, with the oracle flipped at frame 3: one
+        // new `Arc`, shared from there on, the old one's walks not in it.
+        let mut flipped = exp.inferred_graph.clone();
+        let (a, b) = (engine.interner.resolve_asn(root), Asn(64_999));
+        flipped.ensure_as(b);
+        flipped.add_edge(a, b, Relationship::Customer).unwrap();
+        let (mut w, mut stream) = StreamWriter::open(&exp.inferred_graph);
+        for (i, (label, out)) in series.labels.iter().zip(&series.snapshots).enumerate() {
+            stream.extend(w.frame(label, out, (i == 3).then_some(&flipped)));
+        }
+        stream.extend(w.end());
+        std::fs::write(dir.join("live.stream"), stream).unwrap();
+        let handle = LiveHandle::new(QueryEngine::default());
+        let opts = LiveOptions {
+            window: 6,
+            keyframe_every: 6,
+        };
+        let spill = dir.join("spill");
+        drain_stream(
+            &dir.join("live.stream"),
+            handle.clone(),
+            &spill,
+            opts,
+            |_, _| {},
+        )
+        .unwrap();
+        let epoch = handle.current();
+        let live: Vec<_> = (0..6)
+            .map(|i| epoch.snap_arc(SnapshotId(i)).unwrap())
+            .collect();
+        assert_eq!(shared_pairs(&live), [(0, 1), (1, 2), (3, 4), (4, 5)]);
+        let (before, after) = (&live[2].oracle, &live[3].oracle);
+        let root = epoch.interner.lookup_asn(a).unwrap();
+        before.in_cone(root, root);
+        assert!(walked(before, root) && !walked(after, root));
+        assert!(after.in_cone(root, epoch.interner.lookup_asn(b).unwrap()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -42,7 +42,7 @@
 //! snapshot count of the engine holding it, so readers take no lock to
 //! resolve a scope, find a label or reach a mapping; only the hot set,
 //! which the epochs of a live engine share, sits behind a mutex.
-//! Hydration runs the archive's one [`Replayer`] over mapped bytes.
+//! Hydration runs the archive's one [`replay_segment`] over mapped bytes.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -57,7 +57,7 @@ use rpi_obs::Counter;
 use rpi_store::{crc32, Manifest, SegmentEntry, SegmentKind, SegmentRef, StoreError};
 
 use crate::archive::{
-    decode_route, read_mapped_directory, ArchiveInfo, Replayer, SegmentMeta, VantageDir,
+    decode_route, read_mapped_directory, replay_segment, ArchiveInfo, SegmentMeta, VantageDir,
 };
 use crate::engine::{QueryEngine, RouteAnswer};
 use crate::intern::WorldInterner;
@@ -589,21 +589,20 @@ impl Tier {
             first -= 1;
         }
 
-        let mut replayer = Replayer::new(&engine.interner);
         for k in first..=id.index() {
             let replay_start = Instant::now();
             let seg = &self.segs[k];
             seg.verify()?;
-            let snap = replayer
-                .step(
-                    SnapshotId(k as u32),
-                    seg.meta.kind,
-                    &seg.meta.label,
-                    &seg.map,
-                    cur.as_deref(),
-                    seg.watermark,
-                )
-                .map_err(|e| corrupt(&seg.meta.file, e))?;
+            let snap = replay_segment(
+                &engine.interner,
+                SnapshotId(k as u32),
+                seg.meta.kind,
+                &seg.meta.label,
+                &seg.map,
+                cur.as_deref(),
+                seg.watermark,
+            )
+            .map_err(|e| corrupt(&seg.meta.file, e))?;
             let snap = Arc::new(snap);
             self.metrics.tier_hydrations_total.inc();
             self.metrics

@@ -842,3 +842,60 @@ fn shutdown_verb_stops_the_server_and_reports_stats() {
         assert_eq!(stats.active, 0, "[{backend} x{threads}]");
     }
 }
+
+/// A slow run is quoted in the slowlog by its first line, cut to 120
+/// bytes — on a char boundary: scope labels are free UTF-8, and a cut
+/// inside a character used to panic the serve thread (`main`, with one
+/// serve thread) under `--slow-query-ms`. The line below parses, is 227
+/// bytes, and has a two-byte `é` across byte 120; enough pipelined scans
+/// ride behind it in one write for the run to cross the 1 ms threshold.
+#[test]
+fn slow_run_led_by_a_long_utf8_line_is_logged_and_the_server_lives() {
+    for (backend, threads) in matrix() {
+        let (engine, _exp) = tiny_engine();
+        engine.metrics().set_slow_threshold_ms(1);
+        let (addr, handle, join) = spawn_server(
+            engine.clone(),
+            cell_cfg(backend, threads, ServeConfig::default()),
+        );
+
+        let long = format!("route AS1 1.0.0.0/8 @label:{}", "é".repeat(100));
+        assert!(parse(&long).is_ok() && !long.is_char_boundary(120));
+        let scan = parse("hijacks @all").unwrap();
+        let t0 = Instant::now();
+        let answer = render_response(&scan, &engine.execute(&scan).unwrap());
+        // Scans fan out over the cores: 8 ms of work per core is ≥ 1 ms
+        // of wall time with room to spare.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let scans = (cores as u128 * 8_000_000 / t0.elapsed().as_nanos().max(1)).clamp(8, 2048);
+
+        let input = format!(
+            "{long}\n{}ping\nquit\n",
+            "hijacks @all\n".repeat(scans as usize)
+        );
+        let expected = format!(
+            "error line 1: no snapshot labeled '{}'\n{}pong\n",
+            "é".repeat(100),
+            format!("{answer}\n").repeat(scans as usize)
+        );
+        assert_eq!(
+            roundtrip(addr, &input),
+            expected,
+            "[{backend} x{threads}] every line is answered"
+        );
+
+        // A second connection: the server is alive and lists the run.
+        let got = roundtrip(addr, "slowlog\nping\nquit\n");
+        assert!(got.ends_with("\npong\n"), "[{backend} x{threads}] {got}");
+        let quote = got
+            .lines()
+            .filter_map(|l| l.split_once(" queries  "))
+            .find_map(|(_, quote)| quote.strip_suffix('…'))
+            .unwrap_or_else(|| panic!("[{backend} x{threads}] no cut quote in: {got}"));
+        assert!(long.starts_with(quote), "[{backend} x{threads}] {quote}");
+        assert_eq!(quote.len(), 119, "[{backend} x{threads}]");
+
+        handle.shutdown();
+        join.join().unwrap();
+    }
+}

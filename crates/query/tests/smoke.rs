@@ -1,10 +1,14 @@
-//! End-to-end golden test of `rpi-queryd --queries`: pipes the committed
-//! smoke query file through the daemon against the deterministic tiny
-//! seed-11 world and diffs stdout against the committed golden output
-//! (CI runs it as part of the workspace `cargo test`).
+//! End-to-end golden tests of the built `rpi-queryd`: the committed
+//! smoke scripts piped through `--queries` and driven over `--listen`
+//! against the deterministic tiny seed-11 world — generated, saved and
+//! cold-started, saved keyframed and tier-attached, and `--follow`ed
+//! mid-ingest — each diffed against its committed golden (tier-1: part
+//! of the workspace `cargo test`; CI has no shell copy of any of them).
+//! Every spawned daemon sits behind [`Daemon`]: killed on drop, every
+//! wait under [`DEADLINE`].
 //!
 //! If the wire grammar or response rendering changes intentionally,
-//! regenerate with:
+//! regenerate `smoke.golden` with (the other three: see their tests):
 //!
 //! ```text
 //! cargo run --release -p rpi-query --bin rpi-queryd -- \
@@ -13,8 +17,120 @@
 //!   --queries crates/query/tests/data/smoke.q > crates/query/tests/data/smoke.golden
 //! ```
 
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
-use std::process::Command;
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc::{channel, Receiver};
+use std::time::{Duration, Instant};
+
+/// How long any single wait on a child may take (a cold debug-build
+/// world included) before the test fails instead of hanging.
+const DEADLINE: Duration = Duration::from_secs(120);
+
+fn queryd() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
+}
+
+fn data() -> std::path::PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data")
+}
+
+/// A spawned `rpi-queryd` with its stderr read line by line on a helper
+/// thread, so every wait on the log has a deadline. Killed on drop: a
+/// failed assertion never leaks a daemon.
+struct Daemon {
+    child: Child,
+    log: Receiver<String>,
+    /// Every stderr line received so far.
+    seen: Vec<String>,
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+impl Daemon {
+    fn spawn(mut cmd: Command) -> Daemon {
+        let mut child = cmd
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("rpi-queryd spawns");
+        let stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+        let (tx, log) = channel();
+        std::thread::spawn(move || {
+            for line in stderr.lines().map_while(Result::ok) {
+                if tx.send(line).is_err() {
+                    break;
+                }
+            }
+        });
+        Daemon {
+            child,
+            log,
+            seen: Vec::new(),
+        }
+    }
+
+    /// The first stderr line containing `pat`, waiting for it if it has
+    /// not been printed yet.
+    fn wait_log(&mut self, pat: &str) -> String {
+        let deadline = Instant::now() + DEADLINE;
+        loop {
+            if let Some(line) = self.seen.iter().find(|l| l.contains(pat)) {
+                return line.clone();
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.log.recv_timeout(left) {
+                Ok(line) => self.seen.push(line),
+                Err(e) => panic!("no '{pat}' on the daemon's stderr ({e}):\n{:#?}", self.seen),
+            }
+        }
+    }
+
+    /// The address after the `serving on` readiness banner.
+    fn addr(&mut self) -> String {
+        let banner = self.wait_log("serving on ");
+        let rest = banner.split_once("serving on ").expect("just matched").1;
+        rest.split_whitespace()
+            .next()
+            .expect("address after 'serving on'")
+            .to_string()
+    }
+
+    /// Waits for the process to exit on its own: its status and its
+    /// whole stderr.
+    fn exit(mut self) -> (ExitStatus, String) {
+        let deadline = Instant::now() + DEADLINE;
+        // The log channel disconnects when the child closes stderr.
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.log.recv_timeout(left) {
+                Ok(line) => self.seen.push(line),
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(e) => panic!("the daemon did not exit ({e}):\n{:#?}", self.seen),
+            }
+        }
+        let status = self.child.wait().expect("daemon exits");
+        (status, self.seen.join("\n"))
+    }
+}
+
+/// Drives `script` and then the control verb `last` (`quit`: this
+/// connection only; `shutdown`: the daemon) over one TCP connection to
+/// `daemon`, and returns everything it answered before closing.
+fn drive(daemon: &mut Daemon, script: &str, last: &str) -> String {
+    let mut conn = std::net::TcpStream::connect(daemon.addr()).expect("connect to daemon");
+    conn.set_read_timeout(Some(DEADLINE)).unwrap();
+    conn.write_all(script.as_bytes()).unwrap();
+    conn.write_all(format!("{last}\n").as_bytes()).unwrap();
+    let mut got = String::new();
+    conn.read_to_string(&mut got)
+        .expect("responses until close");
+    got
+}
 
 #[test]
 fn queries_file_matches_golden_output() {
@@ -65,12 +181,11 @@ fn queries_file_matches_golden_output() {
 /// ```
 #[test]
 fn archive_cold_start_matches_its_golden() {
-    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
-    let queries = data.join("smoke_archive.q");
+    let queries = data().join("smoke_archive.q");
     let golden =
-        std::fs::read_to_string(data.join("smoke_archive.golden")).expect("golden committed");
+        std::fs::read_to_string(data().join("smoke_archive.golden")).expect("golden committed");
 
-    let save = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
+    let save = queryd()
         .args([
             "--size",
             "tiny",
@@ -83,7 +198,7 @@ fn archive_cold_start_matches_its_golden() {
             "--force",
         ])
         .arg("--roas")
-        .arg(data.join("smoke.roas"))
+        .arg(data().join("smoke.roas"))
         .output()
         .expect("rpi-queryd runs");
     assert!(
@@ -92,7 +207,7 @@ fn archive_cold_start_matches_its_golden() {
         String::from_utf8_lossy(&save.stderr)
     );
 
-    let out = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
+    let out = queryd()
         .args(["--archive", "/tmp/rpi-archive"])
         .arg("--queries")
         .arg(&queries)
@@ -108,6 +223,143 @@ fn archive_cold_start_matches_its_golden() {
         stdout, golden,
         "stdout diverged from tests/data/smoke_archive.golden (see docs to regenerate)"
     );
+
+    // The same cold start behind `--listen`: one golden for both paths.
+    let mut cmd = queryd();
+    cmd.args(["--archive", "/tmp/rpi-archive", "--listen", "127.0.0.1:0"]);
+    let mut daemon = Daemon::spawn(cmd);
+    let script = std::fs::read_to_string(&queries).expect("script committed");
+    assert_eq!(
+        drive(&mut daemon, &script, "shutdown"),
+        golden,
+        "TCP-served output diverged from tests/data/smoke_archive.golden"
+    );
+    assert!(daemon.exit().0.success(), "exit 0 on protocol shutdown");
+}
+
+/// The tier smoke: a 200-snapshot world saved with `--keyframe-every 16`
+/// (no replay chain exceeds 15 deltas) to `/tmp/rpi-tier-archive` (the
+/// path is part of the golden), attached with `--hot-cap 4` (196+
+/// snapshots stay cold, mmap-backed) and driven through a script mixing
+/// zero-copy cold point queries, LRU-thrashing hydration verbs and
+/// histories spanning both tiers — byte-identical to the committed
+/// golden over stdin **and** over TCP: residency is an implementation
+/// detail, never an answer. The golden's leading `snapshots`/`archive`
+/// listings also pin the keyframe cadence and chain depths on disk.
+/// Regenerate with:
+///
+/// ```text
+/// cargo run --release -p rpi-query --bin rpi-queryd -- \
+///   --size tiny --seed 11 --snapshots 200 \
+///   --roas crates/query/tests/data/smoke.roas \
+///   --save /tmp/rpi-tier-archive --keyframe-every 16 --force
+/// cargo run --release -p rpi-query --bin rpi-queryd -- \
+///   --archive /tmp/rpi-tier-archive --hot-cap 4 \
+///   --queries crates/query/tests/data/smoke_tier.q \
+///   > crates/query/tests/data/smoke_tier.golden
+/// ```
+#[test]
+fn tier_archive_matches_its_golden() {
+    let queries = data().join("smoke_tier.q");
+    let golden =
+        std::fs::read_to_string(data().join("smoke_tier.golden")).expect("golden committed");
+    let tiered = ["--archive", "/tmp/rpi-tier-archive", "--hot-cap", "4"];
+
+    let save = queryd()
+        .args(["--size", "tiny", "--seed", "11", "--snapshots", "200"])
+        .args(["--save", "/tmp/rpi-tier-archive", "--force"])
+        .args(["--keyframe-every", "16", "--roas"])
+        .arg(data().join("smoke.roas"))
+        .output()
+        .expect("rpi-queryd runs");
+    assert!(
+        save.status.success(),
+        "save failed:\n{}",
+        String::from_utf8_lossy(&save.stderr)
+    );
+
+    let out = queryd()
+        .args(tiered)
+        .arg("--queries")
+        .arg(&queries)
+        .output()
+        .expect("rpi-queryd runs");
+    assert!(
+        out.status.success(),
+        "tiered cold start failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8(out.stdout).expect("utf-8 output"),
+        golden,
+        "stdout diverged from tests/data/smoke_tier.golden (see docs to regenerate)"
+    );
+
+    let mut cmd = queryd();
+    cmd.args(tiered).args(["--listen", "127.0.0.1:0"]);
+    let mut daemon = Daemon::spawn(cmd);
+    let script = std::fs::read_to_string(&queries).expect("script committed");
+    assert_eq!(
+        drive(&mut daemon, &script, "shutdown"),
+        golden,
+        "TCP-served output diverged from tests/data/smoke_tier.golden"
+    );
+    let (status, log) = daemon.exit();
+    assert!(status.success(), "exit 0 on protocol shutdown:\n{log}");
+    assert!(
+        log.contains("tier: "),
+        "the exit lines report the tier:\n{log}"
+    );
+}
+
+/// The live smoke — serve while ingesting, end to end: a generator
+/// process writes the tiny seed-11 world to a delta-event stream at
+/// 700 ms per frame while `rpi-queryd --follow` tails it, publishing an
+/// epoch per snapshot and serving on TCP the whole time. Once snapshot 3
+/// is live — the generator still holding three more frames — the
+/// committed script (every query pinned to `@0..@2`) is driven over TCP
+/// and diffed against the golden: epoch publication froze those answers,
+/// so the diff is exact no matter how far ingest advances mid-script.
+/// Then the stream runs dry, the daemon reports the final world, and a
+/// `shutdown` line stops it cleanly. Regenerate with the same two
+/// commands and `serve-load --script`.
+#[test]
+fn live_follow_matches_its_golden_mid_ingest() {
+    let golden =
+        std::fs::read_to_string(data().join("smoke_live.golden")).expect("golden committed");
+    let script = std::fs::read_to_string(data().join("smoke_live.q")).expect("script committed");
+    let dir = std::env::temp_dir().join(format!("rpi-queryd-live-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let stream = dir.join("live.stream");
+
+    let mut emit = queryd();
+    emit.args(["--size", "tiny", "--seed", "11", "--snapshots", "6"])
+        .args(["--emit-delay-ms", "700", "--emit-deltas"])
+        .arg(&stream);
+    let emitter = Daemon::spawn(emit);
+    let mut follow = queryd();
+    follow
+        .args(["--window", "2", "--listen", "127.0.0.1:0", "--follow"])
+        .arg(&stream)
+        .arg("--roas")
+        .arg(data().join("smoke.roas"));
+    let mut follower = Daemon::spawn(follow);
+
+    follower.wait_log("live: published snapshot 3 ");
+    assert_eq!(
+        drive(&mut follower, &script, "quit"),
+        golden,
+        "mid-ingest output diverged from tests/data/smoke_live.golden"
+    );
+
+    let (status, log) = emitter.exit();
+    assert!(status.success(), "the emitter exits 0:\n{log}");
+    follower.wait_log("live: reached end of stream after 6 snapshots");
+    assert_eq!(drive(&mut follower, "", "shutdown"), "");
+    let (status, log) = follower.exit();
+    assert!(status.success(), "exit 0 on protocol shutdown:\n{log}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One TCP golden run: spawn the daemon with `--backend backend
@@ -115,73 +367,31 @@ fn archive_cold_start_matches_its_golden() {
 /// socket, diff against the stdin golden, and require a clean
 /// shutdown-verb exit with the stats snapshot.
 fn tcp_golden_run(backend: &str, threads: usize) {
-    use std::io::{BufRead, BufReader, Read as _, Write as _};
+    let script = std::fs::read_to_string(data().join("smoke.q")).expect("script committed");
+    let golden = std::fs::read_to_string(data().join("smoke.golden")).expect("golden committed");
 
-    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
-    let script = std::fs::read_to_string(data.join("smoke.q")).expect("script committed");
-    let golden = std::fs::read_to_string(data.join("smoke.golden")).expect("golden committed");
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_rpi-queryd"))
-        .args([
-            "--size",
-            "tiny",
-            "--seed",
-            "11",
-            "--snapshots",
-            "4",
-            "--listen",
-            "127.0.0.1:0",
-            "--backend",
-            backend,
-        ])
+    let mut cmd = queryd();
+    cmd.args(["--size", "tiny", "--seed", "11", "--snapshots", "4"])
+        .args(["--listen", "127.0.0.1:0", "--backend", backend])
         .args(["--serve-threads", &threads.to_string()])
         .arg("--roas")
-        .arg(data.join("smoke.roas"))
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("rpi-queryd spawns");
-
+        .arg(data().join("smoke.roas"));
     // The daemon announces its ephemeral port on stderr once ready.
-    let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
-    let addr = loop {
-        let mut line = String::new();
-        assert_ne!(
-            stderr.read_line(&mut line).expect("daemon stderr readable"),
-            0,
-            "daemon exited before announcing its listen address"
-        );
-        if let Some(rest) = line.strip_prefix("serving on ") {
-            break rest
-                .split_whitespace()
-                .next()
-                .expect("address after 'serving on'")
-                .to_string();
-        }
-    };
-
-    let mut conn = std::net::TcpStream::connect(&addr).expect("connect to daemon");
-    conn.set_read_timeout(Some(std::time::Duration::from_secs(60)))
-        .unwrap();
-    conn.write_all(script.as_bytes()).unwrap();
-    conn.write_all(b"shutdown\n").unwrap();
-    let mut got = String::new();
-    conn.read_to_string(&mut got)
-        .expect("responses until close");
+    let mut daemon = Daemon::spawn(cmd);
     assert_eq!(
-        got, golden,
+        drive(&mut daemon, &script, "shutdown"),
+        golden,
         "[{backend} x{threads}] TCP-served output diverged from the stdin golden"
     );
 
-    let status = child.wait().expect("daemon exits after shutdown verb");
+    let (status, log) = daemon.exit();
     assert!(
         status.success(),
         "[{backend} x{threads}] daemon must exit 0 on protocol shutdown"
     );
-    let mut rest = String::new();
-    stderr.read_to_string(&mut rest).unwrap();
     assert!(
-        rest.contains("served ") && rest.contains("queries/s"),
-        "[{backend} x{threads}] shutdown must print the stats snapshot:\n{rest}"
+        log.contains("served ") && log.contains("queries/s"),
+        "[{backend} x{threads}] shutdown must print the stats snapshot:\n{log}"
     );
 }
 
