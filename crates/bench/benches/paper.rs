@@ -1,7 +1,7 @@
 //! One bench per paper table/figure: measures the analysis cost over a
 //! pre-built Small world (the world construction itself is measured
 //! separately in `substrates.rs`). Run `paper_tables --size paper` for the
-//! actual reproduced numbers; see EXPERIMENTS.md. Uses the workspace's
+//! actual reproduced numbers (it prints them to stdout). Uses the workspace's
 //! Criterion-style harness (`rpi_bench::harness`) — the offline build has
 //! no registry access for the real Criterion.
 

@@ -1,5 +1,5 @@
 //! Regenerates every table and figure of the paper on the synthetic
-//! Internet. See EXPERIMENTS.md for the recorded outputs.
+//! Internet and prints them to stdout.
 //!
 //! ```text
 //! paper_tables [--size tiny|small|paper|large] [--seed N] [--full-churn]

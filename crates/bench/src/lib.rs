@@ -4,8 +4,7 @@
 //! 1, 3, 5, 8 are explanatory diagrams reproduced as doc comments and
 //! example scenarios). Each function consumes a [`PaperWorld`] and returns
 //! both structured data and a printable block, so the `paper_tables`
-//! binary, the Criterion benches and EXPERIMENTS.md generation all share
-//! one implementation.
+//! binary and the Criterion benches share one implementation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,7 +2,7 @@
 //!
 //! The paper observes the Internet's routing system from the outside; we
 //! rebuild the system itself so the same observations can be made on a
-//! synthetic Internet whose ground truth is known (DESIGN.md §2):
+//! synthetic Internet whose ground truth is known (`net_topology::gen`):
 //!
 //! * [`policy`] — the ground-truth policy model: per-AS import policies
 //!   (local-pref bands per neighbor class, atypical neighbors, prefix-based

@@ -178,7 +178,8 @@ pub struct AnnouncementClass {
 }
 
 /// Every knob of the policy generator. All fractions are probabilities in
-/// `[0, 1]`; see DESIGN.md §5 for the values used per experiment.
+/// `[0, 1]`; every experiment uses [`PolicyParams::default`]'s values with its
+/// own seed and override ASes (`rpi_core::Experiment::with_world`).
 #[derive(Debug, Clone)]
 pub struct PolicyParams {
     /// RNG seed (independent of the topology seed).

@@ -12,6 +12,20 @@
 //! how Table 9's splitting/aggregating counts find less- and
 //! more-specific companions of an SA prefix.
 //!
+//! ## The shared trie is the delta
+//!
+//! Because a clone shares every untouched subtrie with its original,
+//! *what differs* between two tries is reachable without visiting what
+//! does not: [`CowTrie::diff`] walks both in lockstep and skips every
+//! subtrie the two hold as the same `Arc`. The history verbs of
+//! `rpi-query` are built on it — one scan of the first snapshot (the
+//! anchor), then a fold over what `diff` reports from each snapshot to
+//! the next. **Pointer equality is only ever a shortcut for "equal",
+//! never evidence of a difference**: two subtries that are not the same
+//! `Arc` are compared entry by entry, so tries that share nothing (built
+//! apart, or decoded from an archive keyframe) diff correctly at the
+//! cost of walking both.
+//!
 //! Its serve-from-bytes counterpart is [`crate::flat::FlatTrie`].
 
 use std::sync::Arc;
@@ -215,6 +229,45 @@ impl<T> CowTrie<T> {
     }
 }
 
+impl<T: PartialEq> CowTrie<T> {
+    /// Calls `f(prefix, old, new)`, in prefix order (the order of
+    /// [`Self::iter`]), for every prefix whose entry in `self` differs
+    /// from its entry in `base`: added (`old` is `None`), removed (`new`
+    /// is `None`), or stored in both with unequal values.
+    ///
+    /// A positional lockstep walk that skips every subtrie the two tries
+    /// share physically, so diffing a snapshot against the predecessor
+    /// it was cloned from costs the spines churn touched, not the table.
+    /// Sharing only ever saves work: unshared subtries are compared entry
+    /// by entry, and an equal value behind a fresh spine reports nothing.
+    ///
+    /// ```
+    /// use bgp_types::{CowTrie, Ipv4Prefix};
+    /// let p = |s: &str| s.parse::<Ipv4Prefix>().unwrap();
+    /// let mut day0: CowTrie<u32> = CowTrie::new();
+    /// day0.insert(p("12.0.0.0/19"), 1);
+    /// day0.insert(p("192.168.0.0/16"), 2);
+    /// let mut day1 = day0.clone();
+    /// day1.insert(p("12.0.0.0/19"), 7);
+    /// day1.remove(p("192.168.0.0/16"));
+    /// day1.insert(p("10.0.0.0/8"), 3);
+    ///
+    /// let mut seen = Vec::new();
+    /// day1.diff(&day0, |q, old, new| seen.push((q, old.copied(), new.copied())));
+    /// assert_eq!(
+    ///     seen,
+    ///     vec![
+    ///         (p("10.0.0.0/8"), None, Some(3)),
+    ///         (p("12.0.0.0/19"), Some(1), Some(7)),
+    ///         (p("192.168.0.0/16"), Some(2), None),
+    ///     ]
+    /// );
+    /// ```
+    pub fn diff(&self, base: &Self, mut f: impl FnMut(Ipv4Prefix, Option<&T>, Option<&T>)) {
+        diff_cow_nodes(Some(&base.root), Some(&self.root), 0, 0, &mut f);
+    }
+}
+
 impl<T: Clone> CowTrie<T> {
     /// Inserts `value` at `prefix`, returning the previous value if any.
     /// Nodes on the prefix's spine that are shared with another trie are
@@ -304,6 +357,37 @@ fn shared_cow_nodes<T>(a: &Arc<CowNode<T>>, b: &Arc<CowNode<T>>) -> usize {
         }
     }
     n
+}
+
+fn diff_cow_nodes<T: PartialEq>(
+    old: Option<&Arc<CowNode<T>>>,
+    new: Option<&Arc<CowNode<T>>>,
+    bits: u32,
+    depth: u8,
+    f: &mut impl FnMut(Ipv4Prefix, Option<&T>, Option<&T>),
+) {
+    match (old, new) {
+        (None, None) => return,
+        (Some(a), Some(b)) if Arc::ptr_eq(a, b) => return,
+        _ => {}
+    }
+    let was = old.and_then(|n| n.value.as_ref());
+    let is = new.and_then(|n| n.value.as_ref());
+    if was != is {
+        f(Ipv4Prefix::canonical(bits, depth), was, is);
+    }
+    if depth == 32 {
+        return;
+    }
+    for b in 0..2 {
+        diff_cow_nodes(
+            old.and_then(|n| n.children[b].as_ref()),
+            new.and_then(|n| n.children[b].as_ref()),
+            bits | ((b as u32) << (31 - depth as u32)),
+            depth + 1,
+            f,
+        );
+    }
 }
 
 #[cfg(test)]
@@ -434,32 +518,75 @@ mod tests {
         assert_eq!(clone.shared_nodes_with(&base), base.node_count());
     }
 
-    #[test]
-    fn cow_matches_plain_under_random_ops() {
-        // Differential check against a BTreeMap reference (linear-scan
-        // LPM) with a deterministic pseudo-random op stream (splitmix-
-        // style, no RNG dep needed).
-        let mut oracle: BTreeMap<Ipv4Prefix, u64> = BTreeMap::new();
-        let mut cow: CowTrie<u64> = CowTrie::new();
-        let mut history: Vec<(CowTrie<u64>, BTreeMap<Ipv4Prefix, u64>)> = Vec::new();
-        let mut x = 0x5EEDu64;
-        let mut step = || {
+    type Change = (Ipv4Prefix, Option<u64>, Option<u64>);
+
+    /// What `new.diff(old)` reported, in callback order.
+    fn changes(new: &CowTrie<u64>, old: &CowTrie<u64>) -> Vec<Change> {
+        let mut out = Vec::new();
+        new.diff(old, |q, was, is| out.push((q, was.copied(), is.copied())));
+        out
+    }
+
+    /// The model's answer: the sorted symmetric difference of two maps.
+    fn model_changes(
+        new: &BTreeMap<Ipv4Prefix, u64>,
+        old: &BTreeMap<Ipv4Prefix, u64>,
+    ) -> Vec<Change> {
+        let keys: std::collections::BTreeSet<_> = old.keys().chain(new.keys()).collect();
+        keys.into_iter()
+            .map(|q| (*q, old.get(q).copied(), new.get(q).copied()))
+            .filter(|(_, was, is)| was != is)
+            .collect()
+    }
+
+    /// A deterministic pseudo-random stream (splitmix-style, no RNG dep
+    /// needed).
+    fn stepper(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
             x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = x;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z ^ (z >> 27)
-        };
+        }
+    }
+
+    #[test]
+    fn cow_matches_plain_under_random_ops() {
+        // Differential check against a BTreeMap reference (linear-scan
+        // LPM) with a deterministic pseudo-random op stream.
+        let mut oracle: BTreeMap<Ipv4Prefix, u64> = BTreeMap::new();
+        let mut cow: CowTrie<u64> = CowTrie::new();
+        let mut history: Vec<(CowTrie<u64>, BTreeMap<Ipv4Prefix, u64>)> = Vec::new();
+        let mut step = stepper(0x5EED);
         for i in 0..600u64 {
             let r = step();
-            // Small universe so inserts/removes/overwrites all happen.
+            // Small universe so inserts/removes/overwrites all happen;
+            // few distinct values so overwrites with an equal value do too.
             let prefix = Ipv4Prefix::canonical(((r >> 8) as u32) & 0xF0F0_0000, (r % 21) as u8);
-            if r % 5 == 0 {
-                assert_eq!(oracle.remove(&prefix), cow.remove(prefix), "op {i}");
-            } else {
-                assert_eq!(oracle.insert(prefix, r), cow.insert(prefix, r), "op {i}");
+            match r % 5 {
+                0 => assert_eq!(oracle.remove(&prefix), cow.remove(prefix), "op {i}"),
+                _ => {
+                    let v = (r >> 40) % 3;
+                    assert_eq!(oracle.insert(prefix, v), cow.insert(prefix, v), "op {i}");
+                }
             }
             assert_eq!(oracle.len(), cow.len(), "op {i}");
             if i % 97 == 0 {
+                // `cow` is by now a clone of a clone of … every earlier
+                // history entry: diff it against each, both ways.
+                for (then, then_oracle) in &history {
+                    assert_eq!(
+                        changes(&cow, then),
+                        model_changes(&oracle, then_oracle),
+                        "op {i}"
+                    );
+                    assert_eq!(
+                        changes(then, &cow),
+                        model_changes(then_oracle, &oracle),
+                        "op {i}"
+                    );
+                }
                 history.push((cow.clone(), oracle.clone()));
             }
             let addr = (step() >> 16) as u32;
@@ -473,6 +600,27 @@ mod tests {
                 "op {i}"
             );
         }
+        assert!(changes(&cow, &cow.clone()).is_empty());
+        assert!(!changes(&cow, &history[1].0).is_empty(), "the stream bites");
+
+        // Two tries that share nothing — one built apart from a second
+        // stream over the same universe — diff like their models.
+        let mut step = stepper(0xFACE);
+        let (mut apart, mut apart_oracle) = (CowTrie::new(), BTreeMap::new());
+        for _ in 0..300 {
+            let r = step();
+            let prefix = Ipv4Prefix::canonical(((r >> 8) as u32) & 0xF0F0_0000, (r % 21) as u8);
+            apart.insert(prefix, (r >> 40) % 3);
+            apart_oracle.insert(prefix, (r >> 40) % 3);
+        }
+        assert_eq!(apart.shared_nodes_with(&cow), 0);
+        assert_eq!(changes(&cow, &apart), model_changes(&oracle, &apart_oracle));
+        assert_eq!(changes(&apart, &cow), model_changes(&apart_oracle, &oracle));
+        assert_eq!(
+            changes(&cow, &CowTrie::new()),
+            model_changes(&oracle, &BTreeMap::new())
+        );
+
         let all_cow: Vec<_> = cow.iter().map(|(q, v)| (q, *v)).collect();
         assert_eq!(all_cow, oracle.into_iter().collect::<Vec<_>>());
         // Old clones were never disturbed by later mutation.
@@ -480,6 +628,48 @@ mod tests {
             let all: Vec<_> = h.iter().map(|(q, v)| (q, *v)).collect();
             assert_eq!(all, then.into_iter().collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn diff_reports_content_not_structure() {
+        let base: CowTrie<u64> = [(p("12.0.0.0/8"), 8), (p("12.0.16.0/24"), 24)]
+            .into_iter()
+            .collect();
+
+        // A remove leaves the /24's now-empty interior spine in place:
+        // one removal, nothing for the empty nodes; re-inserting the
+        // equal value over the copied spine is no change at all.
+        let mut day1 = base.clone();
+        day1.remove(p("12.0.16.0/24"));
+        assert_eq!(changes(&day1, &base), [(p("12.0.16.0/24"), Some(24), None)]);
+        assert_eq!(day1.node_count(), base.node_count());
+        let mut day2 = day1.clone();
+        day2.insert(p("12.0.16.0/24"), 24);
+        assert!(day2.shared_nodes_with(&base) < base.node_count());
+        assert!(changes(&day2, &base).is_empty());
+        assert_eq!(changes(&day2, &day1), [(p("12.0.16.0/24"), None, Some(24))]);
+
+        // The same content built apart, never cloned: nothing to report;
+        // emptied interior nodes on one side only: nothing either.
+        let apart: CowTrie<u64> = base.iter().map(|(q, v)| (q, *v)).collect();
+        assert_eq!(apart.shared_nodes_with(&base), 0);
+        assert!(changes(&apart, &base).is_empty());
+        let mut never_had: CowTrie<u64> = CowTrie::new();
+        never_had.insert(p("12.0.0.0/8"), 8);
+        assert!(changes(&never_had, &day1).is_empty());
+        assert!(changes(&day1, &never_had).is_empty());
+
+        // Host routes and the default route sit at the walk's two ends.
+        let mut ends = base.clone();
+        ends.insert(Ipv4Prefix::DEFAULT, 0);
+        ends.insert(p("12.0.16.1/32"), 32);
+        assert_eq!(
+            changes(&ends, &base),
+            [
+                (Ipv4Prefix::DEFAULT, None, Some(0)),
+                (p("12.0.16.1/32"), None, Some(32))
+            ]
+        );
     }
 
     #[test]

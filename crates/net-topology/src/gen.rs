@@ -1,6 +1,6 @@
 //! Seeded hierarchical Internet generator.
 //!
-//! Substitutes for the paper's measured 2002 topology (DESIGN.md §2). The
+//! Substitutes for the paper's measured 2002 topology. The
 //! construction mirrors the structural features the paper's statistics
 //! depend on:
 //!

@@ -10,7 +10,7 @@
 //! * [`tier`] — hierarchy classification in the spirit of Subramanian et
 //!   al. \[8\], used to label ASes Tier-1/2/3 as the paper does.
 //! * [`gen`] — a seeded hierarchical Internet generator that substitutes
-//!   for the real 2002 topology (see DESIGN.md §2): tier-1 clique, regional
+//!   for the real 2002 topology: tier-1 clique, regional
 //!   transit tiers, multihomed stubs, and provider-allocated (PA) vs
 //!   provider-independent (PI) address space.
 //! * [`metrics`] — degree/edge statistics used by Table 1 and the README.

@@ -2,6 +2,14 @@
 //! between *t* and *t+1*?" — new and vanished SA prefixes, flipped
 //! relationships, and best-route churn per vantage (the signals behind
 //! the paper's Figs. 6–7 persistence study, served as a query).
+//!
+//! The shared trie is the delta: consecutive snapshots of a series hold
+//! most of their tables, SA caches and their oracle as the same `Arc`s,
+//! and `SnapshotDiff::between` compares only what they do not — route
+//! churn is [`bgp_types::CowTrie::diff`] per vantage, the same step the
+//! `hijacks` and `uptime` folds take from each snapshot to the next.
+//! Pointer equality is a shortcut for "equal" and nothing else; two
+//! snapshots that share no structure diff to the same answer.
 
 use bgp_types::{Asn, Ipv4Prefix, Relationship};
 
@@ -75,7 +83,12 @@ impl SnapshotDiff {
     }
 
     /// Computes the delta. Symbols are shared across the engine's
-    /// snapshots, so all comparisons here are integer comparisons.
+    /// snapshots, so all comparisons here are integer comparisons — and
+    /// only over what the two snapshots do not physically share: a
+    /// vantage table, SA cache or oracle that is the same `Arc` on both
+    /// sides is skipped, and within a table [`Snapshot::route_changes`]
+    /// skips every shared subtrie. COW sharing is transitive along a
+    /// chain, so a non-adjacent pair costs the spines touched in between.
     pub(crate) fn between(interner: &WorldInterner, a: &Snapshot, b: &Snapshot) -> SnapshotDiff {
         let mut diff = SnapshotDiff {
             from_label: a.label.clone(),
@@ -84,53 +97,50 @@ impl SnapshotDiff {
         };
 
         // --- SA deltas, per vantage present in either snapshot ---
-        let mut sa_vantages: Vec<_> = a.sa.keys().chain(b.sa.keys()).copied().collect();
-        sa_vantages.sort_unstable();
-        sa_vantages.dedup();
-        for v in sa_vantages {
+        for &v in
+            a.sa.keys()
+                .chain(b.sa.keys().filter(|v| !a.sa.contains_key(v)))
+        {
             let vantage = interner.resolve_asn(v);
-            let empty = Default::default();
-            let sa_a = a.sa.get(&v).map_or(&empty, |c| &c.sa);
-            let sa_b = b.sa.get(&v).map_or(&empty, |c| &c.sa);
-            for &p in sa_b.keys() {
-                if !sa_a.contains_key(&p) {
-                    diff.new_sa.push((vantage, interner.resolve_prefix(p)));
-                }
-            }
-            for &p in sa_a.keys() {
-                if !sa_b.contains_key(&p) {
-                    diff.gone_sa.push((vantage, interner.resolve_prefix(p)));
-                }
-            }
+            b.sa_changes(a, v, |p, gained| {
+                let side = if gained {
+                    &mut diff.new_sa
+                } else {
+                    &mut diff.gone_sa
+                };
+                side.push((vantage, interner.resolve_prefix(p)));
+            });
         }
         diff.new_sa.sort_unstable();
         diff.gone_sa.sort_unstable();
 
-        // --- relationship flips (each unordered pair once) ---
-        let (rels_a, rels_b) = (&a.oracle.relationships, &b.oracle.relationships);
-        let mut edges: Vec<_> = rels_a
-            .keys()
-            .chain(rels_b.keys())
-            .filter(|(x, y)| x <= y)
-            .copied()
-            .collect();
-        edges.sort_unstable();
-        edges.dedup();
-        for (x, y) in edges {
-            let before = rels_a.get(&(x, y)).copied();
-            let after = rels_b.get(&(x, y)).copied();
-            if before != after {
-                diff.flips.push(RelationshipFlip {
-                    a: interner.resolve_asn(x),
-                    b: interner.resolve_asn(y),
-                    before,
-                    after,
-                });
+        // --- relationship flips (each unordered pair once); equal
+        // oracles — one `Arc` along a whole series — have none ---
+        if a.oracle != b.oracle {
+            let (rels_a, rels_b) = (&a.oracle.relationships, &b.oracle.relationships);
+            let mut edges: Vec<_> = rels_a
+                .keys()
+                .chain(rels_b.keys())
+                .filter(|(x, y)| x <= y)
+                .copied()
+                .collect();
+            edges.sort_unstable();
+            edges.dedup();
+            for (x, y) in edges {
+                let before = rels_a.get(&(x, y)).copied();
+                let after = rels_b.get(&(x, y)).copied();
+                if before != after {
+                    diff.flips.push(RelationshipFlip {
+                        a: interner.resolve_asn(x),
+                        b: interner.resolve_asn(y),
+                        before,
+                        after,
+                    });
+                }
             }
         }
 
-        // --- best-route churn per vantage: one merge-join over the two
-        // tries' prefix-ordered streams ---
+        // --- best-route churn per vantage ---
         let mut vantages: Vec<_> = a
             .vantages
             .keys()
@@ -141,25 +151,11 @@ impl SnapshotDiff {
         vantages.dedup();
         for v in vantages {
             let (mut added, mut removed, mut changed) = (0, 0, 0);
-            match (a.vantages.get(&v), b.vantages.get(&v)) {
-                (Some(ta), Some(tb)) => {
-                    let mut rows_a = ta.trie.iter().peekable();
-                    for (pb, rb) in tb.trie.iter() {
-                        while rows_a.next_if(|(pa, _)| *pa < pb).is_some() {
-                            removed += 1;
-                        }
-                        match rows_a.next_if(|(pa, _)| *pa == pb) {
-                            Some((_, ra)) if ra != rb => changed += 1,
-                            Some(_) => {}
-                            None => added += 1,
-                        }
-                    }
-                    removed += rows_a.count();
-                }
-                (Some(ta), None) => removed = ta.route_count,
-                (None, Some(tb)) => added = tb.route_count,
-                (None, None) => {}
-            }
+            b.route_changes(a, v, |_, old, new| match (old, new) {
+                (None, _) => added += 1,
+                (_, None) => removed += 1,
+                _ => changed += 1,
+            });
             diff.churn.push(VantageChurn {
                 vantage: interner.resolve_asn(v),
                 added,

@@ -13,7 +13,7 @@
 //! while the oracle is unchanged), customer cones included, so no ingest
 //! path has a cache to clear.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use bgp_sim::{output_delta, SimOutput, SnapshotSeries};
@@ -25,7 +25,7 @@ use rpi_core::Experiment;
 use rpi_sec::{RoaTable, RovCache, RovCacheStats};
 
 use crate::diff::SnapshotDiff;
-use crate::intern::WorldInterner;
+use crate::intern::{AsnSym, WorldInterner};
 use crate::plan::QueryError;
 use crate::proto::{
     PersistenceAnswer, Query, QueryRequest, Response, SaHistoryPoint, SaOriginCount,
@@ -204,6 +204,35 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<QueryEngine>()
 };
+
+/// Per prefix, a count of scoped snapshots.
+pub(crate) type PrefixCounts = BTreeMap<Ipv4Prefix, usize>;
+
+/// In how many of a scope's snapshots each prefix was present, folded
+/// from presence *flips*: a prefix present at the current step remembers
+/// the step it has been present since, and the interval is counted when
+/// the next flip (or the end of the scope) closes it.
+#[derive(Debug, Default)]
+struct Presence(HashMap<Ipv4Prefix, (usize, Option<usize>)>);
+
+impl Presence {
+    /// `prefix` appeared at `step` if it was absent, vanished if present.
+    fn flip(&mut self, prefix: Ipv4Prefix, step: usize) {
+        let (total, since) = self.0.entry(prefix).or_insert((0, None));
+        match since.take() {
+            Some(s) => *total += step - s,
+            None => *since = Some(step),
+        }
+    }
+
+    /// Per prefix, the number of steps out of `steps` it was present in.
+    fn counts(self, steps: usize) -> PrefixCounts {
+        self.0
+            .into_iter()
+            .map(|(p, (total, since))| (p, total + since.map_or(0, |s| steps - s)))
+            .collect()
+    }
+}
 
 impl QueryEngine {
     /// [`QueryEngine::default`]; the argument (once a per-vantage trie
@@ -722,6 +751,57 @@ impl QueryEngine {
         })
     }
 
+    /// `uptime`'s two inputs to [`histogram_from_counts`]: per prefix, in
+    /// how many of the scoped snapshots it was in `v`'s table, and in how
+    /// many it was selectively announced there.
+    ///
+    /// **Anchor + fold.** One walk of the first snapshot's table and SA
+    /// set opens every interval; each later snapshot flips only what
+    /// [`Snapshot::route_changes`] / [`Snapshot::sa_changes`] report
+    /// against its predecessor.
+    pub(crate) fn uptime_counts(
+        &self,
+        v: AsnSym,
+        ids: &[SnapshotId],
+    ) -> Result<(PrefixCounts, PrefixCounts), QueryError> {
+        let (mut present, mut sa) = (Presence::default(), Presence::default());
+        let resolve = |ps| self.interner.resolve_prefix(ps);
+        let mut prev: Option<Arc<Snapshot>> = None;
+        for (step, &id) in ids.iter().enumerate() {
+            let snap = self.snap_arc(id)?;
+            match &prev {
+                None => {
+                    for p in snap.table_prefixes(v) {
+                        present.flip(p, step);
+                    }
+                    for &ps in snap.sa.get(&v).iter().flat_map(|c| c.sa.keys()) {
+                        sa.flip(resolve(ps), step);
+                    }
+                }
+                Some(prev) => {
+                    snap.route_changes(prev, v, |p, old, new| {
+                        if old.is_some() != new.is_some() {
+                            present.flip(p, step);
+                        }
+                    });
+                    snap.sa_changes(prev, v, |ps, _| sa.flip(resolve(ps), step));
+                }
+            }
+            prev = Some(snap);
+        }
+        Ok((present.counts(ids.len()), sa.counts(ids.len())))
+    }
+
+    /// The history verbs. `sa-history`, `top-sa` and `persistence` read
+    /// one entry or one SA set per scoped snapshot. `uptime` needs whole
+    /// tables, so it is an anchor walk plus a fold over
+    /// [`bgp_types::CowTrie::diff`] ([`Self::uptime_counts`]) — as are
+    /// `hijacks` ([`crate::sec::hijack_events`]) and `diff`
+    /// ([`SnapshotDiff::between`]). The contract all three rest on:
+    /// structure two snapshots share *physically* is equal and skipped,
+    /// structure they do not share is compared — so an engine whose
+    /// snapshots share nothing answers the same bytes, at the cost of
+    /// walking every scoped table.
     fn eval_history(&self, query: &Query, ids: &[SnapshotId]) -> Result<Response, QueryError> {
         match *query {
             Query::SaHistory { vantage, prefix } => {
@@ -744,21 +824,7 @@ impl QueryEngine {
                     .interner
                     .lookup_asn(vantage)
                     .ok_or(QueryError::UnknownVantage(vantage))?;
-                let mut present: BTreeMap<Ipv4Prefix, usize> = BTreeMap::new();
-                let mut sa_count: BTreeMap<Ipv4Prefix, usize> = BTreeMap::new();
-                for &id in ids {
-                    let snap = self.snap_arc(id)?;
-                    for p in snap.table_prefixes(v) {
-                        *present.entry(p).or_insert(0) += 1;
-                    }
-                    if let Some(cache) = snap.sa.get(&v) {
-                        for &ps in cache.sa.keys() {
-                            *sa_count
-                                .entry(self.interner.resolve_prefix(ps))
-                                .or_insert(0) += 1;
-                        }
-                    }
-                }
+                let (present, sa_count) = self.uptime_counts(v, ids)?;
                 Ok(Response::Uptime(histogram_from_counts(&present, &sa_count)))
             }
             Query::TopKSaOrigins { vantage, k } => {

@@ -1,0 +1,565 @@
+//! fold ≡ scan: the history verbs that are an anchor scan plus a fold over
+//! [`bgp_types::CowTrie::diff`] (`hijacks`, `uptime`, `diff`) held, as
+//! rendered bytes, to the per-snapshot scans they replaced — kept here as
+//! the references — over seeded series, and on every way an engine comes
+//! to hold a series: indexed from scratch (no trie shares anything),
+//! ingested incrementally (everything untouched is shared), loaded from
+//! an archive (sharing broken at every keyframe) and tier-attached with
+//! a hot set too small for a scope (evict + re-hydrate loses sharing
+//! mid-fold). Sharing may only ever change what the fold costs.
+//!
+//! `RPI_DIFF_SEEDS=seed1,seed2,…` adds churn seeds without a rebuild.
+
+#[path = "../tests/common/mod.rs"]
+mod common;
+
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+
+use bgp_sim::{AttackKind, SimOutput};
+use bgp_types::{Asn, Ipv4Prefix};
+use net_topology::AsGraph;
+use rand::prelude::*;
+use rand::rngs::StdRng;
+use rpi_core::persistence::histogram_from_counts;
+
+use crate::diff::{RelationshipFlip, SnapshotDiff, VantageChurn};
+use crate::engine::QueryEngine;
+use crate::intern::WorldInterner;
+use crate::plan::QueryError;
+use crate::proto::{
+    render_response, HijackEvent, HijackKind, Query, QueryRequest, Response, Scope,
+};
+use crate::sec::{covering_base, origins_per_prefix};
+use crate::snapshot::{Snapshot, SnapshotId};
+use crate::SaveOptions;
+
+// ---------- the references: every scoped snapshot scanned whole ----------
+
+/// `hijacks` as it was before the fold: the origin sets of every scoped
+/// snapshot rebuilt from every route of every vantage, every prefix
+/// judged in every snapshot.
+fn hijacks_scan(engine: &QueryEngine, ids: &[SnapshotId]) -> Result<Vec<HijackEvent>, QueryError> {
+    let origin_sets = |snap: &Snapshot| -> BTreeMap<Ipv4Prefix, BTreeSet<Asn>> {
+        origins_per_prefix(engine, snap)
+            .into_iter()
+            .map(|(p, os)| (p, os.into_keys().collect()))
+            .collect()
+    };
+    let Some(&first) = ids.first() else {
+        return Ok(Vec::new());
+    };
+    let first_snap = engine.snap_arc(first)?;
+    let base = origin_sets(&first_snap);
+    let mut seen: HashSet<(HijackKind, Ipv4Prefix, Asn)> = HashSet::new();
+    let mut events = Vec::new();
+    for &id in ids {
+        let snap = engine.snap_arc(id)?;
+        let origins = origin_sets(&snap);
+        let sym = |a| {
+            engine
+                .interner
+                .lookup_asn(a)
+                .expect("resolved from a symbol")
+        };
+        let outside_cones = |owners: &BTreeSet<Asn>, o: Asn| {
+            let o = sym(o);
+            owners.iter().all(|&w| !snap.oracle.in_cone(sym(w), o))
+        };
+        let mut push =
+            |kind: HijackKind, prefix: Ipv4Prefix, origin: Asn, owners: &BTreeSet<Asn>| {
+                events.push(HijackEvent {
+                    snapshot: id,
+                    label: snap.label.clone(),
+                    kind,
+                    prefix,
+                    origin,
+                    owners: owners.iter().copied().collect(),
+                });
+            };
+        for (&p, os) in &origins {
+            if let Some(owners) = base.get(&p) {
+                let moas = os.len() > 1;
+                for &o in os {
+                    if owners.contains(&o) {
+                        continue;
+                    }
+                    if outside_cones(owners, o) && seen.insert((HijackKind::Origin, p, o)) {
+                        push(HijackKind::Origin, p, o, owners);
+                    }
+                    if moas && seen.insert((HijackKind::Moas, p, o)) {
+                        push(HijackKind::Moas, p, o, owners);
+                    }
+                }
+            } else if let Some((_, owners)) = covering_base(&base, p) {
+                for &o in os {
+                    if owners.contains(&o) {
+                        continue;
+                    }
+                    if outside_cones(owners, o) && seen.insert((HijackKind::Subprefix, p, o)) {
+                        push(HijackKind::Subprefix, p, o, owners);
+                    }
+                }
+            }
+        }
+    }
+    Ok(events)
+}
+
+/// `uptime` as it was: the vantage's whole table and SA set walked in
+/// every scoped snapshot.
+fn uptime_scan(
+    engine: &QueryEngine,
+    vantage: Asn,
+    ids: &[SnapshotId],
+) -> Result<Response, QueryError> {
+    let v = engine
+        .interner
+        .lookup_asn(vantage)
+        .ok_or(QueryError::UnknownVantage(vantage))?;
+    let mut present: BTreeMap<Ipv4Prefix, usize> = BTreeMap::new();
+    let mut sa_count: BTreeMap<Ipv4Prefix, usize> = BTreeMap::new();
+    for &id in ids {
+        let snap = engine.snap_arc(id)?;
+        for p in snap.table_prefixes(v) {
+            *present.entry(p).or_insert(0) += 1;
+        }
+        if let Some(cache) = snap.sa.get(&v) {
+            for &ps in cache.sa.keys() {
+                *sa_count
+                    .entry(engine.interner.resolve_prefix(ps))
+                    .or_insert(0) += 1;
+            }
+        }
+    }
+    // The histogram shows ever-SA prefixes only; the fold's counts must
+    // be right for every prefix of the table.
+    let (fold_present, fold_sa) = engine.uptime_counts(v, ids)?;
+    assert!(
+        fold_present == present && fold_sa == sa_count,
+        "uptime counts of {vantage} over {ids:?}: fold and scan disagree"
+    );
+    Ok(Response::Uptime(histogram_from_counts(&present, &sa_count)))
+}
+
+/// `SnapshotDiff::between` as it was: both SA maps probed key by key,
+/// every edge of both oracles collected and compared, and the two tries
+/// of every vantage merge-joined over their full prefix-ordered streams.
+fn diff_scan(interner: &WorldInterner, a: &Snapshot, b: &Snapshot) -> SnapshotDiff {
+    let mut diff = SnapshotDiff {
+        from_label: a.label.clone(),
+        to_label: b.label.clone(),
+        ..Default::default()
+    };
+
+    let mut sa_vantages: Vec<_> = a.sa.keys().chain(b.sa.keys()).copied().collect();
+    sa_vantages.sort_unstable();
+    sa_vantages.dedup();
+    for v in sa_vantages {
+        let vantage = interner.resolve_asn(v);
+        let empty = Default::default();
+        let sa_a = a.sa.get(&v).map_or(&empty, |c| &c.sa);
+        let sa_b = b.sa.get(&v).map_or(&empty, |c| &c.sa);
+        for &p in sa_b.keys() {
+            if !sa_a.contains_key(&p) {
+                diff.new_sa.push((vantage, interner.resolve_prefix(p)));
+            }
+        }
+        for &p in sa_a.keys() {
+            if !sa_b.contains_key(&p) {
+                diff.gone_sa.push((vantage, interner.resolve_prefix(p)));
+            }
+        }
+    }
+    diff.new_sa.sort_unstable();
+    diff.gone_sa.sort_unstable();
+
+    let (rels_a, rels_b) = (&a.oracle.relationships, &b.oracle.relationships);
+    let mut edges: Vec<_> = rels_a
+        .keys()
+        .chain(rels_b.keys())
+        .filter(|(x, y)| x <= y)
+        .copied()
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    for (x, y) in edges {
+        let before = rels_a.get(&(x, y)).copied();
+        let after = rels_b.get(&(x, y)).copied();
+        if before != after {
+            diff.flips.push(RelationshipFlip {
+                a: interner.resolve_asn(x),
+                b: interner.resolve_asn(y),
+                before,
+                after,
+            });
+        }
+    }
+
+    let mut vantages: Vec<_> = a
+        .vantages
+        .keys()
+        .chain(b.vantages.keys())
+        .copied()
+        .collect();
+    vantages.sort_unstable();
+    vantages.dedup();
+    for v in vantages {
+        let (mut added, mut removed, mut changed) = (0, 0, 0);
+        match (a.vantages.get(&v), b.vantages.get(&v)) {
+            (Some(ta), Some(tb)) => {
+                let mut rows_a = ta.trie.iter().peekable();
+                for (pb, rb) in tb.trie.iter() {
+                    while rows_a.next_if(|(pa, _)| *pa < pb).is_some() {
+                        removed += 1;
+                    }
+                    match rows_a.next_if(|(pa, _)| *pa == pb) {
+                        Some((_, ra)) if ra != rb => changed += 1,
+                        Some(_) => {}
+                        None => added += 1,
+                    }
+                }
+                removed += rows_a.count();
+            }
+            (Some(ta), None) => removed = ta.route_count,
+            (None, Some(tb)) => added = tb.route_count,
+            (None, None) => {}
+        }
+        diff.churn.push(VantageChurn {
+            vantage: interner.resolve_asn(v),
+            added,
+            removed,
+            changed,
+        });
+    }
+    diff
+}
+
+/// [`QueryEngine::execute`] for the three folded verbs, through the
+/// reference scans.
+fn execute_scan(engine: &QueryEngine, req: &QueryRequest) -> Result<Response, QueryError> {
+    match req.query {
+        Query::Hijacks => {
+            let ids = engine.scope_ids(&req.query, &req.scope)?;
+            Ok(Response::Hijacks(hijacks_scan(engine, &ids)?))
+        }
+        Query::UptimeHistogram { vantage } => {
+            let ids = engine.scope_ids(&req.query, &req.scope)?;
+            uptime_scan(engine, vantage, &ids)
+        }
+        Query::Diff => {
+            let (from, to) = engine.diff_scope(&req.scope)?;
+            let (a, b) = (engine.snap_arc(from)?, engine.snap_arc(to)?);
+            Ok(Response::Diff(diff_scan(&engine.interner, &a, &b)))
+        }
+        _ => unreachable!("only the folded verbs are compared"),
+    }
+}
+
+// ---------- the suite ----------
+
+fn rendered(req: &QueryRequest, res: &Result<Response, QueryError>) -> String {
+    match res {
+        Ok(resp) => render_response(req, resp),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+fn tmp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("rpi-fold-scan-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The series on every kind of engine, each named for failure messages;
+/// the directories back the archive-loaded and tier-attached ones.
+fn engines(
+    tag: &str,
+    labels: &[String],
+    outputs: &[SimOutput],
+    oracles: &[AsGraph],
+) -> (Vec<(String, QueryEngine)>, Vec<std::path::PathBuf>) {
+    let mut scratch = QueryEngine::default();
+    let mut incr = QueryEngine::default();
+    for (i, (label, out)) in labels.iter().zip(outputs).enumerate() {
+        scratch.ingest_output(out, &oracles[i], label);
+        if i == 0 {
+            incr.ingest_output(out, &oracles[i], label);
+        } else {
+            incr.ingest_output_incremental(&outputs[i - 1], out, &oracles[i], label);
+        }
+    }
+    let mut all = vec![("from scratch".to_string(), scratch)];
+    let mut dirs = Vec::new();
+    for every in [1, 3, 8] {
+        let dir = tmp_dir(&format!("{tag}-k{every}"));
+        let options = SaveOptions {
+            keyframe_every: Some(every),
+        };
+        incr.save_archive_with(&dir, true, options)
+            .expect("archive saves");
+        let loaded = QueryEngine::load_archive(&dir).expect("archive loads");
+        all.push((format!("archive, keyframe every {every}"), loaded));
+        if every == 3 {
+            let tiered = QueryEngine::load_archive_tiered(&dir, 2).expect("tier attaches");
+            all.push(("tier-attached, hot cap 2".to_string(), tiered));
+        }
+        dirs.push(dir);
+    }
+    all.push(("incremental".to_string(), incr));
+    (all, dirs)
+}
+
+/// Every `hijacks` scope and every `diff` pair (both directions) of an
+/// `n`-snapshot series, and `uptime` for every vantage of interest over
+/// the whole series plus a seeded handful of ranges.
+fn requests(n: u32, vantages: &[Asn], rng: &mut StdRng) -> Vec<QueryRequest> {
+    let id = SnapshotId;
+    let mut reqs = vec![Query::Hijacks.at(Scope::All), Query::Diff.at(Scope::All)];
+    for a in 0..n {
+        for b in 0..n {
+            reqs.push(Query::Diff.at(Scope::Range(id(a), id(b))));
+            if a <= b {
+                reqs.push(Query::Hijacks.at(Scope::Range(id(a), id(b))));
+            }
+        }
+    }
+    for &vantage in vantages {
+        let uptime = Query::UptimeHistogram { vantage };
+        reqs.push(uptime.clone().at(Scope::All));
+        for _ in 0..5 {
+            let a = rng.gen_range(0..n);
+            let b = rng.gen_range(a..n);
+            reqs.push(uptime.clone().at(Scope::Range(id(a), id(b))));
+        }
+    }
+    reqs
+}
+
+/// Holds the fold to the scan on every engine, and the engines to each
+/// other; returns the first engine's rendered answers for the caller's
+/// non-vacuity checks.
+fn hold(
+    tag: &str,
+    labels: &[String],
+    outputs: &[SimOutput],
+    oracles: &[AsGraph],
+    reqs: &[QueryRequest],
+) -> Vec<String> {
+    let (engines, dirs) = engines(tag, labels, outputs, oracles);
+    let mut first: Option<Vec<String>> = None;
+    for (name, engine) in &engines {
+        let answers: Vec<String> = reqs
+            .iter()
+            .map(|req| {
+                let (fold, scan) = (engine.execute(req), execute_scan(engine, req));
+                let line = rendered(req, &fold);
+                assert_eq!(
+                    line,
+                    rendered(req, &scan),
+                    "{tag}, {name}: fold and scan disagree on {req:?}"
+                );
+                // `diff` renders totals only; its rows must agree too.
+                assert_eq!(fold, scan, "{tag}, {name}: {req:?}");
+                line
+            })
+            .collect();
+        match &first {
+            None => first = Some(answers),
+            Some(first) => {
+                for ((req, a), b) in reqs.iter().zip(first).zip(&answers) {
+                    assert_eq!(a, b, "{tag}: '{name}' answers {req:?} differently");
+                }
+            }
+        }
+    }
+    drop(engines);
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    first.expect("at least one engine")
+}
+
+/// Benign churn with an oracle flip mid-range and a vantage lost and
+/// returned ([`common::build_scenario`]).
+fn hold_churn(seed: u64) {
+    let sc = common::build_scenario(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xF01D_5CA9);
+    let reqs = requests(sc.outputs.len() as u32, &sc.vantages, &mut rng);
+    let answers = hold(
+        &format!("churn-{seed:x}"),
+        &sc.labels,
+        &sc.outputs,
+        &sc.oracles,
+        &reqs,
+    );
+    // The scenario bites: routes churned between the first and last day.
+    assert!(
+        !answers[1].ends_with(" 0 churned routes"),
+        "seed {seed}: {}",
+        answers[1]
+    );
+}
+
+#[test]
+fn fold_matches_scan_seed_0xa1() {
+    hold_churn(0xA1);
+}
+
+#[test]
+fn fold_matches_scan_seed_0xb2() {
+    hold_churn(0xB2);
+}
+
+#[test]
+fn fold_matches_scan_seed_0xc3() {
+    hold_churn(0xC3);
+}
+
+#[test]
+fn fold_matches_scan_extra_seeds_from_env() {
+    let Ok(spec) = std::env::var("RPI_DIFF_SEEDS") else {
+        return;
+    };
+    for part in spec.split(',').filter(|s| !s.trim().is_empty()) {
+        let seed: u64 = part
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("bad seed '{part}' in RPI_DIFF_SEEDS"));
+        hold_churn(seed);
+    }
+}
+
+/// The three attack kinds, every scope: ranges that start before the
+/// attack step see it arrive mid-fold, ranges that start at or after it
+/// take the attacked snapshot as their baseline.
+#[test]
+fn fold_matches_scan_under_attack() {
+    for kind in AttackKind::ALL {
+        let (g, labels, outputs, sc) = common::build_attack(kind);
+        let mut vantages: Vec<Asn> = outputs[0].collector.peers.clone();
+        vantages.extend(outputs[0].lgs.keys());
+        let mut rng = StdRng::seed_from_u64(0xA77A_C4ED);
+        let reqs = requests(outputs.len() as u32, &vantages, &mut rng);
+        let oracles = vec![g; outputs.len()];
+        let answers = hold(kind.name(), &labels, &outputs, &oracles, &reqs);
+        if kind != AttackKind::RouteLeak {
+            let convicted = format!("hijack {} by {} ", sc.attack_prefix, sc.attacker);
+            assert!(
+                answers[0].contains(&convicted),
+                "{}: `hijacks @all` must convict the injected attacker:\n{}",
+                kind.name(),
+                answers[0]
+            );
+        }
+    }
+}
+
+/// One simulated day of a tiny world seen by collector peers only, for
+/// the hand-built series below: the graph, the peers and the day.
+fn one_day() -> (AsGraph, Vec<Asn>, SimOutput) {
+    use bgp_sim::{GroundTruth, PolicyParams, Simulation, VantageSpec};
+    use net_topology::{InternetConfig, InternetSize};
+
+    let g = InternetConfig::of_size(InternetSize::Tiny)
+        .with_seed(9)
+        .build();
+    let truth = GroundTruth::generate(&g, &PolicyParams::default());
+    let spec = VantageSpec::paper_like(&g, 8, 4);
+    let mut day = Simulation::new(&g, &truth, &spec).run();
+    day.lgs.clear();
+    (g, spec.collector_peers, day)
+}
+
+/// Multi-hop prefixes of `day` seen by at least two peers, with the
+/// origin the first of them reports.
+fn owned_prefixes(day: &SimOutput) -> impl Iterator<Item = (Ipv4Prefix, Asn)> + '_ {
+    day.collector
+        .rows
+        .iter()
+        .filter(|(_, rows)| rows.len() >= 2 && rows.iter().all(|r| r.path.len() >= 2))
+        .map(|(&p, rows)| (p, *rows[0].path.last().expect("paths are non-empty")))
+}
+
+/// `day` with `origin` announcing `prefix` at the first `peers` peers
+/// that carry it.
+fn reoriginated(day: &SimOutput, prefix: Ipv4Prefix, peers: usize, origin: Asn) -> SimOutput {
+    let mut out = day.clone();
+    let rows = out
+        .collector
+        .rows
+        .get_mut(&prefix)
+        .expect("prefix is routed");
+    for row in rows.iter_mut().take(peers) {
+        *row.path.last_mut().expect("paths are non-empty") = origin;
+    }
+    out
+}
+
+/// What `hijacks @all` prints for one event, up to its owner list.
+fn event_line(day: u32, kind: &str, prefix: Ipv4Prefix, origin: Asn) -> String {
+    format!("\n  {day} d{day}: {kind} {prefix} by {origin} ")
+}
+
+/// MOAS depends on a prefix's whole origin set: a stranger X takes over
+/// a baseline prefix at snapshot 1 (one origin — no MOAS), a second
+/// stranger Y joins at snapshot 2, and *both* are MOAS parties there
+/// although X's (prefix, origin) pair did not change at 2. A fold that
+/// re-judged only the pairs that appeared would miss X.
+#[test]
+fn a_later_second_origin_convicts_the_first_too() {
+    let (g, peers, day0) = one_day();
+    let (prefix, owner) = owned_prefixes(&day0).next().expect("a shared prefix");
+    let strangers: Vec<Asn> = g.ases().filter(|&a| a != owner).take(2).collect();
+    let (x, y) = (strangers[0], strangers[1]);
+    let day1 = reoriginated(&day0, prefix, usize::MAX, x);
+    let day2 = reoriginated(&day1, prefix, 1, y);
+
+    let labels: Vec<String> = (0..3).map(|i| format!("d{i}")).collect();
+    let reqs = requests(3, &peers, &mut StdRng::seed_from_u64(9));
+    let oracles = vec![g; 3];
+    let answers = hold("late-moas", &labels, &[day0, day1, day2], &oracles, &reqs);
+    for (day, origin, expected) in [(1, x, false), (2, x, true), (2, y, true)] {
+        let line = event_line(day, "moas", prefix, origin);
+        assert_eq!(
+            answers[0].contains(&line),
+            expected,
+            "{line}:\n{}",
+            answers[0]
+        );
+    }
+}
+
+/// A verdict can change with no route changing: an owner's customer C
+/// re-originates the owner's prefix at snapshot 1 — routine, C is inside
+/// the owner's cone — and at snapshot 2 the same tables are indexed under
+/// an oracle in which C is only a peer. The fold sees an empty route
+/// delta there and must still convict C.
+#[test]
+fn an_oracle_flip_rejudges_routes_that_did_not_move() {
+    use bgp_types::Relationship;
+
+    let (g, peers, day0) = one_day();
+    let (prefix, owner, customer) = owned_prefixes(&day0)
+        .find_map(|(p, owner)| Some((p, owner, g.customers_of(owner).next()?)))
+        .expect("an owner with a customer");
+    let day1 = reoriginated(&day0, prefix, usize::MAX, customer);
+    let mut flipped = g.clone();
+    flipped.remove_edge(owner, customer);
+    flipped
+        .add_edge(owner, customer, Relationship::Peer)
+        .expect("the edge was just removed");
+
+    let labels: Vec<String> = (0..3).map(|i| format!("d{i}")).collect();
+    let reqs = requests(3, &peers, &mut StdRng::seed_from_u64(9));
+    let outputs = [day0, day1.clone(), day1];
+    let answers = hold("flip", &labels, &outputs, &[g.clone(), g, flipped], &reqs);
+    for (day, expected) in [(1, false), (2, true)] {
+        let line = event_line(day, "origin-hijack", prefix, customer);
+        assert_eq!(
+            answers[0].contains(&line),
+            expected,
+            "{line}:\n{}",
+            answers[0]
+        );
+    }
+}

@@ -121,3 +121,6 @@ pub use proto::{
 pub use serve::{EngineSource, PollBackend, ServeConfig, ServeStats, Server, ServerHandle};
 pub use snapshot::{Snapshot, SnapshotId, VantageKind};
 pub use tier::{Residency, TierStats};
+
+#[cfg(test)]
+mod fold_scan;

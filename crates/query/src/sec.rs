@@ -13,7 +13,14 @@
 //!   snapshot's own [`crate::snapshot::Oracle`] (the paper's Fig. 4 cone
 //!   test, aimed at origins instead of export policies — the same
 //!   `in_cone` the SA patcher asks, so a cone either of them walked is
-//!   walked for every request and every snapshot sharing that oracle);
+//!   walked for every request and every snapshot sharing that oracle).
+//!   An **anchor + fold over [`bgp_types::CowTrie::diff`]**: the first
+//!   snapshot is scanned once, every later one contributes only the
+//!   routes that differ from its predecessor's. Structure two snapshots
+//!   share physically is skipped as equal; structure they do not share
+//!   is compared, never assumed different — so the events are the same
+//!   on an engine whose snapshots share nothing, at the cost of walking
+//!   them (`fold_scan.rs` holds the fold to the per-snapshot scan);
 //! * [`leak_events`] — valley-free violations among the stored best
 //!   paths of one snapshot, mirroring [`net_topology::classify_path`]'s
 //!   phase machine at interned-symbol level and naming the AS that
@@ -27,7 +34,7 @@ use crate::engine::QueryEngine;
 use crate::intern::AsnSym;
 use crate::plan::QueryError;
 use crate::proto::{HijackEvent, HijackKind, LeakEvent, RovAnswer};
-use crate::snapshot::{Snapshot, SnapshotId};
+use crate::snapshot::{CompactRoute, Snapshot, SnapshotId};
 
 /// Validates the vantage's best route for `prefix` against the engine's
 /// ROA table. Non-vantage ASes answer [`RovAnswer::UnknownVantage`]; a
@@ -59,26 +66,29 @@ pub(crate) fn rov_point(
     }
 }
 
-/// Every (prefix → announcing origins) pair visible across the
-/// snapshot's vantage tables, resolved to raw ASNs and fully ordered.
-fn origins_per_prefix(
-    engine: &QueryEngine,
-    snap: &Snapshot,
-) -> BTreeMap<Ipv4Prefix, BTreeSet<Asn>> {
-    let mut out: BTreeMap<Ipv4Prefix, BTreeSet<Asn>> = BTreeMap::new();
+/// Prefix → announcing origin → how many vantage tables carry that
+/// (prefix, origin) pair, resolved to raw ASNs and fully ordered. A
+/// prefix's origin *set* is its inner key set; the counts are what lets
+/// [`hijack_events`] keep the sets current from route changes alone.
+pub(crate) type OriginCounts = BTreeMap<Ipv4Prefix, BTreeMap<Asn, usize>>;
+
+/// One scan of every route of every vantage table of `snap`.
+pub(crate) fn origins_per_prefix(engine: &QueryEngine, snap: &Snapshot) -> OriginCounts {
+    let mut out = OriginCounts::new();
     for table in snap.vantages.values() {
         for (p, r) in table.trie.iter() {
             let origin = *r.path.last().expect("stored paths are non-empty");
-            out.entry(p)
+            *out.entry(p)
                 .or_default()
-                .insert(engine.interner.resolve_asn(origin));
+                .entry(engine.interner.resolve_asn(origin))
+                .or_insert(0) += 1;
         }
     }
     out
 }
 
 /// The longest baseline prefix strictly covering `p` that has owners.
-fn covering_base(
+pub(crate) fn covering_base(
     base: &BTreeMap<Ipv4Prefix, BTreeSet<Asn>>,
     p: Ipv4Prefix,
 ) -> Option<(Ipv4Prefix, &BTreeSet<Asn>)> {
@@ -105,21 +115,73 @@ fn covering_base(
 /// * [`HijackKind::Moas`] — a baseline prefix announced by ≥2 distinct
 ///   origins in one snapshot, reported for each non-owner origin (a
 ///   multi-origin *baseline* is accepted state and never reported).
+///
+/// **Anchor + fold.** Only the first snapshot is scanned
+/// ([`origins_per_prefix`]): it is the baseline and the starting
+/// [`OriginCounts`]. Each later snapshot applies the route changes
+/// [`Snapshot::route_changes`] reports against its predecessor — −1 the
+/// old origin, +1 the new — and judges only the prefixes whose origin
+/// *set* changed. That reports exactly what judging every prefix would:
+/// a prefix's verdicts depend on the baseline, the snapshot's oracle and
+/// the prefix's origin set, so with all three as they were one snapshot
+/// earlier they are triples already reported. (The whole set, not the
+/// pair that appeared: a second origin arriving later makes the first
+/// one a MOAS party too.) A snapshot under a different oracle than its
+/// predecessor's re-judges every prefix. Tables the two snapshots share
+/// are skipped, unshared ones compared route by route — sharing decides
+/// the cost, never the answer.
 pub(crate) fn hijack_events(
     engine: &QueryEngine,
     ids: &[SnapshotId],
 ) -> Result<Vec<HijackEvent>, QueryError> {
     let _scan = rpi_obs::span(&engine.metrics.sec_scan_hijacks_seconds);
-    let Some(&first) = ids.first() else {
+    let Some((&first, rest)) = ids.split_first() else {
         return Ok(Vec::new());
     };
-    let first_snap = engine.snap_arc(first)?;
-    let base = origins_per_prefix(engine, &first_snap);
+    let mut prev = engine.snap_arc(first)?;
+    let mut origins = origins_per_prefix(engine, &prev);
+    // The first snapshot is its own baseline: each of its origins is an
+    // owner, so it reports nothing and is not judged.
+    let base: BTreeMap<Ipv4Prefix, BTreeSet<Asn>> = origins
+        .iter()
+        .map(|(&p, os)| (p, os.keys().copied().collect()))
+        .collect();
     let mut seen: HashSet<(HijackKind, Ipv4Prefix, Asn)> = HashSet::new();
     let mut events = Vec::new();
-    for &id in ids {
+    for &id in rest {
         let snap = engine.snap_arc(id)?;
-        let origins = origins_per_prefix(engine, &snap);
+        let mut dirty: BTreeSet<Ipv4Prefix> = BTreeSet::new();
+        let gone = prev
+            .vantages
+            .keys()
+            .filter(|v| !snap.vantages.contains_key(v));
+        for &v in snap.vantages.keys().chain(gone) {
+            snap.route_changes(&prev, v, |p, old, new| {
+                let origin = |r: &CompactRoute| *r.path.last().expect("stored paths are non-empty");
+                let (old, new) = (old.map(origin), new.map(origin));
+                if old == new {
+                    return; // the path moved, the origin did not
+                }
+                let at = origins.entry(p).or_default();
+                if let Some(o) = old {
+                    let o = engine.interner.resolve_asn(o);
+                    let n = at.get_mut(&o).expect("counted when the route appeared");
+                    *n -= 1;
+                    if *n == 0 {
+                        at.remove(&o);
+                        dirty.insert(p);
+                    }
+                }
+                if let Some(o) = new {
+                    let n = at.entry(engine.interner.resolve_asn(o)).or_insert(0);
+                    if *n == 0 {
+                        dirty.insert(p);
+                    }
+                    *n += 1;
+                }
+            });
+        }
+
         // Fig. 4's cone test under the snapshot's own oracle, which keeps
         // every cone it has walked — for SA, for an earlier request, for
         // another snapshot sharing it. Owners and origins were resolved
@@ -145,10 +207,10 @@ pub(crate) fn hijack_events(
                     owners: owners.iter().copied().collect(),
                 });
             };
-        for (&p, os) in &origins {
+        let mut judge = |p: Ipv4Prefix, os: &BTreeMap<Asn, usize>| {
             if let Some(owners) = base.get(&p) {
                 let moas = os.len() > 1;
-                for &o in os {
+                for &o in os.keys() {
                     if owners.contains(&o) {
                         continue;
                     }
@@ -160,7 +222,7 @@ pub(crate) fn hijack_events(
                     }
                 }
             } else if let Some((_, owners)) = covering_base(&base, p) {
-                for &o in os {
+                for &o in os.keys() {
                     if owners.contains(&o) {
                         continue;
                     }
@@ -169,7 +231,17 @@ pub(crate) fn hijack_events(
                     }
                 }
             }
+        };
+        if snap.oracle == prev.oracle {
+            for p in dirty {
+                judge(p, &origins[&p]);
+            }
+        } else {
+            for (&p, os) in &origins {
+                judge(p, os);
+            }
         }
+        prev = snap;
     }
     Ok(events)
 }

@@ -641,6 +641,53 @@ impl Snapshot {
         self.vantages.get(&vantage)?.trie.best_match(prefix)
     }
 
+    /// Calls `f(prefix, old, new)` in prefix order for every route of
+    /// `vantage` that was added, removed or changed from `base` to
+    /// `self` — [`CowTrie::diff`] over the vantage's two tables, the step
+    /// of every history fold. A table the two snapshots hold as one `Arc`
+    /// is skipped outright; a vantage present on one side only diffs
+    /// against an empty table. Sharing is only a shortcut: tables built
+    /// apart are compared route by route.
+    pub(crate) fn route_changes(
+        &self,
+        base: &Snapshot,
+        vantage: AsnSym,
+        f: impl FnMut(Ipv4Prefix, Option<&CompactRoute>, Option<&CompactRoute>),
+    ) {
+        let (old, new) = (base.vantages.get(&vantage), self.vantages.get(&vantage));
+        if matches!((old, new), (Some(a), Some(b)) if Arc::ptr_eq(a, b)) {
+            return;
+        }
+        let empty = CowTrie::new();
+        new.map_or(&empty, |t| &t.trie)
+            .diff(old.map_or(&empty, |t| &t.trie), f);
+    }
+
+    /// Calls `f(prefix, gained)`, in no particular order, for every
+    /// prefix that became (`true`) or stopped being (`false`) selectively
+    /// announced at `vantage` from `base` to `self`. An [`SaCache`] the
+    /// two snapshots hold as one `Arc` is skipped outright; a vantage
+    /// absent from one side has no SA prefixes there.
+    pub(crate) fn sa_changes(
+        &self,
+        base: &Snapshot,
+        vantage: AsnSym,
+        mut f: impl FnMut(PrefixSym, bool),
+    ) {
+        let (old, new) = (base.sa.get(&vantage), self.sa.get(&vantage));
+        if matches!((old, new), (Some(a), Some(b)) if Arc::ptr_eq(a, b)) {
+            return;
+        }
+        let empty = HashMap::new();
+        let (old, new) = (old.map_or(&empty, |c| &c.sa), new.map_or(&empty, |c| &c.sa));
+        for &p in new.keys().filter(|p| !old.contains_key(p)) {
+            f(p, true);
+        }
+        for &p in old.keys().filter(|p| !new.contains_key(p)) {
+            f(p, false);
+        }
+    }
+
     /// Total trie nodes across all vantage tables (counted as if
     /// unshared).
     pub(crate) fn trie_nodes(&self) -> usize {

@@ -2,8 +2,10 @@
 //! smoke scripts piped through `--queries` and driven over `--listen`
 //! against the deterministic tiny seed-11 world — generated, saved and
 //! cold-started, saved keyframed and tier-attached, and `--follow`ed
-//! mid-ingest — each diffed against its committed golden (tier-1: part
-//! of the workspace `cargo test`; CI has no shell copy of any of them).
+//! mid-ingest — each diffed against its committed golden, plus the
+//! metrics smoke (two `metrics` scrapes mid-load, the emitter's stderr
+//! line) — tier-1: part of the workspace `cargo test`; CI has no shell
+//! copy of any of them.
 //! Every spawned daemon sits behind [`Daemon`]: killed on drop, every
 //! wait under [`DEADLINE`].
 //!
@@ -409,6 +411,71 @@ fn tcp_served_queries_match_the_stdin_golden() {
         tcp_golden_run("epoll", 1);
         tcp_golden_run("epoll", 4);
     }
+}
+
+/// The metrics smoke — the observability contract over a real socket: a
+/// daemon serving the archive smoke's world (generated here, not loaded:
+/// `/tmp/rpi-archive` belongs to the archive test running beside this
+/// one) with the interval emitter and slow-query ring armed is scraped
+/// twice mid-load through the `metrics` verb. The first scrape must
+/// already expose every required family (the schema is registered up
+/// front, never lazily on first traffic), the per-verb query counter must
+/// rise strictly across scrapes, and the emitter must write at least one
+/// interval-diffed JSON line to stderr. Load and scrape ride separate
+/// connections: per-verb counters land at segment end, so a `metrics`
+/// line pipelined behind the queries it should count would scrape too
+/// early.
+#[test]
+fn metrics_scrapes_expose_the_schema_and_count_upwards() {
+    let mut cmd = queryd();
+    cmd.args(["--size", "tiny", "--seed", "11", "--snapshots", "5"])
+        .args(["--listen", "127.0.0.1:0", "--metrics-interval", "1"])
+        .args(["--slow-query-ms", "5000", "--roas"])
+        .arg(data().join("smoke.roas"));
+    let mut daemon = Daemon::spawn(cmd);
+
+    let load = "route AS1 4.0.0.0/13\nresolve AS1 4.0.0.0/13\nsa AS1 4.0.0.0/13\n";
+    let scrape = |daemon: &mut Daemon| {
+        drive(daemon, load, "quit");
+        drive(daemon, "metrics\n", "quit")
+    };
+    let routes = |scrape: &str| -> u64 {
+        let line = scrape
+            .lines()
+            .find_map(|l| l.strip_prefix("rpi_serve_queries_total{verb=\"route\"} "))
+            .unwrap_or_else(|| panic!("no route counter in the scrape:\n{scrape}"));
+        line.trim().parse().expect("an integer counter")
+    };
+    let first = scrape(&mut daemon);
+    for family in [
+        "rpi_serve_queries_total",
+        "rpi_serve_query_seconds",
+        "rpi_serve_active_connections",
+        "rpi_serve_bytes_out_total",
+        "rpi_plan_batch_seconds",
+        "rpi_sec_roas",
+        "rpi_tier_hot_snapshots",
+    ] {
+        assert!(
+            first.lines().any(|l| l.starts_with(family)),
+            "family {family} missing from the first scrape:\n{first}"
+        );
+    }
+    let second = scrape(&mut daemon);
+    let (q1, q2) = (routes(&first), routes(&second));
+    assert!(
+        q1 >= 1 && q2 > q1,
+        "the route counter must rise: {q1} -> {q2}"
+    );
+
+    daemon.wait_log("\"interval_s\"");
+    assert_eq!(drive(&mut daemon, "", "shutdown"), "");
+    let (status, log) = daemon.exit();
+    assert!(status.success(), "exit 0 on protocol shutdown:\n{log}");
+    assert!(
+        log.contains("peak interval rate"),
+        "the exit lines report the emitter's peak:\n{log}"
+    );
 }
 
 /// Bugfix coverage: a missing `--queries` file is a one-line error

@@ -3,7 +3,8 @@
 //! A full reproduction of **Wang & Gao, "On Inferring and Characterizing
 //! Internet Routing Policies" (IMC 2003)** as a Rust workspace: the paper's
 //! inference algorithms *plus* every substrate they need, wired to a
-//! synthetic Internet whose ground truth is known (see `DESIGN.md`).
+//! synthetic Internet whose ground truth is known (`net_topology::gen`
+//! generates it, `bgp_sim::policy` decides every AS's policies).
 //!
 //! This crate is the facade: it re-exports the workspace members so the
 //! examples and integration tests can speak about the whole system, and so

@@ -1,6 +1,6 @@
 //! End-to-end "shape of the paper" assertions on a realistically-sized
 //! world: who wins, by roughly what factor — the reproduction contract
-//! from DESIGN.md §5.
+//! (ROADMAP aim 3: "the reproduction is right").
 
 use internet_routing_policies::prelude::*;
 use rpi_core::causes::causes;
