@@ -18,6 +18,11 @@
 //! events), the run diagnostics, and — rarely — a full oracle
 //! replacement for mid-series relationship changes.
 //!
+//! [`StreamFrame::apply`] patches the previous output **in place**, so a
+//! frame costs what it carries: each delta event touches one row, the
+//! replacement views are moved in, and only a frame whose peer list
+//! changed, or that carries row replacements, walks the collector table.
+//!
 //! [`StreamWriter`] keeps the *reconstructed* output chain while
 //! encoding and verifies every frame against it, so a decoder applying
 //! frames in order reproduces each output exactly by construction.
@@ -25,7 +30,7 @@
 //! wait for more bytes" (a tail in progress) from a decode error, and
 //! every error names the absolute byte offset.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap, HashMap, HashSet};
 
 use bgp_types::codec::{
     put_asn, put_asn_list, put_prefix, put_relationship, put_str, put_uvarint, CodecError, Reader,
@@ -60,7 +65,8 @@ pub struct StreamFrame {
     /// Structured events against the previous output — exactly what the
     /// offline engine's `output_delta` would compute.
     pub delta: OutputDelta,
-    /// The full post-change collector peer list, in collector order.
+    /// The full post-change collector peer list, in collector order, each
+    /// peer once (decoding rejects a repeat).
     pub peers: Vec<Asn>,
     /// Wholesale row replacements for peers the delta under-describes.
     pub peer_rows: Vec<(Asn, Vec<PeerRow>)>,
@@ -173,7 +179,22 @@ impl StreamFrame {
         let mut r = Reader::with_base(payload, base);
         let label = r.str()?.to_string();
         let delta = OutputDelta::decode(&mut r)?;
-        let peers = r.asn_list()?;
+        // A collector peer contributes at most one row per prefix, which
+        // a repeated peer would break.
+        let n = r.ulen()?;
+        let mut peers = Vec::with_capacity(n.min(1 << 16));
+        let mut seen = HashSet::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            let at = r.position();
+            let peer = r.asn()?;
+            if !seen.insert(peer) {
+                return Err(CodecError::Invalid {
+                    offset: at,
+                    what: "duplicate collector peer",
+                });
+            }
+            peers.push(peer);
+        }
         let n = r.ulen()?;
         let mut peer_rows = Vec::with_capacity(n.min(1 << 12));
         for _ in 0..n {
@@ -269,85 +290,122 @@ impl StreamFrame {
         })
     }
 
-    /// Reconstructs the next output from the previous one. Applying the
-    /// frames of a stream in order reproduces the emitter's output chain
-    /// exactly — [`StreamWriter`] verifies this per frame at encode time.
-    pub fn apply(&self, prev: &SimOutput) -> SimOutput {
-        // Collector: previous per-peer rows, patched by the delta's
-        // best-route events, then wholesale replacements on top.
-        type PeerRoutes = BTreeMap<Ipv4Prefix, (Vec<Asn>, Vec<Community>)>;
-        let mut by_peer: BTreeMap<Asn, PeerRoutes> = BTreeMap::new();
-        for &peer in &self.peers {
-            by_peer.insert(peer, BTreeMap::new());
+    /// Patches `out` — the output the stream's previous frame left, or
+    /// `SimOutput::default()` before the first — into the output this
+    /// frame describes, in place. Applying the frames of a stream in order
+    /// reproduces the emitter's output chain exactly — [`StreamWriter`]
+    /// verifies this per frame at encode time.
+    ///
+    /// The work is what the frame carries: each delta event upserts or
+    /// removes one peer's row, at that peer's position in `peers`, so
+    /// every prefix's rows stay in peer order (what `all_paths` walks), and
+    /// a prefix that loses its last row leaves the map; LG views are
+    /// removed and the replacements **moved** in. Only a frame whose
+    /// `peers` list changed, or that carries `peer_rows`, walks the whole
+    /// collector table. Returns the delta, which is what an incremental
+    /// indexer reads next.
+    pub fn apply(self, out: &mut SimOutput) -> OutputDelta {
+        let StreamFrame {
+            delta,
+            peers,
+            peer_rows,
+            lg_views,
+            diagnostics,
+            ..
+        } = self;
+        patch_collector(&mut out.collector, &delta, peers, peer_rows);
+        for asn in &delta.lgs_removed {
+            out.lgs.remove(asn);
         }
-        for (&prefix, rows) in &prev.collector.rows {
-            for row in rows {
-                if let Some(m) = by_peer.get_mut(&row.peer) {
-                    m.insert(prefix, (row.path.clone(), row.communities.clone()));
+        out.lgs
+            .extend(lg_views.into_iter().map(|view| (view.asn, view)));
+        out.diagnostics = diagnostics;
+        delta
+    }
+}
+
+/// The collector half of [`StreamFrame::apply`]: the delta's best-route
+/// events, then the wholesale `peer_rows` replacements, patched into
+/// `collector` row by row.
+fn patch_collector(
+    collector: &mut CollectorView,
+    delta: &OutputDelta,
+    peers: Vec<Asn>,
+    peer_rows: Vec<(Asn, Vec<PeerRow>)>,
+) {
+    let rank: HashMap<Asn, usize> = peers.iter().enumerate().map(|(i, &p)| (p, i)).collect();
+    debug_assert_eq!(rank.len(), peers.len(), "collector peers are distinct");
+    // The last replacement of a peer wins, as a later one would clear
+    // what an earlier one wrote; peers off the list replace nothing.
+    let replaced: BTreeMap<Asn, Vec<PeerRow>> = peer_rows
+        .into_iter()
+        .filter(|(peer, _)| rank.contains_key(peer))
+        .collect();
+
+    // The walk: drop the rows of peers that left the list or are about
+    // to be replaced, and re-sort what stays into the new peer order.
+    if collector.peers != peers || !replaced.is_empty() {
+        collector.rows.retain(|_, rows| {
+            rows.retain(|r| rank.contains_key(&r.peer) && !replaced.contains_key(&r.peer));
+            rows.sort_by_key(|r| rank[&r.peer]);
+            !rows.is_empty()
+        });
+        collector.peers = peers;
+    }
+
+    for (&peer, vd) in &delta.collector {
+        if !rank.contains_key(&peer) || replaced.contains_key(&peer) {
+            continue;
+        }
+        for &prefix in &vd.withdrawn {
+            if let btree_map::Entry::Occupied(mut rows) = collector.rows.entry(prefix) {
+                rows.get_mut().retain(|r| r.peer != peer);
+                if rows.get().is_empty() {
+                    rows.remove();
                 }
             }
         }
-        for (&peer, vd) in &self.delta.collector {
-            let Some(m) = by_peer.get_mut(&peer) else {
-                continue;
+        for (prefix, route) in vd.announced.iter().chain(&vd.replaced) {
+            let mut path = Vec::with_capacity(route.path.len() + 1);
+            path.push(peer);
+            path.extend_from_slice(&route.path);
+            let row = CollectorRow {
+                peer,
+                path,
+                communities: route.communities.clone(),
             };
-            for &p in &vd.withdrawn {
-                m.remove(&p);
-            }
-            for (p, route) in vd.announced.iter().chain(&vd.replaced) {
-                let mut path = Vec::with_capacity(route.path.len() + 1);
-                path.push(peer);
-                path.extend_from_slice(&route.path);
-                m.insert(*p, (path, route.communities.clone()));
-            }
+            upsert_row(collector.rows.entry(*prefix).or_default(), &rank, row);
         }
-        for (peer, rows) in &self.peer_rows {
-            if let Some(m) = by_peer.get_mut(peer) {
-                m.clear();
-                for (p, path, comms) in rows {
-                    m.insert(*p, (path.clone(), comms.clone()));
-                }
-            }
-        }
-        let mut collector = CollectorView {
-            peers: self.peers.clone(),
-            rows: BTreeMap::new(),
-        };
-        for &peer in &self.peers {
-            for (&prefix, (path, comms)) in &by_peer[&peer] {
-                collector
-                    .rows
-                    .entry(prefix)
-                    .or_default()
-                    .push(CollectorRow {
-                        peer,
-                        path: path.clone(),
-                        communities: comms.clone(),
-                    });
-            }
-        }
-
-        // Looking glasses: survivors carried over, changed views replaced.
-        let mut lgs = prev.lgs.clone();
-        for asn in &self.delta.lgs_removed {
-            lgs.remove(asn);
-        }
-        for view in &self.lg_views {
-            lgs.insert(view.asn, view.clone());
-        }
-
-        SimOutput {
-            collector,
-            lgs,
-            diagnostics: self.diagnostics.clone(),
+    }
+    for (peer, rows) in replaced {
+        for (prefix, path, communities) in rows {
+            let row = CollectorRow {
+                peer,
+                path,
+                communities,
+            };
+            upsert_row(collector.rows.entry(prefix).or_default(), &rank, row);
         }
     }
 }
 
-/// Per-peer rows of an output, keyed for order-insensitive comparison.
-fn rows_of(out: &SimOutput, peer: Asn) -> BTreeMap<Ipv4Prefix, (&[Asn], &[Community])> {
+/// Puts `row` at its peer's position in one prefix's peer-ordered rows,
+/// replacing the peer's previous row there if it had one.
+fn upsert_row(rows: &mut Vec<CollectorRow>, rank: &HashMap<Asn, usize>, row: CollectorRow) {
+    let rank_of = |peer| rank.get(&peer).copied().unwrap_or(usize::MAX);
+    let at = rank_of(row.peer);
+    match rows.iter().position(|r| rank_of(r.peer) >= at) {
+        Some(i) if rows[i].peer == row.peer => rows[i] = row,
+        Some(i) => rows.insert(i, row),
+        None => rows.push(row),
+    }
+}
+
+/// Per-peer rows of a collector view, keyed for order-insensitive
+/// comparison.
+fn rows_of(collector: &CollectorView, peer: Asn) -> BTreeMap<Ipv4Prefix, (&[Asn], &[Community])> {
     let mut m = BTreeMap::new();
-    for (&prefix, rows) in &out.collector.rows {
+    for (&prefix, rows) in &collector.rows {
         for row in rows {
             if row.peer == peer {
                 m.insert(prefix, (row.path.as_slice(), row.communities.as_slice()));
@@ -429,14 +487,16 @@ impl StreamWriter {
             }
         }
 
-        // Collector replacements: apply the candidate frame and replace
-        // any peer whose reconstructed rows drift from the real ones
-        // (new peers, and rows outside the delta's best-route
-        // vocabulary).
-        let trial = frame.apply(&self.prev);
+        // Collector replacements: patch a copy of the collector with the
+        // candidate frame and replace any peer whose reconstructed rows
+        // drift from the real ones (new peers, and rows outside the
+        // delta's best-route vocabulary).
+        let mut trial = self.prev.collector.clone();
+        patch_collector(&mut trial, &frame.delta, frame.peers.clone(), Vec::new());
         for &peer in &frame.peers {
-            if rows_of(&trial, peer) != rows_of(next, peer) {
-                let rows = rows_of(next, peer)
+            let rows = rows_of(&next.collector, peer);
+            if rows_of(&trial, peer) != rows {
+                let rows = rows
                     .into_iter()
                     .map(|(p, (path, comms))| (p, path.to_vec(), comms.to_vec()))
                     .collect();
@@ -444,16 +504,17 @@ impl StreamWriter {
             }
         }
 
-        self.prev = frame.apply(&self.prev);
-        debug_assert!(
-            frame
-                .peers
-                .iter()
-                .all(|&p| rows_of(&self.prev, p) == rows_of(next, p)),
-            "frame replacements reconstruct every peer exactly"
-        );
         let mut out = Vec::new();
         put_block(&mut out, KIND_SNAPSHOT, &frame.encode_payload());
+        frame.apply(&mut self.prev);
+        debug_assert!(
+            self.prev
+                .collector
+                .peers
+                .iter()
+                .all(|&p| rows_of(&self.prev.collector, p) == rows_of(&next.collector, p)),
+            "frame replacements reconstruct every peer exactly"
+        );
         out
     }
 
@@ -523,11 +584,9 @@ pub fn read_header(buf: &[u8]) -> Result<Option<(AsGraph, usize)>, CodecError> {
 /// the bytes end mid-frame — a follower waits for the file to grow; a
 /// drain of a complete file treats it as truncation at `offset`.
 pub fn next_step(buf: &[u8], offset: usize) -> Result<StreamStep, CodecError> {
-    if buf.len() < offset + 5 {
+    let Some((kind, len)) = block_header(buf, offset) else {
         return Ok(StreamStep::NeedMore);
-    }
-    let kind = buf[offset];
-    let len = u32::from_le_bytes(buf[offset + 1..offset + 5].try_into().expect("4 bytes")) as usize;
+    };
     if len > MAX_FRAME {
         return Err(CodecError::Invalid {
             offset: offset + 1,
@@ -559,11 +618,36 @@ pub fn next_step(buf: &[u8], offset: usize) -> Result<StreamStep, CodecError> {
     }
 }
 
+/// Counts the complete snapshot frames in `buf` from `offset` by their
+/// length prefixes alone — nothing is decoded. Counting stops at the
+/// first block that is incomplete, the end marker or malformed;
+/// [`next_step`] says which.
+pub fn complete_frames(buf: &[u8], mut offset: usize) -> usize {
+    let mut n = 0;
+    while let Some((KIND_SNAPSHOT, len)) = block_header(buf, offset) {
+        let end = offset + 5 + len;
+        if len > MAX_FRAME || buf.len() < end {
+            break;
+        }
+        n += 1;
+        offset = end;
+    }
+    n
+}
+
+/// The kind byte and payload length opening the block at `offset`, once
+/// those five bytes are there.
+fn block_header(buf: &[u8], offset: usize) -> Option<(u8, usize)> {
+    let head = buf.get(offset..offset.checked_add(5)?)?;
+    let len = u32::from_le_bytes(head[1..].try_into().expect("4 bytes"));
+    Some((head[0], len as usize))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attack::{inject_attack, AttackKind};
-    use crate::churn::{simulate_series, ChurnConfig};
+    use crate::churn::{simulate_series, ChurnConfig, DeltaRoute, VantageDelta};
     use crate::engine::VantageSpec;
     use crate::policy::{GroundTruth, PolicyParams};
     use net_topology::{InternetConfig, InternetSize};
@@ -596,7 +680,11 @@ mod tests {
     fn assert_outputs_equivalent(a: &SimOutput, b: &SimOutput, what: &str) {
         assert_eq!(a.collector.peers, b.collector.peers, "{what}: peers");
         for &peer in &a.collector.peers {
-            assert_eq!(rows_of(a, peer), rows_of(b, peer), "{what}: peer {peer}");
+            assert_eq!(
+                rows_of(&a.collector, peer),
+                rows_of(&b.collector, peer),
+                "{what}: peer {peer}"
+            );
         }
         assert_eq!(
             a.lgs.keys().collect::<Vec<_>>(),
@@ -619,9 +707,8 @@ mod tests {
             match next_step(bytes, offset).expect("step") {
                 StreamStep::Frame(frame, next) => {
                     assert_eq!(frame.label, labels[i]);
-                    let out = frame.apply(&prev);
-                    assert_outputs_equivalent(&out, &outputs[i], &labels[i]);
-                    prev = out;
+                    frame.apply(&mut prev);
+                    assert_outputs_equivalent(&prev, &outputs[i], &labels[i]);
                     offset = next;
                     i += 1;
                 }
@@ -633,6 +720,356 @@ mod tests {
             }
         }
         assert_eq!(i, outputs.len(), "every snapshot decoded");
+    }
+
+    fn decode_frames(bytes: &[u8]) -> Vec<StreamFrame> {
+        let (_, mut offset) = read_header(bytes).expect("header").expect("complete");
+        let mut frames = Vec::new();
+        while let StreamStep::Frame(frame, next) = next_step(bytes, offset).expect("step") {
+            frames.push(*frame);
+            offset = next;
+        }
+        frames
+    }
+
+    /// The rebuild the in-place [`StreamFrame::apply`] replaced, kept as
+    /// its reference: the next output built whole from the previous one.
+    fn apply_rebuild(frame: &StreamFrame, prev: &SimOutput) -> SimOutput {
+        // Collector: previous per-peer rows, patched by the delta's
+        // best-route events, then wholesale replacements on top.
+        type PeerRoutes = BTreeMap<Ipv4Prefix, (Vec<Asn>, Vec<Community>)>;
+        let mut by_peer: BTreeMap<Asn, PeerRoutes> = BTreeMap::new();
+        for &peer in &frame.peers {
+            by_peer.insert(peer, BTreeMap::new());
+        }
+        for (&prefix, rows) in &prev.collector.rows {
+            for row in rows {
+                if let Some(m) = by_peer.get_mut(&row.peer) {
+                    m.insert(prefix, (row.path.clone(), row.communities.clone()));
+                }
+            }
+        }
+        for (&peer, vd) in &frame.delta.collector {
+            let Some(m) = by_peer.get_mut(&peer) else {
+                continue;
+            };
+            for &p in &vd.withdrawn {
+                m.remove(&p);
+            }
+            for (p, route) in vd.announced.iter().chain(&vd.replaced) {
+                let mut path = Vec::with_capacity(route.path.len() + 1);
+                path.push(peer);
+                path.extend_from_slice(&route.path);
+                m.insert(*p, (path, route.communities.clone()));
+            }
+        }
+        for (peer, rows) in &frame.peer_rows {
+            if let Some(m) = by_peer.get_mut(peer) {
+                m.clear();
+                for (p, path, comms) in rows {
+                    m.insert(*p, (path.clone(), comms.clone()));
+                }
+            }
+        }
+        let mut collector = CollectorView {
+            peers: frame.peers.clone(),
+            rows: BTreeMap::new(),
+        };
+        for &peer in &frame.peers {
+            for (&prefix, (path, comms)) in &by_peer[&peer] {
+                collector
+                    .rows
+                    .entry(prefix)
+                    .or_default()
+                    .push(CollectorRow {
+                        peer,
+                        path: path.clone(),
+                        communities: comms.clone(),
+                    });
+            }
+        }
+
+        // Looking glasses: survivors carried over, changed views replaced.
+        let mut lgs = prev.lgs.clone();
+        for asn in &frame.delta.lgs_removed {
+            lgs.remove(asn);
+        }
+        for view in &frame.lg_views {
+            lgs.insert(view.asn, view.clone());
+        }
+
+        SimOutput {
+            collector,
+            lgs,
+            diagnostics: frame.diagnostics.clone(),
+        }
+    }
+
+    /// Exact equality, row order included — the order `all_paths` walks,
+    /// so the order community interning and the spill bytes see.
+    fn assert_identical(a: &SimOutput, b: &SimOutput, what: &str) {
+        assert_eq!(a.collector.peers, b.collector.peers, "{what}: peers");
+        assert_eq!(a.collector.rows, b.collector.rows, "{what}: collector rows");
+        assert!(
+            a.collector.rows.values().all(|rows| !rows.is_empty()),
+            "{what}: a prefix kept an empty row list"
+        );
+        assert_eq!(
+            a.lgs.keys().collect::<Vec<_>>(),
+            b.lgs.keys().collect::<Vec<_>>(),
+            "{what}: LG set"
+        );
+        for (asn, view) in &a.lgs {
+            assert!(lg_views_equal(view, &b.lgs[asn]), "{what}: LG {asn}");
+        }
+        assert_eq!(a.diagnostics, b.diagnostics, "{what}: diagnostics");
+    }
+
+    /// Applies `frames` in order both in place and by the reference
+    /// rebuild, holds the two identical after every frame, and returns the
+    /// output after each.
+    fn check_in_place(frames: Vec<StreamFrame>, what: &str) -> Vec<SimOutput> {
+        let (mut patched, mut rebuilt) = (SimOutput::default(), SimOutput::default());
+        let mut states = Vec::new();
+        for (i, frame) in frames.into_iter().enumerate() {
+            rebuilt = apply_rebuild(&frame, &rebuilt);
+            frame.apply(&mut patched);
+            assert_identical(&patched, &rebuilt, &format!("{what}, frame {i}"));
+            states.push(patched.clone());
+        }
+        states
+    }
+
+    /// A churny series whose vantages churn too: a collector peer leaves
+    /// and comes back, an LG goes dark and comes back, an AS that is both
+    /// stops being an LG but stays a collector peer, and the peer order
+    /// reverses.
+    fn vantage_churn_series() -> (AsGraph, Vec<String>, Vec<SimOutput>) {
+        let (g, labels, mut outputs) = series(7, 6);
+        let peers = outputs[0].collector.peers.clone();
+        let lgs: Vec<Asn> = outputs[0].lgs.keys().copied().collect();
+        let both = *lgs
+            .iter()
+            .find(|a| peers.contains(a))
+            .expect("an LG that is also a collector peer");
+        let lg_only = *lgs
+            .iter()
+            .find(|a| !peers.contains(a))
+            .expect("an LG that is no collector peer");
+        let gone = *peers.iter().find(|&&p| p != both).expect("another peer");
+
+        let out = &mut outputs[2];
+        out.collector.peers.retain(|&p| p != gone);
+        for rows in out.collector.rows.values_mut() {
+            rows.retain(|r| r.peer != gone);
+        }
+        out.collector.rows.retain(|_, rows| !rows.is_empty());
+        out.lgs.remove(&lg_only);
+        for out in &mut outputs[3..] {
+            out.lgs.remove(&both);
+        }
+        for out in &mut outputs[4..] {
+            out.collector.peers.reverse();
+        }
+        (g, labels, outputs)
+    }
+
+    #[test]
+    fn in_place_apply_matches_the_rebuild_on_series() {
+        let (g, labels, outputs) = series(7, 6);
+        check_in_place(
+            decode_frames(&encode_series(&g, &labels, &outputs)),
+            "churny",
+        );
+
+        for kind in AttackKind::ALL {
+            let (g, labels, mut outputs) = series(19, 5);
+            inject_attack(kind, &g, &mut outputs, 23, 2).expect("injects");
+            let bytes = encode_series(&g, &labels, &outputs);
+            check_in_place(decode_frames(&bytes), kind.name());
+        }
+
+        let (g, labels, outputs) = series(11, 3);
+        let mut flipped = g.clone();
+        let a = flipped.ases().next().expect("non-empty graph");
+        let (b, _) = flipped.neighbors(a).next().expect("a has neighbors");
+        flipped.remove_edge(a, b);
+        flipped
+            .add_edge(a, b, Relationship::Sibling)
+            .expect("re-add");
+        let (mut w, mut bytes) = StreamWriter::open(&g);
+        for (i, (label, out)) in labels.iter().zip(&outputs).enumerate() {
+            bytes.extend_from_slice(&w.frame(label, out, (i == 1).then_some(&flipped)));
+        }
+        bytes.extend_from_slice(&w.end());
+        let frames = decode_frames(&bytes);
+        assert!(frames[1].oracle.is_some(), "the oracle flips mid-stream");
+        check_in_place(frames, "oracle flip");
+
+        let (g, labels, outputs) = vantage_churn_series();
+        let bytes = encode_series(&g, &labels, &outputs);
+        decode_and_check(&bytes, &g, &labels, &outputs);
+        let frames = decode_frames(&bytes);
+        assert!(
+            frames[3]
+                .peer_rows
+                .iter()
+                .any(|(p, _)| !outputs[2].collector.peers.contains(p)),
+            "the returning peer is shipped whole"
+        );
+        check_in_place(frames, "vantage churn");
+    }
+
+    fn asns(list: &[u32]) -> Vec<Asn> {
+        list.iter().map(|&a| Asn(a)).collect()
+    }
+
+    fn pfx(i: u8) -> Ipv4Prefix {
+        format!("10.{i}.0.0/16").parse().expect("prefix")
+    }
+
+    /// A delta route over `path` (next hop first).
+    fn route(path: &[u32]) -> DeltaRoute {
+        DeltaRoute {
+            next_hop: Asn(path[0]),
+            path: asns(path),
+            communities: vec![Community::new(path[0] as u16, 1)],
+        }
+    }
+
+    /// A collector row replacement over `path` (speaker first).
+    fn row(prefix: u8, path: &[u32]) -> PeerRow {
+        (
+            pfx(prefix),
+            asns(path),
+            vec![Community::new(path[0] as u16, 2)],
+        )
+    }
+
+    fn lg_view(asn: u32, prefix: u8) -> LgView {
+        let best = LgRoute {
+            neighbor: Asn(7),
+            path: asns(&[7]),
+            local_pref: 100,
+            communities: Vec::new(),
+            best: true,
+            truth_rel: None,
+        };
+        LgView {
+            asn: Asn(asn),
+            rows: BTreeMap::from([(pfx(prefix), vec![best])]),
+        }
+    }
+
+    fn hand_frame(peers: &[u32]) -> StreamFrame {
+        StreamFrame {
+            label: "hand".to_string(),
+            delta: OutputDelta::default(),
+            peers: asns(peers),
+            peer_rows: Vec::new(),
+            lg_views: Vec::new(),
+            diagnostics: SimDiagnostics::default(),
+            oracle: None,
+        }
+    }
+
+    /// The peers holding a row for `prefix`, in row order.
+    fn peers_at(out: &SimOutput, prefix: u8) -> Vec<u32> {
+        out.collector
+            .rows
+            .get(&pfx(prefix))
+            .map_or_else(Vec::new, |rows| rows.iter().map(|r| r.peer.0).collect())
+    }
+
+    /// Hand-built frames for the edges a simulated series rarely reaches,
+    /// each held to the reference rebuild (and to what it should do).
+    #[test]
+    fn in_place_apply_matches_the_rebuild_on_hand_built_frames() {
+        fn vd(f: &mut StreamFrame, peer: u32) -> &mut VantageDelta {
+            f.delta.collector.entry(Asn(peer)).or_default()
+        }
+
+        // The world: peers 1, 2, 3; AS 3 is also an LG, AS 10 an LG only.
+        let mut f0 = hand_frame(&[1, 2, 3]);
+        f0.peer_rows = vec![
+            (Asn(1), vec![row(1, &[1, 7]), row(2, &[1, 8])]),
+            (Asn(2), vec![row(1, &[2, 7]), row(4, &[2, 9])]),
+            (Asn(3), vec![row(1, &[3, 7]), row(2, &[3, 8])]),
+        ];
+        f0.lg_views = vec![lg_view(3, 1), lg_view(10, 2)];
+        f0.diagnostics = SimDiagnostics {
+            classes: 1,
+            non_converged: 0,
+            sweeps_total: 1,
+        };
+
+        // A withdraw and an announce of one prefix in one frame, the last
+        // row of a prefix withdrawn, a delta naming a peer off the list.
+        let mut f1 = hand_frame(&[1, 2, 3]);
+        vd(&mut f1, 1).withdrawn.push(pfx(1));
+        vd(&mut f1, 1).announced.push((pfx(1), route(&[5, 7])));
+        vd(&mut f1, 2).withdrawn.push(pfx(4));
+        vd(&mut f1, 3).announced.push((pfx(3), route(&[6, 9])));
+        vd(&mut f1, 99).announced.push((pfx(5), route(&[5, 9])));
+
+        // A peer added, an existing peer replaced wholesale (its delta
+        // events are overridden), a row inserted ahead of another, an LG
+        // removed.
+        let mut f2 = hand_frame(&[1, 2, 3, 4]);
+        f2.peer_rows = vec![
+            (Asn(4), vec![row(1, &[4, 7]), row(3, &[4, 9])]),
+            (Asn(2), vec![row(2, &[2, 6])]),
+        ];
+        vd(&mut f2, 2).announced.push((pfx(5), route(&[6, 9])));
+        vd(&mut f2, 1).announced.push((pfx(3), route(&[8, 9])));
+        f2.delta.lgs_removed.push(Asn(10));
+
+        // A peer removed and the rest reordered; the LG AS 3 stays on as a
+        // collector peer only.
+        let mut f3 = hand_frame(&[3, 1, 4]);
+        vd(&mut f3, 3).replaced.push((pfx(1), route(&[8, 7])));
+        f3.delta.lgs_removed.push(Asn(3));
+
+        // An LG re-added, a withdraw-and-announce on one prefix, and a
+        // peer replaced twice (the last wins) beside a replacement for a
+        // peer off the list.
+        let mut f4 = hand_frame(&[3, 1, 4]);
+        f4.lg_views = vec![lg_view(10, 5)];
+        f4.delta.lgs_added.push(Asn(10));
+        vd(&mut f4, 4).withdrawn.push(pfx(3));
+        vd(&mut f4, 4).announced.push((pfx(3), route(&[5, 9])));
+        f4.peer_rows = vec![
+            (Asn(1), vec![row(9, &[1, 9])]),
+            (Asn(1), vec![row(2, &[1, 4])]),
+            (Asn(77), vec![row(6, &[77, 9])]),
+        ];
+
+        let states = check_in_place(vec![f0, f1, f2, f3, f4], "hand-built");
+        let [s0, s1, s2, s3, s4] = states.as_slice() else {
+            panic!("five frames, five states");
+        };
+        assert_eq!(
+            (peers_at(s0, 1), peers_at(s0, 2), peers_at(s0, 4)),
+            (vec![1, 2, 3], vec![1, 3], vec![2])
+        );
+        assert_eq!(s1.collector.rows[&pfx(1)][0].path, asns(&[1, 5, 7]));
+        assert!(peers_at(s1, 4).is_empty() && peers_at(s1, 5).is_empty());
+        assert_eq!(peers_at(s1, 3), [3]);
+        assert_eq!(
+            (peers_at(s2, 1), peers_at(s2, 2), peers_at(s2, 3)),
+            (vec![1, 3, 4], vec![1, 2, 3], vec![1, 3, 4])
+        );
+        assert!(peers_at(s2, 5).is_empty() && !s2.lgs.contains_key(&Asn(10)));
+        assert_eq!(
+            (peers_at(s3, 1), peers_at(s3, 2)),
+            (vec![3, 1, 4], vec![3, 1])
+        );
+        assert!(!s3.lgs.contains_key(&Asn(3)) && s3.collector.peers.contains(&Asn(3)));
+        assert!(s4.lgs.contains_key(&Asn(10)));
+        assert_eq!((peers_at(s4, 3), peers_at(s4, 9)), (vec![3, 4], vec![]));
+        assert!(peers_at(s4, 6).is_empty());
+        let rows_of_1: Vec<Ipv4Prefix> = rows_of(&s4.collector, Asn(1)).into_keys().collect();
+        assert_eq!(rows_of_1, [pfx(2)], "the last replacement of a peer wins");
     }
 
     #[test]
@@ -740,5 +1177,38 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A peer list naming one ASN twice would make `apply` emit that
+    /// peer's row twice per prefix; decoding rejects it at the repeated
+    /// entry.
+    #[test]
+    fn duplicate_collector_peer_fails_at_the_repeated_entry() {
+        let block = |peers: &[u32]| {
+            let mut bytes = Vec::new();
+            put_block(
+                &mut bytes,
+                KIND_SNAPSHOT,
+                &hand_frame(peers).encode_payload(),
+            );
+            bytes
+        };
+        assert!(matches!(
+            next_step(&block(&[1, 2, 3]), 0),
+            Ok(StreamStep::Frame(..))
+        ));
+        // Block header, label, delta, the count and two distinct peers
+        // come before the repeated entry.
+        let mut head = vec![0; 5];
+        put_str(&mut head, "hand");
+        OutputDelta::default().encode(&mut head);
+        put_asn_list(&mut head, &asns(&[1, 2]));
+        match next_step(&block(&[1, 2, 1]), 0) {
+            Err(CodecError::Invalid { offset, what }) => {
+                assert_eq!(what, "duplicate collector peer");
+                assert_eq!(offset, head.len());
+            }
+            other => panic!("wanted a duplicate-peer error, got {other:?}"),
+        }
     }
 }

@@ -215,7 +215,8 @@ impl Offline {
     }
 
     fn ingest(&mut self, frame: &StreamFrame) {
-        let out = frame.apply(&self.prev);
+        let mut out = self.prev.clone();
+        frame.clone().apply(&mut out);
         if let Some(g) = &frame.oracle {
             self.oracle = g.clone();
         }
@@ -841,7 +842,7 @@ fn readers_see_one_epoch_never_torn() {
         const K: usize = 2;
         let mut held = None;
         for (i, frame) in frames.iter().enumerate() {
-            writer.publish_frame(frame).expect("publish");
+            writer.publish_frame(frame.clone()).expect("publish");
             if i + 1 == K {
                 held = Some(handle.current());
             }
@@ -1117,7 +1118,7 @@ fn tcp_listings_are_single_epoch_during_publication() {
                 },
             )
             .expect("open writer");
-            for frame in &frames {
+            for frame in frames {
                 w.publish_frame(frame).expect("publish");
                 std::thread::sleep(Duration::from_millis(4));
             }
@@ -1227,5 +1228,74 @@ fn tcp_listings_are_single_epoch_during_publication() {
     assert_eq!(shandle.stats().queries, 1);
     assert_eq!(final_stats.accepted, 1);
     assert_eq!(final_stats.errors, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A frame patches the writer's output before its segment is spilled, so
+/// a publication that fails leaves the writer past what it published:
+/// the failure is terminal. With the spill directory replaced by a file,
+/// the third publication fails, a fourth on the same writer fails too —
+/// typed, never indexed against the half-advanced output — and readers
+/// keep epoch 2, byte for byte.
+#[test]
+fn a_failed_publication_is_terminal_for_its_writer() {
+    let seed = 0xA1;
+    let sc = build_scenario(seed);
+    let (header_oracle, frames) = decode_stream(&encode_stream(&sc));
+    let dir = tmp_dir("halt");
+    let spill = dir.join("spill");
+
+    let mut offline = Offline::new(&header_oracle);
+    for f in &frames[..2] {
+        offline.ingest(f);
+    }
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x4A17);
+    let reqs: Vec<QueryRequest> = (0..EPOCH_QUERIES)
+        .map(|_| arb_request(&mut rng, &sc, 2))
+        .collect();
+    let render_all = |engine: &QueryEngine| -> Vec<String> {
+        reqs.iter().map(|req| rendered(engine, req)).collect()
+    };
+
+    let handle = LiveHandle::new(QueryEngine::default());
+    let mut writer = LiveWriter::open(
+        Arc::clone(&handle),
+        header_oracle,
+        &spill,
+        LiveOptions {
+            window: 1,
+            keyframe_every: 3,
+        },
+    )
+    .expect("open writer");
+    let mut frames = frames.into_iter();
+    for _ in 0..2 {
+        writer
+            .publish_frame(frames.next().unwrap())
+            .expect("publish");
+    }
+    let epoch_2 = render_all(&handle.current());
+    assert_eq!(epoch_2, render_all(&offline.engine));
+
+    std::fs::remove_dir_all(&spill).unwrap();
+    std::fs::write(&spill, b"not a directory").unwrap();
+    let err = writer
+        .publish_frame(frames.next().unwrap())
+        .expect_err("the spill directory is a file");
+    assert!(matches!(err, LiveError::Store(_)), "{err:?}");
+    let err = writer
+        .publish_frame(frames.next().unwrap())
+        .expect_err("a writer whose publication failed publishes nothing more");
+    assert!(matches!(err, LiveError::Halted), "{err:?}");
+    assert_eq!(
+        err.to_string(),
+        "live writer halted by an earlier failed publication"
+    );
+
+    assert_eq!(handle.published(), 2);
+    let live = handle.current();
+    assert_eq!(live.snapshot_count(), 2);
+    assert_eq!(live.labels(), offline.engine.labels());
+    assert_eq!(render_all(&live), epoch_2);
     let _ = std::fs::remove_dir_all(&dir);
 }
