@@ -2,7 +2,7 @@
 //! propagation, relationship inference, wire codecs, and the prefix trie.
 //! These back the scaling claims in README.md.
 
-use rpi_bench::harness::{BatchSize, Criterion, Throughput};
+use rpi_bench::harness::{Criterion, Throughput};
 
 use bgp_sim::export::collector_to_mrt;
 use bgp_sim::{GroundTruth, PolicyParams, Simulation, VantageSpec};
@@ -65,11 +65,7 @@ fn bench_wire(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(bytes.len() as u64));
     g.bench_function("mrt_encode", |b| b.iter(|| dump.encode(0)));
     g.bench_function("mrt_decode", |b| {
-        b.iter_batched(
-            || bytes.clone(),
-            |buf| TableDump::decode(buf).unwrap(),
-            BatchSize::SmallInput,
-        )
+        b.iter(|| TableDump::decode(&bytes).unwrap())
     });
     g.finish();
 }

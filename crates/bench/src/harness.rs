@@ -39,15 +39,6 @@ pub enum Throughput {
     Bytes(u64),
 }
 
-/// Batch sizing hint; accepted for API compatibility, not acted upon.
-#[derive(Debug, Clone, Copy)]
-pub enum BatchSize {
-    /// Small per-iteration setup output.
-    SmallInput,
-    /// Large per-iteration setup output.
-    LargeInput,
-}
-
 /// A group of related benchmarks with shared settings.
 #[derive(Debug)]
 pub struct BenchmarkGroup {
@@ -110,21 +101,6 @@ impl Bencher {
         for _ in 0..self.sample_size {
             let t0 = Instant::now();
             std::hint::black_box(f());
-            self.samples.push(t0.elapsed());
-        }
-    }
-
-    /// Times `routine` on fresh input from `setup`, excluding setup time.
-    pub fn iter_batched<I, T, S, F>(&mut self, mut setup: S, mut routine: F, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        F: FnMut(I) -> T,
-    {
-        std::hint::black_box(routine(setup())); // warmup
-        for _ in 0..self.sample_size {
-            let input = setup();
-            let t0 = Instant::now();
-            std::hint::black_box(routine(input));
             self.samples.push(t0.elapsed());
         }
     }

@@ -1,13 +1,18 @@
-//! Compact byte codec for the on-disk archive format.
+//! The one byte codec: every format this workspace reads — archive
+//! segments, the manifest, live-stream frames, and the BGP / MRT wire
+//! formats `bgp-wire` decodes — goes through it.
 //!
-//! `rpi-store` segments are streams of small unsigned integers (interned
-//! symbols, counts, prefix bits) with occasional fixed-width fields, so
-//! the codec is LEB128 varints plus ZigZag for the rare signed value:
+//! The archive's own formats are streams of small unsigned integers
+//! (interned symbols, counts, prefix bits), so their workhorse is LEB128
+//! varints plus ZigZag for the rare signed value; the wire formats and
+//! the manifest are fixed-width big-endian fields:
 //!
 //! * [`put_uvarint`] / [`Reader::uvarint`] — unsigned LEB128, 1 byte for
 //!   values < 128 (the overwhelmingly common case for symbols and counts).
 //! * [`zigzag`] / [`unzigzag`] — signed→unsigned mapping so small
 //!   negative deltas stay short.
+//! * [`put_u16`] / [`put_u32`] / [`put_u64`] and [`Reader::u8`] …
+//!   [`Reader::u64`] — fixed-width big-endian (network order) fields.
 //! * [`put_prefix`] / [`put_asn`] / [`put_asn_list`] /
 //!   [`put_relationship`] and their [`Reader`] twins — the typed values
 //!   the archive segments, delta events and live-stream frames are made
@@ -15,7 +20,9 @@
 //! * [`Reader`] — a checked cursor over a byte slice that reports the
 //!   **absolute byte offset** of every failure ([`CodecError`]), which is
 //!   what lets a corrupt archive segment fail loudly with "segment 3,
-//!   byte 512" instead of a panic deep in a parser.
+//!   byte 512" instead of a panic deep in a parser. [`Reader::sub`]
+//!   splits off a length-delimited block (an MRT record, a BGP path
+//!   attribute) that still reports offsets into the whole input.
 //!
 //! Writers are plain functions over `Vec<u8>`: encoding is infallible, so
 //! a writer type would only add ceremony.
@@ -87,6 +94,21 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
         }
         out.push(byte | 0x80);
     }
+}
+
+/// Appends a big-endian `u16`.
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_be_bytes());
+}
+
+/// Appends a big-endian `u32`.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_be_bytes());
+}
+
+/// Appends a big-endian `u64`.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_be_bytes());
 }
 
 /// Appends a usize as a varint (usize always fits u64 here).
@@ -198,9 +220,23 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// Splits off the next `n` bytes as a reader of their own, whose
+    /// offsets stay absolute: a failure inside the block names the byte
+    /// in the whole input.
+    pub fn sub(&mut self, n: usize) -> Result<Reader<'a>, CodecError> {
+        let base = self.position();
+        Ok(Reader::with_base(self.bytes(n)?, base))
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.bytes(1)?[0])
+    }
+
+    /// Reads a big-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
+        let b = self.bytes(2)?;
+        Ok(u16::from_be_bytes([b[0], b[1]]))
     }
 
     /// Reads a big-endian `u32`.
@@ -366,6 +402,20 @@ mod tests {
                 wanted: 2
             })
         );
+        // A sub-reader ends where its block does, but names bytes of the
+        // whole input.
+        let mut r = Reader::with_base(&buf, 100);
+        r.u8().unwrap();
+        let mut sub = r.sub(2).unwrap();
+        assert_eq!(sub.u16(), Ok(0xADBE));
+        assert_eq!(
+            sub.u8(),
+            Err(CodecError::Truncated {
+                offset: 103,
+                wanted: 1
+            })
+        );
+        assert_eq!(r.position(), 103);
         // A varint whose continuation bit runs off the end.
         let mut r = Reader::with_base(&[0x80, 0x80], 7);
         assert_eq!(

@@ -3,18 +3,16 @@
 use std::error::Error;
 use std::fmt;
 
+use bgp_types::codec::CodecError;
+
 /// Error produced when decoding BGP or MRT bytes fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum WireError {
-    /// Input ended before a complete structure was read. Carries what was
-    /// being read and how many bytes were still needed.
-    Truncated {
-        /// Structure being decoded.
-        what: &'static str,
-        /// Bytes still required.
-        needed: usize,
-    },
+    /// A read ran past the end of the input or of its enclosing record:
+    /// [`CodecError::Truncated`] names the absolute offset of that read
+    /// and how many more bytes it wanted.
+    Codec(CodecError),
     /// The 16-byte BGP marker was not all-ones.
     BadMarker,
     /// A declared length field is impossible (too small / past the end).
@@ -42,12 +40,16 @@ pub enum WireError {
     MissingAttr(&'static str),
 }
 
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> WireError {
+        WireError::Codec(e)
+    }
+}
+
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::Truncated { what, needed } => {
-                write!(f, "truncated {what}: {needed} more byte(s) needed")
-            }
+            WireError::Codec(e) => e.fmt(f),
             WireError::BadMarker => write!(f, "BGP header marker is not all-ones"),
             WireError::BadLength { what, got } => {
                 write!(f, "impossible length {got} while decoding {what}")
@@ -71,11 +73,11 @@ mod tests {
 
     #[test]
     fn display_mentions_context() {
-        let e = WireError::Truncated {
-            what: "UPDATE",
-            needed: 4,
-        };
-        assert!(e.to_string().contains("UPDATE"));
+        let e = WireError::from(CodecError::Truncated {
+            offset: 512,
+            wanted: 4,
+        });
+        assert!(e.to_string().contains("512"));
         assert!(e.to_string().contains('4'));
         let e = WireError::Unsupported {
             what: "MRT record",

@@ -13,7 +13,10 @@
 //!   parser (the paper retrieves LOCAL_PREF and communities this way, §3).
 //!
 //! All decoders are fail-safe: malformed input yields [`WireError`], never a
-//! panic, and decoding is fuzzed by proptest round-trips plus mutation tests.
+//! panic. Every read goes through `bgp_types::codec::Reader`, which checks
+//! the bytes are there and names the file offset when they are not
+//! ([`WireError::Codec`]); seeded `StdRng` round-trip, truncation and
+//! byte-mutation tests hold the decoders to that.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

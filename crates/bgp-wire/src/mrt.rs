@@ -13,12 +13,13 @@
 //! [`MrtWriter`] / [`MrtReader`] stream records; [`TableDump`] is the
 //! convenient whole-file representation used by the pipeline.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
+use bgp_types::codec::{put_u16, put_u32, Reader};
 use bgp_types::{Asn, Ipv4Prefix};
 
 use crate::error::WireError;
-use crate::msg::{decode_path_attributes, encode_path_attributes, WireAttrs};
+use crate::msg::{
+    decode_path_attributes, encode_path_attributes, get_prefix, put_prefix, WireAttrs,
+};
 
 const MRT_TABLE_DUMP_V2: u16 = 13;
 const SUBTYPE_PEER_INDEX_TABLE: u16 = 1;
@@ -72,7 +73,7 @@ pub enum MrtRecord {
 /// Streaming writer producing MRT bytes.
 #[derive(Debug, Default)]
 pub struct MrtWriter {
-    out: BytesMut,
+    out: Vec<u8>,
     sequence: u32,
 }
 
@@ -83,10 +84,10 @@ impl MrtWriter {
     }
 
     fn put_record(&mut self, timestamp: u32, subtype: u16, body: &[u8]) {
-        self.out.put_u32(timestamp);
-        self.out.put_u16(MRT_TABLE_DUMP_V2);
-        self.out.put_u16(subtype);
-        self.out.put_u32(body.len() as u32);
+        put_u32(&mut self.out, timestamp);
+        put_u16(&mut self.out, MRT_TABLE_DUMP_V2);
+        put_u16(&mut self.out, subtype);
+        put_u32(&mut self.out, body.len() as u32);
         self.out.extend_from_slice(body);
     }
 
@@ -98,16 +99,16 @@ impl MrtWriter {
         view_name: &str,
         peers: &[PeerEntry],
     ) {
-        let mut body = BytesMut::new();
-        body.put_u32(collector_id);
-        body.put_u16(view_name.len() as u16);
+        let mut body = Vec::new();
+        put_u32(&mut body, collector_id);
+        put_u16(&mut body, view_name.len() as u16);
         body.extend_from_slice(view_name.as_bytes());
-        body.put_u16(peers.len() as u16);
+        put_u16(&mut body, peers.len() as u16);
         for p in peers {
-            body.put_u8(0x02); // IPv4 peer, 32-bit AS
-            body.put_u32(p.bgp_id);
-            body.put_u32(p.addr);
-            body.put_u32(p.asn.0);
+            body.push(0x02); // IPv4 peer, 32-bit AS
+            put_u32(&mut body, p.bgp_id);
+            put_u32(&mut body, p.addr);
+            put_u32(&mut body, p.asn.0);
         }
         self.put_record(timestamp, SUBTYPE_PEER_INDEX_TABLE, &body);
     }
@@ -115,68 +116,56 @@ impl MrtWriter {
     /// Writes one `RIB_IPV4_UNICAST` record; sequence numbers are assigned
     /// automatically in write order.
     pub fn write_rib_entry(&mut self, timestamp: u32, prefix: Ipv4Prefix, entries: &[RibEntry]) {
-        let mut body = BytesMut::new();
-        body.put_u32(self.sequence);
+        let mut body = Vec::new();
+        put_u32(&mut body, self.sequence);
         self.sequence += 1;
-        body.put_u8(prefix.len());
-        let nbytes = (prefix.len() as usize).div_ceil(8);
-        body.extend_from_slice(&prefix.bits().to_be_bytes()[..nbytes]);
-        body.put_u16(entries.len() as u16);
+        put_prefix(&mut body, prefix);
+        put_u16(&mut body, entries.len() as u16);
         for e in entries {
-            body.put_u16(e.peer_index);
-            body.put_u32(e.originated_time);
+            put_u16(&mut body, e.peer_index);
+            put_u32(&mut body, e.originated_time);
             let attrs = encode_path_attributes(&e.attrs);
-            body.put_u16(attrs.len() as u16);
+            put_u16(&mut body, attrs.len() as u16);
             body.extend_from_slice(&attrs);
         }
         self.put_record(timestamp, SUBTYPE_RIB_IPV4_UNICAST, &body);
     }
 
     /// Finishes and returns the file bytes.
-    pub fn finish(self) -> Bytes {
-        self.out.freeze()
+    pub fn finish(self) -> Vec<u8> {
+        self.out
     }
 }
 
 /// Streaming reader over MRT bytes.
 #[derive(Debug)]
-pub struct MrtReader {
-    buf: Bytes,
+pub struct MrtReader<'a> {
+    r: Reader<'a>,
 }
 
-impl MrtReader {
-    /// Wraps a byte buffer.
-    pub fn new(buf: Bytes) -> Self {
-        MrtReader { buf }
+impl<'a> MrtReader<'a> {
+    /// Reads records from `buf`; error offsets are offsets into `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        MrtReader {
+            r: Reader::new(buf),
+        }
     }
 
     /// `true` when all records have been read.
     pub fn is_empty(&self) -> bool {
-        !self.buf.has_remaining()
+        self.r.is_exhausted()
     }
 
     /// Reads the next record, or `None` at end of input.
     pub fn next_record(&mut self) -> Result<Option<(u32, MrtRecord)>, WireError> {
-        if !self.buf.has_remaining() {
+        if self.r.is_exhausted() {
             return Ok(None);
         }
-        if self.buf.remaining() < 12 {
-            return Err(WireError::Truncated {
-                what: "MRT header",
-                needed: 12 - self.buf.remaining(),
-            });
-        }
-        let timestamp = self.buf.get_u32();
-        let rtype = self.buf.get_u16();
-        let subtype = self.buf.get_u16();
-        let len = self.buf.get_u32() as usize;
-        if self.buf.remaining() < len {
-            return Err(WireError::Truncated {
-                what: "MRT record body",
-                needed: len - self.buf.remaining(),
-            });
-        }
-        let mut body = self.buf.split_to(len);
+        let timestamp = self.r.u32()?;
+        let rtype = self.r.u16()?;
+        let subtype = self.r.u16()?;
+        let len = self.r.u32()? as usize;
+        let mut body = self.r.sub(len)?;
         if rtype != MRT_TABLE_DUMP_V2 {
             return Err(WireError::Unsupported {
                 what: "MRT record",
@@ -197,45 +186,32 @@ impl MrtReader {
     }
 }
 
-fn need(buf: &impl Buf, n: usize, what: &'static str) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated {
-            what,
-            needed: n - buf.remaining(),
-        })
-    } else {
-        Ok(())
-    }
-}
+/// Smallest wire size of a peer entry (type, BGP ID, address, 2-byte ASN)
+/// and of a RIB entry (peer index, time, attribute length): a count read
+/// off the wire reserves no more entries than the record could hold.
+const MIN_PEER_ENTRY: usize = 11;
+const MIN_RIB_ENTRY: usize = 8;
 
-fn decode_peer_index(body: &mut Bytes) -> Result<MrtRecord, WireError> {
-    need(body, 8, "PEER_INDEX_TABLE")?;
-    let collector_id = body.get_u32();
-    let name_len = body.get_u16() as usize;
-    need(body, name_len, "view name")?;
-    let name_bytes = body.split_to(name_len);
-    let view_name = String::from_utf8_lossy(&name_bytes).into_owned();
-    need(body, 2, "peer count")?;
-    let count = body.get_u16() as usize;
-    let mut peers = Vec::with_capacity(count);
+fn decode_peer_index(body: &mut Reader) -> Result<MrtRecord, WireError> {
+    let collector_id = body.u32()?;
+    let name_len = body.u16()? as usize;
+    let view_name = String::from_utf8_lossy(body.bytes(name_len)?).into_owned();
+    let count = body.u16()? as usize;
+    let mut peers = Vec::with_capacity(count.min(body.remaining() / MIN_PEER_ENTRY));
     for _ in 0..count {
-        need(body, 1, "peer type")?;
-        let ptype = body.get_u8();
+        let ptype = body.u8()?;
         if ptype & 0x01 != 0 {
             return Err(WireError::Unsupported {
                 what: "IPv6 peer",
                 code: ptype as u32,
             });
         }
-        need(body, 8, "peer entry")?;
-        let bgp_id = body.get_u32();
-        let addr = body.get_u32();
+        let bgp_id = body.u32()?;
+        let addr = body.u32()?;
         let asn = if ptype & 0x02 != 0 {
-            need(body, 4, "peer ASN")?;
-            Asn(body.get_u32())
+            Asn(body.u32()?)
         } else {
-            need(body, 2, "peer ASN")?;
-            Asn(body.get_u16() as u32)
+            Asn(body.u16()? as u32)
         };
         peers.push(PeerEntry { bgp_id, addr, asn });
     }
@@ -246,33 +222,16 @@ fn decode_peer_index(body: &mut Bytes) -> Result<MrtRecord, WireError> {
     })
 }
 
-fn decode_rib(body: &mut Bytes) -> Result<MrtRecord, WireError> {
-    need(body, 5, "RIB record")?;
-    let sequence = body.get_u32();
-    let plen = body.get_u8();
-    if plen > 32 {
-        return Err(WireError::BadValue {
-            what: "RIB prefix length",
-            got: plen as u32,
-        });
-    }
-    let nbytes = (plen as usize).div_ceil(8);
-    need(body, nbytes, "RIB prefix")?;
-    let mut be = [0u8; 4];
-    for slot in be.iter_mut().take(nbytes) {
-        *slot = body.get_u8();
-    }
-    let prefix = Ipv4Prefix::canonical(u32::from_be_bytes(be), plen);
-    need(body, 2, "RIB entry count")?;
-    let count = body.get_u16() as usize;
-    let mut entries = Vec::with_capacity(count);
+fn decode_rib(body: &mut Reader) -> Result<MrtRecord, WireError> {
+    let sequence = body.u32()?;
+    let prefix = get_prefix(body, "RIB prefix length")?;
+    let count = body.u16()? as usize;
+    let mut entries = Vec::with_capacity(count.min(body.remaining() / MIN_RIB_ENTRY));
     for _ in 0..count {
-        need(body, 8, "RIB entry")?;
-        let peer_index = body.get_u16();
-        let originated_time = body.get_u32();
-        let attr_len = body.get_u16() as usize;
-        need(body, attr_len, "RIB entry attributes")?;
-        let attrs = decode_path_attributes(body.split_to(attr_len))?;
+        let peer_index = body.u16()?;
+        let originated_time = body.u32()?;
+        let attr_len = body.u16()? as usize;
+        let attrs = decode_path_attributes(&mut body.sub(attr_len)?)?;
         entries.push(RibEntry {
             peer_index,
             originated_time,
@@ -301,7 +260,7 @@ pub struct TableDump {
 
 impl TableDump {
     /// Serializes the dump to MRT bytes (all records share `timestamp`).
-    pub fn encode(&self, timestamp: u32) -> Bytes {
+    pub fn encode(&self, timestamp: u32) -> Vec<u8> {
         let mut w = MrtWriter::new();
         w.write_peer_index_table(timestamp, self.collector_id, &self.view_name, &self.peers);
         for (prefix, entries) in &self.routes {
@@ -310,10 +269,10 @@ impl TableDump {
         w.finish()
     }
 
-    /// Parses a full MRT file. The peer index table must come first, as
-    /// RouteViews files are laid out.
-    pub fn decode(bytes: Bytes) -> Result<TableDump, WireError> {
-        let mut reader = MrtReader::new(bytes);
+    /// Parses a full MRT file in place. The peer index table must come
+    /// first, as RouteViews files are laid out.
+    pub fn decode(bytes: impl AsRef<[u8]>) -> Result<TableDump, WireError> {
+        let mut reader = MrtReader::new(bytes.as_ref());
         let mut dump = TableDump::default();
         let mut saw_index = false;
         while let Some((_ts, rec)) = reader.next_record()? {
@@ -353,7 +312,7 @@ impl TableDump {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_types::{AsPath, Community, Origin};
+    use bgp_types::{AsPath, CodecError, Community, Origin};
 
     fn pfx(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
@@ -411,6 +370,19 @@ mod tests {
     fn dump_roundtrip() {
         let dump = sample_dump();
         let bytes = dump.encode(1_037_000_000);
+        // The bytes themselves, as the parent encoder wrote them: a round
+        // trip alone would pass if encoder and decoder drifted together.
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "3dcf5d40000d000100000033c0a8000100116f7265676f6e2d726f7574657669\
+             657773000202000000010a000001000002bd02000000020a00000200001b6a3d\
+             cf5d40000d00020000006700000000185060b4000200003dcf5d400023400101\
+             0040020e0203000002bd0000201c0000324e40030401010101c0080400010064\
+             00013dcf5da4002a4001010040020e020300001b6a0000201c0000324e400304\
+             010101014005040000005ac00804000100643dcf5d40000d00020000000a0000\
+             0001130c00000000"
+        );
         let got = TableDump::decode(bytes).unwrap();
         assert_eq!(got, dump);
     }
@@ -418,7 +390,7 @@ mod tests {
     #[test]
     fn reader_yields_records_in_order() {
         let bytes = sample_dump().encode(42);
-        let mut r = MrtReader::new(bytes);
+        let mut r = MrtReader::new(&bytes);
         let (ts, first) = r.next_record().unwrap().unwrap();
         assert_eq!(ts, 42);
         assert!(matches!(first, MrtRecord::PeerIndexTable { .. }));
@@ -459,17 +431,45 @@ mod tests {
         ));
     }
 
+    /// A cut on a record edge is a clean end; any other cut fails the one
+    /// read that spans it, named by its offset in the whole file — inside
+    /// the record the cut falls in, wanting no byte past that record.
+    /// Each cut also runs with its record's length field resealed to the
+    /// cut body, so the failing read is one inside the record's reader.
     #[test]
     fn truncation_anywhere_is_an_error_not_a_panic() {
         let bytes = sample_dump().encode(7);
+        let mut edges = vec![0];
+        let mut r = MrtReader::new(&bytes);
+        while r.next_record().unwrap().is_some() {
+            edges.push(r.r.position());
+        }
         for cut in 1..bytes.len() {
-            let mut r = MrtReader::new(bytes.slice(..cut));
-            // Drain until error or clean end; must never panic.
-            loop {
-                match r.next_record() {
-                    Ok(Some(_)) => continue,
-                    Ok(None) => break, // cut landed exactly on a record edge
-                    Err(_) => break,
+            let start = edges.iter().copied().filter(|&e| e <= cut).max().unwrap();
+            let end = edges.iter().copied().find(|&e| e > cut).unwrap();
+            let body = start + 12;
+            let mut inputs = vec![(bytes[..cut].to_vec(), start)];
+            if cut >= body {
+                let mut resealed = bytes[..cut].to_vec();
+                resealed[start + 8..body].copy_from_slice(&((cut - body) as u32).to_be_bytes());
+                inputs.push((resealed, body));
+            }
+            for (input, lo) in inputs {
+                let mut r = MrtReader::new(&input);
+                let err = loop {
+                    match r.next_record() {
+                        Ok(Some(_)) => continue,
+                        Ok(None) => break None,
+                        Err(e) => break Some(e),
+                    }
+                };
+                match err {
+                    None => assert_eq!(cut, start, "cut {cut} inside a record decoded cleanly"),
+                    Some(WireError::Codec(CodecError::Truncated { offset, wanted })) => assert!(
+                        cut != start && lo <= offset && offset <= cut && cut + wanted <= end,
+                        "cut {cut} in record {start}..{end}: read at {offset} wanted {wanted} more"
+                    ),
+                    Some(e) => panic!("cut {cut} gave {e:?}"),
                 }
             }
         }
@@ -477,12 +477,12 @@ mod tests {
 
     #[test]
     fn unsupported_record_type_reported() {
-        let mut out = BytesMut::new();
-        out.put_u32(0);
-        out.put_u16(16); // TABLE_DUMP (v1) — unsupported here
-        out.put_u16(1);
-        out.put_u32(0);
-        let mut r = MrtReader::new(out.freeze());
+        let mut out = Vec::new();
+        put_u32(&mut out, 0);
+        put_u16(&mut out, 16); // TABLE_DUMP (v1) — unsupported here
+        put_u16(&mut out, 1);
+        put_u32(&mut out, 0);
+        let mut r = MrtReader::new(&out);
         assert!(matches!(
             r.next_record(),
             Err(WireError::Unsupported {
@@ -495,21 +495,18 @@ mod tests {
     #[test]
     fn two_byte_peer_encoding_is_readable() {
         // Hand-encode a peer index table with a 2-byte-AS peer (type 0x00).
-        let mut body = BytesMut::new();
-        body.put_u32(9);
-        body.put_u16(0); // empty view name
-        body.put_u16(1);
-        body.put_u8(0x00);
-        body.put_u32(5); // bgp id
-        body.put_u32(6); // addr
-        body.put_u16(701); // 2-byte ASN
-        let mut out = BytesMut::new();
-        out.put_u32(0);
-        out.put_u16(MRT_TABLE_DUMP_V2);
-        out.put_u16(SUBTYPE_PEER_INDEX_TABLE);
-        out.put_u32(body.len() as u32);
-        out.extend_from_slice(&body);
-        let mut r = MrtReader::new(out.freeze());
+        let mut body = Vec::new();
+        put_u32(&mut body, 9);
+        put_u16(&mut body, 0); // empty view name
+        put_u16(&mut body, 1);
+        body.push(0x00);
+        put_u32(&mut body, 5); // bgp id
+        put_u32(&mut body, 6); // addr
+        put_u16(&mut body, 701); // 2-byte ASN
+        let mut w = MrtWriter::new();
+        w.put_record(0, SUBTYPE_PEER_INDEX_TABLE, &body);
+        let out = w.finish();
+        let mut r = MrtReader::new(&out);
         match r.next_record().unwrap().unwrap().1 {
             MrtRecord::PeerIndexTable { peers, .. } => {
                 assert_eq!(peers[0].asn, Asn(701));

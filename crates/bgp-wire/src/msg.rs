@@ -6,8 +6,7 @@
 //! AGGREGATOR, COMMUNITIES), KEEPALIVE and NOTIFICATION. AS paths are
 //! encoded natively with 4-byte AS numbers (an "AS4-speaker" session).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
+use bgp_types::codec::{put_u16, put_u32, Reader};
 use bgp_types::{AsPath, Asn, Community, Ipv4Prefix, Origin, PathSegment};
 
 use crate::error::WireError;
@@ -113,28 +112,27 @@ pub struct UpdateMessage {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_header(out: &mut BytesMut, msg_type: u8, body_len: usize) {
+fn put_header(out: &mut Vec<u8>, msg_type: u8, body_len: usize) {
     out.extend_from_slice(&[0xFF; 16]);
-    out.put_u16((19 + body_len) as u16);
-    out.put_u8(msg_type);
+    put_u16(out, (19 + body_len) as u16);
+    out.push(msg_type);
 }
 
-fn put_prefix(out: &mut BytesMut, p: Ipv4Prefix) {
-    out.put_u8(p.len());
+/// Appends a prefix in the RFC 4271 encoding — a length byte, then
+/// ⌈len/8⌉ address bytes — shared by UPDATE NLRI / withdrawn routes and
+/// MRT RIB records.
+pub(crate) fn put_prefix(out: &mut Vec<u8>, p: Ipv4Prefix) {
+    out.push(p.len());
     let nbytes = (p.len() as usize).div_ceil(8);
-    let be = p.bits().to_be_bytes();
-    out.extend_from_slice(&be[..nbytes]);
+    out.extend_from_slice(&p.bits().to_be_bytes()[..nbytes]);
 }
 
-fn put_attr_header(out: &mut BytesMut, flags: u8, code: u8, len: usize) {
+fn put_attr_header(out: &mut Vec<u8>, flags: u8, code: u8, len: usize) {
     if len > 255 {
-        out.put_u8(flags | FLAG_EXTENDED);
-        out.put_u8(code);
-        out.put_u16(len as u16);
+        out.extend_from_slice(&[flags | FLAG_EXTENDED, code]);
+        put_u16(out, len as u16);
     } else {
-        out.put_u8(flags);
-        out.put_u8(code);
-        out.put_u8(len as u8);
+        out.extend_from_slice(&[flags, code, len as u8]);
     }
 }
 
@@ -150,18 +148,20 @@ fn encode_as_path(path: &AsPath) -> Vec<u8> {
             v.push(code);
             v.push(chunk.len() as u8);
             for a in chunk {
-                v.extend_from_slice(&a.0.to_be_bytes());
+                put_u32(&mut v, a.0);
             }
         }
     }
     v
 }
 
-fn encode_attrs(attrs: &WireAttrs) -> BytesMut {
-    let mut out = BytesMut::new();
+/// Encodes the attribute block of an UPDATE (shared with MRT RIB entries,
+/// which embed the identical encoding).
+pub fn encode_path_attributes(attrs: &WireAttrs) -> Vec<u8> {
+    let mut out = Vec::new();
 
     put_attr_header(&mut out, FLAG_TRANSITIVE, ATTR_ORIGIN, 1);
-    out.put_u8(match attrs.origin {
+    out.push(match attrs.origin {
         Origin::Igp => 0,
         Origin::Egp => 1,
         Origin::Incomplete => 2,
@@ -172,15 +172,15 @@ fn encode_attrs(attrs: &WireAttrs) -> BytesMut {
     out.extend_from_slice(&path_bytes);
 
     put_attr_header(&mut out, FLAG_TRANSITIVE, ATTR_NEXT_HOP, 4);
-    out.put_u32(attrs.next_hop);
+    put_u32(&mut out, attrs.next_hop);
 
     if let Some(med) = attrs.med {
         put_attr_header(&mut out, FLAG_OPTIONAL, ATTR_MED, 4);
-        out.put_u32(med);
+        put_u32(&mut out, med);
     }
     if let Some(lp) = attrs.local_pref {
         put_attr_header(&mut out, FLAG_TRANSITIVE, ATTR_LOCAL_PREF, 4);
-        out.put_u32(lp);
+        put_u32(&mut out, lp);
     }
     if attrs.atomic_aggregate {
         put_attr_header(&mut out, FLAG_TRANSITIVE, ATTR_ATOMIC_AGGREGATE, 0);
@@ -192,8 +192,8 @@ fn encode_attrs(attrs: &WireAttrs) -> BytesMut {
             ATTR_AGGREGATOR,
             8,
         );
-        out.put_u32(asn.0);
-        out.put_u32(id);
+        put_u32(&mut out, asn.0);
+        put_u32(&mut out, id);
     }
     if !attrs.communities.is_empty() {
         put_attr_header(
@@ -203,57 +203,51 @@ fn encode_attrs(attrs: &WireAttrs) -> BytesMut {
             4 * attrs.communities.len(),
         );
         for c in &attrs.communities {
-            out.put_u32(c.as_u32());
+            put_u32(&mut out, c.as_u32());
         }
     }
     out
 }
 
-/// Encodes the attribute block of an UPDATE (shared with MRT RIB entries,
-/// which embed the identical encoding).
-pub fn encode_path_attributes(attrs: &WireAttrs) -> Bytes {
-    encode_attrs(attrs).freeze()
-}
-
 impl Message {
     /// Serializes the message, header included.
-    pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::new();
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
         match self {
             Message::Open(o) => {
                 // Body: version, my-as(2), hold, id, optlen, capability param.
                 // Capability: param type 2, param len 6, cap code 65, cap len 4, ASN.
                 let body_len = 10 + 8;
                 put_header(&mut out, TYPE_OPEN, body_len);
-                out.put_u8(4);
+                out.push(4);
                 let my_as2: u16 = if o.asn.is_two_byte() {
                     o.asn.0 as u16
                 } else {
                     Asn::TRANS.0 as u16
                 };
-                out.put_u16(my_as2);
-                out.put_u16(o.hold_time);
-                out.put_u32(o.bgp_id);
-                out.put_u8(8); // optional parameters length
-                out.put_u8(2); // param type: capabilities
-                out.put_u8(6); // param length
-                out.put_u8(65); // capability: 4-octet AS
-                out.put_u8(4);
-                out.put_u32(o.asn.0);
+                put_u16(&mut out, my_as2);
+                put_u16(&mut out, o.hold_time);
+                put_u32(&mut out, o.bgp_id);
+                out.push(8); // optional parameters length
+                out.push(2); // param type: capabilities
+                out.push(6); // param length
+                out.push(65); // capability: 4-octet AS
+                out.push(4);
+                put_u32(&mut out, o.asn.0);
             }
             Message::Update(u) => {
-                let mut body = BytesMut::new();
-                let mut withdrawn = BytesMut::new();
+                let mut body = Vec::new();
+                let mut withdrawn = Vec::new();
                 for p in &u.withdrawn {
                     put_prefix(&mut withdrawn, *p);
                 }
-                body.put_u16(withdrawn.len() as u16);
+                put_u16(&mut body, withdrawn.len() as u16);
                 body.extend_from_slice(&withdrawn);
                 let attr_bytes = match &u.attrs {
-                    Some(a) => encode_attrs(a),
-                    None => BytesMut::new(),
+                    Some(a) => encode_path_attributes(a),
+                    None => Vec::new(),
                 };
-                body.put_u16(attr_bytes.len() as u16);
+                put_u16(&mut body, attr_bytes.len() as u16);
                 body.extend_from_slice(&attr_bytes);
                 for p in &u.nlri {
                     put_prefix(&mut body, *p);
@@ -264,12 +258,12 @@ impl Message {
             Message::Keepalive => put_header(&mut out, TYPE_KEEPALIVE, 0),
             Message::Notification(n) => {
                 put_header(&mut out, TYPE_NOTIFICATION, 2 + n.data.len());
-                out.put_u8(n.code);
-                out.put_u8(n.subcode);
+                out.push(n.code);
+                out.push(n.subcode);
                 out.extend_from_slice(&n.data);
             }
         }
-        out.freeze()
+        out
     }
 }
 
@@ -277,47 +271,33 @@ impl Message {
 // Decoding
 // ---------------------------------------------------------------------------
 
-fn need(buf: &impl Buf, n: usize, what: &'static str) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated {
-            what,
-            needed: n - buf.remaining(),
-        })
-    } else {
-        Ok(())
-    }
-}
-
-fn get_prefix(buf: &mut impl Buf, what: &'static str) -> Result<Ipv4Prefix, WireError> {
-    need(buf, 1, what)?;
-    let len = buf.get_u8();
+/// Reads a prefix written by [`put_prefix`]; `what` names the field in
+/// the error for a length over 32.
+pub(crate) fn get_prefix(r: &mut Reader, what: &'static str) -> Result<Ipv4Prefix, WireError> {
+    let len = r.u8()?;
     if len > 32 {
         return Err(WireError::BadValue {
-            what: "prefix length",
+            what,
             got: len as u32,
         });
     }
-    let nbytes = (len as usize).div_ceil(8);
-    need(buf, nbytes, what)?;
     let mut be = [0u8; 4];
-    for slot in be.iter_mut().take(nbytes) {
-        *slot = buf.get_u8();
+    for (slot, &b) in be.iter_mut().zip(r.bytes((len as usize).div_ceil(8))?) {
+        *slot = b;
     }
     // Canonicalize: trailing bits beyond `len` in the last byte are ignored
     // per RFC 4271 ("irrelevant bits").
     Ok(Ipv4Prefix::canonical(u32::from_be_bytes(be), len))
 }
 
-fn decode_as_path(mut body: Bytes) -> Result<AsPath, WireError> {
+fn decode_as_path(mut r: Reader) -> Result<AsPath, WireError> {
     let mut segments = Vec::new();
-    while body.has_remaining() {
-        need(&body, 2, "AS_PATH segment header")?;
-        let seg_type = body.get_u8();
-        let count = body.get_u8() as usize;
-        need(&body, count * 4, "AS_PATH segment body")?;
-        let mut asns = Vec::with_capacity(count);
+    while !r.is_exhausted() {
+        let seg_type = r.u8()?;
+        let count = r.u8()?;
+        let mut asns = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            asns.push(Asn(body.get_u32()));
+            asns.push(Asn(r.u32()?));
         }
         match seg_type {
             1 => segments.push(PathSegment::Set(asns)),
@@ -341,38 +321,38 @@ fn decode_as_path(mut body: Bytes) -> Result<AsPath, WireError> {
     Ok(AsPath::from_segments(merged))
 }
 
+/// A fixed-size attribute whose declared length is not its size.
+fn check_len(len: usize, want: usize, what: &'static str) -> Result<(), WireError> {
+    if len == want {
+        Ok(())
+    } else {
+        Err(WireError::BadLength { what, got: len })
+    }
+}
+
 /// Decodes a raw path-attribute block (as found in UPDATEs and MRT RIB
-/// entries) into [`WireAttrs`]. Unknown optional attributes are skipped;
-/// unknown well-known attributes are an error.
-pub fn decode_path_attributes(mut buf: Bytes) -> Result<WireAttrs, WireError> {
+/// entries) into [`WireAttrs`], reading `r` to its end. Unknown optional
+/// attributes are skipped; unknown well-known attributes are an error.
+pub fn decode_path_attributes(r: &mut Reader) -> Result<WireAttrs, WireError> {
     let mut attrs = WireAttrs::default();
     let mut saw_origin = false;
     let mut saw_path = false;
     let mut saw_next_hop = false;
 
-    while buf.has_remaining() {
-        need(&buf, 2, "attribute header")?;
-        let flags = buf.get_u8();
-        let code = buf.get_u8();
+    while !r.is_exhausted() {
+        let flags = r.u8()?;
+        let code = r.u8()?;
         let len = if flags & FLAG_EXTENDED != 0 {
-            need(&buf, 2, "extended attribute length")?;
-            buf.get_u16() as usize
+            r.u16()? as usize
         } else {
-            need(&buf, 1, "attribute length")?;
-            buf.get_u8() as usize
+            r.u8()? as usize
         };
-        need(&buf, len, "attribute body")?;
-        let mut body = buf.split_to(len);
+        let mut body = r.sub(len)?;
 
         match code {
             ATTR_ORIGIN => {
-                if len != 1 {
-                    return Err(WireError::BadLength {
-                        what: "ORIGIN",
-                        got: len,
-                    });
-                }
-                attrs.origin = match body.get_u8() {
+                check_len(len, 1, "ORIGIN")?;
+                attrs.origin = match body.u8()? {
                     0 => Origin::Igp,
                     1 => Origin::Egp,
                     2 => Origin::Incomplete,
@@ -390,52 +370,25 @@ pub fn decode_path_attributes(mut buf: Bytes) -> Result<WireAttrs, WireError> {
                 saw_path = true;
             }
             ATTR_NEXT_HOP => {
-                if len != 4 {
-                    return Err(WireError::BadLength {
-                        what: "NEXT_HOP",
-                        got: len,
-                    });
-                }
-                attrs.next_hop = body.get_u32();
+                check_len(len, 4, "NEXT_HOP")?;
+                attrs.next_hop = body.u32()?;
                 saw_next_hop = true;
             }
             ATTR_MED => {
-                if len != 4 {
-                    return Err(WireError::BadLength {
-                        what: "MED",
-                        got: len,
-                    });
-                }
-                attrs.med = Some(body.get_u32());
+                check_len(len, 4, "MED")?;
+                attrs.med = Some(body.u32()?);
             }
             ATTR_LOCAL_PREF => {
-                if len != 4 {
-                    return Err(WireError::BadLength {
-                        what: "LOCAL_PREF",
-                        got: len,
-                    });
-                }
-                attrs.local_pref = Some(body.get_u32());
+                check_len(len, 4, "LOCAL_PREF")?;
+                attrs.local_pref = Some(body.u32()?);
             }
             ATTR_ATOMIC_AGGREGATE => {
-                if len != 0 {
-                    return Err(WireError::BadLength {
-                        what: "ATOMIC_AGGREGATE",
-                        got: len,
-                    });
-                }
+                check_len(len, 0, "ATOMIC_AGGREGATE")?;
                 attrs.atomic_aggregate = true;
             }
             ATTR_AGGREGATOR => {
-                if len != 8 {
-                    return Err(WireError::BadLength {
-                        what: "AGGREGATOR",
-                        got: len,
-                    });
-                }
-                let asn = Asn(body.get_u32());
-                let id = body.get_u32();
-                attrs.aggregator = Some((asn, id));
+                check_len(len, 8, "AGGREGATOR")?;
+                attrs.aggregator = Some((Asn(body.u32()?), body.u32()?));
             }
             ATTR_COMMUNITIES => {
                 if len % 4 != 0 {
@@ -444,8 +397,8 @@ pub fn decode_path_attributes(mut buf: Bytes) -> Result<WireAttrs, WireError> {
                         got: len,
                     });
                 }
-                while body.has_remaining() {
-                    attrs.communities.push(Community::from_u32(body.get_u32()));
+                while !body.is_exhausted() {
+                    attrs.communities.push(Community::from_u32(body.u32()?));
                 }
             }
             other => {
@@ -475,57 +428,49 @@ pub fn decode_path_attributes(mut buf: Bytes) -> Result<WireAttrs, WireError> {
 }
 
 impl Message {
-    /// Decodes one message from the front of `buf`, consuming exactly its
-    /// bytes. `buf` may hold a concatenated stream; call repeatedly.
-    pub fn decode(buf: &mut Bytes) -> Result<Message, WireError> {
-        need(buf, 19, "BGP header")?;
-        let marker = buf.split_to(16);
-        if marker.iter().any(|&b| b != 0xFF) {
+    /// Decodes one message from `r`, consuming exactly its bytes. `r` may
+    /// hold a concatenated stream; call repeatedly.
+    pub fn decode(r: &mut Reader) -> Result<Message, WireError> {
+        if r.bytes(16)?.iter().any(|&b| b != 0xFF) {
             return Err(WireError::BadMarker);
         }
-        let total_len = buf.get_u16() as usize;
-        let msg_type = buf.get_u8();
+        let total_len = r.u16()? as usize;
+        let msg_type = r.u8()?;
         if !(19..=MAX_MESSAGE).contains(&total_len) {
             return Err(WireError::BadLength {
                 what: "BGP message",
                 got: total_len,
             });
         }
-        let body_len = total_len - 19;
-        need(buf, body_len, "BGP body")?;
-        let mut body = buf.split_to(body_len);
+        let mut body = r.sub(total_len - 19)?;
 
         match msg_type {
             TYPE_OPEN => {
-                need(&body, 10, "OPEN")?;
-                let version = body.get_u8();
+                let version = body.u8()?;
                 if version != 4 {
                     return Err(WireError::BadValue {
                         what: "BGP version",
                         got: version as u32,
                     });
                 }
-                let my_as2 = body.get_u16();
-                let hold_time = body.get_u16();
-                let bgp_id = body.get_u32();
-                let opt_len = body.get_u8() as usize;
-                need(&body, opt_len, "OPEN optional parameters")?;
-                let mut params = body.split_to(opt_len);
+                let my_as2 = body.u16()?;
+                let hold_time = body.u16()?;
+                let bgp_id = body.u32()?;
+                let opt_len = body.u8()? as usize;
+                let mut params = body.sub(opt_len)?;
                 let mut asn = Asn(my_as2 as u32);
                 // Scan capabilities for the 4-octet-AS number.
                 while params.remaining() >= 2 {
-                    let ptype = params.get_u8();
-                    let plen = params.get_u8() as usize;
-                    need(&params, plen, "OPEN parameter")?;
-                    let mut pbody = params.split_to(plen);
+                    let ptype = params.u8()?;
+                    let plen = params.u8()? as usize;
+                    let mut pbody = params.sub(plen)?;
                     if ptype == 2 {
                         while pbody.remaining() >= 2 {
-                            let cap = pbody.get_u8();
-                            let clen = pbody.get_u8() as usize;
-                            need(&pbody, clen, "capability")?;
-                            let mut cbody = pbody.split_to(clen);
+                            let cap = pbody.u8()?;
+                            let clen = pbody.u8()? as usize;
+                            let mut cbody = pbody.sub(clen)?;
                             if cap == 65 && clen == 4 {
-                                asn = Asn(cbody.get_u32());
+                                asn = Asn(cbody.u32()?);
                             }
                         }
                     }
@@ -537,24 +482,20 @@ impl Message {
                 }))
             }
             TYPE_UPDATE => {
-                need(&body, 2, "UPDATE withdrawn length")?;
-                let wlen = body.get_u16() as usize;
-                need(&body, wlen, "UPDATE withdrawn routes")?;
-                let mut wbuf = body.split_to(wlen);
+                let wlen = body.u16()? as usize;
+                let mut wbuf = body.sub(wlen)?;
                 let mut withdrawn = Vec::new();
-                while wbuf.has_remaining() {
-                    withdrawn.push(get_prefix(&mut wbuf, "withdrawn route")?);
+                while !wbuf.is_exhausted() {
+                    withdrawn.push(get_prefix(&mut wbuf, "prefix length")?);
                 }
-                need(&body, 2, "UPDATE attribute length")?;
-                let alen = body.get_u16() as usize;
-                need(&body, alen, "UPDATE attributes")?;
-                let abuf = body.split_to(alen);
+                let alen = body.u16()? as usize;
+                let mut abuf = body.sub(alen)?;
                 let mut nlri = Vec::new();
-                while body.has_remaining() {
-                    nlri.push(get_prefix(&mut body, "NLRI")?);
+                while !body.is_exhausted() {
+                    nlri.push(get_prefix(&mut body, "prefix length")?);
                 }
                 let attrs = if alen > 0 {
-                    Some(decode_path_attributes(abuf)?)
+                    Some(decode_path_attributes(&mut abuf)?)
                 } else {
                     if !nlri.is_empty() {
                         return Err(WireError::MissingAttr("path attributes"));
@@ -568,17 +509,16 @@ impl Message {
                 }))
             }
             TYPE_NOTIFICATION => {
-                need(&body, 2, "NOTIFICATION")?;
-                let code = body.get_u8();
-                let subcode = body.get_u8();
+                let code = body.u8()?;
+                let subcode = body.u8()?;
                 Ok(Message::Notification(NotificationMessage {
                     code,
                     subcode,
-                    data: body.to_vec(),
+                    data: body.bytes(body.remaining())?.to_vec(),
                 }))
             }
             TYPE_KEEPALIVE => {
-                if body.has_remaining() {
+                if !body.is_exhausted() {
                     return Err(WireError::BadLength {
                         what: "KEEPALIVE",
                         got: total_len,
@@ -597,9 +537,18 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgp_types::CodecError;
 
     fn pfx(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Message, WireError> {
+        Message::decode(&mut Reader::new(bytes))
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
     fn sample_attrs() -> WireAttrs {
@@ -615,18 +564,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn update_roundtrip() {
-        let u = UpdateMessage {
+    fn sample_update() -> UpdateMessage {
+        UpdateMessage {
             withdrawn: vec![pfx("10.1.0.0/16"), pfx("0.0.0.0/0")],
             attrs: Some(sample_attrs()),
             nlri: vec![pfx("80.96.180.0/24"), pfx("12.0.0.0/19")],
-        };
+        }
+    }
+
+    #[test]
+    fn update_roundtrip() {
+        let u = sample_update();
         let bytes = Message::Update(u.clone()).encode();
-        let mut buf = bytes.clone();
-        let decoded = Message::decode(&mut buf).unwrap();
+        let mut r = Reader::new(&bytes);
+        let decoded = Message::decode(&mut r).unwrap();
         assert_eq!(decoded, Message::Update(u));
-        assert!(buf.is_empty(), "decode must consume exactly one message");
+        assert!(r.is_exhausted(), "decode must consume exactly one message");
+    }
+
+    /// One message of each type, byte for byte: a round trip alone would
+    /// pass if encoder and decoder drifted together.
+    #[test]
+    fn encodings_are_pinned() {
+        let marker = "ffffffffffffffffffffffffffffffff";
+        let cases = [
+            (
+                Message::Open(OpenMessage {
+                    asn: Asn(4_200_000_123),
+                    hold_time: 180,
+                    bgp_id: 0x0101_0101,
+                }),
+                "002501045ba000b4010101010802064104fa56ea7b",
+            ),
+            (
+                Message::Update(sample_update()),
+                "0066020004100a010000434001010040020e0203000002bd000004d700001b6a\
+                 400304c0a8450180040400000005400504000000d2400600c0070800001b6a0a\
+                 000001c00808323b03e8ffffff01185060b4130c0000",
+            ),
+            (Message::Keepalive, "001304"),
+            (
+                Message::Notification(NotificationMessage {
+                    code: 6,
+                    subcode: 2,
+                    data: vec![1, 2, 3],
+                }),
+                "0018030602010203",
+            ),
+        ];
+        for (msg, after_marker) in cases {
+            let bytes = msg.encode();
+            assert_eq!(hex(&bytes), format!("{marker}{after_marker}"), "{msg:?}");
+            assert_eq!(decode(&bytes).unwrap(), msg);
+        }
     }
 
     #[test]
@@ -637,8 +627,7 @@ mod tests {
             nlri: vec![],
         };
         let bytes = Message::Update(u.clone()).encode();
-        let decoded = Message::decode(&mut bytes.clone()).unwrap();
-        assert_eq!(decoded, Message::Update(u));
+        assert_eq!(decode(&bytes).unwrap(), Message::Update(u));
     }
 
     #[test]
@@ -650,8 +639,7 @@ mod tests {
                 bgp_id: 0x0101_0101,
             };
             let bytes = Message::Open(o.clone()).encode();
-            let decoded = Message::decode(&mut bytes.clone()).unwrap();
-            assert_eq!(decoded, Message::Open(o));
+            assert_eq!(decode(&bytes).unwrap(), Message::Open(o));
         }
     }
 
@@ -659,10 +647,7 @@ mod tests {
     fn keepalive_and_notification_roundtrip() {
         let bytes = Message::Keepalive.encode();
         assert_eq!(bytes.len(), 19);
-        assert_eq!(
-            Message::decode(&mut bytes.clone()).unwrap(),
-            Message::Keepalive
-        );
+        assert_eq!(decode(&bytes).unwrap(), Message::Keepalive);
 
         let n = NotificationMessage {
             code: 6,
@@ -670,43 +655,38 @@ mod tests {
             data: vec![1, 2, 3],
         };
         let bytes = Message::Notification(n.clone()).encode();
-        assert_eq!(
-            Message::decode(&mut bytes.clone()).unwrap(),
-            Message::Notification(n)
-        );
+        assert_eq!(decode(&bytes).unwrap(), Message::Notification(n));
     }
 
     #[test]
     fn stream_of_messages_decodes_sequentially() {
-        let m1 = Message::Keepalive.encode();
-        let m2 = Message::Update(UpdateMessage {
-            withdrawn: vec![],
-            attrs: Some(sample_attrs()),
-            nlri: vec![pfx("1.0.0.0/8")],
-        })
-        .encode();
-        let mut stream = BytesMut::new();
-        stream.extend_from_slice(&m1);
-        stream.extend_from_slice(&m2);
-        let mut buf = stream.freeze();
-        assert_eq!(Message::decode(&mut buf).unwrap(), Message::Keepalive);
+        let mut stream = Message::Keepalive.encode();
+        stream.extend_from_slice(
+            &Message::Update(UpdateMessage {
+                withdrawn: vec![],
+                attrs: Some(sample_attrs()),
+                nlri: vec![pfx("1.0.0.0/8")],
+            })
+            .encode(),
+        );
+        let mut r = Reader::new(&stream);
+        assert_eq!(Message::decode(&mut r).unwrap(), Message::Keepalive);
         assert!(matches!(
-            Message::decode(&mut buf).unwrap(),
+            Message::decode(&mut r).unwrap(),
             Message::Update(_)
         ));
-        assert!(buf.is_empty());
+        assert!(r.is_exhausted());
     }
 
     #[test]
     fn bad_marker_rejected() {
-        let mut bytes = BytesMut::from(&Message::Keepalive.encode()[..]);
+        let mut bytes = Message::Keepalive.encode();
         bytes[0] = 0x00;
-        assert_eq!(
-            Message::decode(&mut bytes.freeze()),
-            Err(WireError::BadMarker)
-        );
+        assert_eq!(decode(&bytes), Err(WireError::BadMarker));
     }
 
+    /// Every cut fails the one read that spans it: that read starts at or
+    /// before the cut and wants only bytes the whole message has.
     #[test]
     fn truncation_reports_needed_bytes() {
         let bytes = Message::Update(UpdateMessage {
@@ -715,61 +695,48 @@ mod tests {
             nlri: vec![pfx("1.0.0.0/8")],
         })
         .encode();
-        for cut in [0, 5, 18, 20, bytes.len() - 1] {
-            let mut buf = bytes.slice(..cut);
-            let e = Message::decode(&mut buf).unwrap_err();
-            assert!(
-                matches!(e, WireError::Truncated { .. }),
-                "cut {cut} gave {e:?}"
-            );
+        for cut in 0..bytes.len() {
+            match decode(&bytes[..cut]) {
+                Err(WireError::Codec(CodecError::Truncated { offset, wanted })) => assert!(
+                    offset <= cut && wanted > 0 && cut + wanted <= bytes.len(),
+                    "cut {cut}: read at {offset} wanted {wanted} more"
+                ),
+                other => panic!("cut {cut} gave {other:?}"),
+            }
         }
     }
 
     #[test]
     fn missing_mandatory_attr_rejected() {
         // Hand-build an UPDATE whose attribute block lacks AS_PATH.
-        let mut attrs = BytesMut::new();
-        attrs.put_u8(FLAG_TRANSITIVE);
-        attrs.put_u8(ATTR_ORIGIN);
-        attrs.put_u8(1);
-        attrs.put_u8(0);
-        attrs.put_u8(FLAG_TRANSITIVE);
-        attrs.put_u8(ATTR_NEXT_HOP);
-        attrs.put_u8(4);
-        attrs.put_u32(1);
-        let mut body = BytesMut::new();
-        body.put_u16(0);
-        body.put_u16(attrs.len() as u16);
+        let mut attrs = vec![FLAG_TRANSITIVE, ATTR_ORIGIN, 1, 0];
+        attrs.extend_from_slice(&[FLAG_TRANSITIVE, ATTR_NEXT_HOP, 4]);
+        put_u32(&mut attrs, 1);
+        let mut body = Vec::new();
+        put_u16(&mut body, 0);
+        put_u16(&mut body, attrs.len() as u16);
         body.extend_from_slice(&attrs);
-        body.put_u8(8);
-        body.put_u8(10); // NLRI 10.0.0.0/8
-        let mut out = BytesMut::new();
+        body.extend_from_slice(&[8, 10]); // NLRI 10.0.0.0/8
+        let mut out = Vec::new();
         put_header(&mut out, TYPE_UPDATE, body.len());
         out.extend_from_slice(&body);
-        assert_eq!(
-            Message::decode(&mut out.freeze()),
-            Err(WireError::MissingAttr("AS_PATH"))
-        );
+        assert_eq!(decode(&out), Err(WireError::MissingAttr("AS_PATH")));
     }
 
     #[test]
     fn unknown_optional_attr_skipped_unknown_wellknown_rejected() {
-        let mut attrs = BytesMut::from(&encode_attrs(&sample_attrs())[..]);
+        let mut attrs = encode_path_attributes(&sample_attrs());
         // Append an unknown optional attribute (code 200).
-        attrs.put_u8(FLAG_OPTIONAL);
-        attrs.put_u8(200);
-        attrs.put_u8(2);
-        attrs.put_u16(0xBEEF);
-        let got = decode_path_attributes(attrs.clone().freeze()).unwrap();
+        attrs.extend_from_slice(&[FLAG_OPTIONAL, 200, 2]);
+        put_u16(&mut attrs, 0xBEEF);
+        let got = decode_path_attributes(&mut Reader::new(&attrs)).unwrap();
         assert_eq!(got, sample_attrs());
 
         // An unknown *well-known* attribute must error.
-        let mut bad = BytesMut::from(&encode_attrs(&sample_attrs())[..]);
-        bad.put_u8(FLAG_TRANSITIVE);
-        bad.put_u8(201);
-        bad.put_u8(0);
+        let mut bad = encode_path_attributes(&sample_attrs());
+        bad.extend_from_slice(&[FLAG_TRANSITIVE, 201, 0]);
         assert!(matches!(
-            decode_path_attributes(bad.freeze()),
+            decode_path_attributes(&mut Reader::new(&bad)),
             Err(WireError::Unsupported { .. })
         ));
     }
@@ -783,7 +750,7 @@ mod tests {
             ..Default::default()
         };
         let bytes = encode_path_attributes(&attrs);
-        let got = decode_path_attributes(bytes).unwrap();
+        let got = decode_path_attributes(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(got.as_path, AsPath::from_seq(asns));
     }
 
@@ -798,28 +765,29 @@ mod tests {
             next_hop: 9,
             ..Default::default()
         };
-        let got = decode_path_attributes(encode_path_attributes(&attrs)).unwrap();
+        let bytes = encode_path_attributes(&attrs);
+        let got = decode_path_attributes(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(got.as_path, path);
     }
 
     #[test]
     fn prefix_with_irrelevant_trailing_bits_is_canonicalized() {
         // 10.0.0.0/7 encoded with a second bit set in the trailing byte.
-        let mut body = BytesMut::new();
-        body.put_u16(0); // no withdrawn
-        let attrs = encode_attrs(&WireAttrs {
+        let mut body = Vec::new();
+        put_u16(&mut body, 0); // no withdrawn
+        let attrs = encode_path_attributes(&WireAttrs {
             as_path: AsPath::from_seq([Asn(1)]),
             next_hop: 1,
             ..Default::default()
         });
-        body.put_u16(attrs.len() as u16);
+        put_u16(&mut body, attrs.len() as u16);
         body.extend_from_slice(&attrs);
-        body.put_u8(7);
-        body.put_u8(0x0B); // 0000_1011: bit 8 beyond /7 must be ignored
-        let mut out = BytesMut::new();
+        body.push(7);
+        body.push(0x0B); // 0000_1011: bit 8 beyond /7 must be ignored
+        let mut out = Vec::new();
         put_header(&mut out, TYPE_UPDATE, body.len());
         out.extend_from_slice(&body);
-        match Message::decode(&mut out.freeze()).unwrap() {
+        match decode(&out).unwrap() {
             Message::Update(u) => {
                 assert_eq!(u.nlri, vec![Ipv4Prefix::canonical(0x0A00_0000, 7)]);
             }

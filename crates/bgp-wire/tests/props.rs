@@ -3,13 +3,13 @@
 //! Offline build — random cases are driven by a seeded [`rand::rngs::StdRng`]
 //! instead of proptest; same invariants, deterministic across runs.
 
-use bytes::{Bytes, BytesMut};
 use rand::prelude::*;
 
-use bgp_types::{AsPath, Asn, Community, Ipv4Prefix, Origin, Route, Session};
+use bgp_types::codec::Reader;
+use bgp_types::{AsPath, Asn, CodecError, Community, Ipv4Prefix, Origin, Route, Session};
 use bgp_wire::msg::{decode_path_attributes, encode_path_attributes};
 use bgp_wire::text::LgTable;
-use bgp_wire::{Message, PeerEntry, RibEntry, TableDump, UpdateMessage, WireAttrs};
+use bgp_wire::{Message, PeerEntry, RibEntry, TableDump, UpdateMessage, WireAttrs, WireError};
 
 const CASES: usize = 192;
 
@@ -79,7 +79,7 @@ fn attrs_roundtrip() {
     for _ in 0..CASES {
         let attrs = arb_attrs(&mut rng);
         let bytes = encode_path_attributes(&attrs);
-        let got = decode_path_attributes(bytes).unwrap();
+        let got = decode_path_attributes(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(got, attrs);
     }
 }
@@ -90,10 +90,10 @@ fn update_roundtrip() {
     for _ in 0..CASES {
         let u = arb_update(&mut rng);
         let bytes = Message::Update(u.clone()).encode();
-        let mut buf = bytes.clone();
-        let got = Message::decode(&mut buf).unwrap();
+        let mut r = Reader::new(&bytes);
+        let got = Message::decode(&mut r).unwrap();
         assert_eq!(got, Message::Update(u));
-        assert!(buf.is_empty());
+        assert!(r.is_exhausted());
     }
 }
 
@@ -105,24 +105,34 @@ fn update_mutation_never_panics() {
     for _ in 0..CASES {
         let u = arb_update(&mut rng);
         let bytes = Message::Update(u).encode();
-        let mut raw = BytesMut::from(&bytes[..]);
+        let mut raw = bytes;
         let i = rng.gen_range(0..raw.len());
         raw[i] = rng.gen::<u8>();
-        let mut buf = raw.freeze();
-        let _ = Message::decode(&mut buf);
+        let _ = Message::decode(&mut Reader::new(&raw));
     }
 }
 
-/// Truncation at any point errors cleanly.
+/// Truncation at any point errors cleanly, naming the read that spans
+/// the cut by its offset in the whole stream: the UPDATE follows a
+/// KEEPALIVE, so a message-relative offset would land before it.
 #[test]
 fn update_truncation_never_panics() {
     let mut rng = StdRng::seed_from_u64(0x6004);
     for _ in 0..CASES {
         let u = arb_update(&mut rng);
-        let bytes = Message::Update(u).encode();
-        let n = rng.gen_range(0..bytes.len());
-        let mut buf = bytes.slice(..n);
-        let _ = Message::decode(&mut buf);
+        let mut bytes = Message::Keepalive.encode();
+        let start = bytes.len();
+        bytes.extend_from_slice(&Message::Update(u).encode());
+        let cut = rng.gen_range(start..bytes.len());
+        let mut r = Reader::new(&bytes[..cut]);
+        assert_eq!(Message::decode(&mut r), Ok(Message::Keepalive));
+        match Message::decode(&mut r) {
+            Err(WireError::Codec(CodecError::Truncated { offset, wanted })) => assert!(
+                start <= offset && offset <= cut && cut + wanted <= bytes.len(),
+                "cut {cut}: read at {offset} wanted {wanted} more"
+            ),
+            other => panic!("cut {cut} gave {other:?}"),
+        }
     }
 }
 
@@ -133,7 +143,7 @@ fn random_bytes_never_panic_mrt() {
         let data: Vec<u8> = (0..rng.gen_range(0..256usize))
             .map(|_| rng.gen::<u8>())
             .collect();
-        let _ = TableDump::decode(Bytes::from(data));
+        let _ = TableDump::decode(&data);
     }
 }
 

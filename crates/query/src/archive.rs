@@ -629,7 +629,7 @@ pub(crate) fn read_mapped_directory(
             what: "full-segment directory magic",
         });
     }
-    let dir_offset = u64::from_be_bytes(raw[footer..footer + 8].try_into().expect("8 bytes"));
+    let dir_offset = Reader::with_base(&raw[footer..], footer).u64()?;
     let dir_offset = usize::try_from(dir_offset)
         .ok()
         .filter(|&o| o < footer)
@@ -811,7 +811,7 @@ fn decode_full(
         });
     }
     let footer_offset = r.position();
-    let recorded = u64::from_be_bytes(r.bytes(8)?.try_into().expect("8 bytes"));
+    let recorded = r.u64()?;
     if recorded != dir_offset as u64 {
         return Err(CodecError::Invalid {
             offset: footer_offset,

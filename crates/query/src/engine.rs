@@ -606,7 +606,7 @@ impl QueryEngine {
     /// collector view, Gao-infers a relationship oracle from the dump's
     /// own paths, and indexes every peer as a vantage.
     pub fn ingest_mrt_bytes(&mut self, data: &[u8], label: &str) -> Result<SnapshotId, WireError> {
-        let dump = TableDump::decode(bytes::Bytes::from(data.to_vec()))?;
+        let dump = TableDump::decode(data)?;
         let view = bgp_sim::export::mrt_to_collector(&dump)?;
         let paths: Vec<&[Asn]> = view.all_paths().map(|r| r.path.as_slice()).collect();
         let inferred = as_relationships::infer(

@@ -7,8 +7,9 @@
 //! segment is parsed. The manifest protects itself with a trailing
 //! CRC-32 over its own bytes.
 //!
-//! The layout is fixed-width big-endian fields (via the `bytes`
-//! reader/writer helpers) + length-prefixed strings:
+//! The layout is fixed-width big-endian fields + length-prefixed strings,
+//! written with `bgp_types::codec`'s `put_u*` helpers and read through its
+//! checked [`Reader`], so every failure names its offset in the file:
 //!
 //! ```text
 //! manifest := magic[8] version:u32 n_segments:u32 segment* crc32:u32
@@ -28,7 +29,7 @@
 
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes};
+use bgp_types::codec::{put_u32, put_u64, CodecError, Reader};
 
 use crate::checksum::crc32;
 use crate::error::StoreError;
@@ -156,20 +157,19 @@ impl Manifest {
 
     /// Serializes the manifest (including its self-checksum).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out: Vec<u8> = Vec::new();
-        out.put_slice(&MAGIC);
-        out.put_u32(self.version);
-        out.put_u32(self.segments.len() as u32);
+        let mut out = MAGIC.to_vec();
+        put_u32(&mut out, self.version);
+        put_u32(&mut out, self.segments.len() as u32);
         for seg in &self.segments {
-            out.put_u8(seg.kind.to_u8());
-            out.put_u64(seg.bytes);
-            out.put_u32(seg.crc32);
+            out.push(seg.kind.to_u8());
+            put_u64(&mut out, seg.bytes);
+            put_u32(&mut out, seg.crc32);
             put_str(&mut out, &seg.file);
             put_str(&mut out, &seg.label);
-            out.put_u8(seg.flags);
+            out.push(seg.flags);
         }
         let crc = crc32(&out);
-        out.put_u32(crc);
+        put_u32(&mut out, crc);
         out
     }
 
@@ -209,7 +209,7 @@ impl Manifest {
     /// Parses manifest bytes (exposed for tests).
     pub fn parse(raw: &[u8], path: &Path) -> Result<Manifest, StoreError> {
         let total = raw.len();
-        if total < MAGIC.len() || raw[..MAGIC.len()] != MAGIC {
+        if !raw.starts_with(&MAGIC) {
             return Err(StoreError::BadMagic {
                 path: path.to_path_buf(),
             });
@@ -221,8 +221,10 @@ impl Manifest {
                 what: "manifest shorter than magic + checksum".into(),
             });
         }
-        let body = &raw[..total - 4];
-        let recorded = u32::from_be_bytes(raw[total - 4..].try_into().expect("4 bytes"));
+        let (body, trailer) = raw.split_at(total - 4);
+        let recorded = Reader::with_base(trailer, total - 4)
+            .u32()
+            .map_err(truncated("checksum"))?;
         let actual = crc32(body);
         if recorded != actual {
             return Err(StoreError::ManifestCorrupt {
@@ -233,42 +235,30 @@ impl Manifest {
             });
         }
 
-        let mut buf = Bytes::copy_from_slice(&body[MAGIC.len()..]);
-        let at = |buf: &Bytes| total - 4 - buf.len();
-        let short = |buf: &Bytes, what: &str| StoreError::ManifestCorrupt {
-            offset: at(buf),
-            what: format!("truncated {what}"),
-        };
-
-        let version = buf.try_get_u32().map_err(|_| short(&buf, "version"))?;
+        let mut r = Reader::with_base(&body[MAGIC.len()..], MAGIC.len());
+        let version = r.u32().map_err(truncated("version"))?;
         if version != FORMAT_VERSION {
             return Err(StoreError::Version {
                 found: version,
                 supported: FORMAT_VERSION,
             });
         }
-        let n_segments = buf
-            .try_get_u32()
-            .map_err(|_| short(&buf, "segment count"))?;
+        let n_segments = r.u32().map_err(truncated("segment count"))?;
         let mut segments = Vec::with_capacity(n_segments.min(1 << 16) as usize);
         for i in 0..n_segments {
-            let offset = at(&buf);
-            let kind_raw = buf.try_get_u8().map_err(|_| short(&buf, "segment kind"))?;
+            let offset = r.position();
+            let kind_raw = r.u8().map_err(truncated("segment kind"))?;
             let kind =
                 SegmentKind::from_u8(kind_raw).ok_or_else(|| StoreError::ManifestCorrupt {
                     offset,
                     what: format!("unknown segment kind {kind_raw} in row {i}"),
                 })?;
-            let bytes = buf
-                .try_get_u64()
-                .map_err(|_| short(&buf, "segment length"))?;
-            let crc32 = buf
-                .try_get_u32()
-                .map_err(|_| short(&buf, "segment checksum"))?;
-            let file = get_str(&mut buf, at, "segment file name")?;
-            let label = get_str(&mut buf, at, "segment label")?;
-            let offset = at(&buf);
-            let flags = buf.try_get_u8().map_err(|_| short(&buf, "segment flags"))?;
+            let bytes = r.u64().map_err(truncated("segment length"))?;
+            let crc32 = r.u32().map_err(truncated("segment checksum"))?;
+            let file = get_str(&mut r, "segment file name")?;
+            let label = get_str(&mut r, "segment label")?;
+            let offset = r.position();
+            let flags = r.u8().map_err(truncated("segment flags"))?;
             if flags & !SEG_FLAG_MASK != 0 {
                 return Err(StoreError::ManifestCorrupt {
                     offset,
@@ -284,38 +274,36 @@ impl Manifest {
                 flags,
             });
         }
-        if buf.has_remaining() {
+        if !r.is_exhausted() {
             return Err(StoreError::ManifestCorrupt {
-                offset: at(&buf),
-                what: format!("{} trailing bytes after segment table", buf.len()),
+                offset: r.position(),
+                what: format!("{} trailing bytes after segment table", r.remaining()),
             });
         }
         Ok(Manifest { version, segments })
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.put_u32(s.len() as u32);
-    out.put_slice(s.as_bytes());
+/// The error for a read of `what` that ran off the end of the manifest.
+fn truncated(what: &str) -> impl Fn(CodecError) -> StoreError + '_ {
+    move |e| StoreError::ManifestCorrupt {
+        offset: e.offset(),
+        what: format!("truncated {what}"),
+    }
 }
 
-fn get_str(
-    buf: &mut Bytes,
-    at: impl Fn(&Bytes) -> usize,
-    what: &str,
-) -> Result<String, StoreError> {
-    let offset = at(buf);
-    let n = buf.try_get_u32().map_err(|_| StoreError::ManifestCorrupt {
-        offset,
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn get_str(r: &mut Reader, what: &str) -> Result<String, StoreError> {
+    let offset = r.position();
+    let n = r.u32().map_err(|e| StoreError::ManifestCorrupt {
+        offset: e.offset(),
         what: format!("truncated {what} length"),
-    })? as usize;
-    if buf.len() < n {
-        return Err(StoreError::ManifestCorrupt {
-            offset: at(buf),
-            what: format!("truncated {what}"),
-        });
-    }
-    let raw = buf.split_to(n);
+    })?;
+    let raw = r.bytes(n as usize).map_err(truncated(what))?;
     String::from_utf8(raw.to_vec()).map_err(|_| StoreError::ManifestCorrupt {
         offset,
         what: format!("{what} is not UTF-8"),
@@ -367,6 +355,9 @@ mod tests {
     fn round_trips() {
         let m = sample();
         let bytes = m.to_bytes();
+        // The bytes the parent writer produced: a round trip alone would
+        // pass if writer and parser drifted together.
+        assert_eq!((bytes.len(), crc32(&bytes)), (165, 0xeec2_92f9));
         let back = Manifest::parse(&bytes, Path::new("MANIFEST")).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.total_bytes(), 1234 + 9876 + 55 + 77);
@@ -433,6 +424,19 @@ mod tests {
                 Manifest::parse(&bytes[..cut], Path::new("M")).is_err(),
                 "cut at {cut} parsed silently"
             );
+        }
+        // A cut body under a checksum that matches it passes the
+        // self-check, so the row reads themselves must catch it.
+        let body = &bytes[..bytes.len() - 4];
+        for cut in MAGIC.len()..body.len() {
+            let mut resealed = body[..cut].to_vec();
+            resealed.extend_from_slice(&crc32(&resealed).to_be_bytes());
+            match Manifest::parse(&resealed, Path::new("M")) {
+                Err(StoreError::ManifestCorrupt { offset, .. }) => {
+                    assert!(offset <= cut, "cut at {cut} reported at {offset}")
+                }
+                other => panic!("cut at {cut} gave {other:?}"),
+            }
         }
     }
 

@@ -2,8 +2,6 @@
 //! Looking-Glass text → parse back → analyze. The analyses must not care
 //! which side of the serialization they run on.
 
-use bytes::Bytes;
-
 use bgp_sim::export::{collector_to_mrt, lg_to_table, mrt_to_collector, table_to_lg};
 use bgp_wire::TableDump;
 use internet_routing_policies::prelude::*;
@@ -20,7 +18,7 @@ fn sa_analysis_is_identical_through_mrt_bytes() {
     let direct = sa_prefixes(&e.collector_table(peer), &e.inferred_graph);
 
     // Through an actual MRT TABLE_DUMP_V2 byte image.
-    let bytes: Bytes = collector_to_mrt(&e.output.collector, 1_037_000_000).encode(1_037_000_000);
+    let bytes: Vec<u8> = collector_to_mrt(&e.output.collector, 1_037_000_000).encode(1_037_000_000);
     assert!(
         bytes.len() > 1000,
         "dump has substance: {} bytes",
