@@ -1407,3 +1407,80 @@ pub(crate) fn load(dir: &Path) -> Result<QueryEngine, StoreError> {
     engine.archive = Some(ArchiveInfo::from_manifest(dir, &manifest));
     Ok(engine)
 }
+
+#[cfg(test)]
+mod tests {
+    use bgp_sim::churn::simulate_series;
+    use bgp_sim::ChurnConfig;
+    use net_topology::InternetSize;
+    use rpi_core::Experiment;
+
+    use super::*;
+
+    /// A write that fails — here because `dir` is a regular file —
+    /// advances nothing: retried into a good directory, the series comes
+    /// out row for row and byte for byte as from a writer that never
+    /// failed, keyframe cadence and file names included.
+    #[test]
+    fn a_failed_segment_write_advances_nothing() {
+        let exp = Experiment::standard(InternetSize::Tiny, 7);
+        let cfg = ChurnConfig {
+            steps: 4,
+            ..ChurnConfig::daily(7)
+        };
+        let series = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg);
+        let mut engine = QueryEngine::default();
+        engine.ingest_series_incremental(&series, &exp.inferred_graph);
+        let root = std::env::temp_dir().join(format!("rpi-segment-writer-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (clean, retried, file) = (root.join("clean"), root.join("retried"), root.join("file"));
+        std::fs::create_dir_all(&root).unwrap();
+        std::fs::write(&file, b"not a directory").unwrap();
+        let write = |writer: &mut SegmentWriter, dir: &Path, i: usize| {
+            let prev = i.checked_sub(1).map(|p| &*engine.snapshots[p]);
+            writer.write(dir, &engine.snapshots[i], prev, &engine.interner)
+        };
+
+        let mut never_failed = SegmentWriter::new(Some(2));
+        let want: Vec<SegmentEntry> = (0..4)
+            .map(|i| write(&mut never_failed, &clean, i).expect("write"))
+            .collect();
+        let shape: Vec<_> = want.iter().map(|e| (e.kind, e.is_keyframe())).collect();
+        assert_eq!(
+            shape,
+            [
+                (SegmentKind::Full, true),
+                (SegmentKind::Delta, false),
+                (SegmentKind::Full, true),
+                (SegmentKind::Delta, false),
+            ]
+        );
+
+        let mut writer = SegmentWriter::new(Some(2));
+        let mut got: Vec<SegmentEntry> = (0..2)
+            .map(|i| write(&mut writer, &retried, i).expect("write"))
+            .collect();
+        match write(&mut writer, &file, 2) {
+            Err(StoreError::Io { path, .. }) => assert_eq!(path, file),
+            other => panic!("wanted StoreError::Io, got {other:?}"),
+        }
+        got.extend((2..4).map(|i| write(&mut writer, &retried, i).expect("retry")));
+        assert_eq!(got, want);
+        let listing = |dir: &Path| {
+            let mut files: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    (
+                        path.file_name().unwrap().to_owned(),
+                        std::fs::read(&path).unwrap(),
+                    )
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        assert_eq!(listing(&retried), listing(&clean));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}

@@ -39,7 +39,7 @@ use rpi_core::Experiment;
 use rpi_query::serve::session::{
     classify_line, fmt_bytes, repl_reply, run_queries, sec_line, tier_line, Line,
 };
-use rpi_query::{Control, EngineSource, PollBackend, QueryEngine, ServeConfig, Server};
+use rpi_query::{Control, EngineSource, QueryEngine, ServeConfig, Server};
 
 /// The parsed command line. `Default` is every flag absent; the four
 /// numeric flags whose absence does not mean zero get their defaults in
@@ -227,23 +227,6 @@ const FLAGS: &[Flag] = &[
                 &mut o.serve.write_buf_cap,
                 positive("--write-buf-cap", "bytes", v),
             )
-        },
-    )
-    .under(&["--listen"]),
-    Flag::new(
-        "--backend KIND",
-        "readiness backend: epoll (kernel notification, Linux;\n\
-         idle connections cost nothing), sweep (portable\n\
-         attempt-and-WouldBlock fallback) or auto, which picks\n\
-         epoll where supported (default auto)",
-        |o, v| {
-            let backend: PollBackend = v.parse()?;
-            if !backend.supported() {
-                return Err(format!(
-                    "--backend {v} is not supported on this platform (try auto)"
-                ));
-            }
-            set(&mut o.serve.backend, Ok(backend))
         },
     )
     .under(&["--listen"]),
@@ -858,7 +841,11 @@ fn serve(source: &EngineSource, listener: TcpListener, opts: &Options) -> Result
          a 'shutdown' line stops the server",
         cfg.max_conns,
         fmt_bytes(cfg.write_buf_cap as u64),
-        cfg.backend.effective(),
+        if rpi_epoll::SUPPORTED {
+            "epoll"
+        } else {
+            "sweep"
+        },
         cfg.serve_threads,
         if cfg.serve_threads == 1 { "" } else { "s" },
     );
@@ -1086,7 +1073,7 @@ mod tests {
                 .count();
             assert_eq!(n, 1, "{} in --help", flag.name());
         }
-        assert_eq!(help.lines().filter(|l| l.starts_with("  --")).count(), 24);
+        assert_eq!(help.lines().filter(|l| l.starts_with("  --")).count(), 23);
     }
 
     fn parse(args: &[&str]) -> Result<Options, String> {
@@ -1097,7 +1084,6 @@ mod tests {
     fn with_value(flag: &Flag) -> Vec<&'static str> {
         match flag.spec {
             "--size KIND" => vec!["--size", "tiny"],
-            "--backend KIND" => vec!["--backend", "sweep"],
             _ if flag.takes_value() => vec![flag.name(), "7"],
             _ => vec![flag.name()],
         }

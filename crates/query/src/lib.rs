@@ -118,7 +118,7 @@ pub use proto::{
     PersistenceAnswer, Query, QueryRequest, Response, RovAnswer, SaHistoryPoint, SaOriginCount,
     Scope, ScriptError, GRAMMAR,
 };
-pub use serve::{EngineSource, PollBackend, ServeConfig, ServeStats, Server, ServerHandle};
+pub use serve::{EngineSource, ServeConfig, ServeStats, Server, ServerHandle};
 pub use snapshot::{Snapshot, SnapshotId, VantageKind};
 pub use tier::{Residency, TierStats};
 

@@ -4,11 +4,10 @@
 //! moved, which is all the backend needs to idle well.
 //!
 //! std-only by design (the build has no registry access, so no mio or
-//! tokio). Readiness comes from a [`poll`] backend: the portable
-//! `sweep` backend reports every socket ready and lets `WouldBlock`
-//! sort it out (the original design — O(conns) per sweep), while the
-//! Linux `epoll` backend gets real kernel notification, so 10k idle
-//! connections cost nothing per wait.
+//! tokio). Readiness comes from the platform's [`poll`] backend: on
+//! Linux `epoll` gets real kernel notification, so 10k idle connections
+//! cost nothing per wait; elsewhere the portable sweep reports every
+//! socket ready and lets `WouldBlock` sort it out (O(conns) per sweep).
 //!
 //! Scaling out: `serve_threads = N` runs N copies of the same shard
 //! loop, each owning a disjoint set of connections, fed round-robin by
@@ -30,7 +29,7 @@ use std::time::{Duration, Instant};
 use crate::engine::QueryEngine;
 use crate::metrics::QueryMetrics;
 use crate::serve::conn::Conn;
-use crate::serve::poll::{self, Backoff, Interest, PollBackend, Poller, LISTENER_TOKEN, TICK};
+use crate::serve::poll::{self, Backoff, Interest, Poller, LISTENER_TOKEN, TICK};
 use crate::serve::{ServeConfig, ServeStats};
 
 /// How long [`Shard::drain`] gives connections to take their buffered
@@ -215,7 +214,6 @@ impl Server {
     pub fn run(self) -> io::Result<ServeStats> {
         let m = Arc::clone(&self.metrics);
         let threads = self.cfg.serve_threads.max(1);
-        let backend = self.cfg.backend.effective();
         // Hard bound on open sockets: served sessions plus a bounded tail
         // of closing/rejected ones still draining their final bytes. Past
         // it, over-capacity accepts are dropped outright (no notice, no
@@ -227,7 +225,6 @@ impl Server {
         let run_result: io::Result<()> = if threads == 1 {
             Shard::new(
                 0,
-                backend,
                 &self.cfg,
                 self.engine.clone(),
                 Arc::clone(&m),
@@ -248,7 +245,6 @@ impl Server {
                     txs.push(tx);
                     shards.push(Shard::new(
                         id,
-                        backend,
                         &self.cfg,
                         self.engine.clone(),
                         Arc::clone(&m),
@@ -350,6 +346,9 @@ struct Shard<'a> {
     shared: &'a SharedCounters,
     hard_cap: usize,
     listener: Option<&'a TcpListener>,
+    /// The inline listener is registered with no interest (see
+    /// [`Shard::arm_listener`]) until the next [`Shard::maintain`].
+    listener_parked: bool,
     incoming: Option<mpsc::Receiver<TcpStream>>,
     /// `shard="N"`-labeled (active, write-buf) gauge instances; `None`
     /// on a single-shard server, whose exposition stays byte-compatible
@@ -370,7 +369,6 @@ impl<'a> Shard<'a> {
     #[allow(clippy::too_many_arguments)]
     fn new(
         id: usize,
-        backend: PollBackend,
         cfg: &'a ServeConfig,
         engine: EngineSource,
         m: Arc<QueryMetrics>,
@@ -390,9 +388,10 @@ impl<'a> Shard<'a> {
             shared,
             hard_cap,
             listener,
+            listener_parked: false,
             incoming,
             gauges,
-            poller: poll::make_poller(backend)?,
+            poller: poll::make_poller()?,
             slab: Vec::new(),
             free: Vec::new(),
             interests: Vec::new(),
@@ -489,12 +488,31 @@ impl<'a> Shard<'a> {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // Transient accept errors (peer reset mid-handshake)
-                // must not kill the server.
-                Err(_) => break,
+                // The peer reset mid-handshake: its connection is gone
+                // from the queue, so the next one can be taken.
+                Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
+                // Out of descriptors (EMFILE, ENFILE, ENOBUFS, …): the
+                // connection stays queued and the listener stays
+                // readable, so waiting on it again would spin the loop.
+                Err(_) => {
+                    self.arm_listener(false);
+                    break;
+                }
             }
         }
         progressed
+    }
+
+    /// Sets the inline listener's read interest. Parked, the loop keeps
+    /// serving its open connections and no longer wakes for accepts;
+    /// [`Shard::maintain`] re-arms it.
+    fn arm_listener(&mut self, read: bool) {
+        if let Some(listener) = self.listener {
+            let (fd, interest) = (poll::fd_of(listener), Interest { read, write: false });
+            if self.poller.reregister(fd, LISTENER_TOKEN, interest).is_ok() {
+                self.listener_parked = !read;
+            }
+        }
     }
 
     /// Takes ownership of an accepted socket: capacity check (live
@@ -676,9 +694,13 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// The periodic pass: shed idle connections and republish the
-    /// write-buffer gauges (per-shard and the cross-shard aggregate).
+    /// The periodic pass: re-arm a parked listener, shed idle
+    /// connections and republish the write-buffer gauges (per-shard and
+    /// the cross-shard aggregate).
     fn maintain(&mut self, now: Instant) {
+        if self.listener_parked {
+            self.arm_listener(true);
+        }
         let mut shed_tokens: Vec<usize> = Vec::new();
         let mut pending_total = 0u64;
         for (token, slot) in self.slab.iter().enumerate() {

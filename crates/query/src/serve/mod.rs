@@ -2,18 +2,18 @@
 //!
 //! Turns a shared [`QueryEngine`](crate::QueryEngine) into a network
 //! service speaking the same newline-delimited [`proto`](crate::proto)
-//! grammar as the stdin REPL — byte-identically, which the CI network
-//! smoke enforces by diffing TCP-served output for the committed smoke
-//! script against the stdin golden.
+//! grammar as the stdin REPL — byte-identically, which
+//! `tests/smoke.rs` enforces by diffing TCP-served output for the
+//! committed smoke scripts against the stdin goldens.
 //!
 //! The design is a readiness event loop over nonblocking std sockets
 //! (no tokio, no mio — the build is registry-free). Readiness comes
-//! from a pluggable [`PollBackend`]: the portable `sweep` fallback
-//! attempts every syscall and treats `WouldBlock` as "not ready", while
-//! the Linux `epoll` backend (a thin audited `extern "C"` shim in
-//! `rpi-epoll`) gets real kernel notification so idle connections cost
-//! nothing. `serve_threads = N` shards connections across N copies of
-//! the same loop behind a dedicated acceptor, and that is where lookup
+//! from the platform's backend: on Linux, `epoll` (a thin audited
+//! `extern "C"` shim in `rpi-epoll`) gets real kernel notification so
+//! idle connections cost nothing; elsewhere the portable sweep attempts
+//! every syscall and treats `WouldBlock` as "not ready".
+//! `serve_threads = N` shards connections across N copies of the same
+//! loop behind a dedicated acceptor, and that is where lookup
 //! parallelism comes from: a connection's queries run in order on the
 //! loop thread that read them, and
 //! [`execute_batch`](crate::QueryEngine::execute_batch) spreads only a
@@ -60,7 +60,6 @@ pub mod session;
 use std::time::Duration;
 
 pub use event_loop::{EngineSource, Server, ServerHandle};
-pub use poll::PollBackend;
 
 /// Tunables of the serve loop. `Default` matches the daemon's CLI
 /// defaults.
@@ -81,10 +80,6 @@ pub struct ServeConfig {
     /// Longest accepted request line; longer lines get an in-band error
     /// and are discarded to their terminator.
     pub max_line_len: usize,
-    /// Readiness backend; `Default` is [`PollBackend::auto`] (epoll
-    /// where supported). How the loop idles is the backend's own
-    /// business, not a tunable.
-    pub backend: PollBackend,
     /// Event-loop shard threads. `1` (default) keeps the listener
     /// inline in a single loop — the original topology; `N > 1` runs a
     /// dedicated acceptor distributing connections round-robin across N
@@ -99,7 +94,6 @@ impl Default for ServeConfig {
             write_buf_cap: 256 * 1024,
             idle_timeout: Duration::from_secs(30),
             max_line_len: 16 * 1024,
-            backend: PollBackend::auto(),
             serve_threads: 1,
         }
     }

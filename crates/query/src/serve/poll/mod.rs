@@ -4,22 +4,19 @@
 //! an [`Interest`], call [`Poller::wait`], service the returned tokens.
 //! What differs is how readiness is *discovered*:
 //!
-//! * [`sweep`] — the portable fallback (the original PR 5 design):
-//!   every registered token is reported ready on every wait, and the
-//!   connection code discovers actual readiness by attempting the
-//!   nonblocking syscall and treating `WouldBlock` as "not ready".
-//!   O(conns) per sweep — fine at loopback scale, the only option off
-//!   Linux.
 //! * [`epoll`] — real kernel readiness notification via the audited
 //!   [`rpi_epoll`] shim: a quiet connection costs *nothing* per wait,
 //!   which is what lets one daemon hold 10k+ idle connections at ~zero
 //!   CPU. Level-triggered, so a socket with unconsumed bytes stays
 //!   ready and the service order bookkeeping stays in the kernel.
+//! * [`sweep`] — the portable fallback: every registered token is
+//!   reported ready on every wait, and the connection code discovers
+//!   actual readiness by attempting the nonblocking syscall and treating
+//!   `WouldBlock` as "not ready". O(conns) per sweep — the only backend
+//!   that runs off Linux.
 //!
-//! Selection: `--backend sweep|epoll|auto` on the daemon,
-//! [`ServeConfig::backend`](crate::serve::ServeConfig) in code (the
-//! serve tests set it per matrix cell), `auto` — the default — picking
-//! epoll exactly where it is supported.
+//! The platform picks: [`make_poller`] returns epoll exactly where
+//! [`rpi_epoll::SUPPORTED`] holds, and the sweep everywhere else.
 //!
 //! Idling is the backend's business too: the loop tells [`Poller::wait`]
 //! whether the last round was busy, and the backend decides how to wait
@@ -31,74 +28,6 @@ mod sweep;
 use std::io;
 
 pub(crate) use sweep::{Backoff, MAX_IDLE_WAIT, TICK};
-
-/// Which readiness implementation the serve loop runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PollBackend {
-    /// Attempt-and-`WouldBlock` sweep over every connection (portable).
-    Sweep,
-    /// Kernel readiness notification via `epoll(7)` (Linux).
-    Epoll,
-}
-
-impl PollBackend {
-    /// The best backend this platform supports.
-    pub fn auto() -> PollBackend {
-        if rpi_epoll::SUPPORTED {
-            PollBackend::Epoll
-        } else {
-            PollBackend::Sweep
-        }
-    }
-
-    /// Whether this backend can actually run here.
-    pub fn supported(self) -> bool {
-        match self {
-            PollBackend::Sweep => true,
-            PollBackend::Epoll => rpi_epoll::SUPPORTED,
-        }
-    }
-
-    /// This backend if supported, else the portable fallback, so a
-    /// config naming epoll on a non-Linux host degrades instead of
-    /// failing.
-    pub fn effective(self) -> PollBackend {
-        if self.supported() {
-            self
-        } else {
-            PollBackend::Sweep
-        }
-    }
-
-    /// The CLI/display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PollBackend::Sweep => "sweep",
-            PollBackend::Epoll => "epoll",
-        }
-    }
-}
-
-impl std::fmt::Display for PollBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for PollBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<PollBackend, String> {
-        match s {
-            "sweep" => Ok(PollBackend::Sweep),
-            "epoll" => Ok(PollBackend::Epoll),
-            "auto" => Ok(PollBackend::auto()),
-            other => Err(format!(
-                "unknown backend '{other}' (expected sweep|epoll|auto)"
-            )),
-        }
-    }
-}
 
 /// The token [`Shard`](crate::serve::event_loop) registers its listener
 /// under; connection tokens are slab indices, which stay far below it.
@@ -129,11 +58,12 @@ pub(crate) trait Poller: Send {
     fn wait(&mut self, busy: bool, ready: &mut Vec<usize>) -> io::Result<()>;
 }
 
-/// Instantiates `backend` (resolved through [`PollBackend::effective`]).
-pub(crate) fn make_poller(backend: PollBackend) -> io::Result<Box<dyn Poller>> {
-    match backend.effective() {
-        PollBackend::Sweep => Ok(Box::new(sweep::SweepPoller::new())),
-        PollBackend::Epoll => epoll::make(),
+/// The platform's backend: epoll where supported, else the sweep.
+pub(crate) fn make_poller() -> io::Result<Box<dyn Poller>> {
+    if rpi_epoll::SUPPORTED {
+        epoll::make()
+    } else {
+        Ok(Box::new(sweep::SweepPoller::new()))
     }
 }
 

@@ -1,8 +1,7 @@
 //! The portable attempt-and-`WouldBlock` backend: every wait reports
-//! every registered token ready, after sleeping its idle [`Backoff`] —
-//! exactly the original single-loop behavior, factored behind the
-//! [`Poller`] trait so the epoll path and this one share one event
-//! loop.
+//! every registered token ready, after sleeping its idle [`Backoff`].
+//! It is what the serve loop runs where epoll is not supported; on
+//! Linux only this module's [`Backoff`] and idle timings are used.
 
 use std::io;
 use std::time::Duration;
@@ -113,5 +112,32 @@ mod tests {
         }
         assert_eq!(b.delay(true), Duration::ZERO, "busy resets");
         assert_eq!(b.delay(false), TICK, "and the grace window starts over");
+    }
+
+    /// No server runs the sweep on Linux, so its token bookkeeping is
+    /// pinned here: registration order is kept, a re-register does not
+    /// duplicate, `deregister` removes, and `wait` reports every token.
+    #[test]
+    fn sweep_reports_every_registered_token_in_order() {
+        let read = Interest {
+            read: true,
+            write: false,
+        };
+        let mut p = SweepPoller::new();
+        let mut ready = vec![99];
+        for token in [3, usize::MAX, 0, 3] {
+            p.register(-1, token, read).unwrap();
+        }
+        p.reregister(-1, 0, Interest::default()).unwrap();
+        p.wait(true, &mut ready).unwrap();
+        assert_eq!(ready, [3, usize::MAX, 0]);
+        p.deregister(-1, usize::MAX).unwrap();
+        p.deregister(-1, 7).unwrap();
+        p.wait(true, &mut ready).unwrap();
+        assert_eq!(ready, [3, 0]);
+        p.deregister(-1, 3).unwrap();
+        p.register(-1, 3, read).unwrap();
+        p.wait(true, &mut ready).unwrap();
+        assert_eq!(ready, [0, 3]);
     }
 }

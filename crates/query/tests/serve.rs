@@ -3,10 +3,9 @@
 //! read-side backpressure, idle shedding, and — the property everything
 //! else rests on — responses byte-identical to direct `engine.execute`.
 //!
-//! Every scenario runs over the full backend × serve-thread matrix
-//! ([`matrix`]): the portable sweep poller and the epoll poller (where
-//! supported), single-threaded and sharded across 4 event-loop threads.
-//! The responses must be byte-identical in every cell.
+//! Every scenario runs single-threaded and sharded across 4 event-loop
+//! threads ([`matrix`]), on the platform's readiness backend. The
+//! responses must be byte-identical in every cell.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -16,7 +15,7 @@ use std::time::{Duration, Instant};
 use net_topology::InternetSize;
 use rpi_core::Experiment;
 use rpi_query::serve::session::{repl_reply, ReplCmd};
-use rpi_query::serve::{EngineSource, PollBackend, ServeConfig, ServeStats, Server, ServerHandle};
+use rpi_query::serve::{EngineSource, ServeConfig, ServeStats, Server, ServerHandle};
 use rpi_query::{parse, render_response, LiveHandle, QueryEngine};
 
 /// A tiny single-snapshot engine plus its experiment (for valid
@@ -44,34 +43,14 @@ fn query_pairs(engine: &QueryEngine, exp: &Experiment) -> Vec<(String, String)> 
     out
 }
 
-/// The backend × serve-threads cells every scenario sweeps. Epoll cells
-/// appear only where the platform supports the backend (everywhere CI
-/// runs; the sweep-only fallback keeps the suite green elsewhere).
-fn matrix() -> Vec<(PollBackend, usize)> {
-    let mut cells = vec![(PollBackend::Sweep, 1)];
-    if PollBackend::Epoll.supported() {
-        cells.push((PollBackend::Epoll, 1));
-    }
-    cells.push((PollBackend::Sweep, 4));
-    if PollBackend::Epoll.supported() {
-        cells.push((PollBackend::Epoll, 4));
-    }
-    cells
+/// The serve-thread counts every scenario sweeps: the inline listener
+/// and the acceptor in front of 4 shards.
+fn matrix() -> [usize; 2] {
+    [1, 4]
 }
 
-/// Just the backends (for scenarios whose property is per-connection
-/// and thread-count-independent, like the heavy backpressure run).
-fn backends() -> Vec<PollBackend> {
-    let mut b = vec![PollBackend::Sweep];
-    if PollBackend::Epoll.supported() {
-        b.push(PollBackend::Epoll);
-    }
-    b
-}
-
-fn cell_cfg(backend: PollBackend, threads: usize, base: ServeConfig) -> ServeConfig {
+fn cell_cfg(threads: usize, base: ServeConfig) -> ServeConfig {
     ServeConfig {
-        backend,
         serve_threads: threads,
         ..base
     }
@@ -142,12 +121,10 @@ fn expected_for(engine: &QueryEngine, lines: &[&str]) -> String {
 
 #[test]
 fn pipelined_multi_query_write_round_trips() {
-    for (backend, threads) in matrix() {
+    for threads in matrix() {
         let (engine, exp) = tiny_engine();
-        let (addr, handle, join) = spawn_server(
-            engine.clone(),
-            cell_cfg(backend, threads, ServeConfig::default()),
-        );
+        let (addr, handle, join) =
+            spawn_server(engine.clone(), cell_cfg(threads, ServeConfig::default()));
 
         // One write carrying every protocol shape: point queries,
         // listings, history walks, a control ping — then quit.
@@ -177,15 +154,12 @@ fn pipelined_multi_query_write_round_trips() {
         assert_eq!(
             got,
             expected_for(&engine, &line_refs),
-            "[{backend} x{threads}] response bytes diverged"
+            "[x{threads}] response bytes diverged"
         );
 
         let stats = handle.stats();
-        assert_eq!(
-            stats.queries, 48,
-            "[{backend} x{threads}] 8 verbs + 40 routes"
-        );
-        assert_eq!(stats.errors, 0, "[{backend} x{threads}]");
+        assert_eq!(stats.queries, 48, "[x{threads}] 8 verbs + 40 routes");
+        assert_eq!(stats.errors, 0, "[x{threads}]");
 
         handle.shutdown();
         join.join().unwrap();
@@ -194,12 +168,10 @@ fn pipelined_multi_query_write_round_trips() {
 
 #[test]
 fn split_frames_reassemble_across_writes() {
-    for (backend, threads) in matrix() {
+    for threads in matrix() {
         let (engine, exp) = tiny_engine();
-        let (addr, handle, join) = spawn_server(
-            engine.clone(),
-            cell_cfg(backend, threads, ServeConfig::default()),
-        );
+        let (addr, handle, join) =
+            spawn_server(engine.clone(), cell_cfg(threads, ServeConfig::default()));
 
         let (v, p) = &query_pairs(&engine, &exp)[0];
         let line = format!("route {v} {p}\n");
@@ -217,8 +189,8 @@ fn split_frames_reassemble_across_writes() {
         s.read_to_string(&mut got).unwrap();
 
         let expected = expected_for(&engine, &[line.trim(), "quit"]);
-        assert_eq!(got, expected, "[{backend} x{threads}]");
-        assert_eq!(handle.stats().queries, 1, "[{backend} x{threads}]");
+        assert_eq!(got, expected, "[x{threads}]");
+        assert_eq!(handle.stats().queries, 1, "[x{threads}]");
 
         handle.shutdown();
         join.join().unwrap();
@@ -230,12 +202,10 @@ fn split_frames_reassemble_across_writes() {
 /// on inputs like `printf 'route …' | nc`.
 #[test]
 fn unterminated_final_line_answers_on_half_close() {
-    for (backend, threads) in matrix() {
+    for threads in matrix() {
         let (engine, exp) = tiny_engine();
-        let (addr, handle, join) = spawn_server(
-            engine.clone(),
-            cell_cfg(backend, threads, ServeConfig::default()),
-        );
+        let (addr, handle, join) =
+            spawn_server(engine.clone(), cell_cfg(threads, ServeConfig::default()));
 
         let (v, p) = &query_pairs(&engine, &exp)[0];
         let line = format!("route {v} {p}");
@@ -247,8 +217,8 @@ fn unterminated_final_line_answers_on_half_close() {
 
         let req = parse(&line).unwrap();
         let expected = render_response(&req, &engine.execute(&req).unwrap());
-        assert_eq!(got, format!("{expected}\n"), "[{backend} x{threads}]");
-        assert_eq!(handle.stats().queries, 1, "[{backend} x{threads}]");
+        assert_eq!(got, format!("{expected}\n"), "[x{threads}]");
+        assert_eq!(handle.stats().queries, 1, "[x{threads}]");
 
         handle.shutdown();
         join.join().unwrap();
@@ -264,10 +234,9 @@ fn unterminated_final_line_answers_on_half_close() {
 /// shard than the occupant and must still see the notice.
 #[test]
 fn server_full_notice_reaches_a_pipelining_client() {
-    for (backend, threads) in matrix() {
+    for threads in matrix() {
         let (engine, exp) = tiny_engine();
         let cfg = cell_cfg(
-            backend,
             threads,
             ServeConfig {
                 max_conns: 1,
@@ -281,7 +250,7 @@ fn server_full_notice_reaches_a_pipelining_client() {
         occupant.write_all(b"ping\n").unwrap();
         let mut buf = [0u8; 8];
         let n = occupant.read(&mut buf).unwrap();
-        assert_eq!(&buf[..n], b"pong\n", "[{backend} x{threads}]");
+        assert_eq!(&buf[..n], b"pong\n", "[x{threads}]");
 
         // The rejected client sends queries immediately — bytes the
         // server will never read.
@@ -294,11 +263,8 @@ fn server_full_notice_reaches_a_pipelining_client() {
         rejected
             .read_to_string(&mut got)
             .expect("notice then EOF, not a connection reset");
-        assert_eq!(
-            got, "error: server full (1 connections)\n",
-            "[{backend} x{threads}]"
-        );
-        assert_eq!(handle.stats().rejected, 1, "[{backend} x{threads}]");
+        assert_eq!(got, "error: server full (1 connections)\n", "[x{threads}]");
+        assert_eq!(handle.stats().rejected, 1, "[x{threads}]");
 
         drop(occupant);
         handle.shutdown();
@@ -308,10 +274,9 @@ fn server_full_notice_reaches_a_pipelining_client() {
 
 #[test]
 fn garbage_and_oversized_lines_error_in_band_without_killing_the_connection() {
-    for (backend, threads) in matrix() {
+    for threads in matrix() {
         let (engine, exp) = tiny_engine();
         let cfg = cell_cfg(
-            backend,
             threads,
             ServeConfig {
                 max_line_len: 64,
@@ -329,7 +294,7 @@ fn garbage_and_oversized_lines_error_in_band_without_killing_the_connection() {
         let l1 = lines.next().unwrap();
         assert!(
             l1.starts_with("error line 1: unknown query 'frobnicate'"),
-            "[{backend} x{threads}] garbage must be a line-numbered error: {l1}"
+            "[x{threads}] garbage must be a line-numbered error: {l1}"
         );
         let l2 = got
             .lines()
@@ -337,24 +302,24 @@ fn garbage_and_oversized_lines_error_in_band_without_killing_the_connection() {
             .expect("oversized line errors with its number");
         assert!(
             l2.contains("line too long") && l2.contains("cap 64"),
-            "[{backend} x{threads}] oversized error names the cap: {l2}"
+            "[x{threads}] oversized error names the cap: {l2}"
         );
         // The connection survived both: the valid query still answered …
         let req = parse(&format!("route {v} {p}")).unwrap();
         let expected = render_response(&req, &engine.execute(&req).unwrap());
         assert!(
             got.lines().any(|l| l == expected),
-            "[{backend} x{threads}] valid query after errors must still answer.\ngot:\n{got}"
+            "[x{threads}] valid query after errors must still answer.\ngot:\n{got}"
         );
         // … and the second garbage line is numbered *after* the long line.
         assert!(
             got.lines().any(|l| l.starts_with("error line 4:")),
-            "[{backend} x{threads}] line numbering must count the oversized line:\n{got}"
+            "[x{threads}] line numbering must count the oversized line:\n{got}"
         );
 
         let stats = handle.stats();
-        assert_eq!(stats.queries, 1, "[{backend} x{threads}]");
-        assert_eq!(stats.errors, 3, "[{backend} x{threads}]");
+        assert_eq!(stats.queries, 1, "[x{threads}]");
+        assert_eq!(stats.errors, 3, "[x{threads}]");
 
         handle.shutdown();
         join.join().unwrap();
@@ -363,129 +328,115 @@ fn garbage_and_oversized_lines_error_in_band_without_killing_the_connection() {
 
 /// Heavy by design (200k pipelined queries): the property is strictly
 /// per-connection (one connection's write buffer versus one shard's
-/// read loop), so it sweeps the backends at one serve thread; the
+/// read loop), so it runs at one serve thread; the
 /// sharded cells exercise backpressure via the cross-shard totals and
 /// concurrency scenarios instead.
 #[test]
 fn backpressure_stops_reading_and_bounds_the_write_buffer() {
-    for backend in backends() {
-        let (engine, exp) = tiny_engine();
-        let cap = 4 * 1024;
-        let cfg = cell_cfg(
-            backend,
-            1,
-            ServeConfig {
-                write_buf_cap: cap,
-                idle_timeout: Duration::from_secs(120),
-                ..ServeConfig::default()
-            },
-        );
-        let (addr, handle, join) = spawn_server(engine.clone(), cfg);
+    let (engine, exp) = tiny_engine();
+    let cap = 4 * 1024;
+    let cfg = ServeConfig {
+        write_buf_cap: cap,
+        idle_timeout: Duration::from_secs(120),
+        ..ServeConfig::default()
+    };
+    let (addr, handle, join) = spawn_server(engine.clone(), cfg);
 
-        // A high-expansion query (~12 request bytes → ~150+ response
-        // bytes): kernel socket buffers on loopback autotune into the
-        // megabytes, so the *response* volume has to dwarf what
-        // sndbuf+rcvbuf can swallow before the server visibly wedges.
-        let (v, _) = &query_pairs(&engine, &exp)[0];
-        let line = format!("summary {v}\n");
-        let req = parse(line.trim()).unwrap();
-        let expected = render_response(&req, &engine.execute(&req).unwrap());
+    // A high-expansion query (~12 request bytes → ~150+ response
+    // bytes): kernel socket buffers on loopback autotune into the
+    // megabytes, so the *response* volume has to dwarf what
+    // sndbuf+rcvbuf can swallow before the server visibly wedges.
+    let (v, _) = &query_pairs(&engine, &exp)[0];
+    let line = format!("summary {v}\n");
+    let req = parse(line.trim()).unwrap();
+    let expected = render_response(&req, &engine.execute(&req).unwrap());
 
-        const N: usize = 200_000;
-        let payload: Vec<u8> = line.as_bytes().repeat(N);
-        let total_responses = (expected.len() + 1) * N;
-        assert!(
-            total_responses > 24 * 1024 * 1024,
-            "responses ({total_responses} B) must exceed any plausible kernel buffering"
-        );
+    const N: usize = 200_000;
+    let payload: Vec<u8> = line.as_bytes().repeat(N);
+    let total_responses = (expected.len() + 1) * N;
+    assert!(
+        total_responses > 24 * 1024 * 1024,
+        "responses ({total_responses} B) must exceed any plausible kernel buffering"
+    );
 
-        let mut s = connect(addr);
-        s.set_nonblocking(true).unwrap();
+    let mut s = connect(addr);
+    s.set_nonblocking(true).unwrap();
 
-        // Phase 1: shovel queries without ever reading, then watch the
-        // server's app-level read counter. Backpressure means it stops
-        // *consuming* input long before the payload runs out — the
-        // unread remainder parks in kernel buffers (and possibly our
-        // send loop), not in server memory.
-        let mut sent = 0usize;
-        let mut stalled_rounds = 0;
-        while sent < payload.len() && stalled_rounds < 500 {
-            match s.write(&payload[sent..]) {
-                Ok(n) => {
-                    sent += n;
-                    stalled_rounds = 0;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    stalled_rounds += 1;
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => panic!("send failed: {e}"),
+    // Phase 1: shovel queries without ever reading, then watch the
+    // server's app-level read counter. Backpressure means it stops
+    // *consuming* input long before the payload runs out — the
+    // unread remainder parks in kernel buffers (and possibly our
+    // send loop), not in server memory.
+    let mut sent = 0usize;
+    let mut stalled_rounds = 0;
+    while sent < payload.len() && stalled_rounds < 500 {
+        match s.write(&payload[sent..]) {
+            Ok(n) => {
+                sent += n;
+                stalled_rounds = 0;
             }
-        }
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let mut consumed = handle.stats().bytes_in;
-        loop {
-            std::thread::sleep(Duration::from_millis(400));
-            let now_in = handle.stats().bytes_in;
-            if now_in == consumed {
-                break; // plateaued: the server stopped reading us
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                stalled_rounds += 1;
+                std::thread::sleep(Duration::from_millis(2));
             }
-            consumed = now_in;
-            assert!(
-                Instant::now() < deadline,
-                "[{backend}] bytes_in never plateaued"
-            );
+            Err(e) => panic!("send failed: {e}"),
         }
-        assert!(
-            (consumed as usize) < payload.len(),
-            "[{backend}] server consumed the whole {} B payload from a client that never reads",
-            payload.len()
-        );
-        // Bounded growth: the write buffer may overshoot the cap by at
-        // most one read's worth of rendered responses (64 KiB of
-        // requests at this expansion ratio), never by the workload size.
-        let peak = handle.stats().max_write_buf as usize;
-        let one_read_slack = (64 * 1024 / line.len() + 1) * (expected.len() + 1);
-        assert!(
-            peak <= cap + one_read_slack,
-            "[{backend}] write buffer grew without bound: peak {peak} B vs cap {cap} B + slack {one_read_slack} B"
-        );
-
-        // Phase 2: start draining. Everything already accepted must
-        // arrive, then the rest of the payload flows and answers too.
-        s.set_nonblocking(false).unwrap();
-        let writer = {
-            let payload = payload[sent..].to_vec();
-            let mut s2 = s.try_clone().unwrap();
-            std::thread::spawn(move || {
-                s2.write_all(&payload).unwrap();
-                s2.write_all(b"quit\n").unwrap();
-            })
-        };
-        let mut got = String::new();
-        s.read_to_string(&mut got).unwrap();
-        writer.join().unwrap();
-
-        let lines: Vec<&str> = got.lines().collect();
-        assert_eq!(
-            lines.len(),
-            N,
-            "[{backend}] every pipelined query must answer"
-        );
-        assert!(lines.iter().all(|l| *l == expected), "[{backend}]");
-        assert_eq!(handle.stats().queries, N as u64, "[{backend}]");
-
-        handle.shutdown();
-        join.join().unwrap();
     }
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut consumed = handle.stats().bytes_in;
+    loop {
+        std::thread::sleep(Duration::from_millis(400));
+        let now_in = handle.stats().bytes_in;
+        if now_in == consumed {
+            break; // plateaued: the server stopped reading us
+        }
+        consumed = now_in;
+        assert!(Instant::now() < deadline, "bytes_in never plateaued");
+    }
+    assert!(
+        (consumed as usize) < payload.len(),
+        "server consumed the whole {} B payload from a client that never reads",
+        payload.len()
+    );
+    // Bounded growth: the write buffer may overshoot the cap by at
+    // most one read's worth of rendered responses (64 KiB of
+    // requests at this expansion ratio), never by the workload size.
+    let peak = handle.stats().max_write_buf as usize;
+    let one_read_slack = (64 * 1024 / line.len() + 1) * (expected.len() + 1);
+    assert!(
+        peak <= cap + one_read_slack,
+        "write buffer grew without bound: peak {peak} B vs cap {cap} B + slack {one_read_slack} B"
+    );
+
+    // Phase 2: start draining. Everything already accepted must
+    // arrive, then the rest of the payload flows and answers too.
+    s.set_nonblocking(false).unwrap();
+    let writer = {
+        let payload = payload[sent..].to_vec();
+        let mut s2 = s.try_clone().unwrap();
+        std::thread::spawn(move || {
+            s2.write_all(&payload).unwrap();
+            s2.write_all(b"quit\n").unwrap();
+        })
+    };
+    let mut got = String::new();
+    s.read_to_string(&mut got).unwrap();
+    writer.join().unwrap();
+
+    let lines: Vec<&str> = got.lines().collect();
+    assert_eq!(lines.len(), N, "every pipelined query must answer");
+    assert!(lines.iter().all(|l| *l == expected));
+    assert_eq!(handle.stats().queries, N as u64);
+
+    handle.shutdown();
+    join.join().unwrap();
 }
 
 #[test]
 fn idle_connections_are_shed_and_counted() {
-    for (backend, threads) in matrix() {
+    for threads in matrix() {
         let (engine, _exp) = tiny_engine();
         let cfg = cell_cfg(
-            backend,
             threads,
             ServeConfig {
                 idle_timeout: Duration::from_millis(250),
@@ -498,25 +449,25 @@ fn idle_connections_are_shed_and_counted() {
         s.write_all(b"ping\n").unwrap();
         let mut buf = [0u8; 16];
         let n = s.read(&mut buf).unwrap();
-        assert_eq!(&buf[..n], b"pong\n", "[{backend} x{threads}]");
+        assert_eq!(&buf[..n], b"pong\n", "[x{threads}]");
 
         // Now go silent: the server must hang up on us (EOF or a reset,
         // depending on how the close lands — both mean "shed", never a
         // hang).
         let mut rest = Vec::new();
         match s.read_to_end(&mut rest) {
-            Ok(_) => assert!(rest.is_empty(), "[{backend} x{threads}]"),
+            Ok(_) => assert!(rest.is_empty(), "[x{threads}]"),
             Err(e) => assert_eq!(
                 e.kind(),
                 std::io::ErrorKind::ConnectionReset,
-                "[{backend} x{threads}] {e}"
+                "[x{threads}] {e}"
             ),
         }
         let deadline = Instant::now() + Duration::from_secs(5);
         while handle.stats().shed_idle == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(handle.stats().shed_idle, 1, "[{backend} x{threads}]");
+        assert_eq!(handle.stats().shed_idle, 1, "[x{threads}]");
 
         handle.shutdown();
         join.join().unwrap();
@@ -525,12 +476,10 @@ fn idle_connections_are_shed_and_counted() {
 
 #[test]
 fn concurrent_clients_get_exactly_direct_execute_answers() {
-    for (backend, threads) in matrix() {
+    for threads in matrix() {
         let (engine, exp) = tiny_engine();
-        let (addr, handle, join) = spawn_server(
-            engine.clone(),
-            cell_cfg(backend, threads, ServeConfig::default()),
-        );
+        let (addr, handle, join) =
+            spawn_server(engine.clone(), cell_cfg(threads, ServeConfig::default()));
 
         let pairs = query_pairs(&engine, &exp);
         const CLIENTS: usize = 6;
@@ -557,24 +506,20 @@ fn concurrent_clients_get_exactly_direct_execute_answers() {
                     assert_eq!(
                         got,
                         expected_for(engine, &refs),
-                        "[{backend} x{threads}] client {c} diverged"
+                        "[x{threads}] client {c} diverged"
                     );
                 });
             }
         });
 
         let stats = handle.stats();
-        assert_eq!(stats.accepted, CLIENTS as u64, "[{backend} x{threads}]");
-        assert_eq!(stats.queries, pairs.len() as u64, "[{backend} x{threads}]");
-        assert_eq!(stats.errors, 0, "[{backend} x{threads}]");
+        assert_eq!(stats.accepted, CLIENTS as u64, "[x{threads}]");
+        assert_eq!(stats.queries, pairs.len() as u64, "[x{threads}]");
+        assert_eq!(stats.errors, 0, "[x{threads}]");
 
         handle.shutdown();
         let final_stats = join.join().unwrap();
-        assert_eq!(
-            final_stats.queries,
-            pairs.len() as u64,
-            "[{backend} x{threads}]"
-        );
+        assert_eq!(final_stats.queries, pairs.len() as u64, "[x{threads}]");
     }
 }
 
@@ -584,12 +529,10 @@ fn concurrent_clients_get_exactly_direct_execute_answers() {
 #[test]
 fn per_verb_counters_increment_exactly_once_per_pipelined_query() {
     use rpi_query::metrics::VERBS;
-    for (backend, threads) in matrix() {
+    for threads in matrix() {
         let (engine, exp) = tiny_engine();
-        let (addr, handle, join) = spawn_server(
-            engine.clone(),
-            cell_cfg(backend, threads, ServeConfig::default()),
-        );
+        let (addr, handle, join) =
+            spawn_server(engine.clone(), cell_cfg(threads, ServeConfig::default()));
 
         let pairs = query_pairs(&engine, &exp);
         let (v, p) = &pairs[0];
@@ -614,15 +557,15 @@ fn per_verb_counters_increment_exactly_once_per_pipelined_query() {
             assert_eq!(
                 m.serve_queries_total[i].get(),
                 expect,
-                "[{backend} x{threads}] verb '{verb}' count"
+                "[x{threads}] verb '{verb}' count"
             );
             assert_eq!(
                 m.serve_query_seconds[i].snapshot().count(),
                 expect,
-                "[{backend} x{threads}] verb '{verb}' latency samples"
+                "[x{threads}] verb '{verb}' latency samples"
             );
         }
-        assert_eq!(handle.stats().queries, 8, "[{backend} x{threads}]");
+        assert_eq!(handle.stats().queries, 8, "[x{threads}]");
 
         handle.shutdown();
         join.join().unwrap();
@@ -637,57 +580,54 @@ fn per_verb_counters_increment_exactly_once_per_pipelined_query() {
 #[test]
 fn per_verb_totals_sum_exactly_across_shards() {
     use rpi_query::metrics::VERBS;
-    for backend in backends() {
-        let (engine, exp) = tiny_engine();
-        let (addr, handle, join) =
-            spawn_server(engine.clone(), cell_cfg(backend, 4, ServeConfig::default()));
+    let (engine, exp) = tiny_engine();
+    let (addr, handle, join) = spawn_server(engine.clone(), cell_cfg(4, ServeConfig::default()));
 
-        let pairs = query_pairs(&engine, &exp);
-        let (v, p) = &pairs[0];
-        // Per client: 3 route, 2 resolve, 1 sa, 1 summary — the
-        // round-robin acceptor spreads the clients over all 4 shards.
-        const CLIENTS: usize = 8;
-        let input = format!(
-            "route {v} {p}\nroute {v} {p}\nresolve {v} {p}\nroute {v} {p}\n\
-             resolve {v} {p}\nsa {v} {p}\nsummary {v}\nquit\n"
-        );
-        let lines: Vec<&str> = input.lines().collect();
-        let expected = expected_for(&engine, &lines);
-        std::thread::scope(|scope| {
-            for c in 0..CLIENTS {
-                let input = &input;
-                let expected = &expected;
-                scope.spawn(move || {
-                    let got = roundtrip(addr, input);
-                    assert_eq!(&got, expected, "[{backend}] client {c} diverged");
-                });
-            }
-        });
-
-        let want = [("route", 3), ("resolve", 2), ("sa", 1), ("summary", 1)];
-        let m = engine.metrics();
-        for (i, verb) in VERBS.iter().enumerate() {
-            let per_client = want.iter().find(|(w, _)| w == verb).map_or(0, |&(_, n)| n);
-            let expect = per_client * CLIENTS as u64;
-            assert_eq!(
-                m.serve_queries_total[i].get(),
-                expect,
-                "[{backend}] verb '{verb}' total across shards"
-            );
-            assert_eq!(
-                m.serve_query_seconds[i].snapshot().count(),
-                expect,
-                "[{backend}] verb '{verb}' latency samples across shards"
-            );
+    let pairs = query_pairs(&engine, &exp);
+    let (v, p) = &pairs[0];
+    // Per client: 3 route, 2 resolve, 1 sa, 1 summary — the
+    // round-robin acceptor spreads the clients over all 4 shards.
+    const CLIENTS: usize = 8;
+    let input = format!(
+        "route {v} {p}\nroute {v} {p}\nresolve {v} {p}\nroute {v} {p}\n\
+         resolve {v} {p}\nsa {v} {p}\nsummary {v}\nquit\n"
+    );
+    let lines: Vec<&str> = input.lines().collect();
+    let expected = expected_for(&engine, &lines);
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let input = &input;
+            let expected = &expected;
+            scope.spawn(move || {
+                let got = roundtrip(addr, input);
+                assert_eq!(&got, expected, "client {c} diverged");
+            });
         }
-        let stats = handle.stats();
-        assert_eq!(stats.queries, 7 * CLIENTS as u64, "[{backend}]");
-        assert_eq!(stats.accepted, CLIENTS as u64, "[{backend}]");
-        assert_eq!(stats.errors, 0, "[{backend}]");
+    });
 
-        handle.shutdown();
-        join.join().unwrap();
+    let want = [("route", 3), ("resolve", 2), ("sa", 1), ("summary", 1)];
+    let m = engine.metrics();
+    for (i, verb) in VERBS.iter().enumerate() {
+        let per_client = want.iter().find(|(w, _)| w == verb).map_or(0, |&(_, n)| n);
+        let expect = per_client * CLIENTS as u64;
+        assert_eq!(
+            m.serve_queries_total[i].get(),
+            expect,
+            "verb '{verb}' total across shards"
+        );
+        assert_eq!(
+            m.serve_query_seconds[i].snapshot().count(),
+            expect,
+            "verb '{verb}' latency samples across shards"
+        );
     }
+    let stats = handle.stats();
+    assert_eq!(stats.queries, 7 * CLIENTS as u64);
+    assert_eq!(stats.accepted, CLIENTS as u64);
+    assert_eq!(stats.errors, 0);
+
+    handle.shutdown();
+    join.join().unwrap();
 }
 
 /// The exposition's key set and ordering never depend on traffic or
@@ -709,12 +649,10 @@ fn metrics_exposition_keys_are_stable_across_scrapes_and_transports() {
             .collect()
     }
 
-    for (backend, threads) in matrix() {
+    for threads in matrix() {
         let (engine, exp) = tiny_engine();
-        let (addr, handle, join) = spawn_server(
-            engine.clone(),
-            cell_cfg(backend, threads, ServeConfig::default()),
-        );
+        let (addr, handle, join) =
+            spawn_server(engine.clone(), cell_cfg(threads, ServeConfig::default()));
 
         let (v, p) = &query_pairs(&engine, &exp)[0];
         let first = roundtrip(addr, "metrics\nquit\n");
@@ -729,18 +667,18 @@ fn metrics_exposition_keys_are_stable_across_scrapes_and_transports() {
         assert_eq!(
             keys(&first),
             keys(&second_metrics),
-            "[{backend} x{threads}] key set/order must not depend on traffic"
+            "[x{threads}] key set/order must not depend on traffic"
         );
 
         // Transport equivalence: the stdin REPL renders through the same
         // function, against the same registry.
         let stdin_render = repl_reply(&engine, ReplCmd::Metrics);
-        assert_eq!(keys(&first), keys(&stdin_render), "[{backend} x{threads}]");
+        assert_eq!(keys(&first), keys(&stdin_render), "[x{threads}]");
         let names_tcp = roundtrip(addr, "metrics names\nquit\n");
         assert_eq!(
             names_tcp,
             format!("{}\n", repl_reply(&engine, ReplCmd::MetricsNames)),
-            "[{backend} x{threads}] 'metrics names' is byte-identical across transports"
+            "[x{threads}] 'metrics names' is byte-identical across transports"
         );
 
         handle.shutdown();
@@ -823,23 +761,21 @@ fn both_constructors_take_frozen_and_live_worlds() {
 
 #[test]
 fn shutdown_verb_stops_the_server_and_reports_stats() {
-    for (backend, threads) in matrix() {
+    for threads in matrix() {
         let (engine, exp) = tiny_engine();
-        let (addr, _handle, join) = spawn_server(
-            engine.clone(),
-            cell_cfg(backend, threads, ServeConfig::default()),
-        );
+        let (addr, _handle, join) =
+            spawn_server(engine.clone(), cell_cfg(threads, ServeConfig::default()));
 
         let (v, p) = &query_pairs(&engine, &exp)[0];
         let got = roundtrip(addr, &format!("route {v} {p}\nshutdown\n"));
         let req = parse(&format!("route {v} {p}")).unwrap();
         let expected = render_response(&req, &engine.execute(&req).unwrap());
-        assert_eq!(got, format!("{expected}\n"), "[{backend} x{threads}]");
+        assert_eq!(got, format!("{expected}\n"), "[x{threads}]");
 
         // run() must return (no hang) with the final snapshot.
         let stats = join.join().unwrap();
-        assert_eq!(stats.queries, 1, "[{backend} x{threads}]");
-        assert_eq!(stats.active, 0, "[{backend} x{threads}]");
+        assert_eq!(stats.queries, 1, "[x{threads}]");
+        assert_eq!(stats.active, 0, "[x{threads}]");
     }
 }
 
@@ -851,13 +787,11 @@ fn shutdown_verb_stops_the_server_and_reports_stats() {
 /// ride behind it in one write for the run to cross the 1 ms threshold.
 #[test]
 fn slow_run_led_by_a_long_utf8_line_is_logged_and_the_server_lives() {
-    for (backend, threads) in matrix() {
+    for threads in matrix() {
         let (engine, _exp) = tiny_engine();
         engine.metrics().set_slow_threshold_ms(1);
-        let (addr, handle, join) = spawn_server(
-            engine.clone(),
-            cell_cfg(backend, threads, ServeConfig::default()),
-        );
+        let (addr, handle, join) =
+            spawn_server(engine.clone(), cell_cfg(threads, ServeConfig::default()));
 
         let long = format!("route AS1 1.0.0.0/8 @label:{}", "é".repeat(100));
         assert!(parse(&long).is_ok() && !long.is_char_boundary(120));
@@ -881,19 +815,19 @@ fn slow_run_led_by_a_long_utf8_line_is_logged_and_the_server_lives() {
         assert_eq!(
             roundtrip(addr, &input),
             expected,
-            "[{backend} x{threads}] every line is answered"
+            "[x{threads}] every line is answered"
         );
 
         // A second connection: the server is alive and lists the run.
         let got = roundtrip(addr, "slowlog\nping\nquit\n");
-        assert!(got.ends_with("\npong\n"), "[{backend} x{threads}] {got}");
+        assert!(got.ends_with("\npong\n"), "[x{threads}] {got}");
         let quote = got
             .lines()
             .filter_map(|l| l.split_once(" queries  "))
             .find_map(|(_, quote)| quote.strip_suffix('…'))
-            .unwrap_or_else(|| panic!("[{backend} x{threads}] no cut quote in: {got}"));
-        assert!(long.starts_with(quote), "[{backend} x{threads}] {quote}");
-        assert_eq!(quote.len(), 119, "[{backend} x{threads}]");
+            .unwrap_or_else(|| panic!("[x{threads}] no cut quote in: {got}"));
+        assert!(long.starts_with(quote), "[x{threads}] {quote}");
+        assert_eq!(quote.len(), 119, "[x{threads}]");
 
         handle.shutdown();
         join.join().unwrap();
