@@ -50,10 +50,19 @@ impl DeltaRoute {
         put_communities(out, &self.communities);
     }
 
-    /// Decodes a route written by [`DeltaRoute::encode`].
+    /// Decodes a route written by [`DeltaRoute::encode`]. A best route
+    /// has an origin, so a zero-length path is corrupt — every consumer
+    /// (archive replay, the live follower) reads its last hop.
     pub fn decode(r: &mut Reader<'_>) -> Result<DeltaRoute, CodecError> {
         let next_hop = r.asn()?;
+        let path_offset = r.position();
         let path = r.asn_list()?;
+        if path.is_empty() {
+            return Err(CodecError::Invalid {
+                offset: path_offset,
+                what: "empty AS path",
+            });
+        }
         let communities = read_communities(r)?;
         Ok(DeltaRoute {
             next_hop,
@@ -256,6 +265,24 @@ mod tests {
                 "cut at {cut}/{} silently decoded",
                 bytes.len()
             );
+        }
+    }
+
+    #[test]
+    fn an_empty_path_is_invalid_at_its_offset() {
+        let route = DeltaRoute {
+            next_hop: Asn(2),
+            path: Vec::new(),
+            communities: Vec::new(),
+        };
+        let mut bytes = Vec::new();
+        route.encode(&mut bytes);
+        // next hop (one varint byte), then the path's zero count.
+        match DeltaRoute::decode(&mut Reader::new(&bytes)) {
+            Err(CodecError::Invalid { offset, what }) => {
+                assert_eq!((offset, what), (1, "empty AS path"));
+            }
+            other => panic!("wanted Invalid, got {other:?}"),
         }
     }
 

@@ -14,7 +14,8 @@
 //!   [`bgp_types::flat`], SA caches, the oracle's relationship maps
 //!   (elided when equal to the predecessor's: the snapshot then loads
 //!   holding the predecessor's `Arc<Oracle>`), import typicality and
-//!   community classes.
+//!   community classes. Leak convictions are not stored: decoding judges
+//!   each route as it is read, before it enters its trie.
 //! * **delta segment** — one snapshot as the structured
 //!   [`OutputDelta`] events it was ingested from, plus the list of
 //!   vantages that disappeared and the recomputed analyses of
@@ -69,7 +70,8 @@ use rpi_store::{
 use crate::engine::QueryEngine;
 use crate::intern::{AsnSym, FrozenInterner, PrefixSym, WorldInterner};
 use crate::snapshot::{
-    CompactRoute, Oracle, Provenance, SaCache, Snapshot, SnapshotId, VantageKind, VantageTable,
+    CompactRoute, Oracle, Provenance, SaCache, Snapshot, SnapshotId, TableJudge, VantageKind,
+    VantageTable,
 };
 
 /// One segment's on-disk identity, kept on the engine after a save or
@@ -423,13 +425,11 @@ fn encode_full(
     let shared = !force_standalone && prev.is_some_and(|p| snap.oracle == p.oracle);
     out.push(if shared { FLAG_REL_SHARED } else { 0 } | FLAG_DIRECTORY);
     if !shared {
-        let mut rels: Vec<(&(AsnSym, AsnSym), &Relationship)> =
-            snap.oracle.relationships.iter().collect();
-        rels.sort_unstable_by_key(|((a, b), _)| (*a, *b));
-        put_uvarint(&mut out, rels.len() as u64);
-        for ((a, b), &rel) in rels {
-            put_uvarint(&mut out, sym_u(*a));
-            put_uvarint(&mut out, sym_u(*b));
+        let edges: Vec<_> = snap.oracle.edges().collect();
+        put_uvarint(&mut out, edges.len() as u64);
+        for (a, b, rel) in edges {
+            put_uvarint(&mut out, sym_u(a));
+            put_uvarint(&mut out, sym_u(b));
             put_relationship(&mut out, rel);
         }
         type CountRow<'a> = (&'a AsnSym, &'a (usize, usize, usize, usize));
@@ -675,11 +675,11 @@ fn decode_full(
         Arc::clone(&prev.oracle)
     } else {
         let n = r.ulen()?;
-        let mut rels = HashMap::with_capacity(n.min(1 << 20));
+        let mut edges = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             let a = AsnSym(read_sym(&mut r, n_asns, "relationship symbol")?);
             let b = AsnSym(read_sym(&mut r, n_asns, "relationship symbol")?);
-            rels.insert((a, b), r.relationship()?);
+            edges.push((a, b, r.relationship()?));
         }
         let n = r.ulen()?;
         let mut counts = HashMap::with_capacity(n.min(1 << 20));
@@ -691,7 +691,7 @@ fn decode_full(
             }
             counts.insert(s, (vals[0], vals[1], vals[2], vals[3]));
         }
-        Arc::new(Oracle::new(rels, counts))
+        Arc::new(Oracle::new(edges, counts))
     };
     let mut snap = Snapshot::empty(id, label, oracle);
 
@@ -710,6 +710,7 @@ fn decode_full(
         let span = (start, r.position() - start);
         let decoded = pairs.len();
         let mut trie = CowTrie::new();
+        let mut judge = TableJudge::new(&snap.oracle, owner);
         for (prefix, route) in pairs {
             if interner.lookup_prefix(prefix).is_none() {
                 return Err(CodecError::Invalid {
@@ -717,8 +718,10 @@ fn decode_full(
                     what: "table prefix missing from symbol table",
                 });
             }
+            judge.judge(prefix, &route.path);
             trie.insert(prefix, route);
         }
+        let convicted = judge.finish();
         if decoded != route_count {
             return Err(CodecError::Invalid {
                 offset: count_offset,
@@ -731,6 +734,7 @@ fn decode_full(
             route_count,
             span,
         });
+        snap.leaks.insert(owner, Arc::new(convicted));
         snap.vantages.insert(
             owner,
             Arc::new(VantageTable {
@@ -750,6 +754,9 @@ fn decode_full(
             what: "SA cache count disagrees with vantage count",
         });
     }
+    // Owners are written sorted: strictly increasing, each a vantage and
+    // as many as there are vantages, they name every vantage once.
+    let mut prev_owner: Option<AsnSym> = None;
     for _ in 0..n_sa {
         let owner_offset = r.position();
         let owner = AsnSym(read_sym(&mut r, n_asns, "SA owner symbol")?);
@@ -759,6 +766,13 @@ fn decode_full(
                 what: "SA cache for unknown vantage",
             });
         }
+        if prev_owner.is_some_and(|p| p >= owner) {
+            return Err(CodecError::Invalid {
+                offset: owner_offset,
+                what: "SA cache owners out of order",
+            });
+        }
+        prev_owner = Some(owner);
         let mut cache = SaCache {
             customer_prefixes: r.ulen()?,
             ..SaCache::default()

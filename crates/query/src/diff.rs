@@ -117,18 +117,15 @@ impl SnapshotDiff {
         // --- relationship flips (each unordered pair once); equal
         // oracles — one `Arc` along a whole series — have none ---
         if a.oracle != b.oracle {
-            let (rels_a, rels_b) = (&a.oracle.relationships, &b.oracle.relationships);
-            let mut edges: Vec<_> = rels_a
-                .keys()
-                .chain(rels_b.keys())
-                .filter(|(x, y)| x <= y)
-                .copied()
+            let (oa, ob) = (&a.oracle, &b.oracle);
+            let mut edges: Vec<_> = (oa.edges().chain(ob.edges()))
+                .filter(|(x, y, _)| x <= y)
+                .map(|(x, y, _)| (x, y))
                 .collect();
             edges.sort_unstable();
             edges.dedup();
             for (x, y) in edges {
-                let before = rels_a.get(&(x, y)).copied();
-                let after = rels_b.get(&(x, y)).copied();
+                let (before, after) = (oa.rel(x, y), ob.rel(x, y));
                 if before != after {
                     diff.flips.push(RelationshipFlip {
                         a: interner.resolve_asn(x),

@@ -701,7 +701,7 @@ impl QueryEngine {
 
     /// Executes a batch: every request goes through [`Self::execute`] in
     /// request order on the calling thread, except that a batch holding
-    /// two or more scans (history verbs, `diff`, `leaks`) overlaps those
+    /// two or more scans (history verbs, `diff`) overlaps those
     /// scans on scoped helper threads, capped at the machine's
     /// parallelism. Results keep request order.
     pub fn execute_batch(&self, reqs: &[QueryRequest]) -> Vec<Result<Response, QueryError>> {
@@ -939,7 +939,7 @@ impl QueryEngine {
     fn rel_point(&self, snap: &Snapshot, a: Asn, b: Asn) -> Option<Relationship> {
         let sa = self.interner.lookup_asn(a)?;
         let sb = self.interner.lookup_asn(b)?;
-        snap.oracle.relationships.get(&(sa, sb)).copied()
+        snap.oracle.rel(sa, sb)
     }
 
     fn summary_point(&self, snap: &Snapshot, asn: Asn) -> Option<PolicySummary> {

@@ -8,6 +8,10 @@
 //! a hot set too small for a scope (evict + re-hydrate loses sharing
 //! mid-fold). Sharing may only ever change what the fold costs.
 //!
+//! `leaks` is held the same way: the convictions each snapshot carries —
+//! judged where its tables were indexed, decoded, or patched from a
+//! delta — must be what judging every stored path on request finds.
+//!
 //! `RPI_DIFF_SEEDS=seed1,seed2,…` adds churn seeds without a rebuild.
 
 #[path = "../tests/common/mod.rs"]
@@ -24,10 +28,10 @@ use rpi_core::persistence::histogram_from_counts;
 
 use crate::diff::{RelationshipFlip, SnapshotDiff, VantageChurn};
 use crate::engine::QueryEngine;
-use crate::intern::WorldInterner;
+use crate::intern::{AsnSym, WorldInterner};
 use crate::plan::QueryError;
 use crate::proto::{
-    render_response, HijackEvent, HijackKind, Query, QueryRequest, Response, Scope,
+    render_response, HijackEvent, HijackKind, LeakEvent, Query, QueryRequest, Response, Scope,
 };
 use crate::sec::{covering_base, origins_per_prefix};
 use crate::snapshot::{Snapshot, SnapshotId};
@@ -173,18 +177,15 @@ fn diff_scan(interner: &WorldInterner, a: &Snapshot, b: &Snapshot) -> SnapshotDi
     diff.new_sa.sort_unstable();
     diff.gone_sa.sort_unstable();
 
-    let (rels_a, rels_b) = (&a.oracle.relationships, &b.oracle.relationships);
-    let mut edges: Vec<_> = rels_a
-        .keys()
-        .chain(rels_b.keys())
-        .filter(|(x, y)| x <= y)
-        .copied()
+    let (oa, ob) = (&a.oracle, &b.oracle);
+    let mut edges: Vec<_> = (oa.edges().chain(ob.edges()))
+        .filter(|(x, y, _)| x <= y)
+        .map(|(x, y, _)| (x, y))
         .collect();
     edges.sort_unstable();
     edges.dedup();
     for (x, y) in edges {
-        let before = rels_a.get(&(x, y)).copied();
-        let after = rels_b.get(&(x, y)).copied();
+        let (before, after) = (oa.rel(x, y), ob.rel(x, y));
         if before != after {
             diff.flips.push(RelationshipFlip {
                 a: interner.resolve_asn(x),
@@ -234,10 +235,54 @@ fn diff_scan(interner: &WorldInterner, a: &Snapshot, b: &Snapshot) -> SnapshotDi
     diff
 }
 
-/// [`QueryEngine::execute`] for the three folded verbs, through the
-/// reference scans.
+/// `leaks` as it was before snapshots carried their convictions: every
+/// stored path of every vantage judged on every request, with the
+/// vantage prepended to a path that does not start at it — so the
+/// judge never needs [`crate::snapshot::Oracle::leaker`]'s virtual last
+/// hop, which the read is held to here.
+fn leaks_scan(engine: &QueryEngine, snap: &Snapshot) -> Vec<LeakEvent> {
+    let mut vantages: Vec<(Asn, AsnSym)> = snap
+        .vantages
+        .keys()
+        .map(|&s| (engine.interner.resolve_asn(s), s))
+        .collect();
+    vantages.sort_unstable();
+
+    let mut out = Vec::new();
+    let mut full: Vec<AsnSym> = Vec::new();
+    for (vantage, v) in vantages {
+        // The trie iterates in prefix order, the order events are reported in.
+        for (prefix, route) in snap.vantages[&v].trie.iter() {
+            full.clear();
+            if route.path.first() != Some(&v) {
+                full.push(v);
+            }
+            full.extend_from_slice(&route.path);
+            if let Some(leaker) = snap.oracle.leaker(v, &full) {
+                out.push(LeakEvent {
+                    vantage,
+                    prefix,
+                    leaker: engine.interner.resolve_asn(leaker),
+                    path: full
+                        .iter()
+                        .map(|&s| engine.interner.resolve_asn(s))
+                        .collect(),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// [`QueryEngine::execute`] for the folded verbs and `leaks`, through
+/// the reference scans.
 fn execute_scan(engine: &QueryEngine, req: &QueryRequest) -> Result<Response, QueryError> {
     match req.query {
+        Query::Leaks => {
+            let id = engine.single_scope(&req.query, &req.scope)?;
+            let snap = engine.snap_arc(id)?;
+            Ok(Response::Leaks(leaks_scan(engine, &snap)))
+        }
         Query::Hijacks => {
             let ids = engine.scope_ids(&req.query, &req.scope)?;
             Ok(Response::Hijacks(hijacks_scan(engine, &ids)?))
@@ -251,7 +296,7 @@ fn execute_scan(engine: &QueryEngine, req: &QueryRequest) -> Result<Response, Qu
             let (a, b) = (engine.snap_arc(from)?, engine.snap_arc(to)?);
             Ok(Response::Diff(diff_scan(&engine.interner, &a, &b)))
         }
-        _ => unreachable!("only the folded verbs are compared"),
+        _ => unreachable!("only the folded verbs and `leaks` are compared"),
     }
 }
 
@@ -310,12 +355,14 @@ fn engines(
 }
 
 /// Every `hijacks` scope and every `diff` pair (both directions) of an
-/// `n`-snapshot series, and `uptime` for every vantage of interest over
-/// the whole series plus a seeded handful of ranges.
+/// `n`-snapshot series, `leaks` at every snapshot, and `uptime` for
+/// every vantage of interest over the whole series plus a seeded handful
+/// of ranges.
 fn requests(n: u32, vantages: &[Asn], rng: &mut StdRng) -> Vec<QueryRequest> {
     let id = SnapshotId;
     let mut reqs = vec![Query::Hijacks.at(Scope::All), Query::Diff.at(Scope::All)];
     for a in 0..n {
+        reqs.push(Query::Leaks.at(Scope::Id(id(a))));
         for b in 0..n {
             reqs.push(Query::Diff.at(Scope::Range(id(a), id(b))));
             if a <= b {
@@ -450,8 +497,55 @@ fn fold_matches_scan_under_attack() {
                 kind.name(),
                 answers[0]
             );
+        } else {
+            let at = Query::Leaks.at(Scope::Id(SnapshotId(sc.at_step as u32)));
+            let leaks = &answers[answer_to(&reqs, &at)];
+            assert!(
+                leaks.contains(&format!(": leaked by {} ", sc.attacker)),
+                "`leaks @{}` must convict the injected leaker {}:\n{leaks}",
+                sc.at_step,
+                sc.attacker
+            );
         }
     }
+}
+
+/// A convicted route that is withdrawn takes its conviction with it: the
+/// injected leak at [`common::AT_STEP`], then one more snapshot in which
+/// every vantage has lost the leaked prefix. The patcher sees only
+/// withdrawals there, so a conviction it failed to drop would name a
+/// route no table holds.
+#[test]
+fn a_withdrawn_leak_is_acquitted() {
+    let (g, mut labels, mut outputs, sc) = common::build_attack(AttackKind::RouteLeak);
+    outputs.truncate(sc.at_step + 1);
+    labels.truncate(sc.at_step + 1);
+    let mut gone = outputs[sc.at_step].clone();
+    gone.collector.rows.remove(&sc.attack_prefix);
+    for view in gone.lgs.values_mut() {
+        view.rows.remove(&sc.attack_prefix);
+    }
+    outputs.push(gone);
+    labels.push("atk-gone".to_string());
+
+    let mut vantages: Vec<Asn> = outputs[0].collector.peers.clone();
+    vantages.extend(outputs[0].lgs.keys());
+    let n = outputs.len() as u32;
+    let reqs = requests(n, &vantages, &mut StdRng::seed_from_u64(0x6011E));
+    let oracles = vec![g; outputs.len()];
+    let answers = hold("withdrawn-leak", &labels, &outputs, &oracles, &reqs);
+    let leaks_at =
+        |id: u32| &answers[answer_to(&reqs, &Query::Leaks.at(Scope::Id(SnapshotId(id))))];
+    let event = format!("\n  {} at ", sc.attack_prefix);
+    assert!(leaks_at(n - 2).contains(&event), "{}", leaks_at(n - 2));
+    assert!(!leaks_at(n - 1).contains(&event), "{}", leaks_at(n - 1));
+}
+
+/// Where `req` sits in `reqs`, so its answer can be read off [`hold`]'s.
+fn answer_to(reqs: &[QueryRequest], req: &QueryRequest) -> usize {
+    reqs.iter()
+        .position(|r| r == req)
+        .unwrap_or_else(|| panic!("{req:?} is asked"))
 }
 
 /// One simulated day of a tiny world seen by collector peers only, for
@@ -562,4 +656,21 @@ fn an_oracle_flip_rejudges_routes_that_did_not_move() {
             answers[0]
         );
     }
+
+    // The same for `leaks`: snapshot 2's tables are snapshot 1's, so a
+    // leak convicted at 2 and not at 1 is the oracle's doing — the
+    // patcher saw no route event there and must re-judge anyway.
+    let leaks_at = |day: u32| {
+        let answer = &answers[answer_to(&reqs, &Query::Leaks.at(Scope::Id(SnapshotId(day))))];
+        answer
+            .lines()
+            .skip(1)
+            .map(str::to_string)
+            .collect::<BTreeSet<_>>()
+    };
+    let (before, after) = (leaks_at(1), leaks_at(2));
+    assert!(
+        after.difference(&before).next().is_some(),
+        "the flip must convict a route that did not move:\n{before:#?}\n{after:#?}"
+    );
 }

@@ -34,8 +34,8 @@
 //!   and cross-snapshot comparison is integer comparison.
 //! * [`snapshot`] — one ingested snapshot: per-vantage best-route tables
 //!   (one [`bgp_types::CowTrie`] each), plus the precomputed
-//!   `rpi_core` analyses (SA reports, import typicality, community
-//!   semantics, relationship map).
+//!   `rpi_core` analyses (SA reports, valley-free leak convictions,
+//!   import typicality, community semantics) and the relationship oracle.
 //! * [`proto`] — the query protocol: AST, wire grammar, responses.
 //! * [`plan`] — scope resolution and the in-order batch runner.
 //! * [`engine`] — [`QueryEngine`]: ingestion and `execute`/`execute_batch`,

@@ -4,11 +4,12 @@
 //! A batch has one execution model: requests are evaluated by
 //! [`QueryEngine::execute`] in request order on the thread that called
 //! [`QueryEngine::execute_batch`]. A lookup (`route`, `resolve`, `sa`,
-//! `rel`, `summary`, `rov`) costs less than handing it to another
-//! thread; lookup parallelism comes from serving several connections at
-//! once. Only **scans** — the history verbs, `diff` and `leaks`, which
-//! walk whole tables or many snapshots — are worth a thread, and only
-//! when a batch holds two or more of them.
+//! `rel`, `summary`, `rov`, and `leaks`, a read of the convictions its
+//! snapshot carries) costs less than handing it to another thread;
+//! lookup parallelism comes from serving several connections at once.
+//! Only **scans** — the history verbs and `diff`, which walk whole
+//! tables or many snapshots — are worth a thread, and only when a batch
+//! holds two or more of them.
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -161,11 +162,11 @@ impl QueryEngine {
 }
 
 /// Whether a request walks whole tables or many snapshots (the history
-/// verbs, `diff`, `leaks`) rather than reading one entry of one table.
+/// verbs and `diff`) rather than reading what one snapshot has indexed.
 /// Decided by the verb alone, so the batch's execution shape is readable
 /// off the request.
 fn is_scan(req: &QueryRequest) -> bool {
-    req.query.is_history() || matches!(req.query, Query::Diff | Query::Leaks)
+    req.query.is_history() || matches!(req.query, Query::Diff)
 }
 
 /// Runs a batch in request order on the calling thread; a batch holding
@@ -267,6 +268,7 @@ mod tests {
             format!("rel {lg} AS1"),
             format!("summary {lg}"),
             format!("rov {lg} 4.0.0.0/13"),
+            "leaks".to_string(),
         ];
         let scan_verbs = [
             "diff @all".to_string(),
@@ -275,7 +277,6 @@ mod tests {
             format!("top-sa {lg} 3"),
             format!("persistence {lg} 4.0.0.0/13"),
             "hijacks".to_string(),
-            "leaks".to_string(),
         ];
 
         let mut batch: Vec<String> = lookup_verbs.iter().cycle().take(128).cloned().collect();
@@ -298,7 +299,7 @@ mod tests {
             let pair = [verb.clone(), verb.clone()];
             assert!(samples(&engine, &pair).0 >= 1, "{verb}");
         }
-        let unusable = ["hijacks @3..9".to_string(), "leaks @7".to_string()];
+        let unusable = ["hijacks @3..9".to_string(), format!("uptime {lg} @7")];
         assert!(samples(&engine, &unusable).0 >= 1, "scope errors");
     }
 }

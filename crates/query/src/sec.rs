@@ -22,13 +22,18 @@
 //!   on an engine whose snapshots share nothing, at the cost of walking
 //!   them (`fold_scan.rs` holds the fold to the per-snapshot scan);
 //! * [`leak_events`] — valley-free violations among the stored best
-//!   paths of one snapshot, mirroring [`net_topology::classify_path`]'s
-//!   phase machine at interned-symbol level and naming the AS that
-//!   forwarded a provider- or peer-learned route back up.
+//!   paths of one snapshot, naming the AS that forwarded a provider- or
+//!   peer-learned route back up. A **read**: every snapshot carries its
+//!   convictions per vantage ([`Snapshot::leaks`]), judged by
+//!   [`crate::snapshot::Oracle::leaker`] — [`net_topology::classify_path`]'s
+//!   phase machine at interned-symbol level — where its tables were built
+//!   (indexed, decoded, or patched from a delta, which re-judges only the
+//!   touched prefixes). `fold_scan.rs` holds the read to the per-request
+//!   scan it replaced.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use bgp_types::{Asn, Ipv4Prefix, Relationship};
+use bgp_types::{Asn, Ipv4Prefix};
 
 use crate::engine::QueryEngine;
 use crate::intern::AsnSym;
@@ -246,84 +251,40 @@ pub(crate) fn hijack_events(
     Ok(events)
 }
 
-/// The phase machine of [`net_topology::classify_path`] at symbol level,
-/// returning the AS that exported a provider- or peer-learned route up
-/// or across (`None`: valley-free, or the oracle lacks an adjacency —
-/// an incomplete path is not convicted). `speaker_first` must include
-/// the speaker itself.
-fn valley_leaker(
-    rels: &HashMap<(AsnSym, AsnSym), Relationship>,
-    speaker_first: &[AsnSym],
-) -> Option<AsnSym> {
-    #[derive(Clone, Copy)]
-    enum Phase {
-        Climb,
-        Peered,
-        Descend,
-    }
-    enum Hop {
-        Up,
-        Flat,
-        Down,
-    }
-    let mut phase = Phase::Climb;
-    // Origin-first: the direction the announcement traveled.
-    for w in speaker_first.windows(2).rev() {
-        let (from, to) = (w[1], w[0]);
-        let hop = match rels.get(&(from, to)) {
-            Some(Relationship::Provider) => Hop::Up,
-            Some(Relationship::Peer) => Hop::Flat,
-            Some(Relationship::Customer) => Hop::Down,
-            Some(Relationship::Sibling) => continue,
-            None => return None,
-        };
-        phase = match (phase, hop) {
-            (Phase::Climb, Hop::Up) => Phase::Climb,
-            (Phase::Climb, Hop::Flat) => Phase::Peered,
-            (_, Hop::Down) => Phase::Descend,
-            // Any up/flat hop after the peak: `from` leaked the route.
-            (Phase::Peered | Phase::Descend, Hop::Up | Hop::Flat) => return Some(from),
-        };
-    }
-    None
-}
-
-/// Scans every stored best path of one snapshot for valley-free
-/// violations. Collector-peer tables store the vantage at the head of
-/// each path; Looking-Glass tables start at the announcing neighbor, so
-/// the vantage is prepended before classification — the leak verdict
-/// must cover the final hop into the vantage too. Events are ordered by
-/// (vantage, prefix).
+/// The valley-free violations among the stored best paths of one
+/// snapshot: a read of the convictions the snapshot carries per vantage
+/// ([`Snapshot::leaks`], judged by [`crate::snapshot::Oracle::leaker`]
+/// where each table was built), so a benign world answers without
+/// touching a route. Each event's path is the stored one with the
+/// vantage in front: collector-peer tables store it at the head already,
+/// Looking-Glass tables start at the announcing neighbour. Events are
+/// ordered by (vantage, prefix).
 pub(crate) fn leak_events(engine: &QueryEngine, snap: &Snapshot) -> Vec<LeakEvent> {
+    // The name predates the read; the `metrics names` goldens pin it.
     let _scan = rpi_obs::span(&engine.metrics.sec_scan_leaks_seconds);
     let mut vantages: Vec<(Asn, AsnSym)> = snap
-        .vantages
-        .keys()
-        .map(|&s| (engine.interner.resolve_asn(s), s))
+        .leaks
+        .iter()
+        .filter(|(_, convicted)| !convicted.is_empty())
+        .map(|(&s, _)| (engine.interner.resolve_asn(s), s))
         .collect();
     vantages.sort_unstable();
 
     let mut out = Vec::new();
-    let mut full: Vec<AsnSym> = Vec::new();
     for (vantage, v) in vantages {
-        // The trie iterates in prefix order, the order events are reported in.
-        for (prefix, route) in snap.vantages[&v].trie.iter() {
-            full.clear();
-            if route.path.first() != Some(&v) {
-                full.push(v);
-            }
-            full.extend_from_slice(&route.path);
-            if let Some(leaker) = valley_leaker(&snap.oracle.relationships, &full) {
-                out.push(LeakEvent {
-                    vantage,
-                    prefix,
-                    leaker: engine.interner.resolve_asn(leaker),
-                    path: full
-                        .iter()
-                        .map(|&s| engine.interner.resolve_asn(s))
-                        .collect(),
-                });
-            }
+        for (&prefix, &leaker) in snap.leaks[&v].iter() {
+            let route = snap
+                .route(v, prefix)
+                .expect("a conviction names a stored route");
+            let head = (route.path.first() != Some(&v)).then_some(&v);
+            out.push(LeakEvent {
+                vantage,
+                prefix,
+                leaker: engine.interner.resolve_asn(leaker),
+                path: (head.into_iter().chain(route.path.iter()))
+                    .map(|&s| engine.interner.resolve_asn(s))
+                    .collect(),
+            });
         }
     }
     out

@@ -22,21 +22,37 @@
 //! ## One oracle
 //!
 //! What a snapshot knows about AS relationships is one value, its
-//! [`Oracle`]: the relationship and neighbour-count maps, and the
-//! customer cones walked so far. Snapshots under an unchanged oracle
-//! hold the same `Arc<Oracle>` however they came to exist (incremental
-//! ingest, delta replay, a full segment that elided its maps, a live
-//! publication), so a cone is walked at most once per oracle — by the SA
-//! patcher or by `hijacks`, whoever asks first — and there is no cache to
-//! invalidate: a changed oracle is a new value that has walked nothing.
+//! [`Oracle`]: a symbol-indexed adjacency ([`Oracle::rel`] is a binary
+//! search in one AS's row, [`Oracle::edges`] walks them all in order),
+//! the neighbour counts, and the customer cones walked so far. Snapshots
+//! under an unchanged oracle hold the same `Arc<Oracle>` however they
+//! came to exist (incremental ingest, delta replay, a full segment that
+//! elided its maps, a live publication), so a cone is walked at most
+//! once per oracle — by the SA patcher or by `hijacks`, whoever asks
+//! first — and there is no cache to invalidate: a changed oracle is a
+//! new value that has walked nothing.
 //! Only from-scratch indexing ([`Snapshot::from_output`]) still asks the
 //! caller's [`AsGraph`], through `rpi_core::sa_prefixes` — the reference
 //! the differential suites hold the symbol-level cones to.
+//!
+//! ## Leak convictions
+//!
+//! Each vantage's valley-free convictions ([`Snapshot::leaks`]: prefix →
+//! leaker, judged by [`Oracle::leaker`]) are indexed beside its SA cache,
+//! at every place a table is built: indexing judges each route as it is
+//! inserted, the archive's full-segment decode each decoded route (both
+//! through a [`TableJudge`]), and [`Snapshot::patch_vantage`] only the
+//! prefixes its events touch — against the patched table — keeping the
+//! predecessor's `Arc` when nothing moved; an oracle change re-judges
+//! the whole table. Nothing is persisted: the sets are rebuilt wherever
+//! a table is, so `leaks` is a read. `fold_scan.rs` holds them to
+//! judging every stored path on request.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use bgp_sim::{CollectorView, LgView, OutputDelta, SimOutput, VantageDelta};
+use bgp_types::intern::Symbol;
 use bgp_types::{Asn, CowTrie, Ipv4Prefix, Relationship};
 use net_topology::AsGraph;
 use rpi_core::community::{infer_communities, CommunityParams};
@@ -120,12 +136,18 @@ pub(crate) struct SaCache {
 }
 
 /// The relationship oracle a snapshot was indexed under, at symbol
-/// level: the relationship and neighbour-count maps the `rel` and
+/// level: the relationships and neighbour counts the `rel` and
 /// `summary` verbs read, plus every customer cone that has been asked
 /// for. Fig. 4's two questions (§5.1) — is the origin inside the
 /// vantage's cone, was the route learned over a customer link — are both
 /// asked here, by the incremental SA patcher, by segment replay and by
-/// `hijacks`.
+/// `hijacks`; so is the valley-free question ([`Oracle::leaker`]) every
+/// table's leak convictions are judged by.
+///
+/// Relationships are one symbol-indexed adjacency: a row per AS, its
+/// neighbours sorted by symbol, so [`Oracle::rel`] is a binary search
+/// with no hashing — it runs for every hop of every route a table
+/// indexes — and [`Oracle::edges`] walks every edge in `(a, b)` order.
 ///
 /// A snapshot holds its oracle behind an `Arc`, and everything built
 /// under an unchanged oracle — the snapshots of a series, a replayed
@@ -134,8 +156,13 @@ pub(crate) struct SaCache {
 /// changed oracle is a new `Oracle` that has walked none.
 #[derive(Debug)]
 pub(crate) struct Oracle {
-    /// `(a, b) → b is a's …` (both directions kept).
-    pub(crate) relationships: HashMap<(AsnSym, AsnSym), Relationship>,
+    /// Row `a` of the adjacency is `adj[rows[a]..rows[a + 1]]`. Rows run
+    /// to the largest symbol with a neighbour, so two oracles with the
+    /// same edges hold equal arrays.
+    rows: Vec<usize>,
+    /// `(b, b is a's …)`, row by row, each row sorted by `b` (both
+    /// directions of an edge are kept).
+    adj: Vec<(AsnSym, Relationship)>,
     /// Per-AS neighbor counts `(providers, customers, peers, siblings)`,
     /// precomputed so summaries stay O(lookup).
     pub(crate) neighbor_counts: HashMap<AsnSym, (usize, usize, usize, usize)>,
@@ -153,34 +180,56 @@ struct Cone {
 }
 
 impl Oracle {
-    /// An oracle over the two maps, no cone walked yet.
+    /// An oracle over `edges` — `(a, b, b is a's …)`, in any order; of
+    /// two edges with the same `(a, b)` the later one holds — and the
+    /// neighbour counts, no cone walked yet.
     pub(crate) fn new(
-        relationships: HashMap<(AsnSym, AsnSym), Relationship>,
+        mut edges: Vec<(AsnSym, AsnSym, Relationship)>,
         neighbor_counts: HashMap<AsnSym, (usize, usize, usize, usize)>,
     ) -> Oracle {
+        // Stable, so the later of two equal keys stays later.
+        edges.sort_by_key(|&(a, b, _)| (a, b));
+        let mut rows = Vec::new();
+        let mut adj: Vec<(AsnSym, Relationship)> = Vec::with_capacity(edges.len());
+        let mut last: Option<(AsnSym, AsnSym)> = None;
+        for (a, b, rel) in edges {
+            if last == Some((a, b)) {
+                adj.last_mut().expect("an edge was pushed").1 = rel;
+                continue;
+            }
+            last = Some((a, b));
+            // Open `a`'s row, closing every row before it.
+            while rows.len() <= sym_index(a) {
+                rows.push(adj.len());
+            }
+            adj.push((b, rel));
+        }
+        rows.push(adj.len());
+        let mut oracle = Oracle {
+            rows,
+            adj,
+            neighbor_counts,
+            cones: HashMap::new(),
+        };
         let mut cones: HashMap<AsnSym, Cone> = HashMap::new();
-        for (&(a, b), rel) in &relationships {
+        for (a, b, rel) in oracle.edges() {
             if matches!(rel, Relationship::Customer | Relationship::Sibling) {
                 cones.entry(a).or_default().down.push(b);
             }
         }
-        Oracle {
-            relationships,
-            neighbor_counts,
-            cones,
-        }
+        oracle.cones = cones;
+        oracle
     }
 
     /// Indexes `graph` at symbol level, interning every AS it names.
     fn index(graph: &AsGraph, interner: &mut WorldInterner) -> Oracle {
-        let mut relationships = HashMap::new();
+        let mut edges = Vec::new();
         let mut neighbor_counts: HashMap<AsnSym, (usize, usize, usize, usize)> = HashMap::new();
         for a in graph.ases() {
             let sa = interner.asn(a);
             let counts = neighbor_counts.entry(sa).or_default();
             for (b, rel) in graph.neighbors(a) {
-                let sb = interner.asn(b);
-                relationships.insert((sa, sb), rel);
+                edges.push((sa, interner.asn(b), rel));
                 match rel {
                     Relationship::Provider => counts.0 += 1,
                     Relationship::Customer => counts.1 += 1,
@@ -189,7 +238,68 @@ impl Oracle {
                 }
             }
         }
-        Oracle::new(relationships, neighbor_counts)
+        Oracle::new(edges, neighbor_counts)
+    }
+
+    /// `b is a's …`, if the oracle knows the edge.
+    pub(crate) fn rel(&self, a: AsnSym, b: AsnSym) -> Option<Relationship> {
+        let i = sym_index(a);
+        let row = &self.adj[*self.rows.get(i)?..*self.rows.get(i + 1)?];
+        let k = row.binary_search_by_key(&b, |&(n, _)| n).ok()?;
+        Some(row[k].1)
+    }
+
+    /// Every edge `(a, b, b is a's …)`, in `(a, b)` order.
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (AsnSym, AsnSym, Relationship)> + '_ {
+        self.rows.windows(2).enumerate().flat_map(move |(a, span)| {
+            let a = AsnSym(Symbol(a as u32));
+            self.adj[span[0]..span[1]]
+                .iter()
+                .map(move |&(b, rel)| (a, b, rel))
+        })
+    }
+
+    /// The AS that exported a provider- or peer-learned route up or
+    /// across on a path stored in `owner`'s table — the phase machine of
+    /// [`net_topology::classify_path`] at symbol level, walked in the
+    /// direction the announcement travelled. A path that does not start
+    /// at `owner` (a Looking-Glass table's starts at the announcing
+    /// neighbour) gets `owner` as a virtual last hop, so the verdict
+    /// covers the hop into the vantage too. `None`: valley-free, or the
+    /// oracle lacks an adjacency on the path — an incomplete path is not
+    /// convicted.
+    pub(crate) fn leaker(&self, owner: AsnSym, path: &[AsnSym]) -> Option<AsnSym> {
+        #[derive(Clone, Copy)]
+        enum Phase {
+            Climb,
+            Peered,
+            Descend,
+        }
+        enum Hop {
+            Up,
+            Flat,
+            Down,
+        }
+        let into_owner = path.first().filter(|&&head| head != owner);
+        let hops = (path.windows(2).rev().map(|w| (w[1], w[0])))
+            .chain(into_owner.map(|&head| (head, owner)));
+        let mut phase = Phase::Climb;
+        for (from, to) in hops {
+            let hop = match self.rel(from, to)? {
+                Relationship::Provider => Hop::Up,
+                Relationship::Peer => Hop::Flat,
+                Relationship::Customer => Hop::Down,
+                Relationship::Sibling => continue,
+            };
+            phase = match (phase, hop) {
+                (Phase::Climb, Hop::Up) => Phase::Climb,
+                (Phase::Climb, Hop::Flat) => Phase::Peered,
+                (_, Hop::Down) => Phase::Descend,
+                // Any up/flat hop after the peak: `from` leaked the route.
+                (Phase::Peered | Phase::Descend, Hop::Up | Hop::Flat) => return Some(from),
+            };
+        }
+        None
     }
 
     /// Is `asn` a direct or indirect customer of `root` — inside the
@@ -224,11 +334,68 @@ impl Oracle {
 /// either has walked so far is not part of what it says.
 impl PartialEq for Oracle {
     fn eq(&self, other: &Oracle) -> bool {
-        self.relationships == other.relationships && self.neighbor_counts == other.neighbor_counts
+        self.rows == other.rows
+            && self.adj == other.adj
+            && self.neighbor_counts == other.neighbor_counts
     }
 }
 
 impl Eq for Oracle {}
+
+/// A symbol as an index into per-symbol rows.
+fn sym_index(s: AsnSym) -> usize {
+    s.0 .0 as usize
+}
+
+/// One vantage's valley-free convictions: each prefix whose stored route
+/// [`Oracle::leaker`] convicts, with its leaker, in prefix order — the
+/// order `leaks` reports events in.
+pub(crate) type Convictions = BTreeMap<Ipv4Prefix, AsnSym>;
+
+/// Judges a whole table's routes as it is built, in prefix order,
+/// remembering the last path's verdict. Neighbouring prefixes mostly
+/// share their stored path — an origin's prefixes sit side by side, and
+/// on the Paper world 68 % of routes repeat the path before them — so
+/// most routes cost one slice comparison instead of a walk.
+pub(crate) struct TableJudge<'a> {
+    oracle: &'a Oracle,
+    owner: AsnSym,
+    /// The last path judged and its verdict; an empty path convicts no
+    /// one, so it is a valid start.
+    last: Vec<AsnSym>,
+    verdict: Option<AsnSym>,
+    convicted: Convictions,
+}
+
+impl<'a> TableJudge<'a> {
+    /// A judge of `owner`'s table under `oracle`.
+    pub(crate) fn new(oracle: &'a Oracle, owner: AsnSym) -> TableJudge<'a> {
+        TableJudge {
+            oracle,
+            owner,
+            last: Vec::new(),
+            verdict: None,
+            convicted: Convictions::new(),
+        }
+    }
+
+    /// Judges the route stored for `prefix` along `path`.
+    pub(crate) fn judge(&mut self, prefix: Ipv4Prefix, path: &[AsnSym]) {
+        if self.last != path {
+            self.verdict = self.oracle.leaker(self.owner, path);
+            self.last.clear();
+            self.last.extend_from_slice(path);
+        }
+        if let Some(leaker) = self.verdict {
+            self.convicted.insert(prefix, leaker);
+        }
+    }
+
+    /// The convictions of every route judged.
+    pub(crate) fn finish(self) -> Convictions {
+        self.convicted
+    }
+}
 
 /// One ingested, fully-indexed snapshot.
 #[derive(Debug)]
@@ -242,6 +409,11 @@ pub struct Snapshot {
     /// `Arc` as the predecessor's while the oracle is unchanged.
     pub(crate) oracle: Arc<Oracle>,
     pub(crate) sa: HashMap<AsnSym, Arc<SaCache>>,
+    /// Valley-free convictions per vantage, judged under `oracle` where
+    /// the table is built; the predecessor's `Arc` while neither the
+    /// vantage's routes nor the oracle moved. `leaks` reads these and
+    /// judges nothing.
+    pub(crate) leaks: HashMap<AsnSym, Arc<Convictions>>,
     /// Import typicality per LG vantage: `(prefixes compared, typical)`.
     pub(crate) typicality: HashMap<AsnSym, (usize, usize)>,
     /// Community-derived relationship per (LG vantage, neighbor).
@@ -490,8 +662,47 @@ impl Snapshot {
             cache.customer_prefixes = cache.sa.len() + cache.exported.len();
             Arc::new(cache)
         };
+
+        // --- the leak convictions: a verdict depends on the oracle and
+        // the stored route alone, so only touched prefixes are judged,
+        // against the patched table ---
+        let prev_leaks = prev
+            .leaks
+            .get(&owner)
+            .expect("every indexed vantage has convictions");
+        let leaks = if oracle_changed {
+            let mut judge = TableJudge::new(&self.oracle, owner);
+            for (p, route) in table.trie.iter() {
+                judge.judge(p, &route.path);
+            }
+            Arc::new(judge.finish())
+        } else if no_route_events {
+            Arc::clone(prev_leaks)
+        } else {
+            let vd = vd.expect("route events imply a delta");
+            let mut convicted = Convictions::clone(prev_leaks);
+            for p in &vd.withdrawn {
+                convicted.remove(p);
+            }
+            for (p, _) in vd.announced.iter().chain(&vd.replaced) {
+                let route = table
+                    .trie
+                    .get(*p)
+                    .expect("announced prefixes are in the table");
+                match self.oracle.leaker(owner, &route.path) {
+                    Some(leaker) => convicted.insert(*p, leaker),
+                    None => convicted.remove(p),
+                };
+            }
+            if convicted == **prev_leaks {
+                Arc::clone(prev_leaks)
+            } else {
+                Arc::new(convicted)
+            }
+        };
         self.vantages.insert(owner, table);
         self.sa.insert(owner, sa);
+        self.leaks.insert(owner, leaks);
     }
 
     /// Builds a snapshot from a collector view alone (the MRT ingest
@@ -525,6 +736,7 @@ impl Snapshot {
             vantages: HashMap::new(),
             oracle,
             sa: HashMap::new(),
+            leaks: HashMap::new(),
             typicality: HashMap::new(),
             community_class: HashMap::new(),
             interned_watermark: (0, 0, 0),
@@ -541,14 +753,17 @@ impl Snapshot {
     ) {
         let owner = interner.asn(table.asn);
         let mut trie = CowTrie::new();
+        let mut judge = TableJudge::new(&self.oracle, owner);
         for (&prefix, row) in &table.rows {
             interner.prefix(prefix);
             let route = CompactRoute {
                 next_hop: interner.asn(row.next_hop),
                 path: row.path.iter().map(|&a| interner.asn(a)).collect(),
             };
+            judge.judge(prefix, &route.path);
             trie.insert(prefix, route);
         }
+        self.leaks.insert(owner, Arc::new(judge.finish()));
         self.vantages.insert(
             owner,
             Arc::new(VantageTable {
@@ -732,8 +947,8 @@ fn classify_sa(
         return;
     }
     let via_customer = matches!(
-        oracle.relationships.get(&(provider, next_hop)),
-        Some(Relationship::Customer) | Some(Relationship::Sibling)
+        oracle.rel(provider, next_hop),
+        Some(Relationship::Customer | Relationship::Sibling)
     );
     if via_customer {
         cache.exported.insert(prefix, origin);
@@ -812,6 +1027,95 @@ mod tests {
             assert!(!oracle.in_cone(unseen, x), "an unseen root has no cone");
             assert!(!oracle.in_cone(x, unseen), "an unseen AS is in no cone");
         }
+    }
+
+    /// The adjacency answers what the graph answers, pair by pair; its
+    /// edges come out in `(a, b)` order; of two edges with one key, the
+    /// later holds. `leaker` convicts exactly the paths
+    /// [`net_topology::classify_path`] calls valleys — whether the stored
+    /// path starts at the owner (a collector peer's) or the owner is the
+    /// virtual last hop (a Looking-Glass table's) — over random walks
+    /// with a stranger now and then, so incomplete paths are covered too.
+    #[test]
+    fn rel_and_leaker_are_the_graphs_at_symbol_level() {
+        use net_topology::{classify_path, PathClass};
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+
+        for seed in [1, 2, 3] {
+            let g = InternetConfig {
+                seed,
+                ..InternetConfig::of_size(InternetSize::Tiny)
+            }
+            .build();
+            let mut interner = WorldInterner::new();
+            let oracle = Oracle::index(&g, &mut interner);
+            let ases: Vec<Asn> = g.ases().collect();
+            for &a in &ases {
+                for &b in &ases {
+                    let (sa, sb) = (interner.asn(a), interner.asn(b));
+                    assert_eq!(oracle.rel(sa, sb), g.rel(a, b), "{a} {b}");
+                }
+            }
+            let edges: Vec<_> = oracle.edges().collect();
+            assert!(edges
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+            assert_eq!(
+                edges.len(),
+                ases.iter().map(|&a| g.neighbors(a).count()).sum()
+            );
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut valleys, mut clean) = (0, 0);
+            for _ in 0..4000 {
+                let mut walk = vec![*ases.choose(&mut rng).unwrap()];
+                for _ in 0..rng.gen_range(1..7) {
+                    let last = *walk.last().unwrap();
+                    let next: Vec<Asn> = g.neighbors(last).map(|(b, _)| b).collect();
+                    match next.choose(&mut rng) {
+                        Some(&b) if rng.gen_bool(0.97) => walk.push(b),
+                        _ => walk.push(Asn(64_000 + rng.gen_range(0..3u32))),
+                    }
+                }
+                let syms: Vec<AsnSym> = walk.iter().map(|&a| interner.asn(a)).collect();
+                let valley = classify_path(&g, &walk) == PathClass::Valley;
+                valleys += valley as usize;
+                clean += (classify_path(&g, &walk) == PathClass::ValleyFree) as usize;
+                // The owner heads the stored path: no virtual hop.
+                assert_eq!(oracle.leaker(syms[0], &syms).is_some(), valley, "{walk:?}");
+                // The owner in front of a path that starts after it.
+                assert_eq!(
+                    oracle.leaker(syms[0], &syms[1..]).is_some(),
+                    valley,
+                    "{walk:?}"
+                );
+            }
+            assert!(
+                valleys > 100 && clean > 100,
+                "{valleys} valleys, {clean} clean"
+            );
+        }
+
+        // Duplicate keys: the later edge holds.
+        let s = |i: u32| AsnSym(Symbol(i));
+        let dup = Oracle::new(
+            vec![
+                (s(3), s(1), Relationship::Peer),
+                (s(0), s(2), Relationship::Customer),
+                (s(3), s(1), Relationship::Provider),
+            ],
+            HashMap::new(),
+        );
+        assert_eq!(dup.rel(s(3), s(1)), Some(Relationship::Provider));
+        assert_eq!((dup.rel(s(1), s(3)), dup.rel(s(9), s(0))), (None, None));
+        assert_eq!(
+            dup.edges().collect::<Vec<_>>(),
+            [
+                (s(0), s(2), Relationship::Customer),
+                (s(3), s(1), Relationship::Provider)
+            ]
+        );
     }
 
     fn walked(oracle: &Oracle, root: AsnSym) -> bool {

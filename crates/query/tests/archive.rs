@@ -14,11 +14,13 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 
 use bgp_sim::churn::simulate_series;
-use bgp_sim::{ChurnConfig, GroundTruth, PolicyParams, SimOutput, VantageSpec};
+use bgp_sim::{ChurnConfig, GroundTruth, OutputDelta, PolicyParams, SimOutput, VantageSpec};
 use bgp_types::codec::{put_uvarint, Reader};
 use bgp_types::{Asn, Ipv4Prefix, Relationship};
 use net_topology::{AsGraph, InternetConfig, InternetSize};
-use rpi_query::{render_response, Query, QueryEngine, QueryRequest, Scope, SnapshotId};
+use rpi_query::{
+    render_response, Query, QueryEngine, QueryError, QueryRequest, SaveOptions, Scope, SnapshotId,
+};
 use rpi_sec::{Roa, RoaTable};
 use rpi_store::{Manifest, SegmentKind, StoreError, FORMAT_VERSION, MANIFEST_FILE};
 
@@ -715,6 +717,178 @@ fn semantic_corruption_is_caught_after_checksum() {
         Err(StoreError::ManifestCorrupt { .. }) => {}
         other => panic!("wanted Corrupt, got {other:?}"),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `saved_archive`'s world with a keyframe every 3 snapshots, so a
+/// segment past the first anchor can be damaged while the snapshots
+/// before it stay reachable on a tiered engine.
+fn keyframed_archive(tag: &str) -> (std::path::PathBuf, Manifest) {
+    let mut engine = ingest(&build_scenario(0x77, false));
+    let dir = tmp_dir(tag);
+    let options = SaveOptions {
+        keyframe_every: Some(3),
+    };
+    let manifest = engine
+        .save_archive_with(&dir, false, options)
+        .expect("save");
+    (dir, manifest)
+}
+
+/// Replaces segment `idx` with `bytes` and reseals its manifest row, so
+/// the CRC gates pass and only decoding can object.
+fn reseal(dir: &std::path::Path, manifest: &Manifest, idx: usize, bytes: &[u8]) {
+    std::fs::write(dir.join(&manifest.segments[idx].file), bytes).unwrap();
+    let mut fixed = manifest.clone();
+    fixed.segments[idx].crc32 = rpi_store::crc32(bytes);
+    fixed.segments[idx].bytes = bytes.len() as u64;
+    fixed.write(dir, true).unwrap();
+}
+
+/// A resealed semantic fault in segment `idx` (snapshot `id`) is typed
+/// on both load paths. The hydrated load refuses the archive, naming the
+/// segment. The tiered engine attaches (no segment body is decoded until
+/// it is hydrated), answers a query at `id` with `QueryError::Corrupt`
+/// naming the file, and — the hot-set lock intact — still answers at
+/// `healthy`, which does not replay the damaged segment.
+fn assert_typed_on_both_paths(
+    dir: &std::path::Path,
+    manifest: &Manifest,
+    idx: usize,
+    id: u32,
+    healthy: u32,
+    expect: &str,
+) {
+    let file = &manifest.segments[idx].file;
+    match QueryEngine::load_archive(dir) {
+        Err(StoreError::Corrupt { segment, what, .. }) => {
+            assert_eq!((segment.index, &segment.file), (idx, file));
+            assert!(what.contains(expect), "{what}");
+        }
+        other => panic!("wanted Corrupt, got {other:?}"),
+    }
+    let tiered = QueryEngine::load_archive_tiered(dir, 2).expect("attach reads no body");
+    let summary = |id| Query::PolicySummary { asn: Asn(1) }.at(Scope::Id(SnapshotId(id)));
+    match tiered.execute(&summary(id)) {
+        Err(QueryError::Corrupt { file: f, what, .. }) => {
+            assert_eq!(&f, file);
+            assert!(what.contains(expect), "{what}");
+        }
+        other => panic!("wanted QueryError::Corrupt, got {other:?}"),
+    }
+    let answer = tiered.execute(&summary(healthy));
+    assert!(answer.is_ok(), "@{healthy} after the fault: {answer:?}");
+}
+
+/// A delta event whose AS path is empty is corrupt, not a route:
+/// replaying one used to panic on its missing origin — on a tiered
+/// engine inside hydration, with the hot-set lock held, so every later
+/// tiered query panicked on the poisoned lock.
+#[test]
+fn an_empty_delta_path_is_corrupt_not_a_panic() {
+    let (dir, manifest) = keyframed_archive("empty-path");
+    // The first delta segment with a best-route event, and its snapshot.
+    // The first delta segment with a best-route event: its snapshot id,
+    // row, bytes, the byte span of its events and the events decoded.
+    let (id, idx, raw, span, mut delta) = manifest
+        .snapshot_segments()
+        .enumerate()
+        .filter(|(_, (_, e))| e.kind == SegmentKind::Delta)
+        .find_map(|(id, (idx, e))| {
+            let raw = std::fs::read(dir.join(&e.file)).unwrap();
+            let mut r = Reader::new(&raw);
+            r.str().unwrap(); // label
+            r.asn_list().unwrap(); // dropped vantages
+            let start = r.position();
+            let delta = OutputDelta::decode(&mut r).unwrap();
+            let span = start..r.position();
+            (delta.route_events() > 0).then_some((id, idx, raw, span, delta))
+        })
+        .expect("a delta with route events");
+    // An event replay applies: an AS with a Looking-Glass view is
+    // patched from its LG events, never from its collector rows.
+    let lgs: Vec<Asn> = delta.lgs.keys().copied().collect();
+    let collector_only = (delta.collector.iter_mut())
+        .filter(|(a, _)| !lgs.contains(a))
+        .map(|(_, vd)| vd);
+    let vd = (delta.lgs.values_mut().chain(collector_only))
+        .find(|vd| !vd.announced.is_empty() || !vd.replaced.is_empty())
+        .expect("an announced or replaced route");
+    let (_, route) = vd
+        .replaced
+        .first_mut()
+        .or(vd.announced.first_mut())
+        .unwrap();
+    route.path.clear();
+    let mut bytes = raw[..span.start].to_vec();
+    delta.encode(&mut bytes);
+    bytes.extend_from_slice(&raw[span.end..]);
+    reseal(&dir, &manifest, idx, &bytes);
+    assert_typed_on_both_paths(&dir, &manifest, idx, id as u32, 0, "empty AS path");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A full segment must name each vantage's SA cache once. Naming one
+/// owner twice (and so another not at all) used to decode into a
+/// snapshot where `sa` called a vantage with a table unknown, and whose
+/// next delta replay panicked on the missing cache.
+#[test]
+fn a_repeated_sa_cache_owner_is_corrupt() {
+    let (dir, manifest) = keyframed_archive("sa-owners");
+    // A keyframe past snapshot 0, so the snapshots before it still load.
+    let (id, (idx, entry)) = manifest
+        .snapshot_segments()
+        .enumerate()
+        .skip(1)
+        .find(|(_, (_, e))| e.kind == SegmentKind::Full)
+        .expect("a second keyframe");
+    let seg = std::fs::read(dir.join(&entry.file)).unwrap();
+    // The SA section starts where the last vantage trie ends, which the
+    // trailing directory says: n (sym kind:u8 route_count start len)*.
+    let footer = seg.len() - 12;
+    let dir_offset = u64::from_be_bytes(seg[footer..footer + 8].try_into().unwrap()) as usize;
+    let mut r = Reader::new(&seg[dir_offset..footer]);
+    let mut sa_start = 0;
+    for _ in 0..r.uvarint().unwrap() {
+        r.uvarint().unwrap();
+        r.u8().unwrap();
+        r.uvarint().unwrap();
+        let (start, len) = (r.uvarint().unwrap(), r.uvarint().unwrap());
+        sa_start = sa_start.max((start + len) as usize);
+    }
+    // n_sa, then owner customer_prefixes (n (prefix origin)*){2} per cache.
+    let mut r = Reader::with_base(&seg[sa_start..], sa_start);
+    assert!(r.uvarint().unwrap() >= 2, "two SA caches");
+    let first = r.position()..{
+        r.uvarint().unwrap();
+        r.position()
+    };
+    r.uvarint().unwrap();
+    for _ in 0..2 {
+        for _ in 0..2 * r.uvarint().unwrap() {
+            r.uvarint().unwrap();
+        }
+    }
+    let second_at = r.position();
+    let second = second_at..{
+        r.uvarint().unwrap();
+        r.position()
+    };
+    let mut bytes = seg.clone();
+    bytes.splice(second.clone(), seg[first.clone()].iter().copied());
+    // Keep the footer pointing at the directory if the varints differ.
+    let moved = dir_offset + first.len() - second.len();
+    let footer = bytes.len() - 12;
+    bytes[footer..footer + 8].copy_from_slice(&(moved as u64).to_be_bytes());
+    reseal(&dir, &manifest, idx, &bytes);
+    assert_typed_on_both_paths(
+        &dir,
+        &manifest,
+        idx,
+        id as u32,
+        1,
+        "SA cache owners out of order",
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
