@@ -232,9 +232,8 @@ const FLAGS: &[Flag] = &[
     .under(&["--listen"]),
     Flag::new(
         "--serve-threads N",
-        "shard connections across N event-loop threads behind a\n\
-         dedicated acceptor (round-robin handoff); 1 keeps the\n\
-         listener inline in a single loop (default 1)",
+        "serve on N event-loop threads, each accepting from the\n\
+         shared listener (default 1)",
         |o, v| {
             set(
                 &mut o.serve.serve_threads,

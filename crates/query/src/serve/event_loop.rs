@@ -9,27 +9,27 @@
 //! cost nothing per wait; elsewhere the portable sweep reports every
 //! socket ready and lets `WouldBlock` sort it out (O(conns) per sweep).
 //!
-//! Scaling out: `serve_threads = N` runs N copies of the same shard
-//! loop, each owning a disjoint set of connections, fed round-robin by
-//! a dedicated acceptor thread over an mpsc handoff. Every shard runs
-//! the identical conn/session/backpressure state machine against the
-//! shared [`EngineSource`]; counters are the engine's registry atomics
-//! (shared by construction), capacity is enforced through two process-
-//! wide atomic counters, and the loop gauges carry per-shard labeled
-//! instances next to the aggregate. `serve_threads = 1` (the default)
-//! keeps the listener inline in the single loop — no acceptor thread,
-//! no handoff — preserving the original topology exactly.
+//! Scaling out: `serve_threads = N` runs N copies of one shard loop.
+//! Each registers the shared nonblocking listener in its own poller and
+//! accepts for itself, so a connection belongs to whichever shard woke
+//! first and owns it from then on; one thread is the same loop with one
+//! copy. Every shard runs the identical conn/session/backpressure state
+//! machine against the shared [`EngineSource`]; counters are the
+//! engine's registry atomics (shared by construction), capacity is
+//! enforced through two process-wide atomic counters, and on a sharded
+//! server the loop gauges carry per-shard labeled instances next to the
+//! aggregate.
 
 use std::io::{self};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::engine::QueryEngine;
 use crate::metrics::QueryMetrics;
 use crate::serve::conn::Conn;
-use crate::serve::poll::{self, Backoff, Interest, Poller, LISTENER_TOKEN, TICK};
+use crate::serve::poll::{self, Interest, Poller, LISTENER_TOKEN, TICK};
 use crate::serve::{ServeConfig, ServeStats};
 
 /// How long [`Shard::drain`] gives connections to take their buffered
@@ -113,10 +113,10 @@ impl ServerHandle {
     }
 }
 
-/// Process-wide connection accounting shared by the acceptor and every
-/// shard. Capacity decisions are made against these (the shards no
-/// longer own a single connection vector to count), reserved with
-/// fetch-then-undo so concurrent admissions stay exact.
+/// Process-wide connection accounting shared by every shard. Capacity
+/// decisions are made against these (no shard owns a connection vector
+/// the others could count), reserved with fetch-add-then-undo
+/// ([`reserve`]) so concurrent accepts stay exact.
 #[derive(Debug)]
 struct SharedCounters {
     /// Live (non-closing) sessions — the `max_conns` capacity measure.
@@ -124,9 +124,6 @@ struct SharedCounters {
     /// Every open connection in a shard slab (live + draining) — the
     /// hard fd-cap measure.
     open: AtomicUsize,
-    /// Accepted sockets handed to a shard but not yet admitted (counted
-    /// so a flood cannot hide unbounded fds inside the mpsc channels).
-    in_flight: AtomicUsize,
     /// Per-shard pending-write totals, summed into the aggregate
     /// `rpi_serve_write_buf_bytes` gauge by whichever shard updates
     /// last.
@@ -138,9 +135,20 @@ impl SharedCounters {
         SharedCounters {
             live: AtomicUsize::new(0),
             open: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
             wbuf: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         }
+    }
+}
+
+/// Takes one unit of `counter` if it stays below `cap`: add first, undo
+/// when over, so two shards admitting at once can never both take the
+/// last unit.
+fn reserve(counter: &AtomicUsize, cap: usize) -> bool {
+    if counter.fetch_add(1, Ordering::Relaxed) < cap {
+        true
+    } else {
+        counter.fetch_sub(1, Ordering::Relaxed);
+        false
     }
 }
 
@@ -206,79 +214,34 @@ impl Server {
         }
     }
 
-    /// Runs the event loop(s) until shutdown, returning the final stats
-    /// snapshot. With one serve thread the listener lives inside the
-    /// single shard loop; with N > 1 this thread becomes the acceptor,
-    /// distributing sockets round-robin to N shard threads running the
-    /// identical state machine.
+    /// Runs `serve_threads` identical shard loops until shutdown and
+    /// returns the final stats snapshot. Every shard is built — poller
+    /// created, listener registered — before any of them starts; shard
+    /// 0 then runs on the calling thread and the rest on scoped threads.
     pub fn run(self) -> io::Result<ServeStats> {
         let m = Arc::clone(&self.metrics);
         let threads = self.cfg.serve_threads.max(1);
-        // Hard bound on open sockets: served sessions plus a bounded tail
-        // of closing/rejected ones still draining their final bytes. Past
-        // it, over-capacity accepts are dropped outright (no notice, no
-        // linger) — under a connection flood, shedding beats running out
-        // of file descriptors.
-        let hard_cap = self.cfg.max_conns + self.cfg.max_conns.clamp(16, 256);
         let shared = SharedCounters::new(threads);
-
-        let run_result: io::Result<()> = if threads == 1 {
-            Shard::new(
-                0,
-                &self.cfg,
-                self.engine.clone(),
-                Arc::clone(&m),
-                &self.shutdown,
-                &shared,
-                hard_cap,
-                Some(&self.listener),
-                None,
-                None,
-            )?
-            .run()
-        } else {
-            std::thread::scope(|scope| {
-                let mut txs = Vec::with_capacity(threads);
-                let mut shards = Vec::with_capacity(threads);
-                for id in 0..threads {
-                    let (tx, rx) = mpsc::channel::<TcpStream>();
-                    txs.push(tx);
-                    shards.push(Shard::new(
-                        id,
-                        &self.cfg,
-                        self.engine.clone(),
-                        Arc::clone(&m),
-                        &self.shutdown,
-                        &shared,
-                        hard_cap,
-                        None,
-                        Some(rx),
-                        Some(m.shard_gauges(id)),
-                    )?);
+        let mut shards = (0..threads)
+            .map(|id| Shard::new(id, &self, &shared))
+            .collect::<io::Result<Vec<_>>>()?;
+        let first = shards.remove(0);
+        let run_result = std::thread::scope(|scope| {
+            let joins: Vec<_> = shards
+                .into_iter()
+                .map(|shard| scope.spawn(move || shard.run()))
+                .collect();
+            let mut result = first.run();
+            for join in joins {
+                let r = join
+                    .join()
+                    .unwrap_or_else(|_| Err(io::Error::other("serve shard panicked")));
+                if result.is_ok() {
+                    result = r;
                 }
-                let joins: Vec<_> = shards
-                    .into_iter()
-                    .map(|shard| scope.spawn(move || shard.run()))
-                    .collect();
-                accept_and_route(&self.listener, txs, &self.shutdown, &shared, &m, hard_cap);
-                let mut result = Ok(());
-                for join in joins {
-                    match join.join() {
-                        Ok(r) => {
-                            if result.is_ok() && r.is_err() {
-                                result = r;
-                            }
-                        }
-                        Err(_) => {
-                            if result.is_ok() {
-                                result = Err(io::Error::other("serve shard panicked"))
-                            }
-                        }
-                    }
-                }
-                result
-            })
-        };
+            }
+            result
+        });
         m.serve_active_connections.set_u64(0);
         m.serve_write_buf_bytes.set_u64(0);
         run_result?;
@@ -286,57 +249,9 @@ impl Server {
     }
 }
 
-/// The dedicated acceptor (multi-shard mode): accepts everything
-/// pending, drops hard-over-cap floods at the door, and hands sockets
-/// round-robin to the shard channels. Runs on the [`Server::run`]
-/// caller's thread.
-fn accept_and_route(
-    listener: &TcpListener,
-    txs: Vec<mpsc::Sender<TcpStream>>,
-    shutdown: &AtomicBool,
-    shared: &SharedCounters,
-    m: &QueryMetrics,
-    hard_cap: usize,
-) {
-    let mut next = 0usize;
-    // One listener swept by attempt-and-`WouldBlock`: the sweep
-    // backend's idle policy applies as is.
-    let mut backoff = Backoff::default();
-    while !shutdown.load(Ordering::Relaxed) {
-        let mut progressed = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    progressed = true;
-                    let held = shared.open.load(Ordering::Relaxed)
-                        + shared.in_flight.load(Ordering::Relaxed);
-                    if held >= hard_cap {
-                        m.serve_rejected_total.inc();
-                        drop(stream);
-                        continue;
-                    }
-                    shared.in_flight.fetch_add(1, Ordering::Relaxed);
-                    if txs[next % txs.len()].send(stream).is_err() {
-                        // A shard died; its error surfaces from run().
-                        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                        return;
-                    }
-                    next = next.wrapping_add(1);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // Transient accept errors (peer reset mid-handshake)
-                // must not kill the server.
-                Err(_) => break,
-            }
-        }
-        backoff.sleep(progressed);
-    }
-}
-
-/// One event-loop shard: a readiness backend instance plus the slab of
-/// connections it owns. `serve_threads = 1` runs exactly one, listener
-/// inline; otherwise each lives on its own thread behind the acceptor.
+/// One event-loop shard: a readiness backend instance watching the
+/// shared listener, plus the slab of connections it accepted and owns.
+/// A server runs `serve_threads` of them.
 struct Shard<'a> {
     id: usize,
     cfg: &'a ServeConfig,
@@ -344,15 +259,18 @@ struct Shard<'a> {
     m: Arc<QueryMetrics>,
     shutdown: &'a AtomicBool,
     shared: &'a SharedCounters,
+    /// Hard bound on open sockets: served sessions plus a bounded tail
+    /// of closing/rejected ones still draining their final bytes. Past
+    /// it, accepts are dropped outright (no notice, no linger) — under a
+    /// connection flood, shedding beats running out of file descriptors.
     hard_cap: usize,
-    listener: Option<&'a TcpListener>,
-    /// The inline listener is registered with no interest (see
+    listener: &'a TcpListener,
+    /// The listener is registered with no interest (see
     /// [`Shard::arm_listener`]) until the next [`Shard::maintain`].
     listener_parked: bool,
-    incoming: Option<mpsc::Receiver<TcpStream>>,
     /// `shard="N"`-labeled (active, write-buf) gauge instances; `None`
-    /// on a single-shard server, whose exposition stays byte-compatible
-    /// with the original single-loop design.
+    /// on a single-shard server, whose exposition carries no shard
+    /// labels.
     gauges: Option<(Arc<rpi_obs::Gauge>, Arc<rpi_obs::Gauge>)>,
     poller: Box<dyn Poller>,
     /// Token-indexed connection slab; freed slots are reused so tokens
@@ -366,32 +284,29 @@ struct Shard<'a> {
 }
 
 impl<'a> Shard<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        id: usize,
-        cfg: &'a ServeConfig,
-        engine: EngineSource,
-        m: Arc<QueryMetrics>,
-        shutdown: &'a AtomicBool,
-        shared: &'a SharedCounters,
-        hard_cap: usize,
-        listener: Option<&'a TcpListener>,
-        incoming: Option<mpsc::Receiver<TcpStream>>,
-        gauges: Option<(Arc<rpi_obs::Gauge>, Arc<rpi_obs::Gauge>)>,
-    ) -> io::Result<Shard<'a>> {
+    /// Shard `id` of `server`: creates its poller and registers the
+    /// listener in it, the two steps that can fail.
+    fn new(id: usize, server: &'a Server, shared: &'a SharedCounters) -> io::Result<Shard<'a>> {
+        let mut poller = poll::make_poller()?;
+        let listen = Interest {
+            read: true,
+            write: false,
+        };
+        poller.register(poll::fd_of(&server.listener), LISTENER_TOKEN, listen)?;
+        let cfg = &server.cfg;
+        let m = Arc::clone(&server.metrics);
         Ok(Shard {
             id,
             cfg,
-            engine,
+            engine: server.engine.clone(),
+            gauges: (shared.wbuf.len() > 1).then(|| m.shard_gauges(id)),
             m,
-            shutdown,
+            shutdown: &server.shutdown,
             shared,
-            hard_cap,
-            listener,
+            hard_cap: cfg.max_conns + cfg.max_conns.clamp(16, 256),
+            listener: &server.listener,
             listener_parked: false,
-            incoming,
-            gauges,
-            poller: poll::make_poller()?,
+            poller,
             slab: Vec::new(),
             free: Vec::new(),
             interests: Vec::new(),
@@ -401,16 +316,6 @@ impl<'a> Shard<'a> {
     }
 
     fn run(mut self) -> io::Result<()> {
-        if let Some(listener) = self.listener {
-            self.poller.register(
-                poll::fd_of(listener),
-                LISTENER_TOKEN,
-                Interest {
-                    read: true,
-                    write: false,
-                },
-            )?;
-        }
         let mut ready: Vec<usize> = Vec::new();
         let mut fresh: Vec<usize> = Vec::new();
         let mut busy = false;
@@ -420,25 +325,11 @@ impl<'a> Shard<'a> {
         let maint_interval = (self.cfg.idle_timeout / 4).clamp(TICK, Duration::from_secs(1));
         let mut last_maint = Instant::now();
         while !self.shutdown.load(Ordering::Relaxed) {
-            // Sockets handed over by the acceptor enter the slab before
-            // the wait, so a fresh connection is serviced this round.
-            fresh.clear();
-            if self.incoming.is_some() {
-                loop {
-                    let stream = match self.incoming.as_ref().unwrap().try_recv() {
-                        Ok(s) => s,
-                        Err(_) => break,
-                    };
-                    self.shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    if let Some(token) = self.admit(stream) {
-                        fresh.push(token);
-                    }
-                }
-            }
-            self.poller.wait(busy || !fresh.is_empty(), &mut ready)?;
+            self.poller.wait(busy, &mut ready)?;
 
             let sweep_start = Instant::now();
-            let mut progressed = !fresh.is_empty();
+            let mut progressed = false;
+            fresh.clear();
             // The epoch is loaded once per round: every batch processed
             // this round — queries and listings alike — sees one
             // consistent world, and a live writer publishing mid-round
@@ -471,15 +362,13 @@ impl<'a> Shard<'a> {
         Ok(())
     }
 
-    /// Accepts everything pending on the inline listener (single-shard
-    /// mode), admitting each socket into the slab.
+    /// Accepts everything pending on the listener, admitting each socket
+    /// into the slab. Another shard woken by the same connection finds
+    /// the queue empty (`WouldBlock`) and goes back to waiting.
     fn accept_sweep(&mut self, fresh: &mut Vec<usize>) -> bool {
-        let Some(listener) = self.listener else {
-            return false;
-        };
         let mut progressed = false;
         loop {
-            match listener.accept() {
+            match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     progressed = true;
                     if let Some(token) = self.admit(stream) {
@@ -503,51 +392,47 @@ impl<'a> Shard<'a> {
         progressed
     }
 
-    /// Sets the inline listener's read interest. Parked, the loop keeps
-    /// serving its open connections and no longer wakes for accepts;
-    /// [`Shard::maintain`] re-arms it.
+    /// Sets this shard's read interest in the listener. Parked, the loop
+    /// keeps serving its open connections and no longer wakes for
+    /// accepts; [`Shard::maintain`] re-arms it.
     fn arm_listener(&mut self, read: bool) {
-        if let Some(listener) = self.listener {
-            let (fd, interest) = (poll::fd_of(listener), Interest { read, write: false });
-            if self.poller.reregister(fd, LISTENER_TOKEN, interest).is_ok() {
-                self.listener_parked = !read;
-            }
+        let (fd, interest) = (poll::fd_of(self.listener), Interest { read, write: false });
+        if self.poller.reregister(fd, LISTENER_TOKEN, interest).is_ok() {
+            self.listener_parked = !read;
         }
     }
 
-    /// Takes ownership of an accepted socket: capacity check (live
-    /// sessions are *reserved* on the shared counter, so concurrent
-    /// shards stay exact), over-capacity in-band notice, slab insert,
-    /// poller registration.
+    /// Takes ownership of an accepted socket: capacity check (the open
+    /// socket and the live session are each *reserved* on the shared
+    /// counters, so concurrent shards stay exact), over-capacity in-band
+    /// notice, slab insert, poller registration.
     fn admit(&mut self, stream: TcpStream) -> Option<usize> {
         let m = Arc::clone(&self.m);
-        if self.shared.open.load(Ordering::Relaxed) >= self.hard_cap {
+        if !reserve(&self.shared.open, self.hard_cap) {
             m.serve_rejected_total.inc();
             return None;
         }
         let mut c = match Conn::new(stream, self.cfg.max_line_len) {
             Ok(c) => c,
             Err(_) => {
+                self.shared.open.fetch_sub(1, Ordering::Relaxed);
                 m.serve_rejected_total.inc();
                 return None;
             }
         };
-        let reserved = self.shared.live.fetch_add(1, Ordering::Relaxed);
-        if reserved >= self.cfg.max_conns {
+        if reserve(&self.shared.live, self.cfg.max_conns) {
+            m.serve_accepted_total.inc();
+            c.counted_live = true;
+            self.local_live += 1;
+        } else {
             // Overload: answer in-band, flush, close.
-            self.shared.live.fetch_sub(1, Ordering::Relaxed);
             m.serve_rejected_total.inc();
             c.push_notice(&format!(
                 "error: server full ({} connections)",
                 self.cfg.max_conns
             ));
             c.closing = true;
-        } else {
-            m.serve_accepted_total.inc();
-            c.counted_live = true;
-            self.local_live += 1;
         }
-        self.shared.open.fetch_add(1, Ordering::Relaxed);
         let interest = desired_interest(&c, self.cfg.write_buf_cap);
         let fd = c.raw_fd();
         let token = match self.free.pop() {
@@ -742,45 +627,30 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Graceful drain: give every connection one short window to take
-    /// its buffered responses — flush, half-close (FIN after the last
-    /// byte), then discard the peer's remaining input until it closes
-    /// too, so no final response is lost to a RST. The deadline bounds
-    /// peers that neither read nor hang up.
+    /// Graceful drain through the ordinary state machine: every
+    /// connection is marked closing, so [`Shard::service`] flushes it,
+    /// half-closes after the last byte and discards the peer's input
+    /// until it hangs up too (no final response lost to a RST). Whatever
+    /// is still open when [`DRAIN_WINDOW`] ends — peers that neither
+    /// read nor hang up — is removed.
     fn drain(&mut self) {
-        let mut conns: Vec<Conn> = self.slab.iter_mut().filter_map(|s| s.take()).collect();
-        for c in &mut conns {
-            if c.counted_live {
-                c.counted_live = false;
-                self.local_live -= 1;
-                self.shared.live.fetch_sub(1, Ordering::Relaxed);
-            }
-            self.shared.open.fetch_sub(1, Ordering::Relaxed);
+        for c in self.slab.iter_mut().flatten() {
+            c.closing = true;
         }
-        let m = Arc::clone(&self.m);
+        let epoch = self.engine.current();
         let deadline = Instant::now() + DRAIN_WINDOW;
-        while !conns.is_empty() && Instant::now() < deadline {
+        while self.slab.iter().any(Option::is_some) && Instant::now() < deadline {
             let mut moved = false;
-            conns.retain_mut(|c| {
-                match c.flush() {
-                    Ok(n) if n > 0 => {
-                        moved = true;
-                        m.serve_bytes_out_total.add(n);
-                    }
-                    Ok(_) => {}
-                    Err(_) => return false,
-                }
-                if c.pending_write() > 0 {
-                    return true;
-                }
-                c.send_fin();
-                !matches!(c.discard_input(&mut self.rbuf), Ok(true) | Err(_))
-            });
+            for token in 0..self.slab.len() {
+                moved |= self.service(token, &epoch);
+            }
             if !moved {
                 std::thread::sleep(TICK);
             }
         }
-        self.publish_active();
+        for token in 0..self.slab.len() {
+            self.remove(token, false);
+        }
     }
 }
 

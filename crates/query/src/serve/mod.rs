@@ -12,12 +12,12 @@
 //! `extern "C"` shim in `rpi-epoll`) gets real kernel notification so
 //! idle connections cost nothing; elsewhere the portable sweep attempts
 //! every syscall and treats `WouldBlock` as "not ready".
-//! `serve_threads = N` shards connections across N copies of the same
-//! loop behind a dedicated acceptor, and that is where lookup
-//! parallelism comes from: a connection's queries run in order on the
-//! loop thread that read them, and
+//! `serve_threads = N` runs N copies of the same loop, each accepting
+//! from the shared listener, and that is where lookup parallelism comes
+//! from: a connection's queries run in order on the loop thread that
+//! accepted it, and
 //! [`execute_batch`](crate::QueryEngine::execute_batch) spreads only a
-//! batch's scans (history verbs, `diff`, `leaks`) over helper threads:
+//! batch's scans (history verbs, `diff`) over helper threads:
 //!
 //! * **Framing** ([`LineFramer`](crate::proto::LineFramer)): requests
 //!   are lines; a query byte-split across TCP segments reassembles, and
@@ -80,10 +80,9 @@ pub struct ServeConfig {
     /// Longest accepted request line; longer lines get an in-band error
     /// and are discarded to their terminator.
     pub max_line_len: usize,
-    /// Event-loop shard threads. `1` (default) keeps the listener
-    /// inline in a single loop — the original topology; `N > 1` runs a
-    /// dedicated acceptor distributing connections round-robin across N
-    /// shard loops.
+    /// Event-loop threads (default 1): N identical loops, each
+    /// accepting from the shared listener and serving the connections
+    /// it accepted.
     pub serve_threads: usize,
 }
 

@@ -20,14 +20,14 @@
 //!
 //! Idling is the backend's business too: the loop tells [`Poller::wait`]
 //! whether the last round was busy, and the backend decides how to wait
-//! — the sweep sleeps its [`Backoff`], epoll blocks in the kernel.
+//! — the sweep sleeps its idle backoff, epoll blocks in the kernel.
 
 mod epoll;
 mod sweep;
 
 use std::io;
 
-pub(crate) use sweep::{Backoff, MAX_IDLE_WAIT, TICK};
+pub(crate) use sweep::{MAX_IDLE_WAIT, TICK};
 
 /// The token [`Shard`](crate::serve::event_loop) registers its listener
 /// under; connection tokens are slab indices, which stay far below it.
@@ -51,10 +51,9 @@ pub(crate) trait Poller: Send {
     /// Fills `ready` with the tokens to service. `busy` says the last
     /// round moved bytes or fresh connections arrived: a busy wait only
     /// polls, an idle one may block — but never past [`MAX_IDLE_WAIT`],
-    /// which bounds how stale the loop's view of the shutdown flag and
-    /// the handoff channel can get. Spurious readiness is allowed (the
-    /// sweep backend is *all* spurious readiness); missed readiness is
-    /// not.
+    /// which bounds how stale the loop's view of the shutdown flag can
+    /// get. Spurious readiness is allowed (the sweep backend is *all*
+    /// spurious readiness); missed readiness is not.
     fn wait(&mut self, busy: bool, ready: &mut Vec<usize>) -> io::Result<()>;
 }
 

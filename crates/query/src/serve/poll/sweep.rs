@@ -1,7 +1,8 @@
 //! The portable attempt-and-`WouldBlock` backend: every wait reports
 //! every registered token ready, after sleeping its idle [`Backoff`].
 //! It is what the serve loop runs where epoll is not supported; on
-//! Linux only this module's [`Backoff`] and idle timings are used.
+//! Linux only this module's idle timings ([`TICK`], [`MAX_IDLE_WAIT`])
+//! are used.
 
 use std::io;
 use std::time::Duration;
@@ -22,14 +23,14 @@ pub(crate) const MAX_IDLE_WAIT: Duration = TICK.saturating_mul(1 << MAX_DOUBLING
 /// cost latency), then the sleep doubles per round up to
 /// [`MAX_IDLE_WAIT`]; a busy round resets it.
 #[derive(Debug, Default)]
-pub(crate) struct Backoff {
+struct Backoff {
     idle_streak: u32,
 }
 
 impl Backoff {
     /// How long to sleep before the next sweep, given whether the last
     /// one was busy.
-    pub(crate) fn delay(&mut self, busy: bool) -> Duration {
+    fn delay(&mut self, busy: bool) -> Duration {
         if busy {
             self.idle_streak = 0;
             return Duration::ZERO;
@@ -40,7 +41,7 @@ impl Backoff {
     }
 
     /// [`Backoff::delay`], slept.
-    pub(crate) fn sleep(&mut self, busy: bool) {
+    fn sleep(&mut self, busy: bool) {
         let delay = self.delay(busy);
         if !delay.is_zero() {
             std::thread::sleep(delay);

@@ -43,8 +43,8 @@ fn query_pairs(engine: &QueryEngine, exp: &Experiment) -> Vec<(String, String)> 
     out
 }
 
-/// The serve-thread counts every scenario sweeps: the inline listener
-/// and the acceptor in front of 4 shards.
+/// The serve-thread counts every scenario sweeps: one loop, and 4
+/// copies of it accepting from the shared listener.
 fn matrix() -> [usize; 2] {
     [1, 4]
 }
@@ -573,7 +573,7 @@ fn per_verb_counters_increment_exactly_once_per_pipelined_query() {
 }
 
 /// Sharded serving must lose nothing and double-count nothing: with
-/// connections spread round-robin across 4 event-loop threads, the
+/// connections spread across 4 event-loop threads, the
 /// per-verb counters (shared registry, one counter per verb) sum to
 /// exactly the client-side totals, and every client still gets
 /// byte-identical answers.
@@ -585,8 +585,8 @@ fn per_verb_totals_sum_exactly_across_shards() {
 
     let pairs = query_pairs(&engine, &exp);
     let (v, p) = &pairs[0];
-    // Per client: 3 route, 2 resolve, 1 sa, 1 summary — the
-    // round-robin acceptor spreads the clients over all 4 shards.
+    // Per client: 3 route, 2 resolve, 1 sa, 1 summary — concurrent
+    // clients land on whichever shards accept them.
     const CLIENTS: usize = 8;
     let input = format!(
         "route {v} {p}\nroute {v} {p}\nresolve {v} {p}\nroute {v} {p}\n\
@@ -729,6 +729,107 @@ fn per_shard_gauge_labels_appear_only_for_sharded_servers() {
     );
     handle.shutdown();
     join.join().unwrap();
+}
+
+/// The labeled `rpi_serve_active_connections{shard="N"}` instances add
+/// up to the aggregate, whichever shards took the connections, and
+/// follow it back down: 8 held connections plus the scraping one read 9
+/// in both, and once the 8 hang up a fresh scrape reads 1 in both.
+#[test]
+fn per_shard_active_gauges_sum_to_the_aggregate_and_return_with_it() {
+    const SHARDS: usize = 4;
+    fn active(scrape: &str) -> (f64, Vec<f64>) {
+        let sample = |key: &str| -> f64 {
+            scrape
+                .lines()
+                .find_map(|l| l.strip_prefix(key))
+                .unwrap_or_else(|| panic!("no '{key}' sample in:\n{scrape}"))
+                .parse()
+                .expect("a gauge value")
+        };
+        let shards = (0..SHARDS)
+            .map(|i| sample(&format!("rpi_serve_active_connections{{shard=\"{i}\"}} ")))
+            .collect();
+        (sample("rpi_serve_active_connections "), shards)
+    }
+
+    let (engine, _exp) = tiny_engine();
+    let (addr, handle, join) = spawn_server(engine, cell_cfg(SHARDS, ServeConfig::default()));
+    // Each held connection answers a ping first, so its accept is done.
+    let held: Vec<TcpStream> = (0..8)
+        .map(|_| {
+            let mut s = connect(addr);
+            s.write_all(b"ping\n").unwrap();
+            let mut pong = [0u8; 5];
+            s.read_exact(&mut pong).unwrap();
+            assert_eq!(&pong, b"pong\n");
+            s
+        })
+        .collect();
+    let (total, shards) = active(&roundtrip(addr, "metrics\nquit\n"));
+    println!("per-shard active connections with 9 open: {shards:?}");
+    assert_eq!(total, 9.0, "8 held + the scraper");
+    assert_eq!(shards.iter().sum::<f64>(), 9.0, "{shards:?}");
+
+    // Hang-ups are noticed asynchronously: scrape until both settle.
+    drop(held);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let (total, shards) = loop {
+        let (total, shards) = active(&roundtrip(addr, "metrics\nquit\n"));
+        let settled = total == 1.0 && shards.iter().sum::<f64>() == 1.0;
+        if settled || Instant::now() >= deadline {
+            break (total, shards);
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(total, 1.0, "only the scraper is left");
+    assert_eq!(shards.iter().sum::<f64>(), 1.0, "{shards:?}");
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// A server that has been quiet answers a new connection at once, in
+/// every cell: each loop watches the listener itself, so a connection
+/// wakes a blocked loop directly. Before each of 15 connect → `ping` →
+/// `pong` round trips the server idles 60 ms — long enough for every
+/// loop to be blocked in its longest idle wait — and the median round
+/// trip must stay under 4 ms. Prints one `idle connect->pong:` line per
+/// cell (CI tabulates them).
+#[test]
+fn an_idle_server_answers_a_new_connection_promptly() {
+    for threads in matrix() {
+        let (engine, _exp) = tiny_engine();
+        let (addr, handle, join) = spawn_server(engine, cell_cfg(threads, ServeConfig::default()));
+        let mut rtts: Vec<Duration> = (0..15)
+            .map(|_| {
+                std::thread::sleep(Duration::from_millis(60));
+                let t0 = Instant::now();
+                let mut s = connect(addr);
+                s.write_all(b"ping\n").unwrap();
+                let mut pong = [0u8; 5];
+                s.read_exact(&mut pong).unwrap();
+                let rtt = t0.elapsed();
+                assert_eq!(&pong, b"pong\n", "[x{threads}]");
+                rtt
+            })
+            .collect();
+        rtts.sort();
+        let (median, max) = (rtts[rtts.len() / 2], rtts[rtts.len() - 1]);
+        println!(
+            "idle connect->pong: x{threads} median {:.2} ms (max {:.2} ms, {} round trips)",
+            median.as_secs_f64() * 1e3,
+            max.as_secs_f64() * 1e3,
+            rtts.len()
+        );
+        assert!(
+            median < Duration::from_millis(4),
+            "[x{threads}] a new connection waited {median:?} (median) for its first answer"
+        );
+
+        handle.shutdown();
+        join.join().unwrap();
+    }
 }
 
 /// The two constructors take either kind of world. A frozen engine
