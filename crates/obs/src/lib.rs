@@ -276,16 +276,6 @@ impl HistSnapshot {
         }
         bucket_upper(BUCKETS - 1)
     }
-
-    /// Mean sample in nanoseconds (0 when empty).
-    pub fn mean_nanos(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            0.0
-        } else {
-            self.sum_nanos as f64 / count as f64
-        }
-    }
 }
 
 /// RAII span: records the guard's lifetime into its histogram on drop.

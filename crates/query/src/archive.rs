@@ -9,13 +9,27 @@
 //!   one *block per snapshot* (the interner is append-only across a
 //!   series, so each block is just what its snapshot added; block
 //!   boundaries restore the per-snapshot watermarks on load).
-//! * **full segment** — one snapshot fully materialized: one route trie
-//!   per vantage in the flattened pointer-free layout of
-//!   [`bgp_types::flat`], SA caches, the oracle's relationship maps
-//!   (elided when equal to the predecessor's: the snapshot then loads
-//!   holding the predecessor's `Arc<Oracle>`), import typicality and
-//!   community classes. Leak convictions are not stored: decoding judges
-//!   each route as it is read, before it enters its trie.
+//! * **full segment** (format v4) — one snapshot, each fact stored once:
+//!
+//!   ```text
+//!   full := str(label) flags:u8 [n (a b rel)*]   edges unless FLAG_REL_SHARED
+//!           trie*                               one per vantage, back to back
+//!           typicality  community-classes       the LG analyses
+//!           directory   dir_offset:u64 "RPD3"
+//!   directory := n (sym kind:u8 route_count span_start span_len)*
+//!   ```
+//!
+//!   Each trie is a vantage's table in the flattened pointer-free layout
+//!   of [`bgp_types::flat`]; the trailing directory is the only index of
+//!   them (the body has no per-vantage header), read by one function for
+//!   both loaders: the cold tier's attach maps tries through it, and
+//!   [`decode_full`] requires its spans to tile the body. The oracle's
+//!   edges are elided when equal to the predecessor's (the snapshot then
+//!   loads holding the predecessor's `Arc<Oracle>`). Nothing derivable is
+//!   stored: decoding hands each route to the snapshot's
+//!   [`TableJudge`](crate::snapshot::TableJudge) as it enters its trie,
+//!   which derives the vantage's SA cache and leak convictions, and the
+//!   `summary` verb's neighbour counts are a tally of the oracle's rows.
 //! * **delta segment** — one snapshot as the structured
 //!   [`OutputDelta`] events it was ingested from, plus the list of
 //!   vantages that disappeared and the recomputed analyses of
@@ -70,8 +84,7 @@ use rpi_store::{
 use crate::engine::QueryEngine;
 use crate::intern::{AsnSym, FrozenInterner, PrefixSym, WorldInterner};
 use crate::snapshot::{
-    CompactRoute, Oracle, Provenance, SaCache, Snapshot, SnapshotId, TableJudge, VantageKind,
-    VantageTable,
+    CompactRoute, Oracle, Provenance, Snapshot, SnapshotId, TableJudge, VantageKind, VantageTable,
 };
 
 /// One segment's on-disk identity, kept on the engine after a save or
@@ -161,10 +174,6 @@ impl ArchiveInfo {
 
 fn sym_u(s: AsnSym) -> u64 {
     s.0 .0 as u64
-}
-
-fn psym_u(p: PrefixSym) -> u64 {
-    p.0 .0 as u64
 }
 
 fn put_kind(out: &mut Vec<u8>, kind: VantageKind) {
@@ -432,59 +441,27 @@ fn encode_full(
             put_uvarint(&mut out, sym_u(b));
             put_relationship(&mut out, rel);
         }
-        type CountRow<'a> = (&'a AsnSym, &'a (usize, usize, usize, usize));
-        let mut counts: Vec<CountRow<'_>> = snap.oracle.neighbor_counts.iter().collect();
-        counts.sort_unstable_by_key(|(s, _)| **s);
-        put_uvarint(&mut out, counts.len() as u64);
-        for (&s, &(p, c, r, b)) in counts {
-            put_uvarint(&mut out, sym_u(s));
-            for v in [p, c, r, b] {
-                put_uvarint(&mut out, v as u64);
-            }
-        }
     }
 
-    // Vantage tables: one flattened trie each. Its byte span is
-    // recorded for the trailing directory, so the cold tier can wrap a
-    // FlatTrie around it straight off a mapping.
-    let mut dir = VantageDir {
-        entries: Vec::with_capacity(snap.vantages.len()),
-    };
+    // Vantage tables: one flattened trie each, back to back. Each byte
+    // span goes into the trailing directory — their only index — so the
+    // cold tier can wrap a FlatTrie around it straight off a mapping.
     let mut vantages: Vec<(&AsnSym, &Arc<VantageTable>)> = snap.vantages.iter().collect();
     vantages.sort_unstable_by_key(|(s, _)| **s);
-    put_uvarint(&mut out, vantages.len() as u64);
-    for (&s, table) in &vantages {
-        put_uvarint(&mut out, sym_u(s));
-        put_kind(&mut out, table.kind);
-        put_uvarint(&mut out, table.route_count as u64);
+    let mut dir = VantageDir {
+        entries: Vec::with_capacity(vantages.len()),
+    };
+    for (&sym, table) in vantages {
         let start = out.len();
         flat::write_trie(&table.trie, &mut out, &mut |route, out| {
             encode_route(route, out)
         });
         dir.entries.push(VantageDirEntry {
-            sym: s,
+            sym,
             kind: table.kind,
             route_count: table.route_count,
             span: (start, out.len() - start),
         });
-    }
-
-    // SA caches.
-    let mut sa: Vec<(&AsnSym, &Arc<SaCache>)> = snap.sa.iter().collect();
-    sa.sort_unstable_by_key(|(s, _)| **s);
-    put_uvarint(&mut out, sa.len() as u64);
-    for (&owner, cache) in sa {
-        put_uvarint(&mut out, sym_u(owner));
-        put_uvarint(&mut out, cache.customer_prefixes as u64);
-        for map in [&cache.sa, &cache.exported] {
-            let mut entries: Vec<(&PrefixSym, &AsnSym)> = map.iter().collect();
-            entries.sort_unstable_by_key(|(p, _)| **p);
-            put_uvarint(&mut out, entries.len() as u64);
-            for (&p, &a) in entries {
-                put_uvarint(&mut out, psym_u(p));
-                put_uvarint(&mut out, sym_u(a));
-            }
-        }
     }
 
     // LG analyses.
@@ -527,7 +504,7 @@ fn encode_full(
 /// One vantage's row in a full segment's directory: where its
 /// flattened trie lives, as an absolute `(offset, len)` span inside the
 /// segment payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) struct VantageDirEntry {
     pub(crate) sym: AsnSym,
     pub(crate) kind: VantageKind,
@@ -537,7 +514,7 @@ pub(crate) struct VantageDirEntry {
 
 /// A full segment's vantage directory, sorted by symbol (the encode
 /// order), so the tier can binary-search it.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug)]
 pub(crate) struct VantageDir {
     pub(crate) entries: Vec<VantageDirEntry>,
 }
@@ -616,6 +593,15 @@ pub(crate) fn read_mapped_directory(
     let mut r = Reader::new(raw);
     let label = r.str()?.to_string();
     let self_contained = read_full_flags(&mut r)? & FLAG_REL_SHARED == 0;
+    let (dir, _) = read_directory(raw, n_asns)?;
+    Ok((dir, self_contained, label))
+}
+
+/// Reads a full segment's trailing directory through its footer, and
+/// the offset it starts at — where the segment body ends. The one
+/// directory reader: attach ([`read_mapped_directory`]) and
+/// [`decode_full`] both find a segment's tries through it.
+fn read_directory(raw: &[u8], n_asns: usize) -> Result<(VantageDir, usize), CodecError> {
     if raw.len() < DIR_FOOTER {
         return Err(CodecError::Truncated {
             offset: raw.len(),
@@ -645,7 +631,7 @@ pub(crate) fn read_mapped_directory(
             what: "trailing bytes after vantage directory",
         });
     }
-    Ok((dir, self_contained, label))
+    Ok((dir, dir_offset))
 }
 
 fn decode_full(
@@ -655,7 +641,7 @@ fn decode_full(
     prev: Option<&Snapshot>,
     interner: &WorldInterner,
 ) -> Result<Snapshot, CodecError> {
-    let (n_asns, n_prefixes, _) = interner.sizes();
+    let n_asns = interner.sizes().0;
     let mut r = Reader::new(raw);
     let label_offset = r.position();
     let label = r.str()?;
@@ -681,119 +667,57 @@ fn decode_full(
             let b = AsnSym(read_sym(&mut r, n_asns, "relationship symbol")?);
             edges.push((a, b, r.relationship()?));
         }
-        let n = r.ulen()?;
-        let mut counts = HashMap::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let s = AsnSym(read_sym(&mut r, n_asns, "neighbor-count symbol")?);
-            let mut vals = [0usize; 4];
-            for v in &mut vals {
-                *v = r.ulen()?;
-            }
-            counts.insert(s, (vals[0], vals[1], vals[2], vals[3]));
-        }
-        Arc::new(Oracle::new(edges, counts))
+        Arc::new(Oracle::new(edges))
     };
     let mut snap = Snapshot::empty(id, label, oracle);
 
-    // Vantage tables. Trie byte spans are recorded as decoded so the
-    // segment can be held to its directory: every span the directory
-    // advertises must be exactly where the body put the trie.
-    let mut seen_dir = VantageDir::default();
-    let n_vantages = r.ulen()?;
-    for _ in 0..n_vantages {
-        let owner = AsnSym(read_sym(&mut r, n_asns, "vantage symbol")?);
-        let kind = read_kind(&mut r)?;
-        let count_offset = r.position();
-        let route_count = r.ulen()?;
-        let start = r.position();
-        let pairs = flat::read_trie(&mut r, &mut |vr| decode_route(vr, n_asns))?;
-        let span = (start, r.position() - start);
-        let decoded = pairs.len();
-        let mut trie = CowTrie::new();
-        let mut judge = TableJudge::new(&snap.oracle, owner);
-        for (prefix, route) in pairs {
-            if interner.lookup_prefix(prefix).is_none() {
-                return Err(CodecError::Invalid {
-                    offset: count_offset,
-                    what: "table prefix missing from symbol table",
-                });
-            }
-            judge.judge(prefix, &route.path);
-            trie.insert(prefix, route);
-        }
-        let convicted = judge.finish();
-        if decoded != route_count {
+    // Vantage tables, found through the directory, whose spans must tile
+    // the body: the first trie right after the oracle section, each next
+    // one where the last ended — exactly the bytes the cold tier maps.
+    let (dir, body_end) = read_directory(raw, n_asns)?;
+    for e in dir.entries {
+        let (start, len) = e.span;
+        if r.position() != start {
             return Err(CodecError::Invalid {
-                offset: count_offset,
+                offset: r.position(),
+                what: "directory spans do not tile the segment body",
+            });
+        }
+        let pairs = flat::read_trie(&mut r, &mut |vr| decode_route(vr, n_asns))?;
+        if r.position() != start + len {
+            return Err(CodecError::Invalid {
+                offset: r.position(),
+                what: "vantage trie does not fill its directory span",
+            });
+        }
+        if pairs.len() != e.route_count {
+            return Err(CodecError::Invalid {
+                offset: start,
                 what: "route count disagrees with trie contents",
             });
         }
-        seen_dir.entries.push(VantageDirEntry {
-            sym: owner,
-            kind,
-            route_count,
-            span,
-        });
-        snap.leaks.insert(owner, Arc::new(convicted));
-        snap.vantages.insert(
-            owner,
-            Arc::new(VantageTable {
-                kind,
-                trie,
-                route_count,
-            }),
-        );
-    }
-
-    // SA caches.
-    let sa_offset = r.position();
-    let n_sa = r.ulen()?;
-    if n_sa != n_vantages {
-        return Err(CodecError::Invalid {
-            offset: sa_offset,
-            what: "SA cache count disagrees with vantage count",
-        });
-    }
-    // Owners are written sorted: strictly increasing, each a vantage and
-    // as many as there are vantages, they name every vantage once.
-    let mut prev_owner: Option<AsnSym> = None;
-    for _ in 0..n_sa {
-        let owner_offset = r.position();
-        let owner = AsnSym(read_sym(&mut r, n_asns, "SA owner symbol")?);
-        if !snap.vantages.contains_key(&owner) {
-            return Err(CodecError::Invalid {
-                offset: owner_offset,
-                what: "SA cache for unknown vantage",
-            });
+        let mut trie = CowTrie::new();
+        let mut judge = TableJudge::new(&snap.oracle, e.sym);
+        for (prefix, route) in pairs {
+            let sym = interner.lookup_prefix(prefix).ok_or(CodecError::Invalid {
+                offset: start,
+                what: "table prefix missing from symbol table",
+            })?;
+            judge.judge(prefix, sym, &route);
+            trie.insert(prefix, route);
         }
-        if prev_owner.is_some_and(|p| p >= owner) {
-            return Err(CodecError::Invalid {
-                offset: owner_offset,
-                what: "SA cache owners out of order",
-            });
-        }
-        prev_owner = Some(owner);
-        let mut cache = SaCache {
-            customer_prefixes: r.ulen()?,
-            ..SaCache::default()
+        let (sa, leaks) = judge.finish();
+        snap.sa.insert(e.sym, Arc::new(sa));
+        snap.leaks.insert(e.sym, Arc::new(leaks));
+        let table = VantageTable {
+            kind: e.kind,
+            trie,
+            route_count: e.route_count,
         };
-        for which in 0..2 {
-            let n = r.ulen()?;
-            let map = if which == 0 {
-                &mut cache.sa
-            } else {
-                &mut cache.exported
-            };
-            for _ in 0..n {
-                let p = PrefixSym(read_sym(&mut r, n_prefixes, "SA prefix symbol")?);
-                let a = AsnSym(read_sym(&mut r, n_asns, "SA origin symbol")?);
-                map.insert(p, a);
-            }
-        }
-        snap.sa.insert(owner, Arc::new(cache));
+        snap.vantages.insert(e.sym, Arc::new(table));
     }
 
-    // LG analyses.
+    // LG analyses, where the last trie ended.
     let n_typ = r.ulen()?;
     for _ in 0..n_typ {
         let s = AsnSym(read_sym(&mut r, n_asns, "typicality symbol")?);
@@ -813,36 +737,10 @@ fn decode_full(
         snap.community_class.insert(owner, Arc::new(classes));
     }
 
-    // The directory must agree byte-for-byte with where the body
-    // actually put its tries — a lying directory is corruption, not
-    // a source of out-of-band reads for the cold tier.
-    let dir_offset = r.position();
-    let dir = decode_vantage_dir(&mut r, n_asns, dir_offset)?;
-    if dir != seen_dir {
-        return Err(CodecError::Invalid {
-            offset: dir_offset,
-            what: "directory disagrees with segment body",
-        });
-    }
-    let footer_offset = r.position();
-    let recorded = r.u64()?;
-    if recorded != dir_offset as u64 {
-        return Err(CodecError::Invalid {
-            offset: footer_offset,
-            what: "full-segment directory offset",
-        });
-    }
-    if r.bytes(DIR_MAGIC.len())? != DIR_MAGIC {
-        return Err(CodecError::Invalid {
-            offset: footer_offset + 8,
-            what: "full-segment directory magic",
-        });
-    }
-
-    if !r.is_exhausted() {
+    if r.position() != body_end {
         return Err(CodecError::Invalid {
             offset: r.position(),
-            what: "trailing bytes after full segment",
+            what: "LG analyses do not end at the vantage directory",
         });
     }
     Ok(snap)

@@ -946,23 +946,15 @@ impl QueryEngine {
         let s = self.interner.lookup_asn(asn)?;
         let table = snap.vantages.get(&s);
         let cache = snap.sa.get(&s);
-
-        let neighbor_counts = snap
-            .oracle
-            .neighbor_counts
-            .get(&s)
-            .copied()
-            .unwrap_or_default();
-
         Some(PolicySummary {
             asn,
             kind: table.map(|t| t.kind),
             routes: table.map_or(0, |t| t.route_count),
-            customer_prefixes: cache.map_or(0, |c| c.customer_prefixes),
+            customer_prefixes: cache.map_or(0, |c| c.customer_prefixes()),
             sa_count: cache.map_or(0, |c| c.sa.len()),
             typicality: snap.typicality.get(&s).copied(),
             tagged_neighbors: snap.community_class.get(&s).map_or(0, |m| m.len()),
-            neighbor_counts,
+            neighbor_counts: snap.oracle.neighbor_counts(s),
         })
     }
 

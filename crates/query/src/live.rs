@@ -55,7 +55,7 @@
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 
 use bgp_sim::stream::{complete_frames, next_step, read_header, StreamFrame, StreamStep};
@@ -173,7 +173,7 @@ impl LiveHandle {
     /// The current epoch. Every query of a batch — and every listing —
     /// should run against one loaded epoch so it observes one world.
     pub fn current(&self) -> Arc<QueryEngine> {
-        Arc::clone(&self.epoch.read().expect("live epoch poisoned"))
+        Arc::clone(&self.epoch.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Snapshots published so far (monotone; `Acquire` pairs with the
@@ -335,9 +335,14 @@ impl LiveWriter {
         self.prev_snap = Some(snap);
 
         // Publish: swap the fully-built epoch in. The write lock guards
-        // only the pointer swap.
+        // only the pointer swap, which a panic cannot leave half-done, so
+        // a poisoned lock is recovered here and in `current`.
         let epoch = Arc::new(self.epoch_engine());
-        *self.handle.epoch.write().expect("live epoch poisoned") = epoch;
+        *self
+            .handle
+            .epoch
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = epoch;
         self.handle.published.store(i as u64 + 1, Ordering::Release);
         self.metrics.live_published_total.inc();
         self.metrics
@@ -695,5 +700,63 @@ mod tests {
             (tail.base, tail.bytes.len()),
             (c_at, frames[2].len() + end.len())
         );
+    }
+
+    /// Panics a thread while it holds `handle`'s epoch lock.
+    fn poison(handle: &Arc<LiveHandle>) {
+        let held = Arc::clone(handle);
+        std::thread::spawn(move || {
+            let _guard = held.epoch.write();
+            panic!("a writer panics mid-publication");
+        })
+        .join()
+        .expect_err("the thread panicked");
+        assert!(handle.epoch.is_poisoned());
+    }
+
+    /// A panic with the epoch lock held cannot leave the one pointer it
+    /// guards half-stored, so a poisoned lock is not every reader's
+    /// panic: the writer still publishes through it, and `current` still
+    /// serves the published epoch, answering what it answered before.
+    #[test]
+    fn a_poisoned_epoch_lock_still_publishes_and_serves() {
+        use crate::proto::{render_response, Query, Scope};
+
+        let exp = Experiment::standard(InternetSize::Tiny, 7);
+        let dir = std::env::temp_dir().join(format!("rpi-live-poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (mut w, mut stream) = StreamWriter::open(&exp.inferred_graph);
+        stream.extend(w.frame("d0", &exp.output, None));
+        stream.extend(w.end());
+        std::fs::write(dir.join("live.stream"), stream).unwrap();
+
+        let handle = LiveHandle::new(QueryEngine::default());
+        poison(&handle);
+        let opts = LiveOptions {
+            window: 2,
+            keyframe_every: 2,
+        };
+        let spill = dir.join("spill");
+        drain_stream(
+            &dir.join("live.stream"),
+            handle.clone(),
+            &spill,
+            opts,
+            |_, _| {},
+        )
+        .expect("publishes through the poisoned lock");
+        let epoch = handle.current();
+        assert_eq!(epoch.snapshot_count(), 1);
+
+        let (vantage, _) = epoch.vantages()[0];
+        let req = Query::PolicySummary { asn: vantage }.at(Scope::Latest);
+        let answer = |engine: &QueryEngine| render_response(&req, &engine.execute(&req).unwrap());
+        let before = answer(&epoch);
+        poison(&handle);
+        let after = handle.current();
+        assert!(Arc::ptr_eq(&epoch, &after));
+        assert_eq!(answer(&after), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

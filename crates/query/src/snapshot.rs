@@ -23,30 +23,31 @@
 //!
 //! What a snapshot knows about AS relationships is one value, its
 //! [`Oracle`]: a symbol-indexed adjacency ([`Oracle::rel`] is a binary
-//! search in one AS's row, [`Oracle::edges`] walks them all in order),
-//! the neighbour counts, and the customer cones walked so far. Snapshots
-//! under an unchanged oracle hold the same `Arc<Oracle>` however they
-//! came to exist (incremental ingest, delta replay, a full segment that
-//! elided its maps, a live publication), so a cone is walked at most
-//! once per oracle — by the SA patcher or by `hijacks`, whoever asks
-//! first — and there is no cache to invalidate: a changed oracle is a
-//! new value that has walked nothing.
-//! Only from-scratch indexing ([`Snapshot::from_output`]) still asks the
-//! caller's [`AsGraph`], through `rpi_core::sa_prefixes` — the reference
-//! the differential suites hold the symbol-level cones to.
+//! search in one AS's row, [`Oracle::edges`] walks them all in order,
+//! [`Oracle::neighbor_counts`] tallies a row) and the customer cones
+//! walked so far. Snapshots under an unchanged oracle hold the same
+//! `Arc<Oracle>` however they came to exist (incremental ingest, delta
+//! replay, a full segment that elided its edges, a live publication), so
+//! a cone is walked at most once per oracle — by whichever table is
+//! judged first, or by `hijacks` — and there is no cache to invalidate:
+//! a changed oracle is a new value that has walked nothing. The caller's
+//! [`AsGraph`] is only ever indexed into an oracle; Fig. 4 has one
+//! implementation, [`classify_sa`], and `rpi_core::sa_prefixes` on the
+//! graph is the reference the unit tests hold every derived SA cache to.
 //!
-//! ## Leak convictions
+//! ## What a table derives
 //!
-//! Each vantage's valley-free convictions ([`Snapshot::leaks`]: prefix →
-//! leaker, judged by [`Oracle::leaker`]) are indexed beside its SA cache,
-//! at every place a table is built: indexing judges each route as it is
-//! inserted, the archive's full-segment decode each decoded route (both
-//! through a [`TableJudge`]), and [`Snapshot::patch_vantage`] only the
-//! prefixes its events touch — against the patched table — keeping the
-//! predecessor's `Arc` when nothing moved; an oracle change re-judges
-//! the whole table. Nothing is persisted: the sets are rebuilt wherever
-//! a table is, so `leaks` is a read. `fold_scan.rs` holds them to
-//! judging every stored path on request.
+//! Two per-route verdicts are indexed per vantage: its SA cache (Fig. 4)
+//! and its valley-free convictions ([`Snapshot::leaks`]: prefix →
+//! leaker, judged by [`Oracle::leaker`]). Both are functions of the
+//! stored route and the oracle alone, so both are derived at every place
+//! a table is built: indexing and the archive's full-segment decode hand
+//! each route to a [`TableJudge`] as it enters its trie, and
+//! [`Snapshot::patch_vantage`] re-derives only the prefixes its events
+//! touch — against the patched table — keeping the predecessor's `Arc`s
+//! when nothing moved; an oracle change re-judges the whole table.
+//! Nothing is persisted, so `sa` and `leaks` are reads. `fold_scan.rs`
+//! holds the convictions to judging every stored path on request.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -56,7 +57,6 @@ use bgp_types::intern::Symbol;
 use bgp_types::{Asn, CowTrie, Ipv4Prefix, Relationship};
 use net_topology::AsGraph;
 use rpi_core::community::{infer_communities, CommunityParams};
-use rpi_core::export_policy::sa_prefixes;
 use rpi_core::import_policy::lg_typicality;
 use rpi_core::view::BestTable;
 
@@ -120,29 +120,55 @@ pub(crate) enum Provenance {
     Delta(Arc<OutputDelta>),
 }
 
-/// Precomputed Fig. 4 output for one vantage.
-///
-/// Invariant (relied on by the incremental patcher): a prefix is in
-/// exactly one of `sa` / `exported` iff it is customer-originated, so
-/// `customer_prefixes == sa.len() + exported.len()` always.
+/// Precomputed Fig. 4 output for one vantage: a prefix is in exactly one
+/// of `sa` / `exported` iff it is customer-originated.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SaCache {
-    /// Prefixes in the table originated inside the vantage's customer cone.
-    pub customer_prefixes: usize,
     /// SA prefix → origin.
     pub sa: HashMap<PrefixSym, AsnSym>,
     /// Prefixes that are customer-originated but *not* SA.
     pub exported: HashMap<PrefixSym, AsnSym>,
 }
 
+impl SaCache {
+    /// Prefixes in the table originated inside the vantage's customer
+    /// cone.
+    pub(crate) fn customer_prefixes(&self) -> usize {
+        self.sa.len() + self.exported.len()
+    }
+
+    /// Files a customer-originated `prefix` where `verdict` puts it.
+    fn file(&mut self, prefix: PrefixSym, origin: AsnSym, verdict: SaVerdict) {
+        match verdict {
+            SaVerdict::Sa => self.sa.insert(prefix, origin),
+            SaVerdict::Exported => self.exported.insert(prefix, origin),
+        };
+    }
+
+    /// Forgets whatever was filed for `prefix`.
+    fn forget(&mut self, prefix: PrefixSym) {
+        self.sa.remove(&prefix);
+        self.exported.remove(&prefix);
+    }
+}
+
+/// Where Fig. 4 files a customer-originated route ([`classify_sa`]).
+#[derive(Debug, Clone, Copy)]
+enum SaVerdict {
+    /// Reached over a non-customer link: selectively announced.
+    Sa,
+    /// Reached over a customer or sibling link.
+    Exported,
+}
+
 /// The relationship oracle a snapshot was indexed under, at symbol
-/// level: the relationships and neighbour counts the `rel` and
-/// `summary` verbs read, plus every customer cone that has been asked
-/// for. Fig. 4's two questions (§5.1) — is the origin inside the
-/// vantage's cone, was the route learned over a customer link — are both
-/// asked here, by the incremental SA patcher, by segment replay and by
-/// `hijacks`; so is the valley-free question ([`Oracle::leaker`]) every
-/// table's leak convictions are judged by.
+/// level: the relationships the `rel` and `summary` verbs read, plus
+/// every customer cone that has been asked for. Fig. 4's two questions
+/// (§5.1) — is the origin inside the vantage's cone, was the route
+/// learned over a customer link — are both asked here ([`classify_sa`]),
+/// wherever a table's SA cache is derived, and by `hijacks`; so is the
+/// valley-free question ([`Oracle::leaker`]) every table's leak
+/// convictions are judged by.
 ///
 /// Relationships are one symbol-indexed adjacency: a row per AS, its
 /// neighbours sorted by symbol, so [`Oracle::rel`] is a binary search
@@ -163,9 +189,6 @@ pub(crate) struct Oracle {
     /// `(b, b is a's …)`, row by row, each row sorted by `b` (both
     /// directions of an edge are kept).
     adj: Vec<(AsnSym, Relationship)>,
-    /// Per-AS neighbor counts `(providers, customers, peers, siblings)`,
-    /// precomputed so summaries stay O(lookup).
-    pub(crate) neighbor_counts: HashMap<AsnSym, (usize, usize, usize, usize)>,
     /// One entry per AS with a customer or sibling neighbour.
     cones: HashMap<AsnSym, Cone>,
 }
@@ -181,12 +204,9 @@ struct Cone {
 
 impl Oracle {
     /// An oracle over `edges` — `(a, b, b is a's …)`, in any order; of
-    /// two edges with the same `(a, b)` the later one holds — and the
-    /// neighbour counts, no cone walked yet.
-    pub(crate) fn new(
-        mut edges: Vec<(AsnSym, AsnSym, Relationship)>,
-        neighbor_counts: HashMap<AsnSym, (usize, usize, usize, usize)>,
-    ) -> Oracle {
+    /// two edges with the same `(a, b)` the later one holds — with no
+    /// cone walked yet.
+    pub(crate) fn new(mut edges: Vec<(AsnSym, AsnSym, Relationship)>) -> Oracle {
         // Stable, so the later of two equal keys stays later.
         edges.sort_by_key(|&(a, b, _)| (a, b));
         let mut rows = Vec::new();
@@ -208,7 +228,6 @@ impl Oracle {
         let mut oracle = Oracle {
             rows,
             adj,
-            neighbor_counts,
             cones: HashMap::new(),
         };
         let mut cones: HashMap<AsnSym, Cone> = HashMap::new();
@@ -224,29 +243,45 @@ impl Oracle {
     /// Indexes `graph` at symbol level, interning every AS it names.
     fn index(graph: &AsGraph, interner: &mut WorldInterner) -> Oracle {
         let mut edges = Vec::new();
-        let mut neighbor_counts: HashMap<AsnSym, (usize, usize, usize, usize)> = HashMap::new();
         for a in graph.ases() {
             let sa = interner.asn(a);
-            let counts = neighbor_counts.entry(sa).or_default();
             for (b, rel) in graph.neighbors(a) {
                 edges.push((sa, interner.asn(b), rel));
-                match rel {
-                    Relationship::Provider => counts.0 += 1,
-                    Relationship::Customer => counts.1 += 1,
-                    Relationship::Peer => counts.2 += 1,
-                    Relationship::Sibling => counts.3 += 1,
-                }
             }
         }
-        Oracle::new(edges, neighbor_counts)
+        Oracle::new(edges)
+    }
+
+    /// `a`'s neighbours and what each is to it, sorted by symbol (empty
+    /// for an AS the oracle never saw).
+    fn row(&self, a: AsnSym) -> &[(AsnSym, Relationship)] {
+        let i = sym_index(a);
+        match (self.rows.get(i), self.rows.get(i + 1)) {
+            (Some(&start), Some(&end)) => &self.adj[start..end],
+            _ => &[],
+        }
     }
 
     /// `b is a's …`, if the oracle knows the edge.
     pub(crate) fn rel(&self, a: AsnSym, b: AsnSym) -> Option<Relationship> {
-        let i = sym_index(a);
-        let row = &self.adj[*self.rows.get(i)?..*self.rows.get(i + 1)?];
+        let row = self.row(a);
         let k = row.binary_search_by_key(&b, |&(n, _)| n).ok()?;
         Some(row[k].1)
+    }
+
+    /// `a`'s neighbours by kind, `(providers, customers, peers,
+    /// siblings)`: a tally of its row, for `summary`.
+    pub(crate) fn neighbor_counts(&self, a: AsnSym) -> (usize, usize, usize, usize) {
+        let mut counts = (0, 0, 0, 0);
+        for &(_, rel) in self.row(a) {
+            match rel {
+                Relationship::Provider => counts.0 += 1,
+                Relationship::Customer => counts.1 += 1,
+                Relationship::Peer => counts.2 += 1,
+                Relationship::Sibling => counts.3 += 1,
+            }
+        }
+        counts
     }
 
     /// Every edge `(a, b, b is a's …)`, in `(a, b)` order.
@@ -334,9 +369,7 @@ impl Oracle {
 /// either has walked so far is not part of what it says.
 impl PartialEq for Oracle {
     fn eq(&self, other: &Oracle) -> bool {
-        self.rows == other.rows
-            && self.adj == other.adj
-            && self.neighbor_counts == other.neighbor_counts
+        self.rows == other.rows && self.adj == other.adj
     }
 }
 
@@ -352,18 +385,25 @@ fn sym_index(s: AsnSym) -> usize {
 /// order `leaks` reports events in.
 pub(crate) type Convictions = BTreeMap<Ipv4Prefix, AsnSym>;
 
-/// Judges a whole table's routes as it is built, in prefix order,
-/// remembering the last path's verdict. Neighbouring prefixes mostly
-/// share their stored path — an origin's prefixes sit side by side, and
-/// on the Paper world 68 % of routes repeat the path before them — so
-/// most routes cost one slice comparison instead of a walk.
+/// Derives a whole table's per-route indexes as it is built — its SA
+/// cache ([`classify_sa`]) and its leak convictions ([`Oracle::leaker`])
+/// in one pass, in prefix order — remembering the last route's verdicts.
+/// Neighbouring prefixes mostly share their stored route — an origin's
+/// prefixes sit side by side, and on the Paper world 68 % of routes
+/// repeat the path before them — so most routes cost one comparison
+/// instead of a cone lookup and a walk. Indexing, the archive's
+/// full-segment decode and an oracle change in
+/// [`Snapshot::patch_vantage`] all derive a table through one.
 pub(crate) struct TableJudge<'a> {
     oracle: &'a Oracle,
     owner: AsnSym,
-    /// The last path judged and its verdict; an empty path convicts no
-    /// one, so it is a valid start.
-    last: Vec<AsnSym>,
-    verdict: Option<AsnSym>,
+    /// The last route judged and its verdicts; an empty path is no
+    /// stored route's, so it is a valid start.
+    last_hop: AsnSym,
+    last_path: Vec<AsnSym>,
+    leaker: Option<AsnSym>,
+    sa: Option<SaVerdict>,
+    cache: SaCache,
     convicted: Convictions,
 }
 
@@ -373,27 +413,36 @@ impl<'a> TableJudge<'a> {
         TableJudge {
             oracle,
             owner,
-            last: Vec::new(),
-            verdict: None,
+            last_hop: owner,
+            last_path: Vec::new(),
+            leaker: None,
+            sa: None,
+            cache: SaCache::default(),
             convicted: Convictions::new(),
         }
     }
 
-    /// Judges the route stored for `prefix` along `path`.
-    pub(crate) fn judge(&mut self, prefix: Ipv4Prefix, path: &[AsnSym]) {
-        if self.last != path {
-            self.verdict = self.oracle.leaker(self.owner, path);
-            self.last.clear();
-            self.last.extend_from_slice(path);
+    /// Judges `route`, stored for `prefix` (interned as `sym`).
+    pub(crate) fn judge(&mut self, prefix: Ipv4Prefix, sym: PrefixSym, route: &CompactRoute) {
+        let origin = *route.path.last().expect("stored paths are non-empty");
+        if self.last_hop != route.next_hop || *self.last_path != *route.path {
+            self.leaker = self.oracle.leaker(self.owner, &route.path);
+            self.sa = classify_sa(self.oracle, self.owner, route.next_hop, origin);
+            self.last_hop = route.next_hop;
+            self.last_path.clear();
+            self.last_path.extend_from_slice(&route.path);
         }
-        if let Some(leaker) = self.verdict {
+        if let Some(leaker) = self.leaker {
             self.convicted.insert(prefix, leaker);
+        }
+        if let Some(verdict) = self.sa {
+            self.cache.file(sym, origin, verdict);
         }
     }
 
-    /// The convictions of every route judged.
-    pub(crate) fn finish(self) -> Convictions {
-        self.convicted
+    /// The SA cache and the convictions of every route judged.
+    pub(crate) fn finish(self) -> (SaCache, Convictions) {
+        (self.cache, self.convicted)
     }
 }
 
@@ -442,7 +491,7 @@ impl Snapshot {
         // Collector peers: best-path tables, SA analysis only.
         for &peer in &out.collector.peers {
             let table = BestTable::from_collector(&out.collector, peer);
-            snap.index_vantage(&table, VantageKind::CollectorPeer, oracle, interner);
+            snap.index_vantage(&table, VantageKind::CollectorPeer, interner);
         }
         for row in out.collector.all_paths() {
             for &c in &row.communities {
@@ -454,7 +503,7 @@ impl Snapshot {
         // An LG AS that also peers with the collector keeps the richer view.
         for (&asn, view) in &out.lgs {
             let table = BestTable::from_lg(view);
-            snap.index_vantage(&table, VantageKind::LookingGlass, oracle, interner);
+            snap.index_vantage(&table, VantageKind::LookingGlass, interner);
             snap.index_lg_analyses(asn, view, oracle, interner);
         }
         snap
@@ -531,7 +580,7 @@ impl Snapshot {
                 || prev_kind(prev, interner, peer) != Some(VantageKind::CollectorPeer);
             if fresh {
                 let table = BestTable::from_collector(&out.collector, peer);
-                snap.index_vantage(&table, VantageKind::CollectorPeer, oracle, interner);
+                snap.index_vantage(&table, VantageKind::CollectorPeer, interner);
             } else {
                 let vd = delta.collector.get(&peer);
                 snap.patch_vantage(prev, interner.asn(peer), vd, interner, oracle_changed);
@@ -545,7 +594,7 @@ impl Snapshot {
             let vd = delta.lgs.get(&asn);
             if fresh {
                 let table = BestTable::from_lg(view);
-                snap.index_vantage(&table, VantageKind::LookingGlass, oracle, interner);
+                snap.index_vantage(&table, VantageKind::LookingGlass, interner);
                 snap.index_lg_analyses(asn, view, oracle, interner);
             } else {
                 let owner = interner.asn(asn);
@@ -622,83 +671,63 @@ impl Snapshot {
             Arc::new(table)
         };
 
-        // --- the SA cache ---
+        // --- the SA cache and the leak convictions ---
         let prev_sa = prev
             .sa
             .get(&owner)
             .expect("every indexed vantage has an SA cache");
-        let sa = if oracle_changed {
-            // Cone membership may have moved: re-derive from the full
-            // table (rare — only when the relationship oracle itself
-            // changed mid-series).
-            let mut cache = SaCache::default();
-            for (p, route) in table.trie.iter() {
-                let ps = interner
-                    .lookup_prefix(p)
-                    .expect("table prefixes are interned");
-                let origin = *route.path.last().expect("paths are non-empty");
-                classify_sa(&self.oracle, &mut cache, ps, owner, route.next_hop, origin);
-            }
-            cache.customer_prefixes = cache.sa.len() + cache.exported.len();
-            Arc::new(cache)
-        } else if no_route_events {
-            Arc::clone(prev_sa)
-        } else {
-            let vd = vd.expect("route events imply a delta");
-            let mut cache = SaCache::clone(prev_sa);
-            for &p in &vd.withdrawn {
-                let ps = interner.prefix(p);
-                cache.sa.remove(&ps);
-                cache.exported.remove(&ps);
-            }
-            for (p, r) in vd.announced.iter().chain(&vd.replaced) {
-                let ps = interner.prefix(*p);
-                cache.sa.remove(&ps);
-                cache.exported.remove(&ps);
-                let next_hop = interner.asn(r.next_hop);
-                let origin = interner.asn(*r.path.last().expect("delta paths are non-empty"));
-                classify_sa(&self.oracle, &mut cache, ps, owner, next_hop, origin);
-            }
-            cache.customer_prefixes = cache.sa.len() + cache.exported.len();
-            Arc::new(cache)
-        };
-
-        // --- the leak convictions: a verdict depends on the oracle and
-        // the stored route alone, so only touched prefixes are judged,
-        // against the patched table ---
         let prev_leaks = prev
             .leaks
             .get(&owner)
             .expect("every indexed vantage has convictions");
-        let leaks = if oracle_changed {
+        let (sa, leaks) = if oracle_changed {
+            // Cone membership and valleys may have moved: re-judge the
+            // whole table (rare — only when the relationship oracle
+            // itself changed mid-series).
             let mut judge = TableJudge::new(&self.oracle, owner);
             for (p, route) in table.trie.iter() {
-                judge.judge(p, &route.path);
+                let ps = interner
+                    .lookup_prefix(p)
+                    .expect("table prefixes are interned");
+                judge.judge(p, ps, route);
             }
-            Arc::new(judge.finish())
+            let (sa, leaks) = judge.finish();
+            (Arc::new(sa), Arc::new(leaks))
         } else if no_route_events {
-            Arc::clone(prev_leaks)
+            (Arc::clone(prev_sa), Arc::clone(prev_leaks))
         } else {
+            // A verdict depends on the oracle and the stored route alone,
+            // so only touched prefixes are judged, against the patched
+            // table.
             let vd = vd.expect("route events imply a delta");
+            let mut cache = SaCache::clone(prev_sa);
             let mut convicted = Convictions::clone(prev_leaks);
-            for p in &vd.withdrawn {
-                convicted.remove(p);
+            for &p in &vd.withdrawn {
+                cache.forget(interner.prefix(p));
+                convicted.remove(&p);
             }
             for (p, _) in vd.announced.iter().chain(&vd.replaced) {
+                let ps = interner.prefix(*p);
                 let route = table
                     .trie
                     .get(*p)
                     .expect("announced prefixes are in the table");
+                let origin = *route.path.last().expect("stored paths are non-empty");
+                cache.forget(ps);
+                if let Some(verdict) = classify_sa(&self.oracle, owner, route.next_hop, origin) {
+                    cache.file(ps, origin, verdict);
+                }
                 match self.oracle.leaker(owner, &route.path) {
                     Some(leaker) => convicted.insert(*p, leaker),
                     None => convicted.remove(p),
                 };
             }
-            if convicted == **prev_leaks {
+            let leaks = if convicted == **prev_leaks {
                 Arc::clone(prev_leaks)
             } else {
                 Arc::new(convicted)
-            }
+            };
+            (Arc::new(cache), leaks)
         };
         self.vantages.insert(owner, table);
         self.sa.insert(owner, sa);
@@ -718,7 +747,7 @@ impl Snapshot {
         let mut snap = Snapshot::empty(id, label, Arc::new(Oracle::index(oracle, interner)));
         for &peer in &view.peers {
             let table = BestTable::from_collector(view, peer);
-            snap.index_vantage(&table, VantageKind::CollectorPeer, oracle, interner);
+            snap.index_vantage(&table, VantageKind::CollectorPeer, interner);
         }
         for row in view.all_paths() {
             for &c in &row.communities {
@@ -748,22 +777,23 @@ impl Snapshot {
         &mut self,
         table: &BestTable,
         kind: VantageKind,
-        oracle: &AsGraph,
         interner: &mut WorldInterner,
     ) {
         let owner = interner.asn(table.asn);
         let mut trie = CowTrie::new();
         let mut judge = TableJudge::new(&self.oracle, owner);
         for (&prefix, row) in &table.rows {
-            interner.prefix(prefix);
+            let sym = interner.prefix(prefix);
             let route = CompactRoute {
                 next_hop: interner.asn(row.next_hop),
                 path: row.path.iter().map(|&a| interner.asn(a)).collect(),
             };
-            judge.judge(prefix, &route.path);
+            judge.judge(prefix, sym, &route);
             trie.insert(prefix, route);
         }
-        self.leaks.insert(owner, Arc::new(judge.finish()));
+        let (sa, leaks) = judge.finish();
+        self.sa.insert(owner, Arc::new(sa));
+        self.leaks.insert(owner, Arc::new(leaks));
         self.vantages.insert(
             owner,
             Arc::new(VantageTable {
@@ -772,32 +802,6 @@ impl Snapshot {
                 route_count: table.rows.len(),
             }),
         );
-
-        // Fig. 4 SA analysis, cached per vantage.
-        let report = sa_prefixes(table, oracle);
-        let mut cache = SaCache {
-            customer_prefixes: report.customer_prefixes,
-            ..Default::default()
-        };
-        for (&prefix, &origin) in &report.sa_origin {
-            cache
-                .sa
-                .insert(interner.prefix(prefix), interner.asn(origin));
-        }
-        for (&prefix, row) in &table.rows {
-            let origin = row.origin();
-            if report.per_origin.contains_key(&origin) && !report.sa.contains(&prefix) {
-                cache
-                    .exported
-                    .insert(interner.prefix(prefix), interner.asn(origin));
-            }
-        }
-        debug_assert_eq!(
-            cache.customer_prefixes,
-            cache.sa.len() + cache.exported.len(),
-            "SA/exported partition the customer prefixes"
-        );
-        self.sa.insert(owner, Arc::new(cache));
     }
 
     fn index_lg_analyses(
@@ -929,32 +933,32 @@ fn prev_kind(prev: &Snapshot, interner: &WorldInterner, vantage: Asn) -> Option<
     prev.vantages.get(&sym).map(|t| t.kind)
 }
 
-/// The Fig. 4 classification of a single route, applied to an SA cache:
-/// a customer-originated prefix lands in `sa` (reached via a non-customer
-/// next hop) or `exported`; anything else is left out entirely. This is
-/// the per-prefix core of [`rpi_core::export_policy::sa_prefixes`] at
-/// symbol level, reused by the incremental patcher — the differential
-/// fuzz suite holds the two implementations byte-identical.
+/// Fig. 4 (§5.1) on one route of `provider`'s table, learned from
+/// `next_hop` and originated by `origin`: `None` unless the origin is a
+/// customer (inside the provider's cone, not the provider itself);
+/// otherwise SA when the route was reached over a non-customer link.
+/// The one Fig. 4 classifier in this crate, at symbol level: every SA
+/// cache is derived through it ([`TableJudge`], the delta patcher), and
+/// the unit tests hold what it derives to `rpi_core`'s whole-table
+/// reference on the graph (see the module doc).
 fn classify_sa(
     oracle: &Oracle,
-    cache: &mut SaCache,
-    prefix: PrefixSym,
     provider: AsnSym,
     next_hop: AsnSym,
     origin: AsnSym,
-) {
+) -> Option<SaVerdict> {
     if origin == provider || !oracle.in_cone(provider, origin) {
-        return;
+        return None;
     }
     let via_customer = matches!(
         oracle.rel(provider, next_hop),
         Some(Relationship::Customer | Relationship::Sibling)
     );
-    if via_customer {
-        cache.exported.insert(prefix, origin);
+    Some(if via_customer {
+        SaVerdict::Exported
     } else {
-        cache.sa.insert(prefix, origin);
-    }
+        SaVerdict::Sa
+    })
 }
 
 #[cfg(test)]
@@ -1099,14 +1103,11 @@ mod tests {
 
         // Duplicate keys: the later edge holds.
         let s = |i: u32| AsnSym(Symbol(i));
-        let dup = Oracle::new(
-            vec![
-                (s(3), s(1), Relationship::Peer),
-                (s(0), s(2), Relationship::Customer),
-                (s(3), s(1), Relationship::Provider),
-            ],
-            HashMap::new(),
-        );
+        let dup = Oracle::new(vec![
+            (s(3), s(1), Relationship::Peer),
+            (s(0), s(2), Relationship::Customer),
+            (s(3), s(1), Relationship::Provider),
+        ]);
         assert_eq!(dup.rel(s(3), s(1)), Some(Relationship::Provider));
         assert_eq!((dup.rel(s(1), s(3)), dup.rel(s(9), s(0))), (None, None));
         assert_eq!(
@@ -1235,5 +1236,161 @@ mod tests {
         assert!(walked(before, root) && !walked(after, root));
         assert!(after.in_cone(root, epoch.interner.lookup_asn(b).unwrap()));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One world for the SA reference: a short churn series of `size`,
+    /// indexed under an oracle in which, from step 2 on, a Looking-Glass
+    /// vantage's first customer is only its peer — so cones and Fig. 4
+    /// verdicts move with no route moving.
+    fn flipped_world(size: InternetSize, seed: u64) -> (Vec<String>, Vec<SimOutput>, Vec<AsGraph>) {
+        let exp = Experiment::standard(size, seed);
+        let cfg = ChurnConfig {
+            steps: 4,
+            flip_prob: 0.3,
+            link_failure_prob: 0.2,
+            ..ChurnConfig::daily(seed)
+        };
+        let series = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg);
+        let g = exp.inferred_graph;
+        let (lg, customer) = (series.snapshots[0].lgs.keys())
+            .find_map(|&lg| Some((lg, g.customers_of(lg).next()?)))
+            .expect("a Looking-Glass vantage with a customer");
+        let mut flipped = g.clone();
+        flipped.remove_edge(lg, customer);
+        flipped
+            .add_edge(lg, customer, Relationship::Peer)
+            .expect("the edge was just removed");
+        let oracles = (0..series.snapshots.len())
+            .map(|i| if i < 2 { g.clone() } else { flipped.clone() })
+            .collect();
+        (series.labels, series.snapshots, oracles)
+    }
+
+    /// Holds every SA cache of the series, on every way an engine comes
+    /// to hold it, to `sa_prefixes` on the graph it was indexed under, and
+    /// every oracle's neighbour counts to the graph's tallies. Returns
+    /// the SA-cache entries compared per kind, `(Looking-Glass,
+    /// collector peer)`.
+    fn assert_sa_is_the_reference(
+        tag: &str,
+        labels: &[String],
+        outputs: &[SimOutput],
+        oracles: &[AsGraph],
+    ) -> (usize, usize) {
+        use rpi_core::export_policy::sa_prefixes;
+
+        let mut scratch = QueryEngine::default();
+        let mut incremental = QueryEngine::default();
+        for (i, (label, out)) in labels.iter().zip(outputs).enumerate() {
+            scratch.ingest_output(out, &oracles[i], label);
+            match i.checked_sub(1) {
+                None => incremental.ingest_output(out, &oracles[i], label),
+                Some(p) => {
+                    incremental.ingest_output_incremental(&outputs[p], out, &oracles[i], label)
+                }
+            };
+        }
+        let dir =
+            std::env::temp_dir().join(format!("rpi-sa-reference-{tag}-{}", std::process::id()));
+        let keyframed = SaveOptions {
+            keyframe_every: Some(3),
+        };
+        incremental
+            .save_archive_with(&dir, true, keyframed)
+            .unwrap();
+        let loaded = QueryEngine::load_archive(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let mut compared = (0, 0);
+        let engines = [
+            ("from scratch", &scratch),
+            ("incremental", &incremental),
+            ("archive", &loaded),
+        ];
+        for (name, engine) in engines {
+            let asn = |a: Asn| engine.interner.lookup_asn(a).expect("interned");
+            let prefix = |p: Ipv4Prefix| engine.interner.lookup_prefix(p).expect("interned");
+            for (i, (out, g)) in outputs.iter().zip(oracles).enumerate() {
+                let at = format!("{tag}, {name} @{i}");
+                let snap = &engine.snapshots[i];
+                for a in g.ases() {
+                    let mut tally = (0, 0, 0, 0);
+                    for (_, rel) in g.neighbors(a) {
+                        match rel {
+                            Relationship::Provider => tally.0 += 1,
+                            Relationship::Customer => tally.1 += 1,
+                            Relationship::Peer => tally.2 += 1,
+                            Relationship::Sibling => tally.3 += 1,
+                        }
+                    }
+                    assert_eq!(snap.oracle.neighbor_counts(asn(a)), tally, "{at}: {a}");
+                }
+                // An AS with a Looking-Glass view is indexed from it.
+                let peers = (out.collector.peers.iter())
+                    .filter(|p| !out.lgs.contains_key(p))
+                    .map(|&p| (BestTable::from_collector(&out.collector, p), false));
+                let lgs = out.lgs.values().map(|v| (BestTable::from_lg(v), true));
+                let tables: Vec<_> = peers.chain(lgs).collect();
+                assert_eq!(snap.sa.len(), tables.len(), "{at}: vantages");
+                for (table, lg) in tables {
+                    let report = sa_prefixes(&table, g);
+                    let sa: HashMap<PrefixSym, AsnSym> = (report.sa_origin.iter())
+                        .map(|(&p, &o)| (prefix(p), asn(o)))
+                        .collect();
+                    let exported: HashMap<PrefixSym, AsnSym> = (table.rows.iter())
+                        .filter(|(p, row)| {
+                            report.per_origin.contains_key(&row.origin()) && !report.sa.contains(p)
+                        })
+                        .map(|(&p, row)| (prefix(p), asn(row.origin())))
+                        .collect();
+                    let cache = &snap.sa[&asn(table.asn)];
+                    let owner = table.asn;
+                    assert_eq!(cache.sa, sa, "{at}: {owner}'s SA map");
+                    assert_eq!(cache.exported, exported, "{at}: {owner}'s exported map");
+                    assert_eq!(
+                        cache.customer_prefixes(),
+                        report.customer_prefixes,
+                        "{at}: {owner}'s customer prefixes"
+                    );
+                    let n = report.customer_prefixes;
+                    if lg {
+                        compared.0 += n;
+                    } else {
+                        compared.1 += n;
+                    }
+                }
+            }
+        }
+        compared
+    }
+
+    /// Every derived SA cache is `rpi_core::sa_prefixes` on the graph —
+    /// the whole-table Fig. 4 the paper tables run — as symbol maps, for
+    /// both kinds of vantage, whether the table was indexed from scratch,
+    /// patched from a delta, re-judged at an oracle flip or decoded from
+    /// a full segment. `RPI_DIFF_SEEDS=seed1,seed2,…` adds Tiny worlds
+    /// without a rebuild.
+    #[test]
+    fn derived_sa_caches_are_sa_prefixes_on_the_graph() {
+        let extra = std::env::var("RPI_DIFF_SEEDS").unwrap_or_default();
+        let extra = (extra.split(',').filter(|s| !s.trim().is_empty())).map(|s| {
+            let seed = s
+                .trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("bad seed '{s}' in RPI_DIFF_SEEDS"));
+            (InternetSize::Tiny, seed)
+        });
+        let sizes = [InternetSize::Tiny, InternetSize::Small];
+        let worlds = sizes
+            .into_iter()
+            .flat_map(|size| [1, 2, 3].map(|seed| (size, seed)));
+        let mut compared = (0, 0);
+        for (size, seed) in worlds.chain(extra) {
+            let (labels, outputs, oracles) = flipped_world(size, seed);
+            let tag = format!("{size:?}-{seed}");
+            let (lg, peer) = assert_sa_is_the_reference(&tag, &labels, &outputs, &oracles);
+            compared = (compared.0 + lg, compared.1 + peer);
+        }
+        assert!(compared.0 > 0 && compared.1 > 0, "{compared:?}");
     }
 }

@@ -47,7 +47,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use bgp_types::codec::{CodecError, Reader};
@@ -307,7 +307,7 @@ impl Tier {
         let mut segs = Vec::with_capacity(self.segs.len() + 1);
         segs.extend_from_slice(&self.segs);
         segs.push(Arc::new(seg));
-        self.hot.lock().expect("tier hot set poisoned").insert(
+        self.hot_set().insert(
             self.segs.len() as u32,
             hydrated,
             self.hot_cap,
@@ -321,6 +321,15 @@ impl Tier {
             base: Arc::clone(&self.base),
             info: OnceLock::new(),
         }
+    }
+
+    /// The hot set, locked. A panic with the lock held — a hydration
+    /// that panicked — cannot leave it half-changed: a chain link enters
+    /// it only once fully replayed, and an insert or an eviction runs no
+    /// code that can fail. So a poisoned lock is recovered, not made
+    /// every later reader's panic.
+    fn hot_set(&self) -> MutexGuard<'_, HotSet> {
+        self.hot.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Where the tier's bytes live on disk, one row per attached segment.
@@ -337,7 +346,7 @@ impl Tier {
         if id.index() >= self.segs.len() {
             return None;
         }
-        let hot = self.hot.lock().expect("tier hot set poisoned");
+        let hot = self.hot_set();
         Some(if hot.map.contains_key(&id.0) {
             Residency::Hot
         } else {
@@ -348,7 +357,7 @@ impl Tier {
     /// The residency counters.
     pub(crate) fn stats(&self) -> TierStats {
         let limit = self.segs.len();
-        let hot = self.hot.lock().expect("tier hot set poisoned");
+        let hot = self.hot_set();
         TierStats {
             snapshots: limit,
             // A listing describes one world: later live epochs' hot
@@ -547,7 +556,7 @@ impl Tier {
         if id as usize >= self.segs.len() {
             return None;
         }
-        self.hot.lock().expect("tier hot set poisoned").get(id)
+        self.hot_set().get(id)
     }
 
     /// The snapshot behind `id`, hydrating it (and its delta chain back
@@ -563,7 +572,7 @@ impl Tier {
         if id.index() >= self.segs.len() {
             return Err(QueryError::UnknownSnapshot(id));
         }
-        let mut hot = self.hot.lock().expect("tier hot set poisoned");
+        let mut hot = self.hot_set();
         if let Some(snap) = hot.get(id.0) {
             return Ok(snap);
         }
@@ -753,6 +762,62 @@ mod tests {
             }
             other => panic!("wanted Corrupt, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A panic with the hot-set lock held — a hydration that panicked —
+    /// poisons it, and every later tiered query still renders what it
+    /// rendered before: `sa @0` (hydrated) and `route @1` (replayed onto
+    /// it at hot cap 1, evicting it, so asking `sa @0` again hydrates
+    /// under the poisoned lock).
+    #[test]
+    fn a_poisoned_hot_set_keeps_answering() {
+        use bgp_sim::churn::simulate_series;
+        use bgp_sim::ChurnConfig;
+
+        use crate::proto::{render_response, Query, Scope};
+
+        let exp = Experiment::standard(InternetSize::Tiny, 7);
+        let cfg = ChurnConfig {
+            steps: 3,
+            ..ChurnConfig::daily(7)
+        };
+        let series = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg);
+        let mut engine = QueryEngine::default();
+        engine.ingest_series_incremental(&series, &exp.inferred_graph);
+        let dir = std::env::temp_dir().join(format!("rpi-tier-poison-{}", std::process::id()));
+        engine.save_archive(&dir, true).expect("save");
+        let tiered = QueryEngine::load_archive_tiered(&dir, 1).expect("attach");
+        assert_eq!(
+            tiered.segment_meta(SnapshotId(1)).unwrap().kind,
+            SegmentKind::Delta
+        );
+
+        let (vantage, _) = tiered.vantages_in(SnapshotId(0))[0];
+        let owner = engine.interner.lookup_asn(vantage).unwrap();
+        let prefix = engine.snapshots[0].table_prefixes(owner).next().unwrap();
+        let reqs = [
+            Query::SaStatus { vantage, prefix }.at(Scope::Id(SnapshotId(0))),
+            Query::Route { vantage, prefix }.at(Scope::Id(SnapshotId(1))),
+        ];
+        let answers = || -> Vec<String> {
+            (reqs.iter())
+                .map(|req| render_response(req, &tiered.execute(req).expect("answers")))
+                .collect()
+        };
+        let before = answers();
+
+        let tier = tiered.tier.as_ref().expect("tier-attached");
+        let held = Arc::clone(&tier.hot);
+        std::thread::spawn(move || {
+            let _guard = held.lock();
+            panic!("a hydration panics with the hot set held");
+        })
+        .join()
+        .expect_err("the thread panicked");
+        assert!(tier.hot.is_poisoned());
+        assert_eq!(answers(), before);
+        assert_eq!(tiered.residency(SnapshotId(1)), Some(Residency::Hot));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -649,6 +649,24 @@ fn stale_manifest_version_is_typed() {
         other => panic!("wanted Version, got {other:?}"),
     }
 
+    // A format-v3 manifest: the same rows under version 3, whose full
+    // segments stored SA caches, neighbour counts and per-vantage body
+    // headers. Both loaders refuse it on the version field alone.
+    let mut v3 = manifest.clone();
+    v3.version = 3;
+    std::fs::write(dir.join(MANIFEST_FILE), v3.to_bytes()).unwrap();
+    for (name, load) in LOADERS {
+        let err = load(&dir).expect_err("a v3 manifest must not load");
+        let is_v3 = matches!(
+            err,
+            StoreError::Version {
+                found: 3,
+                supported: FORMAT_VERSION
+            }
+        );
+        assert!(is_v3, "{name}: {err}");
+    }
+
     // A format-v2 manifest, byte-exact: version 2 and the per-vantage
     // trie count (8) that v2 carried between the version and the segment
     // count. Both loaders refuse it on the version field alone, and the
@@ -679,7 +697,7 @@ fn stale_manifest_version_is_typed() {
     assert_eq!(
         String::from_utf8_lossy(&out.stderr),
         "rpi-queryd: --archive: unsupported archive format version 2 \
-         (this build reads version 3 only)\n"
+         (this build reads version 4 only)\n"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -828,70 +846,6 @@ fn an_empty_delta_path_is_corrupt_not_a_panic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A full segment must name each vantage's SA cache once. Naming one
-/// owner twice (and so another not at all) used to decode into a
-/// snapshot where `sa` called a vantage with a table unknown, and whose
-/// next delta replay panicked on the missing cache.
-#[test]
-fn a_repeated_sa_cache_owner_is_corrupt() {
-    let (dir, manifest) = keyframed_archive("sa-owners");
-    // A keyframe past snapshot 0, so the snapshots before it still load.
-    let (id, (idx, entry)) = manifest
-        .snapshot_segments()
-        .enumerate()
-        .skip(1)
-        .find(|(_, (_, e))| e.kind == SegmentKind::Full)
-        .expect("a second keyframe");
-    let seg = std::fs::read(dir.join(&entry.file)).unwrap();
-    // The SA section starts where the last vantage trie ends, which the
-    // trailing directory says: n (sym kind:u8 route_count start len)*.
-    let footer = seg.len() - 12;
-    let dir_offset = u64::from_be_bytes(seg[footer..footer + 8].try_into().unwrap()) as usize;
-    let mut r = Reader::new(&seg[dir_offset..footer]);
-    let mut sa_start = 0;
-    for _ in 0..r.uvarint().unwrap() {
-        r.uvarint().unwrap();
-        r.u8().unwrap();
-        r.uvarint().unwrap();
-        let (start, len) = (r.uvarint().unwrap(), r.uvarint().unwrap());
-        sa_start = sa_start.max((start + len) as usize);
-    }
-    // n_sa, then owner customer_prefixes (n (prefix origin)*){2} per cache.
-    let mut r = Reader::with_base(&seg[sa_start..], sa_start);
-    assert!(r.uvarint().unwrap() >= 2, "two SA caches");
-    let first = r.position()..{
-        r.uvarint().unwrap();
-        r.position()
-    };
-    r.uvarint().unwrap();
-    for _ in 0..2 {
-        for _ in 0..2 * r.uvarint().unwrap() {
-            r.uvarint().unwrap();
-        }
-    }
-    let second_at = r.position();
-    let second = second_at..{
-        r.uvarint().unwrap();
-        r.position()
-    };
-    let mut bytes = seg.clone();
-    bytes.splice(second.clone(), seg[first.clone()].iter().copied());
-    // Keep the footer pointing at the directory if the varints differ.
-    let moved = dir_offset + first.len() - second.len();
-    let footer = bytes.len() - 12;
-    bytes[footer..footer + 8].copy_from_slice(&(moved as u64).to_be_bytes());
-    reseal(&dir, &manifest, idx, &bytes);
-    assert_typed_on_both_paths(
-        &dir,
-        &manifest,
-        idx,
-        id as u32,
-        1,
-        "SA cache owners out of order",
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Same gate for the roa segment: a checksum-valid payload whose ROA
 /// count overruns the data must fail as `Corrupt` naming that segment —
 /// never a partially applied ROA table.
@@ -929,18 +883,28 @@ fn roa_semantic_corruption_names_the_segment() {
 #[test]
 fn crafted_counts_and_lengths_are_typed_errors() {
     let (dir, manifest) = saved_archive("crafted");
-    let fails = |what: &str, expect: &str| {
+    // `file`: the segment a `Corrupt` error must name (manifest faults
+    // name none).
+    let fails = |what: &str, expect: &str, file: Option<&str>| {
         for (name, load) in LOADERS {
             match load(&dir) {
-                Err(e) => assert!(e.to_string().contains(expect), "{what}, {name}: {e}"),
+                Err(e) => {
+                    assert!(e.to_string().contains(expect), "{what}, {name}: {e}");
+                    if let Some(file) = file {
+                        let named = matches!(&e, StoreError::Corrupt { segment, .. } if segment.file == file);
+                        assert!(named, "{what}, {name}: {e}");
+                    }
+                }
                 // The tiered attach trusts a checksummed directory for
                 // what only the body can contradict; decoding the body
                 // (the first hydration) is where that surfaces.
                 Ok(engine) => {
                     assert_eq!(name, "tiered", "{what}: hydrated load succeeded");
                     let req = Query::PolicySummary { asn: Asn(1) }.at(Scope::Id(SnapshotId(0)));
-                    let err = engine.execute(&req).expect_err(what).to_string();
-                    assert!(err.contains(expect), "{what}, hydration: {err}");
+                    let err = engine.execute(&req).expect_err(what);
+                    assert!(err.to_string().contains(expect), "{what}, hydration: {err}");
+                    let named = matches!(&err, QueryError::Corrupt { file: f, .. } if Some(f.as_str()) == file);
+                    assert!(named, "{what}, hydration: {err}");
                 }
             }
         }
@@ -967,7 +931,7 @@ fn crafted_counts_and_lengths_are_typed_errors() {
         bytes[at..at + width].fill(0xFF);
         bytes.extend_from_slice(&rpi_store::crc32(&bytes).to_be_bytes());
         std::fs::write(dir.join(MANIFEST_FILE), &bytes).unwrap();
-        fails(what, expect);
+        fails(what, expect, None);
     }
 
     // --- the first full segment's directory and footer ---
@@ -989,6 +953,28 @@ fn crafted_counts_and_lengths_are_typed_errors() {
             fields.push(dir_offset + start..dir_offset + r.position());
         }
     }
+    // Every entry's span fields (byte ranges of its start and len).
+    let mut spans = vec![(fields[3].clone(), fields[4].clone())];
+    while !r.is_exhausted() {
+        r.uvarint().unwrap(); // sym
+        r.u8().unwrap(); // kind
+        r.uvarint().unwrap(); // route count
+        let mut field = || {
+            let at = r.position();
+            r.uvarint().unwrap();
+            dir_offset + at..dir_offset + r.position()
+        };
+        spans.push((field(), field()));
+    }
+    assert!(spans.len() >= 2, "two vantage tries");
+    let value = |range: &std::ops::Range<usize>| {
+        Reader::new(&seg[range.clone()]).uvarint().unwrap() as usize
+    };
+    let varint = |v: usize| {
+        let mut out = Vec::new();
+        put_uvarint(&mut out, v as u64);
+        out
+    };
     let mut max = Vec::new();
     put_uvarint(&mut max, u64::MAX);
     let splice = |range: std::ops::Range<usize>, with: &[u8]| {
@@ -996,7 +982,34 @@ fn crafted_counts_and_lengths_are_typed_errors() {
         bytes.splice(range, with.iter().copied());
         bytes
     };
+    let (first_start, second_start) = (&spans[0].0, &spans[1].0);
+    // The last span one byte longer, over a byte slipped in between its
+    // trie and the LG analyses; the footer follows the directory.
+    let gap = {
+        let (last_start, last_len) = spans.last().unwrap();
+        let mut bytes = splice(last_len.clone(), &varint(value(last_len) + 1));
+        bytes.insert(value(last_start) + value(last_len), 0);
+        let footer = bytes.len() - 12;
+        bytes[footer..footer + 8].copy_from_slice(&(dir_offset as u64 + 1).to_be_bytes());
+        bytes
+    };
     let cases = [
+        // v4's body is the tries back to back: the directory must tile it.
+        (
+            "directory span moved by one byte",
+            splice(first_start.clone(), &varint(value(first_start) + 1)),
+            "directory spans do not tile the segment body",
+        ),
+        (
+            "two overlapping spans",
+            splice(second_start.clone(), &varint(value(first_start))),
+            "directory spans do not tile the segment body",
+        ),
+        (
+            "a gap before the LG analyses",
+            gap,
+            "vantage trie does not fill its directory span",
+        ),
         // Over-reads into the footer: which check trips is incidental.
         (
             "directory entry count",
@@ -1006,7 +1019,7 @@ fn crafted_counts_and_lengths_are_typed_errors() {
         (
             "directory route count",
             splice(fields[2].clone(), &max),
-            "directory disagrees with segment body",
+            "route count disagrees with trie contents",
         ),
         (
             "directory span start",
@@ -1035,7 +1048,7 @@ fn crafted_counts_and_lengths_are_typed_errors() {
         fixed.segments[1].bytes = bytes.len() as u64;
         fixed.segments[1].crc32 = rpi_store::crc32(&bytes);
         fixed.write(&dir, true).unwrap();
-        fails(what, expect);
+        fails(what, expect, Some(&manifest.segments[1].file));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

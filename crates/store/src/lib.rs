@@ -7,7 +7,7 @@
 //! archive/
 //!   MANIFEST        magic, version, segment table (+ CRC)
 //!   symbols.seg     the append-only symbol table, one block per snapshot
-//!   snap-0000.seg   full:  one flattened trie per vantage + SA caches + relationships
+//!   snap-0000.seg   full:  flattened vantage tries + relationships + LG analyses
 //!   snap-0001.seg   delta: structured churn events over snap-0000
 //!   …
 //! ```
