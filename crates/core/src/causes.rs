@@ -15,10 +15,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bgp_sim::CollectorView;
-use bgp_types::{Asn, CowTrie, Ipv4Prefix, Relationship};
-use net_topology::{customer_path, AsGraph};
-
-use net_topology::CustomerCone;
+use bgp_types::{Asn, CowTrie, Ipv4Prefix};
+use net_topology::{customer_path, AsGraph, CustomerCone, Relations};
 
 use crate::export_policy::SaReport;
 use crate::view::BestTable;
@@ -75,36 +73,22 @@ pub fn causes(
     // Index the provider's table for covering/covered queries.
     let trie: CowTrie<&crate::view::BestRow> = table.rows.iter().map(|(&p, r)| (p, r)).collect();
 
-    let is_customer_route = |next_hop: Asn| {
-        matches!(
-            oracle.rel(table.asn, next_hop),
-            Some(Relationship::Customer) | Some(Relationship::Sibling)
-        )
-    };
-
-    // Case-3 bookkeeping per responsible customer.
-    let mut customer_seen: BTreeMap<Asn, bool> = BTreeMap::new(); // → exporting?
-                                                                  // The providers that matter for Case 3 are the ones on *this*
-                                                                  // provider's side of the hierarchy: u itself or members of u's cone.
-                                                                  // A customer exporting to a provider outside the cone is precisely
-                                                                  // what makes the prefix SA here.
+    // Case-3 bookkeeping: responsible customer → seen exporting? The
+    // providers that matter for Case 3 are the ones on *this* provider's
+    // side of the hierarchy: u itself or members of u's cone. A customer
+    // exporting to a provider outside the cone is precisely what makes
+    // the prefix SA here.
+    let mut customer_seen: BTreeMap<Asn, bool> = BTreeMap::new();
     let u_cone = CustomerCone::build(oracle, table.asn);
 
     for &prefix in &report.sa {
         let row = &table.rows[&prefix];
         let origin = row.origin();
 
-        // ---- Case 1: splitting ----
-        let mut split = false;
-        for (q, other) in trie.covering(prefix).chain(trie.covered(prefix)) {
-            if q == prefix {
-                continue;
-            }
-            if other.origin() == origin && is_customer_route(other.next_hop) {
-                split = true;
-                break;
-            }
-        }
+        // ---- Case 1: splitting (a companion on a customer route) ----
+        let split = (trie.covering(prefix).chain(trie.covered(prefix))).any(|(q, other)| {
+            q != prefix && other.origin() == origin && oracle.is_down(table.asn, other.next_hop)
+        });
         if split {
             out.splitting += 1;
         }
@@ -186,8 +170,8 @@ mod tests {
     use crate::export_policy::sa_prefixes;
     use crate::view::BestRow;
     use bgp_sim::CollectorRow;
+    use bgp_types::Relationship::*;
     use net_topology::NodeInfo;
-    use Relationship::*;
 
     fn fig3_oracle() -> AsGraph {
         let mut g = AsGraph::new();

@@ -10,11 +10,15 @@
 //! * Phase 3 ("is the best route's next hop a customer?") consults the
 //!   relationship oracle — which may be the Gao-inferred graph, exactly as
 //!   in the paper, or the true graph for calibration.
+//!
+//! The per-route verdict, [`sa_verdict`], is written once over any
+//! [`Relations`] oracle: [`sa_prefixes`] asks it with an eager cone, the
+//! query engine with its interned oracle's lazy ones.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bgp_types::{Asn, Ipv4Prefix, Relationship};
-use net_topology::{AsGraph, CustomerCone};
+use bgp_types::{Asn, Ipv4Prefix};
+use net_topology::{AsGraph, CustomerCone, Relations};
 
 use crate::view::BestTable;
 
@@ -82,6 +86,37 @@ impl SaReport {
     }
 }
 
+/// Where Fig. 4 files a customer-originated route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SaVerdict {
+    /// Reached over a non-customer link: selectively announced.
+    Sa,
+    /// Reached over a customer or sibling link.
+    Exported,
+}
+
+/// Fig. 4 (§5.1) on one route of `provider`'s table, learned from
+/// `next_hop` and originated by `origin`: `None` unless the origin is a
+/// customer — `in_cone(origin)` (Phase 2) and not the provider itself;
+/// otherwise [`SaVerdict::Exported`] when the next hop is below the
+/// provider ([`Relations::is_down`], Phase 3), else [`SaVerdict::Sa`].
+pub fn sa_verdict<R: Relations>(
+    oracle: &R,
+    provider: R::As,
+    next_hop: R::As,
+    origin: R::As,
+    in_cone: impl FnOnce(R::As) -> bool,
+) -> Option<SaVerdict> {
+    if origin == provider || !in_cone(origin) {
+        return None;
+    }
+    Some(if oracle.is_down(provider, next_hop) {
+        SaVerdict::Exported
+    } else {
+        SaVerdict::Sa
+    })
+}
+
 /// Runs Fig. 4 over a provider's best-route table.
 pub fn sa_prefixes(table: &BestTable, oracle: &AsGraph) -> SaReport {
     let cone = CustomerCone::build(oracle, table.asn);
@@ -91,17 +126,14 @@ pub fn sa_prefixes(table: &BestTable, oracle: &AsGraph) -> SaReport {
     };
     for (&prefix, row) in &table.rows {
         let origin = row.origin();
-        if origin == table.asn || !cone.contains(origin) {
+        let in_cone = |o| cone.contains(o);
+        let Some(verdict) = sa_verdict(oracle, table.asn, row.next_hop, origin, in_cone) else {
             continue;
-        }
+        };
         report.customer_prefixes += 1;
         let entry = report.per_origin.entry(origin).or_insert((0, 0));
         entry.0 += 1;
-        let via_customer = matches!(
-            oracle.rel(table.asn, row.next_hop),
-            Some(Relationship::Customer) | Some(Relationship::Sibling)
-        );
-        if !via_customer {
+        if verdict == SaVerdict::Sa {
             report.sa.insert(prefix);
             report.sa_origin.insert(prefix, origin);
             entry.1 += 1;
@@ -132,16 +164,14 @@ pub fn common_customer_sa(
 ) -> Vec<CustomerSaRow> {
     assert!(!tables.is_empty());
     let reports: Vec<SaReport> = tables.iter().map(|t| sa_prefixes(t, oracle)).collect();
-    let cones: Vec<CustomerCone> = tables
-        .iter()
-        .map(|t| CustomerCone::build(oracle, t.asn))
-        .collect();
 
     // Customers of ALL providers.
-    let mut common: BTreeSet<Asn> = cones[0].members().collect();
-    for cone in &cones[1..] {
-        let members: BTreeSet<Asn> = cone.members().collect();
-        common = common.intersection(&members).copied().collect();
+    let mut common: BTreeSet<Asn> = CustomerCone::build(oracle, tables[0].asn)
+        .members()
+        .collect();
+    for t in &tables[1..] {
+        let cone = CustomerCone::build(oracle, t.asn);
+        common.retain(|&a| cone.contains(a));
     }
 
     let mut rows = Vec::new();
@@ -188,8 +218,8 @@ pub fn homing_split(report: &SaReport, oracle: &AsGraph) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::view::BestRow;
+    use bgp_types::Relationship::*;
     use net_topology::NodeInfo;
-    use Relationship::*;
 
     /// Fig. 3 oracle: D(4) top; B(2), C(3) customers of D; E(5) peers D and
     /// provides C; A(1) customer of B and C.

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bgp_sim::CollectorView;
 use bgp_types::{Asn, Ipv4Prefix, Relationship};
-use net_topology::AsGraph;
+use net_topology::{AsGraph, Relations};
 
 use crate::export_policy::SaReport;
 use crate::view::BestTable;
@@ -64,19 +64,13 @@ pub fn active_customer_set(
     provider: Asn,
 ) -> BTreeSet<Asn> {
     let mut active = BTreeSet::new();
-    let is_down = |a: Asn, b: Asn| {
-        matches!(
-            oracle.rel(a, b),
-            Some(Relationship::Customer) | Some(Relationship::Sibling)
-        )
-    };
     let mut scan = |path: &[Asn]| {
         for i in 0..path.len() {
             if path[i] != provider {
                 continue;
             }
             let mut j = i;
-            while j + 1 < path.len() && is_down(path[j], path[j + 1]) {
+            while j + 1 < path.len() && oracle.is_down(path[j], path[j + 1]) {
                 j += 1;
                 active.insert(path[j]);
             }

@@ -5,8 +5,10 @@
 //!
 //! * [`AsGraph`] — the graph itself, with symmetric edge storage, validity
 //!   checking (provider-cycle freedom), and prefix ownership records.
-//! * [`paths`] — customer-path DFS (Fig. 4 Phase 2), customer cones,
-//!   valley-free path classification.
+//! * [`Relations`] — the relationship-oracle trait [`AsGraph`] implements,
+//!   and [`paths`] — the walks written once over it: the downhill DFS
+//!   behind customer paths and customer cones (Fig. 4 Phase 2) and the
+//!   valley-free walk behind path classification (§2.2.2).
 //! * [`tier`] — hierarchy classification in the spirit of Subramanian et
 //!   al. \[8\], used to label ASes Tier-1/2/3 as the paper does.
 //! * [`gen`] — a seeded hierarchical Internet generator that substitutes
@@ -26,5 +28,5 @@ pub mod tier;
 
 pub use gen::{InternetConfig, InternetSize};
 pub use graph::{AsGraph, GraphError, NodeInfo, PrefixRecord, Region};
-pub use paths::{classify_path, customer_path, CustomerCone, HopKind, PathClass};
+pub use paths::{classify_path, customer_path, CustomerCone, PathClass, Relations};
 pub use tier::TierMap;

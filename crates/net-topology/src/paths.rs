@@ -1,11 +1,76 @@
-//! Path algorithms on the annotated graph: customer-path search (the
-//! paper's Fig. 4 Phase 2), customer cones, and valley-free classification.
+//! Path algorithms, each written once over any relationship oracle
+//! ([`Relations`]): the downhill walk behind customer paths and cones
+//! (Fig. 4 Phase 2) and the valley-free walk (§2.2.2).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 
 use bgp_types::{Asn, Relationship};
 
 use crate::graph::AsGraph;
+
+/// A relationship oracle: which ASes are adjacent, and as what. Every
+/// implementation keeps the contract the walks rely on: `rel(b, a) ==
+/// rel(a, b).map(Relationship::inverse)` for every pair, and no AS is
+/// its own neighbour.
+pub trait Relations {
+    /// An AS, as this oracle names it.
+    type As: Copy + Eq;
+
+    /// What `b` is to `a` ("b is a's …"), if the two are adjacent.
+    fn rel(&self, a: Self::As, b: Self::As) -> Option<Relationship>;
+
+    /// `a`'s neighbours and what each is to `a`, in ascending id order
+    /// (none for an AS the oracle does not know).
+    fn neighbors(&self, a: Self::As) -> impl Iterator<Item = (Self::As, Relationship)> + '_;
+
+    /// Is `b` below `a` — its customer or its sibling? A route learned
+    /// from such a `b` is a customer route, and the walk down crosses it.
+    fn is_down(&self, a: Self::As, b: Self::As) -> bool {
+        matches!(
+            self.rel(a, b),
+            Some(Relationship::Customer | Relationship::Sibling)
+        )
+    }
+}
+
+impl Relations for AsGraph {
+    type As = Asn;
+
+    fn rel(&self, a: Asn, b: Asn) -> Option<Relationship> {
+        AsGraph::rel(self, a, b)
+    }
+
+    fn neighbors(&self, a: Asn) -> impl Iterator<Item = (Asn, Relationship)> + '_ {
+        AsGraph::neighbors(self, a)
+    }
+}
+
+/// The downhill walk: depth-first from `root` over [`Relations::is_down`]
+/// links, explicit stack, rows in ascending id order. `visit(u, v)` sees
+/// each link `u → v` but those back into `root` (never its own
+/// descendant) and keeps the visited set, marking `v` when first reached:
+/// `Continue(true)` walks on below `v`, `Continue(false)` skips it,
+/// `Break` ends the walk.
+pub fn walk_down<R: Relations>(
+    g: &R,
+    root: R::As,
+    mut visit: impl FnMut(R::As, R::As) -> ControlFlow<(), bool>,
+) {
+    let mut stack = vec![root];
+    while let Some(u) = stack.pop() {
+        for (v, _) in g.neighbors(u) {
+            if v == root || !g.is_down(u, v) {
+                continue;
+            }
+            match visit(u, v) {
+                ControlFlow::Continue(true) => stack.push(v),
+                ControlFlow::Continue(false) => {}
+                ControlFlow::Break(()) => return,
+            }
+        }
+    }
+}
 
 /// Finds a *customer path* from `provider` down to `target`: a path whose
 /// every hop is provider→customer (sibling hops also allowed, since a
@@ -14,43 +79,33 @@ use crate::graph::AsGraph;
 ///
 /// This is the modified DFS of Fig. 4 Phase 2 ("paths should obey export
 /// rules … from the direction of provider down to customer, each pair of
-/// ASs in the path should have provider-to-customer relationship").
-/// Deterministic: neighbors are explored in ascending ASN order.
+/// ASs in the path should have provider-to-customer relationship"):
+/// [`walk_down`], stopped at `target`. Deterministic: neighbors are
+/// explored in ascending ASN order.
 pub fn customer_path(g: &AsGraph, provider: Asn, target: Asn) -> Option<Vec<Asn>> {
     if !g.contains(provider) || !g.contains(target) {
         return None;
     }
-    if provider == target {
-        return Some(vec![provider]);
-    }
-    // Iterative DFS with explicit stack; `parent` doubles as the visited set.
+    // `parent` doubles as the visited set.
     let mut parent: BTreeMap<Asn, Asn> = BTreeMap::new();
-    let mut stack = vec![provider];
-    parent.insert(provider, provider);
-    while let Some(u) = stack.pop() {
-        for (v, r) in g.neighbors(u) {
-            if !matches!(r, Relationship::Customer | Relationship::Sibling) {
-                continue;
-            }
-            if parent.contains_key(&v) {
-                continue;
-            }
-            parent.insert(v, u);
-            if v == target {
-                // Reconstruct.
-                let mut path = vec![v];
-                let mut cur = v;
-                while cur != provider {
-                    cur = parent[&cur];
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path);
-            }
-            stack.push(v);
+    walk_down(g, provider, |u, v| {
+        if parent.contains_key(&v) {
+            return ControlFlow::Continue(false);
         }
+        parent.insert(v, u);
+        if v == target {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(true)
+        }
+    });
+    let (mut path, mut cur) = (vec![target], target);
+    while cur != provider {
+        cur = *parent.get(&cur)?;
+        path.push(cur);
     }
-    None
+    path.reverse();
+    Some(path)
 }
 
 /// The transitive customer cone of an AS: every AS reachable by walking
@@ -62,30 +117,15 @@ pub fn customer_path(g: &AsGraph, provider: Asn, target: Asn) -> Option<Vec<Asn>
 /// what makes Table 5 affordable.
 #[derive(Debug, Clone)]
 pub struct CustomerCone {
-    root: Asn,
     members: BTreeSet<Asn>,
 }
 
 impl CustomerCone {
-    /// BFS from `root` over customer/sibling edges.
+    /// Collects [`walk_down`] from `root`.
     pub fn build(g: &AsGraph, root: Asn) -> Self {
         let mut members = BTreeSet::new();
-        let mut queue = VecDeque::from([root]);
-        let mut seen = BTreeSet::from([root]);
-        while let Some(u) = queue.pop_front() {
-            for (v, r) in g.neighbors(u) {
-                if matches!(r, Relationship::Customer | Relationship::Sibling) && seen.insert(v) {
-                    members.insert(v);
-                    queue.push_back(v);
-                }
-            }
-        }
-        CustomerCone { root, members }
-    }
-
-    /// The cone's root AS.
-    pub fn root(&self) -> Asn {
-        self.root
+        walk_down(g, root, |_, v| ControlFlow::Continue(members.insert(v)));
+        CustomerCone { members }
     }
 
     /// Is `asn` a direct or indirect customer of the root?
@@ -104,20 +144,45 @@ impl CustomerCone {
     }
 }
 
-/// Direction of one AS-path hop relative to the hierarchy, reading the path
-/// **origin→speaker** (the direction the announcement traveled).
+/// How [`valley_walk`] judged a path.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum HopKind {
-    /// customer → provider (announcement exported to a provider).
-    Up,
-    /// across a peering link.
-    Flat,
-    /// provider → customer (announcement exported to a customer).
-    Down,
-    /// across a sibling link.
-    Sibling,
-    /// the two ASes are not adjacent in the graph.
-    Unknown,
+pub enum Valley<A> {
+    /// Uphill*, at most one peer link, downhill*.
+    Free,
+    /// This AS sent the route up or across after the path's peak.
+    Leaker(A),
+    /// Two consecutive ASes are not adjacent in the oracle.
+    Incomplete,
+}
+
+/// The valley-free walk, §2.2.2's export rules over `hops`, `(from, to)`
+/// in the direction the announcement travelled: climb, cross at most one
+/// peer link, then only descend; sibling hops never change phase. The
+/// first hop that breaks the rule or joins non-adjacent ASes decides.
+pub fn valley_walk<R: Relations>(
+    g: &R,
+    hops: impl IntoIterator<Item = (R::As, R::As)>,
+) -> Valley<R::As> {
+    #[derive(Clone, Copy)]
+    enum Phase {
+        Climb,
+        Peered,
+        Descend,
+    }
+    use Relationship::{Customer, Peer, Provider, Sibling};
+    let mut phase = Phase::Climb;
+    for (from, to) in hops {
+        phase = match (phase, g.rel(from, to)) {
+            (_, None) => return Valley::Incomplete,
+            (_, Some(Sibling)) => phase,
+            (_, Some(Customer)) => Phase::Descend,
+            (Phase::Climb, Some(Provider)) => Phase::Climb,
+            (Phase::Climb, Some(Peer)) => Phase::Peered,
+            // Any up/flat hop after the peak: `from` leaked the route.
+            (Phase::Peered | Phase::Descend, Some(Provider | Peer)) => return Valley::Leaker(from),
+        };
+    }
+    Valley::Free
 }
 
 /// Valley-freedom verdict for a whole path.
@@ -132,42 +197,14 @@ pub enum PathClass {
 }
 
 /// Classifies a path given **speaker-first** order (as [`bgp_types::AsPath`]
-/// stores it): internally reversed to origin→speaker before the walk.
-///
-/// Sibling hops are neutral: they never change phase.
+/// stores it): [`valley_walk`] over its hops from the origin on.
 pub fn classify_path(g: &AsGraph, speaker_first: &[Asn]) -> PathClass {
-    // Reverse: origin first.
-    let path: Vec<Asn> = speaker_first.iter().rev().copied().collect();
-    #[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy)]
-    enum Phase {
-        Climb,
-        Peered,
-        Descend,
+    let origin_first = speaker_first.windows(2).rev().map(|w| (w[1], w[0]));
+    match valley_walk(g, origin_first) {
+        Valley::Free => PathClass::ValleyFree,
+        Valley::Leaker(_) => PathClass::Valley,
+        Valley::Incomplete => PathClass::Incomplete,
     }
-    let mut phase = Phase::Climb;
-    for w in path.windows(2) {
-        let (from, to) = (w[0], w[1]);
-        let hop = match g.rel(from, to) {
-            Some(Relationship::Provider) => HopKind::Up,
-            Some(Relationship::Peer) => HopKind::Flat,
-            Some(Relationship::Customer) => HopKind::Down,
-            Some(Relationship::Sibling) => HopKind::Sibling,
-            None => return PathClass::Incomplete,
-        };
-        phase = match (phase, hop) {
-            (_, HopKind::Sibling) => phase,
-            (Phase::Climb, HopKind::Up) => Phase::Climb,
-            (Phase::Climb, HopKind::Flat) => Phase::Peered,
-            (Phase::Climb, HopKind::Down) => Phase::Descend,
-            (Phase::Peered, HopKind::Down) => Phase::Descend,
-            (Phase::Descend, HopKind::Down) => Phase::Descend,
-            // Any up/flat hop after the peak is a valley.
-            (Phase::Peered, HopKind::Up | HopKind::Flat)
-            | (Phase::Descend, HopKind::Up | HopKind::Flat) => return PathClass::Valley,
-            (_, HopKind::Unknown) => unreachable!("mapped above"),
-        };
-    }
-    PathClass::ValleyFree
 }
 
 #[cfg(test)]
@@ -281,6 +318,27 @@ mod tests {
         assert_eq!(
             classify_path(&g, &[Asn(7), Asn(5), Asn(4)]),
             PathClass::Valley
+        );
+    }
+
+    /// A sibling hop is no step of its own: a climb may go on after one,
+    /// and a descent may end in one.
+    #[test]
+    fn sibling_hops_neither_climb_nor_descend() {
+        let mut g = fig3_graph();
+        g.add_as(Asn(8), NodeInfo::default());
+        g.add_edge(Asn(2), Asn(8), Relationship::Sibling).unwrap();
+        g.add_edge(Asn(4), Asn(8), Relationship::Customer).unwrap();
+        // Speaker-first: 4 8 2 1 — origin 1 climbs to 2, crosses to its
+        // sibling 8, and climbs on to 8's provider 4.
+        assert_eq!(
+            classify_path(&g, &[Asn(4), Asn(8), Asn(2), Asn(1)]),
+            PathClass::ValleyFree
+        );
+        // Speaker-first: 8 2 4 — origin 4 descends to 2, then to 2's sibling.
+        assert_eq!(
+            classify_path(&g, &[Asn(8), Asn(2), Asn(4)]),
+            PathClass::ValleyFree
         );
     }
 

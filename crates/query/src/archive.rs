@@ -75,6 +75,7 @@ use bgp_types::codec::{
 };
 use bgp_types::intern::Symbol;
 use bgp_types::{flat, Asn, Community, CowTrie, Relationship};
+use net_topology::Relations;
 use rpi_sec::{Roa, RoaTable};
 use rpi_store::{
     read_segment, write_segment, Manifest, SegmentEntry, SegmentKind, SegmentRef, StoreError,
@@ -634,6 +635,32 @@ fn read_directory(raw: &[u8], n_asns: usize) -> Result<(VantageDir, usize), Code
     Ok((dir, dir_offset))
 }
 
+/// Reads a full segment's relationship section — `n (a b rel)*` — into
+/// an oracle an `AsGraph` could hold: the one oracle built from untrusted
+/// bytes is held to the [`Relations`] contract, so a self-loop, a one-way
+/// edge or a disagreeing inverse is an error at the edge's offset.
+fn read_oracle(r: &mut Reader<'_>, n_asns: usize) -> Result<Oracle, CodecError> {
+    let n = r.ulen()?;
+    let mut edges = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        let offset = r.position();
+        let a = AsnSym(read_sym(r, n_asns, "relationship symbol")?);
+        let b = AsnSym(read_sym(r, n_asns, "relationship symbol")?);
+        edges.push((a, b, r.relationship()?, offset));
+    }
+    let oracle = Oracle::new(edges.iter().map(|&(a, b, rel, _)| (a, b, rel)).collect());
+    for (a, b, _, offset) in edges {
+        let what = match (oracle.rel(a, b), oracle.rel(b, a)) {
+            _ if a == b => "relationship self-loop",
+            (Some(ab), Some(ba)) if ba == ab.inverse() => continue,
+            (_, None) => "relationship without its inverse",
+            _ => "relationship disagrees with its inverse",
+        };
+        return Err(CodecError::Invalid { offset, what });
+    }
+    Ok(oracle)
+}
+
 fn decode_full(
     raw: &[u8],
     id: SnapshotId,
@@ -660,14 +687,7 @@ fn decode_full(
         })?;
         Arc::clone(&prev.oracle)
     } else {
-        let n = r.ulen()?;
-        let mut edges = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let a = AsnSym(read_sym(&mut r, n_asns, "relationship symbol")?);
-            let b = AsnSym(read_sym(&mut r, n_asns, "relationship symbol")?);
-            edges.push((a, b, r.relationship()?));
-        }
-        Arc::new(Oracle::new(edges))
+        Arc::new(read_oracle(&mut r, n_asns)?)
     };
     let mut snap = Snapshot::empty(id, label, oracle);
 

@@ -12,6 +12,7 @@
 //! snapshots that share no structure diff to the same answer.
 
 use bgp_types::{Asn, Ipv4Prefix, Relationship};
+use net_topology::Relations;
 
 use crate::intern::WorldInterner;
 use crate::snapshot::Snapshot;

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use bgp_sim::{output_delta, SimOutput, SnapshotSeries};
 use bgp_types::{Asn, CowTrie, Ipv4Prefix, Relationship};
 use bgp_wire::{TableDump, WireError};
-use net_topology::AsGraph;
+use net_topology::{AsGraph, Relations};
 use rpi_core::persistence::{classify_persistence, histogram_from_counts};
 use rpi_core::Experiment;
 use rpi_sec::{RoaTable, RovCache, RovCacheStats};

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use bgp_sim::{AttackKind, SimOutput};
 use bgp_types::{Asn, Ipv4Prefix};
-use net_topology::AsGraph;
+use net_topology::{AsGraph, Relations};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rpi_core::persistence::histogram_from_counts;

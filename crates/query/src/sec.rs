@@ -25,11 +25,12 @@
 //!   paths of one snapshot, naming the AS that forwarded a provider- or
 //!   peer-learned route back up. A **read**: every snapshot carries its
 //!   convictions per vantage ([`Snapshot::leaks`]), judged by
-//!   [`crate::snapshot::Oracle::leaker`] — [`net_topology::classify_path`]'s
-//!   phase machine at interned-symbol level — where its tables were built
-//!   (indexed, decoded, or patched from a delta, which re-judges only the
-//!   touched prefixes). `fold_scan.rs` holds the read to the per-request
-//!   scan it replaced.
+//!   [`crate::snapshot::Oracle::leaker`] — the workspace's one valley-free
+//!   walk ([`net_topology::paths::valley_walk`], which
+//!   [`net_topology::classify_path`] runs too) over the snapshot's oracle —
+//!   where its tables were built (indexed, decoded, or patched from a
+//!   delta, which re-judges only the touched prefixes). `fold_scan.rs`
+//!   holds the read to the per-request scan it replaced.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 

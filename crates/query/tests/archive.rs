@@ -880,6 +880,9 @@ fn roa_semantic_corruption_names_the_segment() {
 /// typed error on both load paths — never an abort. (Format v2's
 /// manifest carried a per-vantage trie count that went straight into
 /// `Vec::with_capacity`; that field is gone, this pins the rest.)
+/// An oracle section no writer could produce — a self-loop, an edge
+/// stored from one end only, an inverse that disagrees — is a typed
+/// error too: decoding holds it to the contract an `AsGraph` keeps.
 #[test]
 fn crafted_counts_and_lengths_are_typed_errors() {
     let (dir, manifest) = saved_archive("crafted");
@@ -993,6 +996,49 @@ fn crafted_counts_and_lengths_are_typed_errors() {
         bytes[footer..footer + 8].copy_from_slice(&(dir_offset as u64 + 1).to_be_bytes());
         bytes
     };
+    // The oracle section after the label and flags: n (a b rel)*, the
+    // symbols uvarints. Edges come in (a, b) order, so an edge with
+    // a < b is read before its inverse, and so before anything an edit
+    // to it could break further on.
+    let mut r = Reader::new(&seg);
+    r.str().unwrap();
+    assert_eq!(r.u8().unwrap() & 1, 0, "the first segment holds its edges");
+    let mut edges = Vec::new(); // (a, b, byte range of b, offset of rel)
+    for _ in 0..r.uvarint().unwrap() {
+        let a = r.uvarint().unwrap();
+        let b_at = r.position();
+        let b = r.uvarint().unwrap();
+        edges.push((a, b, b_at..r.position(), r.position()));
+        r.u8().unwrap();
+    }
+    let n_asns = edges.iter().map(|&(a, b, ..)| a.max(b)).max().unwrap() + 1;
+    let same_width = |x: u64, y: u64| varint(x as usize).len() == varint(y as usize).len();
+    let (a, b, b_at, rel_at) = (edges.iter())
+        .find(|&&(a, b, ..)| a < b && same_width(a, b))
+        .cloned()
+        .expect("an edge (a, b), a < b, of two equally wide symbols");
+    let stranger = (0..n_asns)
+        .find(|&c| c != a && same_width(c, b) && !edges.iter().any(|e| (e.0, e.1) == (a, c)))
+        .expect("an AS that is not a's neighbour");
+    let mut disagreeing = seg.clone();
+    disagreeing[rel_at] = (disagreeing[rel_at] + 1) % 4;
+    let oracle_cases = [
+        (
+            "an oracle self-loop",
+            splice(b_at.clone(), &varint(a as usize)),
+            "relationship self-loop",
+        ),
+        (
+            "a one-way oracle edge",
+            splice(b_at, &varint(stranger as usize)),
+            "relationship without its inverse",
+        ),
+        (
+            "an oracle edge whose inverse disagrees",
+            disagreeing,
+            "relationship disagrees with its inverse",
+        ),
+    ];
     let cases = [
         // v4's body is the tries back to back: the directory must tile it.
         (
@@ -1042,7 +1088,7 @@ fn crafted_counts_and_lengths_are_typed_errors() {
             "full-segment directory magic",
         ),
     ];
-    for (what, bytes, expect) in cases {
+    for (what, bytes, expect) in cases.into_iter().chain(oracle_cases) {
         std::fs::write(&seg_path, &bytes).unwrap();
         let mut fixed = manifest.clone();
         fixed.segments[1].bytes = bytes.len() as u64;
