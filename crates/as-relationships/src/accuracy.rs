@@ -12,6 +12,31 @@ use net_topology::AsGraph;
 
 use crate::gao::InferredRelationships;
 
+/// The link classes a report scores separately. [`AccuracyReport::confusion`]
+/// is keyed from the lower-ASN end, so one customer–provider link is
+/// `Customer` or `Provider` depending on which end has the lower ASN;
+/// both are [`LinkClass::Transit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinkClass {
+    /// Customer–provider (c2p) links.
+    Transit,
+    /// Settlement-free peering (p2p) links.
+    Peer,
+    /// Sibling (s2s) links.
+    Sibling,
+}
+
+impl LinkClass {
+    /// The class of a link annotated `rel` from either end.
+    fn of(rel: Relationship) -> LinkClass {
+        match rel {
+            Relationship::Customer | Relationship::Provider => LinkClass::Transit,
+            Relationship::Peer => LinkClass::Peer,
+            Relationship::Sibling => LinkClass::Sibling,
+        }
+    }
+}
+
 /// Confusion-matrix style accuracy report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AccuracyReport {
@@ -33,11 +58,37 @@ pub struct AccuracyReport {
 impl AccuracyReport {
     /// Fraction of compared pairs inferred correctly.
     pub fn accuracy(&self) -> f64 {
-        if self.compared == 0 {
-            0.0
-        } else {
-            self.correct as f64 / self.compared as f64
+        ratio(self.correct, self.compared)
+    }
+
+    /// Of the compared pairs inferred as `class`, the fraction whose true
+    /// relationship is exactly the inferred one (0 when none were).
+    pub fn precision(&self, class: LinkClass) -> f64 {
+        self.class_ratio(class, |_, inferred| inferred)
+    }
+
+    /// Of the compared pairs whose truth is `class`, the fraction inferred
+    /// exactly right (0 when there were none).
+    pub fn recall(&self, class: LinkClass) -> f64 {
+        self.class_ratio(class, |truth, _| truth)
+    }
+
+    /// Correct pairs over the pairs `side` puts in `class`.
+    fn class_ratio(
+        &self,
+        class: LinkClass,
+        side: fn(Relationship, Relationship) -> Relationship,
+    ) -> f64 {
+        let (mut hits, mut total) = (0usize, 0usize);
+        for (&(truth, inferred), &n) in &self.confusion {
+            if LinkClass::of(side(truth, inferred)) == class {
+                total += n;
+                if truth == inferred {
+                    hits += n;
+                }
+            }
         }
+        ratio(hits, total)
     }
 
     /// Computes the report for `inferred` against the annotated `truth`.
@@ -56,19 +107,23 @@ impl AccuracyReport {
             }
         }
         // Count true edges never classified.
-        let mut seen_edges = 0usize;
         for a in truth.ases() {
             for (b, _) in truth.neighbors(a) {
-                if a < b {
-                    seen_edges += 1;
-                    if inferred.rel(a, b).is_none() {
-                        rep.unobserved += 1;
-                    }
+                if a < b && inferred.rel(a, b).is_none() {
+                    rep.unobserved += 1;
                 }
             }
         }
-        let _ = seen_edges;
         rep
+    }
+}
+
+/// `num / den`, or 0 for an empty denominator.
+fn ratio(num: usize, den: usize) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -150,6 +205,25 @@ mod tests {
         assert_eq!(rep.correct, rep.compared, "confusion: {:?}", rep.confusion);
         assert!((rep.accuracy() - 1.0).abs() < 1e-9);
         assert_eq!(rep.unobserved, 0);
+    }
+
+    #[test]
+    fn class_scores_fold_both_transit_keys_and_count_reversals_wrong() {
+        let rep = AccuracyReport {
+            confusion: BTreeMap::from([
+                ((Customer, Customer), 3),
+                ((Provider, Provider), 1),
+                ((Provider, Customer), 1),
+                ((Peer, Peer), 2),
+                ((Peer, Provider), 1),
+            ]),
+            ..Default::default()
+        };
+        assert_eq!(rep.precision(LinkClass::Transit), 4.0 / 6.0);
+        assert_eq!(rep.recall(LinkClass::Transit), 4.0 / 5.0);
+        assert_eq!(rep.precision(LinkClass::Peer), 1.0);
+        assert_eq!(rep.recall(LinkClass::Peer), 2.0 / 3.0);
+        assert_eq!(rep.recall(LinkClass::Sibling), 0.0);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   bidirectional transit (Phase 3), and a peering phase driven by the
 //!   "never observed in the interior of a path" signal plus a degree-ratio
 //!   guard (Phase 4 / Algorithm 3 in spirit).
-//! * [`accuracy`] — confusion matrices against ground truth, including the
-//!   per-AS verification percentages the paper reports in Table 4.
+//! * [`accuracy`] — confusion matrices against ground truth, precision and
+//!   recall per link class, and the per-AS verification percentages the
+//!   paper reports in Table 4.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,5 +20,5 @@
 pub mod accuracy;
 pub mod gao;
 
-pub use accuracy::{per_as_agreement, AccuracyReport};
+pub use accuracy::{per_as_agreement, AccuracyReport, LinkClass};
 pub use gao::{infer, InferenceParams, InferredRelationships};

@@ -14,7 +14,6 @@
 //!   and the `ASN:value` tagging convention the paper's Appendix relies on.
 //! * [`Route`] / [`RouteAttrs`] — a RIB entry carrying every attribute the
 //!   BGP decision process consults.
-//! * [`decision`] — the 7-step best-route selection of §2.2.1 of the paper.
 //! * [`CowTrie`] — the copy-on-write binary trie: route tables that
 //!   share unchanged subtries across snapshots, longest-prefix match,
 //!   and the covered/covering queries of the cause analysis (Table 9).
@@ -33,7 +32,6 @@
 pub mod asn;
 pub mod codec;
 pub mod community;
-pub mod decision;
 pub mod error;
 pub mod flat;
 pub mod intern;
@@ -46,7 +44,6 @@ pub mod trie;
 pub use asn::Asn;
 pub use codec::CodecError;
 pub use community::Community;
-pub use decision::{best_route, compare_routes, DecisionStep};
 pub use error::ParseError;
 pub use flat::FlatTrie;
 pub use intern::{Interner, Symbol};

@@ -1,4 +1,4 @@
-//! A minimal safe wrapper over raw `epoll(7)` — like [`rpi-mmap`], one
+//! A minimal safe wrapper over raw `epoll(7)` — like `rpi-mmap`, one
 //! of the two audited `unsafe` crates in the workspace, kept tiny so
 //! `rpi-query` can stay `#![forbid(unsafe_code)]`.
 //!

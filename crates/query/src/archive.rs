@@ -26,10 +26,10 @@
 //!   [`decode_full`] requires its spans to tile the body. The oracle's
 //!   edges are elided when equal to the predecessor's (the snapshot then
 //!   loads holding the predecessor's `Arc<Oracle>`). Nothing derivable is
-//!   stored: decoding hands each route to the snapshot's
-//!   [`TableJudge`](crate::snapshot::TableJudge) as it enters its trie,
-//!   which derives the vantage's SA cache and leak convictions, and the
-//!   `summary` verb's neighbour counts are a tally of the oracle's rows.
+//!   stored: decoding hands each route to the snapshot's [`TableJudge`]
+//!   as it enters its trie, which derives the vantage's SA cache and
+//!   leak convictions, and the `summary` verb's neighbour counts are a
+//!   tally of the oracle's rows.
 //! * **delta segment** — one snapshot as the structured
 //!   [`OutputDelta`] events it was ingested from, plus the list of
 //!   vantages that disappeared and the recomputed analyses of

@@ -386,7 +386,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
     let mut opts = Options {
         seed: 2003,
         snapshots: 1,
-        window: 4,
+        window: rpi_query::LiveOptions::default().window,
         ..Options::default()
     };
     let mut given: Vec<&str> = Vec::new();
@@ -594,7 +594,9 @@ fn run() -> Result<ExitCode, String> {
                 } => {
                     let live = rpi_query::LiveOptions {
                         window: *window,
-                        keyframe_every: opts.keyframe_every.unwrap_or(4),
+                        keyframe_every: opts
+                            .keyframe_every
+                            .unwrap_or(rpi_query::LiveOptions::default().keyframe_every),
                     };
                     let handle = rpi_query::LiveHandle::new(engine);
                     let writer = follow(Arc::clone(&handle), path, spill, live, Arc::clone(&stop));

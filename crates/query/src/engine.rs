@@ -4,9 +4,8 @@
 //! engine's one entry point is the typed protocol of [`crate::proto`]:
 //! [`QueryEngine::execute`] runs a [`QueryRequest`] (a [`Query`] plus a
 //! snapshot [`crate::proto::Scope`]); [`QueryEngine::execute_batch`] runs many
-//! in request order, overlapping only a batch's scans (see
-//! [`crate::plan`]). There is no other way to ask: callers match
-//! on the [`Response`] variant their query produces.
+//! in request order on the calling thread. There is no other way to
+//! ask: callers match on the [`Response`] variant their query produces.
 //!
 //! The engine holds no state derived from a relationship oracle: each
 //! snapshot carries its [`crate::snapshot::Oracle`] (shared by `Arc`
@@ -15,6 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
+use std::time::Instant;
 
 use bgp_sim::{output_delta, SimOutput, SnapshotSeries};
 use bgp_types::{Asn, CowTrie, Ipv4Prefix, Relationship};
@@ -700,12 +700,13 @@ impl QueryEngine {
     }
 
     /// Executes a batch: every request goes through [`Self::execute`] in
-    /// request order on the calling thread, except that a batch holding
-    /// two or more scans (history verbs, `diff`) overlaps those
-    /// scans on scoped helper threads, capped at the machine's
-    /// parallelism. Results keep request order.
+    /// request order on the calling thread, and the batch's wall time is
+    /// one `rpi_plan_batch_seconds` sample.
     pub fn execute_batch(&self, reqs: &[QueryRequest]) -> Vec<Result<Response, QueryError>> {
-        crate::plan::run_batch(self, reqs)
+        let t0 = Instant::now();
+        let results = reqs.iter().map(|r| self.execute(r)).collect();
+        self.metrics.plan_batch_seconds.record(t0.elapsed());
+        results
     }
 
     /// Evaluates a point query against one already-validated snapshot.

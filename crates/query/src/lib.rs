@@ -11,13 +11,12 @@
 //! [`Query`] AST paired with a snapshot [`Scope`] forms a
 //! [`QueryRequest`]; [`QueryEngine::execute`] returns a typed
 //! [`Response`], and [`QueryEngine::execute_batch`] runs many requests
-//! in order, overlapping only a batch's scans ([`plan`]). The same
-//! module defines the round-trippable text grammar ([`parse`] /
-//! [`render`]) that the `rpi-queryd` REPL, batch query files and the
-//! tests all share. Multi-snapshot history questions — per-prefix SA
-//! history, Fig. 7 uptime histograms, top-K SA origins, persistence
-//! classes — are first-class queries backed by
-//! [`rpi_core::persistence`].
+//! in order on the calling thread. The same module defines the
+//! round-trippable text grammar ([`parse`] / [`render`]) that the
+//! `rpi-queryd` REPL, batch query files and the tests all share.
+//! Multi-snapshot history questions — per-prefix SA history, Fig. 7
+//! uptime histograms, top-K SA origins, persistence classes — are
+//! first-class queries backed by [`rpi_core::persistence`].
 //!
 //! Churn series ingest **incrementally**
 //! ([`QueryEngine::ingest_series_incremental`]): each snapshot after the
@@ -37,7 +36,7 @@
 //!   `rpi_core` analyses (SA reports, valley-free leak convictions,
 //!   import typicality, community semantics) and the relationship oracle.
 //! * [`proto`] — the query protocol: AST, wire grammar, responses.
-//! * [`plan`] — scope resolution and the in-order batch runner.
+//! * [`plan`] — scope resolution and the query error type.
 //! * [`engine`] — [`QueryEngine`]: ingestion and `execute`/`execute_batch`,
 //!   the only query entry points.
 //! * [`diff`] — what changed between snapshot *t* and *t+1*: new/vanished

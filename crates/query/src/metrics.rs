@@ -16,7 +16,7 @@
 //! Naming convention: `rpi_<layer>_<name>` with unit suffixes
 //! `_seconds` (histograms, exposed as summaries) and `_total`
 //! (counters); dimensioned families carry one label (`verb="route"`,
-//! `lane="general"`).
+//! `shard="0"`).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -72,10 +72,6 @@ pub struct QueryMetrics {
     // planner
     /// `rpi_plan_batch_seconds` — wall time of one `execute_batch`.
     pub plan_batch_seconds: Arc<Histogram>,
-    /// `rpi_plan_lane_seconds{lane="general"}` — busy time of one worker
-    /// of a batch's scan fan-out (no samples from batches answered
-    /// inline).
-    pub plan_lane_general_seconds: Arc<Histogram>,
 
     // serve
     /// `rpi_serve_queries_total{verb=…}` — queries answered, by verb.
@@ -193,8 +189,6 @@ impl QueryMetrics {
         let verb_label = |v: &str| format!("verb=\"{v}\"");
         QueryMetrics {
             plan_batch_seconds: r.histogram("rpi_plan_batch_seconds", None),
-            plan_lane_general_seconds: r
-                .histogram("rpi_plan_lane_seconds", Some("lane=\"general\"")),
             serve_queries_total: std::array::from_fn(|i| {
                 r.counter("rpi_serve_queries_total", Some(&verb_label(VERBS[i])))
             }),
@@ -395,9 +389,8 @@ impl QueryMetrics {
             fmt_quantiles(&overall)
         ));
         out.push_str("\nstages (count, p50/p90/p99/p999 ms):");
-        let stages: [(&str, &Histogram); 8] = [
+        let stages: [(&str, &Histogram); 7] = [
             ("plan.batch", &self.plan_batch_seconds),
-            ("plan.general-lane", &self.plan_lane_general_seconds),
             ("serve.sweep", &self.serve_sweep_seconds),
             ("serve.first-byte", &self.serve_accept_to_first_byte_seconds),
             ("tier.hydration", &self.tier_hydration_seconds),

@@ -277,7 +277,7 @@ impl Conn {
 
     /// One nonblocking read, then frame/classify/execute/render. All the
     /// read's parseable queries go through the engine as a single batch,
-    /// answered in order on this thread (only a batch's scans fan out).
+    /// answered in order on this thread.
     pub(crate) fn read_and_process(
         &mut self,
         engine: &QueryEngine,

@@ -13,11 +13,9 @@
 //! idle connections cost nothing; elsewhere the portable sweep attempts
 //! every syscall and treats `WouldBlock` as "not ready".
 //! `serve_threads = N` runs N copies of the same loop, each accepting
-//! from the shared listener, and that is where lookup parallelism comes
+//! from the shared listener, and that is where query parallelism comes
 //! from: a connection's queries run in order on the loop thread that
-//! accepted it, and
-//! [`execute_batch`](crate::QueryEngine::execute_batch) spreads only a
-//! batch's scans (history verbs, `diff`) over helper threads:
+//! accepted it, and no other thread touches a query:
 //!
 //! * **Framing** ([`LineFramer`](crate::proto::LineFramer)): requests
 //!   are lines; a query byte-split across TCP segments reassembles, and
@@ -27,8 +25,8 @@
 //!   into the write buffer: the path allocates nothing per query.
 //! * **Pipelining**: every parseable query in one read is executed as a
 //!   single engine batch, so a client that writes N lines per segment
-//!   pays one read, one batch and one write for all N, and has its
-//!   scans overlapped, without any protocol change.
+//!   pays one read, one batch and one write for all N, without any
+//!   protocol change.
 //! * **Backpressure**: each connection's rendered-but-unsent output is
 //!   bounded by [`ServeConfig::write_buf_cap`]; past it the server stops
 //!   *reading* that connection until the buffer drains, so a slow

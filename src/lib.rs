@@ -104,7 +104,7 @@ pub mod cli {
 
 /// The most common imports, bundled.
 pub mod prelude {
-    pub use as_relationships::{infer, AccuracyReport, InferenceParams};
+    pub use as_relationships::{infer, AccuracyReport, InferenceParams, LinkClass};
     pub use bgp_sim::{ChurnConfig, GroundTruth, PolicyParams, SimOutput, Simulation, VantageSpec};
     pub use bgp_types::{AsPath, Asn, Community, Ipv4Prefix, Relationship, Route};
     pub use net_topology::{AsGraph, InternetConfig, InternetSize, NodeInfo};

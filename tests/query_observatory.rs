@@ -169,11 +169,9 @@ fn batched_answers_equal_single_answers() {
     targets.push((exp.spec.lg_ases[0], "203.0.113.0/24".parse().unwrap()));
 
     // `route` and `sa` for every target (hits and misses), and the
-    // other eleven verbs in rotation. The scans among them differ in
-    // cost by orders of magnitude (`hijacks @all` and `diff` sweep every
-    // table, `persistence` reads one entry), so the batch's scan workers
-    // finish them far out of request order — and two requests fail at
-    // scope resolution, one lookup and one scan.
+    // other eleven verbs in rotation, so point lookups and history
+    // scans interleave in one batch — and two requests fail at scope
+    // resolution, one lookup and one scan.
     let mut reqs: Vec<QueryRequest> = Vec::new();
     for (i, &(vantage, prefix)) in targets.iter().enumerate() {
         let (a, asn, k) = (vantage, vantage, 1 + i % 5);
