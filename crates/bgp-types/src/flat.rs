@@ -235,21 +235,22 @@ impl<'a> FlatTrie<'a> {
         Ok(self.node(offset, prefix.len())?.value)
     }
 
-    /// The longest stored prefix covering `prefix` (itself included) and
-    /// its value bytes — [`CowTrie::best_match`] off the raw buffer.
-    pub fn best_match(
+    /// Calls `f` with every stored prefix covering `prefix` (itself
+    /// included) and its value bytes, shortest first —
+    /// [`CowTrie::covering`] off the raw buffer, one walk down the spine.
+    pub fn covering(
         &self,
         prefix: Ipv4Prefix,
-    ) -> Result<Option<(Ipv4Prefix, &'a [u8])>, CodecError> {
+        mut f: impl FnMut(Ipv4Prefix, &'a [u8]),
+    ) -> Result<(), CodecError> {
         if self.count == 0 {
-            return Ok(None);
+            return Ok(());
         }
         let mut offset = self.root;
-        let mut best = None;
         for depth in 0..=prefix.len() {
             let node = self.node(offset, depth)?;
             if let Some(v) = node.value {
-                best = Some((Ipv4Prefix::canonical(prefix.bits(), depth), v));
+                f(Ipv4Prefix::canonical(prefix.bits(), depth), v);
             }
             if depth == prefix.len() {
                 break;
@@ -263,8 +264,51 @@ impl<'a> FlatTrie<'a> {
                 None => break,
             }
         }
+        Ok(())
+    }
+
+    /// The longest stored prefix covering `prefix` (itself included) and
+    /// its value bytes — the last hit of [`Self::covering`].
+    pub fn best_match(
+        &self,
+        prefix: Ipv4Prefix,
+    ) -> Result<Option<(Ipv4Prefix, &'a [u8])>, CodecError> {
+        let mut best = None;
+        self.covering(prefix, |q, v| best = Some((q, v)))?;
         Ok(best)
     }
+
+    /// Decodes `value` — bytes one of this trie's lookups returned — with
+    /// `dec`, under the contract [`read_trie`] decodes every value with:
+    /// a reader scoped to exactly the value's bytes, at their absolute
+    /// offset, where a value that reads short is corruption.
+    pub fn read_value<T>(
+        &self,
+        value: &'a [u8],
+        dec: &mut dyn FnMut(&mut Reader<'_>) -> Result<T, CodecError>,
+    ) -> Result<T, CodecError> {
+        let at = value.as_ptr() as usize - self.buf.as_ptr() as usize;
+        debug_assert!(at + value.len() <= self.buf.len(), "a value of this trie");
+        decode_scoped(value, self.base + at, dec)
+    }
+}
+
+/// Decodes one value's bytes, which sit at absolute offset `at`; every
+/// byte must be consumed.
+fn decode_scoped<T>(
+    raw: &[u8],
+    at: usize,
+    dec: &mut dyn FnMut(&mut Reader<'_>) -> Result<T, CodecError>,
+) -> Result<T, CodecError> {
+    let mut vr = Reader::with_base(raw, at);
+    let value = dec(&mut vr)?;
+    if !vr.is_exhausted() {
+        return Err(CodecError::Invalid {
+            offset: vr.position(),
+            what: "trie value length",
+        });
+    }
+    Ok(value)
 }
 
 struct FlatNode<'a> {
@@ -325,14 +369,7 @@ fn read_node<T>(
         let vlen = r.ulen()?;
         let vstart = r.position();
         let raw = r.bytes(vlen)?;
-        let mut vr = Reader::with_base(raw, vstart);
-        let value = dec(&mut vr)?;
-        if !vr.is_exhausted() {
-            return Err(CodecError::Invalid {
-                offset: vr.position(),
-                what: "trie value length",
-            });
-        }
+        let value = decode_scoped(raw, vstart, dec)?;
         out.push((Ipv4Prefix::canonical(bits, depth), value));
     }
     match (header & HAS_C0 != 0, header & HAS_C1 != 0) {
@@ -445,6 +482,67 @@ mod tests {
                 "best_match {probe}"
             );
         }
+    }
+
+    /// The covering walk is [`CowTrie::covering`] off the bytes: over a
+    /// universe packed into one /12, so covers nest several deep, every
+    /// probe sees the same covers in the same order, each value decoding
+    /// to the stored one, and `best_match` is the last of them.
+    #[test]
+    fn covering_walk_matches_cow_covers() {
+        let mut trie: CowTrie<u64> = CowTrie::new();
+        let mut x = 0xC0BEu64;
+        let mut step = || {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z ^ (z >> 27)
+        };
+        for _ in 0..300 {
+            let r = step();
+            let bits = 0x0A00_0000 | ((r >> 12) as u32 & 0x000F_FF00);
+            trie.insert(Ipv4Prefix::canonical(bits, (r % 25) as u8), r);
+        }
+        trie.insert(p("0.0.0.0/0"), 0);
+        let mut buf = Vec::new();
+        write_trie(&trie, &mut buf, &mut enc_u64);
+        let flat = FlatTrie::new(&buf, 0).unwrap();
+        let mut deepest = 0;
+        for _ in 0..2000 {
+            let r = step();
+            let bits = 0x0A00_0000 | ((r >> 8) as u32 & 0x000F_FFFF);
+            let probe = Ipv4Prefix::canonical(bits, (r % 33) as u8);
+            let mut got = Vec::new();
+            flat.covering(probe, |q, raw| {
+                let v = flat.read_value(raw, &mut |r| r.uvarint()).unwrap();
+                got.push((q, v));
+            })
+            .unwrap();
+            let want: Vec<(Ipv4Prefix, u64)> = trie.covering(probe).map(|(q, v)| (q, *v)).collect();
+            assert_eq!(got, want, "covering {probe}");
+            let best = flat.best_match(probe).unwrap().map(|(q, _)| q);
+            assert_eq!(best, want.last().map(|&(q, _)| q), "best_match {probe}");
+            deepest = deepest.max(want.len());
+        }
+        assert!(deepest >= 4, "covers nest only {deepest} deep");
+    }
+
+    /// A value that decodes short of its bytes is corruption, at the
+    /// absolute offset where the leftover starts.
+    #[test]
+    fn read_value_rejects_leftover_bytes() {
+        let (_, buf) = build(&[("10.0.0.0/8", 300)]);
+        let flat = FlatTrie::new(&buf, 100).unwrap();
+        let raw = flat.get(p("10.0.0.0/8")).unwrap().unwrap();
+        assert_eq!(flat.read_value(raw, &mut |r| r.uvarint()).unwrap(), 300);
+        let at = 100 + (raw.as_ptr() as usize - buf.as_ptr() as usize);
+        assert_eq!(
+            flat.read_value(raw, &mut |r| r.u8()),
+            Err(CodecError::Invalid {
+                offset: at + 1,
+                what: "trie value length"
+            })
+        );
     }
 
     #[test]

@@ -58,7 +58,9 @@
 //! watermark stamp; a function, since a snapshot's predecessor carries
 //! all the state a replay needs — for [`load`] over eagerly checksummed
 //! bytes and for the cold tier's hydration over mapped ones. (Attaching
-//! a segment without decoding it is [`crate::tier::attach`].)
+//! a segment without decoding it is [`crate::tier::attach`]; reading one
+//! in place — a delta's events through [`index_delta`], a keyframe's
+//! oracle through [`read_mapped_oracle`] — is the tier's chain view.)
 //!
 //! Decoding is paranoid: every count, symbol and flag is validated, and
 //! every failure surfaces as a typed [`StoreError`] carrying the segment
@@ -74,7 +76,7 @@ use bgp_types::codec::{
     put_asn, put_asn_list, put_prefix, put_relationship, put_str, put_uvarint, CodecError, Reader,
 };
 use bgp_types::intern::Symbol;
-use bgp_types::{flat, Asn, Community, CowTrie, Relationship};
+use bgp_types::{flat, Asn, Community, CowTrie, Ipv4Prefix, Relationship};
 use net_topology::Relations;
 use rpi_sec::{Roa, RoaTable};
 use rpi_store::{
@@ -598,6 +600,21 @@ pub(crate) fn read_mapped_directory(
     Ok((dir, self_contained, label))
 }
 
+/// Reads a mapped keyframe's relationship section into its oracle — the
+/// cold tier's `sa` and `rel` ask it — without touching the tries.
+pub(crate) fn read_mapped_oracle(raw: &[u8], n_asns: usize) -> Result<Oracle, CodecError> {
+    let mut r = Reader::new(raw);
+    r.str()?;
+    let flag_offset = r.position();
+    if read_full_flags(&mut r)? & FLAG_REL_SHARED != 0 {
+        return Err(CodecError::Invalid {
+            offset: flag_offset,
+            what: "relationships shared but segment is a keyframe",
+        });
+    }
+    read_oracle(&mut r, n_asns)
+}
+
 /// Reads a full segment's trailing directory through its footer, and
 /// the offset it starts at — where the segment body ends. The one
 /// directory reader: attach ([`read_mapped_directory`]) and
@@ -954,19 +971,12 @@ fn replay_delta(
 ) -> Result<Snapshot, CodecError> {
     let mut snap = Snapshot::empty(id, &payload.label, Arc::clone(&prev.oracle));
 
-    let mut dropped_syms: HashSet<AsnSym> = HashSet::with_capacity(payload.dropped.len());
-    for &a in &payload.dropped {
-        let s = interner.lookup_asn(a).ok_or(CodecError::Invalid {
+    let dropped_syms = dropped_syms(&payload, interner)?;
+    if !dropped_syms.iter().all(|s| prev.vantages.contains_key(s)) {
+        return Err(CodecError::Invalid {
             offset: 0,
-            what: "dropped vantage not in symbol table",
-        })?;
-        if !prev.vantages.contains_key(&s) {
-            return Err(CodecError::Invalid {
-                offset: 0,
-                what: "dropped vantage not in predecessor",
-            });
-        }
-        dropped_syms.insert(s);
+            what: "dropped vantage not in predecessor",
+        });
     }
 
     let frozen = &mut FrozenInterner(interner);
@@ -997,6 +1007,120 @@ fn replay_delta(
     }
     snap.provenance = Provenance::Delta(Arc::new(payload.delta));
     Ok(snap)
+}
+
+/// The vantages a delta segment drops, at symbol level.
+fn dropped_syms(
+    payload: &DeltaPayload,
+    interner: &WorldInterner,
+) -> Result<HashSet<AsnSym>, CodecError> {
+    (payload.dropped.iter())
+        .map(|&a| {
+            interner.lookup_asn(a).ok_or(CodecError::Invalid {
+                offset: 0,
+                what: "dropped vantage not in symbol table",
+            })
+        })
+        .collect()
+}
+
+/// What a delta segment left in one vantage's table, per prefix its
+/// events touch: the route stored there after the delta, or `None` where
+/// it withdrew one.
+#[derive(Debug, Default)]
+pub(crate) struct Touched {
+    routes: HashMap<Ipv4Prefix, Option<CompactRoute>>,
+    /// Bit `l` is set when some touched prefix is a /`l`.
+    lens: u64,
+}
+
+impl Touched {
+    /// What the delta left at `prefix`, if it touched it.
+    pub(crate) fn get(&self, prefix: Ipv4Prefix) -> Option<Option<&CompactRoute>> {
+        self.routes.get(&prefix).map(Option::as_ref)
+    }
+
+    /// Every touched prefix covering `prefix` (itself included), shortest
+    /// first, with what the delta left there.
+    pub(crate) fn covering(
+        &self,
+        prefix: Ipv4Prefix,
+    ) -> impl Iterator<Item = (Ipv4Prefix, Option<&CompactRoute>)> + '_ {
+        (0..=prefix.len())
+            .filter(|&len| self.lens >> len & 1 == 1)
+            .filter_map(move |len| {
+                let cover = Ipv4Prefix::canonical(prefix.bits(), len);
+                Some((cover, self.get(cover)?))
+            })
+    }
+}
+
+/// A delta segment's route events indexed to be read in place, without
+/// a predecessor snapshot: what [`replay_delta`] would patch into each
+/// vantage's table, per touched prefix.
+#[derive(Debug)]
+pub(crate) struct DeltaEvents {
+    /// Vantages of the predecessor this snapshot no longer carries.
+    dropped: HashSet<AsnSym>,
+    /// Per vantage and the kind of table its events patch.
+    touched: HashMap<(AsnSym, VantageKind), Touched>,
+}
+
+impl DeltaEvents {
+    /// Whether the delta drops vantage `v`.
+    pub(crate) fn drops(&self, v: AsnSym) -> bool {
+        self.dropped.contains(&v)
+    }
+
+    /// What the delta did to `v`'s table, indexed as `kind` (`None`: no
+    /// route of it moved).
+    pub(crate) fn touched(&self, v: AsnSym, kind: VantageKind) -> Option<&Touched> {
+        self.touched.get(&(v, kind))
+    }
+}
+
+/// Indexes the verified bytes of a delta segment labeled `label` through
+/// [`decode_delta`]'s validated decode. A vantage's events are those
+/// [`replay_delta`] would hand its table — the collector map for a
+/// collector peer, the Looking-Glass map for a Looking-Glass vantage —
+/// under [`Snapshot::patch_vantage`]'s precedence: withdrawals first,
+/// then announcements and replacements, the later of two for one prefix
+/// holding.
+pub(crate) fn index_delta(
+    raw: &[u8],
+    label: &str,
+    interner: &WorldInterner,
+) -> Result<DeltaEvents, CodecError> {
+    let payload = decode_delta(raw, label, interner)?;
+    let dropped = dropped_syms(&payload, interner)?;
+    let frozen = &mut FrozenInterner(interner);
+    let mut touched = HashMap::new();
+    let kinds = [
+        (VantageKind::CollectorPeer, &payload.delta.collector),
+        (VantageKind::LookingGlass, &payload.delta.lgs),
+    ];
+    for (kind, deltas) in kinds {
+        for (&asn, vd) in deltas {
+            // An AS the symbol table lacks is no snapshot's vantage.
+            let Some(owner) = interner.lookup_asn(asn) else {
+                continue;
+            };
+            if vd.route_events() == 0 {
+                continue;
+            }
+            let mut t = Touched::default();
+            let events = (vd.withdrawn.iter().map(|&p| (p, None))).chain(
+                (vd.announced.iter().chain(&vd.replaced))
+                    .map(|(p, r)| (*p, Some(CompactRoute::interned(r, frozen)))),
+            );
+            for (p, route) in events {
+                t.lens |= 1 << p.len();
+                t.routes.insert(p, route);
+            }
+            touched.insert((owner, kind), t);
+        }
+    }
+    Ok(DeltaEvents { dropped, touched })
 }
 
 /// Decodes `raw` — the verified bytes of a `kind` segment labeled

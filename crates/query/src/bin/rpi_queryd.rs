@@ -171,7 +171,7 @@ const FLAGS: &[Flag] = &[
         "--keyframe-every N",
         "force a self-contained keyframe segment every N\n\
          snapshots, bounding every delta chain (tiered readers\n\
-         hydrate a cold snapshot from its nearest keyframe;\n\
+         read a cold snapshot back to its nearest full segment;\n\
          --follow spills with a default of 4)",
         |o, v| {
             set(
@@ -190,9 +190,9 @@ const FLAGS: &[Flag] = &[
     Flag::new(
         "--hot-cap N",
         "attach the archive tiered instead of hydrating it: map\n\
-         every segment (µs/snapshot), answer point queries\n\
-         zero-copy off the cold mappings, and keep at most N\n\
-         snapshots hydrated under LRU (`snapshots` shows residency)",
+         every segment (µs/snapshot), answer point queries off\n\
+         the mapped delta chains, and keep at most N snapshots\n\
+         hydrated under LRU (`snapshots` shows residency)",
         |o, v| {
             set(
                 &mut o.hot_cap,
@@ -706,7 +706,7 @@ fn cold_start(dir: &str, hot_cap: Option<usize>) -> Result<QueryEngine, String> 
     if let Some(stats) = engine.tier_stats() {
         eprintln!(
             "tier-attached: {} segments mapped in {:.1} µs/snapshot (hot cap {}); \
-             point queries answer zero-copy off the cold mappings",
+             point queries read the mapped delta chains",
             stats.snapshots,
             elapsed.as_micros() as f64 / stats.snapshots.max(1) as f64,
             stats.hot_cap,

@@ -20,6 +20,7 @@ use bgp_sim::{output_delta, SimOutput, SnapshotSeries};
 use bgp_types::{Asn, CowTrie, Ipv4Prefix, Relationship};
 use bgp_wire::{TableDump, WireError};
 use net_topology::{AsGraph, Relations};
+use rpi_core::export_policy::SaVerdict;
 use rpi_core::persistence::{classify_persistence, histogram_from_counts};
 use rpi_core::Experiment;
 use rpi_sec::{RoaTable, RovCache, RovCacheStats};
@@ -30,7 +31,7 @@ use crate::plan::QueryError;
 use crate::proto::{
     PersistenceAnswer, Query, QueryRequest, Response, SaHistoryPoint, SaOriginCount,
 };
-use crate::snapshot::{Snapshot, SnapshotId, VantageKind};
+use crate::snapshot::{PointRead, Snapshot, SnapshotId, VantageKind};
 
 /// A resolved best-route answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -549,13 +550,13 @@ impl QueryEngine {
         crate::archive::load(dir)
     }
 
-    /// Attaches to an archive in **tiered** mode: full segments are
+    /// Attaches to an archive in **tiered** mode: segments are
     /// memory-mapped, not decoded — a per-snapshot attach costs
-    /// microseconds — and exact `route`/`resolve`/`rov` point queries
-    /// against cold snapshots are answered zero-copy off the mapping.
-    /// Anything deeper hydrates the snapshot (replaying its delta chain
-    /// from the nearest keyframe) into a hot set bounded by `hot_cap`
-    /// (clamped to ≥ 1, least-recently-used eviction).
+    /// microseconds — and the point verbs (`route`, `resolve`, `sa`,
+    /// `rov`, `rel`) at cold snapshots read the mapped delta chain in
+    /// place. The whole-table verbs hydrate the snapshot (replaying its
+    /// delta chain from the nearest keyframe) into a hot set bounded by
+    /// `hot_cap` (clamped to ≥ 1, least-recently-used eviction).
     pub fn load_archive_tiered(
         dir: &std::path::Path,
         hot_cap: usize,
@@ -646,11 +647,11 @@ impl QueryEngine {
     }
 
     /// The vantages of a specific snapshot, ascending by ASN. On a
-    /// tier-attached engine this reads the mapped segment's vantage
-    /// directory where possible, so listing vantages never hydrates.
+    /// tier-attached engine this reads the snapshot's mapped chain, so
+    /// listing vantages never hydrates.
     pub fn vantages_in(&self, id: SnapshotId) -> Vec<(Asn, VantageKind)> {
         if let Some(tier) = &self.tier {
-            return tier.vantages(self, id);
+            return tier.vantages(&self.interner, id);
         }
         let Some(snap) = self.snapshot(id) else {
             return Vec::new();
@@ -710,45 +711,58 @@ impl QueryEngine {
     }
 
     /// Evaluates a point query against one already-validated snapshot.
-    /// On a tier-attached engine, exact `route`/`resolve`/`rov` lookups
-    /// against a cold full segment are answered zero-copy off the
-    /// mapped bytes; everything else hydrates through
-    /// [`Self::snap_arc`].
+    /// On a tier-attached engine a hot snapshot answers from memory; at
+    /// a cold one, the verbs that read one route or one relationship
+    /// (`route`, `resolve`, `sa`, `rov`, `rel`) read its mapped chain
+    /// ([`crate::tier::ChainView`]), and only `summary` and `leaks`,
+    /// which read whole tables, hydrate it through [`Self::snap_arc`].
     fn eval_point(&self, query: &Query, id: SnapshotId) -> Result<Response, QueryError> {
-        let snap = match &self.tier {
-            // Hot hit: answer from the in-memory snapshot.
-            Some(tier) => match tier.hot_get(id.0) {
-                Some(snap) => snap,
-                None => {
-                    if let Some(resp) = tier.try_cold(self, query, id)? {
-                        return Ok(resp);
-                    }
-                    tier.snapshot(self, id)?
-                }
-            },
-            None => self.snap_arc(id)?,
+        let Some(tier) = &self.tier else {
+            return self.eval_snapshot(query, &*self.snap_arc(id)?);
         };
-        Ok(match *query {
-            Query::Route { vantage, prefix } => {
-                Response::Route(self.route_point(&snap, vantage, prefix))
+        if let Some(snap) = tier.hot_get(id.0) {
+            return self.eval_snapshot(query, &snap);
+        }
+        match query {
+            Query::PolicySummary { .. } | Query::Leaks => {
+                self.eval_snapshot(query, &*tier.snapshot(self, id)?)
             }
-            Query::Resolve { vantage, prefix } => {
-                Response::Route(self.resolve_point(&snap, vantage, prefix))
-            }
-            Query::SaStatus { vantage, prefix } => {
-                Response::Sa(self.sa_point(&snap, vantage, prefix))
-            }
-            Query::Relationship { a, b } => Response::Relationship(self.rel_point(&snap, a, b)),
-            Query::PolicySummary { asn } => Response::Summary(self.summary_point(&snap, asn)),
-            Query::Rov { vantage, prefix } => {
-                self.metrics.sec_rov_total.inc();
-                Response::Rov(crate::sec::rov_point(self, &snap, vantage, prefix))
-            }
+            _ => tier.read_cold(&self.interner, id, |chain| self.eval_read(query, chain)),
+        }
+    }
+
+    /// A point query against an in-memory snapshot.
+    fn eval_snapshot(&self, query: &Query, snap: &Snapshot) -> Result<Response, QueryError> {
+        match *query {
+            Query::PolicySummary { asn } => Ok(Response::Summary(self.summary_point(snap, asn))),
             Query::Leaks => {
                 self.metrics.sec_leaks_total.inc();
-                Response::Leaks(crate::sec::leak_events(self, &snap))
+                Ok(Response::Leaks(crate::sec::leak_events(self, snap)))
             }
-            _ => unreachable!("history and diff queries never reach eval_point"),
+            _ => self.eval_read(query, snap),
+        }
+    }
+
+    /// The point verbs that read one route or one relationship, written
+    /// once over [`PointRead`] — monomorphised for an in-memory
+    /// [`Snapshot`] and for the cold tier's chain view.
+    fn eval_read<R: PointRead>(&self, query: &Query, snap: &R) -> Result<Response, QueryError> {
+        Ok(match *query {
+            Query::Route { vantage, prefix } => {
+                Response::Route(self.route_point(snap, vantage, prefix)?)
+            }
+            Query::Resolve { vantage, prefix } => {
+                Response::Route(self.resolve_point(snap, vantage, prefix)?)
+            }
+            Query::SaStatus { vantage, prefix } => {
+                Response::Sa(self.sa_point(snap, vantage, prefix)?)
+            }
+            Query::Relationship { a, b } => Response::Relationship(self.rel_point(snap, a, b)?),
+            Query::Rov { vantage, prefix } => {
+                self.metrics.sec_rov_total.inc();
+                Response::Rov(crate::sec::rov_point(self, snap, vantage, prefix)?)
+            }
+            _ => unreachable!("only the verbs reading one route or relationship reach eval_read"),
         })
     }
 
@@ -815,7 +829,7 @@ impl QueryEngine {
                     points.push(SaHistoryPoint {
                         snapshot: id,
                         label: snap.label.clone(),
-                        status: self.sa_point(&snap, vantage, prefix),
+                        status: self.sa_point(&*snap, vantage, prefix)?,
                     });
                 }
                 Ok(Response::SaHistory(points))
@@ -890,57 +904,72 @@ impl QueryEngine {
 
     fn route_point(
         &self,
-        snap: &Snapshot,
+        snap: &impl PointRead,
         vantage: Asn,
         prefix: Ipv4Prefix,
-    ) -> Option<RouteAnswer> {
-        let v = self.interner.lookup_asn(vantage)?;
-        let route = snap.route(v, prefix)?;
-        Some(self.answer(snap.id, vantage, prefix, route))
+    ) -> Result<Option<RouteAnswer>, QueryError> {
+        let Some(v) = self.interner.lookup_asn(vantage) else {
+            return Ok(None);
+        };
+        let route = snap.get(v, prefix)?;
+        Ok(route.map(|route| self.answer(snap.id(), vantage, prefix, &route)))
     }
 
     fn resolve_point(
         &self,
-        snap: &Snapshot,
+        snap: &impl PointRead,
         vantage: Asn,
         prefix: Ipv4Prefix,
-    ) -> Option<RouteAnswer> {
-        let v = self.interner.lookup_asn(vantage)?;
-        let (matched, route) = snap.route_lpm(v, prefix)?;
-        Some(self.answer(snap.id, vantage, matched, route))
+    ) -> Result<Option<RouteAnswer>, QueryError> {
+        let Some(v) = self.interner.lookup_asn(vantage) else {
+            return Ok(None);
+        };
+        let hit = snap.best_match(v, prefix)?;
+        Ok(hit.map(|(matched, route)| self.answer(snap.id(), vantage, matched, &route)))
     }
 
-    fn sa_point(&self, snap: &Snapshot, vantage: Asn, prefix: Ipv4Prefix) -> SaStatus {
+    fn sa_point(
+        &self,
+        snap: &impl PointRead,
+        vantage: Asn,
+        prefix: Ipv4Prefix,
+    ) -> Result<SaStatus, QueryError> {
         let Some(v) = self.interner.lookup_asn(vantage) else {
-            return SaStatus::UnknownVantage;
+            return Ok(SaStatus::UnknownVantage);
         };
-        let Some(cache) = snap.sa.get(&v) else {
-            return SaStatus::UnknownVantage;
-        };
+        if !snap.is_vantage(v)? {
+            return Ok(SaStatus::UnknownVantage);
+        }
         let Some(p) = self.interner.lookup_prefix(prefix) else {
-            return SaStatus::NotInTable;
+            return Ok(SaStatus::NotInTable);
         };
-        if let Some(&origin) = cache.sa.get(&p) {
-            return SaStatus::SelectivelyAnnounced {
-                origin: self.interner.resolve_asn(origin),
-            };
+        if let Some((verdict, origin)) = snap.sa_filed(v, prefix, p)? {
+            let origin = self.interner.resolve_asn(origin);
+            return Ok(match verdict {
+                SaVerdict::Sa => SaStatus::SelectivelyAnnounced { origin },
+                SaVerdict::Exported => SaStatus::CustomerExported { origin },
+            });
         }
-        if let Some(&origin) = cache.exported.get(&p) {
-            return SaStatus::CustomerExported {
-                origin: self.interner.resolve_asn(origin),
-            };
-        }
-        if snap.route(v, prefix).is_some() {
+        Ok(if snap.get(v, prefix)?.is_some() {
             SaStatus::NotCustomerRoute
         } else {
             SaStatus::NotInTable
-        }
+        })
     }
 
-    fn rel_point(&self, snap: &Snapshot, a: Asn, b: Asn) -> Option<Relationship> {
-        let sa = self.interner.lookup_asn(a)?;
-        let sb = self.interner.lookup_asn(b)?;
-        snap.oracle.rel(sa, sb)
+    fn rel_point(
+        &self,
+        snap: &impl PointRead,
+        a: Asn,
+        b: Asn,
+    ) -> Result<Option<Relationship>, QueryError> {
+        let Some(sa) = self.interner.lookup_asn(a) else {
+            return Ok(None);
+        };
+        let Some(sb) = self.interner.lookup_asn(b) else {
+            return Ok(None);
+        };
+        Ok(snap.oracle()?.rel(sa, sb))
     }
 
     fn summary_point(&self, snap: &Snapshot, asn: Asn) -> Option<PolicySummary> {

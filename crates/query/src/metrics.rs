@@ -116,8 +116,9 @@ pub struct QueryMetrics {
     pub tier_hydrations_total: Arc<Counter>,
     /// `rpi_tier_evictions_total` — hot-set evictions.
     pub tier_evictions_total: Arc<Counter>,
-    /// `rpi_tier_cold_hits_total` — queries answered straight from cold
-    /// segments.
+    /// `rpi_tier_cold_hits_total` — point queries (`route`, `resolve`,
+    /// `sa`, `rov`, `rel`) answered at a cold snapshot by reading its
+    /// mapped delta chain in place, no hydration.
     pub tier_cold_hits_total: Arc<Counter>,
     /// `rpi_tier_hot_snapshots` / `rpi_tier_total_snapshots` — residency
     /// (mirrored from [`crate::TierStats`] at sync points).
@@ -128,7 +129,9 @@ pub struct QueryMetrics {
     pub tier_hydration_seconds: Arc<Histogram>,
     /// `rpi_tier_chain_replay_seconds` — one chain member's replay.
     pub tier_chain_replay_seconds: Arc<Histogram>,
-    /// `rpi_tier_cold_hit_seconds` — cold-path point-query wall time.
+    /// `rpi_tier_cold_hit_seconds` — a cold point query's wall time:
+    /// verifying and indexing the chain's segments where not done
+    /// before, the reads, and the answer.
     pub tier_cold_hit_seconds: Arc<Histogram>,
 
     // live

@@ -40,7 +40,7 @@ use crate::engine::QueryEngine;
 use crate::intern::AsnSym;
 use crate::plan::QueryError;
 use crate::proto::{HijackEvent, HijackKind, LeakEvent, RovAnswer};
-use crate::snapshot::{CompactRoute, Snapshot, SnapshotId};
+use crate::snapshot::{CompactRoute, PointRead, Snapshot, SnapshotId};
 
 /// Validates the vantage's best route for `prefix` against the engine's
 /// ROA table. Non-vantage ASes answer [`RovAnswer::UnknownVantage`]; a
@@ -48,28 +48,28 @@ use crate::snapshot::{CompactRoute, Snapshot, SnapshotId};
 /// negative answers, not errors, like every other point query.
 pub(crate) fn rov_point(
     engine: &QueryEngine,
-    snap: &Snapshot,
+    snap: &impl PointRead,
     vantage: Asn,
     prefix: Ipv4Prefix,
-) -> RovAnswer {
+) -> Result<RovAnswer, QueryError> {
     let Some(v) = engine.interner.lookup_asn(vantage) else {
-        return RovAnswer::UnknownVantage;
+        return Ok(RovAnswer::UnknownVantage);
     };
-    if !snap.vantages.contains_key(&v) {
-        return RovAnswer::UnknownVantage;
+    if !snap.is_vantage(v)? {
+        return Ok(RovAnswer::UnknownVantage);
     }
-    let Some(route) = snap.route(v, prefix) else {
-        return RovAnswer::NoRoute;
+    let Some(route) = snap.get(v, prefix)? else {
+        return Ok(RovAnswer::NoRoute);
     };
     let origin = engine
         .interner
         .resolve_asn(*route.path.last().expect("stored paths are non-empty"));
     let (validity, covering) = engine.rov_cache.validate(&engine.roas, prefix, origin);
-    RovAnswer::Validated {
+    Ok(RovAnswer::Validated {
         origin,
         validity,
         covering,
-    }
+    })
 }
 
 /// Prefix → announcing origin → how many vantage tables carry that

@@ -48,14 +48,18 @@
 //! [`Snapshot::patch_vantage`] re-derives only the prefixes its events
 //! touch — against the patched table — keeping the predecessor's `Arc`s
 //! when nothing moved; an oracle change re-judges the whole table.
-//! Nothing is persisted, so `sa` and `leaks` are reads. `fold_scan.rs`
-//! holds the convictions to judging every stored path on request.
+//! Nothing is persisted, so `sa` and `leaks` are reads. (The cold tier
+//! holds no SA cache: it files the one route a point `sa` asks about
+//! with the same [`sa_verdict`] — [`PointRead::sa_filed`].)
+//! `fold_scan.rs` holds the convictions to judging every stored path on
+//! request.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
-use bgp_sim::{CollectorView, LgView, OutputDelta, SimOutput, VantageDelta};
+use bgp_sim::{CollectorView, DeltaRoute, LgView, OutputDelta, SimOutput, VantageDelta};
 use bgp_types::intern::Symbol;
 use bgp_types::{Asn, CowTrie, Ipv4Prefix, Relationship};
 use net_topology::paths::{valley_walk, walk_down, Valley};
@@ -66,6 +70,7 @@ use rpi_core::import_policy::lg_typicality;
 use rpi_core::view::BestTable;
 
 use crate::intern::{AsnSym, Interning, PrefixSym, WorldInterner};
+use crate::plan::QueryError;
 
 /// Index of a snapshot inside its engine, in ingestion order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -79,7 +84,7 @@ impl SnapshotId {
 }
 
 /// What kind of view a vantage contributes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VantageKind {
     /// Full Looking-Glass view: LOCAL_PREF and communities visible, so all
     /// the paper's analyses are precomputed for it.
@@ -96,6 +101,16 @@ pub(crate) struct CompactRoute {
     pub next_hop: AsnSym,
     /// Interned AS path, next-hop first, origin last.
     pub path: Box<[AsnSym]>,
+}
+
+impl CompactRoute {
+    /// A delta event's route at symbol level.
+    pub(crate) fn interned<I: Interning>(route: &DeltaRoute, interner: &mut I) -> CompactRoute {
+        CompactRoute {
+            next_hop: interner.asn(route.next_hop),
+            path: route.path.iter().map(|&a| interner.asn(a)).collect(),
+        }
+    }
 }
 
 /// One vantage's best-route table: one prefix trie. Tables are
@@ -612,10 +627,7 @@ impl Snapshot {
             }
             for (p, r) in vd.announced.iter().chain(&vd.replaced) {
                 interner.prefix(*p);
-                let route = CompactRoute {
-                    next_hop: interner.asn(r.next_hop),
-                    path: r.path.iter().map(|&a| interner.asn(a)).collect(),
-                };
+                let route = CompactRoute::interned(r, interner);
                 if table.trie.insert(*p, route).is_none() {
                     table.route_count += 1;
                 }
@@ -806,15 +818,6 @@ impl Snapshot {
         self.vantages.get(&vantage)?.trie.get(prefix)
     }
 
-    /// Longest-prefix-match lookup.
-    pub(crate) fn route_lpm(
-        &self,
-        vantage: AsnSym,
-        prefix: Ipv4Prefix,
-    ) -> Option<(Ipv4Prefix, &CompactRoute)> {
-        self.vantages.get(&vantage)?.trie.best_match(prefix)
-    }
-
     /// Calls `f(prefix, old, new)` in prefix order for every route of
     /// `vantage` that was added, removed or changed from `base` to
     /// `self` — [`CowTrie::diff`] over the vantage's two tables, the step
@@ -876,6 +879,91 @@ impl Snapshot {
             .filter_map(|(sym, table)| prev.vantages.get(sym).map(|pt| (table, pt)))
             .map(|(table, pt)| table.trie.shared_nodes_with(&pt.trie))
             .sum()
+    }
+}
+
+/// What a point verb reads of one snapshot: the engine writes `route`,
+/// `resolve`, `sa`, `rov` and `rel` once over it. Two readers implement
+/// it — an in-memory [`Snapshot`], whose reads borrow and cannot fail,
+/// and the cold tier's chain view over mapped segments
+/// ([`crate::tier::ChainView`]), whose reads can meet corrupt bytes and
+/// decode a route they find in a mapped trie.
+pub(crate) trait PointRead {
+    /// The snapshot read.
+    fn id(&self) -> SnapshotId;
+    /// Whether `v` is one of the snapshot's vantages.
+    fn is_vantage(&self, v: AsnSym) -> Result<bool, QueryError>;
+    /// `v`'s route for exactly `prefix` (`None` as well when `v` is no
+    /// vantage).
+    fn get(
+        &self,
+        v: AsnSym,
+        prefix: Ipv4Prefix,
+    ) -> Result<Option<Cow<'_, CompactRoute>>, QueryError>;
+    /// `v`'s route for the longest stored prefix covering `prefix`,
+    /// itself included, and that prefix.
+    fn best_match(
+        &self,
+        v: AsnSym,
+        prefix: Ipv4Prefix,
+    ) -> Result<Option<(Ipv4Prefix, Cow<'_, CompactRoute>)>, QueryError>;
+    /// Where Fig. 4 files `v`'s route for `prefix` (interned as `sym`),
+    /// and the route's origin: [`sa_verdict`] on the stored route under
+    /// [`Self::oracle`]. `None`: no route, or not a customer route.
+    fn sa_filed(
+        &self,
+        v: AsnSym,
+        prefix: Ipv4Prefix,
+        sym: PrefixSym,
+    ) -> Result<Option<(SaVerdict, AsnSym)>, QueryError>;
+    /// The relationship oracle the snapshot was indexed under.
+    fn oracle(&self) -> Result<&Oracle, QueryError>;
+}
+
+impl PointRead for Snapshot {
+    fn id(&self) -> SnapshotId {
+        self.id
+    }
+
+    fn is_vantage(&self, v: AsnSym) -> Result<bool, QueryError> {
+        Ok(self.vantages.contains_key(&v))
+    }
+
+    fn get(
+        &self,
+        v: AsnSym,
+        prefix: Ipv4Prefix,
+    ) -> Result<Option<Cow<'_, CompactRoute>>, QueryError> {
+        Ok(self.route(v, prefix).map(Cow::Borrowed))
+    }
+
+    fn best_match(
+        &self,
+        v: AsnSym,
+        prefix: Ipv4Prefix,
+    ) -> Result<Option<(Ipv4Prefix, Cow<'_, CompactRoute>)>, QueryError> {
+        let table = self.vantages.get(&v);
+        let hit = table.and_then(|t| t.trie.best_match(prefix));
+        Ok(hit.map(|(p, route)| (p, Cow::Borrowed(route))))
+    }
+
+    /// Read off the vantage's SA cache.
+    fn sa_filed(
+        &self,
+        v: AsnSym,
+        _: Ipv4Prefix,
+        sym: PrefixSym,
+    ) -> Result<Option<(SaVerdict, AsnSym)>, QueryError> {
+        let Some(cache) = self.sa.get(&v) else {
+            return Ok(None);
+        };
+        let sa = cache.sa.get(&sym).map(|&origin| (SaVerdict::Sa, origin));
+        let exported = || cache.exported.get(&sym).map(|&o| (SaVerdict::Exported, o));
+        Ok(sa.or_else(exported))
+    }
+
+    fn oracle(&self) -> Result<&Oracle, QueryError> {
+        Ok(&self.oracle)
     }
 }
 

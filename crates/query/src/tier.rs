@@ -6,30 +6,36 @@
 //! milliseconds a full hydrate-decode costs — and keeps two residency
 //! tiers:
 //!
-//! * **cold** — the mapped segment bytes themselves. Exact
-//!   `route`/`resolve`/`rov` point queries against a cold full segment
-//!   are answered **zero-copy off the mapping**: the segment's trailing
-//!   vantage directory locates the vantage's flattened trie, a
-//!   [`bgp_types::flat::FlatTrie`] walks the mapped bytes in place, and
-//!   only the one matching route is decoded. Nothing is allocated per
-//!   snapshot, and the answer bytes are identical to what a fully
+//! * **cold** — the mapped segment bytes themselves. The point verbs
+//!   (`route`, `resolve`, `sa`, `rov`, `rel`) at a cold snapshot N read
+//!   them in place through a [`ChainView`]: the delta segments from N
+//!   back to the nearest full segment, newest first, each through an
+//!   event index built once per segment, and then that full segment's
+//!   vantage trie, a [`bgp_types::flat::FlatTrie`] walked on the mapping
+//!   through the directory off its tail — so `resolve` is a longest
+//!   cover over the trie and every delta's overlay. `sa` and `rel` ask
+//!   the oracle of the keyframe the chain descends from, decoded once
+//!   per keyframe (its cones are walked once). Only the one route an
+//!   answer needs is decoded, and the answer bytes are what a fully
 //!   hydrated engine renders (the differential suite in
 //!   `crates/query/tests/tier.rs` holds this across every verb).
 //! * **hot** — snapshots hydrated into the ordinary in-memory
 //!   [`Snapshot`] structures, bounded by `--hot-cap` and evicted
-//!   least-recently-used. Any query the cold path cannot serve (SA
-//!   status, summaries, leaks, history walks, diffs) hydrates the
-//!   snapshot on demand by decoding its segment — replaying its delta
-//!   chain forward from the nearest **keyframe** (a self-contained full
-//!   segment, written every `--keyframe-every` snapshots at save time)
-//!   or from a hot chain member, whichever is closer. Evicted snapshots
-//!   simply drop back to the mapping.
+//!   least-recently-used. The whole-table verbs (`summary`, `leaks`, the
+//!   history verbs, `diff`) hydrate a snapshot on demand by decoding its
+//!   segment — replaying its delta chain forward from the nearest
+//!   **keyframe** (a self-contained full segment, written every
+//!   `--keyframe-every` snapshots at save time) or from a hot chain
+//!   member, whichever is closer. A point verb at a hot snapshot reads
+//!   the in-memory copy; evicted snapshots simply drop back to the
+//!   mapping.
 //!
 //! Integrity is tiered to match: the manifest CRC and every segment's
 //! byte length are verified at attach, the vantage directory of every
 //! full segment is parsed and bounds-checked eagerly, and a segment's
-//! full CRC-32 is verified lazily, once, the first time its bytes are
-//! actually read (cold query or hydration). A failed check surfaces as
+//! full CRC-32 is verified lazily, once, before its bytes are first used
+//! (a chain read or a hydration verifies every segment from its anchor
+//! to the snapshot asked for). A failed check surfaces as
 //! [`QueryError::Corrupt`] naming the segment file and byte offset —
 //! the engine never answers from bytes it cannot vouch for.
 //!
@@ -40,38 +46,43 @@
 //! publication builds the next epoch's tier ([`Tier::appended`]: the
 //! same `Arc`ed records plus one). The length of the list *is* the
 //! snapshot count of the engine holding it, so readers take no lock to
-//! resolve a scope, find a label or reach a mapping; only the hot set,
-//! which the epochs of a live engine share, sits behind a mutex.
-//! Hydration runs the archive's one [`replay_segment`] over mapped bytes.
+//! resolve a scope, find a label, reach a mapping or read a chain; only
+//! the hot set, which the epochs of a live engine share, sits behind a
+//! mutex. Hydration runs the archive's one [`replay_segment`] over
+//! mapped bytes; a chain's event indexes come from the same validated
+//! delta decode ([`index_delta`]).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-use bgp_types::codec::{CodecError, Reader};
-use bgp_types::{flat, Asn, Ipv4Prefix};
+use bgp_types::codec::CodecError;
+use bgp_types::flat::FlatTrie;
+use bgp_types::{Asn, Ipv4Prefix};
+use rpi_core::export_policy::{sa_verdict, SaVerdict};
 use rpi_mmap::Mmap;
 use rpi_obs::Counter;
 use rpi_store::{crc32, Manifest, SegmentEntry, SegmentKind, SegmentRef, StoreError};
 
 use crate::archive::{
-    decode_route, read_mapped_directory, replay_segment, ArchiveInfo, SegmentMeta, VantageDir,
+    decode_route, index_delta, read_mapped_directory, read_mapped_oracle, replay_segment,
+    ArchiveInfo, DeltaEvents, SegmentMeta, VantageDir, VantageDirEntry,
 };
-use crate::engine::{QueryEngine, RouteAnswer};
-use crate::intern::WorldInterner;
+use crate::engine::QueryEngine;
+use crate::intern::{AsnSym, PrefixSym, WorldInterner};
 use crate::metrics::QueryMetrics;
 use crate::plan::QueryError;
-use crate::proto::{Query, Response, RovAnswer};
-use crate::snapshot::{Snapshot, SnapshotId, VantageKind};
+use crate::snapshot::{CompactRoute, Oracle, PointRead, Snapshot, SnapshotId, VantageKind};
 
 /// Where a tiered snapshot currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Residency {
     /// Hydrated into the in-memory hot set.
     Hot,
-    /// On disk behind its mapping; point queries answer zero-copy.
+    /// On disk behind its mapping; point queries read it in place.
     Cold,
 }
 
@@ -90,7 +101,7 @@ pub struct TierStats {
     pub hydrations: u64,
     /// Hot-set evictions so far.
     pub evictions: u64,
-    /// Point queries answered zero-copy off a cold mapping.
+    /// Point queries answered off a cold snapshot's mapped chain.
     pub cold_hits: u64,
 }
 
@@ -108,6 +119,12 @@ pub(crate) struct Segment {
     /// Set once the segment's CRC has been verified against the
     /// manifest (lazily, at first actual read of the bytes).
     verified: AtomicBool,
+    /// A delta segment's events, indexed at the first chain read that
+    /// crosses it.
+    events: OnceLock<DeltaEvents>,
+    /// A keyframe's oracle, decoded at the first `sa` or `rel` it
+    /// answers.
+    oracle: OnceLock<Oracle>,
 }
 
 /// Attaches one snapshot segment — row `index` of the manifest, `entry`,
@@ -183,6 +200,8 @@ pub(crate) fn attach(
         map,
         dir: vdir,
         verified: AtomicBool::new(verified),
+        events: OnceLock::new(),
+        oracle: OnceLock::new(),
     })
 }
 
@@ -201,6 +220,182 @@ impl Segment {
         }
         self.verified.store(true, Ordering::Release);
         Ok(())
+    }
+
+    /// A decode failure in this segment's bytes.
+    fn corrupt(&self, e: CodecError) -> QueryError {
+        corrupt(&self.meta.file, e)
+    }
+
+    /// A delta segment's event index, built at first use from its
+    /// verified bytes.
+    fn events(&self, interner: &WorldInterner) -> Result<&DeltaEvents, QueryError> {
+        if let Some(events) = self.events.get() {
+            return Ok(events);
+        }
+        self.verify()?;
+        let events =
+            index_delta(&self.map, &self.meta.label, interner).map_err(|e| self.corrupt(e))?;
+        Ok(self.events.get_or_init(|| events))
+    }
+
+    /// A keyframe's oracle, decoded at first use from its verified bytes.
+    fn oracle(&self, interner: &WorldInterner) -> Result<&Oracle, QueryError> {
+        if let Some(oracle) = self.oracle.get() {
+            return Ok(oracle);
+        }
+        self.verify()?;
+        let oracle =
+            read_mapped_oracle(&self.map, interner.sizes().0).map_err(|e| self.corrupt(e))?;
+        Ok(self.oracle.get_or_init(|| oracle))
+    }
+}
+
+/// A snapshot with no keyframe before it: its chain reaches segment 0.
+fn unanchored(segs: &[Arc<Segment>]) -> QueryError {
+    QueryError::Corrupt {
+        file: segs[0].meta.file.clone(),
+        offset: 0,
+        what: "no keyframe anchors the delta chain".to_string(),
+    }
+}
+
+/// A cold snapshot read in place: the full segment its chain starts
+/// from (the anchor) and the event indexes of the delta segments from
+/// there to the snapshot, every one of them CRC-verified. A vantage is
+/// the anchor directory's unless a delta of the chain dropped it; a
+/// prefix holds what the newest delta touching it left there, else what
+/// the anchor's trie stores — [`Snapshot::patch_vantage`] applied along
+/// the chain, read backwards.
+pub(crate) struct ChainView<'a> {
+    id: SnapshotId,
+    interner: &'a WorldInterner,
+    /// The segments up to the snapshot; the chain is their tail.
+    segs: &'a [Arc<Segment>],
+    anchor: &'a Segment,
+    dir: &'a VantageDir,
+    /// The chain's delta segments' events, newest first.
+    deltas: Vec<&'a DeltaEvents>,
+}
+
+impl<'a> ChainView<'a> {
+    /// `v`'s row in the anchor's directory, unless the chain dropped it.
+    fn entry(&self, v: AsnSym) -> Option<&'a VantageDirEntry> {
+        let entry = self.dir.entry(v)?;
+        self.deltas.iter().all(|d| !d.drops(v)).then_some(entry)
+    }
+
+    /// The snapshot's vantages: the anchor's, less those dropped since.
+    fn vantages(&self) -> impl Iterator<Item = (AsnSym, VantageKind)> + '_ {
+        (self.dir.entries.iter())
+            .filter(|e| self.entry(e.sym).is_some())
+            .map(|e| (e.sym, e.kind))
+    }
+
+    /// The anchor's trie of the vantage whose row is `entry`.
+    fn trie(&self, entry: &VantageDirEntry) -> Result<FlatTrie<'a>, QueryError> {
+        let raw: &'a [u8] = &self.anchor.map;
+        let (start, len) = entry.span;
+        FlatTrie::new(&raw[start..start + len], start).map_err(|e| self.anchor.corrupt(e))
+    }
+
+    /// Decodes a route `trie` stores.
+    fn decode(&self, trie: &FlatTrie<'a>, value: &'a [u8]) -> Result<CompactRoute, QueryError> {
+        let n_asns = self.interner.sizes().0;
+        (trie.read_value(value, &mut |r| decode_route(r, n_asns)))
+            .map_err(|e| self.anchor.corrupt(e))
+    }
+}
+
+impl PointRead for ChainView<'_> {
+    fn id(&self) -> SnapshotId {
+        self.id
+    }
+
+    fn is_vantage(&self, v: AsnSym) -> Result<bool, QueryError> {
+        Ok(self.entry(v).is_some())
+    }
+
+    fn get(
+        &self,
+        v: AsnSym,
+        prefix: Ipv4Prefix,
+    ) -> Result<Option<Cow<'_, CompactRoute>>, QueryError> {
+        let Some(entry) = self.entry(v) else {
+            return Ok(None);
+        };
+        for d in &self.deltas {
+            if let Some(left) = d.touched(v, entry.kind).and_then(|t| t.get(prefix)) {
+                return Ok(left.map(Cow::Borrowed));
+            }
+        }
+        let trie = self.trie(entry)?;
+        let value = trie.get(prefix).map_err(|e| self.anchor.corrupt(e))?;
+        value
+            .map(|value| self.decode(&trie, value).map(Cow::Owned))
+            .transpose()
+    }
+
+    fn best_match(
+        &self,
+        v: AsnSym,
+        prefix: Ipv4Prefix,
+    ) -> Result<Option<(Ipv4Prefix, Cow<'_, CompactRoute>)>, QueryError> {
+        let Some(entry) = self.entry(v) else {
+            return Ok(None);
+        };
+        // Per cover length: what the newest delta touching that cover
+        // left there, and what the anchor stores there.
+        let mut left: [Option<Option<&CompactRoute>>; 33] = [None; 33];
+        for d in &self.deltas {
+            let touched = d.touched(v, entry.kind).into_iter();
+            for (cover, route) in touched.flat_map(|t| t.covering(prefix)) {
+                left[cover.len() as usize].get_or_insert(route);
+            }
+        }
+        let trie = self.trie(entry)?;
+        let mut stored: [Option<&[u8]>; 33] = [None; 33];
+        (trie.covering(prefix, |cover, value| {
+            stored[cover.len() as usize] = Some(value)
+        }))
+        .map_err(|e| self.anchor.corrupt(e))?;
+        for len in (0..=prefix.len()).rev() {
+            let cover = Ipv4Prefix::canonical(prefix.bits(), len);
+            match (left[len as usize], stored[len as usize]) {
+                (Some(Some(route)), _) => return Ok(Some((cover, Cow::Borrowed(route)))),
+                (None, Some(value)) => {
+                    let route = self.decode(&trie, value)?;
+                    return Ok(Some((cover, Cow::Owned(route))));
+                }
+                _ => {}
+            }
+        }
+        Ok(None)
+    }
+
+    fn sa_filed(
+        &self,
+        v: AsnSym,
+        prefix: Ipv4Prefix,
+        _: PrefixSym,
+    ) -> Result<Option<(SaVerdict, AsnSym)>, QueryError> {
+        let Some(route) = self.get(v, prefix)? else {
+            return Ok(None);
+        };
+        let origin = *route.path.last().expect("stored paths are non-empty");
+        let oracle = self.oracle()?;
+        let in_cone = |o| oracle.in_cone(v, o);
+        let verdict = sa_verdict(oracle, v, route.next_hop, origin, in_cone);
+        Ok(verdict.map(|verdict| (verdict, origin)))
+    }
+
+    /// The oracle of the keyframe the chain descends from: a delta, and
+    /// a full segment that elides its edges, share their predecessor's.
+    fn oracle(&self) -> Result<&Oracle, QueryError> {
+        let keyframe = self.segs.iter().rfind(|s| s.meta.keyframe);
+        keyframe
+            .ok_or_else(|| unanchored(self.segs))?
+            .oracle(self.interner)
     }
 }
 
@@ -371,180 +566,69 @@ impl Tier {
         }
     }
 
-    /// The vantages of snapshot `id`, ascending by ASN — read from the
-    /// mapped directory when there is one, so listing never hydrates.
-    pub(crate) fn vantages(&self, engine: &QueryEngine, id: SnapshotId) -> Vec<(Asn, VantageKind)> {
-        let Some(seg) = self.segs.get(id.index()) else {
+    /// The vantages of snapshot `id`, ascending by ASN — read off its
+    /// chain, so listing never hydrates.
+    pub(crate) fn vantages(
+        &self,
+        interner: &WorldInterner,
+        id: SnapshotId,
+    ) -> Vec<(Asn, VantageKind)> {
+        let Ok(chain) = self.chain(interner, id) else {
             return Vec::new();
         };
-        let mut out: Vec<(Asn, VantageKind)> = match &seg.dir {
-            Some(dir) => dir
-                .entries
-                .iter()
-                .map(|e| (engine.interner.resolve_asn(e.sym), e.kind))
-                .collect(),
-            None => match self.snapshot(engine, id) {
-                Ok(snap) => snap
-                    .vantage_syms()
-                    .map(|(s, k)| (engine.interner.resolve_asn(s), k))
-                    .collect(),
-                Err(_) => return Vec::new(),
-            },
-        };
+        let mut out: Vec<(Asn, VantageKind)> = chain
+            .vantages()
+            .map(|(s, k)| (interner.resolve_asn(s), k))
+            .collect();
         out.sort_unstable_by_key(|&(a, _)| a);
         out
     }
 
-    // ---------- the cold path: zero-copy point queries ----------
+    // ---------- the cold path: reading a mapped chain ----------
 
-    /// Answers `query` straight off snapshot `id`'s mapped segment if it
-    /// is a cold-capable point query (exact route, longest-prefix
-    /// resolve, ROV) against a cold full segment. `Ok(None)` means "not
-    /// servable cold — hydrate": the snapshot is hot (its in-memory copy
-    /// is authoritative for LRU recency), a delta segment backs it, or
-    /// the verb needs full structures.
-    pub(crate) fn try_cold(
-        &self,
-        engine: &QueryEngine,
-        query: &Query,
+    /// Snapshot `id` read in place off its mapped chain: the nearest full
+    /// segment at or before it, and the delta segments after that one,
+    /// each verified and its events indexed (once per segment).
+    pub(crate) fn chain<'a>(
+        &'a self,
+        interner: &'a WorldInterner,
         id: SnapshotId,
-    ) -> Result<Option<Response>, QueryError> {
-        if !matches!(
-            query,
-            Query::Route { .. } | Query::Resolve { .. } | Query::Rov { .. }
-        ) {
-            return Ok(None);
-        }
-        if self.residency(id) == Some(Residency::Hot) {
-            return Ok(None);
-        }
-        let Some(ts) = self.segs.get(id.index()) else {
-            return Err(QueryError::UnknownSnapshot(id));
-        };
-        let Some(dir) = &ts.dir else {
-            return Ok(None);
-        };
+    ) -> Result<ChainView<'a>, QueryError> {
+        let segs = (self.segs.get(..=id.index())).ok_or(QueryError::UnknownSnapshot(id))?;
+        let (at, dir) = (segs.iter().enumerate().rev())
+            .find_map(|(i, s)| Some((i, s.dir.as_ref()?)))
+            .ok_or_else(|| unanchored(segs))?;
+        let anchor = &*segs[at];
+        anchor.verify()?;
+        let mut deltas = (segs[at + 1..].iter())
+            .map(|s| s.events(interner))
+            .collect::<Result<Vec<_>, _>>()?;
+        deltas.reverse();
+        Ok(ChainView {
+            id,
+            interner,
+            segs,
+            anchor,
+            dir,
+            deltas,
+        })
+    }
+
+    /// Answers a point read at cold snapshot `id` off its chain, counted
+    /// as a cold hit.
+    pub(crate) fn read_cold<T>(
+        &self,
+        interner: &WorldInterner,
+        id: SnapshotId,
+        read: impl FnOnce(&ChainView<'_>) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
         let cold_start = Instant::now();
-        ts.verify()?;
-        let resp = match *query {
-            Query::Route { vantage, prefix } => {
-                Response::Route(self.cold_route(engine, ts, dir, id, vantage, prefix, false)?)
-            }
-            Query::Resolve { vantage, prefix } => {
-                Response::Route(self.cold_route(engine, ts, dir, id, vantage, prefix, true)?)
-            }
-            Query::Rov { vantage, prefix } => {
-                engine.metrics.sec_rov_total.inc();
-                Response::Rov(self.cold_rov(engine, ts, dir, vantage, prefix)?)
-            }
-            _ => unreachable!("matched above"),
-        };
+        let answer = read(&self.chain(interner, id)?)?;
         self.metrics.tier_cold_hits_total.inc();
         self.metrics
             .tier_cold_hit_seconds
             .record(cold_start.elapsed());
-        Ok(Some(resp))
-    }
-
-    /// Decodes the one matched route value in place (the value bytes are
-    /// a subslice of the mapping; offsets in errors stay absolute).
-    fn decode_value(
-        &self,
-        engine: &QueryEngine,
-        ts: &Segment,
-        value: &[u8],
-    ) -> Result<crate::snapshot::CompactRoute, QueryError> {
-        let raw: &[u8] = &ts.map;
-        let abs = value.as_ptr() as usize - raw.as_ptr() as usize;
-        let mut r = Reader::with_base(value, abs);
-        let route = decode_route(&mut r, engine.interner.sizes().0)
-            .map_err(|e| corrupt(&ts.meta.file, e))?;
-        if !r.is_exhausted() {
-            return Err(corrupt(
-                &ts.meta.file,
-                CodecError::Invalid {
-                    offset: r.position(),
-                    what: "trailing bytes after route value",
-                },
-            ));
-        }
-        Ok(route)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn cold_route(
-        &self,
-        engine: &QueryEngine,
-        ts: &Segment,
-        dir: &VantageDir,
-        id: SnapshotId,
-        vantage: Asn,
-        prefix: Ipv4Prefix,
-        lpm: bool,
-    ) -> Result<Option<RouteAnswer>, QueryError> {
-        let Some(v) = engine.interner.lookup_asn(vantage) else {
-            return Ok(None);
-        };
-        let Some(entry) = dir.entry(v) else {
-            return Ok(None);
-        };
-        let raw: &[u8] = &ts.map;
-        let (start, len) = entry.span;
-        let trie = flat::FlatTrie::new(&raw[start..start + len], start)
-            .map_err(|e| corrupt(&ts.meta.file, e))?;
-        let matched = if lpm {
-            trie.best_match(prefix)
-        } else {
-            trie.get(prefix).map(|hit| hit.map(|value| (prefix, value)))
-        };
-        let Some((matched_prefix, value)) = matched.map_err(|e| corrupt(&ts.meta.file, e))? else {
-            return Ok(None);
-        };
-        let route = self.decode_value(engine, ts, value)?;
-        Ok(Some(RouteAnswer {
-            snapshot: id,
-            vantage,
-            prefix: matched_prefix,
-            next_hop: engine.interner.resolve_asn(route.next_hop),
-            path: route
-                .path
-                .iter()
-                .map(|&s| engine.interner.resolve_asn(s))
-                .collect(),
-        }))
-    }
-
-    fn cold_rov(
-        &self,
-        engine: &QueryEngine,
-        ts: &Segment,
-        dir: &VantageDir,
-        vantage: Asn,
-        prefix: Ipv4Prefix,
-    ) -> Result<RovAnswer, QueryError> {
-        let Some(v) = engine.interner.lookup_asn(vantage) else {
-            return Ok(RovAnswer::UnknownVantage);
-        };
-        let Some(entry) = dir.entry(v) else {
-            return Ok(RovAnswer::UnknownVantage);
-        };
-        let raw: &[u8] = &ts.map;
-        let (start, len) = entry.span;
-        let trie = flat::FlatTrie::new(&raw[start..start + len], start)
-            .map_err(|e| corrupt(&ts.meta.file, e))?;
-        let Some(value) = trie.get(prefix).map_err(|e| corrupt(&ts.meta.file, e))? else {
-            return Ok(RovAnswer::NoRoute);
-        };
-        let route = self.decode_value(engine, ts, value)?;
-        let origin = engine
-            .interner
-            .resolve_asn(*route.path.last().expect("decoded paths are non-empty"));
-        let (validity, covering) = engine.rov_cache.validate(&engine.roas, prefix, origin);
-        Ok(RovAnswer::Validated {
-            origin,
-            validity,
-            covering,
-        })
+        Ok(answer)
     }
 
     // ---------- the hot path: on-demand hydration ----------
@@ -585,11 +669,7 @@ impl Tier {
         let mut first = id.index();
         while !self.segs[first].meta.keyframe {
             if first == 0 {
-                return Err(QueryError::Corrupt {
-                    file: self.segs[0].meta.file.clone(),
-                    offset: 0,
-                    what: "no keyframe anchors the delta chain".to_string(),
-                });
+                return Err(unanchored(&self.segs));
             }
             if let Some(snap) = hot.get(first as u32 - 1) {
                 cur = Some(snap);
@@ -767,9 +847,9 @@ mod tests {
 
     /// A panic with the hot-set lock held — a hydration that panicked —
     /// poisons it, and every later tiered query still renders what it
-    /// rendered before: `sa @0` (hydrated) and `route @1` (replayed onto
-    /// it at hot cap 1, evicting it, so asking `sa @0` again hydrates
-    /// under the poisoned lock).
+    /// rendered before: `summary @0` (hydrated) and `summary @1`
+    /// (replayed onto it at hot cap 1, evicting it, so asking
+    /// `summary @0` again hydrates under the poisoned lock).
     #[test]
     fn a_poisoned_hot_set_keeps_answering() {
         use bgp_sim::churn::simulate_series;
@@ -793,12 +873,10 @@ mod tests {
             SegmentKind::Delta
         );
 
-        let (vantage, _) = tiered.vantages_in(SnapshotId(0))[0];
-        let owner = engine.interner.lookup_asn(vantage).unwrap();
-        let prefix = engine.snapshots[0].table_prefixes(owner).next().unwrap();
+        let (asn, _) = tiered.vantages_in(SnapshotId(0))[0];
         let reqs = [
-            Query::SaStatus { vantage, prefix }.at(Scope::Id(SnapshotId(0))),
-            Query::Route { vantage, prefix }.at(Scope::Id(SnapshotId(1))),
+            Query::PolicySummary { asn }.at(Scope::Id(SnapshotId(0))),
+            Query::PolicySummary { asn }.at(Scope::Id(SnapshotId(1))),
         ];
         let answers = || -> Vec<String> {
             (reqs.iter())

@@ -49,6 +49,10 @@ struct Scenario {
 }
 
 fn build_scenario(seed: u64) -> Scenario {
+    build_scenario_steps(seed, SNAPSHOTS)
+}
+
+fn build_scenario_steps(seed: u64, steps: usize) -> Scenario {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x71E2_0A11);
     let g = InternetConfig::of_size(InternetSize::Tiny)
         .with_seed(seed)
@@ -57,7 +61,7 @@ fn build_scenario(seed: u64) -> Scenario {
     let spec = VantageSpec::paper_like(&g, 8, 4);
     let cfg = ChurnConfig {
         seed,
-        steps: SNAPSHOTS,
+        steps,
         flip_prob: rng.gen_range(0.1..0.6),
         link_failure_prob: rng.gen_range(0.05..0.4),
         label: "tr",
@@ -81,10 +85,28 @@ fn build_scenario(seed: u64) -> Scenario {
     Scenario {
         labels: series.labels,
         outputs: series.snapshots,
-        oracles: vec![g; SNAPSHOTS],
+        oracles: vec![g; steps],
         vantages,
         prefixes,
     }
+}
+
+/// A collector-only peer of the scenario, taken out of snapshot `at`'s
+/// collector view: snapshot `at` is a delta that drops it, and `at + 1`
+/// a full segment — the peer comes back — under its predecessor's
+/// oracle, unless a keyframe falls there.
+fn drop_peer_at(sc: &mut Scenario, at: usize) -> Asn {
+    let out = &sc.outputs[0];
+    let peer = *(out.collector.peers.iter())
+        .find(|p| !out.lgs.contains_key(p))
+        .expect("a collector-only peer");
+    let view = &mut sc.outputs[at].collector;
+    view.peers.retain(|&p| p != peer);
+    for rows in view.rows.values_mut() {
+        rows.retain(|r| r.peer != peer);
+    }
+    view.rows.retain(|_, rows| !rows.is_empty());
+    peer
 }
 
 fn scenario_roas(sc: &Scenario, seed: u64) -> RoaTable {
@@ -268,7 +290,8 @@ fn differential_unkeyframed_seed_0xc3() {
     run_differential(0xC3, None, "c3");
 }
 
-/// Extra seeds without a rebuild: `RPI_TIER_SEEDS=7,8 cargo test …`.
+/// Extra seeds without a rebuild: `RPI_TIER_SEEDS=7,8 cargo test …`,
+/// each at keyframe cadence 2 and at the benchmark's 8.
 #[test]
 fn differential_extra_seeds_from_env() {
     let Ok(spec) = std::env::var("RPI_TIER_SEEDS") else {
@@ -280,6 +303,7 @@ fn differential_extra_seeds_from_env() {
             .parse()
             .unwrap_or_else(|_| panic!("bad seed '{part}' in RPI_TIER_SEEDS"));
         run_differential(seed, Some(2), "env");
+        run_differential(seed, Some(8), "env8");
     }
 }
 
@@ -324,43 +348,199 @@ fn keyframe_cadence_bounds_every_chain() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A cold point query against a keyframe-backed snapshot is answered
-/// zero-copy: cold hits accrue, hydrations stay at zero, residency
-/// stays cold.
+/// Every point verb at every id of a tier-attached archive is read off
+/// the mapped chain — a keyframe's trie alone at cadence 1, deltas over
+/// a keyframe at cadence 8 (the benchmark's), deltas over the leading
+/// full segment with no cadence — and renders the hydrated engine's
+/// bytes: nothing hydrates, nothing turns hot, every query is a cold
+/// hit. A collector peer is missing from one snapshot, so chains cross
+/// a dropped vantage and re-anchor at the full segment that brings it
+/// back, which shares the earlier keyframe's oracle.
 #[test]
 fn cold_point_queries_never_hydrate() {
-    let sc = build_scenario(0xE5);
-    let (dir, manifest) = saved(&sc, 0xE5, Some(1), "cold");
-    // Cadence 1: every snapshot is a keyframe — all cold-queryable.
-    assert!(manifest.snapshot_segments().all(|(_, e)| e.is_keyframe()));
+    let mut sc = build_scenario_steps(0xE5, 12);
+    let dropped = drop_peer_at(&mut sc, 4);
+    for keyframe_every in [Some(1), Some(8), None] {
+        let tag = format!("cold-{}", keyframe_every.unwrap_or(0));
+        let (dir, manifest) = saved(&sc, 0xE5, keyframe_every, &tag);
+        let shape: Vec<(SegmentKind, bool)> = (manifest.snapshot_segments())
+            .map(|(_, e)| (e.kind, e.is_keyframe()))
+            .collect();
+        if keyframe_every == Some(1) {
+            assert!(shape.iter().all(|&(_, keyframe)| keyframe), "{shape:?}");
+        } else {
+            assert_eq!(shape[4], (SegmentKind::Delta, false), "{shape:?}");
+            assert_eq!(shape[5], (SegmentKind::Full, false), "{shape:?}");
+        }
 
+        let hydrated = QueryEngine::load_archive(&dir).expect("hydrated load");
+        let tiered = QueryEngine::load_archive_tiered(&dir, 1).expect("tiered load");
+        let mut asked = 0u64;
+        let mut negative = 0u64;
+        for i in 0..sc.outputs.len() {
+            let scope = Scope::Id(SnapshotId(i as u32));
+            for &vantage in &sc.vantages {
+                let mut queries: Vec<Query> = (sc.vantages.iter())
+                    .map(|&b| Query::Relationship { a: vantage, b })
+                    .collect();
+                for &prefix in sc.prefixes.iter().step_by(13) {
+                    let host = Ipv4Prefix::canonical(prefix.bits(), 32);
+                    queries.extend([
+                        Query::Route { vantage, prefix },
+                        Query::Resolve { vantage, prefix },
+                        Query::Resolve {
+                            vantage,
+                            prefix: host,
+                        },
+                        Query::SaStatus { vantage, prefix },
+                        Query::Rov { vantage, prefix },
+                    ]);
+                }
+                for query in queries {
+                    let req = query.at(scope.clone());
+                    let want = rendered(&hydrated, &req);
+                    assert_eq!(
+                        rendered(&tiered, &req),
+                        want,
+                        "cadence {keyframe_every:?}: {req:?}"
+                    );
+                    assert!(!want.starts_with("error:"), "{want}");
+                    negative += want.contains("is not a vantage") as u64;
+                    asked += 1;
+                }
+            }
+            assert_eq!(
+                tiered.residency(SnapshotId(i as u32)),
+                Some(Residency::Cold)
+            );
+        }
+        let sa_at = |i: u32| {
+            let prefix = sc.prefixes[0];
+            Query::SaStatus {
+                vantage: dropped,
+                prefix,
+            }
+            .at(Scope::Id(SnapshotId(i)))
+        };
+        assert!(rendered(&tiered, &sa_at(4)).contains("is not a vantage"));
+        assert!(!rendered(&tiered, &sa_at(5)).contains("is not a vantage"));
+        asked += 2;
+        assert!(negative > 0 && negative < asked, "{negative} of {asked}");
+        let stats = tiered.tier_stats().unwrap();
+        assert_eq!(
+            (stats.hydrations, stats.hot),
+            (0, 0),
+            "cadence {keyframe_every:?}: point queries must stay on the mapping"
+        );
+        assert_eq!(stats.cold_hits, asked, "cadence {keyframe_every:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Listing never hydrates: each id's vantages are read off its chain —
+/// the anchoring full segment's directory less what the chain dropped —
+/// and are the hydrated engine's, the dropped peer missing exactly where
+/// it was.
+#[test]
+fn listing_vantages_never_hydrates() {
+    let mut sc = build_scenario_steps(0x5E, 12);
+    let dropped = drop_peer_at(&mut sc, 4);
+    let (dir, _) = saved(&sc, 0x5E, Some(8), "list");
+    let hydrated = QueryEngine::load_archive(&dir).expect("hydrated load");
     let tiered = QueryEngine::load_archive_tiered(&dir, 1).expect("tiered load");
-    let vantage = sc.vantages[0];
-    let mut asked = 0u64;
-    for i in 0..SNAPSHOTS {
+    for i in 0..sc.outputs.len() {
         let id = SnapshotId(i as u32);
-        for &prefix in sc.prefixes.iter().take(5) {
-            for query in [
-                Query::Route { vantage, prefix },
-                Query::Resolve { vantage, prefix },
-                Query::Rov { vantage, prefix },
-            ] {
-                tiered
-                    .execute(&query.at(Scope::Id(id)))
-                    .expect("cold query");
-                asked += 1;
+        let listed = tiered.vantages_in(id);
+        assert_eq!(listed, hydrated.vantages_in(id), "@{i}");
+        let has_dropped = listed.iter().any(|&(a, _)| a == dropped);
+        assert_eq!(has_dropped, i != 4, "@{i}");
+    }
+    assert_eq!(tiered.vantages(), hydrated.vantages());
+    let stats = tiered.tier_stats().unwrap();
+    assert_eq!((stats.hydrations, stats.hot), (0, 0), "listing hydrated");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `resolve` at `engine` against a brute-force longest cover over
+/// `peer`'s table in every snapshot of `sc`: for every stored prefix —
+/// itself, both of its halves, its first and last address — and for one
+/// uncovered address.
+fn assert_resolve_is_the_longest_cover(engine: &QueryEngine, sc: &Scenario, peer: Asn, pass: &str) {
+    use rpi_core::view::BestTable;
+    use rpi_query::Response;
+
+    let uncovered: Ipv4Prefix = "203.0.113.7/32".parse().unwrap();
+    for (i, out) in sc.outputs.iter().enumerate() {
+        let table = BestTable::from_collector(&out.collector, peer);
+        let mut probes = vec![uncovered];
+        for &p in table.rows.keys() {
+            probes.push(p);
+            if p.len() < 32 {
+                let half = 1u32 << (31 - p.len());
+                probes.push(Ipv4Prefix::canonical(p.bits(), p.len() + 1));
+                probes.push(Ipv4Prefix::canonical(p.bits() | half, p.len() + 1));
+                probes.push(Ipv4Prefix::canonical(p.bits(), 32));
+                probes.push(Ipv4Prefix::canonical(p.bits() | (half - 1) | half, 32));
             }
         }
-        assert_eq!(tiered.residency(id), Some(Residency::Cold));
+        for probe in probes {
+            let want = table
+                .rows
+                .iter()
+                .filter(|(q, _)| q.covers(probe))
+                .max_by_key(|(q, _)| q.len())
+                .map(|(&q, row)| (q, row.next_hop, row.path.clone()));
+            assert_eq!(want.is_none(), probe == uncovered, "{probe}");
+            let req = Query::Resolve {
+                vantage: peer,
+                prefix: probe,
+            }
+            .at(Scope::Id(SnapshotId(i as u32)));
+            let got = match engine.execute(&req).expect("resolve") {
+                Response::Route(ans) => ans.map(|a| (a.prefix, a.next_hop, a.path)),
+                other => panic!("resolve answered {other:?}"),
+            };
+            assert_eq!(got, want, "{pass}, snapshot {i}: resolve {probe}");
+        }
     }
-    let stats = tiered.tier_stats().unwrap();
-    assert_eq!(
-        stats.hydrations, 0,
-        "point queries must stay on the mapping"
-    );
-    assert_eq!(stats.cold_hits, asked);
-    assert_eq!(stats.hot, 0);
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A collector-only peer of `sc` and, per snapshot, `family` spliced
+/// into its table: in snapshot `i`, each prefix carries its schedule's
+/// row `i` of `rows` — `0` leaves it out.
+fn splice_family(sc: &mut Scenario, family: &[(&str, [usize; SNAPSHOTS])]) -> Asn {
+    let peer = *sc.outputs[0]
+        .collector
+        .peers
+        .iter()
+        .find(|p| !sc.outputs[0].lgs.contains_key(p))
+        .expect("a collector-only peer");
+    let (first, other) = {
+        let mut rows = sc.outputs[0]
+            .collector
+            .all_paths()
+            .filter(|r| r.peer == peer);
+        let first = rows.next().expect("the peer has routes").clone();
+        let other = rows
+            .find(|r| r.path != first.path)
+            .expect("two paths")
+            .clone();
+        (first, other)
+    };
+    for (i, out) in sc.outputs.iter_mut().enumerate() {
+        for &(p, schedule) in family {
+            let p: Ipv4Prefix = p.parse().unwrap();
+            let row = match schedule[i] {
+                0 => continue,
+                1 => first.clone(),
+                _ => other.clone(),
+            };
+            let rows = out.collector.rows.entry(p).or_default();
+            assert!(rows.iter().all(|r| r.peer != peer), "{p} already routed");
+            rows.push(row);
+        }
+    }
+    peer
 }
 
 /// One trie per vantage: `resolve` is a single longest-prefix walk, hot
@@ -373,41 +553,18 @@ fn cold_point_queries_never_hydrate() {
 /// mapped `FlatTrie` walk) and after it.
 #[test]
 fn resolve_is_the_brute_force_longest_cover_hot_and_cold() {
-    use rpi_core::view::BestTable;
-    use rpi_query::Response;
-
     let mut sc = build_scenario(0x5C);
-    let peer = *sc.outputs[0]
-        .collector
-        .peers
-        .iter()
-        .find(|p| !sc.outputs[0].lgs.contains_key(p))
-        .expect("a collector-only peer");
-    let family: Vec<Ipv4Prefix> = [
-        "100.0.0.0/8",
-        "100.1.0.0/16",
-        "100.2.0.0/16",
-        "100.1.1.0/24",
-        "100.1.2.0/24",
-        "100.2.3.0/24",
-    ]
-    .iter()
-    .map(|p| p.parse().unwrap())
-    .collect();
-    for out in &mut sc.outputs {
-        let row = out
-            .collector
-            .all_paths()
-            .find(|r| r.peer == peer)
-            .expect("the peer has routes")
-            .clone();
-        for &p in &family {
-            let rows = out.collector.rows.entry(p).or_default();
-            assert!(rows.iter().all(|r| r.peer != peer), "{p} already routed");
-            rows.push(row.clone());
-        }
-    }
-    let uncovered: Ipv4Prefix = "203.0.113.7/32".parse().unwrap();
+    let peer = splice_family(
+        &mut sc,
+        &[
+            ("100.0.0.0/8", [1; SNAPSHOTS]),
+            ("100.1.0.0/16", [1; SNAPSHOTS]),
+            ("100.2.0.0/16", [1; SNAPSHOTS]),
+            ("100.1.1.0/24", [1; SNAPSHOTS]),
+            ("100.1.2.0/24", [1; SNAPSHOTS]),
+            ("100.2.3.0/24", [1; SNAPSHOTS]),
+        ],
+    );
 
     // Cadence 1: every snapshot is a keyframe, so every cold `resolve`
     // walks the mapping.
@@ -415,44 +572,8 @@ fn resolve_is_the_brute_force_longest_cover_hot_and_cold() {
     let hydrated = QueryEngine::load_archive(&dir).expect("hydrated load");
     let tiered = QueryEngine::load_archive_tiered(&dir, SNAPSHOTS).expect("tiered load");
 
-    let check = |engine: &QueryEngine, pass: &str| {
-        for (i, out) in sc.outputs.iter().enumerate() {
-            let table = BestTable::from_collector(&out.collector, peer);
-            let mut probes = vec![uncovered];
-            for &p in table.rows.keys() {
-                probes.push(p);
-                if p.len() < 32 {
-                    let half = 1u32 << (31 - p.len());
-                    probes.push(Ipv4Prefix::canonical(p.bits(), p.len() + 1));
-                    probes.push(Ipv4Prefix::canonical(p.bits() | half, p.len() + 1));
-                    probes.push(Ipv4Prefix::canonical(p.bits(), 32));
-                    probes.push(Ipv4Prefix::canonical(p.bits() | (half - 1) | half, 32));
-                }
-            }
-            for probe in probes {
-                let want = table
-                    .rows
-                    .iter()
-                    .filter(|(q, _)| q.covers(probe))
-                    .max_by_key(|(q, _)| q.len())
-                    .map(|(&q, row)| (q, row.next_hop, row.path.clone()));
-                assert_eq!(want.is_none(), probe == uncovered, "{probe}");
-                let req = Query::Resolve {
-                    vantage: peer,
-                    prefix: probe,
-                }
-                .at(Scope::Id(SnapshotId(i as u32)));
-                let got = match engine.execute(&req).expect("resolve") {
-                    Response::Route(ans) => ans.map(|a| (a.prefix, a.next_hop, a.path)),
-                    other => panic!("resolve answered {other:?}"),
-                };
-                assert_eq!(got, want, "{pass}, snapshot {i}: resolve {probe}");
-            }
-        }
-    };
-
-    check(&hydrated, "hydrated");
-    check(&tiered, "cold");
+    assert_resolve_is_the_longest_cover(&hydrated, &sc, peer, "hydrated");
+    assert_resolve_is_the_longest_cover(&tiered, &sc, peer, "cold");
     let stats = tiered.tier_stats().unwrap();
     assert_eq!((stats.hot, stats.hydrations), (0, 0), "cold pass hydrated");
     assert!(stats.cold_hits > 0);
@@ -462,13 +583,55 @@ fn resolve_is_the_brute_force_longest_cover_hot_and_cold() {
         tiered.execute(&req).expect("summary hydrates");
     }
     let cold_hits = stats.cold_hits;
-    check(&tiered, "hot");
+    assert_resolve_is_the_longest_cover(&tiered, &sc, peer, "hot");
     let stats = tiered.tier_stats().unwrap();
     assert_eq!(
         stats.hot, SNAPSHOTS,
         "every snapshot stays hot under the cap"
     );
     assert_eq!(stats.cold_hits, cold_hits, "the hot pass read a mapping");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `resolve` at delta-backed ids is the longest cover over the keyframe
+/// and every overlay of the chain while a nested family churns inside
+/// it: a /24 withdrawn under a /16 that stays (and back later), a /16
+/// withdrawn over a /24 that stays (and back later), /24s announced
+/// mid-chain — one under the /8 alone, withdrawn again — the /8 itself
+/// withdrawn, and a /24 whose route is replaced. Cold, then hot.
+#[test]
+fn resolve_is_the_longest_cover_across_churned_overlays() {
+    let mut sc = build_scenario(0x6D);
+    let peer = splice_family(
+        &mut sc,
+        &[
+            ("100.0.0.0/8", [1, 1, 1, 1, 0, 0]),
+            ("100.1.0.0/16", [1, 1, 1, 1, 1, 1]),
+            ("100.1.1.0/24", [1, 0, 0, 0, 0, 1]),
+            ("100.1.2.0/24", [1, 1, 1, 1, 1, 2]),
+            ("100.2.0.0/16", [1, 1, 0, 0, 1, 1]),
+            ("100.2.3.0/24", [1, 1, 1, 1, 1, 1]),
+            ("100.1.3.0/24", [0, 0, 0, 1, 1, 1]),
+            ("100.3.4.0/24", [0, 0, 0, 1, 1, 0]),
+        ],
+    );
+    let (dir, manifest) = saved(&sc, 0x6D, None, "lpm-churn");
+    let deltas = (manifest.snapshot_segments())
+        .filter(|(_, e)| e.kind == SegmentKind::Delta)
+        .count();
+    assert_eq!(deltas, SNAPSHOTS - 1, "every id after 0 is delta-backed");
+    let hydrated = QueryEngine::load_archive(&dir).expect("hydrated load");
+    let tiered = QueryEngine::load_archive_tiered(&dir, SNAPSHOTS).expect("tiered load");
+
+    assert_resolve_is_the_longest_cover(&hydrated, &sc, peer, "hydrated");
+    assert_resolve_is_the_longest_cover(&tiered, &sc, peer, "cold");
+    let stats = tiered.tier_stats().unwrap();
+    assert_eq!((stats.hot, stats.hydrations), (0, 0), "cold pass hydrated");
+    for i in 0..SNAPSHOTS {
+        let req = Query::PolicySummary { asn: peer }.at(Scope::Id(SnapshotId(i as u32)));
+        tiered.execute(&req).expect("summary hydrates");
+    }
+    assert_resolve_is_the_longest_cover(&tiered, &sc, peer, "hot");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -580,6 +743,96 @@ fn corrupt_mapped_segment_is_a_typed_error() {
             assert!(what.contains("checksum"), "unexpected what: {what}");
         }
         other => panic!("wanted Corrupt, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cold chain read verifies and decodes every segment it crosses. A
+/// byte flipped in an intermediate delta segment makes a point query at
+/// the newest id a typed `Corrupt` naming that segment, and so does a
+/// delta event naming an AS the symbol table lacks in a segment whose
+/// checksum was recomputed — what the hydrating load reports for it too.
+/// Never a panic, never a silent answer.
+#[test]
+fn corruption_reached_through_a_chain_is_a_typed_error() {
+    use bgp_sim::{DeltaRoute, OutputDelta};
+    use bgp_types::codec::{put_asn_list, put_str, Reader};
+    use rpi_store::StoreError;
+
+    let sc = build_scenario(0x3C);
+    let (dir, manifest) = saved(&sc, 0x3C, None, "chain-corrupt");
+    let segs: Vec<(usize, rpi_store::SegmentEntry)> = (manifest.snapshot_segments())
+        .map(|(i, e)| (i, e.clone()))
+        .collect();
+    assert!(segs[1..].iter().all(|(_, e)| e.kind == SegmentKind::Delta));
+    let (vantage, prefix) = (sc.vantages[0], sc.prefixes[0]);
+    let req = Query::Route { vantage, prefix }.at(Scope::Id(SnapshotId(SNAPSHOTS as u32 - 1)));
+    let want = rendered(
+        &QueryEngine::load_archive(&dir).expect("hydrated load"),
+        &req,
+    );
+    let tiered = QueryEngine::load_archive_tiered(&dir, 1).expect("tiered load");
+    assert_eq!(rendered(&tiered, &req), want);
+
+    // A flipped byte in the intermediate delta behind id 2.
+    let path = dir.join(&segs[2].1.file);
+    let pristine = std::fs::read(&path).unwrap();
+    let mut flipped = pristine.clone();
+    flipped[pristine.len() / 2] ^= 0x10;
+    std::fs::write(&path, &flipped).unwrap();
+    let tiered = QueryEngine::load_archive_tiered(&dir, 1).expect("attach is lazy");
+    match tiered.execute(&req) {
+        Err(QueryError::Corrupt { file, what, .. }) => {
+            assert_eq!(file, segs[2].1.file);
+            assert!(what.contains("checksum"), "{what}");
+        }
+        other => panic!("wanted Corrupt, got {other:?}"),
+    }
+    std::fs::write(&path, &pristine).unwrap();
+
+    // The delta behind id 3 gains an event whose next hop and path no
+    // symbol names; its manifest row is fixed up to match.
+    let (index, entry) = &segs[3];
+    let path = dir.join(&entry.file);
+    let bytes = std::fs::read(&path).unwrap();
+    let mut r = Reader::new(&bytes);
+    let label = r.str().unwrap().to_string();
+    let dropped = r.asn_list().unwrap();
+    let mut delta = OutputDelta::decode(&mut r).unwrap();
+    let sidecar = bytes[r.position()..].to_vec();
+    let stranger = Asn(4_200_000_000);
+    let peer = sc.outputs[0].collector.peers[0];
+    let event = DeltaRoute {
+        next_hop: stranger,
+        path: vec![stranger],
+        communities: Vec::new(),
+    };
+    (delta.collector.entry(peer).or_default().announced).push((prefix, event));
+    let mut out = Vec::new();
+    put_str(&mut out, &label);
+    put_asn_list(&mut out, &dropped);
+    delta.encode(&mut out);
+    out.extend_from_slice(&sidecar);
+    std::fs::write(&path, &out).unwrap();
+    let mut fixed = manifest.clone();
+    fixed.segments[*index].bytes = out.len() as u64;
+    fixed.segments[*index].crc32 = rpi_store::crc32(&out);
+    fixed.write(&dir, true).unwrap();
+
+    let tiered = QueryEngine::load_archive_tiered(&dir, 1).expect("attach is lazy");
+    match tiered.execute(&req) {
+        Err(QueryError::Corrupt { file, what, .. }) => {
+            assert_eq!(file, entry.file);
+            assert_eq!(what, "delta event symbol missing from symbol table");
+        }
+        other => panic!("wanted Corrupt, got {other:?}"),
+    }
+    match QueryEngine::load_archive(&dir) {
+        Err(StoreError::Corrupt { segment, what, .. }) => {
+            assert_eq!(segment.file, entry.file);
+            assert!(what.contains("delta event symbol missing"), "{what}");
+        }
+        other => panic!("wanted Corrupt, got {:?}", other.map(|_| ())),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
