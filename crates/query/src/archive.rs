@@ -26,10 +26,19 @@
 //!   [`decode_full`] requires its spans to tile the body. The oracle's
 //!   edges are elided when equal to the predecessor's (the snapshot then
 //!   loads holding the predecessor's `Arc<Oracle>`). Nothing derivable is
-//!   stored: decoding hands each route to the snapshot's [`TableJudge`]
-//!   as it enters its trie, which derives the vantage's SA cache and
-//!   leak convictions, and the `summary` verb's neighbour counts are a
-//!   tally of the oracle's rows.
+//!   stored: a table decoded standalone hands each route to the
+//!   snapshot's [`TableJudge`] as it enters its trie, which derives the
+//!   vantage's SA cache and leak convictions, and the `summary` verb's
+//!   neighbour counts are a tally of the oracle's rows.
+//!
+//!   A full segment is self-contained for a reader with no predecessor
+//!   (the first snapshot, a hydration that starts at a keyframe), but
+//!   whenever the predecessor is in hand [`decode_full`] decodes the
+//!   segment **onto** it: an equal oracle is the predecessor's `Arc`, and
+//!   each table is merge-joined against the predecessor's and patched
+//!   where it differs by the same [`Snapshot::patch_table`] delta replay
+//!   runs, so a loaded series shares across keyframes what the ingested
+//!   series shared and history folds skip what did not change.
 //! * **delta segment** — one snapshot as the structured
 //!   [`OutputDelta`] events it was ingested from, plus the list of
 //!   vantages that disappeared and the recomputed analyses of
@@ -87,7 +96,8 @@ use rpi_store::{
 use crate::engine::QueryEngine;
 use crate::intern::{AsnSym, FrozenInterner, PrefixSym, WorldInterner};
 use crate::snapshot::{
-    CompactRoute, Oracle, Provenance, Snapshot, SnapshotId, TableJudge, VantageKind, VantageTable,
+    CompactRoute, Oracle, Provenance, RouteEdits, Snapshot, SnapshotId, TableJudge, VantageKind,
+    VantageTable,
 };
 
 /// One segment's on-disk identity, kept on the engine after a save or
@@ -678,6 +688,28 @@ fn read_oracle(r: &mut Reader<'_>, n_asns: usize) -> Result<Oracle, CodecError> 
     Ok(oracle)
 }
 
+/// Decodes a full segment as snapshot `id`. With no predecessor in hand
+/// (`prev` is `None`: the first snapshot, a hydration starting at a
+/// keyframe) the segment is self-contained — edges elided for the
+/// predecessor's are then corruption — and every table is built and
+/// judged from scratch. With one, the segment is decoded **onto** it, so
+/// a loaded series shares what the ingested series shared:
+///
+/// * an oracle equal to `prev`'s is dropped for `prev`'s `Arc` (and the
+///   cones it has walked);
+/// * a vantage `prev` indexed under the same [`VantageKind`] is
+///   merge-joined against `prev`'s table ([`RouteEdits::between`]) and
+///   carried over by [`Snapshot::patch_table`] — the predecessor's
+///   table, SA cache and convictions as they are when nothing moved, an
+///   O(1) trie clone patched and re-judged at the edited prefixes when
+///   something did, the whole table re-judged under a changed oracle;
+/// * a new or kind-switched vantage is decoded fresh;
+/// * a community-class map equal to `prev`'s keeps its `Arc`.
+///
+/// Every check on the bytes holds either way: the directory's spans tile
+/// the body, each trie fills its span and holds its route count, every
+/// stored prefix is interned, the label is the manifest's, and the edge
+/// section keeps the [`Relations`] contract ([`read_oracle`]).
 fn decode_full(
     raw: &[u8],
     id: SnapshotId,
@@ -704,8 +736,13 @@ fn decode_full(
         })?;
         Arc::clone(&prev.oracle)
     } else {
-        Arc::new(read_oracle(&mut r, n_asns)?)
+        let decoded = read_oracle(&mut r, n_asns)?;
+        match prev {
+            Some(prev) if *prev.oracle == decoded => Arc::clone(&prev.oracle),
+            _ => Arc::new(decoded),
+        }
     };
+    let oracle_changed = prev.is_some_and(|p| !Arc::ptr_eq(&p.oracle, &oracle));
     let mut snap = Snapshot::empty(id, label, oracle);
 
     // Vantage tables, found through the directory, whose spans must tile
@@ -733,13 +770,25 @@ fn decode_full(
                 what: "route count disagrees with trie contents",
             });
         }
+        let missing_prefix = CodecError::Invalid {
+            offset: start,
+            what: "table prefix missing from symbol table",
+        };
+        let onto = prev.filter(|p| p.vantages.get(&e.sym).is_some_and(|t| t.kind == e.kind));
+        if let Some(prev) = onto {
+            // A prefix the edits leave alone is the predecessor's, and
+            // so interned already.
+            let edits = RouteEdits::between(&prev.vantages[&e.sym].trie, pairs);
+            if (edits.stored.iter()).any(|&(p, _)| interner.lookup_prefix(p).is_none()) {
+                return Err(missing_prefix);
+            }
+            snap.patch_table(prev, e.sym, edits, interner, oracle_changed);
+            continue;
+        }
         let mut trie = CowTrie::new();
         let mut judge = TableJudge::new(&snap.oracle, e.sym);
         for (prefix, route) in pairs {
-            let sym = interner.lookup_prefix(prefix).ok_or(CodecError::Invalid {
-                offset: start,
-                what: "table prefix missing from symbol table",
-            })?;
+            let sym = interner.lookup_prefix(prefix).ok_or(missing_prefix)?;
             judge.judge(prefix, sym, &route);
             trie.insert(prefix, route);
         }
@@ -771,7 +820,11 @@ fn decode_full(
             let neighbor = AsnSym(read_sym(&mut r, n_asns, "community-class symbol")?);
             classes.insert(neighbor, r.relationship()?);
         }
-        snap.community_class.insert(owner, Arc::new(classes));
+        let classes = match prev.and_then(|p| p.community_class.get(&owner)) {
+            Some(same) if **same == classes => Arc::clone(same),
+            _ => Arc::new(classes),
+        };
+        snap.community_class.insert(owner, classes);
     }
 
     if r.position() != body_end {
@@ -1083,9 +1136,9 @@ impl DeltaEvents {
 /// [`decode_delta`]'s validated decode. A vantage's events are those
 /// [`replay_delta`] would hand its table — the collector map for a
 /// collector peer, the Looking-Glass map for a Looking-Glass vantage —
-/// under [`Snapshot::patch_vantage`]'s precedence: withdrawals first,
-/// then announcements and replacements, the later of two for one prefix
-/// holding.
+/// as [`RouteEdits::from_delta`] lists them for
+/// [`Snapshot::patch_table`]: withdrawals first, then announcements and
+/// replacements, the later of two for one prefix holding.
 pub(crate) fn index_delta(
     raw: &[u8],
     label: &str,
@@ -1109,10 +1162,9 @@ pub(crate) fn index_delta(
                 continue;
             }
             let mut t = Touched::default();
-            let events = (vd.withdrawn.iter().map(|&p| (p, None))).chain(
-                (vd.announced.iter().chain(&vd.replaced))
-                    .map(|(p, r)| (*p, Some(CompactRoute::interned(r, frozen)))),
-            );
+            let edits = RouteEdits::from_delta(vd, frozen);
+            let events = (edits.removed.into_iter().map(|p| (p, None)))
+                .chain(edits.stored.into_iter().map(|(p, r)| (p, Some(r))));
             for (p, route) in events {
                 t.lens |= 1 << p.len();
                 t.routes.insert(p, route);
@@ -1126,10 +1178,12 @@ pub(crate) fn index_delta(
 /// Decodes `raw` — the verified bytes of a `kind` segment labeled
 /// `label` — as snapshot `id` on top of `prev`, and stamps it with its
 /// interner `watermark` so it matches the snapshot that was saved: a
-/// full decode, or a delta replay under the predecessor's oracle.
-/// [`load`] calls it for every segment of an archive, the cold tier's
-/// hydration for each link of the chain from a snapshot's nearest
-/// anchor.
+/// delta replay under the predecessor's oracle, or a full decode —
+/// onto `prev` when there is one, standalone when `prev` is `None`
+/// ([`decode_full`]). [`load`] calls it for every segment of an archive
+/// with the snapshot before it, the cold tier's hydration for each link
+/// of the chain from a snapshot's nearest anchor (a keyframe with its
+/// predecessor when that one is hot).
 pub(crate) fn replay_segment(
     interner: &WorldInterner,
     id: SnapshotId,
@@ -1467,11 +1521,12 @@ pub(crate) fn load(dir: &Path) -> Result<QueryEngine, StoreError> {
 #[cfg(test)]
 mod tests {
     use bgp_sim::churn::simulate_series;
-    use bgp_sim::ChurnConfig;
-    use net_topology::InternetSize;
+    use bgp_sim::{ChurnConfig, SimOutput};
+    use net_topology::{AsGraph, InternetSize};
     use rpi_core::Experiment;
 
     use super::*;
+    use crate::proto::{render_response, Query, QueryRequest, Scope};
 
     /// A write that fails — here because `dir` is a regular file —
     /// advances nothing: retried into a good directory, the series comes
@@ -1538,5 +1593,247 @@ mod tests {
         };
         assert_eq!(listing(&retried), listing(&clean));
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A six-snapshot Tiny series in which keyframes meet every way a
+    /// table can differ from its predecessor's: routes churn; a
+    /// collector-only peer withdraws its first, a middle and its last
+    /// route at snapshot 1 and re-announces them at 2; an AS that is both
+    /// a collector peer and a Looking-Glass vantage loses its LG view at
+    /// snapshots 2–3 (a kind switch, and back); another collector-only
+    /// peer is lost from snapshot 3 on; and from snapshot 4 on an LG
+    /// vantage's first customer is only its peer (an oracle flip). Also
+    /// returns the ASes and prefixes worth asking about.
+    fn keyframe_world(seed: u64) -> (QueryEngine, Vec<Asn>, Vec<Ipv4Prefix>) {
+        let exp = Experiment::standard(InternetSize::Tiny, seed);
+        let cfg = ChurnConfig {
+            steps: 6,
+            flip_prob: 0.05,
+            link_failure_prob: 0.05,
+            ..ChurnConfig::daily(seed)
+        };
+        let series = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg);
+        let mut outs: Vec<SimOutput> = series.snapshots;
+        let first = &outs[0];
+        let both = (first.lgs.keys())
+            .copied()
+            .find(|a| first.collector.peers.contains(a))
+            .expect("a Looking-Glass vantage that peers with the collector");
+        let mut collector_only = (first.collector.peers.iter())
+            .copied()
+            .filter(|p| !first.lgs.contains_key(p));
+        let (churned, lost) = (collector_only.next(), collector_only.next());
+        let (churned, lost) = churned.zip(lost).expect("two collector-only peers");
+        let g: &AsGraph = &exp.inferred_graph;
+        let (lg, customer) = (first.lgs.keys())
+            .find_map(|&lg| Some((lg, g.customers_of(lg).next()?)))
+            .expect("a Looking-Glass vantage with a customer");
+        let rows = &mut outs[1].collector.rows;
+        let held: Vec<Ipv4Prefix> = (rows.iter())
+            .filter(|(_, rows)| rows.iter().any(|r| r.peer == churned))
+            .map(|(&p, _)| p)
+            .collect();
+        for p in [held[0], held[held.len() / 2], held[held.len() - 1]] {
+            rows.get_mut(&p).unwrap().retain(|r| r.peer != churned);
+        }
+        rows.retain(|_, rows| !rows.is_empty());
+        for out in &mut outs[2..4] {
+            out.lgs.remove(&both);
+        }
+        for out in &mut outs[3..] {
+            out.collector.peers.retain(|&p| p != lost);
+            for rows in out.collector.rows.values_mut() {
+                rows.retain(|r| r.peer != lost);
+            }
+            out.collector.rows.retain(|_, rows| !rows.is_empty());
+        }
+        let mut flipped = g.clone();
+        flipped.remove_edge(lg, customer);
+        flipped
+            .add_edge(lg, customer, Relationship::Peer)
+            .expect("the edge was just removed");
+
+        let mut engine = QueryEngine::default();
+        for (i, (label, out)) in series.labels.iter().zip(&outs).enumerate() {
+            let oracle = if i < 4 { g } else { &flipped };
+            match i.checked_sub(1) {
+                None => engine.ingest_output(out, oracle, label),
+                Some(p) => engine.ingest_output_incremental(&outs[p], out, oracle, label),
+            };
+        }
+        let mut ases: Vec<Asn> = exp.spec.collector_peers.clone();
+        ases.extend(&exp.spec.lg_ases);
+        ases.extend([customer, Asn(65_500)]);
+        ases.sort_unstable();
+        ases.dedup();
+        let mut prefixes: Vec<Ipv4Prefix> = outs[0].collector.rows.keys().copied().collect();
+        prefixes.extend(outs[5].collector.rows.keys());
+        prefixes.sort_unstable();
+        prefixes.dedup();
+        let mut prefixes: Vec<Ipv4Prefix> = prefixes.into_iter().step_by(3).collect();
+        prefixes.push("203.0.113.0/24".parse().unwrap());
+        (engine, ases, prefixes)
+    }
+
+    /// Every verb over `ases` and `prefixes`: each point verb at every
+    /// snapshot, each history verb over the whole series and over every
+    /// consecutive pair.
+    fn every_verb(n: usize, ases: &[Asn], prefixes: &[Ipv4Prefix]) -> Vec<QueryRequest> {
+        let id = |k: usize| SnapshotId(k as u32);
+        let mut histories = vec![Scope::All];
+        histories.extend((1..n).map(|k| Scope::Range(id(k - 1), id(k))));
+        let mut reqs = Vec::new();
+        for &a in ases {
+            for k in 0..n {
+                let at = Scope::Id(id(k));
+                reqs.push(Query::PolicySummary { asn: a }.at(at.clone()));
+                for &b in ases {
+                    reqs.push(Query::Relationship { a, b }.at(at.clone()));
+                }
+                for &prefix in prefixes {
+                    let vantage = a;
+                    reqs.push(Query::Route { vantage, prefix }.at(at.clone()));
+                    reqs.push(Query::Resolve { vantage, prefix }.at(at.clone()));
+                    reqs.push(Query::SaStatus { vantage, prefix }.at(at.clone()));
+                    reqs.push(Query::Rov { vantage, prefix }.at(at.clone()));
+                }
+            }
+            for scope in &histories {
+                reqs.push(Query::UptimeHistogram { vantage: a }.at(scope.clone()));
+                reqs.push(Query::TopKSaOrigins { vantage: a, k: 3 }.at(scope.clone()));
+                for &prefix in prefixes {
+                    let vantage = a;
+                    reqs.push(Query::SaHistory { vantage, prefix }.at(scope.clone()));
+                    reqs.push(Query::PersistenceClass { vantage, prefix }.at(scope.clone()));
+                }
+            }
+        }
+        for k in 0..n {
+            reqs.push(Query::Leaks.at(Scope::Id(id(k))));
+        }
+        for scope in histories {
+            reqs.push(Query::Hijacks.at(scope.clone()));
+            if let Scope::Range(..) = scope {
+                reqs.push(Query::Diff.at(scope));
+            }
+        }
+        reqs
+    }
+
+    fn rendered(engine: &QueryEngine, req: &QueryRequest) -> String {
+        match engine.execute(req) {
+            Ok(resp) => render_response(req, &resp),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    /// Decoding a full segment onto its predecessor is only a shortcut.
+    /// Over [`keyframe_world`] saved with a keyframe at every snapshot,
+    /// each snapshot the eager load decoded onto its predecessor holds
+    /// what a standalone decode of its segment (no predecessor) holds —
+    /// tables, SA caches, convictions, oracle and LG analyses — and
+    /// answers every verb with the same bytes. What it shares is what did
+    /// not move: the oracle `Arc` exactly while the oracle is unchanged,
+    /// and under it the table, SA cache and convictions of every vantage
+    /// whose routes are unchanged. `RPI_DIFF_SEEDS=seed1,seed2,…` adds
+    /// worlds without a rebuild.
+    #[test]
+    fn a_keyframe_decoded_onto_its_predecessor_is_its_standalone_decode() {
+        let extra = std::env::var("RPI_DIFF_SEEDS").unwrap_or_default();
+        let extra = (extra.split(',').filter(|s| !s.trim().is_empty())).map(|s| {
+            (s.trim().parse()).unwrap_or_else(|_| panic!("bad seed '{s}' in RPI_DIFF_SEEDS"))
+        });
+        for seed in std::iter::once(5).chain(extra) {
+            assert_decoded_onto_is_standalone(seed);
+        }
+    }
+
+    fn assert_decoded_onto_is_standalone(seed: u64) {
+        let (mut engine, ases, prefixes) = keyframe_world(seed);
+        let dir =
+            std::env::temp_dir().join(format!("rpi-keyframe-onto-{seed}-{}", std::process::id()));
+        let every = SaveOptions {
+            keyframe_every: Some(1),
+        };
+        engine.save_archive_with(&dir, true, every).unwrap();
+        let onto = load(&dir).unwrap();
+        let manifest = Manifest::read(&dir).unwrap();
+        let (mut standalone, watermarks) = load_prelude(&dir, &manifest).unwrap();
+        for ((index, entry), &watermark) in manifest.snapshot_segments().zip(&watermarks) {
+            assert!(entry.kind == SegmentKind::Full && entry.is_keyframe());
+            let raw = read_segment(&dir, index, entry).unwrap();
+            let id = SnapshotId(standalone.snapshots.len() as u32);
+            let (kind, label) = (entry.kind, &entry.label);
+            let snap = replay_segment(&standalone.interner, id, kind, label, &raw, None, watermark);
+            standalone.snapshots.push(Arc::new(snap.unwrap()));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Tables kept and patched across keyframes, kind switches, flips.
+        let (mut shared, mut patched, mut switched, mut flips) = (0, 0, 0, 0);
+        for (k, (got, want)) in onto.snapshots.iter().zip(&standalone.snapshots).enumerate() {
+            let at = format!("seed {seed} @{k}");
+            assert!(*got.oracle == *want.oracle, "{at}: oracle");
+            assert_eq!(got.typicality, want.typicality, "{at}: typicality");
+            assert_eq!(got.community_class, want.community_class, "{at}");
+            let mut syms: Vec<AsnSym> = want.vantages.keys().copied().collect();
+            syms.sort_unstable();
+            let mut got_syms: Vec<AsnSym> = got.vantages.keys().copied().collect();
+            got_syms.sort_unstable();
+            assert_eq!(got_syms, syms, "{at}: vantages");
+            for v in syms {
+                let (t, u) = (&got.vantages[&v], &want.vantages[&v]);
+                assert_eq!(
+                    (t.kind, t.route_count),
+                    (u.kind, u.route_count),
+                    "{at} {v:?}"
+                );
+                assert!(t.trie.iter().eq(u.trie.iter()), "{at} {v:?}: routes");
+                assert_eq!(got.sa[&v].sa, want.sa[&v].sa, "{at} {v:?}: SA");
+                assert_eq!(got.sa[&v].exported, want.sa[&v].exported, "{at} {v:?}");
+                assert_eq!(got.leaks[&v], want.leaks[&v], "{at} {v:?}: convictions");
+            }
+            let Some(prev) = k.checked_sub(1).map(|p| &onto.snapshots[p]) else {
+                continue;
+            };
+            let same_oracle = prev.oracle == got.oracle;
+            assert_eq!(Arc::ptr_eq(&prev.oracle, &got.oracle), same_oracle, "{at}");
+            flips += !same_oracle as usize;
+            for (v, t) in &got.vantages {
+                let Some(pt) = prev.vantages.get(v).filter(|pt| pt.kind == t.kind) else {
+                    switched += prev.vantages.contains_key(v) as usize;
+                    continue;
+                };
+                let unchanged = t.trie.iter().eq(pt.trie.iter());
+                let kept = [
+                    Arc::ptr_eq(t, pt),
+                    Arc::ptr_eq(&got.sa[v], &prev.sa[v]),
+                    Arc::ptr_eq(&got.leaks[v], &prev.leaks[v]),
+                ];
+                if unchanged && same_oracle {
+                    assert_eq!(kept, [true; 3], "{at} {v:?}: an unchanged table");
+                    shared += 1;
+                } else {
+                    assert!(!kept[1], "{at} {v:?}: a changed table's SA cache");
+                    patched += !unchanged as usize;
+                }
+            }
+        }
+        assert_eq!(
+            (flips, switched),
+            (1, 2),
+            "seed {seed}: oracle flips, kind switches"
+        );
+        assert!(
+            shared > 0 && patched > 0,
+            "seed {seed}: {shared} shared, {patched} patched"
+        );
+
+        let n = onto.snapshots.len();
+        let reqs = every_verb(n, &ases, &prefixes);
+        for req in &reqs {
+            let (got, want) = (rendered(&onto, req), rendered(&standalone, req));
+            assert_eq!(got, want, "seed {seed}: {req:?}");
+        }
     }
 }

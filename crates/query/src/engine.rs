@@ -592,13 +592,19 @@ impl QueryEngine {
 
     /// `(shared, total)` trie nodes of snapshot `id` relative to its
     /// predecessor (`shared == 0` for the first snapshot and for
-    /// from-scratch ingests).
+    /// from-scratch ingests). On a tier-attached engine only hot
+    /// snapshots are compared — `None` unless `id` and its predecessor
+    /// are both hot — and nothing hydrates.
     pub fn sharing_with_prev(&self, id: SnapshotId) -> Option<(usize, usize)> {
-        let snap = self.snapshot(id)?;
+        let at = |i: usize| match &self.tier {
+            Some(tier) => tier.hot_get(i as u32),
+            None => self.snapshots.get(i).cloned(),
+        };
+        let snap = at(id.index())?;
         let total = snap.trie_nodes();
         let shared = match id.index() {
             0 => 0,
-            i => snap.trie_nodes_shared_with(self.snapshots.get(i - 1)?),
+            i => snap.trie_nodes_shared_with(&*at(i - 1)?),
         };
         Some((shared, total))
     }

@@ -4,9 +4,10 @@
 //! the references — over seeded series, and on every way an engine comes
 //! to hold a series: indexed from scratch (no trie shares anything),
 //! ingested incrementally (everything untouched is shared), loaded from
-//! an archive (sharing broken at every keyframe) and tier-attached with
-//! a hot set too small for a scope (evict + re-hydrate loses sharing
-//! mid-fold). Sharing may only ever change what the fold costs.
+//! an archive (every keyframe decoded onto its predecessor) and
+//! tier-attached with a hot set too small for a scope (evict + re-hydrate
+//! loses sharing mid-fold). Sharing may only ever change what the fold
+//! costs.
 //!
 //! `leaks` is held the same way: the convictions each snapshot carries —
 //! judged where its tables were indexed, decoded, or patched from a

@@ -43,11 +43,13 @@
 //! and its valley-free convictions ([`Snapshot::leaks`]: prefix →
 //! leaker, judged by [`Oracle::leaker`]). Both are functions of the
 //! stored route and the oracle alone, so both are derived at every place
-//! a table is built: indexing and the archive's full-segment decode hand
+//! a table is built: indexing and a standalone full-segment decode hand
 //! each route to a [`TableJudge`] as it enters its trie, and
-//! [`Snapshot::patch_vantage`] re-derives only the prefixes its events
-//! touch — against the patched table — keeping the predecessor's `Arc`s
-//! when nothing moved; an oracle change re-judges the whole table.
+//! [`Snapshot::patch_table`] — behind incremental ingest, delta replay
+//! and a full segment decoded onto its predecessor — re-derives only the
+//! prefixes its edits touch, against the patched table, keeping the
+//! predecessor's `Arc`s when nothing moved; an oracle change re-judges
+//! the whole table.
 //! Nothing is persisted, so `sa` and `leaks` are reads. (The cold tier
 //! holds no SA cache: it files the one route a point `sa` asks about
 //! with the same [`sa_verdict`] — [`PointRead::sa_filed`].)
@@ -114,15 +116,69 @@ impl CompactRoute {
 }
 
 /// One vantage's best-route table: one prefix trie. Tables are
-/// `Arc`-shared between snapshots: an incremental ingest clones the
-/// whole `Arc` for untouched vantages, and builds a copy-on-write
-/// overlay (root cloned in O(1), only touched spines copied) for
-/// churned ones.
+/// `Arc`-shared between snapshots: an incremental ingest, a delta
+/// replay and a full segment decoded onto its predecessor all clone the
+/// whole `Arc` for untouched vantages, and build a copy-on-write overlay
+/// (root cloned in O(1), only touched spines copied) for churned ones
+/// ([`Snapshot::patch_table`]). Only a table indexed from scratch, or
+/// decoded from a full segment with no predecessor in hand, shares
+/// nothing.
 #[derive(Debug)]
 pub(crate) struct VantageTable {
     pub kind: VantageKind,
     pub trie: CowTrie<CompactRoute>,
     pub route_count: usize,
+}
+
+/// One vantage's route changes against its predecessor's table: the
+/// prefixes whose route is gone, then those whose route is new or
+/// changed, with the route now stored there. Withdrawals apply first, so
+/// a prefix on both lists ends up stored; of two stored routes for one
+/// prefix the later holds. [`Snapshot::patch_table`] applies them.
+#[derive(Debug, Default)]
+pub(crate) struct RouteEdits {
+    pub removed: Vec<Ipv4Prefix>,
+    pub stored: Vec<(Ipv4Prefix, CompactRoute)>,
+}
+
+impl RouteEdits {
+    /// A delta's best-route events for one vantage, at symbol level,
+    /// interning the prefixes and ASes they name.
+    pub(crate) fn from_delta<I: Interning>(vd: &VantageDelta, interner: &mut I) -> RouteEdits {
+        let stored = (vd.announced.iter().chain(&vd.replaced))
+            .map(|(p, r)| {
+                interner.prefix(*p);
+                (*p, CompactRoute::interned(r, interner))
+            })
+            .collect();
+        RouteEdits {
+            removed: vd.withdrawn.clone(),
+            stored,
+        }
+    }
+
+    /// What turns `old` into the table `new` lists in prefix order — the
+    /// order [`CowTrie::iter`] walks `old` in, and the order a flattened
+    /// trie decodes in: one merge-join, so routes equal on both sides
+    /// are no edit.
+    pub(crate) fn between(
+        old: &CowTrie<CompactRoute>,
+        new: Vec<(Ipv4Prefix, CompactRoute)>,
+    ) -> RouteEdits {
+        let mut edits = RouteEdits::default();
+        let mut old = old.iter().peekable();
+        for (p, route) in new {
+            while let Some((gone, _)) = old.next_if(|&(q, _)| q < p) {
+                edits.removed.push(gone);
+            }
+            match old.next_if(|&(q, _)| q == p) {
+                Some((_, was)) if *was == route => {}
+                _ => edits.stored.push((p, route)),
+            }
+        }
+        edits.removed.extend(old.map(|(gone, _)| gone));
+        edits
+    }
 }
 
 /// How a snapshot was built — the archive's full-vs-delta policy input.
@@ -131,10 +187,13 @@ pub(crate) struct VantageTable {
 /// it was patched from: `rpi-store` can then persist the snapshot as a
 /// compact **delta segment** (the events, not the tables) and replay it
 /// through the same patching machinery on load. Snapshots indexed from
-/// scratch carry no delta and always serialize as **full segments**.
+/// scratch carry no delta and always serialize as **full segments**. A
+/// loaded full segment is `Full` whether it was decoded standalone or
+/// onto its predecessor (sharing its unchanged tables).
 #[derive(Debug, Clone)]
 pub(crate) enum Provenance {
-    /// Indexed from scratch (full ingest, MRT, or loaded full segment).
+    /// Indexed from scratch (full ingest, MRT), or a loaded full segment
+    /// (standalone or decoded onto its predecessor).
     Full,
     /// Patched over its predecessor from these events.
     Delta(Arc<OutputDelta>),
@@ -358,8 +417,8 @@ pub(crate) type Convictions = BTreeMap<Ipv4Prefix, AsnSym>;
 /// prefixes sit side by side, and on the Paper world 68 % of routes
 /// repeat the path before them — so most routes cost one comparison
 /// instead of a cone lookup and a walk. Indexing, the archive's
-/// full-segment decode and an oracle change in
-/// [`Snapshot::patch_vantage`] all derive a table through one.
+/// standalone full-segment decode and an oracle change in
+/// [`Snapshot::patch_table`] all derive a table through one.
 pub(crate) struct TableJudge<'a> {
     oracle: &'a Oracle,
     owner: AsnSym,
@@ -585,11 +644,10 @@ impl Snapshot {
         snap
     }
 
-    /// Carries one surviving vantage over from `prev`, applying `vd`'s
-    /// best-route events to the copy-on-write table and re-deriving the
-    /// SA cache only for the touched prefixes, under `self.oracle`. Also
-    /// the archive's delta-segment replay path (`crate::archive`), which
-    /// is how "load of a delta segment ≡ full re-index" inherits the
+    /// Carries one surviving vantage over from `prev` with `vd`'s
+    /// best-route events applied ([`Snapshot::patch_table`]). Also the
+    /// archive's delta-segment replay path (`crate::archive`), which is
+    /// how "load of a delta segment ≡ full re-index" inherits the
     /// incremental ingest's differential-testing contract.
     ///
     /// Generic over [`Interning`] because the cold tier replays archived
@@ -604,31 +662,55 @@ impl Snapshot {
         interner: &mut I,
         oracle_changed: bool,
     ) {
+        let edits = vd.map_or_else(RouteEdits::default, |vd| {
+            RouteEdits::from_delta(vd, interner)
+        });
+        self.patch_table(prev, owner, edits, interner, oracle_changed);
+    }
+
+    /// Carries `owner`'s table over from `prev` with `edits` applied, and
+    /// its SA cache and leak convictions with it, under `self.oracle` —
+    /// the one per-prefix patch behind incremental ingest, delta replay
+    /// and a keyframe decoded onto its predecessor. No edit keeps the
+    /// predecessor's table `Arc`; edits patch an O(1) clone of its trie
+    /// along the touched spines. Under an unchanged oracle only the
+    /// edited prefixes are judged again (Fig. 4's per-prefix test is
+    /// local: origin-in-cone + next-hop relationship), keeping the
+    /// predecessor's cache and convictions when nothing moved; a changed
+    /// oracle re-judges the whole table. Every prefix `edits` stores
+    /// must be interned.
+    pub(crate) fn patch_table<I: Interning>(
+        &mut self,
+        prev: &Snapshot,
+        owner: AsnSym,
+        edits: RouteEdits,
+        interner: &I,
+        oracle_changed: bool,
+    ) {
         let prev_table = prev
             .vantages
             .get(&owner)
-            .expect("patch_vantage callers verified the vantage survives");
-        let no_route_events = vd.is_none_or(|d| d.route_events() == 0);
+            .expect("patch_table callers verified the vantage survives");
+        let unedited = edits.removed.is_empty() && edits.stored.is_empty();
 
         // --- the table: Arc-shared, or a patched COW overlay ---
-        let table = if no_route_events {
+        let RouteEdits { removed, stored } = edits;
+        let touched: Vec<Ipv4Prefix> = stored.iter().map(|&(p, _)| p).collect();
+        let table = if unedited {
             Arc::clone(prev_table)
         } else {
-            let vd = vd.expect("route events imply a delta");
             let mut table = VantageTable {
                 kind: prev_table.kind,
                 trie: prev_table.trie.clone(),
                 route_count: prev_table.route_count,
             };
-            for &p in &vd.withdrawn {
+            for &p in &removed {
                 if table.trie.remove(p).is_some() {
                     table.route_count -= 1;
                 }
             }
-            for (p, r) in vd.announced.iter().chain(&vd.replaced) {
-                interner.prefix(*p);
-                let route = CompactRoute::interned(r, interner);
-                if table.trie.insert(*p, route).is_none() {
+            for (p, route) in stored {
+                if table.trie.insert(p, route).is_none() {
                     table.route_count += 1;
                 }
             }
@@ -657,25 +739,26 @@ impl Snapshot {
             }
             let (sa, leaks) = judge.finish();
             (Arc::new(sa), Arc::new(leaks))
-        } else if no_route_events {
+        } else if unedited {
             (Arc::clone(prev_sa), Arc::clone(prev_leaks))
         } else {
             // A verdict depends on the oracle and the stored route alone,
-            // so only touched prefixes are judged, against the patched
+            // so only edited prefixes are judged, against the patched
             // table.
-            let vd = vd.expect("route events imply a delta");
             let mut cache = SaCache::clone(prev_sa);
             let mut convicted = Convictions::clone(prev_leaks);
-            for &p in &vd.withdrawn {
-                cache.forget(interner.prefix(p));
+            for &p in &removed {
+                // A prefix never interned is filed nowhere.
+                if let Some(ps) = interner.lookup_prefix(p) {
+                    cache.forget(ps);
+                }
                 convicted.remove(&p);
             }
-            for (p, _) in vd.announced.iter().chain(&vd.replaced) {
-                let ps = interner.prefix(*p);
-                let route = table
-                    .trie
-                    .get(*p)
-                    .expect("announced prefixes are in the table");
+            for p in touched {
+                let ps = interner
+                    .lookup_prefix(p)
+                    .expect("stored prefixes are interned");
+                let route = table.trie.get(p).expect("stored prefixes are in the table");
                 let origin = *route.path.last().expect("stored paths are non-empty");
                 cache.forget(ps);
                 let in_cone = |o| self.oracle.in_cone(owner, o);
@@ -685,8 +768,8 @@ impl Snapshot {
                     cache.file(ps, origin, verdict);
                 }
                 match self.oracle.leaker(owner, &route.path) {
-                    Some(leaker) => convicted.insert(*p, leaker),
-                    None => convicted.remove(p),
+                    Some(leaker) => convicted.insert(p, leaker),
+                    None => convicted.remove(&p),
                 };
             }
             let leaks = if convicted == **prev_leaks {
@@ -1124,8 +1207,10 @@ mod tests {
     /// Sharing is by pointer: every way a series comes to exist — ingest,
     /// archive load, tier hydration, live publication — hands consecutive
     /// snapshots under an unchanged oracle the *same* `Arc<Oracle>`, so a
-    /// cone walked through one is walked for all; a keyframe segment is
-    /// self-contained and starts a fresh `Arc`; a relationship flip
+    /// cone walked through one is walked for all. A keyframe segment is
+    /// self-contained, yet an eager load decodes it onto its predecessor
+    /// and keeps that `Arc`; only a hydration that starts at a keyframe
+    /// (its predecessor not hot) starts a fresh one. A relationship flip
     /// yields exactly one new `Arc` that has walked nothing of the old.
     #[test]
     fn an_unchanged_oracle_is_one_arc_however_the_series_was_built() {
@@ -1160,7 +1245,8 @@ mod tests {
         first.in_cone(root, root);
         assert!(walked(last, root));
 
-        // Delta replay shares; keyframes (0 and 3) start afresh.
+        // Delta replay shares, and so does the keyframe at 3, decoded
+        // onto snapshot 2.
         let keyframed = SaveOptions {
             keyframe_every: Some(3),
         };
@@ -1168,11 +1254,9 @@ mod tests {
             .save_archive_with(&dir.join("kf"), true, keyframed)
             .unwrap();
         let loaded = QueryEngine::load_archive(&dir.join("kf")).unwrap();
-        assert_eq!(
-            shared_pairs(&loaded.snapshots),
-            [(0, 1), (1, 2), (3, 4), (4, 5)]
-        );
-        // The same chains, hydrated link by link off mapped segments.
+        assert_eq!(shared_pairs(&loaded.snapshots), all);
+        // The same chains, hydrated link by link off mapped segments:
+        // snapshot 3 is hydrated before 2 is hot, so it starts afresh.
         let tiered = QueryEngine::load_archive_tiered(&dir.join("kf"), 6).unwrap();
         tiered.snap_arc(SnapshotId(5)).unwrap();
         tiered.snap_arc(SnapshotId(2)).unwrap();

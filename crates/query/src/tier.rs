@@ -645,9 +645,11 @@ impl Tier {
 
     /// The snapshot behind `id`, hydrating it (and its delta chain back
     /// to the nearest anchor — a hot chain member or a keyframe) into
-    /// the LRU-bounded hot set on a miss. The hot-set lock is held
-    /// across the hydration so concurrent queries for the same cold
-    /// snapshot decode it once.
+    /// the LRU-bounded hot set on a miss. A keyframe whose predecessor is
+    /// hot is decoded onto it, so the two share what they have in common
+    /// as they would in an eager load. The hot-set lock is held across
+    /// the hydration so concurrent queries for the same cold snapshot
+    /// decode it once.
     pub(crate) fn snapshot(
         &self,
         engine: &QueryEngine,
@@ -664,16 +666,16 @@ impl Tier {
 
         // Walk back to the nearest anchor: a hot snapshot (cheapest) to
         // replay on top of, or a self-contained keyframe segment to
-        // replay from.
-        let mut cur: Option<Arc<Snapshot>> = None;
+        // replay from — onto its predecessor when that one is hot.
         let mut first = id.index();
-        while !self.segs[first].meta.keyframe {
+        let mut cur: Option<Arc<Snapshot>>;
+        loop {
+            cur = first.checked_sub(1).and_then(|p| hot.get(p as u32));
+            if cur.is_some() || self.segs[first].meta.keyframe {
+                break;
+            }
             if first == 0 {
                 return Err(unanchored(&self.segs));
-            }
-            if let Some(snap) = hot.get(first as u32 - 1) {
-                cur = Some(snap);
-                break;
             }
             first -= 1;
         }

@@ -399,6 +399,43 @@ fn loaded_delta_archive_preserves_cow_sharing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A keyframe is decoded onto its predecessor: at every keyframe
+/// cadence, every loaded snapshot shares exactly as many trie nodes with
+/// the one before it as the ingested series did — keyframes, the full
+/// segment an oracle flip forces and the vantages lost mid-series
+/// included — so history folds skip across keyframes what they skip
+/// across deltas.
+#[test]
+fn loaded_keyframes_share_what_the_ingested_series_shared() {
+    for (seed, flip_oracle) in [(0xC1, true), (0xC2, false)] {
+        let sc = build_scenario(seed, flip_oracle);
+        let mut engine = ingest(&sc);
+        let n = engine.snapshot_count();
+        let ingested: Vec<_> = (0..n)
+            .map(|k| engine.sharing_with_prev(SnapshotId(k as u32)))
+            .collect();
+        assert!(ingested[1..].iter().all(|s| s.unwrap().0 > 0));
+        for keyframe_every in [1, 3, 8] {
+            let dir = tmp_dir(&format!("kf-sharing-{seed}-{keyframe_every}"));
+            let options = SaveOptions {
+                keyframe_every: Some(keyframe_every),
+            };
+            engine
+                .save_archive_with(&dir, false, options)
+                .expect("save");
+            let loaded = QueryEngine::load_archive(&dir).expect("load");
+            for (k, want) in ingested.iter().enumerate() {
+                let got = loaded.sharing_with_prev(SnapshotId(k as u32));
+                assert_eq!(
+                    got, *want,
+                    "seed {seed}, keyframe every {keyframe_every}: snapshot {k}"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
 /// A loaded engine can keep ingesting and be re-saved; the second
 /// archive round-trips too (loaded snapshots keep their provenance).
 #[test]

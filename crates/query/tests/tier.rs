@@ -674,6 +674,56 @@ fn eviction_and_rehydration_round_trip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A keyframe hydrated while its predecessor is hot is decoded onto it,
+/// so the two share trie nodes as an eager load's pair does. Hydrated
+/// the other way round — the keyframe first, its predecessor still cold
+/// — it is decoded standalone and shares none. Sharing is read off the
+/// hot set alone: a cold snapshot has none to report.
+#[test]
+fn a_keyframe_hydrated_onto_its_hot_predecessor_shares_with_it() {
+    let sc = build_scenario(0xE5);
+    let (dir, manifest) = saved(&sc, 0xE5, Some(3), "kf-onto-hot");
+    let k = 3;
+    let entry = manifest.snapshot_segments().nth(k).unwrap().1;
+    assert!(entry.is_keyframe(), "snapshot {k} is a keyframe");
+    let eager = QueryEngine::load_archive(&dir).expect("hydrated load");
+    let (shared, _) = eager.sharing_with_prev(SnapshotId(k as u32)).unwrap();
+    assert!(
+        shared > 0,
+        "an eager load decodes keyframe {k} onto {}",
+        k - 1
+    );
+
+    let asn = sc.vantages[0];
+    let hydrate = |engine: &QueryEngine, id: usize| {
+        rendered(
+            engine,
+            &Query::PolicySummary { asn }.at(Scope::Id(SnapshotId(id as u32))),
+        )
+    };
+    let (prev, kf) = (SnapshotId(k as u32 - 1), SnapshotId(k as u32));
+    for predecessor_first in [true, false] {
+        let tiered = QueryEngine::load_archive_tiered(&dir, SNAPSHOTS).expect("tiered load");
+        assert_eq!(tiered.sharing_with_prev(kf), None, "nothing is hot yet");
+        let order = if predecessor_first {
+            [k - 1, k]
+        } else {
+            [k, k - 1]
+        };
+        for id in order {
+            assert_eq!(hydrate(&tiered, id), hydrate(&eager, id));
+        }
+        assert_eq!(tiered.residency(prev), Some(Residency::Hot));
+        let (shared, total) = tiered.sharing_with_prev(kf).unwrap();
+        assert_eq!(
+            shared > 0,
+            predecessor_first,
+            "{shared}/{total} nodes shared, predecessor hydrated first: {predecessor_first}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// History walks spanning hot and cold snapshots answer identically to
 /// the hydrated engine (the walk hydrates cold members through the LRU
 /// mid-query).
