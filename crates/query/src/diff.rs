@@ -7,7 +7,8 @@
 //! most of their tables, SA caches and their oracle as the same `Arc`s,
 //! and `SnapshotDiff::between` compares only what they do not — route
 //! churn is [`bgp_types::CowTrie::diff`] per vantage, the same step the
-//! `hijacks` and `uptime` folds take from each snapshot to the next.
+//! `hijacks` and `uptime` folds take from each snapshot to the next (they
+//! look their first snapshot up, never scanning it).
 //! Pointer equality is a shortcut for "equal" and nothing else; two
 //! snapshots that share no structure diff to the same answer.
 

@@ -212,26 +212,34 @@ pub(crate) type PrefixCounts = BTreeMap<Ipv4Prefix, usize>;
 /// In how many of a scope's snapshots each prefix was present, folded
 /// from presence *flips*: a prefix present at the current step remembers
 /// the step it has been present since, and the interval is counted when
-/// the next flip (or the end of the scope) closes it.
+/// the next flip (or the end of the scope) closes it. Only flipped
+/// prefixes are kept; one never flipped held its starting state
+/// throughout.
 #[derive(Debug, Default)]
 struct Presence(HashMap<Ipv4Prefix, (usize, Option<usize>)>);
 
 impl Presence {
-    /// `prefix` appeared at `step` if it was absent, vanished if present.
-    fn flip(&mut self, prefix: Ipv4Prefix, step: usize) {
-        let (total, since) = self.0.entry(prefix).or_insert((0, None));
+    /// `prefix` appeared at `step` if it was absent, vanished if present;
+    /// `at_start` is asked, on its first flip, whether it was present at
+    /// step 0.
+    fn flip(&mut self, prefix: Ipv4Prefix, step: usize, at_start: impl FnOnce() -> bool) {
+        let (total, since) = self
+            .0
+            .entry(prefix)
+            .or_insert_with(|| (0, at_start().then_some(0)));
         match since.take() {
             Some(s) => *total += step - s,
             None => *since = Some(step),
         }
     }
 
-    /// Per prefix, the number of steps out of `steps` it was present in.
-    fn counts(self, steps: usize) -> PrefixCounts {
-        self.0
-            .into_iter()
-            .map(|(p, (total, since))| (p, total + since.map_or(0, |s| steps - s)))
-            .collect()
+    /// The number of steps out of `steps` `prefix` was present in.
+    fn count(&self, prefix: Ipv4Prefix, steps: usize, at_start: impl FnOnce() -> bool) -> usize {
+        match self.0.get(&prefix) {
+            Some(&(total, since)) => total + since.map_or(0, |s| steps - s),
+            None if at_start() => steps,
+            None => 0,
+        }
     }
 }
 
@@ -772,57 +780,65 @@ impl QueryEngine {
         })
     }
 
-    /// `uptime`'s two inputs to [`histogram_from_counts`]: per prefix, in
-    /// how many of the scoped snapshots it was in `v`'s table, and in how
-    /// many it was selectively announced there.
+    /// `uptime`'s two inputs to [`histogram_from_counts`]: per prefix
+    /// ever selectively announced in `v`'s table over the scope, in how
+    /// many of the scoped snapshots it was there and in how many it was
+    /// selectively announced there. Those are the only prefixes the
+    /// histogram reads.
     ///
-    /// **Anchor + fold.** One walk of the first snapshot's table and SA
-    /// set opens every interval; each later snapshot flips only what
+    /// **Anchor + fold.** The first snapshot's SA set opens every SA
+    /// interval; each later snapshot flips only what
     /// [`Snapshot::route_changes`] / [`Snapshot::sa_changes`] report
-    /// against its predecessor.
+    /// against its predecessor. The anchor's table is never walked: a
+    /// prefix's presence at the first snapshot is looked up where it
+    /// flips or where the histogram asks for it.
     pub(crate) fn uptime_counts(
         &self,
         v: AsnSym,
         ids: &[SnapshotId],
     ) -> Result<(PrefixCounts, PrefixCounts), QueryError> {
+        let Some(&first) = ids.first() else {
+            return Ok(Default::default());
+        };
+        let anchor = self.snap_arc(first)?;
+        let at_start = |p| anchor.route(v, p).is_some();
         let (mut present, mut sa) = (Presence::default(), Presence::default());
         let resolve = |ps| self.interner.resolve_prefix(ps);
-        let mut prev: Option<Arc<Snapshot>> = None;
-        for (step, &id) in ids.iter().enumerate() {
-            let snap = self.snap_arc(id)?;
-            match &prev {
-                None => {
-                    for p in snap.table_prefixes(v) {
-                        present.flip(p, step);
-                    }
-                    for &ps in snap.sa.get(&v).iter().flat_map(|c| c.sa.keys()) {
-                        sa.flip(resolve(ps), step);
-                    }
-                }
-                Some(prev) => {
-                    snap.route_changes(prev, v, |p, old, new| {
-                        if old.is_some() != new.is_some() {
-                            present.flip(p, step);
-                        }
-                    });
-                    snap.sa_changes(prev, v, |ps, _| sa.flip(resolve(ps), step));
-                }
-            }
-            prev = Some(snap);
+        for &ps in anchor.sa.get(&v).iter().flat_map(|c| c.sa.keys()) {
+            sa.flip(resolve(ps), 0, || false);
         }
-        Ok((present.counts(ids.len()), sa.counts(ids.len())))
+        let mut prev = anchor.clone();
+        for (step, &id) in ids.iter().enumerate().skip(1) {
+            let snap = self.snap_arc(id)?;
+            snap.route_changes(&prev, v, |p, old, new| {
+                if old.is_some() != new.is_some() {
+                    present.flip(p, step, || at_start(p));
+                }
+            });
+            snap.sa_changes(&prev, v, |ps, _| sa.flip(resolve(ps), step, || false));
+            prev = snap;
+        }
+        let steps = ids.len();
+        let sa: PrefixCounts = (sa.0.keys())
+            .map(|&p| (p, sa.count(p, steps, || false)))
+            .collect();
+        let present = (sa.keys())
+            .map(|&p| (p, present.count(p, steps, || at_start(p))))
+            .collect();
+        Ok((present, sa))
     }
 
     /// The history verbs. `sa-history`, `top-sa` and `persistence` read
     /// one entry or one SA set per scoped snapshot. `uptime` needs whole
-    /// tables, so it is an anchor walk plus a fold over
-    /// [`bgp_types::CowTrie::diff`] ([`Self::uptime_counts`]) — as are
-    /// `hijacks` ([`crate::sec::hijack_events`]) and `diff`
-    /// ([`SnapshotDiff::between`]). The contract all three rest on:
-    /// structure two snapshots share *physically* is equal and skipped,
-    /// structure they do not share is compared — so an engine whose
-    /// snapshots share nothing answers the same bytes, at the cost of
-    /// walking every scoped table.
+    /// tables, so it is a fold over [`bgp_types::CowTrie::diff`] from the
+    /// first scoped snapshot, whose table is looked up, never walked
+    /// ([`Self::uptime_counts`]) — as is `hijacks`
+    /// ([`crate::sec::hijack_events`]); `diff` ([`SnapshotDiff::between`])
+    /// is that step once. The contract all three rest on: structure two
+    /// snapshots share *physically* is equal and skipped, structure they
+    /// do not share is compared — so an engine whose snapshots share
+    /// nothing answers the same bytes, at the cost of walking every
+    /// scoped table.
     fn eval_history(&self, query: &Query, ids: &[SnapshotId]) -> Result<Response, QueryError> {
         match *query {
             Query::SaHistory { vantage, prefix } => {

@@ -1,19 +1,22 @@
-//! fold ≡ scan: the history verbs that are an anchor scan plus a fold over
+//! fold ≡ scan: the history verbs that fold over
 //! [`bgp_types::CowTrie::diff`] (`hijacks`, `uptime`, `diff`) held, as
 //! rendered bytes, to the per-snapshot scans they replaced — kept here as
-//! the references — over seeded series, and on every way an engine comes
-//! to hold a series: indexed from scratch (no trie shares anything),
-//! ingested incrementally (everything untouched is shared), loaded from
-//! an archive (every keyframe decoded onto its predecessor) and
-//! tier-attached with a hot set too small for a scope (evict + re-hydrate
-//! loses sharing mid-fold). Sharing may only ever change what the fold
-//! costs.
+//! the references. The folds never scan the first scoped snapshot; they
+//! look it up where a verdict or the histogram asks, and hand-built cases
+//! below aim at each of those lookups. Everything is held over seeded
+//! series and on every way an engine comes to hold a series: indexed
+//! from scratch (no trie shares anything), ingested incrementally
+//! (everything untouched is shared), loaded from an archive (every
+//! keyframe decoded onto its predecessor) and tier-attached with a hot
+//! set too small for a scope (evict + re-hydrate loses sharing
+//! mid-fold). Sharing may only ever change what the fold costs.
 //!
 //! `leaks` is held the same way: the convictions each snapshot carries —
 //! judged where its tables were indexed, decoded, or patched from a
 //! delta — must be what judging every stored path on request finds.
 //!
-//! `RPI_DIFF_SEEDS=seed1,seed2,…` adds churn seeds without a rebuild.
+//! `RPI_DIFF_SEEDS=seed1,seed2,…` adds churn seeds, and worlds for the
+//! hand-built anchor cases, without a rebuild.
 
 #[path = "../tests/common/mod.rs"]
 mod common;
@@ -22,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use bgp_sim::{AttackKind, SimOutput};
 use bgp_types::{Asn, Ipv4Prefix};
-use net_topology::{AsGraph, Relations};
+use net_topology::{AsGraph, CustomerCone, Relations};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rpi_core::persistence::histogram_from_counts;
@@ -34,32 +37,56 @@ use crate::plan::QueryError;
 use crate::proto::{
     render_response, HijackEvent, HijackKind, LeakEvent, Query, QueryRequest, Response, Scope,
 };
-use crate::sec::{covering_base, origins_per_prefix};
 use crate::snapshot::{Snapshot, SnapshotId};
 use crate::SaveOptions;
 
 // ---------- the references: every scoped snapshot scanned whole ----------
 
+/// Every prefix any vantage table of `snap` stores, with its origin set.
+fn origins_per_prefix(
+    engine: &QueryEngine,
+    snap: &Snapshot,
+) -> BTreeMap<Ipv4Prefix, BTreeSet<Asn>> {
+    let mut out: BTreeMap<Ipv4Prefix, BTreeSet<Asn>> = BTreeMap::new();
+    for table in snap.vantages.values() {
+        for (p, r) in table.trie.iter() {
+            let origin = *r.path.last().expect("stored paths are non-empty");
+            out.entry(p)
+                .or_default()
+                .insert(engine.interner.resolve_asn(origin));
+        }
+    }
+    out
+}
+
+/// The longest baseline prefix strictly covering `p` that has owners.
+fn covering_base(
+    base: &BTreeMap<Ipv4Prefix, BTreeSet<Asn>>,
+    p: Ipv4Prefix,
+) -> Option<(Ipv4Prefix, &BTreeSet<Asn>)> {
+    for len in (0..p.len()).rev() {
+        let key = Ipv4Prefix::canonical(p.bits(), len);
+        if let Some(owners) = base.get(&key) {
+            return Some((key, owners));
+        }
+    }
+    None
+}
+
 /// `hijacks` as it was before the fold: the origin sets of every scoped
 /// snapshot rebuilt from every route of every vantage, every prefix
 /// judged in every snapshot.
 fn hijacks_scan(engine: &QueryEngine, ids: &[SnapshotId]) -> Result<Vec<HijackEvent>, QueryError> {
-    let origin_sets = |snap: &Snapshot| -> BTreeMap<Ipv4Prefix, BTreeSet<Asn>> {
-        origins_per_prefix(engine, snap)
-            .into_iter()
-            .map(|(p, os)| (p, os.into_keys().collect()))
-            .collect()
-    };
     let Some(&first) = ids.first() else {
         return Ok(Vec::new());
     };
     let first_snap = engine.snap_arc(first)?;
-    let base = origin_sets(&first_snap);
+    let base = origins_per_prefix(engine, &first_snap);
     let mut seen: HashSet<(HijackKind, Ipv4Prefix, Asn)> = HashSet::new();
     let mut events = Vec::new();
     for &id in ids {
         let snap = engine.snap_arc(id)?;
-        let origins = origin_sets(&snap);
+        let origins = origins_per_prefix(engine, &snap);
         let sym = |a| {
             engine
                 .interner
@@ -125,7 +152,12 @@ fn uptime_scan(
     let mut sa_count: BTreeMap<Ipv4Prefix, usize> = BTreeMap::new();
     for &id in ids {
         let snap = engine.snap_arc(id)?;
-        for p in snap.table_prefixes(v) {
+        for (p, _) in snap
+            .vantages
+            .get(&v)
+            .into_iter()
+            .flat_map(|t| t.trie.iter())
+        {
             *present.entry(p).or_insert(0) += 1;
         }
         if let Some(cache) = snap.sa.get(&v) {
@@ -136,11 +168,14 @@ fn uptime_scan(
             }
         }
     }
-    // The histogram shows ever-SA prefixes only; the fold's counts must
-    // be right for every prefix of the table.
+    // The histogram reads ever-SA prefixes only, and those are the ones
+    // the fold counts presence for.
+    let ever_sa_present: BTreeMap<Ipv4Prefix, usize> = (sa_count.keys())
+        .map(|&p| (p, present.get(&p).copied().unwrap_or(0)))
+        .collect();
     let (fold_present, fold_sa) = engine.uptime_counts(v, ids)?;
     assert!(
-        fold_present == present && fold_sa == sa_count,
+        fold_present == ever_sa_present && fold_sa == sa_count,
         "uptime counts of {vantage} over {ids:?}: fold and scan disagree"
     );
     Ok(Response::Uptime(histogram_from_counts(&present, &sa_count)))
@@ -463,18 +498,22 @@ fn fold_matches_scan_seed_0xc3() {
     hold_churn(0xC3);
 }
 
+/// The seeds `RPI_DIFF_SEEDS=seed1,seed2,…` names, none if it is unset.
+fn env_seeds() -> Vec<u64> {
+    let spec = std::env::var("RPI_DIFF_SEEDS").unwrap_or_default();
+    spec.split(',')
+        .filter(|s| !s.trim().is_empty())
+        .map(|part| {
+            part.trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("bad seed '{part}' in RPI_DIFF_SEEDS"))
+        })
+        .collect()
+}
+
 #[test]
 fn fold_matches_scan_extra_seeds_from_env() {
-    let Ok(spec) = std::env::var("RPI_DIFF_SEEDS") else {
-        return;
-    };
-    for part in spec.split(',').filter(|s| !s.trim().is_empty()) {
-        let seed: u64 = part
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("bad seed '{part}' in RPI_DIFF_SEEDS"));
-        hold_churn(seed);
-    }
+    env_seeds().into_iter().for_each(hold_churn);
 }
 
 /// The three attack kinds, every scope: ranges that start before the
@@ -552,11 +591,16 @@ fn answer_to(reqs: &[QueryRequest], req: &QueryRequest) -> usize {
 /// One simulated day of a tiny world seen by collector peers only, for
 /// the hand-built series below: the graph, the peers and the day.
 fn one_day() -> (AsGraph, Vec<Asn>, SimOutput) {
+    one_day_of(9)
+}
+
+/// [`one_day`] in the Tiny world of `seed`.
+fn one_day_of(seed: u64) -> (AsGraph, Vec<Asn>, SimOutput) {
     use bgp_sim::{GroundTruth, PolicyParams, Simulation, VantageSpec};
     use net_topology::{InternetConfig, InternetSize};
 
     let g = InternetConfig::of_size(InternetSize::Tiny)
-        .with_seed(9)
+        .with_seed(seed)
         .build();
     let truth = GroundTruth::generate(&g, &PolicyParams::default());
     let spec = VantageSpec::paper_like(&g, 8, 4);
@@ -674,4 +718,160 @@ fn an_oracle_flip_rejudges_routes_that_did_not_move() {
         after.difference(&before).next().is_some(),
         "the flip must convict a route that did not move:\n{before:#?}\n{after:#?}"
     );
+}
+
+// ---------- the anchor's lookups, hand-built ----------
+
+/// The worlds the hand-built anchor cases below are built in: Tiny seed
+/// 9, then each seed `RPI_DIFF_SEEDS` names.
+fn anchor_seeds() -> impl Iterator<Item = u64> {
+    std::iter::once(9).chain(env_seeds())
+}
+
+/// Has each of `peers` announce `prefix` over `path` (next hop first,
+/// the peer itself left out) in `day`, replacing its row there.
+fn announce(day: &mut SimOutput, prefix: Ipv4Prefix, peers: &[Asn], path: &[Asn]) {
+    let rows = day.collector.rows.entry(prefix).or_default();
+    for &peer in peers {
+        rows.retain(|r| r.peer != peer);
+        rows.push(bgp_sim::CollectorRow {
+            peer,
+            path: std::iter::once(peer).chain(path.iter().copied()).collect(),
+            communities: Vec::new(),
+        });
+    }
+}
+
+fn pfx(s: &str) -> Ipv4Prefix {
+    s.parse().expect("a valid prefix")
+}
+
+/// The three lookups a judgement makes in the anchor, each in a world
+/// where a wrong one changes the answer. No AS involved is a collector
+/// peer; `p` has the customer `c`, which is outside `x`'s cone.
+///
+/// * Nested covers: the anchor stores `200.0.0.0/8` by `p` and
+///   `200.1.0.0/16` by `x`; `c` announcing `200.1.2.0/24` is judged
+///   against `x`, the longest cover — against `p` it would be routine.
+/// * One-vantage covers: `201.0.0.0/16` and `201.1.0.0/16` by `x`, each
+///   stored by one peer (the first, the last) at the anchor; `c`'s /24
+///   inside each is a subprefix hijack, so covers are looked up in every
+///   anchor table.
+/// * A multi-origin baseline: `202.0.0.0/16` announced by `p` at one peer
+///   and `x` at the others; `c` joining at a third is inside `p`'s cone,
+///   so no origin hijack, but a MOAS whose owner list names both.
+#[test]
+fn the_anchor_is_looked_up_for_owners_and_covers() {
+    for seed in anchor_seeds() {
+        let (g, peers, mut day0) = one_day_of(seed);
+        let free: Vec<Asn> = g.ases().filter(|a| !peers.contains(a)).collect();
+        let (p, c, x) = free
+            .iter()
+            .find_map(|&p| {
+                let c = g.customers_of(p).find(|c| free.contains(c))?;
+                let x = free
+                    .iter()
+                    .copied()
+                    .find(|&x| x != p && x != c && !CustomerCone::build(&g, x).contains(c))?;
+                Some((p, c, x))
+            })
+            .unwrap_or_else(|| panic!("seed {seed}: an owner, its customer and a stranger"));
+        let (first, last) = (&peers[..1], &peers[peers.len() - 1..]);
+
+        announce(&mut day0, pfx("200.0.0.0/8"), &peers, &[p]);
+        announce(&mut day0, pfx("200.1.0.0/16"), &peers, &[x]);
+        announce(&mut day0, pfx("201.0.0.0/16"), first, &[x]);
+        announce(&mut day0, pfx("201.1.0.0/16"), last, &[x]);
+        announce(&mut day0, pfx("202.0.0.0/16"), &peers, &[x]);
+        announce(&mut day0, pfx("202.0.0.0/16"), first, &[p]);
+        let mut day1 = day0.clone();
+        for sub in ["200.1.2.0/24", "201.0.1.0/24", "201.1.1.0/24"] {
+            announce(&mut day1, pfx(sub), &peers, &[c]);
+        }
+        announce(&mut day1, pfx("202.0.0.0/16"), &peers[1..2], &[c]);
+
+        let labels: Vec<String> = (0..2).map(|i| format!("d{i}")).collect();
+        let reqs = requests(2, &peers, &mut StdRng::seed_from_u64(seed));
+        let oracles = vec![g; 2];
+        let tag = format!("anchor-lookups-{seed}");
+        let answers = hold(&tag, &labels, &[day0, day1], &oracles, &reqs);
+        let all = &answers[0];
+        let mut owners = [p, x];
+        owners.sort_unstable();
+        let both = format!("(owners {},{})", owners[0], owners[1]);
+        for (kind, prefix, owners) in [
+            ("subprefix-hijack", "200.1.2.0/24", format!("(owners {x})")),
+            ("subprefix-hijack", "201.0.1.0/24", format!("(owners {x})")),
+            ("subprefix-hijack", "201.1.1.0/24", format!("(owners {x})")),
+            ("moas", "202.0.0.0/16", both),
+        ] {
+            let line = event_line(1, kind, pfx(prefix), c) + &owners;
+            assert!(all.contains(&line), "seed {seed}: {line}:\n{all}");
+        }
+        let line = event_line(1, "origin-hijack", pfx("202.0.0.0/16"), c);
+        assert!(!all.contains(&line), "seed {seed}: {line}:\n{all}");
+    }
+}
+
+/// `uptime` reads a prefix's presence at the anchor only where it flips
+/// or where the histogram asks. At one peer `v`, two hand-built prefixes
+/// are selectively announced (learned from a non-customer `n`, the origin
+/// `o` in `v`'s cone) or exported (learned from `o` itself) over four
+/// days: `204.0.0.0/16` is absent at the anchor, then SA, exported, SA —
+/// shifted, uptime 3; `204.1.0.0/16` is SA at the anchor, withdrawn, then
+/// SA twice — remaining, uptime 3, which a fold starting it absent counts
+/// as 1.
+#[test]
+fn uptime_looks_up_the_anchor_where_presence_is_asked() {
+    for seed in anchor_seeds() {
+        let (g, peers, day) = one_day_of(seed);
+        let (v, o, n) = peers
+            .iter()
+            .find_map(|&v| {
+                let o = g.customers_of(v).next()?;
+                let n = g.neighbors(v).find(|&(n, _)| n != o && !g.is_down(v, n))?.0;
+                Some((v, o, n))
+            })
+            .unwrap_or_else(|| panic!("seed {seed}: a peer with a customer and a non-customer"));
+        let (shifted, back) = (pfx("204.0.0.0/16"), pfx("204.1.0.0/16"));
+        let (sa, exported) = ([n, o], [o]);
+        let mut days = vec![day; 4];
+        for (d, out) in days.iter_mut().enumerate() {
+            if d > 0 {
+                announce(out, shifted, &[v], if d == 2 { &exported } else { &sa });
+            }
+            if d != 1 {
+                announce(out, back, &[v], &sa);
+            }
+        }
+
+        let labels: Vec<String> = (0..4).map(|i| format!("d{i}")).collect();
+        let reqs = requests(4, &peers, &mut StdRng::seed_from_u64(seed));
+        let oracles = vec![g; 4];
+        hold(
+            &format!("uptime-anchor-{seed}"),
+            &labels,
+            &days,
+            &oracles,
+            &reqs,
+        );
+
+        // The cases bite: both prefixes are ever-SA, so the histogram
+        // reads them, with the counts the series was built to give.
+        let mut engine = QueryEngine::default();
+        for (label, out) in labels.iter().zip(&days) {
+            engine.ingest_output(out, &oracles[0], label);
+        }
+        let sym = engine.interner.lookup_asn(v).expect("a vantage");
+        let ids: Vec<SnapshotId> = (0..4).map(SnapshotId).collect();
+        let (present, sa_count) = engine.uptime_counts(sym, &ids).expect("in range");
+        for (prefix, expected) in [(shifted, (3, 2)), (back, (3, 3))] {
+            let got = (present.get(&prefix), sa_count.get(&prefix));
+            assert_eq!(
+                got,
+                (Some(&expected.0), Some(&expected.1)),
+                "seed {seed}: {prefix} at {v}"
+            );
+        }
+    }
 }

@@ -14,13 +14,15 @@
 //!   test, aimed at origins instead of export policies — the same
 //!   `in_cone` the SA patcher asks, so a cone either of them walked is
 //!   walked for every request and every snapshot sharing that oracle).
-//!   An **anchor + fold over [`bgp_types::CowTrie::diff`]**: the first
-//!   snapshot is scanned once, every later one contributes only the
-//!   routes that differ from its predecessor's. Structure two snapshots
-//!   share physically is skipped as equal; structure they do not share
-//!   is compared, never assumed different — so the events are the same
-//!   on an engine whose snapshots share nothing, at the cost of walking
-//!   them (`fold_scan.rs` holds the fold to the per-snapshot scan);
+//!   An **anchor + fold over [`bgp_types::CowTrie::diff`]**: every
+//!   later snapshot contributes only the routes that differ from its
+//!   predecessor's, and the first is never scanned — a judged prefix's
+//!   owners and covers are looked up in its tables. Structure two
+//!   snapshots share physically is skipped as equal; structure they do
+//!   not share is compared, never assumed different — so the events are
+//!   the same on an engine whose snapshots share nothing, at the cost of
+//!   walking them (`fold_scan.rs` holds the fold to the per-snapshot
+//!   scan);
 //! * [`leak_events`] — valley-free violations among the stored best
 //!   paths of one snapshot, naming the AS that forwarded a provider- or
 //!   peer-learned route back up. A **read**: every snapshot carries its
@@ -32,7 +34,8 @@
 //!   delta, which re-judges only the touched prefixes). `fold_scan.rs`
 //!   holds the read to the per-request scan it replaced.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use bgp_types::{Asn, Ipv4Prefix};
 
@@ -76,35 +79,56 @@ pub(crate) fn rov_point(
 /// (prefix, origin) pair, resolved to raw ASNs and fully ordered. A
 /// prefix's origin *set* is its inner key set; the counts are what lets
 /// [`hijack_events`] keep the sets current from route changes alone.
-pub(crate) type OriginCounts = BTreeMap<Ipv4Prefix, BTreeMap<Asn, usize>>;
+type OriginCounts = BTreeMap<Ipv4Prefix, BTreeMap<Asn, usize>>;
 
-/// One scan of every route of every vantage table of `snap`.
-pub(crate) fn origins_per_prefix(engine: &QueryEngine, snap: &Snapshot) -> OriginCounts {
-    let mut out = OriginCounts::new();
-    for table in snap.vantages.values() {
-        for (p, r) in table.trie.iter() {
-            let origin = *r.path.last().expect("stored paths are non-empty");
-            *out.entry(p)
-                .or_default()
-                .entry(engine.interner.resolve_asn(origin))
-                .or_insert(0) += 1;
-        }
-    }
-    out
+/// A stored route's origin: its path's last AS.
+fn origin(r: &CompactRoute) -> AsnSym {
+    *r.path.last().expect("stored paths are non-empty")
 }
 
-/// The longest baseline prefix strictly covering `p` that has owners.
-pub(crate) fn covering_base(
-    base: &BTreeMap<Ipv4Prefix, BTreeSet<Asn>>,
-    p: Ipv4Prefix,
-) -> Option<(Ipv4Prefix, &BTreeSet<Asn>)> {
-    for len in (0..p.len()).rev() {
-        let key = Ipv4Prefix::canonical(p.bits(), len);
-        if let Some(owners) = base.get(&key) {
-            return Some((key, owners));
+/// The first scoped snapshot as [`hijack_events`]' ownership baseline,
+/// looked up one prefix at a time where a judgement asks — never
+/// materialised whole.
+struct Anchor<'a> {
+    engine: &'a QueryEngine,
+    snap: Arc<Snapshot>,
+    /// Owners looked up so far, per prefix (empty: stored by no table).
+    owners: HashMap<Ipv4Prefix, BTreeSet<Asn>>,
+}
+
+impl Anchor<'_> {
+    /// `p`'s origins in the anchor's tables, each with the number of
+    /// tables announcing it — one exact lookup per vantage.
+    fn origin_counts(&self, p: Ipv4Prefix) -> BTreeMap<Asn, usize> {
+        let mut out = BTreeMap::new();
+        for table in self.snap.vantages.values() {
+            if let Some(r) = table.trie.get(p) {
+                *out.entry(self.engine.interner.resolve_asn(origin(r)))
+                    .or_insert(0) += 1;
+            }
         }
+        out
     }
-    None
+
+    /// `p`'s owners: its origin set in the anchor's tables.
+    fn owners(&mut self, p: Ipv4Prefix) -> &BTreeSet<Asn> {
+        if !self.owners.contains_key(&p) {
+            let owners = self.origin_counts(p).into_keys().collect();
+            self.owners.insert(p, owners);
+        }
+        &self.owners[&p]
+    }
+
+    /// The longest prefix strictly covering `p` that any anchor table
+    /// stores.
+    fn cover(&self, p: Ipv4Prefix) -> Option<Ipv4Prefix> {
+        self.snap
+            .vantages
+            .values()
+            .filter_map(|t| t.trie.covering(p).filter(|(q, _)| q.len() < p.len()).last())
+            .map(|(q, _)| q)
+            .max_by_key(|q| q.len())
+    }
 }
 
 /// Scans the scoped snapshots for origin anomalies against the **first**
@@ -122,20 +146,25 @@ pub(crate) fn covering_base(
 ///   origins in one snapshot, reported for each non-owner origin (a
 ///   multi-origin *baseline* is accepted state and never reported).
 ///
-/// **Anchor + fold.** Only the first snapshot is scanned
-/// ([`origins_per_prefix`]): it is the baseline and the starting
-/// [`OriginCounts`]. Each later snapshot applies the route changes
+/// **Anchor + fold.** The first snapshot is the baseline and is never
+/// scanned: each later snapshot applies the route changes
 /// [`Snapshot::route_changes`] reports against its predecessor — −1 the
-/// old origin, +1 the new — and judges only the prefixes whose origin
-/// *set* changed. That reports exactly what judging every prefix would:
-/// a prefix's verdicts depend on the baseline, the snapshot's oracle and
-/// the prefix's origin set, so with all three as they were one snapshot
-/// earlier they are triples already reported. (The whole set, not the
-/// pair that appeared: a second origin arriving later makes the first
-/// one a MOAS party too.) A snapshot under a different oracle than its
-/// predecessor's re-judges every prefix. Tables the two snapshots share
-/// are skipped, unshared ones compared route by route — sharing decides
-/// the cost, never the answer.
+/// old origin, +1 the new — to [`OriginCounts`] kept only for the
+/// prefixes such a change touches, each seeded on first touch from the
+/// anchor's tables (untouched until then, it is what the anchor holds).
+/// Only the prefixes whose origin *set* changed are judged, and a judged
+/// prefix's owners — or its longest strict cover's — are looked up in
+/// the anchor's tables ([`Anchor`]). That reports exactly what judging
+/// every prefix would: a prefix's verdicts depend on the baseline, the
+/// snapshot's oracle and the prefix's origin set, so with all three as
+/// they were one snapshot earlier they are triples already reported.
+/// (The whole set, not the pair that appeared: a second origin arriving
+/// later makes the first one a MOAS party too.) A snapshot under a
+/// different oracle than its predecessor's re-judges every prefix a
+/// change has touched: an untouched one still holds exactly the anchor's
+/// origins, its owners, so no oracle finds anything there. Tables the
+/// two snapshots share are skipped, unshared ones compared route by
+/// route — sharing decides the cost, never the answer.
 pub(crate) fn hijack_events(
     engine: &QueryEngine,
     ids: &[SnapshotId],
@@ -145,13 +174,14 @@ pub(crate) fn hijack_events(
         return Ok(Vec::new());
     };
     let mut prev = engine.snap_arc(first)?;
-    let mut origins = origins_per_prefix(engine, &prev);
     // The first snapshot is its own baseline: each of its origins is an
     // owner, so it reports nothing and is not judged.
-    let base: BTreeMap<Ipv4Prefix, BTreeSet<Asn>> = origins
-        .iter()
-        .map(|(&p, os)| (p, os.keys().copied().collect()))
-        .collect();
+    let mut anchor = Anchor {
+        engine,
+        snap: prev.clone(),
+        owners: HashMap::new(),
+    };
+    let mut origins = OriginCounts::new();
     let mut seen: HashSet<(HijackKind, Ipv4Prefix, Asn)> = HashSet::new();
     let mut events = Vec::new();
     for &id in rest {
@@ -163,12 +193,11 @@ pub(crate) fn hijack_events(
             .filter(|v| !snap.vantages.contains_key(v));
         for &v in snap.vantages.keys().chain(gone) {
             snap.route_changes(&prev, v, |p, old, new| {
-                let origin = |r: &CompactRoute| *r.path.last().expect("stored paths are non-empty");
                 let (old, new) = (old.map(origin), new.map(origin));
                 if old == new {
                     return; // the path moved, the origin did not
                 }
-                let at = origins.entry(p).or_default();
+                let at = origins.entry(p).or_insert_with(|| anchor.origin_counts(p));
                 if let Some(o) = old {
                     let o = engine.interner.resolve_asn(o);
                     let n = at.get_mut(&o).expect("counted when the route appeared");
@@ -214,7 +243,8 @@ pub(crate) fn hijack_events(
                 });
             };
         let mut judge = |p: Ipv4Prefix, os: &BTreeMap<Asn, usize>| {
-            if let Some(owners) = base.get(&p) {
+            let owners = anchor.owners(p);
+            if !owners.is_empty() {
                 let moas = os.len() > 1;
                 for &o in os.keys() {
                     if owners.contains(&o) {
@@ -227,7 +257,8 @@ pub(crate) fn hijack_events(
                         push(HijackKind::Moas, p, o, owners);
                     }
                 }
-            } else if let Some((_, owners)) = covering_base(&base, p) {
+            } else if let Some(cover) = anchor.cover(p) {
+                let owners = anchor.owners(cover);
                 for &o in os.keys() {
                     if owners.contains(&o) {
                         continue;

@@ -886,16 +886,6 @@ impl Snapshot {
         self.vantages.iter().map(|(&s, t)| (s, t.kind))
     }
 
-    /// Every prefix in one vantage's table, in prefix order (empty when
-    /// the AS is not a vantage here). Feeds the history queries'
-    /// per-snapshot presence counts.
-    pub(crate) fn table_prefixes(&self, vantage: AsnSym) -> impl Iterator<Item = Ipv4Prefix> + '_ {
-        self.vantages
-            .get(&vantage)
-            .into_iter()
-            .flat_map(|t| t.trie.iter().map(|(p, _)| p))
-    }
-
     /// Exact route lookup.
     pub(crate) fn route(&self, vantage: AsnSym, prefix: Ipv4Prefix) -> Option<&CompactRoute> {
         self.vantages.get(&vantage)?.trie.get(prefix)
