@@ -18,9 +18,9 @@
 //! *what differs* between two tries is reachable without visiting what
 //! does not: [`CowTrie::diff`] walks both in lockstep and skips every
 //! subtrie the two hold as the same `Arc`. The history verbs of
-//! `rpi-query` are built on it — one scan of the first snapshot (the
-//! anchor), then a fold over what `diff` reports from each snapshot to
-//! the next. **Pointer equality is only ever a shortcut for "equal",
+//! `rpi-query` are built on it — a fold over what `diff` reports from
+//! each snapshot to the next, which looks the first snapshot up where a
+//! verdict asks and never scans it. **Pointer equality is only ever a shortcut for "equal",
 //! never evidence of a difference**: two subtries that are not the same
 //! `Arc` are compared entry by entry, so tries that share nothing (built
 //! apart, or decoded from an archive keyframe) diff correctly at the

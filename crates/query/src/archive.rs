@@ -96,8 +96,8 @@ use rpi_store::{
 use crate::engine::QueryEngine;
 use crate::intern::{AsnSym, FrozenInterner, PrefixSym, WorldInterner};
 use crate::snapshot::{
-    CompactRoute, Oracle, Provenance, RouteEdits, Snapshot, SnapshotId, TableJudge, VantageKind,
-    VantageTable,
+    CompactRoute, Oracle, OriginStamp, Provenance, RouteEdits, Snapshot, SnapshotId, TableJudge,
+    VantageKind, VantageTable,
 };
 
 /// One segment's on-disk identity, kept on the engine after a save or
@@ -799,6 +799,7 @@ fn decode_full(
             kind: e.kind,
             trie,
             route_count: e.route_count,
+            origins: OriginStamp::fresh(),
         };
         snap.vantages.insert(e.sym, Arc::new(table));
     }
@@ -1743,12 +1744,15 @@ mod tests {
         let extra = (extra.split(',').filter(|s| !s.trim().is_empty())).map(|s| {
             (s.trim().parse()).unwrap_or_else(|_| panic!("bad seed '{s}' in RPI_DIFF_SEEDS"))
         });
-        for seed in std::iter::once(5).chain(extra) {
-            assert_decoded_onto_is_standalone(seed);
-        }
+        let kept_caches: usize = std::iter::once(5)
+            .chain(extra)
+            .map(assert_decoded_onto_is_standalone)
+            .sum();
+        assert!(kept_caches > 0, "no changed table kept its SA cache");
     }
 
-    fn assert_decoded_onto_is_standalone(seed: u64) {
+    /// Returns how many changed tables kept their predecessor's SA cache.
+    fn assert_decoded_onto_is_standalone(seed: u64) -> usize {
         let (mut engine, ases, prefixes) = keyframe_world(seed);
         let dir =
             std::env::temp_dir().join(format!("rpi-keyframe-onto-{seed}-{}", std::process::id()));
@@ -1771,6 +1775,7 @@ mod tests {
 
         // Tables kept and patched across keyframes, kind switches, flips.
         let (mut shared, mut patched, mut switched, mut flips) = (0, 0, 0, 0);
+        let mut kept_caches = 0;
         for (k, (got, want)) in onto.snapshots.iter().zip(&standalone.snapshots).enumerate() {
             let at = format!("seed {seed} @{k}");
             assert!(*got.oracle == *want.oracle, "{at}: oracle");
@@ -1814,8 +1819,17 @@ mod tests {
                     assert_eq!(kept, [true; 3], "{at} {v:?}: an unchanged table");
                     shared += 1;
                 } else {
-                    assert!(!kept[1], "{at} {v:?}: a changed table's SA cache");
+                    // A changed table keeps the cache exactly when no
+                    // filing (verdict and origin) moved.
+                    let (c, pc) = (&got.sa[v], &prev.sa[v]);
+                    let same_filings = c.sa == pc.sa && c.exported == pc.exported;
+                    assert_eq!(
+                        kept[1],
+                        same_oracle && same_filings,
+                        "{at} {v:?}: a changed table's SA cache"
+                    );
                     patched += !unchanged as usize;
+                    kept_caches += (!unchanged && kept[1]) as usize;
                 }
             }
         }
@@ -1835,5 +1849,6 @@ mod tests {
             let (got, want) = (rendered(&onto, req), rendered(&standalone, req));
             assert_eq!(got, want, "seed {seed}: {req:?}");
         }
+        kept_caches
     }
 }

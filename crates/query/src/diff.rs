@@ -6,9 +6,10 @@
 //! The shared trie is the delta: consecutive snapshots of a series hold
 //! most of their tables, SA caches and their oracle as the same `Arc`s,
 //! and `SnapshotDiff::between` compares only what they do not — route
-//! churn is [`bgp_types::CowTrie::diff`] per vantage, the same step the
-//! `hijacks` and `uptime` folds take from each snapshot to the next (they
-//! look their first snapshot up, never scanning it).
+//! churn is [`bgp_types::CowTrie::diff`] per vantage. The `hijacks` and
+//! `uptime` folds take the same step filtered to origins, and skip a
+//! table whose origin stamp did not move; `diff` counts path changes
+//! too, so it walks every table that is not shared.
 //! Pointer equality is a shortcut for "equal" and nothing else; two
 //! snapshots that share no structure diff to the same answer.
 
@@ -88,8 +89,9 @@ impl SnapshotDiff {
     /// snapshots, so all comparisons here are integer comparisons — and
     /// only over what the two snapshots do not physically share: a
     /// vantage table, SA cache or oracle that is the same `Arc` on both
-    /// sides is skipped, and within a table [`Snapshot::route_changes`]
-    /// skips every shared subtrie. COW sharing is transitive along a
+    /// sides is skipped — a patched table keeps its SA cache's `Arc`
+    /// while no filing moved — and within a table
+    /// [`Snapshot::route_changes`] skips every shared subtrie. COW sharing is transitive along a
     /// chain, so a non-adjacent pair costs the spines touched in between.
     pub(crate) fn between(interner: &WorldInterner, a: &Snapshot, b: &Snapshot) -> SnapshotDiff {
         let mut diff = SnapshotDiff {

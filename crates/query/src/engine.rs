@@ -31,7 +31,7 @@ use crate::plan::QueryError;
 use crate::proto::{
     PersistenceAnswer, Query, QueryRequest, Response, SaHistoryPoint, SaOriginCount,
 };
-use crate::snapshot::{PointRead, Snapshot, SnapshotId, VantageKind};
+use crate::snapshot::{PointRead, SaCache, Snapshot, SnapshotId, VantageKind};
 
 /// A resolved best-route answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -786,12 +786,14 @@ impl QueryEngine {
     /// selectively announced there. Those are the only prefixes the
     /// histogram reads.
     ///
-    /// **Anchor + fold.** The first snapshot's SA set opens every SA
-    /// interval; each later snapshot flips only what
-    /// [`Snapshot::route_changes`] / [`Snapshot::sa_changes`] report
-    /// against its predecessor. The anchor's table is never walked: a
-    /// prefix's presence at the first snapshot is looked up where it
-    /// flips or where the histogram asks for it.
+    /// **A fold over origin and SA changes.** The first snapshot's SA
+    /// set opens every SA interval; each later snapshot flips only the
+    /// presence [`Snapshot::origin_changes`] and the SA filings
+    /// [`Snapshot::sa_changes`] report against its predecessor, so a
+    /// table whose origin stamp and SA cache both carried over (path-only
+    /// churn) costs nothing. The first snapshot's table is never walked:
+    /// a prefix's presence there is looked up where it flips or where the
+    /// histogram asks for it.
     pub(crate) fn uptime_counts(
         &self,
         v: AsnSym,
@@ -810,7 +812,7 @@ impl QueryEngine {
         let mut prev = anchor.clone();
         for (step, &id) in ids.iter().enumerate().skip(1) {
             let snap = self.snap_arc(id)?;
-            snap.route_changes(&prev, v, |p, old, new| {
+            snap.origin_changes(&prev, v, |p, old, new| {
                 if old.is_some() != new.is_some() {
                     present.flip(p, step, || at_start(p));
                 }
@@ -828,17 +830,19 @@ impl QueryEngine {
         Ok((present, sa))
     }
 
-    /// The history verbs. `sa-history`, `top-sa` and `persistence` read
-    /// one entry or one SA set per scoped snapshot. `uptime` needs whole
-    /// tables, so it is a fold over [`bgp_types::CowTrie::diff`] from the
+    /// The history verbs. `sa-history` and `persistence` read one entry
+    /// per scoped snapshot; `top-sa` unions SA sets, skipping a snapshot
+    /// whose SA cache is the `Arc` it has just folded. `uptime` needs
+    /// whole tables, so it is a fold over origin and SA changes
+    /// ([`Snapshot::origin_changes`], [`Snapshot::sa_changes`]) from the
     /// first scoped snapshot, whose table is looked up, never walked
     /// ([`Self::uptime_counts`]) — as is `hijacks`
     /// ([`crate::sec::hijack_events`]); `diff` ([`SnapshotDiff::between`])
-    /// is that step once. The contract all three rest on: structure two
-    /// snapshots share *physically* is equal and skipped, structure they
-    /// do not share is compared — so an engine whose snapshots share
-    /// nothing answers the same bytes, at the cost of walking every
-    /// scoped table.
+    /// is one step over whole routes. The contract they all rest on: what
+    /// two snapshots share — an `Arc`, a subtrie, an origin stamp — is
+    /// equal and skipped, what they do not share is compared — so an
+    /// engine whose snapshots share nothing answers the same bytes, at the
+    /// cost of walking every scoped table.
     fn eval_history(&self, query: &Query, ids: &[SnapshotId]) -> Result<Response, QueryError> {
         match *query {
             Query::SaHistory { vantage, prefix } => {
@@ -870,11 +874,17 @@ impl QueryEngine {
                     .lookup_asn(vantage)
                     .ok_or(QueryError::UnknownVantage(vantage))?;
                 let mut per_origin: BTreeMap<Asn, BTreeSet<Ipv4Prefix>> = BTreeMap::new();
+                // The union gains nothing from a cache it has just folded.
+                let mut folded: Option<Arc<SaCache>> = None;
                 for &id in ids {
                     let snap = self.snap_arc(id)?;
                     let Some(cache) = snap.sa.get(&v) else {
                         continue;
                     };
+                    if folded.as_ref().is_some_and(|last| Arc::ptr_eq(last, cache)) {
+                        continue;
+                    }
+                    folded = Some(Arc::clone(cache));
                     for (&ps, &origin) in &cache.sa {
                         per_origin
                             .entry(self.interner.resolve_asn(origin))

@@ -3,7 +3,11 @@
 //! rendered bytes, to the per-snapshot scans they replaced — kept here as
 //! the references. The folds never scan the first scoped snapshot; they
 //! look it up where a verdict or the histogram asks, and hand-built cases
-//! below aim at each of those lookups. Everything is held over seeded
+//! below aim at each of those lookups. `hijacks` and `uptime` skip a
+//! table whose origins did not move (its origin stamp), and `top-sa` an
+//! SA cache it has just folded; `sa` and `top-sa` are held to SA caches
+//! judged whole, so a cache carried over a filing that moved shows.
+//! Everything is held over seeded
 //! series and on every way an engine comes to hold a series: indexed
 //! from scratch (no trie shares anything), ingested incrementally
 //! (everything untouched is shared), loaded from an archive (every
@@ -28,16 +32,18 @@ use bgp_types::{Asn, Ipv4Prefix};
 use net_topology::{AsGraph, CustomerCone, Relations};
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use rpi_core::export_policy::SaVerdict;
 use rpi_core::persistence::histogram_from_counts;
 
 use crate::diff::{RelationshipFlip, SnapshotDiff, VantageChurn};
-use crate::engine::QueryEngine;
+use crate::engine::{QueryEngine, SaStatus};
 use crate::intern::{AsnSym, WorldInterner};
 use crate::plan::QueryError;
 use crate::proto::{
-    render_response, HijackEvent, HijackKind, LeakEvent, Query, QueryRequest, Response, Scope,
+    render_response, HijackEvent, HijackKind, LeakEvent, Query, QueryRequest, Response,
+    SaOriginCount, Scope,
 };
-use crate::snapshot::{Snapshot, SnapshotId};
+use crate::snapshot::{SaCache, Snapshot, SnapshotId, TableJudge};
 use crate::SaveOptions;
 
 // ---------- the references: every scoped snapshot scanned whole ----------
@@ -181,6 +187,69 @@ fn uptime_scan(
     Ok(Response::Uptime(histogram_from_counts(&present, &sa_count)))
 }
 
+/// `v`'s SA cache in `snap` as judging its whole table finds it: what
+/// the cache the snapshot carries must be, however it was patched.
+fn sa_judged(engine: &QueryEngine, snap: &Snapshot, v: AsnSym) -> SaCache {
+    let mut judge = TableJudge::new(&snap.oracle, v);
+    for (p, route) in snap
+        .vantages
+        .get(&v)
+        .into_iter()
+        .flat_map(|t| t.trie.iter())
+    {
+        let ps = (engine.interner.lookup_prefix(p)).expect("table prefixes are interned");
+        judge.judge(p, ps, route);
+    }
+    judge.finish().0
+}
+
+/// `sa` filed by [`sa_judged`] instead of the carried cache.
+fn sa_scan(engine: &QueryEngine, snap: &Snapshot, vantage: Asn, prefix: Ipv4Prefix) -> SaStatus {
+    let v = engine.interner.lookup_asn(vantage);
+    let Some(v) = v.filter(|v| snap.vantages.contains_key(v)) else {
+        return SaStatus::UnknownVantage;
+    };
+    let filed = (engine.interner.lookup_prefix(prefix))
+        .and_then(|ps| sa_judged(engine, snap, v).filing(ps))
+        .map(|(verdict, o)| (verdict, engine.interner.resolve_asn(o)));
+    match filed {
+        Some((SaVerdict::Sa, origin)) => SaStatus::SelectivelyAnnounced { origin },
+        Some((SaVerdict::Exported, origin)) => SaStatus::CustomerExported { origin },
+        None if snap.route(v, prefix).is_some() => SaStatus::NotCustomerRoute,
+        None => SaStatus::NotInTable,
+    }
+}
+
+/// `top-sa` over the [`sa_judged`] caches of every scoped snapshot, none
+/// skipped.
+fn top_sa_scan(
+    engine: &QueryEngine,
+    vantage: Asn,
+    k: usize,
+    ids: &[SnapshotId],
+) -> Result<Response, QueryError> {
+    let v = (engine.interner.lookup_asn(vantage)).ok_or(QueryError::UnknownVantage(vantage))?;
+    let mut per_origin: BTreeMap<Asn, BTreeSet<Ipv4Prefix>> = BTreeMap::new();
+    for &id in ids {
+        let snap = engine.snap_arc(id)?;
+        for (&ps, &origin) in &sa_judged(engine, &snap, v).sa {
+            per_origin
+                .entry(engine.interner.resolve_asn(origin))
+                .or_default()
+                .insert(engine.interner.resolve_prefix(ps));
+        }
+    }
+    let mut rows: Vec<SaOriginCount> = (per_origin.into_iter())
+        .map(|(origin, prefixes)| SaOriginCount {
+            origin,
+            prefixes: prefixes.len(),
+        })
+        .collect();
+    rows.sort_by(|a, b| b.prefixes.cmp(&a.prefixes).then(a.origin.cmp(&b.origin)));
+    rows.truncate(k);
+    Ok(Response::TopSaOrigins(rows))
+}
+
 /// `SnapshotDiff::between` as it was: both SA maps probed key by key,
 /// every edge of both oracles collected and compared, and the two tries
 /// of every vantage merge-joined over their full prefix-ordered streams.
@@ -310,8 +379,8 @@ fn leaks_scan(engine: &QueryEngine, snap: &Snapshot) -> Vec<LeakEvent> {
     out
 }
 
-/// [`QueryEngine::execute`] for the folded verbs and `leaks`, through
-/// the reference scans.
+/// [`QueryEngine::execute`] for the folded verbs, `leaks`, `sa` and
+/// `top-sa`, through the reference scans.
 fn execute_scan(engine: &QueryEngine, req: &QueryRequest) -> Result<Response, QueryError> {
     match req.query {
         Query::Leaks => {
@@ -332,7 +401,16 @@ fn execute_scan(engine: &QueryEngine, req: &QueryRequest) -> Result<Response, Qu
             let (a, b) = (engine.snap_arc(from)?, engine.snap_arc(to)?);
             Ok(Response::Diff(diff_scan(&engine.interner, &a, &b)))
         }
-        _ => unreachable!("only the folded verbs and `leaks` are compared"),
+        Query::SaStatus { vantage, prefix } => {
+            let id = engine.single_scope(&req.query, &req.scope)?;
+            let snap = engine.snap_arc(id)?;
+            Ok(Response::Sa(sa_scan(engine, &snap, vantage, prefix)))
+        }
+        Query::TopKSaOrigins { vantage, k } => {
+            let ids = engine.scope_ids(&req.query, &req.scope)?;
+            top_sa_scan(engine, vantage, k, &ids)
+        }
+        _ => unreachable!("only the folded verbs, `leaks`, `sa` and `top-sa` are compared"),
     }
 }
 
@@ -499,7 +577,7 @@ fn fold_matches_scan_seed_0xc3() {
 }
 
 /// The seeds `RPI_DIFF_SEEDS=seed1,seed2,…` names, none if it is unset.
-fn env_seeds() -> Vec<u64> {
+pub(crate) fn env_seeds() -> Vec<u64> {
     let spec = std::env::var("RPI_DIFF_SEEDS").unwrap_or_default();
     spec.split(',')
         .filter(|s| !s.trim().is_empty())
@@ -595,7 +673,7 @@ fn one_day() -> (AsGraph, Vec<Asn>, SimOutput) {
 }
 
 /// [`one_day`] in the Tiny world of `seed`.
-fn one_day_of(seed: u64) -> (AsGraph, Vec<Asn>, SimOutput) {
+pub(crate) fn one_day_of(seed: u64) -> (AsGraph, Vec<Asn>, SimOutput) {
     use bgp_sim::{GroundTruth, PolicyParams, Simulation, VantageSpec};
     use net_topology::{InternetConfig, InternetSize};
 
@@ -730,7 +808,7 @@ fn anchor_seeds() -> impl Iterator<Item = u64> {
 
 /// Has each of `peers` announce `prefix` over `path` (next hop first,
 /// the peer itself left out) in `day`, replacing its row there.
-fn announce(day: &mut SimOutput, prefix: Ipv4Prefix, peers: &[Asn], path: &[Asn]) {
+pub(crate) fn announce(day: &mut SimOutput, prefix: Ipv4Prefix, peers: &[Asn], path: &[Asn]) {
     let rows = day.collector.rows.entry(prefix).or_default();
     for &peer in peers {
         rows.retain(|r| r.peer != peer);
@@ -742,7 +820,7 @@ fn announce(day: &mut SimOutput, prefix: Ipv4Prefix, peers: &[Asn], path: &[Asn]
     }
 }
 
-fn pfx(s: &str) -> Ipv4Prefix {
+pub(crate) fn pfx(s: &str) -> Ipv4Prefix {
     s.parse().expect("a valid prefix")
 }
 
@@ -871,6 +949,107 @@ fn uptime_looks_up_the_anchor_where_presence_is_asked() {
                 got,
                 (Some(&expected.0), Some(&expected.1)),
                 "seed {seed}: {prefix} at {v}"
+            );
+        }
+    }
+}
+
+/// A filing is a verdict *and* an origin. At one peer `v`,
+/// `206.0.0.0/16` is selectively announced — learned from a non-customer
+/// `n` — by `v`'s customer `a` at the first snapshot and by its customer
+/// `b` from the second on, so its verdict never moves. `sa` there must
+/// name `b` and `top-sa` must move, on every engine: a carried SA cache
+/// that compared verdicts only would still name `a`.
+#[test]
+fn an_sa_prefix_reoriginated_by_another_customer_moves_its_filing() {
+    for seed in anchor_seeds() {
+        let (g, peers, day) = one_day_of(seed);
+        let (v, a, b, n) = peers
+            .iter()
+            .find_map(|&v| {
+                let mut customers = g.customers_of(v);
+                let (a, b) = (customers.next()?, customers.next()?);
+                let n = g.neighbors(v).find(|&(n, _)| !g.is_down(v, n))?.0;
+                Some((v, a, b, n))
+            })
+            .unwrap_or_else(|| panic!("seed {seed}: a peer with two customers and a non-customer"));
+        let prefix = pfx("206.0.0.0/16");
+        let days: Vec<SimOutput> = [a, b, b]
+            .iter()
+            .map(|&origin| {
+                let mut out = day.clone();
+                announce(&mut out, prefix, &[v], &[n, origin]);
+                out
+            })
+            .collect();
+
+        let labels: Vec<String> = (0..3).map(|i| format!("d{i}")).collect();
+        let mut reqs = requests(3, &peers, &mut StdRng::seed_from_u64(seed));
+        let sa_at = |i| Query::SaStatus { vantage: v, prefix }.at(Scope::Id(SnapshotId(i)));
+        let top_sa = Query::TopKSaOrigins {
+            vantage: v,
+            k: 1000,
+        };
+        let top_sa_at = |i| top_sa.clone().at(Scope::Id(SnapshotId(i)));
+        reqs.extend((0..3).flat_map(|i| [sa_at(i), top_sa_at(i)]));
+        reqs.push(top_sa.clone().at(Scope::All));
+        let oracles = vec![g; 3];
+        let tag = format!("sa-reorigin-{seed}");
+        let answers = hold(&tag, &labels, &days, &oracles, &reqs);
+
+        for (i, origin) in [(0, a), (1, b)] {
+            let req = sa_at(i);
+            let want = Response::Sa(SaStatus::SelectivelyAnnounced { origin });
+            let got = &answers[answer_to(&reqs, &req)];
+            assert_eq!(*got, render_response(&req, &want), "seed {seed}: {v} @{i}");
+        }
+        let top_sa_of = |i| &answers[answer_to(&reqs, &top_sa_at(i))];
+        assert_ne!(top_sa_of(0), top_sa_of(1), "seed {seed}: `top-sa` at {v}");
+    }
+}
+
+/// A conviction names the leaker of the route stored now. At one peer
+/// `v`, `208.0.0.0/16` is learned from `v`'s customer `c1`, which heard
+/// it from its other provider `m1` — so `c1` leaks it — and from the
+/// second snapshot on from the customer `c2`, which heard it from its
+/// provider `m2`: still convicted, now of `c2`. A patch that compared
+/// convictions by presence alone would still name `c1`.
+#[test]
+fn a_conviction_names_the_leaker_of_the_route_stored_now() {
+    for seed in anchor_seeds() {
+        let (g, peers, day) = one_day_of(seed);
+        let leak = |v: Asn, other_than: Option<Asn>| {
+            (g.customers_of(v).filter(|&c| Some(c) != other_than))
+                .find_map(|c| Some((c, g.providers_of(c).find(|&m| m != v)?)))
+        };
+        let (v, (c1, m1), (c2, m2)) = peers
+            .iter()
+            .find_map(|&v| {
+                let first = leak(v, None)?;
+                Some((v, first, leak(v, Some(first.0))?))
+            })
+            .unwrap_or_else(|| panic!("seed {seed}: a peer with two multi-homed customers"));
+        let prefix = pfx("208.0.0.0/16");
+        let days: Vec<SimOutput> = [(c1, m1), (c2, m2), (c2, m2)]
+            .iter()
+            .map(|&(c, m)| {
+                let mut out = day.clone();
+                announce(&mut out, prefix, &[v], &[c, m]);
+                out
+            })
+            .collect();
+
+        let labels: Vec<String> = (0..3).map(|i| format!("d{i}")).collect();
+        let reqs = requests(3, &peers, &mut StdRng::seed_from_u64(seed));
+        let oracles = vec![g; 3];
+        let tag = format!("leaker-moves-{seed}");
+        let answers = hold(&tag, &labels, &days, &oracles, &reqs);
+        for (i, leaker) in [(0, c1), (1, c2)] {
+            let leaks = &answers[answer_to(&reqs, &Query::Leaks.at(Scope::Id(SnapshotId(i))))];
+            let event = format!("\n  {prefix} at {v}: leaked by {leaker} path ");
+            assert!(
+                leaks.contains(&event),
+                "seed {seed} @{i}: {event}:\n{leaks}"
             );
         }
     }

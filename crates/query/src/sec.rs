@@ -14,12 +14,14 @@
 //!   test, aimed at origins instead of export policies — the same
 //!   `in_cone` the SA patcher asks, so a cone either of them walked is
 //!   walked for every request and every snapshot sharing that oracle).
-//!   An **anchor + fold over [`bgp_types::CowTrie::diff`]**: every
-//!   later snapshot contributes only the routes that differ from its
-//!   predecessor's, and the first is never scanned — a judged prefix's
-//!   owners and covers are looked up in its tables. Structure two
-//!   snapshots share physically is skipped as equal; structure they do
-//!   not share is compared, never assumed different — so the events are
+//!   A **fold over origin changes** ([`Snapshot::origin_changes`]):
+//!   every later snapshot contributes only the prefixes whose origin
+//!   moved from its predecessor's — a table whose origin stamp did not
+//!   move (path-only churn) is skipped whole, any other diffed with
+//!   [`bgp_types::CowTrie::diff`] — and the first is never scanned: a
+//!   judged prefix's owners and covers are looked up in its tables.
+//!   What two snapshots share (a stamp, a subtrie) is skipped as equal;
+//!   what they do not is compared, never assumed different — so the events are
 //!   the same on an engine whose snapshots share nothing, at the cost of
 //!   walking them (`fold_scan.rs` holds the fold to the per-snapshot
 //!   scan);
@@ -43,7 +45,7 @@ use crate::engine::QueryEngine;
 use crate::intern::AsnSym;
 use crate::plan::QueryError;
 use crate::proto::{HijackEvent, HijackKind, LeakEvent, RovAnswer};
-use crate::snapshot::{CompactRoute, PointRead, Snapshot, SnapshotId};
+use crate::snapshot::{origin, PointRead, Snapshot, SnapshotId};
 
 /// Validates the vantage's best route for `prefix` against the engine's
 /// ROA table. Non-vantage ASes answer [`RovAnswer::UnknownVantage`]; a
@@ -80,11 +82,6 @@ pub(crate) fn rov_point(
 /// prefix's origin *set* is its inner key set; the counts are what lets
 /// [`hijack_events`] keep the sets current from route changes alone.
 type OriginCounts = BTreeMap<Ipv4Prefix, BTreeMap<Asn, usize>>;
-
-/// A stored route's origin: its path's last AS.
-fn origin(r: &CompactRoute) -> AsnSym {
-    *r.path.last().expect("stored paths are non-empty")
-}
 
 /// The first scoped snapshot as [`hijack_events`]' ownership baseline,
 /// looked up one prefix at a time where a judgement asks — never
@@ -146,9 +143,9 @@ impl Anchor<'_> {
 ///   origins in one snapshot, reported for each non-owner origin (a
 ///   multi-origin *baseline* is accepted state and never reported).
 ///
-/// **Anchor + fold.** The first snapshot is the baseline and is never
-/// scanned: each later snapshot applies the route changes
-/// [`Snapshot::route_changes`] reports against its predecessor — −1 the
+/// **A fold over origin changes.** The first snapshot is the baseline
+/// and is never scanned: each later snapshot applies the origin changes
+/// [`Snapshot::origin_changes`] reports against its predecessor — −1 the
 /// old origin, +1 the new — to [`OriginCounts`] kept only for the
 /// prefixes such a change touches, each seeded on first touch from the
 /// anchor's tables (untouched until then, it is what the anchor holds).
@@ -162,9 +159,10 @@ impl Anchor<'_> {
 /// later makes the first one a MOAS party too.) A snapshot under a
 /// different oracle than its predecessor's re-judges every prefix a
 /// change has touched: an untouched one still holds exactly the anchor's
-/// origins, its owners, so no oracle finds anything there. Tables the
-/// two snapshots share are skipped, unshared ones compared route by
-/// route — sharing decides the cost, never the answer.
+/// origins, its owners, so no oracle finds anything there. A table
+/// holding its predecessor's origin stamp — path-only churn — is skipped
+/// whole, others are diffed (shared subtries skipped, the rest compared
+/// route by route) — sharing decides the cost, never the answer.
 pub(crate) fn hijack_events(
     engine: &QueryEngine,
     ids: &[SnapshotId],
@@ -192,11 +190,7 @@ pub(crate) fn hijack_events(
             .keys()
             .filter(|v| !snap.vantages.contains_key(v));
         for &v in snap.vantages.keys().chain(gone) {
-            snap.route_changes(&prev, v, |p, old, new| {
-                let (old, new) = (old.map(origin), new.map(origin));
-                if old == new {
-                    return; // the path moved, the origin did not
-                }
+            snap.origin_changes(&prev, v, |p, old, new| {
                 let at = origins.entry(p).or_insert_with(|| anchor.origin_counts(p));
                 if let Some(o) = old {
                     let o = engine.interner.resolve_asn(o);

@@ -48,8 +48,10 @@
 //! [`Snapshot::patch_table`] — behind incremental ingest, delta replay
 //! and a full segment decoded onto its predecessor — re-derives only the
 //! prefixes its edits touch, against the patched table, keeping the
-//! predecessor's `Arc`s when nothing moved; an oracle change re-judges
-//! the whole table.
+//! predecessor's `Arc`s while no entry moved; an oracle change re-judges
+//! the whole table. A table also carries an [`OriginStamp`], kept across
+//! a patch that moves no origin, so the `hijacks` and `uptime` folds skip
+//! path-only churn ([`Snapshot::origin_changes`]).
 //! Nothing is persisted, so `sa` and `leaks` are reads. (The cold tier
 //! holds no SA cache: it files the one route a point `sa` asks about
 //! with the same [`sa_verdict`] — [`PointRead::sa_filed`].)
@@ -59,6 +61,7 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use bgp_sim::{CollectorView, DeltaRoute, LgView, OutputDelta, SimOutput, VantageDelta};
@@ -120,14 +123,39 @@ impl CompactRoute {
 /// replay and a full segment decoded onto its predecessor all clone the
 /// whole `Arc` for untouched vantages, and build a copy-on-write overlay
 /// (root cloned in O(1), only touched spines copied) for churned ones
-/// ([`Snapshot::patch_table`]). Only a table indexed from scratch, or
-/// decoded from a full segment with no predecessor in hand, shares
-/// nothing.
+/// ([`Snapshot::patch_table`]), which keeps the predecessor's origin
+/// stamp when no edit moved an origin. Only a table indexed from
+/// scratch, or decoded from a full segment with no predecessor in hand,
+/// shares nothing and takes a fresh stamp.
 #[derive(Debug)]
 pub(crate) struct VantageTable {
     pub kind: VantageKind,
     pub trie: CowTrie<CompactRoute>,
     pub route_count: usize,
+    /// Names the table's prefix → origin map ([`OriginStamp`]).
+    pub origins: OriginStamp,
+}
+
+/// A witness of one prefix → origin map: two tables holding one stamp
+/// store the same prefixes with the same origins, whatever their paths.
+/// A table built from nothing takes a fresh stamp; a patch that moves no
+/// origin and adds or removes no prefix keeps its predecessor's. Like a
+/// shared `Arc`, an equal stamp is a shortcut for "equal" and never
+/// evidence of a difference. Process-local: never stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct OriginStamp(u64);
+
+impl OriginStamp {
+    /// A stamp no other table holds.
+    pub(crate) fn fresh() -> OriginStamp {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        OriginStamp(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// A stored route's origin: its path's last AS.
+pub(crate) fn origin(route: &CompactRoute) -> AsnSym {
+    *route.path.last().expect("stored paths are non-empty")
 }
 
 /// One vantage's route changes against its predecessor's table: the
@@ -214,6 +242,17 @@ impl SaCache {
     /// cone.
     pub(crate) fn customer_prefixes(&self) -> usize {
         self.sa.len() + self.exported.len()
+    }
+
+    /// Where `prefix` is filed, and under which origin (`None`: not a
+    /// customer route, or no route).
+    pub(crate) fn filing(&self, prefix: PrefixSym) -> Option<(SaVerdict, AsnSym)> {
+        let sa = self.sa.get(&prefix).map(|&o| (SaVerdict::Sa, o));
+        sa.or_else(|| {
+            self.exported
+                .get(&prefix)
+                .map(|&o| (SaVerdict::Exported, o))
+        })
     }
 
     /// Files a customer-originated `prefix` where `verdict` puts it.
@@ -449,7 +488,7 @@ impl<'a> TableJudge<'a> {
 
     /// Judges `route`, stored for `prefix` (interned as `sym`).
     pub(crate) fn judge(&mut self, prefix: Ipv4Prefix, sym: PrefixSym, route: &CompactRoute) {
-        let origin = *route.path.last().expect("stored paths are non-empty");
+        let origin = origin(route);
         if self.last_hop != route.next_hop || *self.last_path != *route.path {
             self.leaker = self.oracle.leaker(self.owner, &route.path);
             let in_cone = |o| self.oracle.in_cone(self.owner, o);
@@ -673,12 +712,15 @@ impl Snapshot {
     /// the one per-prefix patch behind incremental ingest, delta replay
     /// and a keyframe decoded onto its predecessor. No edit keeps the
     /// predecessor's table `Arc`; edits patch an O(1) clone of its trie
-    /// along the touched spines. Under an unchanged oracle only the
-    /// edited prefixes are judged again (Fig. 4's per-prefix test is
-    /// local: origin-in-cone + next-hop relationship), keeping the
-    /// predecessor's cache and convictions when nothing moved; a changed
-    /// oracle re-judges the whole table. Every prefix `edits` stores
-    /// must be interned.
+    /// along the touched spines, keeping its origin stamp unless one adds
+    /// a prefix, removes one or stores a route of another origin. Under
+    /// an unchanged oracle only the edited prefixes are judged again
+    /// (Fig. 4's per-prefix test is local: origin-in-cone + next-hop
+    /// relationship), and the predecessor's cache and convictions are
+    /// kept as they are unless an entry moves — a prefix's filing is its
+    /// verdict *and* its origin — each cloned at its first move; a
+    /// changed oracle re-judges the whole table. Every prefix `edits`
+    /// stores must be interned.
     pub(crate) fn patch_table<I: Interning>(
         &mut self,
         prev: &Snapshot,
@@ -703,16 +745,28 @@ impl Snapshot {
                 kind: prev_table.kind,
                 trie: prev_table.trie.clone(),
                 route_count: prev_table.route_count,
+                origins: prev_table.origins,
             };
+            // Whether a prefix came, went or changed origin.
+            let mut moved = false;
             for &p in &removed {
                 if table.trie.remove(p).is_some() {
                     table.route_count -= 1;
+                    moved = true;
                 }
             }
             for (p, route) in stored {
-                if table.trie.insert(p, route).is_none() {
-                    table.route_count += 1;
+                let now = origin(&route);
+                match table.trie.insert(p, route) {
+                    Some(was) => moved |= origin(&was) != now,
+                    None => {
+                        table.route_count += 1;
+                        moved = true;
+                    }
                 }
+            }
+            if moved {
+                table.origins = OriginStamp::fresh();
             }
             Arc::new(table)
         };
@@ -745,39 +799,43 @@ impl Snapshot {
             // A verdict depends on the oracle and the stored route alone,
             // so only edited prefixes are judged, against the patched
             // table.
-            let mut cache = SaCache::clone(prev_sa);
-            let mut convicted = Convictions::clone(prev_leaks);
+            let mut cache = Cow::Borrowed(&**prev_sa);
+            let mut convicted = Cow::Borrowed(&**prev_leaks);
             for &p in &removed {
                 // A prefix never interned is filed nowhere.
-                if let Some(ps) = interner.lookup_prefix(p) {
-                    cache.forget(ps);
+                let ps = interner.lookup_prefix(p);
+                if let Some(ps) = ps.filter(|&ps| cache.filing(ps).is_some()) {
+                    cache.to_mut().forget(ps);
                 }
-                convicted.remove(&p);
+                if convicted.contains_key(&p) {
+                    convicted.to_mut().remove(&p);
+                }
             }
             for p in touched {
                 let ps = interner
                     .lookup_prefix(p)
                     .expect("stored prefixes are interned");
                 let route = table.trie.get(p).expect("stored prefixes are in the table");
-                let origin = *route.path.last().expect("stored paths are non-empty");
-                cache.forget(ps);
+                let o = origin(route);
                 let in_cone = |o| self.oracle.in_cone(owner, o);
-                if let Some(verdict) =
-                    sa_verdict(&*self.oracle, owner, route.next_hop, origin, in_cone)
-                {
-                    cache.file(ps, origin, verdict);
+                let verdict = sa_verdict(&*self.oracle, owner, route.next_hop, o, in_cone);
+                let filing = verdict.map(|verdict| (verdict, o));
+                if filing != cache.filing(ps) {
+                    let cache = cache.to_mut();
+                    cache.forget(ps);
+                    if let Some(verdict) = verdict {
+                        cache.file(ps, o, verdict);
+                    }
                 }
-                match self.oracle.leaker(owner, &route.path) {
-                    Some(leaker) => convicted.insert(p, leaker),
-                    None => convicted.remove(&p),
-                };
+                let leaker = self.oracle.leaker(owner, &route.path);
+                if leaker != convicted.get(&p).copied() {
+                    match leaker {
+                        Some(leaker) => convicted.to_mut().insert(p, leaker),
+                        None => convicted.to_mut().remove(&p),
+                    };
+                }
             }
-            let leaks = if convicted == **prev_leaks {
-                Arc::clone(prev_leaks)
-            } else {
-                Arc::new(convicted)
-            };
-            (Arc::new(cache), leaks)
+            (carried(prev_sa, cache), carried(prev_leaks, convicted))
         };
         self.vantages.insert(owner, table);
         self.sa.insert(owner, sa);
@@ -850,6 +908,7 @@ impl Snapshot {
                 kind,
                 trie,
                 route_count: table.rows.len(),
+                origins: OriginStamp::fresh(),
             }),
         );
     }
@@ -894,10 +953,11 @@ impl Snapshot {
     /// Calls `f(prefix, old, new)` in prefix order for every route of
     /// `vantage` that was added, removed or changed from `base` to
     /// `self` — [`CowTrie::diff`] over the vantage's two tables, the step
-    /// of every history fold. A table the two snapshots hold as one `Arc`
-    /// is skipped outright; a vantage present on one side only diffs
-    /// against an empty table. Sharing is only a shortcut: tables built
-    /// apart are compared route by route.
+    /// `diff` takes (the `hijacks` and `uptime` folds take
+    /// [`Self::origin_changes`]). A table the two snapshots hold as one
+    /// `Arc` is skipped outright; a vantage present on one side only
+    /// diffs against an empty table. Sharing is only a shortcut: tables
+    /// built apart are compared route by route.
     pub(crate) fn route_changes(
         &self,
         base: &Snapshot,
@@ -913,11 +973,36 @@ impl Snapshot {
             .diff(old.map_or(&empty, |t| &t.trie), f);
     }
 
+    /// Calls `f(prefix, old, new)` in prefix order, with the origins
+    /// stored there, for every prefix of `vantage` that appeared, went or
+    /// changed origin from `base` to `self` — the step of the `hijacks`
+    /// and `uptime` folds. Two tables holding one [`OriginStamp`] are
+    /// skipped outright; any others are [`Self::route_changes`] filtered.
+    pub(crate) fn origin_changes(
+        &self,
+        base: &Snapshot,
+        vantage: AsnSym,
+        mut f: impl FnMut(Ipv4Prefix, Option<AsnSym>, Option<AsnSym>),
+    ) {
+        let (old, new) = (base.vantages.get(&vantage), self.vantages.get(&vantage));
+        if matches!((old, new), (Some(a), Some(b)) if a.origins == b.origins) {
+            return;
+        }
+        self.route_changes(base, vantage, |p, old, new| {
+            let (old, new) = (old.map(origin), new.map(origin));
+            if old != new {
+                f(p, old, new);
+            }
+        });
+    }
+
     /// Calls `f(prefix, gained)`, in no particular order, for every
     /// prefix that became (`true`) or stopped being (`false`) selectively
     /// announced at `vantage` from `base` to `self`. An [`SaCache`] the
-    /// two snapshots hold as one `Arc` is skipped outright; a vantage
-    /// absent from one side has no SA prefixes there.
+    /// two snapshots hold as one `Arc` is skipped outright — patching a
+    /// table keeps its cache's `Arc` unless a filing moved — and any
+    /// others are compared key by key; a vantage absent from one side has
+    /// no SA prefixes there.
     pub(crate) fn sa_changes(
         &self,
         base: &Snapshot,
@@ -1027,16 +1112,20 @@ impl PointRead for Snapshot {
         _: Ipv4Prefix,
         sym: PrefixSym,
     ) -> Result<Option<(SaVerdict, AsnSym)>, QueryError> {
-        let Some(cache) = self.sa.get(&v) else {
-            return Ok(None);
-        };
-        let sa = cache.sa.get(&sym).map(|&origin| (SaVerdict::Sa, origin));
-        let exported = || cache.exported.get(&sym).map(|&o| (SaVerdict::Exported, o));
-        Ok(sa.or_else(exported))
+        Ok(self.sa.get(&v).and_then(|cache| cache.filing(sym)))
     }
 
     fn oracle(&self) -> Result<&Oracle, QueryError> {
         Ok(&self.oracle)
+    }
+}
+
+/// `prev` itself when `now` still borrows it — no entry moved — and
+/// `now` in a new `Arc` otherwise.
+fn carried<T: Clone>(prev: &Arc<T>, now: Cow<'_, T>) -> Arc<T> {
+    match now {
+        Cow::Borrowed(_) => Arc::clone(prev),
+        Cow::Owned(now) => Arc::new(now),
     }
 }
 
@@ -1458,5 +1547,154 @@ mod tests {
             compared = (compared.0 + lg, compared.1 + peer);
         }
         assert!(compared.0 > 0 && compared.1 > 0, "{compared:?}");
+    }
+
+    /// What [`Snapshot::patch_table`] keeps of its predecessor, on every
+    /// path through it: incremental ingest, delta replay, and a keyframe
+    /// decoded onto its predecessor. At one collector peer `v` of a Tiny
+    /// world, `207.0.0.0/16` is learned from a non-customer `n` and
+    /// originated by `v`'s customer `a`; each step makes one edit there:
+    /// a path-only change keeps the stamp and, with no filing moved, the
+    /// SA cache; an appearance, a withdrawal and a re-origination (by
+    /// `v`'s customer `b`, the verdict staying SA) each take a fresh
+    /// stamp; the re-origination and a verdict flip (the route now learned
+    /// from `b` itself: exported, the origin unchanged) each take a new
+    /// SA cache. Each step is checked to do what it says. Tiny seed 9,
+    /// then each seed `RPI_DIFF_SEEDS` names.
+    #[test]
+    fn a_patch_keeps_the_witnesses_it_did_not_move() {
+        use crate::fold_scan::{announce, env_seeds, one_day_of, pfx};
+
+        for seed in std::iter::once(9).chain(env_seeds()) {
+            let (g, peers, day) = one_day_of(seed);
+            let (v, a, b, n) = (peers.iter())
+                .find_map(|&v| {
+                    let mut customers = g.customers_of(v);
+                    let (a, b) = (customers.next()?, customers.next()?);
+                    let n = g.neighbors(v).find(|&(n, _)| !g.is_down(v, n))?.0;
+                    Some((v, a, b, n))
+                })
+                .unwrap_or_else(|| panic!("seed {seed}: a peer with two customers"));
+            let (p, q) = (pfx("207.0.0.0/16"), pfx("207.1.0.0/16"));
+            let mut days = vec![day];
+            let mut edit = |f: &dyn Fn(&mut SimOutput)| {
+                let mut out = days.last().expect("a first day").clone();
+                f(&mut out);
+                days.push(out);
+            };
+            edit(&|out| announce(out, p, &[v], &[n, a]));
+            edit(&|out| announce(out, p, &[v], &[n, a, a]));
+            edit(&|out| announce(out, q, &[v], &[n, a]));
+            edit(&|out| {
+                out.collector.rows.remove(&q);
+            });
+            edit(&|out| announce(out, p, &[v], &[n, b, b]));
+            edit(&|out| announce(out, p, &[v], &[b]));
+            // Each step's edit, and whether it keeps the stamp and the
+            // SA cache.
+            let steps = [
+                ("a path-only edit", true, true),
+                ("an appearance", false, false),
+                ("a withdrawal", false, false),
+                ("a re-origination", false, false),
+                ("a verdict flip", true, false),
+            ];
+
+            let [incremental, replayed, keyframed] = witness_engines(&days, &g, seed);
+            for (name, engine, delta) in [
+                ("incremental", incremental, true),
+                ("delta replay", replayed, true),
+                ("keyframes onto predecessors", keyframed, false),
+            ] {
+                let sym = |x: Asn| engine.interner.lookup_asn(x).expect("interned");
+                let (vs, a, b) = (sym(v), sym(a), sym(b));
+                let ps = engine.interner.lookup_prefix(p).expect("interned");
+                // Day 0 is the world as simulated and day 1 adds `p`; the
+                // steps start at 2.
+                for (i, &(what, keeps_stamp, keeps_sa)) in (2..).zip(&steps) {
+                    let at = format!("seed {seed}, {name} @{i}: {what}");
+                    let (old, new) = (&engine.snapshots[i - 1], &engine.snapshots[i]);
+                    assert_eq!(
+                        matches!(new.provenance, Provenance::Delta(_)),
+                        delta,
+                        "{at}: provenance"
+                    );
+                    let (t0, t1) = (&old.vantages[&vs], &new.vantages[&vs]);
+                    assert!(!Arc::ptr_eq(t0, t1), "{at}: the table was edited");
+                    let filing = |s: &Snapshot| s.sa[&vs].filing(ps);
+                    let origin_of = |s: &Snapshot| s.route(vs, p).map(origin);
+                    let present = |s: &Snapshot| s.route(vs, q).is_some();
+                    let (sa, exported) = (SaVerdict::Sa, SaVerdict::Exported);
+                    let happened = match what {
+                        "a path-only edit" => {
+                            old.route(vs, p) != new.route(vs, p)
+                                && origin_of(old) == origin_of(new)
+                                && filing(old) == Some((sa, a))
+                                && filing(new) == Some((sa, a))
+                        }
+                        "an appearance" => !present(old) && present(new),
+                        "a withdrawal" => present(old) && !present(new),
+                        "a re-origination" => {
+                            filing(old) == Some((sa, a)) && filing(new) == Some((sa, b))
+                        }
+                        _ => filing(old) == Some((sa, b)) && filing(new) == Some((exported, b)),
+                    };
+                    assert!(happened, "{at}: the step does not do what it says");
+                    assert_eq!(t0.origins == t1.origins, keeps_stamp, "{at}: stamp");
+                    let kept_sa = Arc::ptr_eq(&old.sa[&vs], &new.sa[&vs]);
+                    assert_eq!(kept_sa, keeps_sa, "{at}: SA cache");
+                }
+            }
+        }
+    }
+
+    /// `days` ingested incrementally, then saved and loaded back as
+    /// delta segments, and as keyframes decoded onto their predecessors.
+    fn witness_engines(days: &[SimOutput], g: &AsGraph, seed: u64) -> [QueryEngine; 3] {
+        let mut incremental = QueryEngine::default();
+        incremental.ingest_output(&days[0], g, "d0");
+        for i in 1..days.len() {
+            incremental.ingest_output_incremental(&days[i - 1], &days[i], g, &format!("d{i}"));
+        }
+        let dir = std::env::temp_dir().join(format!("rpi-witness-{seed}-{}", std::process::id()));
+        let mut load = |keyframe_every| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let options = SaveOptions { keyframe_every };
+            incremental.save_archive_with(&dir, true, options).unwrap();
+            QueryEngine::load_archive(&dir).unwrap()
+        };
+        let (replayed, keyframed) = (load(None), load(Some(1)));
+        let _ = std::fs::remove_dir_all(&dir);
+        [incremental, replayed, keyframed]
+    }
+
+    /// A table built from nothing takes a fresh stamp, even where its
+    /// vantage held one: an AS that peers with the collector and has a
+    /// Looking-Glass view loses the view for one snapshot and gets it
+    /// back, so its table is built afresh twice, under the other kind —
+    /// on incremental ingest, delta replay and keyframes decoded onto
+    /// their predecessors alike.
+    #[test]
+    fn a_kind_switch_takes_a_fresh_stamp() {
+        let exp = Experiment::standard(InternetSize::Tiny, 7);
+        let cfg = ChurnConfig {
+            steps: 3,
+            ..ChurnConfig::daily(7)
+        };
+        let mut days = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg).snapshots;
+        let both = (days[0].lgs.keys())
+            .copied()
+            .find(|a| days[0].collector.peers.contains(a))
+            .expect("a Looking-Glass vantage that peers with the collector");
+        days[1].lgs.remove(&both);
+        for engine in witness_engines(&days, &exp.inferred_graph, 0x5717C4) {
+            let v = engine.interner.lookup_asn(both).expect("interned");
+            for i in 1..3 {
+                let (old, new) = (&engine.snapshots[i - 1], &engine.snapshots[i]);
+                let (t0, t1) = (&old.vantages[&v], &new.vantages[&v]);
+                assert_ne!(t0.kind, t1.kind, "@{i}: the kind switches");
+                assert_ne!(t0.origins, t1.origins, "@{i}: a switched table's stamp");
+            }
+        }
     }
 }
