@@ -6,12 +6,15 @@
 //! The shared trie is the delta: consecutive snapshots of a series hold
 //! most of their tables, SA caches and their oracle as the same `Arc`s,
 //! and `SnapshotDiff::between` compares only what they do not — route
-//! churn is [`bgp_types::CowTrie::diff`] per vantage. The `hijacks` and
-//! `uptime` folds take the same step filtered to origins, and skip a
-//! table whose origin stamp did not move; `diff` counts path changes
-//! too, so it walks every table that is not shared.
-//! Pointer equality is a shortcut for "equal" and nothing else; two
-//! snapshots that share no structure diff to the same answer.
+//! churn is [`bgp_types::CowTrie::diff`] per vantage, SA presence
+//! [`Snapshot::sa_changes`] less the re-originations. `diff` is the one
+//! step of the engine's history walk over `[from, to]`
+//! ([`crate::engine::QueryEngine::walk`]); the `hijacks` and `uptime`
+//! folds take the same step filtered to origins, and skip a table whose
+//! origin stamp did not move, where `diff` counts path changes too, so
+//! it walks every table that is not shared. Pointer equality is a
+//! shortcut for "equal" and nothing else; two snapshots that share no
+//! structure diff to the same answer.
 
 use bgp_types::{Asn, Ipv4Prefix, Relationship};
 use net_topology::Relations;
@@ -100,24 +103,6 @@ impl SnapshotDiff {
             ..Default::default()
         };
 
-        // --- SA deltas, per vantage present in either snapshot ---
-        for &v in
-            a.sa.keys()
-                .chain(b.sa.keys().filter(|v| !a.sa.contains_key(v)))
-        {
-            let vantage = interner.resolve_asn(v);
-            b.sa_changes(a, v, |p, gained| {
-                let side = if gained {
-                    &mut diff.new_sa
-                } else {
-                    &mut diff.gone_sa
-                };
-                side.push((vantage, interner.resolve_prefix(p)));
-            });
-        }
-        diff.new_sa.sort_unstable();
-        diff.gone_sa.sort_unstable();
-
         // --- relationship flips (each unordered pair once); equal
         // oracles — one `Arc` along a whole series — have none ---
         if a.oracle != b.oracle {
@@ -141,16 +126,20 @@ impl SnapshotDiff {
             }
         }
 
-        // --- best-route churn per vantage ---
-        let mut vantages: Vec<_> = a
-            .vantages
-            .keys()
-            .chain(b.vantages.keys())
-            .copied()
-            .collect();
+        // --- SA presence and best-route churn, per vantage of either
+        // snapshot ---
+        let mut vantages: Vec<_> = a.vantages_with(b).collect();
         vantages.sort_unstable();
-        vantages.dedup();
         for v in vantages {
+            let vantage = interner.resolve_asn(v);
+            b.sa_changes(a, v, |p, old, new| {
+                let side = match (old, new) {
+                    (None, _) => &mut diff.new_sa,
+                    (_, None) => &mut diff.gone_sa,
+                    _ => return,
+                };
+                side.push((vantage, interner.resolve_prefix(p)));
+            });
             let (mut added, mut removed, mut changed) = (0, 0, 0);
             b.route_changes(a, v, |_, old, new| match (old, new) {
                 (None, _) => added += 1,
@@ -158,12 +147,14 @@ impl SnapshotDiff {
                 _ => changed += 1,
             });
             diff.churn.push(VantageChurn {
-                vantage: interner.resolve_asn(v),
+                vantage,
                 added,
                 removed,
                 changed,
             });
         }
+        diff.new_sa.sort_unstable();
+        diff.gone_sa.sort_unstable();
         diff
     }
 }

@@ -26,12 +26,12 @@ use rpi_core::Experiment;
 use rpi_sec::{RoaTable, RovCache, RovCacheStats};
 
 use crate::diff::SnapshotDiff;
-use crate::intern::{AsnSym, WorldInterner};
+use crate::intern::{AsnSym, PrefixSym, WorldInterner};
 use crate::plan::QueryError;
 use crate::proto::{
     PersistenceAnswer, Query, QueryRequest, Response, SaHistoryPoint, SaOriginCount,
 };
-use crate::snapshot::{PointRead, SaCache, Snapshot, SnapshotId, VantageKind};
+use crate::snapshot::{PointRead, Snapshot, SnapshotId, VantageKind};
 
 /// A resolved best-route answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,6 +206,9 @@ const _: () = {
     assert_send_sync::<QueryEngine>()
 };
 
+/// One step of [`QueryEngine::walk`]: `(prev, snap)`.
+pub(crate) type Step = Result<(Arc<Snapshot>, Arc<Snapshot>), QueryError>;
+
 /// Per prefix, a count of scoped snapshots.
 pub(crate) type PrefixCounts = BTreeMap<Ipv4Prefix, usize>;
 
@@ -328,9 +331,17 @@ impl QueryEngine {
 
     /// Snapshot labels in ingestion order.
     pub fn labels(&self) -> Vec<String> {
+        (0..self.snapshot_count() as u32)
+            .map(|i| self.label(SnapshotId(i)).to_string())
+            .collect()
+    }
+
+    /// Snapshot `id`'s label, read without hydrating; `id` must be in
+    /// range.
+    fn label(&self, id: SnapshotId) -> &str {
         match &self.tier {
-            Some(t) => t.segs.iter().map(|s| s.meta.label.clone()).collect(),
-            None => self.snapshots.iter().map(|s| s.label.clone()).collect(),
+            Some(t) => &t.segs[id.index()].meta.label,
+            None => &self.snapshots[id.index()].label,
         }
     }
 
@@ -343,11 +354,9 @@ impl QueryEngine {
     /// The snapshot carrying `label`, if any (first match wins; on a
     /// live epoch, only snapshots published as of this epoch match).
     pub fn find_label(&self, label: &str) -> Option<SnapshotId> {
-        let at = match &self.tier {
-            Some(t) => t.segs.iter().position(|s| s.meta.label == label),
-            None => self.snapshots.iter().position(|s| s.label == label),
-        };
-        at.map(|i| SnapshotId(i as u32))
+        (0..self.snapshot_count() as u32)
+            .map(SnapshotId)
+            .find(|&id| self.label(id) == label)
     }
 
     /// `(distinct ASNs, distinct prefixes, distinct communities)` interned.
@@ -562,9 +571,10 @@ impl QueryEngine {
     /// memory-mapped, not decoded — a per-snapshot attach costs
     /// microseconds — and the point verbs (`route`, `resolve`, `sa`,
     /// `rov`, `rel`) at cold snapshots read the mapped delta chain in
-    /// place. The whole-table verbs hydrate the snapshot (replaying its
-    /// delta chain from the nearest keyframe) into a hot set bounded by
-    /// `hot_cap` (clamped to ≥ 1, least-recently-used eviction).
+    /// place, as do `sa-history` and `persistence`. The verbs that read
+    /// whole tables hydrate the snapshot (replaying its delta chain from
+    /// the nearest keyframe) into a hot set bounded by `hot_cap` (clamped
+    /// to ≥ 1, least-recently-used eviction).
     pub fn load_archive_tiered(
         dir: &std::path::Path,
         hot_cap: usize,
@@ -654,6 +664,23 @@ impl QueryEngine {
         }
     }
 
+    /// The one history walk over a scope's `ids`: the first snapshot —
+    /// the anchor — and then each later one as a [`Step`]. The history
+    /// verbs that read whole tables fold over it.
+    pub(crate) fn walk<'a>(
+        &'a self,
+        ids: &'a [SnapshotId],
+    ) -> Result<(Arc<Snapshot>, impl Iterator<Item = Step> + 'a), QueryError> {
+        let (&first, rest) = ids.split_first().ok_or(QueryError::Empty)?;
+        let anchor = self.snap_arc(first)?;
+        let mut prev = Arc::clone(&anchor);
+        let steps = rest.iter().map(move |&id| {
+            let snap = self.snap_arc(id)?;
+            Ok((std::mem::replace(&mut prev, Arc::clone(&snap)), snap))
+        });
+        Ok((anchor, steps))
+    }
+
     /// The vantages of the latest snapshot, ascending by ASN.
     pub fn vantages(&self) -> Vec<(Asn, VantageKind)> {
         self.latest()
@@ -687,21 +714,11 @@ impl QueryEngine {
     pub fn execute(&self, req: &QueryRequest) -> Result<Response, QueryError> {
         match &req.query {
             Query::Diff => {
-                let (from, to) = self.diff_scope(&req.scope)?;
-                let a = self.snap_arc(from)?;
-                let b = self.snap_arc(to)?;
-                Ok(Response::Diff(SnapshotDiff::between(
-                    &self.interner,
-                    &a,
-                    &b,
-                )))
-            }
-            // Hijack detection is a history walk with no vantage operand,
-            // so it cannot share `eval_history`'s vantage validation.
-            Query::Hijacks => {
-                let ids = self.scope_ids(&req.query, &req.scope)?;
-                self.metrics.sec_hijacks_total.inc();
-                Ok(Response::Hijacks(crate::sec::hijack_events(self, &ids)?))
+                let ids: [SnapshotId; 2] = self.diff_scope(&req.scope)?.into();
+                let (_, mut steps) = self.walk(&ids)?;
+                let (a, b) = steps.next().expect("two ids are one step")?;
+                let diff = SnapshotDiff::between(&self.interner, &a, &b);
+                Ok(Response::Diff(diff))
             }
             q if q.is_history() => {
                 let ids = self.scope_ids(q, &req.scope)?;
@@ -724,12 +741,13 @@ impl QueryEngine {
         results
     }
 
-    /// Evaluates a point query against one already-validated snapshot.
-    /// On a tier-attached engine a hot snapshot answers from memory; at
-    /// a cold one, the verbs that read one route or one relationship
-    /// (`route`, `resolve`, `sa`, `rov`, `rel`) read its mapped chain
+    /// Evaluates a point query against one already-validated snapshot —
+    /// also each `sa` of `sa-history` and `persistence`. On a
+    /// tier-attached engine a hot snapshot answers from memory; at a cold
+    /// one, the verbs that read one route or one relationship (`route`,
+    /// `resolve`, `sa`, `rov`, `rel`) read its mapped chain
     /// ([`crate::tier::ChainView`]), and only `summary` and `leaks`,
-    /// which read whole tables, hydrate it through [`Self::snap_arc`].
+    /// which read whole tables, hydrate it.
     fn eval_point(&self, query: &Query, id: SnapshotId) -> Result<Response, QueryError> {
         let Some(tier) = &self.tier else {
             return self.eval_snapshot(query, &*self.snap_arc(id)?);
@@ -786,39 +804,37 @@ impl QueryEngine {
     /// selectively announced there. Those are the only prefixes the
     /// histogram reads.
     ///
-    /// **A fold over origin and SA changes.** The first snapshot's SA
-    /// set opens every SA interval; each later snapshot flips only the
-    /// presence [`Snapshot::origin_changes`] and the SA filings
-    /// [`Snapshot::sa_changes`] report against its predecessor, so a
+    /// **A fold over [`Self::walk`].** The anchor's SA set opens every SA
+    /// interval; each step flips only what [`Snapshot::origin_changes`]
+    /// and [`Snapshot::sa_changes`] report as appearing or going, so a
     /// table whose origin stamp and SA cache both carried over (path-only
-    /// churn) costs nothing. The first snapshot's table is never walked:
-    /// a prefix's presence there is looked up where it flips or where the
+    /// churn) costs nothing. The anchor's table is never walked: a
+    /// prefix's presence there is looked up where it flips or where the
     /// histogram asks for it.
     pub(crate) fn uptime_counts(
         &self,
         v: AsnSym,
         ids: &[SnapshotId],
     ) -> Result<(PrefixCounts, PrefixCounts), QueryError> {
-        let Some(&first) = ids.first() else {
-            return Ok(Default::default());
-        };
-        let anchor = self.snap_arc(first)?;
+        let (anchor, steps) = self.walk(ids)?;
         let at_start = |p| anchor.route(v, p).is_some();
         let (mut present, mut sa) = (Presence::default(), Presence::default());
         let resolve = |ps| self.interner.resolve_prefix(ps);
         for &ps in anchor.sa.get(&v).iter().flat_map(|c| c.sa.keys()) {
             sa.flip(resolve(ps), 0, || false);
         }
-        let mut prev = anchor.clone();
-        for (step, &id) in ids.iter().enumerate().skip(1) {
-            let snap = self.snap_arc(id)?;
+        for (step, pair) in (1..).zip(steps) {
+            let (prev, snap) = pair?;
             snap.origin_changes(&prev, v, |p, old, new| {
                 if old.is_some() != new.is_some() {
                     present.flip(p, step, || at_start(p));
                 }
             });
-            snap.sa_changes(&prev, v, |ps, _| sa.flip(resolve(ps), step, || false));
-            prev = snap;
+            snap.sa_changes(&prev, v, |ps, old, new| {
+                if old.is_some() != new.is_some() {
+                    sa.flip(resolve(ps), step, || false);
+                }
+            });
         }
         let steps = ids.len();
         let sa: PrefixCounts = (sa.0.keys())
@@ -830,72 +846,68 @@ impl QueryEngine {
         Ok((present, sa))
     }
 
-    /// The history verbs. `sa-history` and `persistence` read one entry
-    /// per scoped snapshot; `top-sa` unions SA sets, skipping a snapshot
-    /// whose SA cache is the `Arc` it has just folded. `uptime` needs
-    /// whole tables, so it is a fold over origin and SA changes
-    /// ([`Snapshot::origin_changes`], [`Snapshot::sa_changes`]) from the
-    /// first scoped snapshot, whose table is looked up, never walked
-    /// ([`Self::uptime_counts`]) — as is `hijacks`
-    /// ([`crate::sec::hijack_events`]); `diff` ([`SnapshotDiff::between`])
-    /// is one step over whole routes. The contract they all rest on: what
-    /// two snapshots share — an `Arc`, a subtrie, an origin stamp — is
-    /// equal and skipped, what they do not share is compared — so an
-    /// engine whose snapshots share nothing answers the same bytes, at the
-    /// cost of walking every scoped table.
+    /// The history verbs. `sa-history` and `persistence` are an `sa` per
+    /// scoped id, through [`Self::eval_point`]'s residency. `uptime` ([`Self::uptime_counts`]),
+    /// `top-sa` (the anchor's SA entries, then every entry a step files
+    /// anew) and `hijacks` ([`crate::sec::hijack_events`]) fold over
+    /// [`Self::walk`], as `diff` does over its one step. The contract
+    /// the folds rest on: what two snapshots share — an `Arc`, a subtrie,
+    /// an origin stamp — is equal and skipped, what they do not share is
+    /// compared — so an engine whose snapshots share nothing answers the
+    /// same bytes, at the cost of walking every scoped table.
     fn eval_history(&self, query: &Query, ids: &[SnapshotId]) -> Result<Response, QueryError> {
+        let known = |vantage| {
+            (self.interner.lookup_asn(vantage)).ok_or(QueryError::UnknownVantage(vantage))
+        };
+        let sa_at = |vantage, prefix| {
+            let sa = Query::SaStatus { vantage, prefix };
+            ids.iter().map(move |&id| match self.eval_point(&sa, id)? {
+                Response::Sa(status) => Ok((id, status)),
+                _ => unreachable!("`sa` answers an SA status"),
+            })
+        };
         match *query {
+            Query::Hijacks => {
+                self.metrics.sec_hijacks_total.inc();
+                Ok(Response::Hijacks(crate::sec::hijack_events(self, ids)?))
+            }
             Query::SaHistory { vantage, prefix } => {
-                self.interner
-                    .lookup_asn(vantage)
-                    .ok_or(QueryError::UnknownVantage(vantage))?;
+                known(vantage)?;
                 let mut points = Vec::with_capacity(ids.len());
-                for &id in ids {
-                    let snap = self.snap_arc(id)?;
+                for at in sa_at(vantage, prefix) {
+                    let (snapshot, status) = at?;
                     points.push(SaHistoryPoint {
-                        snapshot: id,
-                        label: snap.label.clone(),
-                        status: self.sa_point(&*snap, vantage, prefix)?,
+                        snapshot,
+                        label: self.label(snapshot).to_string(),
+                        status,
                     });
                 }
                 Ok(Response::SaHistory(points))
             }
             Query::UptimeHistogram { vantage } => {
-                let v = self
-                    .interner
-                    .lookup_asn(vantage)
-                    .ok_or(QueryError::UnknownVantage(vantage))?;
-                let (present, sa_count) = self.uptime_counts(v, ids)?;
+                let (present, sa_count) = self.uptime_counts(known(vantage)?, ids)?;
                 Ok(Response::Uptime(histogram_from_counts(&present, &sa_count)))
             }
             Query::TopKSaOrigins { vantage, k } => {
-                let v = self
-                    .interner
-                    .lookup_asn(vantage)
-                    .ok_or(QueryError::UnknownVantage(vantage))?;
-                let mut per_origin: BTreeMap<Asn, BTreeSet<Ipv4Prefix>> = BTreeMap::new();
-                // The union gains nothing from a cache it has just folded.
-                let mut folded: Option<Arc<SaCache>> = None;
-                for &id in ids {
-                    let snap = self.snap_arc(id)?;
-                    let Some(cache) = snap.sa.get(&v) else {
-                        continue;
-                    };
-                    if folded.as_ref().is_some_and(|last| Arc::ptr_eq(last, cache)) {
-                        continue;
-                    }
-                    folded = Some(Arc::clone(cache));
-                    for (&ps, &origin) in &cache.sa {
-                        per_origin
-                            .entry(self.interner.resolve_asn(origin))
-                            .or_default()
-                            .insert(self.interner.resolve_prefix(ps));
-                    }
+                let v = known(vantage)?;
+                let mut per_origin: BTreeMap<AsnSym, BTreeSet<PrefixSym>> = BTreeMap::new();
+                let mut file = |ps, origin| {
+                    per_origin.entry(origin).or_default().insert(ps);
+                };
+                let (anchor, steps) = self.walk(ids)?;
+                for (&ps, &origin) in anchor.sa.get(&v).iter().flat_map(|c| &c.sa) {
+                    file(ps, origin);
+                }
+                for step in steps {
+                    let (prev, snap) = step?;
+                    snap.sa_changes(&prev, v, |ps, _, new| {
+                        new.into_iter().for_each(|o| file(ps, o))
+                    });
                 }
                 let mut rows: Vec<SaOriginCount> = per_origin
                     .into_iter()
                     .map(|(origin, prefixes)| SaOriginCount {
-                        origin,
+                        origin: self.interner.resolve_asn(origin),
                         prefixes: prefixes.len(),
                     })
                     .collect();
@@ -904,22 +916,13 @@ impl QueryEngine {
                 Ok(Response::TopSaOrigins(rows))
             }
             Query::PersistenceClass { vantage, prefix } => {
-                let v = self
-                    .interner
-                    .lookup_asn(vantage)
-                    .ok_or(QueryError::UnknownVantage(vantage))?;
-                let ps = self.interner.lookup_prefix(prefix);
+                known(vantage)?;
                 let (mut present, mut sa) = (0usize, 0usize);
-                for &id in ids {
-                    let snap = self.snap_arc(id)?;
-                    if snap.route(v, prefix).is_some() {
-                        present += 1;
-                    }
-                    if let (Some(ps), Some(cache)) = (ps, snap.sa.get(&v)) {
-                        if cache.sa.contains_key(&ps) {
-                            sa += 1;
-                        }
-                    }
+                for at in sa_at(vantage, prefix) {
+                    let status = at?.1;
+                    present +=
+                        !matches!(status, SaStatus::UnknownVantage | SaStatus::NotInTable) as usize;
+                    sa += matches!(status, SaStatus::SelectivelyAnnounced { .. }) as usize;
                 }
                 Ok(Response::Persistence(PersistenceAnswer {
                     snapshots: ids.len(),

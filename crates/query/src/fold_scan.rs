@@ -1,13 +1,14 @@
-//! fold ≡ scan: the history verbs that fold over
-//! [`bgp_types::CowTrie::diff`] (`hijacks`, `uptime`, `diff`) held, as
-//! rendered bytes, to the per-snapshot scans they replaced — kept here as
-//! the references. The folds never scan the first scoped snapshot; they
-//! look it up where a verdict or the histogram asks, and hand-built cases
-//! below aim at each of those lookups. `hijacks` and `uptime` skip a
-//! table whose origins did not move (its origin stamp), and `top-sa` an
-//! SA cache it has just folded; `sa` and `top-sa` are held to SA caches
-//! judged whole, so a cache carried over a filing that moved shows.
-//! Everything is held over seeded
+//! fold ≡ scan: the history verbs that fold over the engine's one walk
+//! (`hijacks`, `uptime`, `top-sa`, `diff`) held, as rendered bytes, to
+//! the per-snapshot scans they replaced — kept here as the references —
+//! and `sa-history` and `persistence` to [`sa_scan`] at each scoped id.
+//! The folds never scan the first scoped snapshot; they look it up where
+//! a verdict or the histogram asks, and hand-built cases below aim at
+//! each of those lookups. `hijacks` and `uptime` skip a table whose
+//! origins did not move (its origin stamp), and `uptime` and `top-sa` an
+//! SA cache that carried over; `sa`, `top-sa` and the per-prefix verbs
+//! are held to SA caches judged whole, so a cache carried over a filing
+//! that moved shows. Everything is held over seeded
 //! series and on every way an engine comes to hold a series: indexed
 //! from scratch (no trie shares anything), ingested incrementally
 //! (everything untouched is shared), loaded from an archive (every
@@ -33,15 +34,15 @@ use net_topology::{AsGraph, CustomerCone, Relations};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rpi_core::export_policy::SaVerdict;
-use rpi_core::persistence::histogram_from_counts;
+use rpi_core::persistence::{classify_persistence, histogram_from_counts};
 
 use crate::diff::{RelationshipFlip, SnapshotDiff, VantageChurn};
 use crate::engine::{QueryEngine, SaStatus};
 use crate::intern::{AsnSym, WorldInterner};
 use crate::plan::QueryError;
 use crate::proto::{
-    render_response, HijackEvent, HijackKind, LeakEvent, Query, QueryRequest, Response,
-    SaOriginCount, Scope,
+    render_response, HijackEvent, HijackKind, LeakEvent, PersistenceAnswer, Query, QueryRequest,
+    Response, SaHistoryPoint, SaOriginCount, Scope,
 };
 use crate::snapshot::{SaCache, Snapshot, SnapshotId, TableJudge};
 use crate::SaveOptions;
@@ -379,10 +380,45 @@ fn leaks_scan(engine: &QueryEngine, snap: &Snapshot) -> Vec<LeakEvent> {
     out
 }
 
-/// [`QueryEngine::execute`] for the folded verbs, `leaks`, `sa` and
-/// `top-sa`, through the reference scans.
+/// `sa-history` and `persistence` as [`sa_scan`] at each scoped id, the
+/// latter counting a snapshot whose table routes the prefix as present.
+fn per_prefix_scan(engine: &QueryEngine, req: &QueryRequest) -> Result<Response, QueryError> {
+    let (Query::SaHistory { vantage, prefix } | Query::PersistenceClass { vantage, prefix }) =
+        req.query
+    else {
+        unreachable!("only `sa-history` and `persistence` are per prefix");
+    };
+    let ids = engine.scope_ids(&req.query, &req.scope)?;
+    let v = (engine.interner.lookup_asn(vantage)).ok_or(QueryError::UnknownVantage(vantage))?;
+    let mut points = Vec::new();
+    let (mut present, mut sa) = (0, 0);
+    for &id in &ids {
+        let snap = engine.snap_arc(id)?;
+        let status = sa_scan(engine, &snap, vantage, prefix);
+        present += snap.route(v, prefix).is_some() as usize;
+        sa += matches!(status, SaStatus::SelectivelyAnnounced { .. }) as usize;
+        points.push(SaHistoryPoint {
+            snapshot: id,
+            label: snap.label.clone(),
+            status,
+        });
+    }
+    Ok(match req.query {
+        Query::SaHistory { .. } => Response::SaHistory(points),
+        _ => Response::Persistence(PersistenceAnswer {
+            snapshots: ids.len(),
+            present,
+            sa,
+            class: classify_persistence(present, sa),
+        }),
+    })
+}
+
+/// [`QueryEngine::execute`] for the folded verbs, `leaks`, `sa`,
+/// `top-sa`, `sa-history` and `persistence`, through the reference scans.
 fn execute_scan(engine: &QueryEngine, req: &QueryRequest) -> Result<Response, QueryError> {
     match req.query {
+        Query::SaHistory { .. } | Query::PersistenceClass { .. } => per_prefix_scan(engine, req),
         Query::Leaks => {
             let id = engine.single_scope(&req.query, &req.scope)?;
             let snap = engine.snap_arc(id)?;
@@ -410,7 +446,7 @@ fn execute_scan(engine: &QueryEngine, req: &QueryRequest) -> Result<Response, Qu
             let ids = engine.scope_ids(&req.query, &req.scope)?;
             top_sa_scan(engine, vantage, k, &ids)
         }
-        _ => unreachable!("only the folded verbs, `leaks`, `sa` and `top-sa` are compared"),
+        _ => unreachable!("only the history verbs, `leaks` and `sa` are compared"),
     }
 }
 
@@ -469,10 +505,17 @@ fn engines(
 }
 
 /// Every `hijacks` scope and every `diff` pair (both directions) of an
-/// `n`-snapshot series, `leaks` at every snapshot, and `uptime` for
-/// every vantage of interest over the whole series plus a seeded handful
-/// of ranges.
-fn requests(n: u32, vantages: &[Asn], rng: &mut StdRng) -> Vec<QueryRequest> {
+/// `n`-snapshot series, `leaks` at every snapshot, and `uptime`,
+/// `top-sa`, `sa-history` and `persistence` for every vantage of interest
+/// over the whole series plus a seeded handful of ranges, the last two
+/// each of a prefix drawn from `prefixes` (by a second generator, so the
+/// ranges do not depend on the pool).
+fn requests(
+    n: u32,
+    vantages: &[Asn],
+    prefixes: &[Ipv4Prefix],
+    rng: &mut StdRng,
+) -> Vec<QueryRequest> {
     let id = SnapshotId;
     let mut reqs = vec![Query::Hijacks.at(Scope::All), Query::Diff.at(Scope::All)];
     for a in 0..n {
@@ -484,16 +527,35 @@ fn requests(n: u32, vantages: &[Asn], rng: &mut StdRng) -> Vec<QueryRequest> {
             }
         }
     }
+    let mut pick = StdRng::seed_from_u64(prefixes.len() as u64);
     for &vantage in vantages {
-        let uptime = Query::UptimeHistogram { vantage };
-        reqs.push(uptime.clone().at(Scope::All));
+        let mut scopes = vec![Scope::All];
         for _ in 0..5 {
             let a = rng.gen_range(0..n);
             let b = rng.gen_range(a..n);
-            reqs.push(uptime.clone().at(Scope::Range(id(a), id(b))));
+            scopes.push(Scope::Range(id(a), id(b)));
+        }
+        for scope in scopes {
+            let prefix = *prefixes.choose(&mut pick).expect("a prefix to ask about");
+            for query in [
+                Query::UptimeHistogram { vantage },
+                Query::TopKSaOrigins { vantage, k: 1000 },
+                Query::SaHistory { vantage, prefix },
+                Query::PersistenceClass { vantage, prefix },
+            ] {
+                reqs.push(query.at(scope.clone()));
+            }
         }
     }
     reqs
+}
+
+/// Every prefix a collector row of `outputs` carries, ascending.
+fn routed(outputs: &[SimOutput]) -> Vec<Ipv4Prefix> {
+    let all: BTreeSet<Ipv4Prefix> = (outputs.iter())
+        .flat_map(|out| out.collector.rows.keys().copied())
+        .collect();
+    all.into_iter().collect()
 }
 
 /// Holds the fold to the scan on every engine, and the engines to each
@@ -545,7 +607,12 @@ fn hold(
 fn hold_churn(seed: u64) {
     let sc = common::build_scenario(seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xF01D_5CA9);
-    let reqs = requests(sc.outputs.len() as u32, &sc.vantages, &mut rng);
+    let reqs = requests(
+        sc.outputs.len() as u32,
+        &sc.vantages,
+        &sc.prefixes,
+        &mut rng,
+    );
     let answers = hold(
         &format!("churn-{seed:x}"),
         &sc.labels,
@@ -553,12 +620,20 @@ fn hold_churn(seed: u64) {
         &sc.oracles,
         &reqs,
     );
-    // The scenario bites: routes churned between the first and last day.
+    // The scenario bites: routes churned between the first and last day,
+    // and `sa-history` meets both an SA prefix and a route from outside
+    // the vantage's cone, which `persistence` counts as present only.
     assert!(
         !answers[1].ends_with(" 0 churned routes"),
         "seed {seed}: {}",
         answers[1]
     );
+    for status in ["SELECTIVELY ANNOUNCED", "origin outside customer cone"] {
+        assert!(
+            (answers.iter()).any(|a| a.starts_with("sa-history") && a.contains(status)),
+            "seed {seed}: no `sa-history` point is {status}"
+        );
+    }
 }
 
 #[test]
@@ -604,7 +679,7 @@ fn fold_matches_scan_under_attack() {
         let mut vantages: Vec<Asn> = outputs[0].collector.peers.clone();
         vantages.extend(outputs[0].lgs.keys());
         let mut rng = StdRng::seed_from_u64(0xA77A_C4ED);
-        let reqs = requests(outputs.len() as u32, &vantages, &mut rng);
+        let reqs = requests(outputs.len() as u32, &vantages, &routed(&outputs), &mut rng);
         let oracles = vec![g; outputs.len()];
         let answers = hold(kind.name(), &labels, &outputs, &oracles, &reqs);
         if kind != AttackKind::RouteLeak {
@@ -649,7 +724,8 @@ fn a_withdrawn_leak_is_acquitted() {
     let mut vantages: Vec<Asn> = outputs[0].collector.peers.clone();
     vantages.extend(outputs[0].lgs.keys());
     let n = outputs.len() as u32;
-    let reqs = requests(n, &vantages, &mut StdRng::seed_from_u64(0x6011E));
+    let prefixes = routed(&outputs);
+    let reqs = requests(n, &vantages, &prefixes, &mut StdRng::seed_from_u64(0x6011E));
     let oracles = vec![g; outputs.len()];
     let answers = hold("withdrawn-leak", &labels, &outputs, &oracles, &reqs);
     let leaks_at =
@@ -732,7 +808,7 @@ fn a_later_second_origin_convicts_the_first_too() {
     let day2 = reoriginated(&day1, prefix, 1, y);
 
     let labels: Vec<String> = (0..3).map(|i| format!("d{i}")).collect();
-    let reqs = requests(3, &peers, &mut StdRng::seed_from_u64(9));
+    let reqs = requests(3, &peers, &[prefix], &mut StdRng::seed_from_u64(9));
     let oracles = vec![g; 3];
     let answers = hold("late-moas", &labels, &[day0, day1, day2], &oracles, &reqs);
     for (day, origin, expected) in [(1, x, false), (2, x, true), (2, y, true)] {
@@ -767,7 +843,7 @@ fn an_oracle_flip_rejudges_routes_that_did_not_move() {
         .expect("the edge was just removed");
 
     let labels: Vec<String> = (0..3).map(|i| format!("d{i}")).collect();
-    let reqs = requests(3, &peers, &mut StdRng::seed_from_u64(9));
+    let reqs = requests(3, &peers, &[prefix], &mut StdRng::seed_from_u64(9));
     let outputs = [day0, day1.clone(), day1];
     let answers = hold("flip", &labels, &outputs, &[g.clone(), g, flipped], &reqs);
     for (day, expected) in [(1, false), (2, true)] {
@@ -869,7 +945,8 @@ fn the_anchor_is_looked_up_for_owners_and_covers() {
         announce(&mut day1, pfx("202.0.0.0/16"), &peers[1..2], &[c]);
 
         let labels: Vec<String> = (0..2).map(|i| format!("d{i}")).collect();
-        let reqs = requests(2, &peers, &mut StdRng::seed_from_u64(seed));
+        let subs = ["200.1.2.0/24", "201.0.1.0/24", "202.0.0.0/16"].map(pfx);
+        let reqs = requests(2, &peers, &subs, &mut StdRng::seed_from_u64(seed));
         let oracles = vec![g; 2];
         let tag = format!("anchor-lookups-{seed}");
         let answers = hold(&tag, &labels, &[day0, day1], &oracles, &reqs);
@@ -924,7 +1001,12 @@ fn uptime_looks_up_the_anchor_where_presence_is_asked() {
         }
 
         let labels: Vec<String> = (0..4).map(|i| format!("d{i}")).collect();
-        let reqs = requests(4, &peers, &mut StdRng::seed_from_u64(seed));
+        let reqs = requests(
+            4,
+            &peers,
+            &[shifted, back],
+            &mut StdRng::seed_from_u64(seed),
+        );
         let oracles = vec![g; 4];
         hold(
             &format!("uptime-anchor-{seed}"),
@@ -984,7 +1066,7 @@ fn an_sa_prefix_reoriginated_by_another_customer_moves_its_filing() {
             .collect();
 
         let labels: Vec<String> = (0..3).map(|i| format!("d{i}")).collect();
-        let mut reqs = requests(3, &peers, &mut StdRng::seed_from_u64(seed));
+        let mut reqs = requests(3, &peers, &[prefix], &mut StdRng::seed_from_u64(seed));
         let sa_at = |i| Query::SaStatus { vantage: v, prefix }.at(Scope::Id(SnapshotId(i)));
         let top_sa = Query::TopKSaOrigins {
             vantage: v,
@@ -1040,7 +1122,7 @@ fn a_conviction_names_the_leaker_of_the_route_stored_now() {
             .collect();
 
         let labels: Vec<String> = (0..3).map(|i| format!("d{i}")).collect();
-        let reqs = requests(3, &peers, &mut StdRng::seed_from_u64(seed));
+        let reqs = requests(3, &peers, &[prefix], &mut StdRng::seed_from_u64(seed));
         let oracles = vec![g; 3];
         let tag = format!("leaker-moves-{seed}");
         let answers = hold(&tag, &labels, &days, &oracles, &reqs);

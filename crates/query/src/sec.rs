@@ -14,11 +14,12 @@
 //!   test, aimed at origins instead of export policies — the same
 //!   `in_cone` the SA patcher asks, so a cone either of them walked is
 //!   walked for every request and every snapshot sharing that oracle).
-//!   A **fold over origin changes** ([`Snapshot::origin_changes`]):
-//!   every later snapshot contributes only the prefixes whose origin
-//!   moved from its predecessor's — a table whose origin stamp did not
+//!   A **fold over the engine's one history walk**
+//!   ([`QueryEngine::walk`]): each step contributes only the prefixes
+//!   whose origin moved from its predecessor's
+//!   ([`Snapshot::origin_changes`]) — a table whose origin stamp did not
 //!   move (path-only churn) is skipped whole, any other diffed with
-//!   [`bgp_types::CowTrie::diff`] — and the first is never scanned: a
+//!   [`bgp_types::CowTrie::diff`] — and the anchor is never scanned: a
 //!   judged prefix's owners and covers are looked up in its tables.
 //!   What two snapshots share (a stamp, a subtrie) is skipped as equal;
 //!   what they do not is compared, never assumed different — so the events are
@@ -143,12 +144,13 @@ impl Anchor<'_> {
 ///   origins in one snapshot, reported for each non-owner origin (a
 ///   multi-origin *baseline* is accepted state and never reported).
 ///
-/// **A fold over origin changes.** The first snapshot is the baseline
-/// and is never scanned: each later snapshot applies the origin changes
-/// [`Snapshot::origin_changes`] reports against its predecessor — −1 the
-/// old origin, +1 the new — to [`OriginCounts`] kept only for the
-/// prefixes such a change touches, each seeded on first touch from the
-/// anchor's tables (untouched until then, it is what the anchor holds).
+/// **A fold over [`QueryEngine::walk`].** The anchor is the baseline and
+/// is never scanned: each step applies the origin changes
+/// [`Snapshot::origin_changes`] reports at every vantage of either
+/// snapshot — −1 the old origin, +1 the new — to [`OriginCounts`] kept
+/// only for the prefixes such a change touches, each seeded on first
+/// touch from the anchor's tables (untouched until then, it is what the
+/// anchor holds).
 /// Only the prefixes whose origin *set* changed are judged, and a judged
 /// prefix's owners — or its longest strict cover's — are looked up in
 /// the anchor's tables ([`Anchor`]). That reports exactly what judging
@@ -168,28 +170,21 @@ pub(crate) fn hijack_events(
     ids: &[SnapshotId],
 ) -> Result<Vec<HijackEvent>, QueryError> {
     let _scan = rpi_obs::span(&engine.metrics.sec_scan_hijacks_seconds);
-    let Some((&first, rest)) = ids.split_first() else {
-        return Ok(Vec::new());
-    };
-    let mut prev = engine.snap_arc(first)?;
+    let (snap, steps) = engine.walk(ids)?;
     // The first snapshot is its own baseline: each of its origins is an
     // owner, so it reports nothing and is not judged.
     let mut anchor = Anchor {
         engine,
-        snap: prev.clone(),
+        snap,
         owners: HashMap::new(),
     };
     let mut origins = OriginCounts::new();
     let mut seen: HashSet<(HijackKind, Ipv4Prefix, Asn)> = HashSet::new();
     let mut events = Vec::new();
-    for &id in rest {
-        let snap = engine.snap_arc(id)?;
+    for step in steps {
+        let (prev, snap) = step?;
         let mut dirty: BTreeSet<Ipv4Prefix> = BTreeSet::new();
-        let gone = prev
-            .vantages
-            .keys()
-            .filter(|v| !snap.vantages.contains_key(v));
-        for &v in snap.vantages.keys().chain(gone) {
+        for v in snap.vantages_with(&prev) {
             snap.origin_changes(&prev, v, |p, old, new| {
                 let at = origins.entry(p).or_insert_with(|| anchor.origin_counts(p));
                 if let Some(o) = old {
@@ -228,7 +223,7 @@ pub(crate) fn hijack_events(
         let mut push =
             |kind: HijackKind, prefix: Ipv4Prefix, origin: Asn, owners: &BTreeSet<Asn>| {
                 events.push(HijackEvent {
-                    snapshot: id,
+                    snapshot: snap.id,
                     label: snap.label.clone(),
                     kind,
                     prefix,
@@ -272,7 +267,6 @@ pub(crate) fn hijack_events(
                 judge(p, os);
             }
         }
-        prev = snap;
     }
     Ok(events)
 }

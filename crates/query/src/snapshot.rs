@@ -996,18 +996,18 @@ impl Snapshot {
         });
     }
 
-    /// Calls `f(prefix, gained)`, in no particular order, for every
-    /// prefix that became (`true`) or stopped being (`false`) selectively
-    /// announced at `vantage` from `base` to `self`. An [`SaCache`] the
+    /// Calls `f(prefix, old, new)`, in no particular order, with the
+    /// origins filed there, for every SA entry of `vantage` that appeared,
+    /// went or changed origin from `base` to `self`. An [`SaCache`] the
     /// two snapshots hold as one `Arc` is skipped outright — patching a
     /// table keeps its cache's `Arc` unless a filing moved — and any
-    /// others are compared key by key; a vantage absent from one side has
-    /// no SA prefixes there.
+    /// others are compared entry by entry; a vantage absent from one side
+    /// has no SA prefixes there.
     pub(crate) fn sa_changes(
         &self,
         base: &Snapshot,
         vantage: AsnSym,
-        mut f: impl FnMut(PrefixSym, bool),
+        mut f: impl FnMut(PrefixSym, Option<AsnSym>, Option<AsnSym>),
     ) {
         let (old, new) = (base.sa.get(&vantage), self.sa.get(&vantage));
         if matches!((old, new), (Some(a), Some(b)) if Arc::ptr_eq(a, b)) {
@@ -1015,12 +1015,21 @@ impl Snapshot {
         }
         let empty = HashMap::new();
         let (old, new) = (old.map_or(&empty, |c| &c.sa), new.map_or(&empty, |c| &c.sa));
-        for &p in new.keys().filter(|p| !old.contains_key(p)) {
-            f(p, true);
+        for (&p, &o) in new.iter().filter(|&(p, o)| old.get(p) != Some(o)) {
+            f(p, old.get(&p).copied(), Some(o));
         }
-        for &p in old.keys().filter(|p| !new.contains_key(p)) {
-            f(p, false);
+        for (&p, &o) in old.iter().filter(|(p, _)| !new.contains_key(p)) {
+            f(p, Some(o), None);
         }
+    }
+
+    /// The vantages of `self` or `other`, each once, in no order.
+    pub(crate) fn vantages_with<'a>(
+        &'a self,
+        other: &'a Snapshot,
+    ) -> impl Iterator<Item = AsnSym> + 'a {
+        let gone = (other.vantages.keys()).filter(|v| !self.vantages.contains_key(v));
+        self.vantages.keys().chain(gone).copied()
     }
 
     /// Total trie nodes across all vantage tables (counted as if

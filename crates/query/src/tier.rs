@@ -21,9 +21,10 @@
 //!   `crates/query/tests/tier.rs` holds this across every verb).
 //! * **hot** — snapshots hydrated into the ordinary in-memory
 //!   [`Snapshot`] structures, bounded by `--hot-cap` and evicted
-//!   least-recently-used. The whole-table verbs (`summary`, `leaks`, the
-//!   history verbs, `diff`) hydrate a snapshot on demand by decoding its
-//!   segment — replaying its delta chain forward from the nearest
+//!   least-recently-used. The whole-table verbs (`summary`, `leaks`,
+//!   `uptime`, `top-sa`, `hijacks`, `diff`; not `sa-history` and
+//!   `persistence`, an `sa` per id) hydrate a snapshot on demand by
+//!   decoding its segment — replaying its delta chain forward from the nearest
 //!   **keyframe** (a self-contained full segment, written every
 //!   `--keyframe-every` snapshots at save time) or from a hot chain
 //!   member, whichever is closer. A point verb at a hot snapshot reads

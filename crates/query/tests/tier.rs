@@ -290,18 +290,24 @@ fn differential_unkeyframed_seed_0xc3() {
     run_differential(0xC3, None, "c3");
 }
 
+/// The seeds `RPI_TIER_SEEDS=seed1,seed2,…` names, none if it is unset.
+fn env_seeds() -> Vec<u64> {
+    let spec = std::env::var("RPI_TIER_SEEDS").unwrap_or_default();
+    spec.split(',')
+        .filter(|s| !s.trim().is_empty())
+        .map(|part| {
+            part.trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("bad seed '{part}' in RPI_TIER_SEEDS"))
+        })
+        .collect()
+}
+
 /// Extra seeds without a rebuild: `RPI_TIER_SEEDS=7,8 cargo test …`,
 /// each at keyframe cadence 2 and at the benchmark's 8.
 #[test]
 fn differential_extra_seeds_from_env() {
-    let Ok(spec) = std::env::var("RPI_TIER_SEEDS") else {
-        return;
-    };
-    for part in spec.split(',').filter(|s| !s.trim().is_empty()) {
-        let seed: u64 = part
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("bad seed '{part}' in RPI_TIER_SEEDS"));
+    for seed in env_seeds() {
         run_differential(seed, Some(2), "env");
         run_differential(seed, Some(8), "env8");
     }
@@ -434,6 +440,64 @@ fn cold_point_queries_never_hydrate() {
         );
         assert_eq!(stats.cold_hits, asked, "cadence {keyframe_every:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// `sa-history` and `persistence` are an `sa` point read at each scoped
+/// id: at `@all`, at every single id and over ascending ranges, at
+/// cadences 1, 8 and none, a `--hot-cap 1` tier answers them off the
+/// mapped chains with the hydrated engine's bytes and hydrates nothing.
+/// A collector peer is missing from one snapshot, so its history has a
+/// point where it is no vantage. Seed 0xE5, then each `RPI_TIER_SEEDS`
+/// names.
+#[test]
+fn per_prefix_history_never_hydrates() {
+    for seed in std::iter::once(0xE5).chain(env_seeds()) {
+        let mut sc = build_scenario_steps(seed, 12);
+        let dropped = drop_peer_at(&mut sc, 4);
+        let n = sc.outputs.len() as u32;
+        let mut scopes = vec![Scope::All];
+        scopes.extend((0..n).map(|i| Scope::Id(SnapshotId(i))));
+        scopes.extend((0..n).step_by(3).map(|a| {
+            let b = (a + 4).min(n - 1);
+            Scope::Range(SnapshotId(a), SnapshotId(b))
+        }));
+        for keyframe_every in [Some(1), Some(8), None] {
+            let tag = format!("per-prefix-{seed}-{}", keyframe_every.unwrap_or(0));
+            let (dir, _) = saved(&sc, seed, keyframe_every, &tag);
+            let hydrated = QueryEngine::load_archive(&dir).expect("hydrated load");
+            let tiered = QueryEngine::load_archive_tiered(&dir, 1).expect("tiered load");
+            let mut answers = String::new();
+            for &vantage in &sc.vantages {
+                for &prefix in sc.prefixes.iter().step_by(13) {
+                    for scope in &scopes {
+                        for query in [
+                            Query::SaHistory { vantage, prefix },
+                            Query::PersistenceClass { vantage, prefix },
+                        ] {
+                            let req = query.at(scope.clone());
+                            let want = rendered(&hydrated, &req);
+                            assert_eq!(
+                                rendered(&tiered, &req),
+                                want,
+                                "seed {seed}, cadence {keyframe_every:?}: {req:?}"
+                            );
+                            answers += &want;
+                        }
+                    }
+                }
+            }
+            let gap = format!("\n  4 {}: {dropped} is not a vantage", sc.labels[4]);
+            assert!(answers.contains(&gap), "seed {seed}: {gap}");
+            assert!(answers.contains("SELECTIVELY ANNOUNCED"), "seed {seed}");
+            let stats = tiered.tier_stats().unwrap();
+            assert_eq!(
+                (stats.hydrations, stats.hot),
+                (0, 0),
+                "seed {seed}, cadence {keyframe_every:?}: per-prefix history hydrated"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
@@ -725,8 +789,9 @@ fn a_keyframe_hydrated_onto_its_hot_predecessor_shares_with_it() {
 }
 
 /// History walks spanning hot and cold snapshots answer identically to
-/// the hydrated engine (the walk hydrates cold members through the LRU
-/// mid-query).
+/// the hydrated engine (`uptime` and `hijacks` hydrate cold members
+/// through the LRU mid-query, as `top-sa` and `diff` do; `sa-history`
+/// and `persistence` read them in place).
 #[test]
 fn history_spans_hot_and_cold() {
     let sc = build_scenario(0x17);
