@@ -7,7 +7,9 @@
 # (every crate here keeps its unit tests in one trailing module); a file
 # without one counts whole. A file its parent module declares as
 # `#[cfg(test)] mod <name>;` is test-only and counts 0. Prints one row
-# per file, one total per crate and a grand total. Simplicity PRs quote
+# per file, one total per crate, the subtotal of crates/query,
+# crates/bgp-types and crates/bench (the three crates ROADMAP item 10's
+# deletion target counts) and a grand total. Simplicity PRs quote
 # this table from both commits ("Lines (non-test, parent -> change)" in
 # CHANGES.md), and CI appends it to the step summary — the head's table,
 # and its diff against the merge base's by the two lines below — so the
@@ -46,7 +48,7 @@ test_only() {
 
 echo "| file | non-test lines |"
 echo "|---|---|"
-grand=0
+grand=0 item10=0
 for crate in crates/*/; do
   [ -d "${crate}src" ] || continue
   total=0
@@ -61,5 +63,7 @@ for crate in crates/*/; do
   done < <(find "${crate}src" -name '*.rs' | LC_ALL=C sort)
   echo "| **${crate%/} total** | **$total** |"
   grand=$((grand + total))
+  case ${crate%/} in crates/query | crates/bgp-types | crates/bench) item10=$((item10 + total)) ;; esac
 done
+echo "| **query + bgp-types + bench** | **$item10** |"
 echo "| **all crates** | **$grand** |"

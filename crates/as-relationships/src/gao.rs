@@ -74,7 +74,6 @@ pub struct InferredRelationships {
     /// Keyed by ordered pair `(a, b)` with `a < b`; the value is `b`'s role
     /// relative to `a` (same convention as [`AsGraph::rel`]).
     map: BTreeMap<(Asn, Asn), Relationship>,
-    degrees: BTreeMap<Asn, usize>,
 }
 
 impl InferredRelationships {
@@ -103,11 +102,6 @@ impl InferredRelationships {
     /// Iterates `(a, b, rel-of-b-wrt-a)` with `a < b`.
     pub fn iter(&self) -> impl Iterator<Item = (Asn, Asn, Relationship)> + '_ {
         self.map.iter().map(|(&(a, b), &r)| (a, b, r))
-    }
-
-    /// The degree of `asn` as observed in the paths.
-    pub fn observed_degree(&self, asn: Asn) -> usize {
-        self.degrees.get(&asn).copied().unwrap_or(0)
     }
 
     /// Materializes an annotated [`AsGraph`] from the inference (no
@@ -329,7 +323,7 @@ where
             }
         }
     }
-    InferredRelationships { map, degrees }
+    InferredRelationships { map }
 }
 
 #[cfg(test)]
@@ -474,14 +468,5 @@ mod tests {
         for (a, b, r) in inf.iter() {
             assert_eq!(g.rel(a, b), Some(r));
         }
-    }
-
-    #[test]
-    fn observed_degree_counts_distinct_neighbors() {
-        let ps = two_cone_paths();
-        let inf = infer(ps.iter().map(Vec::as_slice), &lenient());
-        assert_eq!(inf.observed_degree(Asn(10)), 2); // 11, 20
-        assert_eq!(inf.observed_degree(Asn(111)), 1);
-        assert_eq!(inf.observed_degree(Asn(424242)), 0);
     }
 }

@@ -25,21 +25,6 @@ impl Asn {
     /// AS_TRANS (RFC 6793), substituted for 4-byte ASNs on 2-byte sessions.
     pub const TRANS: Asn = Asn(23456);
 
-    /// Returns `true` if this ASN falls in a private-use range
-    /// (RFC 6996: 64512–65534 and 4200000000–4294967294).
-    pub fn is_private(self) -> bool {
-        (64512..=65534).contains(&self.0) || (4_200_000_000..=4_294_967_294).contains(&self.0)
-    }
-
-    /// Returns `true` if the ASN is reserved and must not appear in a public
-    /// AS path (0, AS_TRANS, 65535, 4294967295, and the documentation ranges
-    /// 64496–64511 / 65536–65551).
-    pub fn is_reserved(self) -> bool {
-        matches!(self.0, 0 | 23456 | 65535 | 4_294_967_295)
-            || (64496..=64511).contains(&self.0)
-            || (65536..=65551).contains(&self.0)
-    }
-
     /// Returns `true` for ASNs that fit in the original 2-byte space.
     pub fn is_two_byte(self) -> bool {
         self.0 <= u16::MAX as u32
@@ -113,19 +98,6 @@ mod tests {
             let a = Asn(v);
             assert_eq!(a.to_string().parse::<Asn>().unwrap(), a);
         }
-    }
-
-    #[test]
-    fn private_and_reserved_ranges() {
-        assert!(Asn(64512).is_private());
-        assert!(Asn(65534).is_private());
-        assert!(!Asn(65535).is_private());
-        assert!(Asn(65535).is_reserved());
-        assert!(Asn(4_200_000_000).is_private());
-        assert!(Asn::TRANS.is_reserved());
-        assert!(Asn::RESERVED_ZERO.is_reserved());
-        assert!(!Asn(7018).is_reserved());
-        assert!(!Asn(7018).is_private());
     }
 
     #[test]

@@ -126,11 +126,6 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Appends a signed value as a ZigZag varint.
-pub fn put_varint(out: &mut Vec<u8>, v: i64) {
-    put_uvarint(out, zigzag(v));
-}
-
 /// Appends a length-prefixed UTF-8 string.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_ulen(out, s.len());
@@ -381,12 +376,12 @@ mod tests {
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
             assert_eq!(unzigzag(zigzag(v)), v);
             let mut buf = Vec::new();
-            put_varint(&mut buf, v);
+            put_uvarint(&mut buf, zigzag(v));
             assert_eq!(Reader::new(&buf).varint().unwrap(), v);
         }
         // Small magnitudes stay one byte.
         let mut buf = Vec::new();
-        put_varint(&mut buf, -2);
+        put_uvarint(&mut buf, zigzag(-2));
         assert_eq!(buf.len(), 1);
     }
 

@@ -95,14 +95,6 @@ impl Community {
             low: v as u16,
         }
     }
-
-    /// Is this one of the three RFC 1997 well-known communities?
-    pub fn is_well_known(self) -> bool {
-        matches!(
-            self,
-            Community::NO_EXPORT | Community::NO_ADVERTISE | Community::NO_EXPORT_SUBCONFED
-        )
-    }
 }
 
 impl fmt::Display for Community {
@@ -170,8 +162,6 @@ mod tests {
             "NO_ADVERTISE".parse::<Community>().unwrap(),
             Community::NO_ADVERTISE
         );
-        assert!(Community::NO_EXPORT.is_well_known());
-        assert!(!Community::new(7018, 100).is_well_known());
         // Well-known communities display by name and reparse to themselves.
         let c = Community::NO_EXPORT;
         assert_eq!(c.to_string().parse::<Community>().unwrap(), c);

@@ -129,72 +129,10 @@ impl AsPath {
         AsPath { segments }
     }
 
-    /// Returns a new path with `asn` prepended `n` times (AS-path
-    /// prepending, the inbound traffic-engineering knob of §2.2.2).
-    #[must_use]
-    pub fn prepend_n(&self, asn: Asn, n: usize) -> AsPath {
-        let mut p = self.clone();
-        for _ in 0..n {
-            p = p.prepend(asn);
-        }
-        p
-    }
-
     /// Iterates over every AS in the path, speaker-first (sets flattened in
     /// their stored order).
     pub fn asns(&self) -> impl Iterator<Item = Asn> + '_ {
         self.segments.iter().flat_map(|s| s.asns().iter().copied())
-    }
-
-    /// Iterates over adjacent AS pairs `(nearer_speaker, nearer_origin)`
-    /// **within sequence segments only** — adjacency across or inside an
-    /// AS_SET is not a real BGP session and is skipped. This is the iterator
-    /// relationship-inference walks (Gao's algorithm consumes these pairs).
-    pub fn adjacent_pairs(&self) -> impl Iterator<Item = (Asn, Asn)> + '_ {
-        self.segments
-            .iter()
-            .filter_map(|s| match s {
-                PathSegment::Seq(v) => Some(v),
-                PathSegment::Set(_) => None,
-            })
-            .flat_map(|v| v.windows(2).map(|w| (w[0], w[1])))
-    }
-
-    /// Strips consecutive duplicate ASes (undoes prepending), preserving
-    /// segment structure. Used when mapping a path onto AS-graph edges.
-    #[must_use]
-    pub fn dedup_prepends(&self) -> AsPath {
-        let segments = self
-            .segments
-            .iter()
-            .map(|s| match s {
-                PathSegment::Seq(v) => {
-                    let mut out: Vec<Asn> = Vec::with_capacity(v.len());
-                    for &a in v {
-                        if out.last() != Some(&a) {
-                            out.push(a);
-                        }
-                    }
-                    PathSegment::Seq(out)
-                }
-                PathSegment::Set(v) => PathSegment::Set(v.clone()),
-            })
-            .collect();
-        AsPath { segments }
-    }
-
-    /// `true` when the path consists of a single AS_SEQUENCE with no
-    /// repeated AS (the common case for non-aggregated, non-prepended
-    /// routes; the paper's path-walking analyses assume this shape).
-    pub fn is_simple(&self) -> bool {
-        match self.segments.as_slice() {
-            [] => true,
-            [PathSegment::Seq(v)] => {
-                let mut seen = std::collections::HashSet::with_capacity(v.len());
-                v.iter().all(|a| seen.insert(a))
-            }
-            _ => false,
-        }
     }
 }
 
@@ -320,7 +258,6 @@ mod tests {
         assert_eq!(p.origin_as(), Some(Asn(15471)));
         assert_eq!(p.hop_len(), 4);
         assert!(!p.is_empty());
-        assert!(p.is_simple());
     }
 
     #[test]
@@ -330,7 +267,6 @@ mod tests {
         assert_eq!(p.hop_len(), 0);
         assert_eq!(p.next_hop_as(), None);
         assert_eq!(p.origin_as(), None);
-        assert!(p.is_simple());
     }
 
     #[test]
@@ -339,7 +275,6 @@ mod tests {
         assert_eq!(p.hop_len(), 2);
         assert_eq!(p.origin_as(), None);
         assert_eq!(p.next_hop_as(), Some(Asn(701)));
-        assert!(!p.is_simple());
     }
 
     #[test]
@@ -359,26 +294,11 @@ mod tests {
         let r = path("{1,2}").prepend(Asn(9));
         assert_eq!(r.to_string(), "9 {1,2}");
         // Traffic-engineering triple prepend.
-        let s = AsPath::empty().prepend_n(Asn(5), 3);
+        let s = AsPath::empty()
+            .prepend(Asn(5))
+            .prepend(Asn(5))
+            .prepend(Asn(5));
         assert_eq!(s.to_string(), "5 5 5");
-        assert!(!s.is_simple());
-    }
-
-    #[test]
-    fn adjacent_pairs_skip_sets() {
-        let p = path("1 2 {3,4} 5 6");
-        let pairs: Vec<_> = p.adjacent_pairs().collect();
-        assert_eq!(pairs, vec![(Asn(1), Asn(2)), (Asn(5), Asn(6))]);
-    }
-
-    #[test]
-    fn dedup_prepends_removes_runs() {
-        let p = path("5 5 5 9 7 7");
-        assert_eq!(p.dedup_prepends().to_string(), "5 9 7");
-        // Non-consecutive repeats (a poisoned path) are preserved.
-        let q = path("5 9 5");
-        assert_eq!(q.dedup_prepends().to_string(), "5 9 5");
-        assert!(!q.is_simple()); // repeated AS ⇒ not simple
     }
 
     #[test]

@@ -82,16 +82,6 @@ impl Ipv4Prefix {
         mask(self.len)
     }
 
-    /// First address covered by the prefix (the network address).
-    pub fn first_addr(self) -> u32 {
-        self.bits
-    }
-
-    /// Last address covered by the prefix (the broadcast address for /≤31).
-    pub fn last_addr(self) -> u32 {
-        self.bits | !mask(self.len)
-    }
-
     /// Number of addresses covered (saturates at `u32::MAX` for `/0`).
     pub fn addr_count(self) -> u64 {
         1u64 << (32 - self.len as u64)
@@ -106,11 +96,6 @@ impl Ipv4Prefix {
     /// Does `self` strictly cover `other` (cover and be shorter)?
     pub fn covers_strictly(self, other: Ipv4Prefix) -> bool {
         self.len < other.len && self.covers(other)
-    }
-
-    /// Does the prefix contain the single address `addr`?
-    pub fn contains_addr(self, addr: u32) -> bool {
-        (addr & mask(self.len)) == self.bits
     }
 
     /// The immediate supernet (one bit shorter), or `None` for `/0`.
@@ -140,22 +125,6 @@ impl Ipv4Prefix {
             len,
         };
         Some((lo, hi))
-    }
-
-    /// All subnets of `self` at length `new_len` (empty iterator if
-    /// `new_len < self.len`; at most 2^16 subnets are yielded to bound cost).
-    pub fn subnets(self, new_len: u8) -> impl Iterator<Item = Ipv4Prefix> {
-        let valid = new_len >= self.len && new_len <= 32 && (new_len - self.len) <= 16;
-        let count: u32 = if valid {
-            1u32 << (new_len - self.len)
-        } else {
-            0
-        };
-        let base = self.bits;
-        (0..count).map(move |i| Ipv4Prefix {
-            bits: base | (i << (32 - new_len as u32)),
-            len: new_len,
-        })
     }
 
     /// The sibling prefix sharing `self`'s immediate supernet, or `None`
@@ -389,33 +358,8 @@ mod tests {
     #[test]
     fn address_range() {
         let a = p("192.168.69.0/24");
-        assert_eq!(a.first_addr(), parse_addr("192.168.69.0").unwrap());
-        assert_eq!(a.last_addr(), parse_addr("192.168.69.255").unwrap());
         assert_eq!(a.addr_count(), 256);
-        assert!(a.contains_addr(parse_addr("192.168.69.42").unwrap()));
-        assert!(!a.contains_addr(parse_addr("192.168.70.1").unwrap()));
         assert_eq!(a.netmask(), 0xFFFF_FF00);
-    }
-
-    #[test]
-    fn subnets_enumeration() {
-        let a = p("12.0.0.0/22");
-        let subs: Vec<_> = a.subnets(24).collect();
-        assert_eq!(
-            subs,
-            vec![
-                p("12.0.0.0/24"),
-                p("12.0.1.0/24"),
-                p("12.0.2.0/24"),
-                p("12.0.3.0/24")
-            ]
-        );
-        // Same-length "subnetting" yields the prefix itself.
-        assert_eq!(a.subnets(22).collect::<Vec<_>>(), vec![a]);
-        // Shorter target yields nothing.
-        assert_eq!(a.subnets(8).count(), 0);
-        // Oversized expansion is refused rather than exploding.
-        assert_eq!(p("0.0.0.0/0").subnets(32).count(), 0);
     }
 
     #[test]

@@ -74,13 +74,6 @@ pub struct RouteAttrs {
     pub router_id: u32,
 }
 
-impl RouteAttrs {
-    /// Does the attribute set carry a given community?
-    pub fn has_community(&self, c: Community) -> bool {
-        self.communities.contains(&c)
-    }
-}
-
 /// A routing-table entry: one prefix with one set of path attributes.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Route {
@@ -310,7 +303,7 @@ mod tests {
             .path_seq([Asn(2)])
             .community(Community::NO_EXPORT)
             .build();
-        assert!(r.attrs.has_community(Community::NO_EXPORT));
-        assert!(!r.attrs.has_community(Community::NO_ADVERTISE));
+        assert!(r.attrs.communities.contains(&Community::NO_EXPORT));
+        assert!(!r.attrs.communities.contains(&Community::NO_ADVERTISE));
     }
 }

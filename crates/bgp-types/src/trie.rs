@@ -7,7 +7,7 @@
 //! snapshots of a churn series share the ~99% of their route tables that
 //! BGP churn never touched. It supports the lookups the policy analyses
 //! need: exact match ([`CowTrie::get`]), longest-prefix match
-//! ([`CowTrie::best_match`], [`CowTrie::longest_match`]) and covering /
+//! ([`CowTrie::best_match`]) and covering /
 //! covered enumeration ([`CowTrie::covering`], [`CowTrie::covered`]) —
 //! how Table 9's splitting/aggregating counts find less- and
 //! more-specific companions of an SA prefix.
@@ -157,11 +157,6 @@ impl<T> CowTrie<T> {
             }
         }
         best
-    }
-
-    /// Longest-prefix match for a single address.
-    pub fn longest_match(&self, addr: u32) -> Option<(Ipv4Prefix, &T)> {
-        self.best_match(Ipv4Prefix::canonical(addr, 32))
     }
 
     /// All stored prefixes that **cover** `prefix` (itself included),
@@ -393,7 +388,6 @@ fn diff_cow_nodes<T: PartialEq>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prefix::parse_addr;
     use std::collections::BTreeMap;
 
     fn p(s: &str) -> Ipv4Prefix {
@@ -424,20 +418,17 @@ mod tests {
             t.best_match(p("12.0.16.0/24")).map(|(q, _)| q),
             Some(p("12.0.16.0/24"))
         );
-        assert_eq!(
-            t.longest_match(parse_addr("12.0.32.1").unwrap()).unwrap().0,
-            p("12.0.0.0/8")
-        );
+        assert_eq!(t.best_match(p("12.0.32.1/32")).unwrap().0, p("12.0.0.0/8"));
     }
 
     #[test]
     fn longest_match_prefers_most_specific() {
         let t = cow_sample();
-        let addr = parse_addr("12.0.16.7").unwrap();
-        assert_eq!(t.longest_match(addr).unwrap().0, p("12.0.16.0/24"));
-        let addr2 = parse_addr("12.0.32.1").unwrap();
-        assert_eq!(t.longest_match(addr2).unwrap().0, p("12.0.0.0/8"));
-        assert!(t.longest_match(parse_addr("8.8.8.8").unwrap()).is_none());
+        let host = p("12.0.16.7/32");
+        assert_eq!(t.best_match(host).unwrap().0, p("12.0.16.0/24"));
+        let host2 = p("12.0.32.1/32");
+        assert_eq!(t.best_match(host2).unwrap().0, p("12.0.0.0/8"));
+        assert!(t.best_match(p("8.8.8.8/32")).is_none());
     }
 
     #[test]
@@ -445,7 +436,7 @@ mod tests {
         let mut t = cow_sample();
         t.insert(Ipv4Prefix::DEFAULT, "default");
         assert_eq!(
-            t.longest_match(parse_addr("8.8.8.8").unwrap()).unwrap().0,
+            t.best_match(p("8.8.8.8/32")).unwrap().0,
             Ipv4Prefix::DEFAULT
         );
     }
@@ -589,14 +580,14 @@ mod tests {
                 }
                 history.push((cow.clone(), oracle.clone()));
             }
-            let addr = (step() >> 16) as u32;
+            let host = Ipv4Prefix::canonical((step() >> 16) as u32, 32);
             assert_eq!(
                 oracle
                     .iter()
-                    .filter(|(q, _)| q.contains_addr(addr))
+                    .filter(|(q, _)| q.covers(host))
                     .max_by_key(|(q, _)| q.len())
                     .map(|(q, v)| (*q, *v)),
-                cow.longest_match(addr).map(|(q, v)| (q, *v)),
+                cow.best_match(host).map(|(q, v)| (q, *v)),
                 "op {i}"
             );
         }
@@ -678,10 +669,7 @@ mod tests {
         t.insert(p("1.2.3.4/32"), ());
         t.insert(p("1.2.3.5/32"), ());
         assert_eq!(t.len(), 2);
-        assert_eq!(
-            t.longest_match(parse_addr("1.2.3.4").unwrap()).unwrap().0,
-            p("1.2.3.4/32")
-        );
+        assert_eq!(t.best_match(p("1.2.3.4/32")).unwrap().0, p("1.2.3.4/32"));
         assert_eq!(t.covered(p("1.2.3.4/31")).count(), 2);
         assert_eq!(t.covered(p("1.2.3.4/32")).count(), 1);
         assert_eq!(t.covering(p("1.2.3.5/32")).count(), 1);

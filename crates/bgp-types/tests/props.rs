@@ -108,20 +108,6 @@ fn prefix_split_children_are_covered_and_aggregate_back() {
 }
 
 #[test]
-fn prefix_addr_range_consistent() {
-    let mut rng = StdRng::seed_from_u64(0x5006);
-    for _ in 0..CASES {
-        let p = arb_prefix(&mut rng);
-        assert!(p.contains_addr(p.first_addr()));
-        assert!(p.contains_addr(p.last_addr()));
-        assert_eq!(
-            p.last_addr().wrapping_sub(p.first_addr()) as u64 + 1,
-            p.addr_count()
-        );
-    }
-}
-
-#[test]
 fn prefix_garbage_never_panics() {
     let mut rng = StdRng::seed_from_u64(0x5007);
     for _ in 0..CASES {
@@ -160,34 +146,6 @@ fn path_prepend_extends_len_and_sets_next_hop() {
         if !p.is_empty() {
             assert_eq!(q.origin_as(), p.origin_as());
         }
-    }
-}
-
-#[test]
-fn path_dedup_removes_all_consecutive_runs() {
-    let mut rng = StdRng::seed_from_u64(0x500a);
-    for _ in 0..CASES {
-        let n = rng.gen_range(0..8usize);
-        let asns: Vec<Asn> = (0..n).map(|_| arb_asn(&mut rng)).collect();
-        let reps: Vec<usize> = (0..rng.gen_range(0..8usize))
-            .map(|_| rng.gen_range(1..4usize))
-            .collect();
-        // Build a path with runs, dedup, and compare with the run-free one.
-        let mut expanded = Vec::new();
-        let mut base = Vec::new();
-        for (i, a) in asns.iter().enumerate() {
-            // Skip accidental adjacent duplicates in the base itself.
-            if base.last() == Some(a) {
-                continue;
-            }
-            base.push(*a);
-            let k = reps.get(i).copied().unwrap_or(1);
-            for _ in 0..k {
-                expanded.push(*a);
-            }
-        }
-        let p = AsPath::from_seq(expanded).dedup_prepends();
-        assert_eq!(p, AsPath::from_seq(base));
     }
 }
 
@@ -264,12 +222,13 @@ fn trie_matches_btreemap_oracle() {
         // Longest match agrees with a linear scan, for addresses and
         // for prefixes.
         for addr in &addrs {
+            let host = Ipv4Prefix::canonical(*addr, 32);
             let expect = oracle
                 .iter()
-                .filter(|(p, _)| p.contains_addr(*addr))
+                .filter(|(p, _)| p.covers(host))
                 .max_by_key(|(p, _)| p.len())
                 .map(|(p, v)| (*p, v));
-            assert_eq!(trie.longest_match(*addr), expect);
+            assert_eq!(trie.best_match(host), expect);
         }
         for probe in &probes {
             let expect = oracle

@@ -48,11 +48,6 @@ pub struct IrrDatabase {
 }
 
 impl IrrDatabase {
-    /// Finds the object for `asn`, if registered.
-    pub fn aut_num(&self, asn: Asn) -> Option<&AutNum> {
-        self.objects.iter().find(|o| o.asn == asn)
-    }
-
     /// Serializes the whole database (objects separated by blank lines).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -296,7 +291,7 @@ source:      SYNTH
     fn parses_objects_and_attributes() {
         let db = IrrDatabase::parse(SAMPLE).unwrap();
         assert_eq!(db.objects.len(), 2);
-        let a1 = db.aut_num(Asn(1)).unwrap();
+        let a1 = db.objects.iter().find(|o| o.asn == Asn(1)).unwrap();
         assert_eq!(a1.as_name, "GTE");
         assert_eq!(a1.imports.len(), 3);
         assert_eq!(a1.pref_for(Asn(2)), Some(880));
@@ -316,7 +311,7 @@ source:      SYNTH
     #[test]
     fn continuation_lines_join() {
         let db = IrrDatabase::parse(SAMPLE).unwrap();
-        let a = db.aut_num(Asn(8262)).unwrap();
+        let a = db.objects.iter().find(|o| o.asn == Asn(8262)).unwrap();
         assert_eq!(a.pref_for(Asn(5511)), Some(920));
         assert_eq!(a.imports[0].accept, Filter::Any);
         assert!(!a.updated_in(2002));

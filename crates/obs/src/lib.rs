@@ -55,18 +55,6 @@ pub fn bucket_of(v: u64) -> usize {
     }
 }
 
-/// Smallest nanosecond value that maps to bucket `i`.
-#[inline]
-pub fn bucket_lower(i: usize) -> u64 {
-    if i < 16 {
-        i as u64
-    } else {
-        let p = (i as u64 - 16) / 8 + 4;
-        let sub = (i as u64 - 16) % 8;
-        (1u64 << p) + sub * (1u64 << (p - 3))
-    }
-}
-
 /// Largest nanosecond value that maps to bucket `i` (the value a
 /// quantile query reports; the overflow bucket reports its lower span).
 #[inline]
@@ -595,6 +583,18 @@ fn json_str(s: &str) -> String {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// Smallest nanosecond value that maps to bucket `i` — the other end
+    /// of [`bucket_upper`]'s span, for checking that the buckets tile.
+    fn bucket_lower(i: usize) -> u64 {
+        if i < 16 {
+            i as u64
+        } else {
+            let p = (i as u64 - 16) / 8 + 4;
+            let sub = (i as u64 - 16) % 8;
+            (1u64 << p) + sub * (1u64 << (p - 3))
+        }
+    }
 
     #[test]
     fn bucket_boundaries_are_exact() {

@@ -1050,12 +1050,7 @@ fn replay_delta(
                 snap.community_class
                     .insert(owner, Arc::new(patch.classes.clone()));
             } else {
-                if let Some(&t) = prev.typicality.get(&owner) {
-                    snap.typicality.insert(owner, t);
-                }
-                if let Some(c) = prev.community_class.get(&owner) {
-                    snap.community_class.insert(owner, Arc::clone(c));
-                }
+                snap.carry_lg_analyses(prev, owner);
             }
         }
     }

@@ -741,37 +741,43 @@ impl QueryEngine {
         results
     }
 
-    /// Evaluates a point query against one already-validated snapshot —
-    /// also each `sa` of `sa-history` and `persistence`. On a
-    /// tier-attached engine a hot snapshot answers from memory; at a cold
-    /// one, the verbs that read one route or one relationship (`route`,
-    /// `resolve`, `sa`, `rov`, `rel`) read its mapped chain
-    /// ([`crate::tier::ChainView`]), and only `summary` and `leaks`,
-    /// which read whole tables, hydrate it.
+    /// Evaluates a point query against one already-validated snapshot:
+    /// `summary` and `leaks` read whole tables (so a cold snapshot
+    /// hydrates), the other verbs one route or relationship through
+    /// [`Self::read_at`].
     fn eval_point(&self, query: &Query, id: SnapshotId) -> Result<Response, QueryError> {
-        let Some(tier) = &self.tier else {
-            return self.eval_snapshot(query, &*self.snap_arc(id)?);
-        };
-        if let Some(snap) = tier.hot_get(id.0) {
-            return self.eval_snapshot(query, &snap);
-        }
-        match query {
-            Query::PolicySummary { .. } | Query::Leaks => {
-                self.eval_snapshot(query, &*tier.snapshot(self, id)?)
+        match *query {
+            Query::PolicySummary { asn } => Ok(Response::Summary(
+                self.summary_point(&*self.snap_arc(id)?, asn),
+            )),
+            Query::Leaks => {
+                let snap = self.snap_arc(id)?;
+                self.metrics.sec_leaks_total.inc();
+                Ok(Response::Leaks(crate::sec::leak_events(self, &snap)))
             }
-            _ => tier.read_cold(&self.interner, id, |chain| self.eval_read(query, chain)),
+            _ => self.read_at(
+                id,
+                |s| self.eval_read(query, s),
+                |c| self.eval_read(query, c),
+            ),
         }
     }
 
-    /// A point query against an in-memory snapshot.
-    fn eval_snapshot(&self, query: &Query, snap: &Snapshot) -> Result<Response, QueryError> {
-        match *query {
-            Query::PolicySummary { asn } => Ok(Response::Summary(self.summary_point(snap, asn))),
-            Query::Leaks => {
-                self.metrics.sec_leaks_total.inc();
-                Ok(Response::Leaks(crate::sec::leak_events(self, snap)))
-            }
-            _ => self.eval_read(query, snap),
+    /// Reads snapshot `id` where it lives: in memory (`hot`), or on a
+    /// tier-attached engine at a cold id its mapped chain
+    /// ([`crate::tier::ChainView`], `cold`), without hydrating.
+    fn read_at<T>(
+        &self,
+        id: SnapshotId,
+        hot: impl FnOnce(&Snapshot) -> Result<T, QueryError>,
+        cold: impl FnOnce(&crate::tier::ChainView<'_>) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
+        let Some(tier) = &self.tier else {
+            return hot(&*self.snap_arc(id)?);
+        };
+        match tier.hot_get(id.0) {
+            Some(snap) => hot(&snap),
+            None => tier.read_cold(&self.interner, id, cold),
         }
     }
 
@@ -787,7 +793,11 @@ impl QueryEngine {
                 Response::Route(self.resolve_point(snap, vantage, prefix)?)
             }
             Query::SaStatus { vantage, prefix } => {
-                Response::Sa(self.sa_point(snap, vantage, prefix)?)
+                let p = self.interner.lookup_prefix(prefix);
+                Response::Sa(match self.interner.lookup_asn(vantage) {
+                    Some(v) => self.sa_point(snap, v, prefix, p)?,
+                    None => SaStatus::UnknownVantage,
+                })
             }
             Query::Relationship { a, b } => Response::Relationship(self.rel_point(snap, a, b)?),
             Query::Rov { vantage, prefix } => {
@@ -847,7 +857,7 @@ impl QueryEngine {
     }
 
     /// The history verbs. `sa-history` and `persistence` are an `sa` per
-    /// scoped id, through [`Self::eval_point`]'s residency. `uptime` ([`Self::uptime_counts`]),
+    /// scoped id, through [`Self::read_at`]. `uptime` ([`Self::uptime_counts`]),
     /// `top-sa` (the anchor's SA entries, then every entry a step files
     /// anew) and `hijacks` ([`crate::sec::hijack_events`]) fold over
     /// [`Self::walk`], as `diff` does over its one step. The contract
@@ -859,12 +869,12 @@ impl QueryEngine {
         let known = |vantage| {
             (self.interner.lookup_asn(vantage)).ok_or(QueryError::UnknownVantage(vantage))
         };
+        // Both symbols are resolved once; each id reads only its table.
         let sa_at = |vantage, prefix| {
-            let sa = Query::SaStatus { vantage, prefix };
-            ids.iter().map(move |&id| match self.eval_point(&sa, id)? {
-                Response::Sa(status) => Ok((id, status)),
-                _ => unreachable!("`sa` answers an SA status"),
-            })
+            let (v, p) = (known(vantage)?, self.interner.lookup_prefix(prefix));
+            let hot = move |snap: &_| self.sa_point(snap, v, prefix, p);
+            let at = move |id| self.read_at(id, hot, |chain| self.sa_point(chain, v, prefix, p));
+            Ok::<_, QueryError>(ids.iter().map(move |&id| Ok((id, at(id)?))))
         };
         match *query {
             Query::Hijacks => {
@@ -872,9 +882,8 @@ impl QueryEngine {
                 Ok(Response::Hijacks(crate::sec::hijack_events(self, ids)?))
             }
             Query::SaHistory { vantage, prefix } => {
-                known(vantage)?;
                 let mut points = Vec::with_capacity(ids.len());
-                for at in sa_at(vantage, prefix) {
+                for at in sa_at(vantage, prefix)? {
                     let (snapshot, status) = at?;
                     points.push(SaHistoryPoint {
                         snapshot,
@@ -916,9 +925,8 @@ impl QueryEngine {
                 Ok(Response::TopSaOrigins(rows))
             }
             Query::PersistenceClass { vantage, prefix } => {
-                known(vantage)?;
                 let (mut present, mut sa) = (0usize, 0usize);
-                for at in sa_at(vantage, prefix) {
+                for at in sa_at(vantage, prefix)? {
                     let status = at?.1;
                     present +=
                         !matches!(status, SaStatus::UnknownVantage | SaStatus::NotInTable) as usize;
@@ -963,19 +971,19 @@ impl QueryEngine {
         Ok(hit.map(|(matched, route)| self.answer(snap.id(), vantage, matched, &route)))
     }
 
+    /// Fig. 4's verdict on `v`'s route for `prefix`, on resolved symbols:
+    /// `p` is `prefix`'s, `None` when the interner has never seen it.
     fn sa_point(
         &self,
         snap: &impl PointRead,
-        vantage: Asn,
+        v: AsnSym,
         prefix: Ipv4Prefix,
+        p: Option<PrefixSym>,
     ) -> Result<SaStatus, QueryError> {
-        let Some(v) = self.interner.lookup_asn(vantage) else {
-            return Ok(SaStatus::UnknownVantage);
-        };
         if !snap.is_vantage(v)? {
             return Ok(SaStatus::UnknownVantage);
         }
-        let Some(p) = self.interner.lookup_prefix(prefix) else {
+        let Some(p) = p else {
             return Ok(SaStatus::NotInTable);
         };
         if let Some((verdict, origin)) = snap.sa_filed(v, prefix, p)? {

@@ -76,11 +76,6 @@ impl WorldInterner {
         *self.prefixes.resolve(s.0)
     }
 
-    /// The community behind a symbol.
-    pub fn resolve_community(&self, s: CommSym) -> Community {
-        *self.communities.resolve(s.0)
-    }
-
     /// `(distinct ASNs, distinct prefixes, distinct communities)` seen.
     pub fn sizes(&self) -> (usize, usize, usize) {
         (self.asns.len(), self.prefixes.len(), self.communities.len())
@@ -170,7 +165,7 @@ mod tests {
         assert_eq!(w.community(Community::new(7018, 100)), c1);
         assert_eq!(w.resolve_asn(a1), Asn(7018));
         assert_eq!(w.resolve_prefix(p1), "10.0.0.0/8".parse().unwrap());
-        assert_eq!(w.resolve_community(c1), Community::new(7018, 100));
+        assert_eq!(*w.communities.resolve(c1.0), Community::new(7018, 100));
         assert_eq!(w.sizes(), (1, 1, 1));
         assert_eq!(w.lookup_asn(Asn(1)), None);
         assert_eq!(w.lookup_asn(Asn(7018)), Some(a1));

@@ -113,9 +113,9 @@ pub use metrics::QueryMetrics;
 pub use plan::QueryError;
 pub use proto::{
     parse, parse_control, parse_script, render, render_response, render_scope, write_response,
-    Control, Frame, FrameRef, HijackEvent, HijackKind, LeakEvent, LineFramer, ParseError,
+    Control, Frame, FrameRef, Grammar, HijackEvent, HijackKind, LeakEvent, LineFramer, ParseError,
     PersistenceAnswer, Query, QueryRequest, Response, RovAnswer, SaHistoryPoint, SaOriginCount,
-    Scope, ScriptError, GRAMMAR,
+    Scope, ScriptError,
 };
 pub use serve::{EngineSource, ServeConfig, ServeStats, Server, ServerHandle};
 pub use snapshot::{Snapshot, SnapshotId, VantageKind};

@@ -25,24 +25,18 @@ use std::time::{Duration, Instant};
 
 use rpi_obs::{Counter, Gauge, Histogram, Registry};
 
-/// Every grammar verb, in [`crate::Query`] declaration order — the
+/// Every grammar verb's name, in [`crate::proto::VERBS`] order — the
 /// index space of the per-verb metric families (see
 /// [`crate::Query::verb_index`]).
-pub const VERBS: [&str; 13] = [
-    "route",
-    "resolve",
-    "sa",
-    "rel",
-    "summary",
-    "diff",
-    "sa-history",
-    "uptime",
-    "top-sa",
-    "persistence",
-    "rov",
-    "hijacks",
-    "leaks",
-];
+pub const VERBS: [&str; crate::proto::VERBS.len()] = {
+    let mut names = [""; crate::proto::VERBS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = crate::proto::VERBS[i].name;
+        i += 1;
+    }
+    names
+};
 
 /// How many slow-query entries the ring keeps (oldest evicted first).
 pub const SLOWLOG_CAP: usize = 128;

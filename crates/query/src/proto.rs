@@ -22,21 +22,9 @@
 //!
 //! ## The grammar
 //!
-//! ```text
-//! route <vantage> <prefix> [@scope]        exact best-route lookup
-//! resolve <vantage> <prefix> [@scope]      longest-prefix-match lookup
-//! sa <vantage> <prefix> [@scope]           Fig. 4 SA status of the prefix
-//! rel <a> <b> [@scope]                     oracle relationship (b is a's ...)
-//! summary <asn> [@scope]                   per-AS policy digest
-//! diff @<from>..<to>                       what changed between snapshots
-//! sa-history <vantage> <prefix> [@scope]   SA status across snapshots
-//! uptime <vantage> [@scope]                Fig. 7 uptime histogram
-//! top-sa <vantage> <k> [@scope]            top-K SA origins
-//! persistence <vantage> <prefix> [@scope]  per-prefix persistence class
-//! rov <vantage> <prefix> [@scope]          RFC 6811 route-origin validation
-//! hijacks [@scope]                         origin-hijack / MOAS events across snapshots
-//! leaks [@scope]                           valley-free violations in one snapshot
-//! ```
+//! Every verb is one row of [`VERBS`] — name, usage (`<vantage> <prefix>
+//! [@scope]`), help line, point or history — which [`parse`], [`render`],
+//! [`Grammar`] (what `help` prints) and the per-verb metrics all read.
 //!
 //! A scope is one token: `@latest`, `@3` (snapshot id), `@label:day-07`
 //! (or bare `@day-07` when the label is not a number or keyword), `@all`,
@@ -61,6 +49,7 @@
 //! ```
 
 use std::fmt;
+use std::fmt::Write as _;
 use std::io::Write as _;
 
 use bgp_types::{Asn, Ipv4Prefix, Relationship};
@@ -178,57 +167,125 @@ pub enum Query {
     Leaks,
 }
 
+/// One row of the verb table: what the grammar knows about a verb.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Verb {
+    /// The verb as spoken on the wire.
+    pub name: &'static str,
+    /// Its operands (`<prefix>`, `<k>` a count, any other `<…>` an ASN), then scope.
+    pub usage: &'static str,
+    /// What it answers, as `help` prints it.
+    pub help: &'static str,
+    /// A history verb, whose default scope is `@all` (else `@latest`).
+    pub history: bool,
+    /// How many operands the usage names, counted at compile time.
+    arity: usize,
+}
+
+#[rustfmt::skip]
+const fn verb(name: &'static str, usage: &'static str, help: &'static str, history: bool) -> Verb {
+    let (u, mut at, mut arity) = (usage.as_bytes(), 0, 0);
+    while at < u.len() {
+        arity += (u[at] == b'<' && (at == 0 || u[at - 1] == b' ')) as usize;
+        at += 1;
+    }
+    Verb { name, usage, help, history, arity }
+}
+
+/// Every grammar verb, in [`Query`] declaration order: a query's row is
+/// its [`Query::verb_index`].
+#[rustfmt::skip]
+pub const VERBS: [Verb; 13] = [
+    verb("route", "<vantage> <prefix> [@scope]", "exact best-route lookup", false),
+    verb("resolve", "<vantage> <prefix> [@scope]", "longest-prefix-match lookup", false),
+    verb("sa", "<vantage> <prefix> [@scope]", "Fig. 4 SA status of the prefix", false),
+    verb("rel", "<a> <b> [@scope]", "oracle relationship (b is a's ...)", false),
+    verb("summary", "<asn> [@scope]", "per-AS policy digest", false),
+    verb("diff", "@<from>..<to>", "what changed between snapshots", false),
+    verb("sa-history", "<vantage> <prefix> [@scope]", "SA status across snapshots", true),
+    verb("uptime", "<vantage> [@scope]", "Fig. 7 uptime histogram", true),
+    verb("top-sa", "<vantage> <k> [@scope]", "top-K SA origins", true),
+    verb("persistence", "<vantage> <prefix> [@scope]", "per-prefix persistence class", true),
+    verb("rov", "<vantage> <prefix> [@scope]", "RFC 6811 route-origin validation", false),
+    verb("hijacks", "[@scope]", "origin-hijack / MOAS events across snapshots", true),
+    verb("leaks", "[@scope]", "valley-free violations in one snapshot", false),
+];
+
+/// One operand of a query, of the kind its usage word names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arg {
+    Asn(Asn),
+    Prefix(Ipv4Prefix),
+    Count(usize),
+    None,
+}
+
+/// A query's row of [`VERBS`] and its operands in usage order; [`join`]
+/// is the inverse.
+fn split(query: &Query) -> (usize, [Arg; 2]) {
+    use Arg::{Asn as A, Count as K, None as N, Prefix as P};
+    match *query {
+        Query::Route { vantage, prefix } => (0, [A(vantage), P(prefix)]),
+        Query::Resolve { vantage, prefix } => (1, [A(vantage), P(prefix)]),
+        Query::SaStatus { vantage, prefix } => (2, [A(vantage), P(prefix)]),
+        Query::Relationship { a, b } => (3, [A(a), A(b)]),
+        Query::PolicySummary { asn } => (4, [A(asn), N]),
+        Query::Diff => (5, [N, N]),
+        Query::SaHistory { vantage, prefix } => (6, [A(vantage), P(prefix)]),
+        Query::UptimeHistogram { vantage } => (7, [A(vantage), N]),
+        Query::TopKSaOrigins { vantage, k } => (8, [A(vantage), K(k)]),
+        Query::PersistenceClass { vantage, prefix } => (9, [A(vantage), P(prefix)]),
+        Query::Rov { vantage, prefix } => (10, [A(vantage), P(prefix)]),
+        Query::Hijacks => (11, [N, N]),
+        Query::Leaks => (12, [N, N]),
+    }
+}
+
+/// The query of row `row` from its operand words (`""` past the last),
+/// each parsed as its usage word names it, in usage order; [`split`] is
+/// the inverse.
+#[rustfmt::skip]
+fn join(row: usize, [a, b]: [&str; 2]) -> Result<Query, ParseError> {
+    let verb = VERBS[row].name;
+    let count = |k: &str| {
+        parse_digits(k)
+            .ok_or_else(|| ParseError::Malformed(format!("{verb} wants a count, got '{k}'")))
+    };
+    Ok(match row {
+        0 => Query::Route { vantage: parse_asn(a)?, prefix: parse_prefix(b)? },
+        1 => Query::Resolve { vantage: parse_asn(a)?, prefix: parse_prefix(b)? },
+        2 => Query::SaStatus { vantage: parse_asn(a)?, prefix: parse_prefix(b)? },
+        3 => Query::Relationship { a: parse_asn(a)?, b: parse_asn(b)? },
+        4 => Query::PolicySummary { asn: parse_asn(a)? },
+        5 => Query::Diff,
+        6 => Query::SaHistory { vantage: parse_asn(a)?, prefix: parse_prefix(b)? },
+        7 => Query::UptimeHistogram { vantage: parse_asn(a)? },
+        // A bad count is reported before a bad vantage.
+        8 => { let k = count(b)?; Query::TopKSaOrigins { vantage: parse_asn(a)?, k } }
+        9 => Query::PersistenceClass { vantage: parse_asn(a)?, prefix: parse_prefix(b)? },
+        10 => Query::Rov { vantage: parse_asn(a)?, prefix: parse_prefix(b)? },
+        11 => Query::Hijacks,
+        12 => Query::Leaks,
+        _ => unreachable!("no row {row}"),
+    })
+}
+
 impl Query {
     /// The grammar verb of this query.
     pub fn verb(&self) -> &'static str {
-        match self {
-            Query::Route { .. } => "route",
-            Query::Resolve { .. } => "resolve",
-            Query::SaStatus { .. } => "sa",
-            Query::Relationship { .. } => "rel",
-            Query::PolicySummary { .. } => "summary",
-            Query::Diff => "diff",
-            Query::SaHistory { .. } => "sa-history",
-            Query::UptimeHistogram { .. } => "uptime",
-            Query::TopKSaOrigins { .. } => "top-sa",
-            Query::PersistenceClass { .. } => "persistence",
-            Query::Rov { .. } => "rov",
-            Query::Hijacks => "hijacks",
-            Query::Leaks => "leaks",
-        }
+        VERBS[self.verb_index()].name
     }
 
-    /// This verb's index into the per-verb metric families
-    /// ([`crate::metrics::VERBS`] — declaration order).
+    /// This query's row of [`VERBS`], which is also its index into the
+    /// per-verb metric families ([`crate::metrics::VERBS`]).
     pub fn verb_index(&self) -> usize {
-        match self {
-            Query::Route { .. } => 0,
-            Query::Resolve { .. } => 1,
-            Query::SaStatus { .. } => 2,
-            Query::Relationship { .. } => 3,
-            Query::PolicySummary { .. } => 4,
-            Query::Diff => 5,
-            Query::SaHistory { .. } => 6,
-            Query::UptimeHistogram { .. } => 7,
-            Query::TopKSaOrigins { .. } => 8,
-            Query::PersistenceClass { .. } => 9,
-            Query::Rov { .. } => 10,
-            Query::Hijacks => 11,
-            Query::Leaks => 12,
-        }
+        split(self).0
     }
 
     /// `true` for the multi-snapshot history queries (whose default
     /// scope is `@all`).
     pub fn is_history(&self) -> bool {
-        matches!(
-            self,
-            Query::SaHistory { .. }
-                | Query::UptimeHistogram { .. }
-                | Query::TopKSaOrigins { .. }
-                | Query::PersistenceClass { .. }
-                | Query::Hijacks
-        )
+        VERBS[self.verb_index()].history
     }
 
     /// Pairs the query with a scope.
@@ -412,7 +469,7 @@ impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ParseError::UnknownQuery(verb) => {
-                write!(f, "unknown query '{verb}'; valid queries:\n{GRAMMAR}")
+                write!(f, "unknown query '{verb}'; valid queries:\n{Grammar}")
             }
             ParseError::Malformed(msg) => write!(f, "{msg}"),
         }
@@ -438,23 +495,25 @@ impl fmt::Display for ScriptError {
 
 impl std::error::Error for ScriptError {}
 
-/// The grammar table, one query form per line (what `help` prints and
-/// unknown-query errors append).
-pub const GRAMMAR: &str = "\
-route <vantage> <prefix> [@scope]        exact best-route lookup
-resolve <vantage> <prefix> [@scope]      longest-prefix-match lookup
-sa <vantage> <prefix> [@scope]           Fig. 4 SA status of the prefix
-rel <a> <b> [@scope]                     oracle relationship (b is a's ...)
-summary <asn> [@scope]                   per-AS policy digest
-diff @<from>..<to>                       what changed between snapshots
-sa-history <vantage> <prefix> [@scope]   SA status across snapshots
-uptime <vantage> [@scope]                Fig. 7 uptime histogram
-top-sa <vantage> <k> [@scope]            top-K SA origins
-persistence <vantage> <prefix> [@scope]  per-prefix persistence class
-rov <vantage> <prefix> [@scope]          RFC 6811 route-origin validation
-hijacks [@scope]                         origin-hijack / MOAS events across snapshots
-leaks [@scope]                           valley-free violations in one snapshot
-scopes: @latest  @<id>  @label:<name>  @all  @<from>..<to>   (point queries default to @latest, history queries to @all)";
+/// The grammar text — one line per row of [`VERBS`], then the scopes:
+/// what `help` prints and unknown-query errors append.
+#[derive(Debug, Clone, Copy)]
+pub struct Grammar;
+
+impl fmt::Display for Grammar {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let form = |v: &Verb| v.name.len() + v.usage.len();
+        let width = VERBS.iter().map(form).max().unwrap_or(0);
+        for v in &VERBS {
+            let pad = width + 2 - form(v);
+            writeln!(f, "{} {}{:pad$}{}", v.name, v.usage, "", v.help)?;
+        }
+        f.write_str(
+            "scopes: @latest  @<id>  @label:<name>  @all  @<from>..<to>   \
+             (point queries default to @latest, history queries to @all)",
+        )
+    }
+}
 
 /// Decimal digits only. Rust's integer `FromStr` also takes a leading
 /// `+`, which the grammar does not: `AS+5` is not an ASN.
@@ -565,8 +624,9 @@ pub fn parse(line: &str) -> Result<QueryRequest, ParseError> {
 }
 
 fn parse_words<'a>(words: impl Iterator<Item = &'a str>) -> Result<QueryRequest, ParseError> {
-    // No verb takes more than two operands: a third is kept only so the
-    // slice patterns below see "too many"; the count feeds the message.
+    // No verb takes more than two operands: a third is kept only so
+    // `diff`'s slice patterns below see "too many"; the count feeds the
+    // arity check and its message.
     let mut head = [""; 4];
     let mut count = 0;
     let mut last = "";
@@ -591,89 +651,33 @@ fn parse_words<'a>(words: impl Iterator<Item = &'a str>) -> Result<QueryRequest,
     let args = &head[1..count.min(head.len())];
     let count = count - 1;
 
-    let wrong_arity = |want: &str| {
-        ParseError::Malformed(format!(
-            "'{verb}' wants {want}, got {count} operand{}",
-            if count == 1 { "" } else { "s" }
-        ))
+    let Some(row) = VERBS.iter().position(|v| v.name == verb) else {
+        return Err(ParseError::UnknownQuery(verb.to_string()));
     };
-
-    let query = match verb {
-        "route" | "resolve" | "sa" | "sa-history" | "persistence" | "rov" => {
-            let [v, p] = args else {
-                return Err(wrong_arity("<vantage> <prefix>"));
-            };
-            let vantage = parse_asn(v)?;
-            let prefix = parse_prefix(p)?;
-            match verb {
-                "route" => Query::Route { vantage, prefix },
-                "resolve" => Query::Resolve { vantage, prefix },
-                "sa" => Query::SaStatus { vantage, prefix },
-                "sa-history" => Query::SaHistory { vantage, prefix },
-                "rov" => Query::Rov { vantage, prefix },
-                _ => Query::PersistenceClass { vantage, prefix },
-            }
-        }
-        "hijacks" | "leaks" => {
-            let [] = args else {
-                return Err(wrong_arity("no operands (only an optional @scope)"));
-            };
-            if verb == "hijacks" {
-                Query::Hijacks
-            } else {
-                Query::Leaks
-            }
-        }
-        "rel" => {
-            let [a, b] = args else {
-                return Err(wrong_arity("<a> <b>"));
-            };
-            Query::Relationship {
-                a: parse_asn(a)?,
-                b: parse_asn(b)?,
-            }
-        }
-        "summary" => {
-            let [a] = args else {
-                return Err(wrong_arity("<asn>"));
-            };
-            Query::PolicySummary { asn: parse_asn(a)? }
-        }
-        "diff" => match (args, &scope) {
+    let usage = VERBS[row].usage;
+    if row == Query::Diff.verb_index() {
+        return match (args, scope) {
             // Legacy spelling: `diff 0 2` ≡ `diff @0..2`.
             ([from, to], None) => {
-                let range = Scope::Range(parse_snap(from)?, parse_snap(to)?);
-                return Ok(Query::Diff.at(range));
+                Ok(Query::Diff.at(Scope::Range(parse_snap(from)?, parse_snap(to)?)))
             }
-            ([], Some(_)) => Query::Diff,
-            _ => {
-                return Err(ParseError::Malformed(
-                    "'diff' wants a snapshot range: diff @<from>..<to> (or: diff <from> <to>)"
-                        .into(),
-                ))
-            }
-        },
-        "uptime" => {
-            let [v] = args else {
-                return Err(wrong_arity("<vantage>"));
-            };
-            Query::UptimeHistogram {
-                vantage: parse_asn(v)?,
-            }
-        }
-        "top-sa" => {
-            let [v, k] = args else {
-                return Err(wrong_arity("<vantage> <k>"));
-            };
-            let k = parse_digits(k)
-                .ok_or_else(|| ParseError::Malformed(format!("top-sa wants a count, got '{k}'")))?;
-            Query::TopKSaOrigins {
-                vantage: parse_asn(v)?,
-                k,
-            }
-        }
-        other => return Err(ParseError::UnknownQuery(other.to_string())),
-    };
+            ([], Some(scope)) => Ok(Query::Diff.at(scope)),
+            _ => Err(ParseError::Malformed(format!(
+                "'{verb}' wants a snapshot range: {verb} {usage} (or: {verb} <from> <to>)"
+            ))),
+        };
+    }
+    if VERBS[row].arity != count {
+        let want = match usage.trim_end_matches("[@scope]").trim_end() {
+            "" => "no operands (only an optional @scope)",
+            want => want,
+        };
+        return Err(ParseError::Malformed(format!(
+            "'{verb}' wants {want}, got {count} operand{}",
+            plural(count, "s")
+        )));
+    }
+    let query = join(row, [head[1], head[2]])?;
 
     Ok(match scope {
         Some(scope) => query.at(scope),
@@ -937,29 +941,25 @@ pub fn parse_script(text: &str) -> Result<Vec<(usize, QueryRequest)>, ScriptErro
 /// Renders a request as its canonical grammar line (scope always
 /// explicit). Round-trips through [`parse`].
 pub fn render(req: &QueryRequest) -> String {
-    let scope = render_scope(&req.scope);
-    match &req.query {
-        Query::Route { vantage, prefix } => format!("route {vantage} {prefix} {scope}"),
-        Query::Resolve { vantage, prefix } => format!("resolve {vantage} {prefix} {scope}"),
-        Query::SaStatus { vantage, prefix } => format!("sa {vantage} {prefix} {scope}"),
-        Query::Relationship { a, b } => format!("rel {a} {b} {scope}"),
-        Query::PolicySummary { asn } => format!("summary {asn} {scope}"),
+    let (row, args) = split(&req.query);
+    let mut line = VERBS[row].name.to_string();
+    for arg in args {
+        match arg {
+            Arg::Asn(asn) => write!(line, " {asn}"),
+            Arg::Prefix(prefix) => write!(line, " {prefix}"),
+            Arg::Count(k) => write!(line, " {k}"),
+            Arg::None => Ok(()),
+        }
+        .expect("writing to a String cannot fail");
+    }
+    match req.scope {
         // A reverse diff (meaningful: undo-reading a churn report) cannot
         // be spoken as a scope token — `@3..1` is a grammar error — so its
         // canonical wire form is the two-operand spelling.
-        Query::Diff => match &req.scope {
-            Scope::Range(a, b) if a > b => format!("diff {} {}", a.0, b.0),
-            _ => format!("diff {scope}"),
-        },
-        Query::SaHistory { vantage, prefix } => format!("sa-history {vantage} {prefix} {scope}"),
-        Query::UptimeHistogram { vantage } => format!("uptime {vantage} {scope}"),
-        Query::TopKSaOrigins { vantage, k } => format!("top-sa {vantage} {k} {scope}"),
-        Query::PersistenceClass { vantage, prefix } => {
-            format!("persistence {vantage} {prefix} {scope}")
+        Scope::Range(a, b) if a > b && req.query == Query::Diff => {
+            format!("{line} {} {}", a.0, b.0)
         }
-        Query::Rov { vantage, prefix } => format!("rov {vantage} {prefix} {scope}"),
-        Query::Hijacks => format!("hijacks {scope}"),
-        Query::Leaks => format!("leaks {scope}"),
+        ref scope => format!("{line} {}", render_scope(scope)),
     }
 }
 
@@ -1819,5 +1819,121 @@ mod tests {
         assert!(matches!(err.error, ParseError::UnknownQuery(_)));
         let ok = parse_script("# only comments\n\n").unwrap();
         assert!(ok.is_empty());
+    }
+
+    /// The grammar text as it read before [`VERBS`] generated it, byte for
+    /// byte.
+    const PINNED_GRAMMAR: &str = "\
+route <vantage> <prefix> [@scope]        exact best-route lookup
+resolve <vantage> <prefix> [@scope]      longest-prefix-match lookup
+sa <vantage> <prefix> [@scope]           Fig. 4 SA status of the prefix
+rel <a> <b> [@scope]                     oracle relationship (b is a's ...)
+summary <asn> [@scope]                   per-AS policy digest
+diff @<from>..<to>                       what changed between snapshots
+sa-history <vantage> <prefix> [@scope]   SA status across snapshots
+uptime <vantage> [@scope]                Fig. 7 uptime histogram
+top-sa <vantage> <k> [@scope]            top-K SA origins
+persistence <vantage> <prefix> [@scope]  per-prefix persistence class
+rov <vantage> <prefix> [@scope]          RFC 6811 route-origin validation
+hijacks [@scope]                         origin-hijack / MOAS events across snapshots
+leaks [@scope]                           valley-free violations in one snapshot
+scopes: @latest  @<id>  @label:<name>  @all  @<from>..<to>   (point queries default to @latest, history queries to @all)";
+
+    /// A line spoken from a row's usage, each operand word given a value
+    /// of its kind and the optional scope left out.
+    fn line_from(row: &Verb) -> String {
+        let mut line = row.name.to_string();
+        for word in row.usage.split(' ') {
+            let value = match word {
+                "[@scope]" => continue,
+                "@<from>..<to>" => "@1..2",
+                "<prefix>" => "10.0.0.0/8",
+                "<k>" => "3",
+                _ => "AS7",
+            };
+            line = line + " " + value;
+        }
+        line
+    }
+
+    #[test]
+    fn the_verb_table_generates_the_grammar_parse_and_render() {
+        assert_eq!(Grammar.to_string(), PINNED_GRAMMAR);
+        let history: Vec<&str> = VERBS.iter().filter(|v| v.history).map(|v| v.name).collect();
+        assert_eq!(
+            history,
+            ["sa-history", "uptime", "top-sa", "persistence", "hijacks"]
+        );
+        for (i, row) in VERBS.iter().enumerate() {
+            let line = line_from(row);
+            let req = parse(&line).unwrap_or_else(|e| panic!("'{line}': {e}"));
+            assert_eq!(req.query.verb(), row.name, "'{line}'");
+            assert_eq!(req.query.verb_index(), i, "'{line}'");
+            // The default scope is the row's; `diff` names its own.
+            let scope = match req.query {
+                Query::Diff => Scope::Range(SnapshotId(1), SnapshotId(2)),
+                _ if row.history => Scope::All,
+                _ => Scope::Latest,
+            };
+            assert_eq!(req.scope, scope, "'{line}'");
+            let scoped = match req.query {
+                Query::Diff => line.clone(),
+                _ => format!("{line} {}", render_scope(&scope)),
+            };
+            assert_eq!(render(&req), scoped);
+        }
+        // A wrong operand count names the row's usage; a line bad in two
+        // operands reports the one it always has.
+        for (line, message) in [
+            (
+                "route AS7",
+                "'route' wants <vantage> <prefix>, got 1 operand",
+            ),
+            (
+                "resolve",
+                "'resolve' wants <vantage> <prefix>, got 0 operands",
+            ),
+            (
+                "sa AS7 AS7 AS7",
+                "'sa' wants <vantage> <prefix>, got 3 operands",
+            ),
+            ("rel AS7", "'rel' wants <a> <b>, got 1 operand"),
+            ("summary @3", "'summary' wants <asn>, got 0 operands"),
+            (
+                "diff AS7",
+                "'diff' wants a snapshot range: diff @<from>..<to> (or: diff <from> <to>)",
+            ),
+            (
+                "sa-history AS7 @all",
+                "'sa-history' wants <vantage> <prefix>, got 1 operand",
+            ),
+            ("uptime AS7 AS8", "'uptime' wants <vantage>, got 2 operands"),
+            ("top-sa AS7", "'top-sa' wants <vantage> <k>, got 1 operand"),
+            (
+                "persistence",
+                "'persistence' wants <vantage> <prefix>, got 0 operands",
+            ),
+            (
+                "rov AS7 10.0.0.0/8 x",
+                "'rov' wants <vantage> <prefix>, got 3 operands",
+            ),
+            (
+                "hijacks AS7",
+                "'hijacks' wants no operands (only an optional @scope), got 1 operand",
+            ),
+            (
+                "leaks AS7 AS8 @latest",
+                "'leaks' wants no operands (only an optional @scope), got 2 operands",
+            ),
+            ("top-sa AS+7 +3", "top-sa wants a count, got '+3'"),
+            ("route AS+7 1.0.0.0/+8", "bad ASN 'AS+7'"),
+            ("rel AS+7 AS+8", "bad ASN 'AS+7'"),
+        ] {
+            assert_eq!(
+                parse(line),
+                Err(ParseError::Malformed(message.into())),
+                "'{line}'"
+            );
+        }
     }
 }

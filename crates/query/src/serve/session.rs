@@ -15,7 +15,7 @@ use rpi_store::SegmentKind;
 use crate::engine::QueryEngine;
 use crate::metrics::VERBS;
 use crate::plan::QueryError;
-use crate::proto::{parse, parse_control, Control, ParseError, QueryRequest, Response, GRAMMAR};
+use crate::proto::{parse, parse_control, Control, Grammar, ParseError, QueryRequest, Response};
 use crate::snapshot::{SnapshotId, VantageKind};
 
 /// What the REPL line said, beyond the query grammar.
@@ -174,7 +174,7 @@ pub fn sec_line(engine: &QueryEngine) -> String {
 pub fn repl_reply(engine: &QueryEngine, cmd: ReplCmd) -> String {
     match cmd {
         ReplCmd::Help => format!(
-            "{GRAMMAR}\nrepl: snapshots (list snapshots), vantages (list vantages), \
+            "{Grammar}\nrepl: snapshots (list snapshots), vantages (list vantages), \
              archive (list on-disk segments), stats (per-verb latency percentiles), \
              metrics (Prometheus-style exposition; 'metrics names' for the schema), \
              slowlog (recent slow segments, needs --slow-query-ms), \

@@ -671,16 +671,22 @@ impl Snapshot {
                 if oracle_changed || vd.is_some_and(|d| d.analyses_dirty) {
                     snap.index_lg_analyses(asn, view, oracle, interner);
                 } else {
-                    if let Some(&t) = prev.typicality.get(&owner) {
-                        snap.typicality.insert(owner, t);
-                    }
-                    if let Some(c) = prev.community_class.get(&owner) {
-                        snap.community_class.insert(owner, Arc::clone(c));
-                    }
+                    snap.carry_lg_analyses(prev, owner);
                 }
             }
         }
         snap
+    }
+
+    /// Carries LG vantage `owner`'s typicality and community classes over
+    /// from `prev` unchanged (ingest and delta replay share it).
+    pub(crate) fn carry_lg_analyses(&mut self, prev: &Snapshot, owner: AsnSym) {
+        if let Some(&t) = prev.typicality.get(&owner) {
+            self.typicality.insert(owner, t);
+        }
+        if let Some(c) = prev.community_class.get(&owner) {
+            self.community_class.insert(owner, Arc::clone(c));
+        }
     }
 
     /// Carries one surviving vantage over from `prev` with `vd`'s
@@ -1654,6 +1660,50 @@ mod tests {
                     assert_eq!(kept_sa, keeps_sa, "{at}: SA cache");
                 }
             }
+        }
+    }
+
+    /// A Looking-Glass vantage whose view and oracle did not change
+    /// carries its import typicality and community classes over from its
+    /// predecessor, on incremental ingest and on delta replay alike: over
+    /// a calm Tiny series every LG vantage's `summary` equals a
+    /// from-scratch index's at every later id, and the classes are the
+    /// predecessor's own.
+    #[test]
+    fn an_unchanged_lg_view_carries_its_analyses() {
+        let exp = Experiment::standard(InternetSize::Tiny, 7);
+        let cfg = ChurnConfig {
+            steps: 3,
+            flip_prob: 0.0,
+            link_failure_prob: 0.0,
+            ..ChurnConfig::daily(7)
+        };
+        let days = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg).snapshots;
+        let mut scratch = QueryEngine::default();
+        for (i, day) in days.iter().enumerate() {
+            scratch.ingest_output(day, &exp.graph, &format!("d{i}"));
+        }
+        let [incremental, replayed, _] = witness_engines(&days, &exp.graph, 7);
+        for (name, engine) in [("incremental", &incremental), ("delta replay", &replayed)] {
+            let mut carried = 0;
+            for (id, w) in (1..).zip(engine.snapshots.windows(2)) {
+                for &lg in days[id].lgs.keys() {
+                    let req = crate::Query::PolicySummary { asn: lg }
+                        .at(crate::Scope::Id(SnapshotId(id as u32)));
+                    let answer =
+                        |e: &QueryEngine| crate::render_response(&req, &e.execute(&req).unwrap());
+                    assert_eq!(answer(engine), answer(&scratch), "{name}: {req:?}");
+                    let s = engine.interner.lookup_asn(lg).expect("interned");
+                    let classes = (w[0].community_class.get(&s), w[1].community_class.get(&s));
+                    if let (Some(old), Some(new)) = classes {
+                        carried += (Arc::ptr_eq(old, new) && !new.is_empty()) as usize;
+                    }
+                }
+            }
+            assert!(
+                carried > 0,
+                "{name}: no LG vantage carried tagged neighbours"
+            );
         }
     }
 
