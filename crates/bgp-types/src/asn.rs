@@ -20,8 +20,6 @@ use crate::error::ParseError;
 pub struct Asn(pub u32);
 
 impl Asn {
-    /// The reserved AS number 0 (RFC 7607): never a valid speaker.
-    pub const RESERVED_ZERO: Asn = Asn(0);
     /// AS_TRANS (RFC 6793), substituted for 4-byte ASNs on 2-byte sessions.
     pub const TRANS: Asn = Asn(23456);
 

@@ -117,18 +117,6 @@ impl AsPath {
         self.segments.iter().any(|s| s.asns().contains(&asn))
     }
 
-    /// Returns a new path with `asn` prepended (what a speaker does before
-    /// announcing to an eBGP neighbor).
-    #[must_use]
-    pub fn prepend(&self, asn: Asn) -> AsPath {
-        let mut segments = self.segments.clone();
-        match segments.first_mut() {
-            Some(PathSegment::Seq(v)) => v.insert(0, asn),
-            _ => segments.insert(0, PathSegment::Seq(vec![asn])),
-        }
-        AsPath { segments }
-    }
-
     /// Iterates over every AS in the path, speaker-first (sets flattened in
     /// their stored order).
     pub fn asns(&self) -> impl Iterator<Item = Asn> + '_ {
@@ -283,22 +271,6 @@ mod tests {
         assert!(p.contains(Asn(1239)));
         assert!(!p.contains(Asn(1)));
         assert!(path("701 {7018,3549}").contains(Asn(3549)));
-    }
-
-    #[test]
-    fn prepend_builds_on_the_left() {
-        let p = path("1239 7018");
-        let q = p.prepend(Asn(701));
-        assert_eq!(q.to_string(), "701 1239 7018");
-        // Prepending onto a set-headed path adds a fresh sequence segment.
-        let r = path("{1,2}").prepend(Asn(9));
-        assert_eq!(r.to_string(), "9 {1,2}");
-        // Traffic-engineering triple prepend.
-        let s = AsPath::empty()
-            .prepend(Asn(5))
-            .prepend(Asn(5))
-            .prepend(Asn(5));
-        assert_eq!(s.to_string(), "5 5 5");
     }
 
     #[test]

@@ -132,24 +132,6 @@ fn path_display_parse_roundtrip() {
 }
 
 #[test]
-fn path_prepend_extends_len_and_sets_next_hop() {
-    let mut rng = StdRng::seed_from_u64(0x5009);
-    for _ in 0..CASES {
-        let n = rng.gen_range(0..8usize);
-        let asns: Vec<Asn> = (0..n).map(|_| arb_asn(&mut rng)).collect();
-        let head = arb_asn(&mut rng);
-        let p = AsPath::from_seq(asns);
-        let q = p.prepend(head);
-        assert_eq!(q.hop_len(), p.hop_len() + 1);
-        assert_eq!(q.next_hop_as(), Some(head));
-        assert!(q.contains(head));
-        if !p.is_empty() {
-            assert_eq!(q.origin_as(), p.origin_as());
-        }
-    }
-}
-
-#[test]
 fn path_garbage_never_panics() {
     let mut rng = StdRng::seed_from_u64(0x500b);
     for _ in 0..CASES {

@@ -8,7 +8,7 @@
 //! repeats the exercise on IRR data via [`irr_typicality`].
 
 use bgp_sim::LgView;
-use bgp_types::{Asn, Relationship};
+use bgp_types::Asn;
 use irr_rpsl::{AutNum, TypicalityStats};
 use net_topology::AsGraph;
 
@@ -112,30 +112,11 @@ where
     out
 }
 
-/// Convenience: the share of ASes in a Table-2/3 style result whose
-/// typicality is at least `threshold` percent (the headline the paper
-/// draws from both tables).
-pub fn share_at_least(rows: &[(Asn, f64)], threshold: f64) -> f64 {
-    if rows.is_empty() {
-        return 0.0;
-    }
-    rows.iter().filter(|(_, pct)| *pct >= threshold).count() as f64 / rows.len() as f64
-}
-
-/// Maps a relationship rank back for error messages (used by tests and
-/// the bench pretty-printer).
-pub fn rank_name(rel: Relationship) -> &'static str {
-    match rel.typical_pref_rank() {
-        2 => "customer",
-        1 => "peer",
-        _ => "provider",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bgp_sim::LgRoute;
+    use bgp_types::Relationship;
     use net_topology::NodeInfo;
     use std::collections::BTreeMap;
 
@@ -216,13 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn share_at_least_counts_rows() {
-        let rows = vec![(Asn(1), 99.0), (Asn(2), 94.0), (Asn(3), 100.0)];
-        assert!((share_at_least(&rows, 95.0) - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(share_at_least(&[], 95.0), 0.0);
-    }
-
-    #[test]
     fn irr_pipeline_filters_by_year_and_size() {
         use irr_rpsl::{Filter, ImportRule};
         let g = oracle();
@@ -251,13 +225,5 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1.pairs, 1);
         assert_eq!(rows[0].1.typical, 1);
-    }
-
-    #[test]
-    fn rank_names() {
-        assert_eq!(rank_name(Relationship::Customer), "customer");
-        assert_eq!(rank_name(Relationship::Sibling), "customer");
-        assert_eq!(rank_name(Relationship::Peer), "peer");
-        assert_eq!(rank_name(Relationship::Provider), "provider");
     }
 }

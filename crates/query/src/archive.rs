@@ -26,10 +26,14 @@
 //!   [`decode_full`] requires its spans to tile the body. The oracle's
 //!   edges are elided when equal to the predecessor's (the snapshot then
 //!   loads holding the predecessor's `Arc<Oracle>`). Nothing derivable is
-//!   stored: a table decoded standalone hands each route to the
-//!   snapshot's [`TableJudge`] as it enters its trie, which derives the
-//!   vantage's SA cache and leak convictions, and the `summary` verb's
-//!   neighbour counts are a tally of the oracle's rows.
+//!   stored: a table decoded standalone is built by
+//!   [`VantageTable::build`], which judges each route as it enters the
+//!   trie for the vantage's SA cache and leak convictions, and the
+//!   `summary` verb's neighbour counts are a tally of the oracle's rows.
+//!   The LG analyses are not derivable (they need the view); they
+//!   belong to the Looking-Glass vantages — one typicality and one class
+//!   map each, in symbol order — and the decoder rejects analyses naming
+//!   any other symbol, or missing one, as corrupt.
 //!
 //!   A full segment is self-contained for a reader with no predecessor
 //!   (the first snapshot, a hydration that starts at a keyframe), but
@@ -85,7 +89,7 @@ use bgp_types::codec::{
     put_asn, put_asn_list, put_prefix, put_relationship, put_str, put_uvarint, CodecError, Reader,
 };
 use bgp_types::intern::Symbol;
-use bgp_types::{flat, Asn, Community, CowTrie, Ipv4Prefix, Relationship};
+use bgp_types::{flat, Asn, Community, Ipv4Prefix, Relationship};
 use net_topology::Relations;
 use rpi_sec::{Roa, RoaTable};
 use rpi_store::{
@@ -96,8 +100,8 @@ use rpi_store::{
 use crate::engine::QueryEngine;
 use crate::intern::{AsnSym, FrozenInterner, PrefixSym, WorldInterner};
 use crate::snapshot::{
-    CompactRoute, Oracle, OriginStamp, Provenance, RouteEdits, Snapshot, SnapshotId, TableJudge,
-    VantageKind, VantageTable,
+    CompactRoute, LgAnalyses, Oracle, Provenance, RouteEdits, Snapshot, SnapshotId, VantageKind,
+    VantageTable,
 };
 
 /// One segment's on-disk identity, kept on the engine after a save or
@@ -432,6 +436,32 @@ pub(crate) fn decode_route(r: &mut Reader<'_>, n_asns: usize) -> Result<CompactR
     })
 }
 
+/// A community-class map: its size, then each `(neighbour,
+/// relationship)` in symbol order.
+fn put_classes(out: &mut Vec<u8>, classes: &HashMap<AsnSym, Relationship>) {
+    let mut entries: Vec<(&AsnSym, &Relationship)> = classes.iter().collect();
+    entries.sort_unstable_by_key(|(s, _)| **s);
+    put_uvarint(out, entries.len() as u64);
+    for (&n, &rel) in entries {
+        put_uvarint(out, sym_u(n));
+        put_relationship(out, rel);
+    }
+}
+
+/// Reads what [`put_classes`] wrote.
+fn read_classes(
+    r: &mut Reader<'_>,
+    n_asns: usize,
+) -> Result<Arc<HashMap<AsnSym, Relationship>>, CodecError> {
+    let n = r.ulen()?;
+    let mut classes = HashMap::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        let neighbor = AsnSym(read_sym(r, n_asns, "community-class symbol")?);
+        classes.insert(neighbor, r.relationship()?);
+    }
+    Ok(Arc::new(classes))
+}
+
 /// Encodes one snapshot as a full segment. `force_standalone` suppresses
 /// relationship sharing so the segment decodes with no predecessor — the
 /// keyframe policy's lever. Returns the payload and whether it came out
@@ -464,7 +494,7 @@ fn encode_full(
     let mut dir = VantageDir {
         entries: Vec::with_capacity(vantages.len()),
     };
-    for (&sym, table) in vantages {
+    for &(&sym, table) in &vantages {
         let start = out.len();
         flat::write_trie(&table.trie, &mut out, &mut |route, out| {
             encode_route(route, out)
@@ -477,28 +507,21 @@ fn encode_full(
         });
     }
 
-    // LG analyses.
-    let mut typ: Vec<(&AsnSym, &(usize, usize))> = snap.typicality.iter().collect();
-    typ.sort_unstable_by_key(|(s, _)| **s);
-    put_uvarint(&mut out, typ.len() as u64);
-    for (&s, &(compared, typical)) in typ {
+    // LG analyses: every typicality, then every class map, in the
+    // vantages' order.
+    let lgs: Vec<(AsnSym, &LgAnalyses)> = (vantages.iter())
+        .filter_map(|&(&s, t)| Some((s, t.lg.as_ref()?)))
+        .collect();
+    put_uvarint(&mut out, lgs.len() as u64);
+    for &(s, lg) in &lgs {
         put_uvarint(&mut out, sym_u(s));
-        put_uvarint(&mut out, compared as u64);
-        put_uvarint(&mut out, typical as u64);
+        put_uvarint(&mut out, lg.typicality.0 as u64);
+        put_uvarint(&mut out, lg.typicality.1 as u64);
     }
-    let mut cc: Vec<(&AsnSym, &Arc<HashMap<AsnSym, Relationship>>)> =
-        snap.community_class.iter().collect();
-    cc.sort_unstable_by_key(|(s, _)| **s);
-    put_uvarint(&mut out, cc.len() as u64);
-    for (&owner, classes) in cc {
-        put_uvarint(&mut out, sym_u(owner));
-        let mut entries: Vec<(&AsnSym, &Relationship)> = classes.iter().collect();
-        entries.sort_unstable_by_key(|(s, _)| **s);
-        put_uvarint(&mut out, entries.len() as u64);
-        for (&n, &rel) in entries {
-            put_uvarint(&mut out, sym_u(n));
-            put_relationship(&mut out, rel);
-        }
+    put_uvarint(&mut out, lgs.len() as u64);
+    for (s, lg) in lgs {
+        put_uvarint(&mut out, sym_u(s));
+        put_classes(&mut out, &lg.classes);
     }
 
     // Directory + fixed footer (offset, magic) so a mapped reader can
@@ -700,16 +723,20 @@ fn read_oracle(r: &mut Reader<'_>, n_asns: usize) -> Result<Oracle, CodecError> 
 /// * a vantage `prev` indexed under the same [`VantageKind`] is
 ///   merge-joined against `prev`'s table ([`RouteEdits::between`]) and
 ///   carried over by [`Snapshot::patch_table`] — the predecessor's
-///   table, SA cache and convictions as they are when nothing moved, an
-///   O(1) trie clone patched and re-judged at the edited prefixes when
-///   something did, the whole table re-judged under a changed oracle;
-/// * a new or kind-switched vantage is decoded fresh;
-/// * a community-class map equal to `prev`'s keeps its `Arc`.
+///   record as it is when nothing moved, a clone patched and re-judged
+///   at the edited prefixes when something did, the whole table
+///   re-judged under a changed oracle;
+/// * a new or kind-switched vantage is built fresh
+///   ([`VantageTable::build`]);
+/// * LG analyses equal to the ones a record carried keep it
+///   ([`Snapshot::set_lg`]).
 ///
 /// Every check on the bytes holds either way: the directory's spans tile
 /// the body, each trie fills its span and holds its route count, every
-/// stored prefix is interned, the label is the manifest's, and the edge
-/// section keeps the [`Relations`] contract ([`read_oracle`]).
+/// stored prefix is interned, the label is the manifest's, the edge
+/// section keeps the [`Relations`] contract ([`read_oracle`]), and the LG
+/// analyses pair a typicality with a class map for each Looking-Glass
+/// vantage and name no other symbol.
 fn decode_full(
     raw: &[u8],
     id: SnapshotId,
@@ -785,47 +812,49 @@ fn decode_full(
             snap.patch_table(prev, e.sym, edits, interner, oracle_changed);
             continue;
         }
-        let mut trie = CowTrie::new();
-        let mut judge = TableJudge::new(&snap.oracle, e.sym);
-        for (prefix, route) in pairs {
-            let sym = interner.lookup_prefix(prefix).ok_or(missing_prefix)?;
-            judge.judge(prefix, sym, &route);
-            trie.insert(prefix, route);
+        let mut missing = false;
+        let routes = pairs.into_iter().map_while(|(prefix, route)| {
+            let sym = interner.lookup_prefix(prefix);
+            missing |= sym.is_none();
+            Some((prefix, sym?, route))
+        });
+        let table = VantageTable::build(e.kind, &snap.oracle, e.sym, routes);
+        if missing {
+            return Err(missing_prefix);
         }
-        let (sa, leaks) = judge.finish();
-        snap.sa.insert(e.sym, Arc::new(sa));
-        snap.leaks.insert(e.sym, Arc::new(leaks));
-        let table = VantageTable {
-            kind: e.kind,
-            trie,
-            route_count: e.route_count,
-            origins: OriginStamp::fresh(),
-        };
         snap.vantages.insert(e.sym, Arc::new(table));
     }
 
-    // LG analyses, where the last trie ended.
-    let n_typ = r.ulen()?;
-    for _ in 0..n_typ {
-        let s = AsnSym(read_sym(&mut r, n_asns, "typicality symbol")?);
-        let compared = r.ulen()?;
-        let typical = r.ulen()?;
-        snap.typicality.insert(s, (compared, typical));
+    // LG analyses, where the last trie ended: a typicality, then a class
+    // map, for each Looking-Glass vantage and no other symbol.
+    let lgs = (snap.vantages.values())
+        .filter(|t| t.kind == VantageKind::LookingGlass)
+        .count();
+    let count = |r: &mut Reader<'_>| match (r.position(), r.ulen()?) {
+        (_, n) if n == lgs => Ok(n),
+        (offset, _) => Err(CodecError::Invalid {
+            offset,
+            what: "LG analyses do not match the Looking-Glass vantages",
+        }),
+    };
+    let mut typicality = HashMap::new();
+    for _ in 0..count(&mut r)? {
+        let owner = read_lg_owner(&mut r, &snap, n_asns)?;
+        typicality.insert(owner, (r.ulen()?, r.ulen()?));
     }
-    let n_cc = r.ulen()?;
-    for _ in 0..n_cc {
-        let owner = AsnSym(read_sym(&mut r, n_asns, "community-class symbol")?);
-        let n = r.ulen()?;
-        let mut classes = HashMap::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let neighbor = AsnSym(read_sym(&mut r, n_asns, "community-class symbol")?);
-            classes.insert(neighbor, r.relationship()?);
-        }
-        let classes = match prev.and_then(|p| p.community_class.get(&owner)) {
-            Some(same) if **same == classes => Arc::clone(same),
-            _ => Arc::new(classes),
+    for _ in 0..count(&mut r)? {
+        let offset = r.position();
+        let owner = read_lg_owner(&mut r, &snap, n_asns)?;
+        let classes = read_classes(&mut r, n_asns)?;
+        let typicality = typicality.remove(&owner).ok_or(CodecError::Invalid {
+            offset,
+            what: "LG analyses name a vantage twice",
+        })?;
+        let lg = LgAnalyses {
+            typicality,
+            classes,
         };
-        snap.community_class.insert(owner, classes);
+        snap.set_lg(owner, lg);
     }
 
     if r.position() != body_end {
@@ -835,6 +864,20 @@ fn decode_full(
         });
     }
     Ok(snap)
+}
+
+/// Reads the symbol one of a full segment's LG analyses names: a
+/// Looking-Glass vantage of `snap`, the snapshot its tries decoded to.
+fn read_lg_owner(r: &mut Reader<'_>, snap: &Snapshot, n_asns: usize) -> Result<AsnSym, CodecError> {
+    let offset = r.position();
+    let owner = AsnSym(read_sym(r, n_asns, "LG analyses symbol")?);
+    match snap.vantages.get(&owner) {
+        Some(t) if t.kind == VantageKind::LookingGlass => Ok(owner),
+        _ => Err(CodecError::Invalid {
+            offset,
+            what: "LG analyses name no Looking-Glass vantage",
+        }),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -886,51 +929,30 @@ fn encode_delta(
     delta.encode(&mut out);
 
     // Analyses sidecar: the recomputed per-LG results replay cannot
-    // derive (it has events, not views). Exactly the `analyses_dirty`
-    // Looking-Glass vantages.
-    let dirty: Vec<Asn> = delta
-        .lgs
-        .iter()
+    // derive (it has events, not views), as the `analyses_dirty`
+    // Looking-Glass vantages' records hold them.
+    let dirty: Vec<(Asn, &LgAnalyses)> = (delta.lgs.iter())
         .filter(|(_, vd)| vd.analyses_dirty)
-        .map(|(&a, _)| a)
+        .filter_map(|(&asn, _)| {
+            let table = snap.vantages.get(&interner.lookup_asn(asn)?)?;
+            Some((asn, table.lg.as_ref()?))
+        })
         .collect();
     put_uvarint(&mut out, dirty.len() as u64);
-    for asn in dirty {
-        let owner = interner
-            .lookup_asn(asn)
-            .expect("dirty LG vantages are interned");
-        let &(compared, typical) = snap
-            .typicality
-            .get(&owner)
-            .expect("dirty LG vantages have typicality");
+    for (asn, lg) in dirty {
         put_asn(&mut out, asn);
-        put_uvarint(&mut out, compared as u64);
-        put_uvarint(&mut out, typical as u64);
-        let classes = snap
-            .community_class
-            .get(&owner)
-            .expect("dirty LG vantages have community classes");
-        let mut entries: Vec<(&AsnSym, &Relationship)> = classes.iter().collect();
-        entries.sort_unstable_by_key(|(s, _)| **s);
-        put_uvarint(&mut out, entries.len() as u64);
-        for (&n, &rel) in entries {
-            put_uvarint(&mut out, sym_u(n));
-            put_relationship(&mut out, rel);
-        }
+        put_uvarint(&mut out, lg.typicality.0 as u64);
+        put_uvarint(&mut out, lg.typicality.1 as u64);
+        put_classes(&mut out, &lg.classes);
     }
     out
-}
-
-struct LgPatch {
-    typicality: (usize, usize),
-    classes: HashMap<AsnSym, Relationship>,
 }
 
 struct DeltaPayload {
     label: String,
     dropped: Vec<Asn>,
     delta: OutputDelta,
-    sidecar: BTreeMap<Asn, LgPatch>,
+    sidecar: BTreeMap<Asn, LgAnalyses>,
 }
 
 fn decode_delta(
@@ -980,18 +1002,12 @@ fn decode_delta(
     let mut sidecar = BTreeMap::new();
     for _ in 0..n {
         let asn = r.asn()?;
-        let compared = r.ulen()?;
-        let typical = r.ulen()?;
-        let n_classes = r.ulen()?;
-        let mut classes = HashMap::with_capacity(n_classes.min(1 << 16));
-        for _ in 0..n_classes {
-            let neighbor = AsnSym(read_sym(&mut r, n_asns, "community-class symbol")?);
-            classes.insert(neighbor, r.relationship()?);
-        }
+        let typicality = (r.ulen()?, r.ulen()?);
+        let classes = read_classes(&mut r, n_asns)?;
         sidecar.insert(
             asn,
-            LgPatch {
-                typicality: (compared, typical),
+            LgAnalyses {
+                typicality,
                 classes,
             },
         );
@@ -1019,7 +1035,7 @@ fn decode_delta(
 /// the loaded table.
 fn replay_delta(
     id: SnapshotId,
-    payload: DeltaPayload,
+    mut payload: DeltaPayload,
     prev: &Snapshot,
     interner: &WorldInterner,
 ) -> Result<Snapshot, CodecError> {
@@ -1045,12 +1061,8 @@ fn replay_delta(
         };
         snap.patch_vantage(prev, owner, vd, frozen, false);
         if table.kind == VantageKind::LookingGlass {
-            if let Some(patch) = payload.sidecar.get(&asn) {
-                snap.typicality.insert(owner, patch.typicality);
-                snap.community_class
-                    .insert(owner, Arc::new(patch.classes.clone()));
-            } else {
-                snap.carry_lg_analyses(prev, owner);
+            if let Some(lg) = payload.sidecar.remove(&asn) {
+                snap.set_lg(owner, lg);
             }
         }
     }
@@ -1591,6 +1603,120 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// A full segment's LG analyses belong to its Looking-Glass
+    /// vantages, one typicality and one class map each. A typicality or a
+    /// class map naming a collector peer, or an AS that is no vantage of
+    /// the segment, is a `Corrupt` error at that symbol's offset; a
+    /// segment that leaves a Looking-Glass vantage out (its entries cut,
+    /// both counts one lower) is one at the first count. So, decoded
+    /// standalone (snapshot 0) or onto its predecessor (snapshot 1) alike.
+    #[test]
+    fn lg_analyses_belong_to_the_looking_glass_vantages() {
+        let exp = Experiment::standard(InternetSize::Tiny, 7);
+        let mut engine = QueryEngine::default();
+        engine.ingest_experiment(&exp, "t0");
+        engine.ingest_experiment(&exp, "t1");
+        let dir = std::env::temp_dir().join(format!("rpi-lg-owner-{}", std::process::id()));
+        engine.save_archive(&dir, true).unwrap();
+        let manifest = Manifest::read(&dir).unwrap();
+        let n_asns = engine.interner.sizes().0;
+        let snap = &engine.snapshots[0];
+        let varint = |v: u64| {
+            let mut out = Vec::new();
+            put_uvarint(&mut out, v);
+            out
+        };
+        let peers: Vec<u64> = (snap.vantages.iter())
+            .filter(|(_, t)| t.kind == VantageKind::CollectorPeer)
+            .map(|(&s, _)| sym_u(s))
+            .collect();
+        let absent: Vec<u64> = (0..n_asns as u64)
+            .filter(|&s| !snap.vantages.contains_key(&AsnSym(Symbol(s as u32))))
+            .collect();
+        // Writes `bytes` as segment `idx`, resealed, and loads the archive.
+        let load_with = |idx: usize, bytes: &[u8]| {
+            std::fs::write(dir.join(&manifest.segments[idx].file), bytes).unwrap();
+            let mut fixed = manifest.clone();
+            fixed.segments[idx].crc32 = rpi_store::crc32(bytes);
+            fixed.segments[idx].bytes = bytes.len() as u64;
+            fixed.write(&dir, true).unwrap();
+            load(&dir).map(|_| "loaded")
+        };
+        let corrupt = |got: Result<&str, StoreError>, idx, at, expect: &str| match got {
+            Err(StoreError::Corrupt {
+                segment,
+                offset,
+                what,
+            }) => {
+                assert_eq!((segment.index, offset), (idx, at), "{expect}: {what}");
+                assert!(what.contains(expect), "{what}");
+            }
+            other => panic!("segment {idx}, {expect} at {at}: {other:?}"),
+        };
+
+        let mut faults = 0;
+        for (idx, entry) in manifest.snapshot_segments() {
+            let raw = read_segment(&dir, idx, entry).unwrap();
+            // The analyses start where the last trie ends: the typicality
+            // count and entries, then the class-map count and maps.
+            let (vantage_dir, _) = read_directory(&raw, n_asns).unwrap();
+            let (start, len) = vantage_dir.entries.last().unwrap().span;
+            let base = start + len;
+            let mut r = Reader::new(&raw[base..]);
+            let n = r.ulen().unwrap();
+            let typicality_at = base + r.position();
+            (0..3).for_each(|_| _ = r.uvarint().unwrap());
+            let typicality_end = base + r.position();
+            (3..3 * n).for_each(|_| _ = r.uvarint().unwrap());
+            let classes_count_at = base + r.position();
+            r.ulen().unwrap();
+            let classes_at = base + r.position();
+            r.uvarint().unwrap();
+            for _ in 0..r.ulen().unwrap() {
+                r.uvarint().unwrap();
+                r.relationship().unwrap();
+            }
+            let classes_end = base + r.position();
+
+            for at in [typicality_at, classes_at] {
+                let owner = Reader::new(&raw[at..]).uvarint().unwrap();
+                let width = varint(owner).len();
+                for (name, others) in [("a collector peer", &peers), ("no vantage", &absent)] {
+                    let other = (others.iter().map(|&s| varint(s)))
+                        .find(|s| s.len() == width)
+                        .unwrap_or_else(|| panic!("{name} of width {width}"));
+                    let mut bytes = raw.clone();
+                    bytes[at..at + width].copy_from_slice(&other);
+                    corrupt(load_with(idx, &bytes), idx, at, "no Looking-Glass vantage");
+                    faults += 1;
+                }
+            }
+
+            // The first Looking-Glass vantage left out: its typicality and
+            // class map cut, both counts one lower, the directory moved up.
+            let lower = varint(n as u64 - 1);
+            let footer = raw.len() - DIR_FOOTER;
+            let mut bytes = [
+                &raw[..base],
+                &lower,
+                &raw[typicality_end..classes_count_at],
+                &lower,
+                &raw[classes_end..footer],
+            ]
+            .concat();
+            let dir_offset = u64::from_be_bytes(raw[footer..footer + 8].try_into().unwrap());
+            let cut = (footer - bytes.len()) as u64;
+            bytes.extend_from_slice(&(dir_offset - cut).to_be_bytes());
+            bytes.extend_from_slice(&DIR_MAGIC);
+            let expect = "do not match the Looking-Glass vantages";
+            corrupt(load_with(idx, &bytes), idx, base, expect);
+            faults += 1;
+            assert!(load_with(idx, &raw).is_ok(), "segment {idx} resealed");
+        }
+        assert_eq!(faults, 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A six-snapshot Tiny series in which keyframes meet every way a
     /// table can differ from its predecessor's: routes churn; a
     /// collector-only peer withdraws its first, a middle and its last
@@ -1730,8 +1856,9 @@ mod tests {
     /// tables, SA caches, convictions, oracle and LG analyses — and
     /// answers every verb with the same bytes. What it shares is what did
     /// not move: the oracle `Arc` exactly while the oracle is unchanged,
-    /// and under it the table, SA cache and convictions of every vantage
-    /// whose routes are unchanged. `RPI_DIFF_SEEDS=seed1,seed2,…` adds
+    /// and under it the record (or, where only its LG analyses moved,
+    /// its whole trie), SA cache and convictions of every vantage whose
+    /// routes are unchanged. `RPI_DIFF_SEEDS=seed1,seed2,…` adds
     /// worlds without a rebuild.
     #[test]
     fn a_keyframe_decoded_onto_its_predecessor_is_its_standalone_decode() {
@@ -1774,8 +1901,6 @@ mod tests {
         for (k, (got, want)) in onto.snapshots.iter().zip(&standalone.snapshots).enumerate() {
             let at = format!("seed {seed} @{k}");
             assert!(*got.oracle == *want.oracle, "{at}: oracle");
-            assert_eq!(got.typicality, want.typicality, "{at}: typicality");
-            assert_eq!(got.community_class, want.community_class, "{at}");
             let mut syms: Vec<AsnSym> = want.vantages.keys().copied().collect();
             syms.sort_unstable();
             let mut got_syms: Vec<AsnSym> = got.vantages.keys().copied().collect();
@@ -1789,9 +1914,10 @@ mod tests {
                     "{at} {v:?}"
                 );
                 assert!(t.trie.iter().eq(u.trie.iter()), "{at} {v:?}: routes");
-                assert_eq!(got.sa[&v].sa, want.sa[&v].sa, "{at} {v:?}: SA");
-                assert_eq!(got.sa[&v].exported, want.sa[&v].exported, "{at} {v:?}");
-                assert_eq!(got.leaks[&v], want.leaks[&v], "{at} {v:?}: convictions");
+                assert_eq!(t.sa.sa, u.sa.sa, "{at} {v:?}: SA");
+                assert_eq!(t.sa.exported, u.sa.exported, "{at} {v:?}");
+                assert_eq!(t.leaks, u.leaks, "{at} {v:?}: convictions");
+                assert_eq!(t.lg, u.lg, "{at} {v:?}: LG analyses");
             }
             let Some(prev) = k.checked_sub(1).map(|p| &onto.snapshots[p]) else {
                 continue;
@@ -1805,10 +1931,13 @@ mod tests {
                     continue;
                 };
                 let unchanged = t.trie.iter().eq(pt.trie.iter());
+                // The record is kept unless its LG analyses moved, and
+                // then its whole trie is.
+                let whole_trie = t.trie.shared_nodes_with(&pt.trie) == t.trie.node_count();
                 let kept = [
-                    Arc::ptr_eq(t, pt),
-                    Arc::ptr_eq(&got.sa[v], &prev.sa[v]),
-                    Arc::ptr_eq(&got.leaks[v], &prev.leaks[v]),
+                    Arc::ptr_eq(t, pt) || (t.lg != pt.lg && whole_trie),
+                    Arc::ptr_eq(&t.sa, &pt.sa),
+                    Arc::ptr_eq(&t.leaks, &pt.leaks),
                 ];
                 if unchanged && same_oracle {
                     assert_eq!(kept, [true; 3], "{at} {v:?}: an unchanged table");
@@ -1816,7 +1945,7 @@ mod tests {
                 } else {
                     // A changed table keeps the cache exactly when no
                     // filing (verdict and origin) moved.
-                    let (c, pc) = (&got.sa[v], &prev.sa[v]);
+                    let (c, pc) = (&t.sa, &pt.sa);
                     let same_filings = c.sa == pc.sa && c.exported == pc.exported;
                     assert_eq!(
                         kept[1],

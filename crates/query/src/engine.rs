@@ -368,8 +368,7 @@ impl QueryEngine {
     /// (typically the Gao-inferred graph, as the paper's analyses use).
     pub fn ingest_output(&mut self, out: &SimOutput, oracle: &AsGraph, label: &str) -> SnapshotId {
         let id = SnapshotId(self.snapshots.len() as u32);
-        let mut snap = Snapshot::from_output(id, label, out, oracle, &mut self.interner);
-        snap.interned_watermark = self.interner.sizes();
+        let snap = Snapshot::from_output(id, label, out, oracle, &mut self.interner);
         self.snapshots.push(Arc::new(snap));
         id
     }
@@ -476,11 +475,11 @@ impl QueryEngine {
         let id = SnapshotId(self.snapshots.len() as u32);
         let sizes_before = self.interner.sizes();
         let prev = Arc::clone(&self.snapshots[prev_id.index()]);
-        let mut snap = Snapshot::from_output_incremental(
+        let snap = Snapshot::from_output_incremental(
             id,
             label,
             &prev,
-            &delta,
+            delta,
             out,
             oracle,
             same_oracle,
@@ -493,11 +492,6 @@ impl QueryEngine {
             let after = self.interner.sizes();
             after.0 >= sizes_before.0 && after.1 >= sizes_before.1 && after.2 >= sizes_before.2
         });
-        snap.interned_watermark = self.interner.sizes();
-        // Keep the events: they are the snapshot's compact archive form
-        // (`save_archive` persists them as a delta segment when the
-        // replay-eligibility policy allows).
-        snap.provenance = crate::snapshot::Provenance::Delta(std::sync::Arc::new(delta));
         self.snapshots.push(Arc::new(snap));
         id
     }
@@ -640,8 +634,7 @@ impl QueryEngine {
         );
         let oracle = inferred.to_graph();
         let id = SnapshotId(self.snapshots.len() as u32);
-        let mut snap = Snapshot::from_collector(id, label, &view, &oracle, &mut self.interner);
-        snap.interned_watermark = self.interner.sizes();
+        let snap = Snapshot::from_collector(id, label, &view, &oracle, &mut self.interner);
         self.snapshots.push(Arc::new(snap));
         Ok(id)
     }
@@ -830,7 +823,7 @@ impl QueryEngine {
         let at_start = |p| anchor.route(v, p).is_some();
         let (mut present, mut sa) = (Presence::default(), Presence::default());
         let resolve = |ps| self.interner.resolve_prefix(ps);
-        for &ps in anchor.sa.get(&v).iter().flat_map(|c| c.sa.keys()) {
+        for &ps in anchor.vantages.get(&v).iter().flat_map(|t| t.sa.sa.keys()) {
             sa.flip(resolve(ps), 0, || false);
         }
         for (step, pair) in (1..).zip(steps) {
@@ -904,7 +897,7 @@ impl QueryEngine {
                     per_origin.entry(origin).or_default().insert(ps);
                 };
                 let (anchor, steps) = self.walk(ids)?;
-                for (&ps, &origin) in anchor.sa.get(&v).iter().flat_map(|c| &c.sa) {
+                for (&ps, &origin) in anchor.vantages.get(&v).iter().flat_map(|t| &t.sa.sa) {
                     file(ps, origin);
                 }
                 for step in steps {
@@ -1018,15 +1011,15 @@ impl QueryEngine {
     fn summary_point(&self, snap: &Snapshot, asn: Asn) -> Option<PolicySummary> {
         let s = self.interner.lookup_asn(asn)?;
         let table = snap.vantages.get(&s);
-        let cache = snap.sa.get(&s);
+        let lg = table.and_then(|t| t.lg.as_ref());
         Some(PolicySummary {
             asn,
             kind: table.map(|t| t.kind),
             routes: table.map_or(0, |t| t.route_count),
-            customer_prefixes: cache.map_or(0, |c| c.customer_prefixes()),
-            sa_count: cache.map_or(0, |c| c.sa.len()),
-            typicality: snap.typicality.get(&s).copied(),
-            tagged_neighbors: snap.community_class.get(&s).map_or(0, |m| m.len()),
+            customer_prefixes: table.map_or(0, |t| t.sa.customer_prefixes()),
+            sa_count: table.map_or(0, |t| t.sa.sa.len()),
+            typicality: lg.map(|lg| lg.typicality),
+            tagged_neighbors: lg.map_or(0, |lg| lg.classes.len()),
             neighbor_counts: snap.oracle.neighbor_counts(s),
         })
     }

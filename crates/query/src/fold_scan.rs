@@ -167,8 +167,8 @@ fn uptime_scan(
         {
             *present.entry(p).or_insert(0) += 1;
         }
-        if let Some(cache) = snap.sa.get(&v) {
-            for &ps in cache.sa.keys() {
+        if let Some(table) = snap.vantages.get(&v) {
+            for &ps in table.sa.sa.keys() {
                 *sa_count
                     .entry(engine.interner.resolve_prefix(ps))
                     .or_insert(0) += 1;
@@ -261,14 +261,16 @@ fn diff_scan(interner: &WorldInterner, a: &Snapshot, b: &Snapshot) -> SnapshotDi
         ..Default::default()
     };
 
-    let mut sa_vantages: Vec<_> = a.sa.keys().chain(b.sa.keys()).copied().collect();
+    let mut sa_vantages: Vec<_> = (a.vantages.keys().chain(b.vantages.keys()))
+        .copied()
+        .collect();
     sa_vantages.sort_unstable();
     sa_vantages.dedup();
     for v in sa_vantages {
         let vantage = interner.resolve_asn(v);
         let empty = Default::default();
-        let sa_a = a.sa.get(&v).map_or(&empty, |c| &c.sa);
-        let sa_b = b.sa.get(&v).map_or(&empty, |c| &c.sa);
+        let sa_a = a.vantages.get(&v).map_or(&empty, |t| &t.sa.sa);
+        let sa_b = b.vantages.get(&v).map_or(&empty, |t| &t.sa.sa);
         for &p in sa_b.keys() {
             if !sa_a.contains_key(&p) {
                 diff.new_sa.push((vantage, interner.resolve_prefix(p)));

@@ -67,7 +67,7 @@ use rpi_store::{SegmentKind, StoreError};
 use crate::archive::{ArchiveInfo, SegmentMeta, SegmentWriter};
 use crate::engine::QueryEngine;
 use crate::intern::WorldInterner;
-use crate::snapshot::{Provenance, Snapshot, SnapshotId};
+use crate::snapshot::{Snapshot, SnapshotId};
 use crate::tier::{attach, codec_what, Tier};
 
 /// What can go wrong while following a live stream.
@@ -294,23 +294,19 @@ impl LiveWriter {
         // frame's delta is what `output_delta` computes between the same
         // two outputs, so the snapshots come out byte-identical.
         let out = &self.prev_out;
-        let mut snap = match &self.prev_snap {
+        let snap = match &self.prev_snap {
             None => Snapshot::from_output(id, &label, out, &self.oracle, &mut self.interner),
             Some(prev) => Snapshot::from_output_incremental(
                 id,
                 &label,
                 prev,
-                &delta,
+                delta,
                 out,
                 &self.oracle,
                 same_oracle,
                 &mut self.interner,
             ),
         };
-        snap.interned_watermark = self.interner.sizes();
-        if self.prev_snap.is_some() {
-            snap.provenance = Provenance::Delta(Arc::new(delta));
-        }
         let snap = Arc::new(snap);
 
         // Spill through the archive's segment writer — the policy, the

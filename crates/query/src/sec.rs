@@ -29,7 +29,7 @@
 //! * [`leak_events`] — valley-free violations among the stored best
 //!   paths of one snapshot, naming the AS that forwarded a provider- or
 //!   peer-learned route back up. A **read**: every snapshot carries its
-//!   convictions per vantage ([`Snapshot::leaks`]), judged by
+//!   convictions per vantage ([`VantageTable::leaks`]), judged by
 //!   [`crate::snapshot::Oracle::leaker`] — the workspace's one valley-free
 //!   walk ([`net_topology::paths::valley_walk`], which
 //!   [`net_topology::classify_path`] runs too) over the snapshot's oracle —
@@ -46,7 +46,7 @@ use crate::engine::QueryEngine;
 use crate::intern::AsnSym;
 use crate::plan::QueryError;
 use crate::proto::{HijackEvent, HijackKind, LeakEvent, RovAnswer};
-use crate::snapshot::{origin, PointRead, Snapshot, SnapshotId};
+use crate::snapshot::{origin, PointRead, Snapshot, SnapshotId, VantageTable};
 
 /// Validates the vantage's best route for `prefix` against the engine's
 /// ROA table. Non-vantage ASes answer [`RovAnswer::UnknownVantage`]; a
@@ -273,7 +273,7 @@ pub(crate) fn hijack_events(
 
 /// The valley-free violations among the stored best paths of one
 /// snapshot: a read of the convictions the snapshot carries per vantage
-/// ([`Snapshot::leaks`], judged by [`crate::snapshot::Oracle::leaker`]
+/// ([`VantageTable::leaks`], judged by [`crate::snapshot::Oracle::leaker`]
 /// where each table was built), so a benign world answers without
 /// touching a route. Each event's path is the stored one with the
 /// vantage in front: collector-peer tables store it at the head already,
@@ -282,20 +282,16 @@ pub(crate) fn hijack_events(
 pub(crate) fn leak_events(engine: &QueryEngine, snap: &Snapshot) -> Vec<LeakEvent> {
     // The name predates the read; the `metrics names` goldens pin it.
     let _scan = rpi_obs::span(&engine.metrics.sec_scan_leaks_seconds);
-    let mut vantages: Vec<(Asn, AsnSym)> = snap
-        .leaks
-        .iter()
-        .filter(|(_, convicted)| !convicted.is_empty())
-        .map(|(&s, _)| (engine.interner.resolve_asn(s), s))
+    let mut vantages: Vec<(Asn, AsnSym, &VantageTable)> = (snap.vantages.iter())
+        .filter(|(_, t)| !t.leaks.is_empty())
+        .map(|(&s, t)| (engine.interner.resolve_asn(s), s, &**t))
         .collect();
-    vantages.sort_unstable();
+    vantages.sort_unstable_by_key(|&(vantage, _, _)| vantage);
 
     let mut out = Vec::new();
-    for (vantage, v) in vantages {
-        for (&prefix, &leaker) in snap.leaks[&v].iter() {
-            let route = snap
-                .route(v, prefix)
-                .expect("a conviction names a stored route");
+    for (vantage, v, table) in vantages {
+        for (&prefix, &leaker) in table.leaks.iter() {
+            let route = (table.trie.get(prefix)).expect("a conviction names a stored route");
             let head = (route.path.first() != Some(&v)).then_some(&v);
             out.push(LeakEvent {
                 vantage,

@@ -12,8 +12,8 @@
 //! [`Snapshot::from_output_incremental`] instead starts from the
 //! *predecessor* snapshot and a structured [`bgp_sim::OutputDelta`]: the
 //! vantage tries are copy-on-write overlays ([`bgp_types::CowTrie`]) that
-//! physically share every untouched subtrie with the predecessor, the
-//! SA/summary caches are `Arc`-shared per vantage and only the touched
+//! physically share every untouched subtrie with the predecessor, an
+//! untouched vantage's whole record is `Arc`-shared and only the touched
 //! vantage×prefix entries are re-derived, and the engine-wide interner
 //! stays append-only so symbols never move. The two paths are
 //! differentially tested (`tests/incremental_diff.rs`): every query must
@@ -37,22 +37,25 @@
 //! [`Oracle::in_cone`], [`valley_walk`] behind [`Oracle::leaker`], and
 //! Fig. 4's [`sa_verdict`].
 
-//! ## What a table derives
+//! ## What a vantage's record holds
 //!
-//! Two per-route verdicts are indexed per vantage: its SA cache (Fig. 4)
-//! and its valley-free convictions ([`Snapshot::leaks`]: prefix →
-//! leaker, judged by [`Oracle::leaker`]). Both are functions of the
-//! stored route and the oracle alone, so both are derived at every place
-//! a table is built: indexing and a standalone full-segment decode hand
-//! each route to a [`TableJudge`] as it enters its trie, and
-//! [`Snapshot::patch_table`] — behind incremental ingest, delta replay
-//! and a full segment decoded onto its predecessor — re-derives only the
-//! prefixes its edits touch, against the patched table, keeping the
-//! predecessor's `Arc`s while no entry moved; an oracle change re-judges
-//! the whole table. A table also carries an [`OriginStamp`], kept across
-//! a patch that moves no origin, so the `hijacks` and `uptime` folds skip
-//! path-only churn ([`Snapshot::origin_changes`]).
-//! Nothing is persisted, so `sa` and `leaks` are reads. (The cold tier
+//! One vantage is one value, its [`VantageTable`]: the route table (one
+//! prefix trie and its [`OriginStamp`]), the two per-route verdicts
+//! indexed on it — its SA cache (Fig. 4) and its valley-free convictions
+//! (prefix → leaker, [`Oracle::leaker`]) — and, for a Looking-Glass
+//! vantage, its [`LgAnalyses`] (import typicality, community classes).
+//! The verdicts are functions of the stored route and the oracle alone,
+//! so they are derived wherever a table is built: [`VantageTable::build`]
+//! (indexing, a standalone full-segment decode) hands each route to a
+//! [`TableJudge`] as it enters the trie, and [`Snapshot::patch_table`]
+//! (incremental ingest, delta replay, a full segment decoded onto its
+//! predecessor) keeps the predecessor's record while nothing moved, and
+//! otherwise re-judges only the edited prefixes of a clone, keeping each
+//! map's `Arc` and the stamp while no entry moved — so the history folds
+//! skip what did not change ([`Snapshot::origin_changes`],
+//! [`Snapshot::sa_changes`]); an oracle change re-judges the whole table.
+//! The LG analyses change only through [`Snapshot::set_lg`]. Nothing
+//! derived is persisted, so `sa` and `leaks` are reads. (The cold tier
 //! holds no SA cache: it files the one route a point `sa` asks about
 //! with the same [`sa_verdict`] — [`PointRead::sa_filed`].)
 //! `fold_scan.rs` holds the convictions to judging every stored path on
@@ -118,22 +121,71 @@ impl CompactRoute {
     }
 }
 
-/// One vantage's best-route table: one prefix trie. Tables are
-/// `Arc`-shared between snapshots: an incremental ingest, a delta
-/// replay and a full segment decoded onto its predecessor all clone the
-/// whole `Arc` for untouched vantages, and build a copy-on-write overlay
-/// (root cloned in O(1), only touched spines copied) for churned ones
-/// ([`Snapshot::patch_table`]), which keeps the predecessor's origin
-/// stamp when no edit moved an origin. Only a table indexed from
-/// scratch, or decoded from a full segment with no predecessor in hand,
-/// shares nothing and takes a fresh stamp.
-#[derive(Debug)]
+/// One vantage's record: its best-route table (one prefix trie) and
+/// everything judged of it. Records are `Arc`-shared between snapshots:
+/// an incremental ingest, a delta replay and a full segment decoded onto
+/// its predecessor all keep the whole `Arc` for a vantage with no edit
+/// under an unchanged oracle, and otherwise patch a clone — O(1): the
+/// trie's root and every derived map are `Arc`s — whose trie is a
+/// copy-on-write overlay (only touched spines copied) that keeps the
+/// predecessor's origin stamp when no edit moved an origin
+/// ([`Snapshot::patch_table`]). Only a table built from nothing
+/// ([`VantageTable::build`]) shares nothing and takes a fresh stamp.
+#[derive(Debug, Clone)]
 pub(crate) struct VantageTable {
     pub kind: VantageKind,
     pub trie: CowTrie<CompactRoute>,
     pub route_count: usize,
     /// Names the table's prefix → origin map ([`OriginStamp`]).
     pub origins: OriginStamp,
+    /// Fig. 4's filings of the table's routes under the snapshot's oracle.
+    pub sa: Arc<SaCache>,
+    /// Valley-free convictions, judged under the snapshot's oracle; the
+    /// predecessor's `Arc` while no conviction moved. `leaks` reads these
+    /// and judges nothing.
+    pub leaks: Arc<Convictions>,
+    /// Import typicality and community classes (Looking-Glass vantages).
+    pub lg: Option<LgAnalyses>,
+}
+
+impl VantageTable {
+    /// `owner`'s table of `kind` built from nothing under `oracle`: each
+    /// `(prefix, its symbol, route)` is judged as it enters the trie, and
+    /// the table takes a fresh stamp. Indexing and a standalone
+    /// full-segment decode build through it.
+    pub(crate) fn build(
+        kind: VantageKind,
+        oracle: &Oracle,
+        owner: AsnSym,
+        routes: impl IntoIterator<Item = (Ipv4Prefix, PrefixSym, CompactRoute)>,
+    ) -> VantageTable {
+        let (mut trie, mut route_count) = (CowTrie::new(), 0);
+        let mut judge = TableJudge::new(oracle, owner);
+        for (prefix, sym, route) in routes {
+            judge.judge(prefix, sym, &route);
+            route_count += trie.insert(prefix, route).is_none() as usize;
+        }
+        let (sa, leaks) = judge.finish();
+        VantageTable {
+            kind,
+            trie,
+            route_count,
+            origins: OriginStamp::fresh(),
+            sa: Arc::new(sa),
+            leaks: Arc::new(leaks),
+            lg: None,
+        }
+    }
+}
+
+/// A Looking-Glass vantage's analyses, recomputed from its view whenever
+/// the view or the oracle changes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LgAnalyses {
+    /// Import typicality: `(prefixes compared, typical)`.
+    pub typicality: (usize, usize),
+    /// Community-derived relationship per neighbour.
+    pub classes: Arc<HashMap<AsnSym, Relationship>>,
 }
 
 /// A witness of one prefix → origin map: two tables holding one stamp
@@ -518,20 +570,11 @@ pub struct Snapshot {
     pub id: SnapshotId,
     /// Caller-supplied label (e.g. `day-07`).
     pub label: String,
+    /// One record per vantage: its table and all that is judged of it.
     pub(crate) vantages: HashMap<AsnSym, Arc<VantageTable>>,
     /// The relationship oracle the snapshot was indexed under; the same
     /// `Arc` as the predecessor's while the oracle is unchanged.
     pub(crate) oracle: Arc<Oracle>,
-    pub(crate) sa: HashMap<AsnSym, Arc<SaCache>>,
-    /// Valley-free convictions per vantage, judged under `oracle` where
-    /// the table is built; the predecessor's `Arc` while neither the
-    /// vantage's routes nor the oracle moved. `leaks` reads these and
-    /// judges nothing.
-    pub(crate) leaks: HashMap<AsnSym, Arc<Convictions>>,
-    /// Import typicality per LG vantage: `(prefixes compared, typical)`.
-    pub(crate) typicality: HashMap<AsnSym, (usize, usize)>,
-    /// Community-derived relationship per (LG vantage, neighbor).
-    pub(crate) community_class: HashMap<AsnSym, Arc<HashMap<AsnSym, Relationship>>>,
     /// Interner sizes `(asns, prefixes, communities)` right after this
     /// snapshot was indexed. The interner is append-only across a
     /// series, so these are exactly the block boundaries of the
@@ -543,7 +586,10 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Builds a snapshot from a simulated output plus a relationship
-    /// oracle (typically the Gao-inferred graph, as in the paper).
+    /// oracle (typically the Gao-inferred graph, as in the paper): the
+    /// collector's snapshot ([`Self::from_collector`]), then the
+    /// Looking-Glass views. An LG AS that also peers with the collector
+    /// keeps the richer view.
     pub(crate) fn from_output(
         id: SnapshotId,
         label: &str,
@@ -551,33 +597,19 @@ impl Snapshot {
         oracle: &AsGraph,
         interner: &mut WorldInterner,
     ) -> Snapshot {
-        let mut snap = Snapshot::empty(id, label, Arc::new(Oracle::index(oracle, interner)));
-
-        // Collector peers: best-path tables, SA analysis only.
-        for &peer in &out.collector.peers {
-            let table = BestTable::from_collector(&out.collector, peer);
-            snap.index_vantage(&table, VantageKind::CollectorPeer, interner);
-        }
-        for row in out.collector.all_paths() {
-            for &c in &row.communities {
-                interner.community(c);
-            }
-        }
-
-        // Looking-Glass vantages: full tables + the LG-only analyses.
-        // An LG AS that also peers with the collector keeps the richer view.
+        let mut snap = Snapshot::from_collector(id, label, &out.collector, oracle, interner);
         for (&asn, view) in &out.lgs {
-            let table = BestTable::from_lg(view);
-            snap.index_vantage(&table, VantageKind::LookingGlass, interner);
-            snap.index_lg_analyses(asn, view, oracle, interner);
+            snap.index_lg(asn, view, oracle, interner);
         }
+        snap.interned_watermark = interner.sizes();
         snap
     }
 
     /// Builds a snapshot as a copy-on-write overlay over its
     /// predecessor. `prev` must be the snapshot built from the older end
-    /// of `delta`, and `out` the newer output. Unless the caller vouches
-    /// for `same_oracle`, `oracle` is indexed and compared with the
+    /// of `delta`, and `out` the newer output; the snapshot keeps `delta`
+    /// as its [`Provenance`]. Unless the caller vouches for
+    /// `same_oracle`, `oracle` is indexed and compared with the
     /// predecessor's: an equal one is dropped for the predecessor's `Arc`
     /// (and the cones it has walked), a changed one recomputes every SA
     /// cache, since cone membership may have moved.
@@ -585,8 +617,8 @@ impl Snapshot {
     /// Sharing contract, per vantage of `out`:
     /// * unseen before (or its [`VantageKind`] changed) → indexed from
     ///   scratch;
-    /// * untouched by `delta` → table, SA cache and LG analyses are the
-    ///   predecessor's `Arc`s, no bytes copied;
+    /// * untouched by `delta` → the predecessor's record `Arc`, no bytes
+    ///   copied;
     /// * churned → the trie is an O(1) clone patched along the touched
     ///   prefixes' spines, and the SA cache is re-derived only for those
     ///   prefixes (Fig. 4's per-prefix test is local: origin-in-cone +
@@ -596,7 +628,7 @@ impl Snapshot {
         id: SnapshotId,
         label: &str,
         prev: &Snapshot,
-        delta: &OutputDelta,
+        delta: OutputDelta,
         out: &SimOutput,
         oracle: &AsGraph,
         same_oracle: bool,
@@ -658,35 +690,23 @@ impl Snapshot {
                 || prev_kind(prev, interner, asn) != Some(VantageKind::LookingGlass);
             let vd = delta.lgs.get(&asn);
             if fresh {
-                let table = BestTable::from_lg(view);
-                snap.index_vantage(&table, VantageKind::LookingGlass, interner);
-                snap.index_lg_analyses(asn, view, oracle, interner);
+                snap.index_lg(asn, view, oracle, interner);
             } else {
                 let owner = interner.asn(asn);
                 snap.patch_vantage(prev, owner, vd, interner, oracle_changed);
                 // Import typicality consults the oracle; community
                 // semantics only the view. Both are per-vantage and cheap
                 // next to table indexing, so any view change (or oracle
-                // change) recomputes them wholesale.
+                // change) recomputes them wholesale; otherwise the record
+                // carried them over.
                 if oracle_changed || vd.is_some_and(|d| d.analyses_dirty) {
-                    snap.index_lg_analyses(asn, view, oracle, interner);
-                } else {
-                    snap.carry_lg_analyses(prev, owner);
+                    snap.set_lg(owner, lg_analyses(view, oracle, interner));
                 }
             }
         }
+        snap.interned_watermark = interner.sizes();
+        snap.provenance = Provenance::Delta(Arc::new(delta));
         snap
-    }
-
-    /// Carries LG vantage `owner`'s typicality and community classes over
-    /// from `prev` unchanged (ingest and delta replay share it).
-    pub(crate) fn carry_lg_analyses(&mut self, prev: &Snapshot, owner: AsnSym) {
-        if let Some(&t) = prev.typicality.get(&owner) {
-            self.typicality.insert(owner, t);
-        }
-        if let Some(c) = prev.community_class.get(&owner) {
-            self.community_class.insert(owner, Arc::clone(c));
-        }
     }
 
     /// Carries one surviving vantage over from `prev` with `vd`'s
@@ -713,20 +733,20 @@ impl Snapshot {
         self.patch_table(prev, owner, edits, interner, oracle_changed);
     }
 
-    /// Carries `owner`'s table over from `prev` with `edits` applied, and
-    /// its SA cache and leak convictions with it, under `self.oracle` —
-    /// the one per-prefix patch behind incremental ingest, delta replay
-    /// and a keyframe decoded onto its predecessor. No edit keeps the
-    /// predecessor's table `Arc`; edits patch an O(1) clone of its trie
-    /// along the touched spines, keeping its origin stamp unless one adds
-    /// a prefix, removes one or stores a route of another origin. Under
-    /// an unchanged oracle only the edited prefixes are judged again
-    /// (Fig. 4's per-prefix test is local: origin-in-cone + next-hop
-    /// relationship), and the predecessor's cache and convictions are
+    /// Carries `owner`'s record over from `prev` with `edits` applied,
+    /// under `self.oracle` — the one per-prefix patch behind incremental
+    /// ingest, delta replay and a keyframe decoded onto its predecessor.
+    /// No edit under an unchanged oracle keeps the predecessor's record
+    /// `Arc`. Otherwise the record is cloned and its trie patched along
+    /// the touched spines, keeping its origin stamp unless an edit adds a
+    /// prefix, removes one or stores a route of another origin. Under an
+    /// unchanged oracle only the edited prefixes are judged again (Fig.
+    /// 4's per-prefix test is local: origin-in-cone + next-hop
+    /// relationship), and the predecessor's SA cache and convictions are
     /// kept as they are unless an entry moves — a prefix's filing is its
     /// verdict *and* its origin — each cloned at its first move; a
-    /// changed oracle re-judges the whole table. Every prefix `edits`
-    /// stores must be interned.
+    /// changed oracle re-judges the whole table. The LG analyses come
+    /// along unchanged. Every prefix `edits` stores must be interned.
     pub(crate) fn patch_table<I: Interning>(
         &mut self,
         prev: &Snapshot,
@@ -739,54 +759,39 @@ impl Snapshot {
             .vantages
             .get(&owner)
             .expect("patch_table callers verified the vantage survives");
-        let unedited = edits.removed.is_empty() && edits.stored.is_empty();
+        if !oracle_changed && edits.removed.is_empty() && edits.stored.is_empty() {
+            self.vantages.insert(owner, Arc::clone(prev_table));
+            return;
+        }
 
-        // --- the table: Arc-shared, or a patched COW overlay ---
+        // --- the table: a patched COW overlay ---
+        let mut table = VantageTable::clone(prev_table);
         let RouteEdits { removed, stored } = edits;
         let touched: Vec<Ipv4Prefix> = stored.iter().map(|&(p, _)| p).collect();
-        let table = if unedited {
-            Arc::clone(prev_table)
-        } else {
-            let mut table = VantageTable {
-                kind: prev_table.kind,
-                trie: prev_table.trie.clone(),
-                route_count: prev_table.route_count,
-                origins: prev_table.origins,
-            };
-            // Whether a prefix came, went or changed origin.
-            let mut moved = false;
-            for &p in &removed {
-                if table.trie.remove(p).is_some() {
-                    table.route_count -= 1;
+        // Whether a prefix came, went or changed origin.
+        let mut moved = false;
+        for &p in &removed {
+            if table.trie.remove(p).is_some() {
+                table.route_count -= 1;
+                moved = true;
+            }
+        }
+        for (p, route) in stored {
+            let now = origin(&route);
+            match table.trie.insert(p, route) {
+                Some(was) => moved |= origin(&was) != now,
+                None => {
+                    table.route_count += 1;
                     moved = true;
                 }
             }
-            for (p, route) in stored {
-                let now = origin(&route);
-                match table.trie.insert(p, route) {
-                    Some(was) => moved |= origin(&was) != now,
-                    None => {
-                        table.route_count += 1;
-                        moved = true;
-                    }
-                }
-            }
-            if moved {
-                table.origins = OriginStamp::fresh();
-            }
-            Arc::new(table)
-        };
+        }
+        if moved {
+            table.origins = OriginStamp::fresh();
+        }
 
         // --- the SA cache and the leak convictions ---
-        let prev_sa = prev
-            .sa
-            .get(&owner)
-            .expect("every indexed vantage has an SA cache");
-        let prev_leaks = prev
-            .leaks
-            .get(&owner)
-            .expect("every indexed vantage has convictions");
-        let (sa, leaks) = if oracle_changed {
+        if oracle_changed {
             // Cone membership and valleys may have moved: re-judge the
             // whole table (rare — only when the relationship oracle
             // itself changed mid-series).
@@ -798,23 +803,20 @@ impl Snapshot {
                 judge.judge(p, ps, route);
             }
             let (sa, leaks) = judge.finish();
-            (Arc::new(sa), Arc::new(leaks))
-        } else if unedited {
-            (Arc::clone(prev_sa), Arc::clone(prev_leaks))
+            (table.sa, table.leaks) = (Arc::new(sa), Arc::new(leaks));
         } else {
             // A verdict depends on the oracle and the stored route alone,
             // so only edited prefixes are judged, against the patched
-            // table.
-            let mut cache = Cow::Borrowed(&**prev_sa);
-            let mut convicted = Cow::Borrowed(&**prev_leaks);
+            // table; `make_mut` clones a map shared with the predecessor
+            // at its first move.
             for &p in &removed {
                 // A prefix never interned is filed nowhere.
                 let ps = interner.lookup_prefix(p);
-                if let Some(ps) = ps.filter(|&ps| cache.filing(ps).is_some()) {
-                    cache.to_mut().forget(ps);
+                if let Some(ps) = ps.filter(|&ps| table.sa.filing(ps).is_some()) {
+                    Arc::make_mut(&mut table.sa).forget(ps);
                 }
-                if convicted.contains_key(&p) {
-                    convicted.to_mut().remove(&p);
+                if table.leaks.contains_key(&p) {
+                    Arc::make_mut(&mut table.leaks).remove(&p);
                 }
             }
             for p in touched {
@@ -825,27 +827,24 @@ impl Snapshot {
                 let o = origin(route);
                 let in_cone = |o| self.oracle.in_cone(owner, o);
                 let verdict = sa_verdict(&*self.oracle, owner, route.next_hop, o, in_cone);
-                let filing = verdict.map(|verdict| (verdict, o));
-                if filing != cache.filing(ps) {
-                    let cache = cache.to_mut();
+                let leaker = self.oracle.leaker(owner, &route.path);
+                if verdict.map(|verdict| (verdict, o)) != table.sa.filing(ps) {
+                    let cache = Arc::make_mut(&mut table.sa);
                     cache.forget(ps);
                     if let Some(verdict) = verdict {
                         cache.file(ps, o, verdict);
                     }
                 }
-                let leaker = self.oracle.leaker(owner, &route.path);
-                if leaker != convicted.get(&p).copied() {
+                if leaker != table.leaks.get(&p).copied() {
+                    let convicted = Arc::make_mut(&mut table.leaks);
                     match leaker {
-                        Some(leaker) => convicted.to_mut().insert(p, leaker),
-                        None => convicted.to_mut().remove(&p),
+                        Some(leaker) => convicted.insert(p, leaker),
+                        None => convicted.remove(&p),
                     };
                 }
             }
-            (carried(prev_sa, cache), carried(prev_leaks, convicted))
-        };
-        self.vantages.insert(owner, table);
-        self.sa.insert(owner, sa);
-        self.leaks.insert(owner, leaks);
+        }
+        self.vantages.insert(owner, Arc::new(table));
     }
 
     /// Builds a snapshot from a collector view alone (the MRT ingest
@@ -868,6 +867,7 @@ impl Snapshot {
                 interner.community(c);
             }
         }
+        snap.interned_watermark = interner.sizes();
         snap
     }
 
@@ -878,10 +878,6 @@ impl Snapshot {
             label: label.to_string(),
             vantages: HashMap::new(),
             oracle,
-            sa: HashMap::new(),
-            leaks: HashMap::new(),
-            typicality: HashMap::new(),
-            community_class: HashMap::new(),
             interned_watermark: (0, 0, 0),
             provenance: Provenance::Full,
         }
@@ -894,56 +890,42 @@ impl Snapshot {
         interner: &mut WorldInterner,
     ) {
         let owner = interner.asn(table.asn);
-        let mut trie = CowTrie::new();
-        let mut judge = TableJudge::new(&self.oracle, owner);
-        for (&prefix, row) in &table.rows {
+        let routes = table.rows.iter().map(|(&prefix, row)| {
             let sym = interner.prefix(prefix);
             let route = CompactRoute {
                 next_hop: interner.asn(row.next_hop),
                 path: row.path.iter().map(|&a| interner.asn(a)).collect(),
             };
-            judge.judge(prefix, sym, &route);
-            trie.insert(prefix, route);
-        }
-        let (sa, leaks) = judge.finish();
-        self.sa.insert(owner, Arc::new(sa));
-        self.leaks.insert(owner, Arc::new(leaks));
-        self.vantages.insert(
-            owner,
-            Arc::new(VantageTable {
-                kind,
-                trie,
-                route_count: table.rows.len(),
-                origins: OriginStamp::fresh(),
-            }),
-        );
+            (prefix, sym, route)
+        });
+        let table = VantageTable::build(kind, &self.oracle, owner, routes);
+        self.vantages.insert(owner, Arc::new(table));
     }
 
-    fn index_lg_analyses(
+    /// Indexes `asn`'s Looking-Glass view: its table, then its analyses.
+    fn index_lg(
         &mut self,
         asn: Asn,
         view: &LgView,
         oracle: &AsGraph,
         interner: &mut WorldInterner,
     ) {
-        let owner = interner.asn(asn);
-        for routes in view.rows.values() {
-            for r in routes {
-                for &c in &r.communities {
-                    interner.community(c);
-                }
-            }
+        self.index_vantage(
+            &BestTable::from_lg(view),
+            VantageKind::LookingGlass,
+            interner,
+        );
+        let lg = lg_analyses(view, oracle, interner);
+        self.set_lg(interner.asn(asn), lg);
+    }
+
+    /// Gives Looking-Glass vantage `owner` the analyses `lg`, keeping its
+    /// record's `Arc` when it holds them already.
+    pub(crate) fn set_lg(&mut self, owner: AsnSym, lg: LgAnalyses) {
+        let table = (self.vantages.get_mut(&owner)).expect("analyses name an indexed vantage");
+        if table.lg.as_ref() != Some(&lg) {
+            Arc::make_mut(table).lg = Some(lg);
         }
-        let t = lg_typicality(view, oracle);
-        self.typicality
-            .insert(owner, (t.prefixes_compared, t.typical));
-        let inf = infer_communities(view, &CommunityParams::default());
-        let classes: HashMap<AsnSym, Relationship> = inf
-            .neighbor_class
-            .iter()
-            .map(|(&n, &r)| (interner.asn(n), r))
-            .collect();
-        self.community_class.insert(owner, Arc::new(classes));
     }
 
     /// The vantages indexed in this snapshot, with their kinds.
@@ -1015,7 +997,8 @@ impl Snapshot {
         vantage: AsnSym,
         mut f: impl FnMut(PrefixSym, Option<AsnSym>, Option<AsnSym>),
     ) {
-        let (old, new) = (base.sa.get(&vantage), self.sa.get(&vantage));
+        let (old, new) = (base.vantages.get(&vantage), self.vantages.get(&vantage));
+        let (old, new) = (old.map(|t| &t.sa), new.map(|t| &t.sa));
         if matches!((old, new), (Some(a), Some(b)) if Arc::ptr_eq(a, b)) {
             return;
         }
@@ -1127,20 +1110,11 @@ impl PointRead for Snapshot {
         _: Ipv4Prefix,
         sym: PrefixSym,
     ) -> Result<Option<(SaVerdict, AsnSym)>, QueryError> {
-        Ok(self.sa.get(&v).and_then(|cache| cache.filing(sym)))
+        Ok(self.vantages.get(&v).and_then(|t| t.sa.filing(sym)))
     }
 
     fn oracle(&self) -> Result<&Oracle, QueryError> {
         Ok(&self.oracle)
-    }
-}
-
-/// `prev` itself when `now` still borrows it — no entry moved — and
-/// `now` in a new `Arc` otherwise.
-fn carried<T: Clone>(prev: &Arc<T>, now: Cow<'_, T>) -> Arc<T> {
-    match now {
-        Cow::Borrowed(_) => Arc::clone(prev),
-        Cow::Owned(now) => Arc::new(now),
     }
 }
 
@@ -1151,6 +1125,27 @@ fn carried<T: Clone>(prev: &Arc<T>, now: Cow<'_, T>) -> Arc<T> {
 fn prev_kind(prev: &Snapshot, interner: &WorldInterner, vantage: Asn) -> Option<VantageKind> {
     let sym = interner.lookup_asn(vantage)?;
     prev.vantages.get(&sym).map(|t| t.kind)
+}
+
+/// `view`'s Looking-Glass analyses under `oracle`, interning the
+/// communities it carries and the neighbours it classes.
+fn lg_analyses(view: &LgView, oracle: &AsGraph, interner: &mut WorldInterner) -> LgAnalyses {
+    for routes in view.rows.values() {
+        for r in routes {
+            for &c in &r.communities {
+                interner.community(c);
+            }
+        }
+    }
+    let t = lg_typicality(view, oracle);
+    let inf = infer_communities(view, &CommunityParams::default());
+    let classes = (inf.neighbor_class.iter())
+        .map(|(&n, &r)| (interner.asn(n), r))
+        .collect();
+    LgAnalyses {
+        typicality: (t.prefixes_compared, t.typical),
+        classes: Arc::new(classes),
+    }
 }
 
 #[cfg(test)]
@@ -1501,7 +1496,7 @@ mod tests {
                     .map(|&p| (BestTable::from_collector(&out.collector, p), false));
                 let lgs = out.lgs.values().map(|v| (BestTable::from_lg(v), true));
                 let tables: Vec<_> = peers.chain(lgs).collect();
-                assert_eq!(snap.sa.len(), tables.len(), "{at}: vantages");
+                assert_eq!(snap.vantages.len(), tables.len(), "{at}: vantages");
                 for (table, lg) in tables {
                     let report = sa_prefixes(&table, g);
                     let sa: HashMap<PrefixSym, AsnSym> = (report.sa_origin.iter())
@@ -1513,7 +1508,7 @@ mod tests {
                         })
                         .map(|(&p, row)| (prefix(p), asn(row.origin())))
                         .collect();
-                    let cache = &snap.sa[&asn(table.asn)];
+                    let cache = &snap.vantages[&asn(table.asn)].sa;
                     let owner = table.asn;
                     assert_eq!(cache.sa, sa, "{at}: {owner}'s SA map");
                     assert_eq!(cache.exported, exported, "{at}: {owner}'s exported map");
@@ -1636,7 +1631,7 @@ mod tests {
                     );
                     let (t0, t1) = (&old.vantages[&vs], &new.vantages[&vs]);
                     assert!(!Arc::ptr_eq(t0, t1), "{at}: the table was edited");
-                    let filing = |s: &Snapshot| s.sa[&vs].filing(ps);
+                    let filing = |s: &Snapshot| s.vantages[&vs].sa.filing(ps);
                     let origin_of = |s: &Snapshot| s.route(vs, p).map(origin);
                     let present = |s: &Snapshot| s.route(vs, q).is_some();
                     let (sa, exported) = (SaVerdict::Sa, SaVerdict::Exported);
@@ -1656,7 +1651,7 @@ mod tests {
                     };
                     assert!(happened, "{at}: the step does not do what it says");
                     assert_eq!(t0.origins == t1.origins, keeps_stamp, "{at}: stamp");
-                    let kept_sa = Arc::ptr_eq(&old.sa[&vs], &new.sa[&vs]);
+                    let kept_sa = Arc::ptr_eq(&t0.sa, &t1.sa);
                     assert_eq!(kept_sa, keeps_sa, "{at}: SA cache");
                 }
             }
@@ -1665,46 +1660,122 @@ mod tests {
 
     /// A Looking-Glass vantage whose view and oracle did not change
     /// carries its import typicality and community classes over from its
-    /// predecessor, on incremental ingest and on delta replay alike: over
-    /// a calm Tiny series every LG vantage's `summary` equals a
-    /// from-scratch index's at every later id, and the classes are the
-    /// predecessor's own.
+    /// predecessor, and one whose view changed has them recomputed, on
+    /// incremental ingest, delta replay and keyframes decoded onto their
+    /// predecessors alike: over a calm Tiny series in which one view
+    /// loses its communities for a day, every LG vantage's analyses and
+    /// `summary` equal a from-scratch index's at every later id, and
+    /// every LG vantage whose view the step left alone (not
+    /// `analyses_dirty`) holds its predecessor's class-map `Arc`. Tiny
+    /// seed 7, then each seed `RPI_DIFF_SEEDS` names.
     #[test]
     fn an_unchanged_lg_view_carries_its_analyses() {
+        // The analyses of `lg`'s record at `id`, at AS level.
+        let analyses = |e: &QueryEngine, id: usize, lg: Asn| {
+            let s = e.interner.lookup_asn(lg)?;
+            let lg = e.snapshots[id].vantages.get(&s)?.lg.as_ref()?;
+            let classes = lg
+                .classes
+                .iter()
+                .map(|(&n, &r)| (e.interner.resolve_asn(n), r));
+            Some((lg.typicality, classes.collect::<BTreeMap<_, _>>()))
+        };
+        let classes = |snap: &Snapshot, s| {
+            let lg = snap.vantages.get(&s)?.lg.as_ref();
+            lg.map(|lg| Arc::clone(&lg.classes))
+        };
+        for seed in std::iter::once(7).chain(crate::fold_scan::env_seeds()) {
+            let exp = Experiment::standard(InternetSize::Tiny, seed);
+            let cfg = ChurnConfig {
+                steps: 4,
+                flip_prob: 0.0,
+                link_failure_prob: 0.0,
+                ..ChurnConfig::daily(seed)
+            };
+            let mut days = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg).snapshots;
+            let tagged = |v: &LgView| v.rows.values().flatten().any(|r| !r.communities.is_empty());
+            let view = days[2].lgs.values_mut().find(|v| tagged(v));
+            let view = view.unwrap_or_else(|| panic!("seed {seed}: a view with communities"));
+            view.rows
+                .values_mut()
+                .flatten()
+                .for_each(|r| r.communities.clear());
+            let mut scratch = QueryEngine::default();
+            for (i, day) in days.iter().enumerate() {
+                scratch.ingest_output(day, &exp.graph, &format!("d{i}"));
+            }
+            let [incremental, replayed, keyframed] = witness_engines(&days, &exp.graph, seed);
+            for (name, engine) in [
+                ("incremental", &incremental),
+                ("delta replay", &replayed),
+                ("keyframes onto predecessors", &keyframed),
+            ] {
+                let (mut carried, mut recomputed) = (0, 0);
+                for (id, w) in (1..).zip(engine.snapshots.windows(2)) {
+                    let delta = bgp_sim::output_delta(&days[id - 1], &days[id]);
+                    for &lg in days[id].lgs.keys() {
+                        let at = format!("seed {seed}, {name} @{id}: {lg}");
+                        let req = crate::Query::PolicySummary { asn: lg }
+                            .at(crate::Scope::Id(SnapshotId(id as u32)));
+                        let answer = |e: &QueryEngine| {
+                            crate::render_response(&req, &e.execute(&req).unwrap())
+                        };
+                        assert_eq!(answer(engine), answer(&scratch), "{at}");
+                        let now = analyses(engine, id, lg);
+                        assert_eq!(now, analyses(&scratch, id, lg), "{at}: analyses");
+                        let dirty = delta.lgs.get(&lg).is_some_and(|d| d.analyses_dirty);
+                        recomputed += (dirty && now != analyses(engine, id - 1, lg)) as usize;
+                        if dirty || !days[id - 1].lgs.contains_key(&lg) {
+                            continue;
+                        }
+                        let s = engine.interner.lookup_asn(lg).expect("interned");
+                        let (old, new) = (classes(&w[0], s), classes(&w[1], s));
+                        let (old, new) = (old.expect(&at), new.expect(&at));
+                        assert!(Arc::ptr_eq(&old, &new), "{at}: the classes were carried");
+                        carried += !new.is_empty() as usize;
+                    }
+                }
+                assert!(
+                    carried > 0 && recomputed > 0,
+                    "seed {seed}, {name}: {carried} carried, {recomputed} recomputed"
+                );
+            }
+        }
+    }
+
+    /// Every constructor finishes its snapshot: right after each way of
+    /// ingesting one — from scratch, incrementally, from an MRT image —
+    /// its interner watermark is the interner's size, and exactly the
+    /// incremental one keeps its delta as its provenance.
+    #[test]
+    fn every_constructor_stamps_its_snapshot() {
         let exp = Experiment::standard(InternetSize::Tiny, 7);
         let cfg = ChurnConfig {
-            steps: 3,
-            flip_prob: 0.0,
-            link_failure_prob: 0.0,
+            steps: 2,
             ..ChurnConfig::daily(7)
         };
         let days = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg).snapshots;
-        let mut scratch = QueryEngine::default();
-        for (i, day) in days.iter().enumerate() {
-            scratch.ingest_output(day, &exp.graph, &format!("d{i}"));
-        }
-        let [incremental, replayed, _] = witness_engines(&days, &exp.graph, 7);
-        for (name, engine) in [("incremental", &incremental), ("delta replay", &replayed)] {
-            let mut carried = 0;
-            for (id, w) in (1..).zip(engine.snapshots.windows(2)) {
-                for &lg in days[id].lgs.keys() {
-                    let req = crate::Query::PolicySummary { asn: lg }
-                        .at(crate::Scope::Id(SnapshotId(id as u32)));
-                    let answer =
-                        |e: &QueryEngine| crate::render_response(&req, &e.execute(&req).unwrap());
-                    assert_eq!(answer(engine), answer(&scratch), "{name}: {req:?}");
-                    let s = engine.interner.lookup_asn(lg).expect("interned");
-                    let classes = (w[0].community_class.get(&s), w[1].community_class.get(&s));
-                    if let (Some(old), Some(new)) = classes {
-                        carried += (Arc::ptr_eq(old, new) && !new.is_empty()) as usize;
-                    }
-                }
-            }
-            assert!(
-                carried > 0,
-                "{name}: no LG vantage carried tagged neighbours"
+        let stamped = |e: &QueryEngine, delta: bool| {
+            let snap = e.snapshots.last().expect("a snapshot");
+            assert_eq!(
+                snap.interned_watermark,
+                e.interner.sizes(),
+                "{}",
+                snap.label
             );
-        }
+            let kept = matches!(snap.provenance, Provenance::Delta(_));
+            assert_eq!(kept, delta, "{}: provenance", snap.label);
+        };
+        let mut engine = QueryEngine::default();
+        engine.ingest_output(&days[0], &exp.inferred_graph, "d0");
+        stamped(&engine, false);
+        engine.ingest_output_incremental(&days[0], &days[1], &exp.inferred_graph, "d1");
+        stamped(&engine, true);
+        let mrt = bgp_sim::export::collector_to_mrt(&days[1].collector, 1).encode(1);
+        engine
+            .ingest_mrt_bytes(&mrt, "mrt")
+            .expect("a valid MRT image");
+        stamped(&engine, false);
     }
 
     /// `days` ingested incrementally, then saved and loaded back as
