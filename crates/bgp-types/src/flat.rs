@@ -21,7 +21,8 @@
 //! ```
 //!
 //! The node's prefix is implicit in the path from the root (bit *d*
-//! chooses child at depth *d*), exactly like the in-memory trie. A
+//! chooses child at depth *d*): a binary trie, one bit per level, where
+//! the in-memory [`CowTrie`] takes 4. A
 //! two-child node records how many bytes child 0 occupies so a reader
 //! can jump straight to child 1 — that one offset is what makes the
 //! layout random-access. Serialization is **canonicalizing**: only

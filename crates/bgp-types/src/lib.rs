@@ -14,7 +14,7 @@
 //!   and the `ASN:value` tagging convention the paper's Appendix relies on.
 //! * [`Route`] / [`RouteAttrs`] — a RIB entry carrying every attribute the
 //!   BGP decision process consults.
-//! * [`CowTrie`] — the copy-on-write binary trie: route tables that
+//! * [`CowTrie`] — the copy-on-write stride-4 trie: route tables that
 //!   share unchanged subtries across snapshots, longest-prefix match,
 //!   and the covered/covering queries of the cause analysis (Table 9).
 //! * [`codec`] / [`flat`] — the archive substrate: LEB128/ZigZag byte

@@ -1,16 +1,29 @@
 //! The in-memory prefix trie, keyed by [`Ipv4Prefix`].
 //!
-//! [`CowTrie`] is a persistent (copy-on-write) binary trie whose nodes
-//! live behind [`Arc`]s. Cloning is O(1); mutating a clone path-copies
-//! only the nodes on the touched prefix's spine and shares every
-//! untouched subtrie with the original. This is what lets consecutive
-//! snapshots of a churn series share the ~99% of their route tables that
-//! BGP churn never touched. It supports the lookups the policy analyses
-//! need: exact match ([`CowTrie::get`]), longest-prefix match
-//! ([`CowTrie::best_match`]) and covering /
-//! covered enumeration ([`CowTrie::covering`], [`CowTrie::covered`]) —
-//! how Table 9's splitting/aggregating counts find less- and
-//! more-specific companions of an SA prefix.
+//! [`CowTrie`] is a persistent (copy-on-write) multibit trie of stride 4,
+//! laid out like Eatherton et al.'s Tree Bitmap (2004), whose nodes live
+//! behind [`Arc`]s. A node stands for the 4 address bits below its own
+//! depth: a 30-bit slot bitmap says which prefixes 1–4 bits longer than
+//! the node are stored in it, a 16-bit child bitmap which of its 16
+//! children exist, and both arrays hold only what is set (a value's or a
+//! child's index is the popcount of the bits before it). The default
+//! route `/0` is the root's one extra slot, so a lookup walks at most 8
+//! nodes and a /24 walks 6. Cloning is O(1); mutating a clone
+//! path-copies only the nodes on the touched prefix's spine and shares
+//! every untouched subtrie with the original. This is what lets
+//! consecutive snapshots of a churn series share the ~99% of their route
+//! tables that BGP churn never touched. It supports the lookups the
+//! policy analyses need: exact match ([`CowTrie::get`]), longest-prefix
+//! match ([`CowTrie::best_match`]) and covering / covered enumeration
+//! ([`CowTrie::covering`], [`CowTrie::covered`]) — how Table 9's
+//! splitting/aggregating counts find less- and more-specific companions
+//! of an SA prefix.
+//!
+//! Slots are numbered in pre-order of the binary subtree a node spans
+//! (its own prefix, then each longer prefix before the ones below it,
+//! left before right), so walking a node's set bits in ascending order,
+//! with each child between the slot it hangs below and the next one, is
+//! prefix order ([`Ipv4Prefix`]'s `Ord`).
 //!
 //! ## The shared trie is the delta
 //!
@@ -26,48 +39,193 @@
 //! apart, or decoded from an archive keyframe) diff correctly at the
 //! cost of walking both.
 //!
-//! Its serve-from-bytes counterpart is [`crate::flat::FlatTrie`].
+//! Its serve-from-bytes counterpart is [`crate::flat::FlatTrie`], a
+//! binary trie on disk.
 
 use std::sync::Arc;
 
 use crate::prefix::Ipv4Prefix;
 
-/// Bit `depth` (0-based from the MSB) of `bits`.
-fn bit_at(bits: u32, depth: u8) -> usize {
-    ((bits >> (31 - depth as u32)) & 1) as usize
+/// Address bits one node spans.
+const STRIDE: u8 = 4;
+
+/// What a node knows of one of its 31 slots (numbered in pre-order: slot
+/// 0 is the node's own prefix, used only by the root for `/0`).
+#[derive(Clone, Copy)]
+struct Slot {
+    /// Length of the slot's prefix, relative to the node (0–4).
+    len: u8,
+    /// The slot's `len` bits below the node's prefix.
+    bits: u32,
+    /// The slot and every slot below it: a contiguous run in pre-order.
+    span: u32,
+    /// The slot and every slot above it.
+    path: u32,
+    /// The children below the slot.
+    kids: u16,
+}
+
+/// Pre-order position of the slot `len` bits below the node with those
+/// `bits`: a step left is the next position, a step right skips the
+/// left sibling's subtree.
+const fn slot_index(len: u8, bits: u32) -> usize {
+    let (mut at, mut level) = (0, 1);
+    while level <= len {
+        at += if (bits >> (len - level)) & 1 == 0 {
+            1
+        } else {
+            1 << (STRIDE + 1 - level)
+        };
+        level += 1;
+    }
+    at
+}
+
+/// Every slot, by its pre-order position.
+const SLOTS: [Slot; 31] = {
+    let empty = Slot {
+        len: 0,
+        bits: 0,
+        span: 0,
+        path: 0,
+        kids: 0,
+    };
+    let mut table = [empty; 31];
+    let mut len = 0;
+    while len <= STRIDE {
+        let mut bits = 0;
+        while bits < 1 << len {
+            let at = slot_index(len, bits);
+            let mut path = 0;
+            let mut up = 0;
+            while up <= len {
+                path |= 1 << slot_index(up, bits >> (len - up));
+                up += 1;
+            }
+            let size = (1u32 << (STRIDE + 1 - len)) - 1;
+            let kids_below = 1u32 << (STRIDE - len);
+            table[at] = Slot {
+                len,
+                bits,
+                span: ((1 << size) - 1) << at,
+                path,
+                kids: (((1 << kids_below) - 1) << (bits * kids_below)) as u16,
+            };
+            bits += 1;
+        }
+        len += 1;
+    }
+    table
+};
+
+/// Slots a pre-order walk visits before child `c`: up to and including
+/// the last-level slot `c` hangs below.
+const BEFORE_KID: [u32; 16] = {
+    let mut table = [0; 16];
+    let mut c = 0;
+    while c < 16 {
+        table[c] = (2 << slot_index(STRIDE, c as u32)) - 1;
+        c += 1;
+    }
+    table
+};
+
+/// The slot `prefix` takes in the node at `depth` that holds it (the
+/// deepest one at most 4 bits above it).
+fn slot_at(prefix: Ipv4Prefix, depth: u8) -> usize {
+    let len = prefix.len() - depth;
+    slot_index(len, chunk(prefix.bits(), depth) >> (STRIDE - len))
+}
+
+/// The 4 bits of `bits` below `depth` (a multiple of 4, at most 28).
+fn chunk(bits: u32, depth: u8) -> u32 {
+    (bits >> (32 - STRIDE - depth)) & 0xF
+}
+
+/// The prefix of slot `s` of the node at `depth` whose prefix bits are
+/// `base`.
+fn slot_prefix(base: u32, depth: u8, s: usize) -> Ipv4Prefix {
+    let Slot { len, bits, .. } = SLOTS[s];
+    Ipv4Prefix::canonical(
+        base | (bits << (STRIDE - len) << (32 - STRIDE - depth)),
+        depth + len,
+    )
+}
+
+/// The prefix bits of child `c` of the node at `depth` with prefix bits
+/// `base`.
+fn kid_base(base: u32, depth: u8, c: u32) -> u32 {
+    base | (c << (32 - STRIDE - depth))
+}
+
+/// Ascending set bits of `mask`.
+fn ones(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let at = (mask != 0).then(|| mask.trailing_zeros() as usize)?;
+        mask &= mask - 1;
+        Some(at)
+    })
 }
 
 #[derive(Debug)]
 struct CowNode<T> {
-    value: Option<T>,
-    children: [Option<Arc<CowNode<T>>>; 2],
+    /// Bit `c`: child `c` (the next 4 address bits are `c`) exists.
+    kid_bits: u16,
+    /// Bit `s`: slot `s` holds a value.
+    slot_bits: u32,
+    /// The children, in bit order.
+    kids: Box<[Arc<CowNode<T>>]>,
+    /// The values, in slot order.
+    values: Box<[T]>,
 }
 
 impl<T> Default for CowNode<T> {
     fn default() -> Self {
         CowNode {
-            value: None,
-            children: [None, None],
+            kid_bits: 0,
+            slot_bits: 0,
+            kids: Box::default(),
+            values: Box::default(),
         }
     }
 }
 
 impl<T: Clone> Clone for CowNode<T> {
-    /// A *shallow* structural clone: the value is cloned, the children
+    /// A *shallow* structural clone: the values are cloned, the children
     /// stay shared. This is exactly what [`Arc::make_mut`] needs for
     /// path copying.
     fn clone(&self) -> Self {
         CowNode {
-            value: self.value.clone(),
-            children: [self.children[0].clone(), self.children[1].clone()],
+            kid_bits: self.kid_bits,
+            slot_bits: self.slot_bits,
+            kids: self.kids.clone(),
+            values: self.values.clone(),
         }
+    }
+}
+
+impl<T> CowNode<T> {
+    /// Child `c`, if it exists.
+    fn kid(&self, c: u32) -> Option<&Arc<CowNode<T>>> {
+        let below = self.kid_bits & ((1 << c) - 1);
+        (self.kid_bits & (1 << c) != 0).then(|| &self.kids[below.count_ones() as usize])
+    }
+
+    /// The value in slot `s`, if it holds one.
+    fn value(&self, s: usize) -> Option<&T> {
+        (self.slot_bits & (1 << s) != 0).then(|| &self.values[self.rank(s)])
+    }
+
+    /// Index in `values` of slot `s`, set or not.
+    fn rank(&self, s: usize) -> usize {
+        (self.slot_bits & ((1 << s) - 1)).count_ones() as usize
     }
 }
 
 /// A persistent (copy-on-write) prefix trie.
 ///
 /// Clones share all nodes with the original in O(1); `insert`/`remove`
-/// on a clone copy only the spine of the touched prefix (≤ 33 nodes) and
+/// on a clone copy only the spine of the touched prefix (≤ 8 nodes) and
 /// keep sharing everything else. Lookups are differentially checked
 /// against a `BTreeMap` oracle — see `cow_matches_plain_under_random_ops`
 /// in this module's tests.
@@ -126,14 +284,20 @@ impl<T> CowTrie<T> {
         self.len == 0
     }
 
+    /// The node `prefix` lives in and its depth, if the walk gets there.
+    fn home(&self, prefix: Ipv4Prefix) -> Option<(&Arc<CowNode<T>>, u8)> {
+        let (mut node, mut depth) = (&self.root, 0);
+        while prefix.len() - depth > STRIDE {
+            node = node.kid(chunk(prefix.bits(), depth))?;
+            depth += STRIDE;
+        }
+        Some((node, depth))
+    }
+
     /// Exact-match lookup.
     pub fn get(&self, prefix: Ipv4Prefix) -> Option<&T> {
-        let mut node = &*self.root;
-        for depth in 0..prefix.len() {
-            let b = bit_at(prefix.bits(), depth);
-            node = node.children[b].as_deref()?;
-        }
-        node.value.as_ref()
+        let (node, depth) = self.home(prefix)?;
+        node.value(slot_at(prefix, depth))
     }
 
     /// The longest stored prefix covering `prefix` (itself included) —
@@ -141,42 +305,56 @@ impl<T> CowTrie<T> {
     /// is the serving-layer lookup: a query for `10.1.2.0/24` answered by
     /// the table's `10.1.0.0/16` route.
     pub fn best_match(&self, prefix: Ipv4Prefix) -> Option<(Ipv4Prefix, &T)> {
-        let mut node = &*self.root;
-        let mut best: Option<(Ipv4Prefix, &T)> =
-            node.value.as_ref().map(|v| (Ipv4Prefix::DEFAULT, v));
-        for depth in 0..prefix.len() {
-            let b = bit_at(prefix.bits(), depth);
-            match node.children[b].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        best = Some((Ipv4Prefix::canonical(prefix.bits(), depth + 1), v));
-                    }
-                }
-                None => break,
+        let mut best = None;
+        self.walk_covering(prefix, |node, depth, on_path| {
+            if on_path != 0 {
+                let s = 31 - on_path.leading_zeros() as usize;
+                best = Some((node, depth, s));
             }
-        }
-        best
+        });
+        let (node, depth, s) = best?;
+        Some((
+            slot_prefix(prefix.bits(), depth, s),
+            &node.values[node.rank(s)],
+        ))
     }
 
     /// All stored prefixes that **cover** `prefix` (itself included),
     /// shortest first — the candidates that could aggregate it.
     pub fn covering(&self, prefix: Ipv4Prefix) -> impl Iterator<Item = (Ipv4Prefix, &T)> {
         let mut out: Vec<(Ipv4Prefix, &T)> = Vec::new();
-        let mut node = &*self.root;
-        if let Some(v) = node.value.as_ref() {
-            out.push((Ipv4Prefix::DEFAULT, v));
-        }
-        for depth in 0..prefix.len() {
-            let Some(child) = node.children[bit_at(prefix.bits(), depth)].as_deref() else {
-                break;
-            };
-            node = child;
-            if let Some(v) = node.value.as_ref() {
-                out.push((Ipv4Prefix::canonical(prefix.bits(), depth + 1), v));
+        self.walk_covering(prefix, |node, depth, on_path| {
+            for s in ones(on_path) {
+                out.push((
+                    slot_prefix(prefix.bits(), depth, s),
+                    &node.values[node.rank(s)],
+                ));
             }
-        }
+        });
         out.into_iter()
+    }
+
+    /// Calls `f(node, depth, slots)` for each node on `prefix`'s spine,
+    /// root first, with the node's set slots that cover `prefix`.
+    fn walk_covering<'a>(&'a self, prefix: Ipv4Prefix, mut f: impl FnMut(&'a CowNode<T>, u8, u32)) {
+        let (mut node, mut depth) = (&*self.root, 0);
+        loop {
+            let left = (prefix.len() - depth).min(STRIDE);
+            let bits = chunk(prefix.bits(), depth) >> (STRIDE - left);
+            f(
+                node,
+                depth,
+                node.slot_bits & SLOTS[slot_index(left, bits)].path,
+            );
+            if prefix.len() - depth <= STRIDE {
+                return;
+            }
+            match node.kid(chunk(prefix.bits(), depth)) {
+                Some(kid) => node = kid,
+                None => return,
+            }
+            depth += STRIDE;
+        }
     }
 
     /// All stored prefixes **covered by** `prefix` (itself included), in
@@ -184,13 +362,17 @@ impl<T> CowTrie<T> {
     /// out of it.
     pub fn covered(&self, prefix: Ipv4Prefix) -> impl Iterator<Item = (Ipv4Prefix, &T)> {
         let mut out: Vec<(Ipv4Prefix, &T)> = Vec::new();
-        // Walk down to the subtree root for `prefix`.
-        let mut node = Some(&*self.root);
-        for depth in 0..prefix.len() {
-            node = node.and_then(|n| n.children[bit_at(prefix.bits(), depth)].as_deref());
-        }
-        if let Some(node) = node {
-            collect_cow_subtree(node, prefix.bits(), prefix.len(), &mut out);
+        if let Some((node, depth)) = self.home(prefix) {
+            let Slot { span, kids, .. } = SLOTS[slot_at(prefix, depth)];
+            let base = Ipv4Prefix::canonical(prefix.bits(), depth).bits();
+            walk_cow_nodes(
+                None,
+                Some(node),
+                base,
+                depth,
+                (span, kids),
+                &mut |q, _, v| out.extend(v.map(|v| (q, v))),
+            );
         }
         out.into_iter()
     }
@@ -198,7 +380,9 @@ impl<T> CowTrie<T> {
     /// Iterates over all `(prefix, value)` pairs in lexicographic order.
     pub fn iter(&self) -> impl Iterator<Item = (Ipv4Prefix, &T)> {
         let mut out: Vec<(Ipv4Prefix, &T)> = Vec::with_capacity(self.len);
-        collect_cow_subtree(&self.root, 0, 0, &mut out);
+        walk_cow_nodes(None, Some(&self.root), 0, 0, (!0, !0), &mut |q, _, v| {
+            out.extend(v.map(|v| (q, v)))
+        });
         out.into_iter()
     }
 
@@ -233,8 +417,10 @@ impl<T: PartialEq> CowTrie<T> {
     /// A positional lockstep walk that skips every subtrie the two tries
     /// share physically, so diffing a snapshot against the predecessor
     /// it was cloned from costs the spines churn touched, not the table.
-    /// Sharing only ever saves work: unshared subtries are compared entry
-    /// by entry, and an equal value behind a fresh spine reports nothing.
+    /// In each node pair it visits only the slots and children set on
+    /// either side. Sharing only ever saves work: unshared subtries are
+    /// compared entry by entry, and an equal value behind a fresh spine
+    /// reports nothing.
     ///
     /// ```
     /// use bgp_types::{CowTrie, Ipv4Prefix};
@@ -259,7 +445,14 @@ impl<T: PartialEq> CowTrie<T> {
     /// );
     /// ```
     pub fn diff(&self, base: &Self, mut f: impl FnMut(Ipv4Prefix, Option<&T>, Option<&T>)) {
-        diff_cow_nodes(Some(&base.root), Some(&self.root), 0, 0, &mut f);
+        if !Arc::ptr_eq(&base.root, &self.root) {
+            let (old, new) = (Some(&base.root), Some(&self.root));
+            walk_cow_nodes(old, new, 0, 0, (!0, !0), &mut |q, was, is| {
+                if was != is {
+                    f(q, was, is);
+                }
+            });
+        }
     }
 }
 
@@ -269,37 +462,63 @@ impl<T: Clone> CowTrie<T> {
     /// copied first ([`Arc::make_mut`]); everything off-spine stays
     /// shared.
     pub fn insert(&mut self, prefix: Ipv4Prefix, value: T) -> Option<T> {
-        let mut node = Arc::make_mut(&mut self.root);
-        for depth in 0..prefix.len() {
-            let b = bit_at(prefix.bits(), depth);
-            let child = node.children[b].get_or_insert_with(Arc::default);
-            node = Arc::make_mut(child);
+        let (mut node, mut depth) = (Arc::make_mut(&mut self.root), 0);
+        while prefix.len() - depth > STRIDE {
+            let c = chunk(prefix.bits(), depth);
+            let at = (node.kid_bits & ((1 << c) - 1)).count_ones() as usize;
+            if node.kid_bits & (1 << c) == 0 {
+                node.kid_bits |= 1 << c;
+                insert_at(&mut node.kids, at, Arc::default());
+            }
+            node = Arc::make_mut(&mut node.kids[at]);
+            depth += STRIDE;
         }
-        let old = node.value.replace(value);
-        if old.is_none() {
-            self.len += 1;
+        let s = slot_at(prefix, depth);
+        let at = node.rank(s);
+        if node.slot_bits & (1 << s) != 0 {
+            return Some(std::mem::replace(&mut node.values[at], value));
         }
-        old
+        node.slot_bits |= 1 << s;
+        insert_at(&mut node.values, at, value);
+        self.len += 1;
+        None
     }
 
-    /// Removes and returns the value at `prefix`. Empty interior nodes
-    /// are left in place (removal is rare next to lookup, and the spine
-    /// was just path-copied anyway).
+    /// Removes and returns the value at `prefix`. Emptied nodes are left
+    /// in place (removal is rare next to lookup, and the spine was just
+    /// path-copied anyway).
     pub fn remove(&mut self, prefix: Ipv4Prefix) -> Option<T> {
         // Walk immutably first: a miss must not path-copy the spine.
         self.get(prefix)?;
-        let mut node = Arc::make_mut(&mut self.root);
-        for depth in 0..prefix.len() {
-            let b = bit_at(prefix.bits(), depth);
-            let child = node.children[b].as_mut().expect("checked by get above");
-            node = Arc::make_mut(child);
+        let (mut node, mut depth) = (Arc::make_mut(&mut self.root), 0);
+        while prefix.len() - depth > STRIDE {
+            let c = chunk(prefix.bits(), depth);
+            let at = (node.kid_bits & ((1 << c) - 1)).count_ones() as usize;
+            node = Arc::make_mut(&mut node.kids[at]);
+            depth += STRIDE;
         }
-        let old = node.value.take();
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
+        let s = slot_at(prefix, depth);
+        let at = node.rank(s);
+        node.slot_bits &= !(1 << s);
+        self.len -= 1;
+        Some(remove_at(&mut node.values, at))
     }
+}
+
+/// Inserts `item` at `at`, growing the array by exactly one.
+fn insert_at<E>(items: &mut Box<[E]>, at: usize, item: E) {
+    let mut grown = std::mem::take(items).into_vec();
+    grown.reserve_exact(1);
+    grown.insert(at, item);
+    *items = grown.into_boxed_slice();
+}
+
+/// Removes the item at `at`, shrinking the array by exactly one.
+fn remove_at<E>(items: &mut Box<[E]>, at: usize) -> E {
+    let mut shrunk = std::mem::take(items).into_vec();
+    let item = shrunk.remove(at);
+    *items = shrunk.into_boxed_slice();
+    item
 }
 
 impl<T: Clone> FromIterator<(Ipv4Prefix, T)> for CowTrie<T> {
@@ -312,76 +531,119 @@ impl<T: Clone> FromIterator<(Ipv4Prefix, T)> for CowTrie<T> {
     }
 }
 
-fn collect_cow_subtree<'a, T>(
-    node: &'a CowNode<T>,
-    bits: u32,
-    depth: u8,
-    out: &mut Vec<(Ipv4Prefix, &'a T)>,
-) {
-    if let Some(v) = node.value.as_ref() {
-        out.push((Ipv4Prefix::canonical(bits, depth), v));
-    }
-    if depth == 32 {
-        return;
-    }
-    if let Some(child) = node.children[0].as_deref() {
-        collect_cow_subtree(child, bits, depth + 1, out);
-    }
-    if let Some(child) = node.children[1].as_deref() {
-        collect_cow_subtree(child, bits | (1u32 << (31 - depth as u32)), depth + 1, out);
-    }
-}
-
 fn count_cow_nodes<T>(node: &CowNode<T>) -> usize {
-    1 + node
-        .children
-        .iter()
-        .flatten()
-        .map(|c| count_cow_nodes(c))
-        .sum::<usize>()
+    1 + node.kids.iter().map(|c| count_cow_nodes(c)).sum::<usize>()
 }
 
 fn shared_cow_nodes<T>(a: &Arc<CowNode<T>>, b: &Arc<CowNode<T>>) -> usize {
     if Arc::ptr_eq(a, b) {
         return count_cow_nodes(a);
     }
-    let mut n = 0;
-    for i in 0..2 {
-        if let (Some(ca), Some(cb)) = (&a.children[i], &b.children[i]) {
-            n += shared_cow_nodes(ca, cb);
-        }
-    }
-    n
+    let (mut a, mut b) = (Side::of(Some(a), !0, !0), Side::of(Some(b), !0, !0));
+    ones((a.kid_bits | b.kid_bits).into())
+        .map(|c| match (a.kid(c), b.kid(c)) {
+            (Some(a), Some(b)) => shared_cow_nodes(a, b),
+            _ => 0,
+        })
+        .sum()
 }
 
-fn diff_cow_nodes<T: PartialEq>(
-    old: Option<&Arc<CowNode<T>>>,
-    new: Option<&Arc<CowNode<T>>>,
-    bits: u32,
+/// Walks `old` and `new` in lockstep and in prefix order — the slots
+/// and children of the top pair that the masks keep (each a contiguous
+/// run), and everything below those children — calling `f(prefix, was,
+/// is)` for every slot set on either side and skipping every child the
+/// two hold as one `Arc`. `diff` walks two tries; `iter` and `covered`
+/// walk one node against nothing.
+fn walk_cow_nodes<'a, T>(
+    old: Option<&'a Arc<CowNode<T>>>,
+    new: Option<&'a Arc<CowNode<T>>>,
+    base: u32,
     depth: u8,
-    f: &mut impl FnMut(Ipv4Prefix, Option<&T>, Option<&T>),
+    (slots, kids): (u32, u16),
+    f: &mut impl FnMut(Ipv4Prefix, Option<&'a T>, Option<&'a T>),
 ) {
-    match (old, new) {
-        (None, None) => return,
-        (Some(a), Some(b)) if Arc::ptr_eq(a, b) => return,
-        _ => {}
+    let (mut old, mut new) = (Side::of(old, slots, kids), Side::of(new, slots, kids));
+    let mut slots = old.slot_bits | new.slot_bits;
+    for c in ones((old.kid_bits | new.kid_bits).into()) {
+        walk_cow_slots(&mut old, &mut new, base, depth, slots & BEFORE_KID[c], f);
+        slots &= !BEFORE_KID[c];
+        match (old.kid(c), new.kid(c)) {
+            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => {}
+            (a, b) => {
+                let below = kid_base(base, depth, c as u32);
+                walk_cow_nodes(a, b, below, depth + STRIDE, (!0, !0), f);
+            }
+        }
     }
-    let was = old.and_then(|n| n.value.as_ref());
-    let is = new.and_then(|n| n.value.as_ref());
-    if was != is {
-        f(Ipv4Prefix::canonical(bits, depth), was, is);
+    walk_cow_slots(&mut old, &mut new, base, depth, slots, f);
+}
+
+/// The slots in `slots` of one node pair of [`walk_cow_nodes`].
+fn walk_cow_slots<'a, T>(
+    old: &mut Side<'a, T>,
+    new: &mut Side<'a, T>,
+    base: u32,
+    depth: u8,
+    slots: u32,
+    f: &mut impl FnMut(Ipv4Prefix, Option<&'a T>, Option<&'a T>),
+) {
+    for s in ones(slots) {
+        f(slot_prefix(base, depth, s), old.value(s), new.value(s));
     }
-    if depth == 32 {
-        return;
+}
+
+/// One side of a node pair walked in lockstep ([`walk_cow_nodes`],
+/// [`shared_cow_nodes`]), read front to back: each slot and child asked
+/// for in ascending order, so the next value or child is the one at hand.
+struct Side<'a, T> {
+    slot_bits: u32,
+    kid_bits: u16,
+    values: &'a [T],
+    kids: &'a [Arc<CowNode<T>>],
+}
+
+impl<'a, T> Side<'a, T> {
+    /// `node`'s slots in `slots` and children in `kids`, each mask a
+    /// contiguous run, read from the first of them on.
+    fn of(node: Option<&'a Arc<CowNode<T>>>, slots: u32, kids: u16) -> Self {
+        // How many of `bits` lie below the first bit of `mask`.
+        let below = |bits: u32, mask: u32| {
+            (bits & (mask & mask.wrapping_neg()).wrapping_sub(1)).count_ones() as usize
+        };
+        match node {
+            Some(n) => Side {
+                slot_bits: n.slot_bits & slots,
+                kid_bits: n.kid_bits & kids,
+                values: &n.values[below(n.slot_bits, slots)..],
+                kids: &n.kids[below(n.kid_bits.into(), kids.into())..],
+            },
+            None => Side {
+                slot_bits: 0,
+                kid_bits: 0,
+                values: &[],
+                kids: &[],
+            },
+        }
     }
-    for b in 0..2 {
-        diff_cow_nodes(
-            old.and_then(|n| n.children[b].as_ref()),
-            new.and_then(|n| n.children[b].as_ref()),
-            bits | ((b as u32) << (31 - depth as u32)),
-            depth + 1,
-            f,
-        );
+
+    /// The value in slot `s`, past every slot below it.
+    fn value(&mut self, s: usize) -> Option<&'a T> {
+        if self.slot_bits & (1 << s) == 0 {
+            return None;
+        }
+        let (value, rest) = self.values.split_first()?;
+        self.values = rest;
+        Some(value)
+    }
+
+    /// Child `c`, past every child below it.
+    fn kid(&mut self, c: usize) -> Option<&'a Arc<CowNode<T>>> {
+        if self.kid_bits & (1 << c) == 0 {
+            return None;
+        }
+        let (kid, rest) = self.kids.split_first()?;
+        self.kids = rest;
+        Some(kid)
     }
 }
 
@@ -489,14 +751,15 @@ mod tests {
         let clone = base.clone();
         assert_eq!(clone.shared_nodes_with(&base), base.node_count());
 
-        // Mutating the clone path-copies only the touched spine; the
-        // 192.168/16 branch (17 nodes) and the untouched 12/8 interior
-        // stay physically shared, and the base is unchanged.
+        // Mutating the clone path-copies only the touched spine, the six
+        // nodes from the root down to the /24's; the 192.168/16 branch
+        // below the root (3 nodes) stays physically shared, and the base
+        // is unchanged.
         let mut day1 = base.clone();
         day1.insert(p("12.0.16.0/24"), "churned");
         let shared = day1.shared_nodes_with(&base);
-        assert!(shared >= 16, "sibling subtries must stay shared: {shared}");
-        assert!(shared < base.node_count(), "the spine must be copied");
+        assert!(shared >= 3, "sibling subtries must stay shared: {shared}");
+        assert_eq!(shared, base.node_count() - 6, "the spine must be copied");
         assert_eq!(base.get(p("12.0.16.0/24")), Some(&"deep"));
         assert_eq!(day1.get(p("12.0.16.0/24")), Some(&"churned"));
     }

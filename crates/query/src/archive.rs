@@ -953,6 +953,8 @@ struct DeltaPayload {
     dropped: Vec<Asn>,
     delta: OutputDelta,
     sidecar: BTreeMap<Asn, LgAnalyses>,
+    /// Where the sidecar starts in the segment.
+    sidecar_at: usize,
 }
 
 fn decode_delta(
@@ -998,6 +1000,7 @@ fn decode_delta(
             });
         }
     }
+    let sidecar_at = r.position();
     let n = r.ulen()?;
     let mut sidecar = BTreeMap::new();
     for _ in 0..n {
@@ -1023,6 +1026,7 @@ fn decode_delta(
         dropped,
         delta,
         sidecar,
+        sidecar_at,
     })
 }
 
@@ -1032,7 +1036,9 @@ fn decode_delta(
 /// `Arc`, with whatever cones the chain has walked so far). Read-only on
 /// the interner (the cold tier replays chains under a shared engine
 /// reference): `decode_delta` pre-validated every event symbol against
-/// the loaded table.
+/// the loaded table. The analyses sidecar must hold an entry for every
+/// `analyses_dirty` Looking-Glass vantage it patches and name no other
+/// AS than those vantages; anything else is invalid at the sidecar.
 fn replay_delta(
     id: SnapshotId,
     mut payload: DeltaPayload,
@@ -1061,10 +1067,23 @@ fn replay_delta(
         };
         snap.patch_vantage(prev, owner, vd, frozen, false);
         if table.kind == VantageKind::LookingGlass {
-            if let Some(lg) = payload.sidecar.remove(&asn) {
-                snap.set_lg(owner, lg);
+            match payload.sidecar.remove(&asn) {
+                Some(lg) => snap.set_lg(owner, lg),
+                None if vd.is_some_and(|d| d.analyses_dirty) => {
+                    return Err(CodecError::Invalid {
+                        offset: payload.sidecar_at,
+                        what: "analyses sidecar leaves out a dirty Looking-Glass vantage",
+                    })
+                }
+                None => {}
             }
         }
+    }
+    if !payload.sidecar.is_empty() {
+        return Err(CodecError::Invalid {
+            offset: payload.sidecar_at,
+            what: "analyses sidecar entry names no Looking-Glass vantage",
+        });
     }
     snap.provenance = Provenance::Delta(Arc::new(payload.delta));
     Ok(snap)
@@ -1974,5 +1993,106 @@ mod tests {
             assert_eq!(got, want, "seed {seed}: {req:?}");
         }
         kept_caches
+    }
+
+    /// A delta segment's analyses sidecar holds one entry for each
+    /// `analyses_dirty` Looking-Glass vantage the segment patches, and
+    /// names no AS but those vantages. An entry naming a collector peer,
+    /// or an AS that is no vantage, is a `Corrupt` error at the sidecar,
+    /// and so is a sidecar that leaves a dirty vantage out — where a
+    /// replay would otherwise drop the entry, or keep the vantage's stale
+    /// analyses.
+    #[test]
+    fn a_delta_sidecar_belongs_to_its_dirty_lg_vantages() {
+        let exp = Experiment::standard(InternetSize::Tiny, 7);
+        let cfg = ChurnConfig {
+            steps: 6,
+            flip_prob: 0.1,
+            link_failure_prob: 0.1,
+            ..ChurnConfig::daily(7)
+        };
+        let days = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg).snapshots;
+        let g = &exp.inferred_graph;
+        let mut engine = QueryEngine::default();
+        engine.ingest_output(&days[0], g, "d0");
+        for i in 1..days.len() {
+            engine.ingest_output_incremental(&days[i - 1], &days[i], g, &format!("d{i}"));
+        }
+        let dir = std::env::temp_dir().join(format!("rpi-sidecar-{}", std::process::id()));
+        engine.save_archive(&dir, true).unwrap();
+        let manifest = Manifest::read(&dir).unwrap();
+        let load_with = |idx: usize, bytes: &[u8]| {
+            std::fs::write(dir.join(&manifest.segments[idx].file), bytes).unwrap();
+            let mut fixed = manifest.clone();
+            fixed.segments[idx].crc32 = rpi_store::crc32(bytes);
+            fixed.segments[idx].bytes = bytes.len() as u64;
+            fixed.write(&dir, true).unwrap();
+            load(&dir).map(|_| "loaded")
+        };
+
+        let mut faults = 0;
+        for (idx, entry) in manifest.snapshot_segments() {
+            if entry.kind != SegmentKind::Delta {
+                continue;
+            }
+            let raw = read_segment(&dir, idx, entry).unwrap();
+            let payload = decode_delta(&raw, &entry.label, &engine.interner).unwrap();
+            let Some((&dirty, analyses)) = payload.sidecar.iter().next() else {
+                continue;
+            };
+            // The segment up to its sidecar, then a sidecar of our own.
+            let mut head = Vec::new();
+            put_str(&mut head, &payload.label);
+            put_asn_list(&mut head, &payload.dropped);
+            payload.delta.encode(&mut head);
+            let with = |sidecar: &BTreeMap<Asn, LgAnalyses>| {
+                let mut bytes = head.clone();
+                put_uvarint(&mut bytes, sidecar.len() as u64);
+                for (&asn, lg) in sidecar {
+                    put_asn(&mut bytes, asn);
+                    put_uvarint(&mut bytes, lg.typicality.0 as u64);
+                    put_uvarint(&mut bytes, lg.typicality.1 as u64);
+                    put_classes(&mut bytes, &lg.classes);
+                }
+                bytes
+            };
+            assert_eq!(with(&payload.sidecar), raw, "segment {idx} re-encodes");
+
+            let peer = (engine.snapshots[0].vantages.iter())
+                .find(|(_, t)| t.kind == VantageKind::CollectorPeer)
+                .map(|(&s, _)| engine.interner.resolve_asn(s))
+                .expect("a collector peer");
+            let strangers = [peer, Asn(65_500)];
+            let mut bad: Vec<(&str, BTreeMap<Asn, LgAnalyses>)> = (strangers.iter())
+                .map(|&other| {
+                    let mut sidecar = payload.sidecar.clone();
+                    sidecar.insert(other, analyses.clone());
+                    ("no Looking-Glass vantage", sidecar)
+                })
+                .collect();
+            let mut cut = payload.sidecar.clone();
+            cut.remove(&dirty);
+            bad.push(("leaves out", cut));
+            for (expect, sidecar) in bad {
+                match load_with(idx, &with(&sidecar)) {
+                    Err(StoreError::Corrupt {
+                        segment,
+                        offset,
+                        what,
+                    }) => {
+                        assert_eq!((segment.index, offset), (idx, head.len()), "{what}");
+                        assert!(what.contains(expect), "{expect}: {what}");
+                    }
+                    other => panic!("segment {idx}, {expect}: {other:?}"),
+                }
+                faults += 1;
+            }
+            load_with(idx, &raw).expect("the segment as saved loads");
+        }
+        assert!(
+            faults >= 3,
+            "no delta segment with a dirty Looking-Glass vantage"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

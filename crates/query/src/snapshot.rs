@@ -210,6 +210,27 @@ pub(crate) fn origin(route: &CompactRoute) -> AsnSym {
     *route.path.last().expect("stored paths are non-empty")
 }
 
+/// `table`'s owner and rows at symbol level, interned as they are read:
+/// the owner, then each row's prefix, next hop and path.
+fn interned_routes<'a>(
+    table: &'a BestTable,
+    interner: &'a mut WorldInterner,
+) -> (
+    AsnSym,
+    impl Iterator<Item = (Ipv4Prefix, PrefixSym, CompactRoute)> + 'a,
+) {
+    let owner = interner.asn(table.asn);
+    let routes = table.rows.iter().map(|(&prefix, row)| {
+        let sym = interner.prefix(prefix);
+        let route = CompactRoute {
+            next_hop: interner.asn(row.next_hop),
+            path: row.path.iter().map(|&a| interner.asn(a)).collect(),
+        };
+        (prefix, sym, route)
+    });
+    (owner, routes)
+}
+
 /// One vantage's route changes against its predecessor's table: the
 /// prefixes whose route is gone, then those whose route is new or
 /// changed, with the route now stored there. Withdrawals apply first, so
@@ -587,9 +608,9 @@ pub struct Snapshot {
 impl Snapshot {
     /// Builds a snapshot from a simulated output plus a relationship
     /// oracle (typically the Gao-inferred graph, as in the paper): the
-    /// collector's snapshot ([`Self::from_collector`]), then the
-    /// Looking-Glass views. An LG AS that also peers with the collector
-    /// keeps the richer view.
+    /// collector peers' tables, then the Looking-Glass views. An LG AS
+    /// that also peers with the collector keeps the richer view; its
+    /// collector table is never built, only interned.
     pub(crate) fn from_output(
         id: SnapshotId,
         label: &str,
@@ -597,7 +618,8 @@ impl Snapshot {
         oracle: &AsGraph,
         interner: &mut WorldInterner,
     ) -> Snapshot {
-        let mut snap = Snapshot::from_collector(id, label, &out.collector, oracle, interner);
+        let mut snap = Snapshot::empty(id, label, Arc::new(Oracle::index(oracle, interner)));
+        snap.index_collector(&out.collector, |peer| out.lgs.contains_key(&peer), interner);
         for (&asn, view) in &out.lgs {
             snap.index_lg(asn, view, oracle, interner);
         }
@@ -858,17 +880,34 @@ impl Snapshot {
         interner: &mut WorldInterner,
     ) -> Snapshot {
         let mut snap = Snapshot::empty(id, label, Arc::new(Oracle::index(oracle, interner)));
+        snap.index_collector(view, |_| false, interner);
+        snap.interned_watermark = interner.sizes();
+        snap
+    }
+
+    /// Indexes every collector peer's table but those of the peers
+    /// `indexed_apart` names, whose rows are only interned — in the order
+    /// indexing interns them, so symbol numbering does not depend on
+    /// which peers are indexed apart — then interns the communities.
+    fn index_collector(
+        &mut self,
+        view: &CollectorView,
+        indexed_apart: impl Fn(Asn) -> bool,
+        interner: &mut WorldInterner,
+    ) {
         for &peer in &view.peers {
             let table = BestTable::from_collector(view, peer);
-            snap.index_vantage(&table, VantageKind::CollectorPeer, interner);
+            if indexed_apart(peer) {
+                interned_routes(&table, interner).1.for_each(drop);
+            } else {
+                self.index_vantage(&table, VantageKind::CollectorPeer, interner);
+            }
         }
         for row in view.all_paths() {
             for &c in &row.communities {
                 interner.community(c);
             }
         }
-        snap.interned_watermark = interner.sizes();
-        snap
     }
 
     /// A snapshot under `oracle` with no vantage indexed yet.
@@ -889,15 +928,7 @@ impl Snapshot {
         kind: VantageKind,
         interner: &mut WorldInterner,
     ) {
-        let owner = interner.asn(table.asn);
-        let routes = table.rows.iter().map(|(&prefix, row)| {
-            let sym = interner.prefix(prefix);
-            let route = CompactRoute {
-                next_hop: interner.asn(row.next_hop),
-                path: row.path.iter().map(|&a| interner.asn(a)).collect(),
-            };
-            (prefix, sym, route)
-        });
+        let (owner, routes) = interned_routes(table, interner);
         let table = VantageTable::build(kind, &self.oracle, owner, routes);
         self.vantages.insert(owner, Arc::new(table));
     }
@@ -1825,6 +1856,130 @@ mod tests {
                 assert_ne!(t0.kind, t1.kind, "@{i}: the kind switches");
                 assert_ne!(t0.origins, t1.origins, "@{i}: a switched table's stamp");
             }
+        }
+    }
+
+    /// An AS that peers with the collector and has a Looking-Glass view
+    /// (Tiny seed 7 has four) is indexed from its view alone: its
+    /// collector table is interned, never built. Against two snapshots
+    /// built the old way — every collector table indexed, then replaced
+    /// by the view's — the interner holds the same symbols in the same
+    /// order, each snapshot the same watermark, the archive the same
+    /// bytes, and every verb answers the same.
+    #[test]
+    fn an_lg_peer_is_indexed_once_and_interned_as_before() {
+        use crate::proto::{render_response, Query, Scope};
+
+        let exp = Experiment::standard(InternetSize::Tiny, 7);
+        let cfg = ChurnConfig {
+            steps: 2,
+            ..ChurnConfig::daily(7)
+        };
+        let days = simulate_series(&exp.graph, &exp.truth, &exp.spec, &cfg).snapshots;
+        let g = &exp.inferred_graph;
+        let both: Vec<Asn> = (days[0].collector.peers.iter())
+            .copied()
+            .filter(|a| days[0].lgs.contains_key(a))
+            .collect();
+        assert!(!both.is_empty(), "an LG AS that peers with the collector");
+
+        let mut new = QueryEngine::default();
+        let mut old = QueryEngine::default();
+        for (i, out) in days.iter().enumerate() {
+            let label = format!("d{i}");
+            new.ingest_output(out, g, &label);
+            let id = SnapshotId(i as u32);
+            let interner = &mut old.interner;
+            let mut snap = Snapshot::from_collector(id, &label, &out.collector, g, interner);
+            for (&asn, view) in &out.lgs {
+                snap.index_lg(asn, view, g, interner);
+            }
+            snap.interned_watermark = interner.sizes();
+            old.snapshots.push(Arc::new(snap));
+        }
+
+        assert_eq!(new.interner.sizes(), old.interner.sizes());
+        assert!(new.interner.iter_asns().eq(old.interner.iter_asns()));
+        assert!(new
+            .interner
+            .iter_prefixes()
+            .eq(old.interner.iter_prefixes()));
+        assert!(new
+            .interner
+            .iter_communities()
+            .eq(old.interner.iter_communities()));
+        for (a, b) in new.snapshots.iter().zip(&old.snapshots) {
+            assert_eq!(a.interned_watermark, b.interned_watermark, "{}", a.label);
+        }
+
+        let saved = |engine: &mut QueryEngine, side: &str| {
+            let dir =
+                std::env::temp_dir().join(format!("rpi-lg-peer-{side}-{}", std::process::id()));
+            engine.save_archive(&dir, true).unwrap();
+            let mut files: Vec<_> = (std::fs::read_dir(&dir).unwrap())
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    (
+                        path.file_name().unwrap().to_owned(),
+                        std::fs::read(&path).unwrap(),
+                    )
+                })
+                .collect();
+            files.sort();
+            let _ = std::fs::remove_dir_all(&dir);
+            files
+        };
+        assert!(
+            saved(&mut new, "new") == saved(&mut old, "old"),
+            "archive bytes"
+        );
+
+        let mut ases: Vec<Asn> = (exp.spec.collector_peers.iter())
+            .chain(&exp.spec.lg_ases)
+            .copied()
+            .chain([Asn(65_500)])
+            .collect();
+        ases.sort_unstable();
+        ases.dedup();
+        let prefixes: Vec<Ipv4Prefix> = (days[0].collector.rows.keys())
+            .step_by(5)
+            .copied()
+            .chain(["203.0.113.0/24".parse().unwrap()])
+            .collect();
+        let (d0, d1) = (SnapshotId(0), SnapshotId(1));
+        let mut reqs = vec![
+            Query::Diff.at(Scope::Range(d0, d1)),
+            Query::Hijacks.at(Scope::All),
+        ];
+        for &a in &ases {
+            for at in [Scope::Id(d0), Scope::Id(d1)] {
+                reqs.push(Query::PolicySummary { asn: a }.at(at.clone()));
+                reqs.push(Query::Leaks.at(at.clone()));
+                for &b in &ases {
+                    reqs.push(Query::Relationship { a, b }.at(at.clone()));
+                }
+                for &prefix in &prefixes {
+                    let vantage = a;
+                    reqs.push(Query::Route { vantage, prefix }.at(at.clone()));
+                    reqs.push(Query::Resolve { vantage, prefix }.at(at.clone()));
+                    reqs.push(Query::SaStatus { vantage, prefix }.at(at.clone()));
+                    reqs.push(Query::Rov { vantage, prefix }.at(at.clone()));
+                }
+            }
+            reqs.push(Query::UptimeHistogram { vantage: a }.at(Scope::All));
+            reqs.push(Query::TopKSaOrigins { vantage: a, k: 3 }.at(Scope::All));
+            for &prefix in &prefixes {
+                let vantage = a;
+                reqs.push(Query::SaHistory { vantage, prefix }.at(Scope::All));
+                reqs.push(Query::PersistenceClass { vantage, prefix }.at(Scope::All));
+            }
+        }
+        let rendered = |engine: &QueryEngine, req| match engine.execute(req) {
+            Ok(resp) => render_response(req, &resp),
+            Err(e) => format!("error: {e}"),
+        };
+        for req in &reqs {
+            assert_eq!(rendered(&new, req), rendered(&old, req), "{req:?}");
         }
     }
 }
