@@ -94,8 +94,8 @@ impl SnapshotSeries {
 /// A best route as a delta event carries it: the fields a best-route
 /// table row stores (next hop + onward path, owner excluded — the same
 /// shape as `rpi_core`'s `BestRow`) plus the communities seen on the
-/// row, so an ingester can keep its community tables current without
-/// re-reading the whole view.
+/// row, so a follower patching its output in place
+/// ([`crate::stream::StreamFrame::apply`]) keeps each row whole.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaRoute {
     /// Neighbor the route was learned from.

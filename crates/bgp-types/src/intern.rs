@@ -1,14 +1,13 @@
 //! Compact-ID interning for the serving layer.
 //!
-//! `rpi-query` holds many snapshots of the same world: the same ASNs,
-//! prefixes and communities recur in every snapshot, and per-route storage
-//! dominates memory. Interning maps each distinct value to a dense `u32`
-//! so routes store 4-byte symbols instead of full values, and cross-
-//! snapshot comparisons become integer comparisons.
+//! `rpi-query` holds many snapshots of the same world: the same ASNs
+//! recur on every stored AS path, and per-route storage dominates memory.
+//! Interning maps each distinct value to a dense `u32` so paths store
+//! 4-byte symbols instead of full values, and cross-snapshot comparisons
+//! become integer comparisons.
 //!
 //! [`Interner`] is generic over any hashable value type; [`Symbol`] is the
-//! dense ID. The query crate layers typed wrappers (ASN/prefix/community
-//! symbols) on top.
+//! dense ID. The query crate layers a typed ASN symbol on top.
 
 use std::collections::HashMap;
 use std::hash::Hash;

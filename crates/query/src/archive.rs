@@ -5,11 +5,17 @@
 //! interned world, serialized so that loading is a linear decode instead
 //! of a re-simulation:
 //!
-//! * **symbol segment** — the [`WorldInterner`] tables in symbol order,
-//!   one *block per snapshot* (the interner is append-only across a
-//!   series, so each block is just what its snapshot added; block
-//!   boundaries restore the per-snapshot watermarks on load).
-//! * **full segment** (format v4) — one snapshot, each fact stored once:
+//! * **symbol segment** (format v5) — the [`WorldInterner`]'s ASNs in
+//!   symbol order, one *block per snapshot* (the interner is append-only
+//!   across a series, so each block is just the ASNs its snapshot added;
+//!   block boundaries restore the per-snapshot watermarks on load).
+//!   Prefixes are stored as themselves wherever they occur, so the
+//!   segment holds no prefix table, and no communities:
+//!
+//!   ```text
+//!   symbols := n_blocks (n asn*)*
+//!   ```
+//! * **full segment** — one snapshot, each fact stored once:
 //!
 //!   ```text
 //!   full := str(label) flags:u8 [n (a b rel)*]   edges unless FLAG_REL_SHARED
@@ -89,7 +95,7 @@ use bgp_types::codec::{
     put_asn, put_asn_list, put_prefix, put_relationship, put_str, put_uvarint, CodecError, Reader,
 };
 use bgp_types::intern::Symbol;
-use bgp_types::{flat, Asn, Community, Ipv4Prefix, Relationship};
+use bgp_types::{flat, Asn, Ipv4Prefix, Relationship};
 use net_topology::Relations;
 use rpi_sec::{Roa, RoaTable};
 use rpi_store::{
@@ -98,7 +104,7 @@ use rpi_store::{
 };
 
 use crate::engine::QueryEngine;
-use crate::intern::{AsnSym, FrozenInterner, PrefixSym, WorldInterner};
+use crate::intern::{AsnSym, FrozenInterner, WorldInterner};
 use crate::snapshot::{
     CompactRoute, LgAnalyses, Oracle, Provenance, RouteEdits, Snapshot, SnapshotId, VantageKind,
     VantageTable,
@@ -231,25 +237,14 @@ const SYMBOLS_FILE: &str = "symbols.seg";
 fn encode_symbols(engine: &QueryEngine) -> Vec<u8> {
     let mut out = Vec::new();
     let asns: Vec<Asn> = engine.interner.iter_asns().collect();
-    let prefixes: Vec<_> = engine.interner.iter_prefixes().collect();
-    let comms: Vec<Community> = engine.interner.iter_communities().collect();
 
     put_uvarint(&mut out, engine.snapshots.len() as u64);
-    let mut prev = (0usize, 0usize, 0usize);
+    let mut prev = 0;
     for snap in &engine.snapshots {
         let hw = snap.interned_watermark;
-        debug_assert!(hw.0 >= prev.0 && hw.1 >= prev.1 && hw.2 >= prev.2);
-        put_uvarint(&mut out, (hw.0 - prev.0) as u64);
-        for &a in &asns[prev.0..hw.0] {
+        put_uvarint(&mut out, (hw - prev) as u64);
+        for &a in &asns[prev..hw] {
             put_asn(&mut out, a);
-        }
-        put_uvarint(&mut out, (hw.1 - prev.1) as u64);
-        for &p in &prefixes[prev.1..hw.1] {
-            put_prefix(&mut out, p);
-        }
-        put_uvarint(&mut out, (hw.2 - prev.2) as u64);
-        for &c in &comms[prev.2..hw.2] {
-            put_uvarint(&mut out, c.as_u32() as u64);
         }
         prev = hw;
     }
@@ -258,57 +253,22 @@ fn encode_symbols(engine: &QueryEngine) -> Vec<u8> {
 
 /// Loads the symbol blocks into `interner`, returning the per-snapshot
 /// watermarks the block boundaries encode.
-fn decode_symbols(
-    raw: &[u8],
-    interner: &mut WorldInterner,
-) -> Result<Vec<(usize, usize, usize)>, CodecError> {
+fn decode_symbols(raw: &[u8], interner: &mut WorldInterner) -> Result<Watermarks, CodecError> {
     let mut r = Reader::new(raw);
     let n_blocks = r.ulen()?;
     let mut watermarks = Vec::with_capacity(n_blocks.min(1 << 16));
-    let mut sizes = (0usize, 0usize, 0usize);
     for _ in 0..n_blocks {
-        let n = r.ulen()?;
-        for _ in 0..n {
+        for _ in 0..r.ulen()? {
             let offset = r.position();
-            let a = r.asn()?;
-            if interner.asn(a) != AsnSym(Symbol(sizes.0 as u32)) {
+            let fresh = interner.asn_count();
+            if interner.asn(r.asn()?) != AsnSym(Symbol(fresh as u32)) {
                 return Err(CodecError::Invalid {
                     offset,
                     what: "duplicate ASN symbol",
                 });
             }
-            sizes.0 += 1;
         }
-        let n = r.ulen()?;
-        for _ in 0..n {
-            let offset = r.position();
-            let p = r.prefix()?;
-            if interner.prefix(p) != PrefixSym(Symbol(sizes.1 as u32)) {
-                return Err(CodecError::Invalid {
-                    offset,
-                    what: "duplicate prefix symbol",
-                });
-            }
-            sizes.1 += 1;
-        }
-        let n = r.ulen()?;
-        for _ in 0..n {
-            let offset = r.position();
-            let raw = r.uvarint()?;
-            let raw = u32::try_from(raw).map_err(|_| CodecError::Invalid {
-                offset,
-                what: "community",
-            })?;
-            let c = Community::new((raw >> 16) as u16, (raw & 0xFFFF) as u16);
-            if interner.community(c).0 != Symbol(sizes.2 as u32) {
-                return Err(CodecError::Invalid {
-                    offset,
-                    what: "duplicate community symbol",
-                });
-            }
-            sizes.2 += 1;
-        }
-        watermarks.push(sizes);
+        watermarks.push(interner.asn_count());
     }
     if !r.is_exhausted() {
         return Err(CodecError::Invalid {
@@ -733,7 +693,7 @@ fn read_oracle(r: &mut Reader<'_>, n_asns: usize) -> Result<Oracle, CodecError> 
 ///
 /// Every check on the bytes holds either way: the directory's spans tile
 /// the body, each trie fills its span and holds its route count, every
-/// stored prefix is interned, the label is the manifest's, the edge
+/// stored ASN is in the symbol table, the label is the manifest's, the edge
 /// section keeps the [`Relations`] contract ([`read_oracle`]), and the LG
 /// analyses pair a typicality with a class map for each Looking-Glass
 /// vantage and name no other symbol.
@@ -744,7 +704,7 @@ fn decode_full(
     prev: Option<&Snapshot>,
     interner: &WorldInterner,
 ) -> Result<Snapshot, CodecError> {
-    let n_asns = interner.sizes().0;
+    let n_asns = interner.asn_count();
     let mut r = Reader::new(raw);
     let label_offset = r.position();
     let label = r.str()?;
@@ -797,31 +757,13 @@ fn decode_full(
                 what: "route count disagrees with trie contents",
             });
         }
-        let missing_prefix = CodecError::Invalid {
-            offset: start,
-            what: "table prefix missing from symbol table",
-        };
         let onto = prev.filter(|p| p.vantages.get(&e.sym).is_some_and(|t| t.kind == e.kind));
         if let Some(prev) = onto {
-            // A prefix the edits leave alone is the predecessor's, and
-            // so interned already.
             let edits = RouteEdits::between(&prev.vantages[&e.sym].trie, pairs);
-            if (edits.stored.iter()).any(|&(p, _)| interner.lookup_prefix(p).is_none()) {
-                return Err(missing_prefix);
-            }
-            snap.patch_table(prev, e.sym, edits, interner, oracle_changed);
+            snap.patch_table(prev, e.sym, edits, oracle_changed);
             continue;
         }
-        let mut missing = false;
-        let routes = pairs.into_iter().map_while(|(prefix, route)| {
-            let sym = interner.lookup_prefix(prefix);
-            missing |= sym.is_none();
-            Some((prefix, sym?, route))
-        });
-        let table = VantageTable::build(e.kind, &snap.oracle, e.sym, routes);
-        if missing {
-            return Err(missing_prefix);
-        }
+        let table = VantageTable::build(e.kind, &snap.oracle, e.sym, pairs);
         snap.vantages.insert(e.sym, Arc::new(table));
     }
 
@@ -962,7 +904,7 @@ fn decode_delta(
     expect_label: &str,
     interner: &WorldInterner,
 ) -> Result<DeltaPayload, CodecError> {
-    let (n_asns, _, _) = interner.sizes();
+    let n_asns = interner.asn_count();
     let mut r = Reader::new(raw);
     let label_offset = r.position();
     let label = r.str()?.to_string();
@@ -977,22 +919,12 @@ fn decode_delta(
     let delta = OutputDelta::decode(&mut r)?;
     // Replay runs the decoded events through the live patching code
     // over a read-only interner ([`FrozenInterner`]), which cannot
-    // intern on a miss — so every symbol the events reference must
+    // intern on a miss — so every ASN the events' routes name must
     // already be in the loaded table, and a corrupt segment fails here.
     for vd in delta.collector.values().chain(delta.lgs.values()) {
-        let known_route = |route: &bgp_sim::DeltaRoute| {
-            interner.lookup_asn(route.next_hop).is_some()
-                && route.path.iter().all(|&a| interner.lookup_asn(a).is_some())
-        };
-        let ok = vd
-            .announced
-            .iter()
-            .chain(&vd.replaced)
-            .all(|(p, route)| interner.lookup_prefix(*p).is_some() && known_route(route))
-            && vd
-                .withdrawn
-                .iter()
-                .all(|&p| interner.lookup_prefix(p).is_some());
+        let known = |a| interner.lookup_asn(a).is_some();
+        let ok = (vd.announced.iter().chain(&vd.replaced))
+            .all(|(_, route)| known(route.next_hop) && route.path.iter().all(|&a| known(a)));
         if !ok {
             return Err(CodecError::Invalid {
                 offset: delta_offset,
@@ -1218,7 +1150,7 @@ pub(crate) fn replay_segment(
     label: &str,
     raw: &[u8],
     prev: Option<&Snapshot>,
-    watermark: (usize, usize, usize),
+    watermark: usize,
 ) -> Result<Snapshot, CodecError> {
     let mut snap = match kind {
         SegmentKind::Full => decode_full(raw, id, label, prev, interner)?,
@@ -1427,9 +1359,9 @@ fn swap_into_place(staging: &Path, dir: &Path, replacing_archive: bool) -> std::
     std::fs::remove_dir_all(staging)
 }
 
-/// Per-snapshot interner watermarks: (asns, prefixes, communities)
-/// interned by the time each snapshot was ingested.
-pub(crate) type Watermarks = Vec<(usize, usize, usize)>;
+/// Per-snapshot interner watermarks: the ASNs interned by the time each
+/// snapshot was ingested.
+pub(crate) type Watermarks = Vec<usize>;
 
 /// The shared prelude of [`load`] and the tiered attach
 /// ([`crate::tier::load_tiered`]): validates the manifest's segment
@@ -1638,7 +1570,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rpi-lg-owner-{}", std::process::id()));
         engine.save_archive(&dir, true).unwrap();
         let manifest = Manifest::read(&dir).unwrap();
-        let n_asns = engine.interner.sizes().0;
+        let n_asns = engine.interner.asn_count();
         let snap = &engine.snapshots[0];
         let varint = |v: u64| {
             let mut out = Vec::new();

@@ -665,11 +665,11 @@ fn simulate(opts: &Options) -> QueryEngine {
     } else {
         engine.ingest_experiment(&e, "t0");
     }
-    let (asns, prefixes, communities) = engine.interned_sizes();
     eprintln!(
-        "ready in {:.2?}: {} snapshots, interned {asns} ASNs / {prefixes} prefixes / {communities} communities",
+        "ready in {:.2?}: {} snapshots, interned {} ASNs",
         t0.elapsed(),
         engine.snapshot_count(),
+        engine.interned_asns(),
     );
     if opts.snapshots > 1 {
         let stats = engine.sharing_stats();
@@ -694,14 +694,13 @@ fn cold_start(dir: &str, hot_cap: Option<usize>) -> Result<QueryEngine, String> 
     }
     .map_err(|e| format!("--archive: {e}"))?;
     let elapsed = t0.elapsed();
-    let (asns, prefixes, communities) = engine.interned_sizes();
     let disk = engine.archive_info().map_or(0, |a| a.total_bytes());
     eprintln!(
-        "cold-started from {dir} in {:.2?}: {} snapshots ({} on disk), \
-         interned {asns} ASNs / {prefixes} prefixes / {communities} communities",
+        "cold-started from {dir} in {:.2?}: {} snapshots ({} on disk), interned {} ASNs",
         elapsed,
         engine.snapshot_count(),
         fmt_bytes(disk as u64),
+        engine.interned_asns(),
     );
     if let Some(stats) = engine.tier_stats() {
         eprintln!(

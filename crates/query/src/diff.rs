@@ -138,7 +138,7 @@ impl SnapshotDiff {
                     (_, None) => &mut diff.gone_sa,
                     _ => return,
                 };
-                side.push((vantage, interner.resolve_prefix(p)));
+                side.push((vantage, p));
             });
             let (mut added, mut removed, mut changed) = (0, 0, 0);
             b.route_changes(a, v, |_, old, new| match (old, new) {

@@ -26,7 +26,7 @@ use rpi_core::Experiment;
 use rpi_sec::{RoaTable, RovCache, RovCacheStats};
 
 use crate::diff::SnapshotDiff;
-use crate::intern::{AsnSym, PrefixSym, WorldInterner};
+use crate::intern::{AsnSym, WorldInterner};
 use crate::plan::QueryError;
 use crate::proto::{
     PersistenceAnswer, Query, QueryRequest, Response, SaHistoryPoint, SaOriginCount,
@@ -359,9 +359,9 @@ impl QueryEngine {
             .find(|&id| self.label(id) == label)
     }
 
-    /// `(distinct ASNs, distinct prefixes, distinct communities)` interned.
-    pub fn interned_sizes(&self) -> (usize, usize, usize) {
-        self.interner.sizes()
+    /// Distinct ASNs interned.
+    pub fn interned_asns(&self) -> usize {
+        self.interner.asn_count()
     }
 
     /// Ingests one simulated output with an explicit relationship oracle
@@ -473,7 +473,7 @@ impl QueryEngine {
         };
         let delta = output_delta(prev_out, out);
         let id = SnapshotId(self.snapshots.len() as u32);
-        let sizes_before = self.interner.sizes();
+        let asns_before = self.interner.asn_count();
         let prev = Arc::clone(&self.snapshots[prev_id.index()]);
         let snap = Snapshot::from_output_incremental(
             id,
@@ -488,10 +488,7 @@ impl QueryEngine {
         // The interner is append-only across a series: symbols may be
         // added, never moved or dropped, so the predecessor's interned
         // routes stay valid.
-        debug_assert!({
-            let after = self.interner.sizes();
-            after.0 >= sizes_before.0 && after.1 >= sizes_before.1 && after.2 >= sizes_before.2
-        });
+        debug_assert!(self.interner.asn_count() >= asns_before);
         self.snapshots.push(Arc::new(snap));
         id
     }
@@ -786,9 +783,8 @@ impl QueryEngine {
                 Response::Route(self.resolve_point(snap, vantage, prefix)?)
             }
             Query::SaStatus { vantage, prefix } => {
-                let p = self.interner.lookup_prefix(prefix);
                 Response::Sa(match self.interner.lookup_asn(vantage) {
-                    Some(v) => self.sa_point(snap, v, prefix, p)?,
+                    Some(v) => self.sa_point(snap, v, prefix)?,
                     None => SaStatus::UnknownVantage,
                 })
             }
@@ -822,9 +818,8 @@ impl QueryEngine {
         let (anchor, steps) = self.walk(ids)?;
         let at_start = |p| anchor.route(v, p).is_some();
         let (mut present, mut sa) = (Presence::default(), Presence::default());
-        let resolve = |ps| self.interner.resolve_prefix(ps);
-        for &ps in anchor.vantages.get(&v).iter().flat_map(|t| t.sa.sa.keys()) {
-            sa.flip(resolve(ps), 0, || false);
+        for &p in anchor.vantages.get(&v).iter().flat_map(|t| t.sa.sa.keys()) {
+            sa.flip(p, 0, || false);
         }
         for (step, pair) in (1..).zip(steps) {
             let (prev, snap) = pair?;
@@ -833,9 +828,9 @@ impl QueryEngine {
                     present.flip(p, step, || at_start(p));
                 }
             });
-            snap.sa_changes(&prev, v, |ps, old, new| {
+            snap.sa_changes(&prev, v, |p, old, new| {
                 if old.is_some() != new.is_some() {
-                    sa.flip(resolve(ps), step, || false);
+                    sa.flip(p, step, || false);
                 }
             });
         }
@@ -862,11 +857,11 @@ impl QueryEngine {
         let known = |vantage| {
             (self.interner.lookup_asn(vantage)).ok_or(QueryError::UnknownVantage(vantage))
         };
-        // Both symbols are resolved once; each id reads only its table.
+        // The vantage is resolved once; each id reads only its table.
         let sa_at = |vantage, prefix| {
-            let (v, p) = (known(vantage)?, self.interner.lookup_prefix(prefix));
-            let hot = move |snap: &_| self.sa_point(snap, v, prefix, p);
-            let at = move |id| self.read_at(id, hot, |chain| self.sa_point(chain, v, prefix, p));
+            let v = known(vantage)?;
+            let hot = move |snap: &_| self.sa_point(snap, v, prefix);
+            let at = move |id| self.read_at(id, hot, |chain| self.sa_point(chain, v, prefix));
             Ok::<_, QueryError>(ids.iter().map(move |&id| Ok((id, at(id)?))))
         };
         match *query {
@@ -892,18 +887,18 @@ impl QueryEngine {
             }
             Query::TopKSaOrigins { vantage, k } => {
                 let v = known(vantage)?;
-                let mut per_origin: BTreeMap<AsnSym, BTreeSet<PrefixSym>> = BTreeMap::new();
-                let mut file = |ps, origin| {
-                    per_origin.entry(origin).or_default().insert(ps);
+                let mut per_origin: BTreeMap<AsnSym, BTreeSet<Ipv4Prefix>> = BTreeMap::new();
+                let mut file = |p, origin| {
+                    per_origin.entry(origin).or_default().insert(p);
                 };
                 let (anchor, steps) = self.walk(ids)?;
-                for (&ps, &origin) in anchor.vantages.get(&v).iter().flat_map(|t| &t.sa.sa) {
-                    file(ps, origin);
+                for (&p, &origin) in anchor.vantages.get(&v).iter().flat_map(|t| &t.sa.sa) {
+                    file(p, origin);
                 }
                 for step in steps {
                     let (prev, snap) = step?;
-                    snap.sa_changes(&prev, v, |ps, _, new| {
-                        new.into_iter().for_each(|o| file(ps, o))
+                    snap.sa_changes(&prev, v, |p, _, new| {
+                        new.into_iter().for_each(|o| file(p, o))
                     });
                 }
                 let mut rows: Vec<SaOriginCount> = per_origin
@@ -964,22 +959,17 @@ impl QueryEngine {
         Ok(hit.map(|(matched, route)| self.answer(snap.id(), vantage, matched, &route)))
     }
 
-    /// Fig. 4's verdict on `v`'s route for `prefix`, on resolved symbols:
-    /// `p` is `prefix`'s, `None` when the interner has never seen it.
+    /// Fig. 4's verdict on the resolved vantage `v`'s route for `prefix`.
     fn sa_point(
         &self,
         snap: &impl PointRead,
         v: AsnSym,
         prefix: Ipv4Prefix,
-        p: Option<PrefixSym>,
     ) -> Result<SaStatus, QueryError> {
         if !snap.is_vantage(v)? {
             return Ok(SaStatus::UnknownVantage);
         }
-        let Some(p) = p else {
-            return Ok(SaStatus::NotInTable);
-        };
-        if let Some((verdict, origin)) = snap.sa_filed(v, prefix, p)? {
+        if let Some((verdict, origin)) = snap.sa_filed(v, prefix)? {
             let origin = self.interner.resolve_asn(origin);
             return Ok(match verdict {
                 SaVerdict::Sa => SaStatus::SelectivelyAnnounced { origin },

@@ -168,10 +168,8 @@ fn uptime_scan(
             *present.entry(p).or_insert(0) += 1;
         }
         if let Some(table) = snap.vantages.get(&v) {
-            for &ps in table.sa.sa.keys() {
-                *sa_count
-                    .entry(engine.interner.resolve_prefix(ps))
-                    .or_insert(0) += 1;
+            for &p in table.sa.sa.keys() {
+                *sa_count.entry(p).or_insert(0) += 1;
             }
         }
     }
@@ -190,7 +188,7 @@ fn uptime_scan(
 
 /// `v`'s SA cache in `snap` as judging its whole table finds it: what
 /// the cache the snapshot carries must be, however it was patched.
-fn sa_judged(engine: &QueryEngine, snap: &Snapshot, v: AsnSym) -> SaCache {
+fn sa_judged(snap: &Snapshot, v: AsnSym) -> SaCache {
     let mut judge = TableJudge::new(&snap.oracle, v);
     for (p, route) in snap
         .vantages
@@ -198,8 +196,7 @@ fn sa_judged(engine: &QueryEngine, snap: &Snapshot, v: AsnSym) -> SaCache {
         .into_iter()
         .flat_map(|t| t.trie.iter())
     {
-        let ps = (engine.interner.lookup_prefix(p)).expect("table prefixes are interned");
-        judge.judge(p, ps, route);
+        judge.judge(p, route);
     }
     judge.finish().0
 }
@@ -210,8 +207,7 @@ fn sa_scan(engine: &QueryEngine, snap: &Snapshot, vantage: Asn, prefix: Ipv4Pref
     let Some(v) = v.filter(|v| snap.vantages.contains_key(v)) else {
         return SaStatus::UnknownVantage;
     };
-    let filed = (engine.interner.lookup_prefix(prefix))
-        .and_then(|ps| sa_judged(engine, snap, v).filing(ps))
+    let filed = (sa_judged(snap, v).filing(prefix))
         .map(|(verdict, o)| (verdict, engine.interner.resolve_asn(o)));
     match filed {
         Some((SaVerdict::Sa, origin)) => SaStatus::SelectivelyAnnounced { origin },
@@ -233,11 +229,11 @@ fn top_sa_scan(
     let mut per_origin: BTreeMap<Asn, BTreeSet<Ipv4Prefix>> = BTreeMap::new();
     for &id in ids {
         let snap = engine.snap_arc(id)?;
-        for (&ps, &origin) in &sa_judged(engine, &snap, v).sa {
+        for (&p, &origin) in &sa_judged(&snap, v).sa {
             per_origin
                 .entry(engine.interner.resolve_asn(origin))
                 .or_default()
-                .insert(engine.interner.resolve_prefix(ps));
+                .insert(p);
         }
     }
     let mut rows: Vec<SaOriginCount> = (per_origin.into_iter())
@@ -273,12 +269,12 @@ fn diff_scan(interner: &WorldInterner, a: &Snapshot, b: &Snapshot) -> SnapshotDi
         let sa_b = b.vantages.get(&v).map_or(&empty, |t| &t.sa.sa);
         for &p in sa_b.keys() {
             if !sa_a.contains_key(&p) {
-                diff.new_sa.push((vantage, interner.resolve_prefix(p)));
+                diff.new_sa.push((vantage, p));
             }
         }
         for &p in sa_a.keys() {
             if !sa_b.contains_key(&p) {
-                diff.gone_sa.push((vantage, interner.resolve_prefix(p)));
+                diff.gone_sa.push((vantage, p));
             }
         }
     }

@@ -28,9 +28,10 @@
 //! (`tests/incremental_diff.rs`), ~6× faster at BGP-realistic churn with
 //! ~95% of trie memory shared ([`QueryEngine::sharing_stats`]).
 //!
-//! * [`intern`] — ASNs, prefixes and communities are interned into dense
-//!   `u32` symbols ([`bgp_types::Interner`]), so routes store 4-byte IDs
-//!   and cross-snapshot comparison is integer comparison.
+//! * [`intern`] — ASNs are interned into dense `u32` symbols
+//!   ([`bgp_types::Interner`]), so stored AS paths are 4-byte IDs and
+//!   cross-snapshot comparison is integer comparison; prefixes key every
+//!   per-prefix map as themselves.
 //! * [`snapshot`] — one ingested snapshot: per-vantage best-route tables
 //!   (one [`bgp_types::CowTrie`] each), plus the precomputed
 //!   `rpi_core` analyses (SA reports, valley-free leak convictions,
@@ -104,7 +105,7 @@ pub mod tier;
 pub use archive::{ArchiveInfo, SaveOptions, SegmentMeta};
 pub use diff::{RelationshipFlip, SnapshotDiff, VantageChurn};
 pub use engine::{PolicySummary, QueryEngine, RouteAnswer, SaStatus, SharingStats};
-pub use intern::{AsnSym, CommSym, PrefixSym, WorldInterner};
+pub use intern::{AsnSym, WorldInterner};
 pub use live::{
     drain_stream, follow_stream, FollowEnd, FollowReport, LiveError, LiveHandle, LiveOptions,
     LiveWriter,

@@ -322,7 +322,7 @@ impl LiveWriter {
             &self.spill,
             i + 1,
             &entry,
-            self.interner.sizes(),
+            self.interner.asn_count(),
             &self.interner,
             true,
             &self.metrics,

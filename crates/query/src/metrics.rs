@@ -25,18 +25,7 @@ use std::time::{Duration, Instant};
 
 use rpi_obs::{Counter, Gauge, Histogram, Registry};
 
-/// Every grammar verb's name, in [`crate::proto::VERBS`] order — the
-/// index space of the per-verb metric families (see
-/// [`crate::Query::verb_index`]).
-pub const VERBS: [&str; crate::proto::VERBS.len()] = {
-    let mut names = [""; crate::proto::VERBS.len()];
-    let mut i = 0;
-    while i < names.len() {
-        names[i] = crate::proto::VERBS[i].name;
-        i += 1;
-    }
-    names
-};
+use crate::proto::VERBS;
 
 /// How many slow-query entries the ring keeps (oldest evicted first).
 pub const SLOWLOG_CAP: usize = 128;
@@ -68,7 +57,8 @@ pub struct QueryMetrics {
     pub plan_batch_seconds: Arc<Histogram>,
 
     // serve
-    /// `rpi_serve_queries_total{verb=…}` — queries answered, by verb.
+    /// `rpi_serve_queries_total{verb=…}` — queries answered, by verb,
+    /// indexed by [`crate::Query::verb_index`] (a row of [`VERBS`]).
     pub serve_queries_total: [Arc<Counter>; VERBS.len()],
     /// `rpi_serve_query_seconds{verb=…}` — frame-complete → bytes-queued
     /// latency, by verb (pipelined queries record their segment's wall).
@@ -187,10 +177,10 @@ impl QueryMetrics {
         QueryMetrics {
             plan_batch_seconds: r.histogram("rpi_plan_batch_seconds", None),
             serve_queries_total: std::array::from_fn(|i| {
-                r.counter("rpi_serve_queries_total", Some(&verb_label(VERBS[i])))
+                r.counter("rpi_serve_queries_total", Some(&verb_label(VERBS[i].name)))
             }),
             serve_query_seconds: std::array::from_fn(|i| {
-                r.histogram("rpi_serve_query_seconds", Some(&verb_label(VERBS[i])))
+                r.histogram("rpi_serve_query_seconds", Some(&verb_label(VERBS[i].name)))
             }),
             serve_accepted_total: r.counter("rpi_serve_accepted_total", None),
             serve_rejected_total: r.counter("rpi_serve_rejected_total", None),
@@ -373,7 +363,7 @@ impl QueryMetrics {
             let snap = self.serve_query_seconds[i].snapshot();
             out.push_str(&format!(
                 "\n  {:<12} {:>9}  {}",
-                verb,
+                verb.name,
                 self.serve_queries_total[i].get(),
                 fmt_quantiles(&snap)
             ));
@@ -431,25 +421,6 @@ fn fmt_quantiles(snap: &rpi_obs::HistSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Verb order must track the proto enum (the per-verb arrays are
-    /// indexed by `Query::verb_index`).
-    #[test]
-    fn verb_table_matches_proto() {
-        use crate::proto::{Query, Scope};
-        let qs: Vec<(usize, crate::proto::QueryRequest)> = crate::proto::parse_script(
-            "route AS1 1.0.0.0/8\nresolve AS1 1.0.0.0/8\nsa AS1 1.0.0.0/8\nrel AS1 AS2\n\
-             summary AS1\ndiff @1..2\nsa-history AS1 1.0.0.0/8\nuptime AS1\ntop-sa AS1 3\n\
-             persistence AS1 1.0.0.0/8\nrov AS1 1.0.0.0/8\nhijacks\nleaks\n",
-        )
-        .expect("all verbs parse");
-        assert_eq!(qs.len(), VERBS.len());
-        for (i, (_, req)) in qs.iter().enumerate() {
-            assert_eq!(req.query.verb(), VERBS[i], "verb table out of order");
-            assert_eq!(req.query.verb_index(), i, "verb_index out of order");
-        }
-        let _ = Query::Diff.at(Scope::Latest); // keep the imports honest
-    }
 
     #[test]
     fn schema_is_stable_and_sorted() {

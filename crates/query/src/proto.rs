@@ -211,39 +211,6 @@ pub const VERBS: [Verb; 13] = [
     verb("leaks", "[@scope]", "valley-free violations in one snapshot", false),
 ];
 
-/// Where a verb named `len` bytes from `first` to `last` sits in
-/// [`VERB_ROWS`]: a mix no two rows of [`VERBS`] share (the table's
-/// build checks it at compile time).
-const fn verb_slot(len: usize, first: u8, last: u8) -> usize {
-    (len * 6 + first as usize + last as usize) % 32
-}
-
-/// The row of [`VERBS`] at each [`verb_slot`] (`u8::MAX`: none), so a
-/// word is compared with one verb's name, not with every row's.
-const VERB_ROWS: [u8; 32] = {
-    let mut rows = [u8::MAX; 32];
-    let mut row = 0;
-    while row < VERBS.len() {
-        let name = VERBS[row].name.as_bytes();
-        let slot = verb_slot(name.len(), name[0], name[name.len() - 1]);
-        assert!(
-            rows[slot] == u8::MAX,
-            "two verbs share a slot: remix verb_slot"
-        );
-        rows[slot] = row as u8;
-        row += 1;
-    }
-    rows
-};
-
-/// The row of [`VERBS`] naming `word`.
-fn verb_row(word: &str) -> Option<usize> {
-    let bytes = word.as_bytes();
-    let slot = verb_slot(bytes.len(), *bytes.first()?, *bytes.last()?);
-    let row = VERB_ROWS[slot] as usize;
-    (VERBS.get(row)?.name == word).then_some(row)
-}
-
 /// One operand of a query, of the kind its usage word names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Arg {
@@ -310,7 +277,7 @@ impl Query {
     }
 
     /// This query's row of [`VERBS`], which is also its index into the
-    /// per-verb metric families ([`crate::metrics::VERBS`]).
+    /// per-verb metric families ([`crate::metrics::QueryMetrics`]).
     pub fn verb_index(&self) -> usize {
         split(self).0
     }
@@ -684,7 +651,7 @@ fn parse_words<'a>(words: impl Iterator<Item = &'a str>) -> Result<QueryRequest,
     let args = &head[1..count.min(head.len())];
     let count = count - 1;
 
-    let Some(row) = verb_row(verb) else {
+    let Some(row) = VERBS.iter().position(|v| v.name == verb) else {
         return Err(ParseError::UnknownQuery(verb.to_string()));
     };
     let usage = VERBS[row].usage;

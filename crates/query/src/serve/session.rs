@@ -13,9 +13,10 @@ use std::time::Instant;
 use rpi_store::SegmentKind;
 
 use crate::engine::QueryEngine;
-use crate::metrics::VERBS;
 use crate::plan::QueryError;
-use crate::proto::{parse, parse_control, Control, Grammar, ParseError, QueryRequest, Response};
+use crate::proto::{
+    parse, parse_control, Control, Grammar, ParseError, QueryRequest, Response, VERBS,
+};
 use crate::snapshot::{SnapshotId, VantageKind};
 
 /// What the REPL line said, beyond the query grammar.

@@ -2,9 +2,10 @@
 //! each) plus the precomputed `rpi_core` analyses.
 //!
 //! A snapshot is built once at ingest time and never mutated; every query
-//! against it is a hash/trie lookup. Routes are stored interned
-//! ([`crate::WorldInterner`]), so a snapshot of a `Small` world is a few
-//! hundred KiB and diffing two snapshots is integer work.
+//! against it is a hash/trie lookup. Routes store their AS paths as
+//! interned ASN symbols ([`crate::WorldInterner`]), so a snapshot of a
+//! `Small` world is a few hundred KiB and diffing two snapshots is
+//! integer work.
 //!
 //! ## Two ways to build one
 //!
@@ -77,7 +78,7 @@ use rpi_core::export_policy::{sa_verdict, SaVerdict};
 use rpi_core::import_policy::lg_typicality;
 use rpi_core::view::BestTable;
 
-use crate::intern::{AsnSym, Interning, PrefixSym, WorldInterner};
+use crate::intern::{AsnSym, Interning, WorldInterner};
 use crate::plan::QueryError;
 
 /// Index of a snapshot inside its engine, in ingestion order.
@@ -150,19 +151,19 @@ pub(crate) struct VantageTable {
 
 impl VantageTable {
     /// `owner`'s table of `kind` built from nothing under `oracle`: each
-    /// `(prefix, its symbol, route)` is judged as it enters the trie, and
+    /// `(prefix, route)` is judged as it enters the trie, and
     /// the table takes a fresh stamp. Indexing and a standalone
     /// full-segment decode build through it.
     pub(crate) fn build(
         kind: VantageKind,
         oracle: &Oracle,
         owner: AsnSym,
-        routes: impl IntoIterator<Item = (Ipv4Prefix, PrefixSym, CompactRoute)>,
+        routes: impl IntoIterator<Item = (Ipv4Prefix, CompactRoute)>,
     ) -> VantageTable {
         let (mut trie, mut route_count) = (CowTrie::new(), 0);
         let mut judge = TableJudge::new(oracle, owner);
-        for (prefix, sym, route) in routes {
-            judge.judge(prefix, sym, &route);
+        for (prefix, route) in routes {
+            judge.judge(prefix, &route);
             route_count += trie.insert(prefix, route).is_none() as usize;
         }
         let (sa, leaks) = judge.finish();
@@ -211,22 +212,21 @@ pub(crate) fn origin(route: &CompactRoute) -> AsnSym {
 }
 
 /// `table`'s owner and rows at symbol level, interned as they are read:
-/// the owner, then each row's prefix, next hop and path.
+/// the owner, then each row's next hop and path.
 fn interned_routes<'a>(
     table: &'a BestTable,
     interner: &'a mut WorldInterner,
 ) -> (
     AsnSym,
-    impl Iterator<Item = (Ipv4Prefix, PrefixSym, CompactRoute)> + 'a,
+    impl Iterator<Item = (Ipv4Prefix, CompactRoute)> + 'a,
 ) {
     let owner = interner.asn(table.asn);
     let routes = table.rows.iter().map(|(&prefix, row)| {
-        let sym = interner.prefix(prefix);
         let route = CompactRoute {
             next_hop: interner.asn(row.next_hop),
             path: row.path.iter().map(|&a| interner.asn(a)).collect(),
         };
-        (prefix, sym, route)
+        (prefix, route)
     });
     (owner, routes)
 }
@@ -244,13 +244,10 @@ pub(crate) struct RouteEdits {
 
 impl RouteEdits {
     /// A delta's best-route events for one vantage, at symbol level,
-    /// interning the prefixes and ASes they name.
+    /// interning the ASes they name.
     pub(crate) fn from_delta<I: Interning>(vd: &VantageDelta, interner: &mut I) -> RouteEdits {
         let stored = (vd.announced.iter().chain(&vd.replaced))
-            .map(|(p, r)| {
-                interner.prefix(*p);
-                (*p, CompactRoute::interned(r, interner))
-            })
+            .map(|(p, r)| (*p, CompactRoute::interned(r, interner)))
             .collect();
         RouteEdits {
             removed: vd.withdrawn.clone(),
@@ -305,9 +302,9 @@ pub(crate) enum Provenance {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SaCache {
     /// SA prefix → origin.
-    pub sa: HashMap<PrefixSym, AsnSym>,
+    pub sa: HashMap<Ipv4Prefix, AsnSym>,
     /// Prefixes that are customer-originated but *not* SA.
-    pub exported: HashMap<PrefixSym, AsnSym>,
+    pub exported: HashMap<Ipv4Prefix, AsnSym>,
 }
 
 impl SaCache {
@@ -319,7 +316,7 @@ impl SaCache {
 
     /// Where `prefix` is filed, and under which origin (`None`: not a
     /// customer route, or no route).
-    pub(crate) fn filing(&self, prefix: PrefixSym) -> Option<(SaVerdict, AsnSym)> {
+    pub(crate) fn filing(&self, prefix: Ipv4Prefix) -> Option<(SaVerdict, AsnSym)> {
         let sa = self.sa.get(&prefix).map(|&o| (SaVerdict::Sa, o));
         sa.or_else(|| {
             self.exported
@@ -329,7 +326,7 @@ impl SaCache {
     }
 
     /// Files a customer-originated `prefix` where `verdict` puts it.
-    fn file(&mut self, prefix: PrefixSym, origin: AsnSym, verdict: SaVerdict) {
+    fn file(&mut self, prefix: Ipv4Prefix, origin: AsnSym, verdict: SaVerdict) {
         match verdict {
             SaVerdict::Sa => self.sa.insert(prefix, origin),
             SaVerdict::Exported => self.exported.insert(prefix, origin),
@@ -337,7 +334,7 @@ impl SaCache {
     }
 
     /// Forgets whatever was filed for `prefix`.
-    fn forget(&mut self, prefix: PrefixSym) {
+    fn forget(&mut self, prefix: Ipv4Prefix) {
         self.sa.remove(&prefix);
         self.exported.remove(&prefix);
     }
@@ -559,8 +556,8 @@ impl<'a> TableJudge<'a> {
         }
     }
 
-    /// Judges `route`, stored for `prefix` (interned as `sym`).
-    pub(crate) fn judge(&mut self, prefix: Ipv4Prefix, sym: PrefixSym, route: &CompactRoute) {
+    /// Judges `route`, stored for `prefix`.
+    pub(crate) fn judge(&mut self, prefix: Ipv4Prefix, route: &CompactRoute) {
         let origin = origin(route);
         if self.last_hop != route.next_hop || *self.last_path != *route.path {
             self.leaker = self.oracle.leaker(self.owner, &route.path);
@@ -574,7 +571,7 @@ impl<'a> TableJudge<'a> {
             self.convicted.insert(prefix, leaker);
         }
         if let Some(verdict) = self.sa {
-            self.cache.file(sym, origin, verdict);
+            self.cache.file(prefix, origin, verdict);
         }
     }
 
@@ -596,11 +593,10 @@ pub struct Snapshot {
     /// The relationship oracle the snapshot was indexed under; the same
     /// `Arc` as the predecessor's while the oracle is unchanged.
     pub(crate) oracle: Arc<Oracle>,
-    /// Interner sizes `(asns, prefixes, communities)` right after this
-    /// snapshot was indexed. The interner is append-only across a
-    /// series, so these are exactly the block boundaries of the
-    /// archive's symbol segment.
-    pub(crate) interned_watermark: (usize, usize, usize),
+    /// How many ASNs the interner held right after this snapshot was
+    /// indexed. The interner is append-only across a series, so these
+    /// are exactly the block boundaries of the archive's symbol segment.
+    pub(crate) interned_watermark: usize,
     /// How the snapshot was built (see [`Provenance`]).
     pub(crate) provenance: Provenance,
 }
@@ -623,7 +619,7 @@ impl Snapshot {
         for (&asn, view) in &out.lgs {
             snap.index_lg(asn, view, oracle, interner);
         }
-        snap.interned_watermark = interner.sizes();
+        snap.interned_watermark = interner.asn_count();
         snap
     }
 
@@ -666,31 +662,8 @@ impl Snapshot {
         let shared = changed.map_or_else(|| Arc::clone(&prev.oracle), Arc::new);
         let mut snap = Snapshot::empty(id, label, shared);
 
-        // Keep the interner's community table exactly as a full ingest
-        // would: every row a full pass would re-intern either existed in
-        // the predecessor (already interned, append-only), arrives as an
-        // announced/replaced event here, or belongs to a peer that just
-        // appeared (whose rows were never compared against anything and
-        // are interned wholesale below).
-        for vd in delta.collector.values() {
-            for (_, route) in vd.announced.iter().chain(&vd.replaced) {
-                for &c in &route.communities {
-                    interner.community(c);
-                }
-            }
-        }
-        if !delta.peers_added.is_empty() {
-            for row in out.collector.all_paths() {
-                if delta.peers_added.contains(&row.peer) {
-                    for &c in &row.communities {
-                        interner.community(c);
-                    }
-                }
-            }
-        }
-
         // Collector peers (LG ASes are indexed from their richer view
-        // below, but their collector rows were interned above).
+        // below).
         for &peer in &out.collector.peers {
             if out.lgs.contains_key(&peer) {
                 continue;
@@ -726,7 +699,7 @@ impl Snapshot {
                 }
             }
         }
-        snap.interned_watermark = interner.sizes();
+        snap.interned_watermark = interner.asn_count();
         snap.provenance = Provenance::Delta(Arc::new(delta));
         snap
     }
@@ -752,7 +725,7 @@ impl Snapshot {
         let edits = vd.map_or_else(RouteEdits::default, |vd| {
             RouteEdits::from_delta(vd, interner)
         });
-        self.patch_table(prev, owner, edits, interner, oracle_changed);
+        self.patch_table(prev, owner, edits, oracle_changed);
     }
 
     /// Carries `owner`'s record over from `prev` with `edits` applied,
@@ -768,13 +741,12 @@ impl Snapshot {
     /// kept as they are unless an entry moves — a prefix's filing is its
     /// verdict *and* its origin — each cloned at its first move; a
     /// changed oracle re-judges the whole table. The LG analyses come
-    /// along unchanged. Every prefix `edits` stores must be interned.
-    pub(crate) fn patch_table<I: Interning>(
+    /// along unchanged.
+    pub(crate) fn patch_table(
         &mut self,
         prev: &Snapshot,
         owner: AsnSym,
         edits: RouteEdits,
-        interner: &I,
         oracle_changed: bool,
     ) {
         let prev_table = prev
@@ -819,10 +791,7 @@ impl Snapshot {
             // itself changed mid-series).
             let mut judge = TableJudge::new(&self.oracle, owner);
             for (p, route) in table.trie.iter() {
-                let ps = interner
-                    .lookup_prefix(p)
-                    .expect("table prefixes are interned");
-                judge.judge(p, ps, route);
+                judge.judge(p, route);
             }
             let (sa, leaks) = judge.finish();
             (table.sa, table.leaks) = (Arc::new(sa), Arc::new(leaks));
@@ -832,29 +801,24 @@ impl Snapshot {
             // table; `make_mut` clones a map shared with the predecessor
             // at its first move.
             for &p in &removed {
-                // A prefix never interned is filed nowhere.
-                let ps = interner.lookup_prefix(p);
-                if let Some(ps) = ps.filter(|&ps| table.sa.filing(ps).is_some()) {
-                    Arc::make_mut(&mut table.sa).forget(ps);
+                if table.sa.filing(p).is_some() {
+                    Arc::make_mut(&mut table.sa).forget(p);
                 }
                 if table.leaks.contains_key(&p) {
                     Arc::make_mut(&mut table.leaks).remove(&p);
                 }
             }
             for p in touched {
-                let ps = interner
-                    .lookup_prefix(p)
-                    .expect("stored prefixes are interned");
                 let route = table.trie.get(p).expect("stored prefixes are in the table");
                 let o = origin(route);
                 let in_cone = |o| self.oracle.in_cone(owner, o);
                 let verdict = sa_verdict(&*self.oracle, owner, route.next_hop, o, in_cone);
                 let leaker = self.oracle.leaker(owner, &route.path);
-                if verdict.map(|verdict| (verdict, o)) != table.sa.filing(ps) {
+                if verdict.map(|verdict| (verdict, o)) != table.sa.filing(p) {
                     let cache = Arc::make_mut(&mut table.sa);
-                    cache.forget(ps);
+                    cache.forget(p);
                     if let Some(verdict) = verdict {
-                        cache.file(ps, o, verdict);
+                        cache.file(p, o, verdict);
                     }
                 }
                 if leaker != table.leaks.get(&p).copied() {
@@ -881,14 +845,14 @@ impl Snapshot {
     ) -> Snapshot {
         let mut snap = Snapshot::empty(id, label, Arc::new(Oracle::index(oracle, interner)));
         snap.index_collector(view, |_| false, interner);
-        snap.interned_watermark = interner.sizes();
+        snap.interned_watermark = interner.asn_count();
         snap
     }
 
     /// Indexes every collector peer's table but those of the peers
-    /// `indexed_apart` names, whose rows are only interned — in the order
-    /// indexing interns them, so symbol numbering does not depend on
-    /// which peers are indexed apart — then interns the communities.
+    /// `indexed_apart` names, whose rows' ASNs are only interned — in the
+    /// order indexing interns them, so symbol numbering does not depend
+    /// on which peers are indexed apart.
     fn index_collector(
         &mut self,
         view: &CollectorView,
@@ -903,11 +867,6 @@ impl Snapshot {
                 self.index_vantage(&table, VantageKind::CollectorPeer, interner);
             }
         }
-        for row in view.all_paths() {
-            for &c in &row.communities {
-                interner.community(c);
-            }
-        }
     }
 
     /// A snapshot under `oracle` with no vantage indexed yet.
@@ -917,7 +876,7 @@ impl Snapshot {
             label: label.to_string(),
             vantages: HashMap::new(),
             oracle,
-            interned_watermark: (0, 0, 0),
+            interned_watermark: 0,
             provenance: Provenance::Full,
         }
     }
@@ -1026,7 +985,7 @@ impl Snapshot {
         &self,
         base: &Snapshot,
         vantage: AsnSym,
-        mut f: impl FnMut(PrefixSym, Option<AsnSym>, Option<AsnSym>),
+        mut f: impl FnMut(Ipv4Prefix, Option<AsnSym>, Option<AsnSym>),
     ) {
         let (old, new) = (base.vantages.get(&vantage), self.vantages.get(&vantage));
         let (old, new) = (old.map(|t| &t.sa), new.map(|t| &t.sa));
@@ -1094,14 +1053,13 @@ pub(crate) trait PointRead {
         v: AsnSym,
         prefix: Ipv4Prefix,
     ) -> Result<Option<(Ipv4Prefix, Cow<'_, CompactRoute>)>, QueryError>;
-    /// Where Fig. 4 files `v`'s route for `prefix` (interned as `sym`),
-    /// and the route's origin: [`sa_verdict`] on the stored route under
+    /// Where Fig. 4 files `v`'s route for `prefix`, and the route's
+    /// origin: [`sa_verdict`] on the stored route under
     /// [`Self::oracle`]. `None`: no route, or not a customer route.
     fn sa_filed(
         &self,
         v: AsnSym,
         prefix: Ipv4Prefix,
-        sym: PrefixSym,
     ) -> Result<Option<(SaVerdict, AsnSym)>, QueryError>;
     /// The relationship oracle the snapshot was indexed under.
     fn oracle(&self) -> Result<&Oracle, QueryError>;
@@ -1138,10 +1096,9 @@ impl PointRead for Snapshot {
     fn sa_filed(
         &self,
         v: AsnSym,
-        _: Ipv4Prefix,
-        sym: PrefixSym,
+        prefix: Ipv4Prefix,
     ) -> Result<Option<(SaVerdict, AsnSym)>, QueryError> {
-        Ok(self.vantages.get(&v).and_then(|t| t.sa.filing(sym)))
+        Ok(self.vantages.get(&v).and_then(|t| t.sa.filing(prefix)))
     }
 
     fn oracle(&self) -> Result<&Oracle, QueryError> {
@@ -1159,15 +1116,9 @@ fn prev_kind(prev: &Snapshot, interner: &WorldInterner, vantage: Asn) -> Option<
 }
 
 /// `view`'s Looking-Glass analyses under `oracle`, interning the
-/// communities it carries and the neighbours it classes.
+/// neighbours it classes (the communities they are inferred from are
+/// not kept).
 fn lg_analyses(view: &LgView, oracle: &AsGraph, interner: &mut WorldInterner) -> LgAnalyses {
-    for routes in view.rows.values() {
-        for r in routes {
-            for &c in &r.communities {
-                interner.community(c);
-            }
-        }
-    }
     let t = lg_typicality(view, oracle);
     let inf = infer_communities(view, &CommunityParams::default());
     let classes = (inf.neighbor_class.iter())
@@ -1505,7 +1456,6 @@ mod tests {
         ];
         for (name, engine) in engines {
             let asn = |a: Asn| engine.interner.lookup_asn(a).expect("interned");
-            let prefix = |p: Ipv4Prefix| engine.interner.lookup_prefix(p).expect("interned");
             for (i, (out, g)) in outputs.iter().zip(oracles).enumerate() {
                 let at = format!("{tag}, {name} @{i}");
                 let snap = &engine.snapshots[i];
@@ -1530,14 +1480,14 @@ mod tests {
                 assert_eq!(snap.vantages.len(), tables.len(), "{at}: vantages");
                 for (table, lg) in tables {
                     let report = sa_prefixes(&table, g);
-                    let sa: HashMap<PrefixSym, AsnSym> = (report.sa_origin.iter())
-                        .map(|(&p, &o)| (prefix(p), asn(o)))
+                    let sa: HashMap<Ipv4Prefix, AsnSym> = (report.sa_origin.iter())
+                        .map(|(&p, &o)| (p, asn(o)))
                         .collect();
-                    let exported: HashMap<PrefixSym, AsnSym> = (table.rows.iter())
+                    let exported: HashMap<Ipv4Prefix, AsnSym> = (table.rows.iter())
                         .filter(|(p, row)| {
                             report.per_origin.contains_key(&row.origin()) && !report.sa.contains(p)
                         })
-                        .map(|(&p, row)| (prefix(p), asn(row.origin())))
+                        .map(|(&p, row)| (p, asn(row.origin())))
                         .collect();
                     let cache = &snap.vantages[&asn(table.asn)].sa;
                     let owner = table.asn;
@@ -1649,7 +1599,6 @@ mod tests {
             ] {
                 let sym = |x: Asn| engine.interner.lookup_asn(x).expect("interned");
                 let (vs, a, b) = (sym(v), sym(a), sym(b));
-                let ps = engine.interner.lookup_prefix(p).expect("interned");
                 // Day 0 is the world as simulated and day 1 adds `p`; the
                 // steps start at 2.
                 for (i, &(what, keeps_stamp, keeps_sa)) in (2..).zip(&steps) {
@@ -1662,7 +1611,7 @@ mod tests {
                     );
                     let (t0, t1) = (&old.vantages[&vs], &new.vantages[&vs]);
                     assert!(!Arc::ptr_eq(t0, t1), "{at}: the table was edited");
-                    let filing = |s: &Snapshot| s.vantages[&vs].sa.filing(ps);
+                    let filing = |s: &Snapshot| s.vantages[&vs].sa.filing(p);
                     let origin_of = |s: &Snapshot| s.route(vs, p).map(origin);
                     let present = |s: &Snapshot| s.route(vs, q).is_some();
                     let (sa, exported) = (SaVerdict::Sa, SaVerdict::Exported);
@@ -1776,7 +1725,7 @@ mod tests {
 
     /// Every constructor finishes its snapshot: right after each way of
     /// ingesting one — from scratch, incrementally, from an MRT image —
-    /// its interner watermark is the interner's size, and exactly the
+    /// its interner watermark is the interner's ASN count, and exactly the
     /// incremental one keeps its delta as its provenance.
     #[test]
     fn every_constructor_stamps_its_snapshot() {
@@ -1790,7 +1739,7 @@ mod tests {
             let snap = e.snapshots.last().expect("a snapshot");
             assert_eq!(
                 snap.interned_watermark,
-                e.interner.sizes(),
+                e.interner.asn_count(),
                 "{}",
                 snap.label
             );
@@ -1861,11 +1810,11 @@ mod tests {
 
     /// An AS that peers with the collector and has a Looking-Glass view
     /// (Tiny seed 7 has four) is indexed from its view alone: its
-    /// collector table is interned, never built. Against two snapshots
-    /// built the old way — every collector table indexed, then replaced
-    /// by the view's — the interner holds the same symbols in the same
-    /// order, each snapshot the same watermark, the archive the same
-    /// bytes, and every verb answers the same.
+    /// collector table's ASNs are interned, the table never built.
+    /// Against two snapshots built the old way — every collector table
+    /// indexed, then replaced by the view's — the interner holds the same
+    /// ASNs in the same order, each snapshot the same watermark, the
+    /// archive the same bytes, and every verb answers the same.
     #[test]
     fn an_lg_peer_is_indexed_once_and_interned_as_before() {
         use crate::proto::{render_response, Query, Scope};
@@ -1894,20 +1843,12 @@ mod tests {
             for (&asn, view) in &out.lgs {
                 snap.index_lg(asn, view, g, interner);
             }
-            snap.interned_watermark = interner.sizes();
+            snap.interned_watermark = interner.asn_count();
             old.snapshots.push(Arc::new(snap));
         }
 
-        assert_eq!(new.interner.sizes(), old.interner.sizes());
+        assert_eq!(new.interner.asn_count(), old.interner.asn_count());
         assert!(new.interner.iter_asns().eq(old.interner.iter_asns()));
-        assert!(new
-            .interner
-            .iter_prefixes()
-            .eq(old.interner.iter_prefixes()));
-        assert!(new
-            .interner
-            .iter_communities()
-            .eq(old.interner.iter_communities()));
         for (a, b) in new.snapshots.iter().zip(&old.snapshots) {
             assert_eq!(a.interned_watermark, b.interned_watermark, "{}", a.label);
         }

@@ -73,7 +73,7 @@ use crate::archive::{
     ArchiveInfo, DeltaEvents, SegmentMeta, VantageDir, VantageDirEntry,
 };
 use crate::engine::QueryEngine;
-use crate::intern::{AsnSym, PrefixSym, WorldInterner};
+use crate::intern::{AsnSym, WorldInterner};
 use crate::metrics::QueryMetrics;
 use crate::plan::QueryError;
 use crate::snapshot::{CompactRoute, Oracle, PointRead, Snapshot, SnapshotId, VantageKind};
@@ -111,9 +111,9 @@ pub struct TierStats {
 #[derive(Debug)]
 pub(crate) struct Segment {
     pub(crate) meta: SegmentMeta,
-    /// Interner sizes right after the snapshot was indexed, stamped onto
-    /// its hydrated form so it matches a full load's.
-    watermark: (usize, usize, usize),
+    /// The interner's ASN count right after the snapshot was indexed,
+    /// stamped onto its hydrated form so it matches a full load's.
+    watermark: usize,
     map: Mmap,
     /// Parsed eagerly at attach for full segments; `None` for deltas.
     dir: Option<VantageDir>,
@@ -138,7 +138,7 @@ pub(crate) fn attach(
     dir: &Path,
     index: usize,
     entry: &SegmentEntry,
-    watermark: (usize, usize, usize),
+    watermark: usize,
     interner: &WorldInterner,
     verified: bool,
     metrics: &QueryMetrics,
@@ -162,7 +162,7 @@ pub(crate) fn attach(
     let map = Mmap::map(&path).map_err(|source| StoreError::Io { path, source })?;
     let vdir = match entry.kind {
         SegmentKind::Full => {
-            let (vdir, self_contained, label) = read_mapped_directory(&map, interner.sizes().0)
+            let (vdir, self_contained, label) = read_mapped_directory(&map, interner.asn_count())
                 .map_err(|e| StoreError::corrupt(segref(), e))?;
             if label != entry.label {
                 return Err(StoreError::invalid(
@@ -247,7 +247,7 @@ impl Segment {
         }
         self.verify()?;
         let oracle =
-            read_mapped_oracle(&self.map, interner.sizes().0).map_err(|e| self.corrupt(e))?;
+            read_mapped_oracle(&self.map, interner.asn_count()).map_err(|e| self.corrupt(e))?;
         Ok(self.oracle.get_or_init(|| oracle))
     }
 }
@@ -302,7 +302,7 @@ impl<'a> ChainView<'a> {
 
     /// Decodes a route `trie` stores.
     fn decode(&self, trie: &FlatTrie<'a>, value: &'a [u8]) -> Result<CompactRoute, QueryError> {
-        let n_asns = self.interner.sizes().0;
+        let n_asns = self.interner.asn_count();
         (trie.read_value(value, &mut |r| decode_route(r, n_asns)))
             .map_err(|e| self.anchor.corrupt(e))
     }
@@ -378,7 +378,6 @@ impl PointRead for ChainView<'_> {
         &self,
         v: AsnSym,
         prefix: Ipv4Prefix,
-        _: PrefixSym,
     ) -> Result<Option<(SaVerdict, AsnSym)>, QueryError> {
         let Some(route) = self.get(v, prefix)? else {
             return Ok(None);

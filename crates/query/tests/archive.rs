@@ -242,7 +242,7 @@ fn assert_round_trip(seed: u64, saved: &mut QueryEngine, sc: &Scenario, tag: &st
 
     assert_eq!(saved.snapshot_count(), loaded.snapshot_count());
     assert_eq!(saved.labels(), loaded.labels());
-    assert_eq!(saved.interned_sizes(), loaded.interned_sizes());
+    assert_eq!(saved.interned_asns(), loaded.interned_asns());
     assert_eq!(
         saved.roa_table(),
         loaded.roa_table(),
@@ -733,8 +733,10 @@ fn stale_manifest_version_is_typed() {
     assert_eq!(out.status.code(), Some(1));
     assert_eq!(
         String::from_utf8_lossy(&out.stderr),
-        "rpi-queryd: --archive: unsupported archive format version 2 \
-         (this build reads version 4 only)\n"
+        format!(
+            "rpi-queryd: --archive: unsupported archive format version 2 \
+             (this build reads version {FORMAT_VERSION} only)\n"
+        )
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -1077,7 +1079,7 @@ fn crafted_counts_and_lengths_are_typed_errors() {
         ),
     ];
     let cases = [
-        // v4's body is the tries back to back: the directory must tile it.
+        // The body is the tries back to back: the directory must tile it.
         (
             "directory span moved by one byte",
             splice(first_start.clone(), &varint(value(first_start) + 1)),

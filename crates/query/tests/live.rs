@@ -370,8 +370,8 @@ fn run_live_differential(seed: u64, window: usize, tag: &str) {
     let n = live.snapshot_count();
     assert_eq!(n, SNAPSHOTS);
     assert_eq!(
-        live.interned_sizes(),
-        offline.engine.interned_sizes(),
+        live.interned_asns(),
+        offline.engine.interned_asns(),
         "seed {seed}: live interning diverged"
     );
     for i in 0..QUERIES {

@@ -528,7 +528,7 @@ fn concurrent_clients_get_exactly_direct_execute_answers() {
 /// now a sum over these counters) rests on.
 #[test]
 fn per_verb_counters_increment_exactly_once_per_pipelined_query() {
-    use rpi_query::metrics::VERBS;
+    use rpi_query::proto::VERBS;
     for threads in matrix() {
         let (engine, exp) = tiny_engine();
         let (addr, handle, join) =
@@ -552,8 +552,8 @@ fn per_verb_counters_increment_exactly_once_per_pipelined_query() {
             ("uptime", 1),
         ];
         let m = engine.metrics();
-        for (i, verb) in VERBS.iter().enumerate() {
-            let expect = want.iter().find(|(w, _)| w == verb).map_or(0, |&(_, n)| n);
+        for (i, verb) in VERBS.iter().map(|v| v.name).enumerate() {
+            let expect = want.iter().find(|(w, _)| *w == verb).map_or(0, |&(_, n)| n);
             assert_eq!(
                 m.serve_queries_total[i].get(),
                 expect,
@@ -579,7 +579,7 @@ fn per_verb_counters_increment_exactly_once_per_pipelined_query() {
 /// byte-identical answers.
 #[test]
 fn per_verb_totals_sum_exactly_across_shards() {
-    use rpi_query::metrics::VERBS;
+    use rpi_query::proto::VERBS;
     let (engine, exp) = tiny_engine();
     let (addr, handle, join) = spawn_server(engine.clone(), cell_cfg(4, ServeConfig::default()));
 
@@ -607,8 +607,8 @@ fn per_verb_totals_sum_exactly_across_shards() {
 
     let want = [("route", 3), ("resolve", 2), ("sa", 1), ("summary", 1)];
     let m = engine.metrics();
-    for (i, verb) in VERBS.iter().enumerate() {
-        let per_client = want.iter().find(|(w, _)| w == verb).map_or(0, |&(_, n)| n);
+    for (i, verb) in VERBS.iter().map(|v| v.name).enumerate() {
+        let per_client = want.iter().find(|(w, _)| *w == verb).map_or(0, |&(_, n)| n);
         let expect = per_client * CLIENTS as u64;
         assert_eq!(
             m.serve_queries_total[i].get(),

@@ -870,8 +870,7 @@ fn corrupt_mapped_segment_is_a_typed_error() {
 /// Never a panic, never a silent answer.
 #[test]
 fn corruption_reached_through_a_chain_is_a_typed_error() {
-    use bgp_sim::{DeltaRoute, OutputDelta};
-    use bgp_types::codec::{put_asn_list, put_str, Reader};
+    use bgp_sim::DeltaRoute;
     use rpi_store::StoreError;
 
     let sc = build_scenario(0x3C);
@@ -906,15 +905,8 @@ fn corruption_reached_through_a_chain_is_a_typed_error() {
     std::fs::write(&path, &pristine).unwrap();
 
     // The delta behind id 3 gains an event whose next hop and path no
-    // symbol names; its manifest row is fixed up to match.
-    let (index, entry) = &segs[3];
-    let path = dir.join(&entry.file);
-    let bytes = std::fs::read(&path).unwrap();
-    let mut r = Reader::new(&bytes);
-    let label = r.str().unwrap().to_string();
-    let dropped = r.asn_list().unwrap();
-    let mut delta = OutputDelta::decode(&mut r).unwrap();
-    let sidecar = bytes[r.position()..].to_vec();
+    // symbol names.
+    let entry = &segs[3].1;
     let stranger = Asn(4_200_000_000);
     let peer = sc.outputs[0].collector.peers[0];
     let event = DeltaRoute {
@@ -922,17 +914,7 @@ fn corruption_reached_through_a_chain_is_a_typed_error() {
         path: vec![stranger],
         communities: Vec::new(),
     };
-    (delta.collector.entry(peer).or_default().announced).push((prefix, event));
-    let mut out = Vec::new();
-    put_str(&mut out, &label);
-    put_asn_list(&mut out, &dropped);
-    delta.encode(&mut out);
-    out.extend_from_slice(&sidecar);
-    std::fs::write(&path, &out).unwrap();
-    let mut fixed = manifest.clone();
-    fixed.segments[*index].bytes = out.len() as u64;
-    fixed.segments[*index].crc32 = rpi_store::crc32(&out);
-    fixed.write(&dir, true).unwrap();
+    announce_in_delta(&dir, &manifest, 3, peer, prefix, event);
 
     let tiered = QueryEngine::load_archive_tiered(&dir, 1).expect("attach is lazy");
     match tiered.execute(&req) {
@@ -948,6 +930,100 @@ fn corruption_reached_through_a_chain_is_a_typed_error() {
             assert!(what.contains("delta event symbol missing"), "{what}");
         }
         other => panic!("wanted Corrupt, got {:?}", other.map(|_| ())),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites the delta segment of snapshot `id` in the archive at `dir`
+/// with one more collector event, `peer` announcing `route` for
+/// `prefix`, and fixes its manifest row up to match, so only decoding
+/// can object.
+fn announce_in_delta(
+    dir: &std::path::Path,
+    manifest: &Manifest,
+    id: usize,
+    peer: Asn,
+    prefix: Ipv4Prefix,
+    route: bgp_sim::DeltaRoute,
+) {
+    use bgp_sim::OutputDelta;
+    use bgp_types::codec::{put_asn_list, put_str, Reader};
+
+    let (index, entry) = (manifest.snapshot_segments())
+        .nth(id)
+        .expect("a segment per snapshot");
+    assert_eq!(entry.kind, SegmentKind::Delta, "snapshot {id}");
+    let path = dir.join(&entry.file);
+    let bytes = std::fs::read(&path).unwrap();
+    let mut r = Reader::new(&bytes);
+    let label = r.str().unwrap().to_string();
+    let dropped = r.asn_list().unwrap();
+    let mut delta = OutputDelta::decode(&mut r).unwrap();
+    let sidecar = bytes[r.position()..].to_vec();
+    (delta.collector.entry(peer).or_default().announced).push((prefix, route));
+    let mut out = Vec::new();
+    put_str(&mut out, &label);
+    put_asn_list(&mut out, &dropped);
+    delta.encode(&mut out);
+    out.extend_from_slice(&sidecar);
+    std::fs::write(&path, &out).unwrap();
+    let mut fixed = manifest.clone();
+    fixed.segments[index].bytes = out.len() as u64;
+    fixed.segments[index].crc32 = rpi_store::crc32(&out);
+    fixed.write(dir, true).unwrap();
+}
+
+/// A delta event may announce a prefix no snapshot before it stored:
+/// prefixes are not interned, so only the ASNs an event names must be
+/// in the symbol table. The delta behind id 3 gains an announcement, by
+/// a collector peer, of a prefix no output of the series holds, over a
+/// path of ASNs the table knows; the eager load and the tier-attached
+/// engine both accept the archive, find the route at id 3 and after,
+/// and answer `route`, `resolve` and `sa` on it with the same bytes.
+#[test]
+fn a_delta_may_announce_a_prefix_no_snapshot_held() {
+    use bgp_sim::DeltaRoute;
+    use rpi_query::Response;
+
+    let sc = build_scenario(0x3D);
+    let (dir, manifest) = saved(&sc, 0x3D, None, "fresh-prefix");
+    let fresh: Ipv4Prefix = "203.0.113.0/24".parse().unwrap();
+    let held = |o: &SimOutput| {
+        o.collector.rows.contains_key(&fresh) || o.lgs.values().any(|v| v.rows.contains_key(&fresh))
+    };
+    assert!(!sc.outputs.iter().any(held), "the prefix is fresh");
+    let out = &sc.outputs[3];
+    let (peer, route) = (out.collector.rows.values().flatten())
+        .filter(|row| !out.lgs.contains_key(&row.peer) && row.path.len() >= 2)
+        .map(|row| {
+            let route = DeltaRoute {
+                next_hop: row.path[1],
+                path: row.path[1..].to_vec(),
+                communities: Vec::new(),
+            };
+            (row.peer, route)
+        })
+        .next()
+        .expect("a collector peer with a learned route");
+    announce_in_delta(&dir, &manifest, 3, peer, fresh, route);
+
+    let hydrated = QueryEngine::load_archive(&dir).expect("the eager load accepts it");
+    let tiered = QueryEngine::load_archive_tiered(&dir, 1).expect("tiered load");
+    for id in 2..SNAPSHOTS as u32 {
+        let at = Scope::Id(SnapshotId(id));
+        let (vantage, prefix) = (peer, fresh);
+        let route = Query::Route { vantage, prefix }.at(at.clone());
+        let found = matches!(hydrated.execute(&route), Ok(Response::Route(Some(_))));
+        assert_eq!(found, id >= 3, "@{id}: the route is stored from id 3 on");
+        for req in [
+            route,
+            Query::Resolve { vantage, prefix }.at(at.clone()),
+            Query::SaStatus { vantage, prefix }.at(at),
+        ] {
+            let want = rendered(&hydrated, &req);
+            assert!(!want.starts_with("error"), "{req:?}: {want}");
+            assert_eq!(rendered(&tiered, &req), want, "{req:?}");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -24,8 +24,9 @@
 //! reads exactly [`FORMAT_VERSION`]; any other version — older (the
 //! flag-less v1 rows, v2's per-vantage trie count and `RPD2`
 //! directories, v3's full segments that stored SA caches, neighbour
-//! counts and a per-vantage body header beside what they follow from)
-//! or newer — is [`StoreError::Version`]. Within the
+//! counts and a per-vantage body header beside what they follow from,
+//! v4's symbol segment that stored prefix and community blocks beside
+//! each snapshot's ASNs) or newer — is [`StoreError::Version`]. Within the
 //! version, unknown flag bits are rejected loudly: a future writer that
 //! needs new per-segment state must bump the version.
 
@@ -40,7 +41,7 @@ use crate::error::StoreError;
 pub const MAGIC: [u8; 8] = *b"RPISTOR\x01";
 
 /// The one manifest format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Segment flag: the segment is a **keyframe** — a fully
 /// self-contained snapshot that can be decoded with no predecessor, so
@@ -357,9 +358,9 @@ mod tests {
     fn round_trips() {
         let m = sample();
         let bytes = m.to_bytes();
-        // The bytes the format-v4 writer produces: a round trip alone
+        // The bytes the format-v5 writer produces: a round trip alone
         // would pass if writer and parser drifted together.
-        assert_eq!((bytes.len(), crc32(&bytes)), (165, 0x5f8e_fc70));
+        assert_eq!((bytes.len(), crc32(&bytes)), (165, 0xcf90_55b7));
         let back = Manifest::parse(&bytes, Path::new("MANIFEST")).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.total_bytes(), 1234 + 9876 + 55 + 77);
@@ -392,9 +393,9 @@ mod tests {
 
     #[test]
     fn stale_version_is_typed() {
-        // Only FORMAT_VERSION is read: an older (v1, v2, v3) or newer
+        // Only FORMAT_VERSION is read: an older (v1 to v4) or newer
         // version field is refused before any row is parsed.
-        for version in [1, 2, 3, FORMAT_VERSION + 1] {
+        for version in [1, 2, 3, 4, FORMAT_VERSION + 1] {
             let mut m = sample();
             m.version = version;
             assert!(matches!(

@@ -197,7 +197,7 @@ fn batched_answers_equal_single_answers() {
     }
     let verbs: std::collections::BTreeSet<usize> =
         reqs.iter().map(|r| r.query.verb_index()).collect();
-    assert_eq!(verbs.len(), rpi_query::metrics::VERBS.len(), "every verb");
+    assert_eq!(verbs.len(), rpi_query::proto::VERBS.len(), "every verb");
 
     let render = |req: &QueryRequest, result: Result<Response, QueryError>| match result {
         Ok(resp) => render_response(req, &resp),
